@@ -7,7 +7,11 @@ import (
 
 // QASM serializes the circuit as an OpenQASM 2.0 program that the
 // package's own parser (internal/qasm) accepts, enabling round trips
-// between the tool's algorithm box and the IR.
+// between the tool's algorithm box and the IR. Negative controls are
+// written as X-conjugated positive ones. Gates with more than two
+// controls, and doubly controlled gates other than X and Z, have no
+// spelling here: they are written as a "// unsupported op" comment
+// and dropped, so the round trip loses them.
 func (c *Circuit) QASM() string {
 	var b strings.Builder
 	b.WriteString("OPENQASM 2.0;\n")
@@ -119,11 +123,11 @@ func qasmGateName(o *Op) (string, bool) {
 			return "c" + base, true
 		}
 	case 2:
-		if o.Gate == X {
+		switch o.Gate {
+		case X:
 			return "ccx", true
-		}
-		if o.Gate == Swap {
-			return "", false
+		case Z:
+			return "ccz", true
 		}
 	}
 	return "", false

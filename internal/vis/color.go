@@ -1,7 +1,6 @@
 package vis
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 )
@@ -11,13 +10,20 @@ import (
 // green at 2π/3, blue at 4π/3), with full saturation and mid
 // lightness. Returns a #rrggbb string.
 func PhaseColor(w complex128) string {
+	var buf [7]byte
+	return string(appendPhaseColor(buf[:0], w))
+}
+
+// appendPhaseColor appends PhaseColor(w) to dst.
+func appendPhaseColor(dst []byte, w complex128) []byte {
+	const hex = "0123456789abcdef"
 	phase := cmplx.Phase(w) // (-π, π]
 	if phase < 0 {
 		phase += 2 * math.Pi
 	}
 	hue := phase / (2 * math.Pi) * 360
 	r, g, b := hlsToRGB(hue, 0.5, 1.0)
-	return fmt.Sprintf("#%02x%02x%02x", r, g, b)
+	return append(dst, '#', hex[r>>4], hex[r&15], hex[g>>4], hex[g&15], hex[b>>4], hex[b&15])
 }
 
 // hlsToRGB converts hue (degrees), lightness and saturation in [0,1]
@@ -87,16 +93,23 @@ func ColorWheelSVG(size int) string {
 	for i := 0; i < segments; i++ {
 		a0 := float64(i) / segments * 2 * math.Pi
 		a1 := float64(i+1)/segments*2*math.Pi + 0.005
-		color := PhaseColor(cmplx.Exp(complex(0, a0)))
-		p := fmt.Sprintf("M%.2f,%.2f L%.2f,%.2f A%.2f,%.2f 0 0 1 %.2f,%.2f L%.2f,%.2f A%.2f,%.2f 0 0 0 %.2f,%.2f Z",
-			cx+rInner*math.Cos(a0), cy-rInner*math.Sin(a0),
-			cx+rOuter*math.Cos(a0), cy-rOuter*math.Sin(a0),
-			rOuter, rOuter,
-			cx+rOuter*math.Cos(a1), cy-rOuter*math.Sin(a1),
-			cx+rInner*math.Cos(a1), cy-rInner*math.Sin(a1),
-			rInner, rInner,
-			cx+rInner*math.Cos(a0), cy-rInner*math.Sin(a0))
-		fmt.Fprintf(&b.buf, "<path d=\"%s\" fill=\"%s\" stroke=\"none\"/>\n", p, color)
+		b.num("<path d=\"M", cx+rInner*math.Cos(a0), 2)
+		b.num(",", cy-rInner*math.Sin(a0), 2)
+		b.num(" L", cx+rOuter*math.Cos(a0), 2)
+		b.num(",", cy-rOuter*math.Sin(a0), 2)
+		b.num(" A", rOuter, 2)
+		b.num(",", rOuter, 2)
+		b.num(" 0 0 1 ", cx+rOuter*math.Cos(a1), 2)
+		b.num(",", cy-rOuter*math.Sin(a1), 2)
+		b.num(" L", cx+rInner*math.Cos(a1), 2)
+		b.num(",", cy-rInner*math.Sin(a1), 2)
+		b.num(" A", rInner, 2)
+		b.num(",", rInner, 2)
+		b.num(" 0 0 0 ", cx+rInner*math.Cos(a0), 2)
+		b.num(",", cy-rInner*math.Sin(a0), 2)
+		b.str(" Z\" fill=\"")
+		b.buf = appendPhaseColor(b.buf, cmplx.Exp(complex(0, a0)))
+		b.str("\" stroke=\"none\"/>\n")
 	}
 	labels := []struct {
 		angle float64

@@ -8,7 +8,7 @@
 package vis
 
 import (
-	"fmt"
+	"strconv"
 
 	"quantumdd/internal/dd"
 )
@@ -75,26 +75,24 @@ func (g *Graph) NodeCount() int {
 // FromVector extracts the graph of a state diagram.
 func FromVector(e dd.VEdge) *Graph {
 	g := &Graph{Kind: KindVector, RootWeight: e.W, Root: noNode}
-	if e.IsZero() {
-		// The zero vector renders as a lone terminal with weight 0.
+	if e.IsTerminal() {
+		// A constant, e.g. the zero vector, renders as a lone terminal
+		// under its root weight.
 		id := g.addTerminal()
 		g.Root = id
 		return g
 	}
 	ids := map[*dd.VNode]NodeID{}
 	var term NodeID = noNode
+	var probs []float64 // two per non-terminal node, in node order
 	var walk func(n *dd.VNode) NodeID
 	walk = func(n *dd.VNode) NodeID {
 		if id, ok := ids[n]; ok {
 			return id
 		}
 		id := NodeID(len(g.Nodes))
-		g.Nodes = append(g.Nodes, Node{
-			ID:    id,
-			Level: n.V,
-			Label: fmt.Sprintf("q%d", n.V),
-			Probs: []float64{prob(n.E[0].W), prob(n.E[1].W)},
-		})
+		g.Nodes = append(g.Nodes, Node{ID: id, Level: n.V, Label: levelLabel(n.V)})
+		probs = append(probs, prob(n.E[0].W), prob(n.E[1].W))
 		ids[n] = id
 		if n.V+1 > g.Levels {
 			g.Levels = n.V + 1
@@ -116,13 +114,20 @@ func FromVector(e dd.VEdge) *Graph {
 		return id
 	}
 	g.Root = walk(e.N)
+	// Slice Probs out of the shared array only now: appends above may
+	// have moved it.
+	for i := range g.Nodes {
+		if n := &g.Nodes[i]; !n.Terminal {
+			n.Probs, probs = probs[:2:2], probs[2:]
+		}
+	}
 	return g
 }
 
 // FromMatrix extracts the graph of an operation diagram.
 func FromMatrix(e dd.MEdge) *Graph {
 	g := &Graph{Kind: KindMatrix, RootWeight: e.W, Root: noNode}
-	if e.IsZero() {
+	if e.IsTerminal() {
 		id := g.addTerminal()
 		g.Root = id
 		return g
@@ -135,11 +140,7 @@ func FromMatrix(e dd.MEdge) *Graph {
 			return id
 		}
 		id := NodeID(len(g.Nodes))
-		g.Nodes = append(g.Nodes, Node{
-			ID:    id,
-			Level: n.V,
-			Label: fmt.Sprintf("q%d", n.V),
-		})
+		g.Nodes = append(g.Nodes, Node{ID: id, Level: n.V, Label: levelLabel(n.V)})
 		ids[n] = id
 		if n.V+1 > g.Levels {
 			g.Levels = n.V + 1
@@ -168,6 +169,21 @@ func (g *Graph) addTerminal() NodeID {
 	id := NodeID(len(g.Nodes))
 	g.Nodes = append(g.Nodes, Node{ID: id, Level: -1, Label: "1", Terminal: true})
 	return id
+}
+
+// levelLabels holds the node labels of the first 64 qubit levels.
+var levelLabels = func() (l [64]string) {
+	for i := range l {
+		l[i] = "q" + strconv.Itoa(i)
+	}
+	return l
+}()
+
+func levelLabel(v int) string {
+	if v < len(levelLabels) {
+		return levelLabels[v]
+	}
+	return "q" + strconv.Itoa(v)
 }
 
 func prob(w complex128) float64 {

@@ -1,6 +1,9 @@
 package vis
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Layout parameters (SVG user units).
 const (
@@ -28,23 +31,58 @@ func (g *Graph) Layout() (width, height float64) {
 		}
 		return top - n.Level
 	}
-	rows := make([][]NodeID, g.Levels+1)
-	// DFS pre-order from the root for an initial ordering.
-	visited := make([]bool, len(g.Nodes))
-	adj := make([][]NodeID, len(g.Nodes))
+	n := len(g.Nodes)
+	// Children and parents in CSR form: the neighbours of node i are
+	// kids[kidAt[i]:kidAt[i+1]] and pars[parAt[i]:parAt[i+1]], each in
+	// edge order. Rows share one backing array the same way.
+	nrows := g.Levels + 1
+	offs := make([]int, 2*(n+1)+nrows+1)
+	kidAt, parAt, rowAt := offs[:n+1], offs[n+1:2*(n+1)], offs[2*(n+1):]
+	m := 0
 	for _, e := range g.Edges {
 		if e.To != noNode {
-			adj[e.From] = append(adj[e.From], e.To)
+			kidAt[e.From+1]++
+			parAt[e.To+1]++
+			m++
 		}
 	}
+	for i := range g.Nodes {
+		kidAt[i+1] += kidAt[i]
+		parAt[i+1] += parAt[i]
+		rowAt[rowOf(&g.Nodes[i])+1]++
+	}
+	for r := 0; r < nrows; r++ {
+		rowAt[r+1] += rowAt[r]
+	}
+	ids := make([]NodeID, 2*m+n)
+	kids, pars, order := ids[:m], ids[m:2*m], ids[2*m:]
+	fill := make([]int, 2*n)
+	fillK, fillP := fill[:n], fill[n:]
+	copy(fillK, kidAt[:n])
+	copy(fillP, parAt[:n])
+	for _, e := range g.Edges {
+		if e.To != noNode {
+			kids[fillK[e.From]] = e.To
+			fillK[e.From]++
+			pars[fillP[e.To]] = e.From
+			fillP[e.To]++
+		}
+	}
+	rows := make([][]NodeID, nrows)
+	for r := range rows {
+		rows[r] = order[rowAt[r]:rowAt[r]:rowAt[r+1]]
+	}
+	// DFS pre-order from the root for an initial ordering.
+	visited := make([]bool, n)
 	var dfs func(id NodeID)
 	dfs = func(id NodeID) {
 		if visited[id] {
 			return
 		}
 		visited[id] = true
-		rows[rowOf(&g.Nodes[id])] = append(rows[rowOf(&g.Nodes[id])], id)
-		for _, c := range adj[id] {
+		r := rowOf(&g.Nodes[id])
+		rows[r] = append(rows[r], id)
+		for _, c := range kids[kidAt[id]:kidAt[id+1]] {
 			dfs(c)
 		}
 	}
@@ -58,61 +96,49 @@ func (g *Graph) Layout() (width, height float64) {
 	}
 	// Barycenter sweeps: order each row by the mean position of
 	// parents (downward pass), then by children (upward pass).
-	pos := make([]float64, len(g.Nodes))
-	assign := func() {
-		for _, row := range rows {
-			for i, id := range row {
-				pos[id] = float64(i)
-			}
+	pos := make([]float64, n)
+	maxW := 0
+	for _, row := range rows {
+		for i, id := range row {
+			pos[id] = float64(i)
 		}
+		maxW = max(maxW, len(row))
 	}
-	assign()
-	parents := make([][]NodeID, len(g.Nodes))
-	for _, e := range g.Edges {
-		if e.To != noNode {
-			parents[e.To] = append(parents[e.To], e.From)
-		}
+	type keyed struct {
+		id  NodeID
+		key float64
 	}
-	bary := func(ids []NodeID, of [][]NodeID) {
-		type keyed struct {
-			id  NodeID
-			key float64
-		}
-		ks := make([]keyed, len(ids))
-		for i, id := range ids {
-			refs := of[id]
-			if len(refs) == 0 {
+	buf := make([]keyed, maxW)
+	bary := func(row []NodeID, refs []NodeID, at []int) {
+		ks := buf[:len(row)]
+		for i, id := range row {
+			rs := refs[at[id]:at[id+1]]
+			if len(rs) == 0 {
 				ks[i] = keyed{id, pos[id]}
 				continue
 			}
 			sum := 0.0
-			for _, r := range refs {
+			for _, r := range rs {
 				sum += pos[r]
 			}
-			ks[i] = keyed{id, sum / float64(len(refs))}
+			ks[i] = keyed{id, sum / float64(len(rs))}
 		}
-		sort.SliceStable(ks, func(a, b int) bool { return ks[a].key < ks[b].key })
+		slices.SortStableFunc(ks, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+		// Only this row's positions change.
 		for i := range ks {
-			ids[i] = ks[i].id
+			row[i] = ks[i].id
+			pos[ks[i].id] = float64(i)
 		}
 	}
 	for sweep := 0; sweep < 2; sweep++ {
 		for r := 1; r < len(rows); r++ {
-			bary(rows[r], parents)
-			assign()
+			bary(rows[r], pars, parAt)
 		}
 		for r := len(rows) - 2; r >= 0; r-- {
-			bary(rows[r], adj)
-			assign()
+			bary(rows[r], kids, kidAt)
 		}
 	}
 	// Coordinates: centre every row horizontally.
-	maxW := 0
-	for _, row := range rows {
-		if len(row) > maxW {
-			maxW = len(row)
-		}
-	}
 	width = marginX*2 + float64(maxW-1)*siblingGap
 	if width < 2*marginX+siblingGap {
 		width = 2*marginX + siblingGap

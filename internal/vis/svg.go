@@ -1,9 +1,7 @@
 package vis
 
 import (
-	"fmt"
-	"math"
-	"strings"
+	"unsafe"
 
 	"quantumdd/internal/cnum"
 )
@@ -38,46 +36,129 @@ func (s Style) labels() bool {
 	return s.Mode == Classic
 }
 
-// svgBuilder accumulates SVG markup.
+// svgBuilder appends SVG markup to one byte slice. Numbers go through
+// appendFixed, so no fmt call runs per element.
 type svgBuilder struct {
-	buf strings.Builder
+	buf []byte
+}
+
+func (b *svgBuilder) str(s string) { b.buf = append(b.buf, s...) }
+
+// num appends s followed by x with prec decimals.
+func (b *svgBuilder) num(s string, x float64, prec int) {
+	b.buf = append(b.buf, s...)
+	b.buf = appendFixed(b.buf, x, prec)
 }
 
 func (b *svgBuilder) open(w, h float64) {
-	fmt.Fprintf(&b.buf, "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"%.0f\" height=\"%.0f\" viewBox=\"0 0 %.0f %.0f\" font-family=\"Helvetica,Arial,sans-serif\">\n", w, h, w, h)
-	fmt.Fprintf(&b.buf, "<rect width=\"100%%\" height=\"100%%\" fill=\"white\"/>\n")
+	b.num(`<svg xmlns="http://www.w3.org/2000/svg" width="`, w, 0)
+	b.num(`" height="`, h, 0)
+	b.num(`" viewBox="0 0 `, w, 0)
+	b.num(" ", h, 0)
+	b.str("\" font-family=\"Helvetica,Arial,sans-serif\">\n<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n")
 }
 
-func (b *svgBuilder) close() { b.buf.WriteString("</svg>\n") }
+func (b *svgBuilder) close() { b.str("</svg>\n") }
 
-// String returns the accumulated SVG markup.
-func (b *svgBuilder) String() string { return b.buf.String() }
+// String returns the accumulated markup without copying it, as
+// strings.Builder does; the builder must not be written to afterwards.
+func (b *svgBuilder) String() string {
+	return unsafe.String(unsafe.SliceData(b.buf), len(b.buf))
+}
 
-func (b *svgBuilder) line(x1, y1, x2, y2 float64, stroke string, width float64, dashed bool) {
-	dash := ""
+// lineTo appends a line element up to the opening quote of its stroke
+// color, which the caller appends before calling lineEnd.
+func (b *svgBuilder) lineTo(x1, y1, x2, y2 float64) {
+	b.num(`<line x1="`, x1, 1)
+	b.num(`" y1="`, y1, 1)
+	b.num(`" x2="`, x2, 1)
+	b.num(`" y2="`, y2, 1)
+	b.str(`" stroke="`)
+}
+
+func (b *svgBuilder) lineEnd(width float64, dashed bool) {
+	b.num(`" stroke-width="`, width, 2)
 	if dashed {
-		dash = " stroke-dasharray=\"5,3\""
+		b.str(`" stroke-dasharray="5,3`)
 	}
-	fmt.Fprintf(&b.buf, "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" stroke=\"%s\" stroke-width=\"%.2f\"%s/>\n", x1, y1, x2, y2, stroke, width, dash)
+	b.str("\"/>\n")
+}
+
+// edge draws a weighted edge in the style's color, width and dashing.
+func (b *svgBuilder) edge(x1, y1, x2, y2 float64, s Style, w complex128) {
+	b.lineTo(x1, y1, x2, y2)
+	if s.Mode == Colored {
+		b.buf = appendPhaseColor(b.buf, w)
+	} else {
+		b.str("black")
+	}
+	b.lineEnd(edgeWidth(s, w), dashedFor(s, w))
 }
 
 func (b *svgBuilder) text(x, y float64, s string, size float64, anchor string) {
-	fmt.Fprintf(&b.buf, "<text x=\"%.1f\" y=\"%.1f\" font-size=\"%.0f\" text-anchor=\"%s\">%s</text>\n", x, y, size, anchor, escape(s))
+	b.num(`<text x="`, x, 1)
+	b.num(`" y="`, y, 1)
+	b.num(`" font-size="`, size, 0)
+	b.str(`" text-anchor="`)
+	b.str(anchor)
+	b.str(`">`)
+	b.buf = appendEscaped(b.buf, s)
+	b.str("</text>\n")
 }
 
-func escape(s string) string {
-	s = strings.ReplaceAll(s, "&", "&amp;")
-	s = strings.ReplaceAll(s, "<", "&lt;")
-	s = strings.ReplaceAll(s, ">", "&gt;")
-	return s
+// rect appends a rect element up to the end of its geometry; the
+// caller appends the remaining attributes and the closing "/>\n".
+func (b *svgBuilder) rect(x, y, w, h float64) {
+	b.num(`<rect x="`, x, 1)
+	b.num(`" y="`, y, 1)
+	b.num(`" width="`, w, 1)
+	b.num(`" height="`, h, 1)
+	b.str(`"`)
+}
+
+// appendEscaped appends s with &, < and > replaced by entities.
+func appendEscaped(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '&':
+			dst = append(dst, "&amp;"...)
+		case '<':
+			dst = append(dst, "&lt;"...)
+		case '>':
+			dst = append(dst, "&gt;"...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 // SVG renders the graph (which must have been laid out by the caller
 // or will be laid out here) in the given style.
-func (g *Graph) SVG(style Style) string {
+func (g *Graph) SVG(style Style) string { return g.svg(style, "") }
+
+// svg renders the graph with an optional caption line (e.g. the last
+// executed gate) placed right after the background rect.
+func (g *Graph) svg(style Style, caption string) string {
 	w, h := g.Layout()
-	var b svgBuilder
+	labels := style.labels()
+	// Sized from measured output so that most frames never regrow:
+	// about 190 bytes per node (500 with probability bars), 120 per
+	// edge and 60 more per edge when weights are labelled.
+	nodeBytes, edgeBytes := 190, 120
+	if style.Mode == Modern && g.Kind == KindVector {
+		nodeBytes = 500
+	}
+	if labels {
+		edgeBytes += 60
+	}
+	b := svgBuilder{buf: make([]byte, 0, 512+len(caption)+nodeBytes*len(g.Nodes)+edgeBytes*len(g.Edges))}
 	b.open(w, h)
+	if caption != "" {
+		b.str(`<text x="8" y="16" font-size="12" fill="#555">`)
+		b.buf = appendEscaped(b.buf, caption)
+		b.str("</text>\n")
+	}
 
 	portX := func(n *Node, port, nports int) float64 {
 		span := nodeRadius * 1.6
@@ -87,11 +168,13 @@ func (g *Graph) SVG(style Style) string {
 	// Root arrow.
 	if g.Root != noNode {
 		rn := &g.Nodes[g.Root]
-		b.line(rn.X, rn.Y-levelGap, rn.X, rn.Y-nodeRadius-2, edgeColor(style, g.RootWeight), edgeWidth(style, g.RootWeight), dashedFor(style, g.RootWeight))
-		if style.labels() && !cnum.IsOne(g.RootWeight, 1e-9) {
+		b.edge(rn.X, rn.Y-levelGap, rn.X, rn.Y-nodeRadius-2, style, g.RootWeight)
+		if labels && !cnum.IsOne(g.RootWeight, 1e-9) {
 			b.text(rn.X+6, rn.Y-levelGap+14, cnum.FormatComplex(g.RootWeight), 11, "start")
 		}
-		arrowHead(&b, rn.X, rn.Y-nodeRadius-2)
+		b.num(`<path d="M`, rn.X, 1)
+		b.num(",", rn.Y-nodeRadius-2, 1)
+		b.str(" l-4,-7 l8,0 Z\" fill=\"black\"/>\n")
 	}
 
 	// Edges beneath nodes.
@@ -102,7 +185,9 @@ func (g *Graph) SVG(style Style) string {
 		if e.Zero {
 			// Retracted 0-stub: a short tick with a tiny "0".
 			if style.Mode != Colored {
-				b.line(x1, y1, x1, y1+8, "#999999", 1, false)
+				b.lineTo(x1, y1, x1, y1+8)
+				b.str("#999999")
+				b.lineEnd(1, false)
 				b.text(x1, y1+17, "0", 8, "middle")
 			}
 			continue
@@ -112,8 +197,8 @@ func (g *Graph) SVG(style Style) string {
 		if to.Terminal {
 			y2 = to.Y - terminalSize/2 - 1
 		}
-		b.line(x1, y1, x2, y2, edgeColor(style, e.Weight), edgeWidth(style, e.Weight), dashedFor(style, e.Weight))
-		if style.labels() && !cnum.IsOne(e.Weight, 1e-9) {
+		b.edge(x1, y1, x2, y2, style, e.Weight)
+		if labels && !cnum.IsOne(e.Weight, 1e-9) {
 			mx, my := (x1+x2)/2, (y1+y2)/2
 			b.text(mx+5, my, cnum.FormatComplex(e.Weight), 10, "start")
 		}
@@ -124,13 +209,13 @@ func (g *Graph) SVG(style Style) string {
 		n := &g.Nodes[i]
 		switch {
 		case n.Terminal:
-			fmt.Fprintf(&b.buf, "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"%.1f\" fill=\"white\" stroke=\"black\" stroke-width=\"1.4\"/>\n",
-				n.X-terminalSize/2, n.Y-terminalSize/2, terminalSize, terminalSize)
+			b.rect(n.X-terminalSize/2, n.Y-terminalSize/2, terminalSize, terminalSize)
+			b.str(" fill=\"white\" stroke=\"black\" stroke-width=\"1.4\"/>\n")
 			b.text(n.X, n.Y+4, "1", 12, "middle")
 		case style.Mode == Modern:
 			wBox, hBox := nodeRadius*2.4, nodeRadius*1.8
-			fmt.Fprintf(&b.buf, "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"%.1f\" rx=\"8\" fill=\"#eef4ff\" stroke=\"#35507a\" stroke-width=\"1.4\"/>\n",
-				n.X-wBox/2, n.Y-hBox/2, wBox, hBox)
+			b.rect(n.X-wBox/2, n.Y-hBox/2, wBox, hBox)
+			b.str(" rx=\"8\" fill=\"#eef4ff\" stroke=\"#35507a\" stroke-width=\"1.4\"/>\n")
 			b.text(n.X, n.Y-2, n.Label, 11, "middle")
 			// Probability bars for vector nodes: the squared branch
 			// weights (the values the measurement dialog shows).
@@ -138,12 +223,21 @@ func (g *Graph) SVG(style Style) string {
 				barW := wBox/2 - 6
 				for k, p := range n.Probs {
 					x := n.X - wBox/2 + 4 + float64(k)*(barW+4)
-					fmt.Fprintf(&b.buf, "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"4\" fill=\"#d4ddec\"/>\n", x, n.Y+5, barW)
-					fmt.Fprintf(&b.buf, "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"4\" fill=\"#35507a\"/>\n", x, n.Y+5, barW*clamp01(p))
+					b.num(`<rect x="`, x, 1)
+					b.num(`" y="`, n.Y+5, 1)
+					b.num(`" width="`, barW, 1)
+					b.str("\" height=\"4\" fill=\"#d4ddec\"/>\n")
+					b.num(`<rect x="`, x, 1)
+					b.num(`" y="`, n.Y+5, 1)
+					b.num(`" width="`, barW*clamp01(p), 1)
+					b.str("\" height=\"4\" fill=\"#35507a\"/>\n")
 				}
 			}
 		default:
-			fmt.Fprintf(&b.buf, "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"%.1f\" fill=\"white\" stroke=\"black\" stroke-width=\"1.4\"/>\n", n.X, n.Y, nodeRadius)
+			b.num(`<circle cx="`, n.X, 1)
+			b.num(`" cy="`, n.Y, 1)
+			b.num(`" r="`, nodeRadius, 1)
+			b.str("\" fill=\"white\" stroke=\"black\" stroke-width=\"1.4\"/>\n")
 			b.text(n.X, n.Y+4, n.Label, 12, "middle")
 		}
 	}
@@ -159,17 +253,6 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-func arrowHead(b *svgBuilder, x, y float64) {
-	fmt.Fprintf(&b.buf, "<path d=\"M%.1f,%.1f l-4,-7 l8,0 Z\" fill=\"black\"/>\n", x, y)
-}
-
-func edgeColor(s Style, w complex128) string {
-	if s.Mode == Colored {
-		return PhaseColor(w)
-	}
-	return "black"
 }
 
 func edgeWidth(s Style, w complex128) float64 {
@@ -188,27 +271,6 @@ func dashedFor(s Style, w complex128) bool {
 	return !cnum.IsOne(w, 1e-9)
 }
 
-// frameSVG is used by the web layer: it prefixes the diagram with a
-// caption line (e.g. the last executed gate).
-func frameSVG(g *Graph, style Style, caption string) string {
-	svg := g.SVG(style)
-	if caption == "" {
-		return svg
-	}
-	caption = escape(caption)
-	insert := fmt.Sprintf("<text x=\"8\" y=\"16\" font-size=\"12\" fill=\"#555\">%s</text>\n", caption)
-	idx := strings.Index(svg, "/>\n") // after the background rect
-	if idx < 0 {
-		return svg
-	}
-	return svg[:idx+3] + insert + svg[idx+3:]
-}
-
 // FrameSVG renders a diagram with a caption; exported for the web UI
 // and the animation exporter.
-func FrameSVG(g *Graph, style Style, caption string) string { return frameSVG(g, style, caption) }
-
-// ProbabilityOf formats a probability for dialog rendering.
-func ProbabilityOf(p float64) string {
-	return fmt.Sprintf("%.1f%%", math.Round(p*1000)/10)
-}
+func FrameSVG(g *Graph, style Style, caption string) string { return g.svg(style, caption) }

@@ -322,3 +322,47 @@ func TestAnimationSVG(t *testing.T) {
 		t.Fatal("malformed frame accepted")
 	}
 }
+
+func TestNodeCountMatchesDDSize(t *testing.T) {
+	p := dd.New(3)
+	_, bellState := bell(t)
+	h0 := p.MakeGateDD(dd.GateMatrix(qc.Matrix2(qc.H, nil)), 0)
+	h1 := p.MakeGateDD(dd.GateMatrix(qc.Matrix2(qc.H, nil)), 1)
+	plusPlus := p.MultMV(h1, p.MultMV(h0, p.ZeroState())) // one shared child
+	u, _, err := verify.BuildFunctionality(p, algorithms.QFT(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]dd.VEdge{
+		"zero": dd.VZero(), "terminal": dd.VOne(), "basis": p.ZeroState(),
+		"|++>": plusPlus, "bell": bellState,
+	} {
+		if got, want := FromVector(e).NodeCount(), dd.SizeV(e); got != want {
+			t.Errorf("vector %s: NodeCount %d, SizeV %d", name, got, want)
+		}
+	}
+	for name, e := range map[string]dd.MEdge{
+		"zero": dd.MZero(), "terminal": dd.MOne(), "identity": p.Ident(),
+		"H": h0, "qft3": u,
+	} {
+		if got, want := FromMatrix(e).NodeCount(), dd.SizeM(e); got != want {
+			t.Errorf("matrix %s: NodeCount %d, SizeM %d", name, got, want)
+		}
+	}
+}
+
+// TestRenderQFTAllocs bounds the allocations of one rendered frame on
+// the BenchmarkMicroRenderQFT case: extraction, layout and captioned
+// SVG of the QFT(3) functionality. Formatting through fmt took 954.
+func TestRenderQFTAllocs(t *testing.T) {
+	u, _, err := verify.BuildFunctionality(dd.New(3), algorithms.QFT(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = FrameSVG(FromMatrix(u), Style{Mode: Colored}, "functionality of qft_3")
+	})
+	if allocs > 200 {
+		t.Fatalf("rendering the QFT(3) functionality took %.0f allocs, want <= 200", allocs)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -105,10 +106,29 @@ type Example struct {
 
 // Examples returns the built-in algorithm list offered by the tool.
 func Examples() []Example {
-	items := []struct {
-		name string
-		circ *qc.Circuit
-	}{
+	circs := exampleCircuits()
+	out := make([]Example, 0, len(circs)+1)
+	for _, it := range circs {
+		out = append(out, Example{Name: it.name, Code: it.circ.QASM()})
+	}
+	// One RevLib example demonstrates the second input format the
+	// algorithm box accepts.
+	out = append(out, Example{
+		Name: "Toffoli network (.real format)",
+		Code: "# RevLib .real input is auto-detected\n.version 1.0\n.numvars 3\n.variables a b c\n.begin\nt1 a\nt2 a b\nt3 a b c\n.end\n",
+	})
+	return out
+}
+
+type namedCircuit struct {
+	name string
+	circ *qc.Circuit
+}
+
+// exampleCircuits are the built-in examples that Examples serves as
+// QASM, in the order it lists them.
+func exampleCircuits() []namedCircuit {
+	return []namedCircuit{
 		{"Bell state (Fig. 1(c))", algorithms.Bell()},
 		{"Bell state with measurement (Fig. 8)", algorithms.BellMeasured()},
 		{"GHZ (4 qubits)", algorithms.GHZ(4)},
@@ -120,17 +140,6 @@ func Examples() []Example {
 		{"Phase estimation", algorithms.QPE(3, 3.0/8.0)},
 		{"Teleportation", algorithms.Teleport(1.2, 0.4)},
 	}
-	out := make([]Example, 0, len(items)+1)
-	for _, it := range items {
-		out = append(out, Example{Name: it.name, Code: it.circ.QASM()})
-	}
-	// One RevLib example demonstrates the second input format the
-	// algorithm box accepts.
-	out = append(out, Example{
-		Name: "Toffoli network (.real format)",
-		Code: "# RevLib .real input is auto-detected\n.version 1.0\n.numvars 3\n.variables a b c\n.begin\nt1 a\nt2 a b\nt3 a b c\n.end\n",
-	})
-	return out
 }
 
 func (s *Server) handleExamples(w http.ResponseWriter, r *http.Request) {
@@ -499,10 +508,10 @@ func (s *Server) writeExport(w http.ResponseWriter, r *http.Request, g *vis.Grap
 	switch format {
 	case "dot":
 		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		fmt.Fprint(w, g.DOT(style))
+		io.WriteString(w, g.DOT(style))
 	case "", "svg":
 		w.Header().Set("Content-Type", "image/svg+xml")
-		fmt.Fprint(w, g.SVG(style))
+		io.WriteString(w, g.SVG(style))
 	default:
 		s.writeErr(w, r, http.StatusBadRequest, codeBadRequest, fmt.Errorf("web: unknown export format %q (want svg or dot)", format))
 	}

@@ -686,7 +686,7 @@ func simFrame(s *simSession, style vis.Style, caption string) Frame {
 	g := vis.FromVector(s.sim.State())
 	return Frame{
 		SVG:       vis.FrameSVG(g, style, caption),
-		Nodes:     dd.SizeV(s.sim.State()),
+		Nodes:     g.NodeCount(),
 		Caption:   caption,
 		Pos:       s.sim.Pos(),
 		Total:     len(s.sim.Circuit().Ops),
@@ -703,7 +703,7 @@ func verifyFrame(v *verifySession, style vis.Style, caption string) Frame {
 	g := vis.FromMatrix(v.x)
 	return Frame{
 		SVG:       vis.FrameSVG(g, style, caption),
-		Nodes:     dd.SizeM(v.x),
+		Nodes:     g.NodeCount(),
 		Caption:   caption,
 		Pos:       gatesBefore(v.left, v.li) + gatesBefore(v.right, v.ri),
 		Total:     v.left.NumGates() + v.right.NumGates(),
@@ -761,7 +761,7 @@ func buildFunctionalityFrame(circ *qc.Circuit, inverse bool, style vis.Style, ma
 	}
 	return Frame{
 		SVG:     vis.FrameSVG(g, style, caption),
-		Nodes:   dd.SizeM(u),
+		Nodes:   g.NodeCount(),
 		Caption: caption,
 		Pos:     use.NumGates(),
 		Total:   use.NumGates(),
