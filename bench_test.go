@@ -9,6 +9,7 @@ package quantumdd_test
 import (
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"quantumdd/internal/algorithms"
@@ -293,5 +294,49 @@ func BenchmarkMicroRenderQFT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := vis.FromMatrix(u)
 		_ = g.SVG(vis.Style{Mode: vis.Colored})
+	}
+}
+
+// BenchmarkMicroSizeV times the node count of a 14-node GHZ(14) state,
+// on a fresh walker and right after a walk of a 131071-node dense
+// state. Walkers that visited more than a small bound are not pooled,
+// so the second case must cost no more than the first: a pooled
+// visited map that grew large would make every later walk clear it.
+func BenchmarkMicroSizeV(b *testing.B) {
+	s := sim.New(algorithms.GHZ(14))
+	if _, err := s.RunToEnd(); err != nil {
+		b.Fatal(err)
+	}
+	small := s.State()
+	const n = 17
+	rng := rand.New(rand.NewSource(1))
+	amps := make([]complex128, 1<<n)
+	for i := range amps {
+		amps[i] = complex(rng.Float64()+0.1, rng.Float64())
+	}
+	large, err := dd.New(n).FromVector(amps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name    string
+		prepare func()
+	}{
+		// Two collections empty the walker pool.
+		{"fresh", func() { runtime.GC(); runtime.GC() }},
+		{"after64k", func() {
+			if got := dd.SizeV(large); got != 1<<n-1 {
+				b.Fatalf("large state has %d nodes, want %d", got, 1<<n-1)
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bc.prepare()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = dd.SizeV(small)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -333,6 +334,41 @@ func TestDdsimNoiseMode(t *testing.T) {
 	}
 	if code := RunDdsim([]string{"-noise", "2", path}, &out, &errb); code != 1 {
 		t.Fatalf("invalid noise accepted: exit %d", code)
+	}
+}
+
+// TestDdsimNoiseOutcomeFooter: the outcome table lists at most 16
+// rows, and the "more outcomes" footer appears only when rows were
+// left out. A uniform 4-qubit register has exactly 16 outcomes; a
+// 5-qubit one has 32.
+func TestDdsimNoiseOutcomeFooter(t *testing.T) {
+	for _, tc := range []struct {
+		qubits int
+		footer string
+	}{
+		{4, ""},
+		{5, "  … 16 more outcomes\n"},
+	} {
+		code := fmt.Sprintf("qreg q[%d];\n", tc.qubits)
+		for q := 0; q < tc.qubits; q++ {
+			code += fmt.Sprintf("h q[%d];\n", q)
+		}
+		path := writeTemp(t, "uniform.qasm", code)
+		var out, errb strings.Builder
+		if exit := RunDdsim([]string{"-noise", "0.001", "-trajectories", "4000", path}, &out, &errb); exit != 0 {
+			t.Fatalf("%d qubits: exit %d: %s", tc.qubits, exit, errb.String())
+		}
+		o := out.String()
+		if rows := strings.Count(o, ">  "); rows != 16 {
+			t.Fatalf("%d qubits: %d outcome rows, want 16:\n%s", tc.qubits, rows, o)
+		}
+		hasFooter := strings.Contains(o, "more outcomes")
+		if tc.footer == "" && hasFooter {
+			t.Fatalf("%d qubits: footer printed although every outcome is listed:\n%s", tc.qubits, o)
+		}
+		if tc.footer != "" && !strings.HasSuffix(o, tc.footer) {
+			t.Fatalf("%d qubits: output does not end with %q:\n%s", tc.qubits, tc.footer, o)
+		}
 	}
 }
 

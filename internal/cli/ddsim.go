@@ -93,14 +93,12 @@ func runDdsimNoisy(circ *qc.Circuit, p float64, trajectories, workers int, seed 
 		}
 		return rows[i].idx < rows[j].idx
 	})
-	shown := 0
-	for _, r := range rows {
+	const maxRows = 16
+	for _, r := range rows[:min(len(rows), maxRows)] {
 		fmt.Fprintf(stdout, "  |%0*b>  %6d  (%.2f%%)\n", circ.NQubits, r.idx, r.n, 100*float64(r.n)/float64(res.Trajectories))
-		shown++
-		if shown >= 16 {
-			fmt.Fprintf(stdout, "  … %d more outcomes\n", len(rows)-shown)
-			break
-		}
+	}
+	if len(rows) > maxRows {
+		fmt.Fprintf(stdout, "  … %d more outcomes\n", len(rows)-maxRows)
 	}
 	return 0
 }

@@ -27,13 +27,25 @@ var mWalkerPool = sync.Pool{New: func() any {
 	return &mWalker{seen: make(map[*MNode]struct{}, 64), stack: make([]*MNode, 0, 64)}
 }}
 
+// maxPooledWalk bounds the walkers returned to the pool. A Go map
+// never shrinks and clear costs O(capacity), so a walker that once
+// visited a large diagram would tax every later small walk with a
+// large clear; such walkers are left to the garbage collector.
+const maxPooledWalk = 1024
+
 func (w *vWalker) release() {
+	if len(w.seen) > maxPooledWalk {
+		return
+	}
 	clear(w.seen)
 	w.stack = w.stack[:0]
 	vWalkerPool.Put(w)
 }
 
 func (w *mWalker) release() {
+	if len(w.seen) > maxPooledWalk {
+		return
+	}
 	clear(w.seen)
 	w.stack = w.stack[:0]
 	mWalkerPool.Put(w)

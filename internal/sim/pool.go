@@ -11,18 +11,32 @@ package sim
 // compute tables, complex-number table, and slab arenas), so the hot
 // paths of the storage layer (PR 2) and the gate kernel (PR 4) run
 // with zero added locking. Replicas are reused across the
-// trajectories a worker drains from the queue, which keeps interned
-// complex values, gate descriptors, and table allocations warm — a
-// measurable win over the previous engine-per-trajectory scheme even
-// at one worker.
+// trajectories a worker claims, which keeps interned complex values,
+// gate descriptors, and table allocations warm.
+//
+// A trajectory should cost only its DD work, so the per-trajectory
+// bookkeeping is O(1):
+//
+//   - Workers claim trajectory indices from one atomic counter. There
+//     is no feeder goroutine and no channel hand-off, which at
+//     ~20µs per trajectory would wake a sleeping worker every time.
+//     Worker 0 runs on the caller's goroutine, so a one-worker pool is
+//     the same loop with no goroutines at all.
+//   - Each worker owns one random stream, a math/rand/v2 PCG behind a
+//     math/rand.Source64 adapter, and reseeds it for every trajectory
+//     it claims. Seeding a PCG writes two words; seeding a math/rand
+//     v1 source fills a 607-word (4.9 kB) state with 1841 generator
+//     steps and keeps only 31 bits of the seed.
+//   - Replica simulators skip the per-gate peak-size walk and the
+//     step history, which only the interactive tool reads.
 //
 // Determinism is order-independent by construction:
 //
-//   - Every trajectory derives its private RNG stream from
-//     (ensembleSeed, trajectoryIndex) through a splitmix64-style
-//     mixer (TrajectorySeed) instead of sequential draws from one
-//     shared RNG, so the stream does not depend on which worker runs
-//     the trajectory or in what order.
+//   - Every trajectory's stream is seeded from (ensembleSeed,
+//     trajectoryIndex) through a splitmix64-style mixer
+//     (TrajectorySeed) instead of sequential draws from one shared
+//     RNG, so the stream does not depend on which worker runs the
+//     trajectory or in what order.
 //   - Merged quantities are commutative: histogram counts, error
 //     events, and the node total (an integer sum, so MeanNodes is
 //     exact) add up identically in any completion order.
@@ -39,8 +53,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"quantumdd/internal/dd"
@@ -60,6 +76,26 @@ func TrajectorySeed(seed int64, index int) int64 {
 	return int64(z)
 }
 
+// pcgSource is a trajectory's random stream: a math/rand/v2 PCG behind
+// the math/rand.Source64 interface, so dd.Sample, samplePauli and
+// measure keep taking a *rand.Rand. Reseeding is O(1), which lets a
+// pool worker reuse one source across every trajectory it runs.
+type pcgSource struct{ pcg randv2.PCG }
+
+func (s *pcgSource) Uint64() uint64 { return s.pcg.Uint64() }
+
+func (s *pcgSource) Int63() int64 { return int64(s.pcg.Uint64() >> 1) }
+
+// Seed reseeds the stream as trajectory 0 of ensemble seed.
+func (s *pcgSource) Seed(seed int64) { s.seedTrajectory(seed, 0) }
+
+// seedTrajectory positions the stream at the start of trajectory tr of
+// the ensemble: the PCG's two seed words are the mixer outputs of the
+// counters 2tr and 2tr+1, so no two trajectories share a seed pair.
+func (s *pcgSource) seedTrajectory(seed int64, tr int) {
+	s.pcg.Seed(uint64(TrajectorySeed(seed, 2*tr)), uint64(TrajectorySeed(seed, 2*tr+1)))
+}
+
 // poolGCThreshold bounds replica growth between trajectories when no
 // node budget is set: the worker collects its package once the unique
 // tables exceed this many live nodes. Below it, garbage from earlier
@@ -70,11 +106,11 @@ const poolGCThreshold = 1 << 17
 // trajectoryOutcome is the per-trajectory contribution merged into the
 // ensemble result.
 type trajectoryOutcome struct {
-	index   int
-	sample  int64 // sampled basis state (valid when err == nil)
-	nodes   int   // final diagram size
-	events  int   // Pauli errors injected
-	err     error
+	index  int
+	sample int64 // sampled basis state (valid when err == nil)
+	nodes  int   // final diagram size
+	events int   // Pauli errors injected
+	err    error
 }
 
 // ensembleAccum merges trajectory outcomes; every merged quantity is
@@ -162,55 +198,42 @@ func RunNoisyCtx(ctx context.Context, circ *qc.Circuit, model NoiseModel, trajec
 	// A probe simulator resolves the ensemble options (workers,
 	// observer, budget); its engine is handed to worker 0 so the
 	// allocation is not wasted.
-	probe := New(circ, opts...)
+	probe := newOn(dd.New(circ.NQubits), circ, nil, opts...)
 	workers := resolveWorkers(probe.workers, trajectories)
 	observer := probe.trajObserver
 	probe.release()
 
-	acc := &ensembleAccum{counts: make(map[int64]int)}
-	if workers == 1 {
-		// Sequential path: drain indices in order on the caller's
-		// goroutine — no channels, no goroutines, same math.
-		for tr := 0; tr < trajectories; tr++ {
-			if ctx.Err() != nil {
-				break
+	// Workers claim indices from next until the ensemble is exhausted
+	// or ctx is done. Each keeps a private accumulator, merged below.
+	var next atomic.Int64
+	partials := make([]ensembleAccum, workers)
+	work := func(pkg *dd.Pkg, part *ensembleAccum) {
+		part.counts = make(map[int64]int)
+		src := &pcgSource{}
+		rng := rand.New(src)
+		for ctx.Err() == nil {
+			tr := int(next.Add(1) - 1)
+			if tr >= trajectories {
+				return
 			}
-			acc.add(runOneTrajectory(ctx, probe.pkg, circ, model, tr, seed, opts, observer))
-			maintainReplica(probe.pkg)
+			src.seedTrajectory(seed, tr)
+			part.add(runOneTrajectory(ctx, pkg, circ, model, tr, rng, opts, observer))
+			maintainReplica(pkg)
 		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		partials := make([]*ensembleAccum, workers)
-		for w := 0; w < workers; w++ {
-			pkg := probe.pkg
-			if w > 0 {
-				pkg = dd.New(circ.NQubits)
-			}
-			part := &ensembleAccum{counts: make(map[int64]int)}
-			partials[w] = part
-			wg.Add(1)
-			go func(pkg *dd.Pkg) {
-				defer wg.Done()
-				for tr := range jobs {
-					part.add(runOneTrajectory(ctx, pkg, circ, model, tr, seed, opts, observer))
-					maintainReplica(pkg)
-				}
-			}(pkg)
-		}
-	feed:
-		for tr := 0; tr < trajectories; tr++ {
-			select {
-			case jobs <- tr:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		for _, part := range partials {
-			acc.merge(part)
-		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(part *ensembleAccum) {
+			defer wg.Done()
+			work(dd.New(circ.NQubits), part)
+		}(&partials[w])
+	}
+	work(probe.pkg, &partials[0])
+	wg.Wait()
+	acc := &partials[0]
+	for w := 1; w < workers; w++ {
+		acc.merge(&partials[w])
 	}
 
 	res := &NoisyResult{
@@ -249,19 +272,18 @@ func maintainReplica(p *dd.Pkg) {
 
 // runOneTrajectory simulates trajectory index tr on the worker's
 // engine replica: every random draw (measurement outcomes, Pauli
-// error sampling, the final basis-state sample) comes from the
-// trajectory's private counter-derived stream.
-func runOneTrajectory(ctx context.Context, pkg *dd.Pkg, circ *qc.Circuit, model NoiseModel, tr int, seed int64, opts []Option, observer func(float64)) (out trajectoryOutcome) {
+// error sampling, the final basis-state sample) comes from rng, the
+// trajectory's private counter-seeded stream, which replaces any seed
+// the caller's options installed.
+func runOneTrajectory(ctx context.Context, pkg *dd.Pkg, circ *qc.Circuit, model NoiseModel, tr int, rng *rand.Rand, opts []Option, observer func(float64)) (out trajectoryOutcome) {
 	out.index = tr
 	start := time.Now()
-	rng := rand.New(rand.NewSource(TrajectorySeed(seed, tr)))
-	s := newOn(pkg, circ, opts...)
+	s := newOn(pkg, circ, rng, opts...)
 	defer s.release()
 	// Errors are injected per original gate op, so fusion must not
-	// fold ops together; the trajectory stream replaces any seed the
-	// caller's options installed.
+	// fold ops together.
 	s.fusion = false
-	s.rng = rng
+	s.replica = true
 	noiseless := model.IsZero()
 	for !s.AtEnd() {
 		if err := ctx.Err(); err != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
@@ -54,7 +55,7 @@ func TestWorkerSweepBitIdentical(t *testing.T) {
 		t.Fatalf("malformed sequential reference: %+v", ref)
 	}
 
-	sweep := []int{2, 3, runtime.NumCPU(), trajectories + 50}
+	sweep := []int{2, 3, 4, 8, runtime.NumCPU(), trajectories + 50}
 	for _, w := range sweep {
 		got, err := RunNoisy(circ, model, trajectories, 42, WithWorkers(w))
 		if err != nil {
@@ -63,7 +64,7 @@ func TestWorkerSweepBitIdentical(t *testing.T) {
 		if got.Workers > trajectories {
 			t.Fatalf("workers=%d: pool wider than the ensemble (%d)", w, got.Workers)
 		}
-		sameNoisyResult(t, ref, got, "workers="+string(rune('0'+min(w, 9))))
+		sameNoisyResult(t, ref, got, fmt.Sprintf("workers=%d", w))
 	}
 }
 
@@ -168,38 +169,61 @@ func TestBudgetVerdictsDeterministicAcrossWorkers(t *testing.T) {
 
 // TestPoolCancellation cancels mid-ensemble: the call must return the
 // partial result with the context error, and every pool goroutine must
-// have exited (mirrors the web server's Close leak check).
+// have exited (mirrors the web server's Close leak check). Worker 0
+// runs on the caller's goroutine, so the one-worker pool takes the same
+// claim loop.
 func TestPoolCancellation(t *testing.T) {
-	before := runtime.NumGoroutine()
+	for _, w := range []int{1, 2, 4, 8} {
+		before := runtime.NumGoroutine()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	var n atomic.Int64
-	observer := func(float64) {
-		if n.Add(1) == 10 {
-			cancel()
+		ctx, cancel := context.WithCancel(context.Background())
+		var n atomic.Int64
+		observer := func(float64) {
+			if n.Add(1) == 10 {
+				cancel()
+			}
+		}
+		res, err := RunNoisyCtx(ctx, algorithms.GHZ(10), NoiseModel{Depolarizing: 0.02},
+			100000, 5, WithWorkers(w), WithTrajectoryObserver(observer))
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: error = %v, want context.Canceled", w, err)
+		}
+		if res == nil || res.Trajectories == 0 || !res.IsPartial() {
+			t.Fatalf("workers=%d: cancellation discarded completed work: %+v", w, res)
+		}
+		if res.Trajectories >= res.Requested {
+			t.Fatalf("workers=%d: cancellation did not trim the ensemble: %+v", w, res)
+		}
+		if res.Workers != w {
+			t.Fatalf("workers=%d: ensemble ran on %d workers", w, res.Workers)
+		}
+
+		// All workers must be gone; poll briefly since wg.Wait() returning
+		// only guarantees the worker bodies finished.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if g := runtime.NumGoroutine(); g > before {
+			t.Fatalf("workers=%d: goroutine leak: %d before, %d after cancellation", w, before, g)
 		}
 	}
-	res, err := RunNoisyCtx(ctx, algorithms.GHZ(10), NoiseModel{Depolarizing: 0.02},
-		100000, 5, WithWorkers(4), WithTrajectoryObserver(observer))
-	cancel()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-	if res == nil || res.Trajectories == 0 || !res.IsPartial() {
-		t.Fatalf("cancellation discarded completed work: %+v", res)
-	}
-	if res.Trajectories >= res.Requested {
-		t.Fatalf("cancellation did not trim the ensemble: %+v", res)
-	}
+}
 
-	// All workers must be gone; poll briefly since wg.Wait() returning
-	// only guarantees the worker bodies finished.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before {
-		t.Fatalf("goroutine leak: %d before, %d after cancellation", before, g)
+// TestPoolPreCancelled: a context that is already done runs no
+// trajectory on any pool width.
+func TestPoolPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, w := range []int{1, 3} {
+		res, err := RunNoisyCtx(ctx, algorithms.Bell(), NoiseModel{}, 100, 1, WithWorkers(w))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: error = %v, want context.Canceled", w, err)
+		}
+		if res == nil || res.Trajectories != 0 || res.Failed != 0 || len(res.Counts) != 0 {
+			t.Fatalf("workers=%d: pre-cancelled ensemble ran trajectories: %+v", w, res)
+		}
 	}
 }
 

@@ -87,6 +87,10 @@ type Simulator struct {
 	workers      int
 	trajObserver func(seconds float64)
 
+	// replica marks a trajectory simulator on a pool worker (pool.go).
+	// Nothing reads its peak size or steps it backward, so setState
+	// skips the size walk and stepForward keeps no history.
+	replica   bool
 	peakNodes int // largest state diagram observed
 }
 
@@ -177,20 +181,26 @@ func WithTrajectoryObserver(fn func(seconds float64)) Option {
 }
 
 // New creates a simulator for the circuit, starting in |0…0⟩.
+// Without WithSeed, outcomes are sampled from a source seeded with 1.
 func New(circ *qc.Circuit, opts ...Option) *Simulator {
-	return newOn(dd.New(circ.NQubits), circ, opts...)
+	s := newOn(dd.New(circ.NQubits), circ, nil, opts...)
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(1))
+	}
+	return s
 }
 
 // newOn builds a simulator on an existing DD package — the replica
 // pool (pool.go) reuses one engine per worker across trajectories so
-// unique tables, interned gates, and slab arenas stay warm.
-func newOn(p *dd.Pkg, circ *qc.Circuit, opts ...Option) *Simulator {
+// unique tables, interned gates, and slab arenas stay warm. A non-nil
+// rng replaces any stream the options installed; with a nil rng the
+// simulator keeps whatever the options set, possibly none.
+func newOn(p *dd.Pkg, circ *qc.Circuit, rng *rand.Rand, opts ...Option) *Simulator {
 	s := &Simulator{
 		pkg:            p,
 		circ:           circ,
 		state:          p.ZeroState(),
 		classical:      make([]int, circ.NClbits),
-		rng:            rand.New(rand.NewSource(1)),
 		GCThreshold:    1 << 20,
 		approxFidelity: 1,
 	}
@@ -199,6 +209,9 @@ func newOn(p *dd.Pkg, circ *qc.Circuit, opts ...Option) *Simulator {
 	}
 	for _, o := range opts {
 		o(s)
+	}
+	if rng != nil {
+		s.rng = rng
 	}
 	s.pkg.IncRefV(s.state)
 	return s
@@ -234,8 +247,10 @@ func (s *Simulator) setState(e dd.VEdge) {
 	s.pkg.IncRefV(e)
 	s.pkg.DecRefV(s.state)
 	s.state = e
-	if n := dd.SizeV(e); n > s.peakNodes {
-		s.peakNodes = n
+	if !s.replica {
+		if n := dd.SizeV(e); n > s.peakNodes {
+			s.peakNodes = n
+		}
 	}
 	if s.GCThreshold > 0 {
 		s.maybeGC()
@@ -345,8 +360,12 @@ func (s *Simulator) stepForward(ctx context.Context) (Event, error) {
 		return Event{Kind: EventEnd, OpIndex: s.pos}, nil
 	}
 	op := &s.circ.Ops[s.pos]
-	// Snapshot for backward stepping.
-	snap := snapshot{state: s.state, classical: append([]int(nil), s.classical...), span: 1}
+	// Snapshot for backward stepping. A replica never steps back, so
+	// it skips the classical copy and drops the snapshot at the end.
+	snap := snapshot{state: s.state, span: 1}
+	if !s.replica {
+		snap.classical = append([]int(nil), s.classical...)
+	}
 	s.pkg.IncRefV(snap.state)
 	ev := Event{OpIndex: s.pos, Op: op}
 	switch op.Kind {
@@ -424,7 +443,11 @@ func (s *Simulator) stepForward(ctx context.Context) (Event, error) {
 		s.pkg.DecRefV(snap.state)
 		return Event{}, fmt.Errorf("sim: unknown op kind %d", op.Kind)
 	}
-	s.history = append(s.history, snap)
+	if s.replica {
+		s.pkg.DecRefV(snap.state)
+	} else {
+		s.history = append(s.history, snap)
+	}
 	s.pos += snap.span
 	return ev, nil
 }
