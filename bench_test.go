@@ -299,9 +299,9 @@ func BenchmarkMicroRenderQFT(b *testing.B) {
 
 // BenchmarkMicroSizeV times the node count of a 14-node GHZ(14) state,
 // on a fresh walker and right after a walk of a 131071-node dense
-// state. Walkers that visited more than a small bound are not pooled,
-// so the second case must cost no more than the first: a pooled
-// visited map that grew large would make every later walk clear it.
+// state. A walker resets only the set slots it filled, and one whose
+// set grew past the pooling bound is dropped, so the second case must
+// cost no more than the first.
 func BenchmarkMicroSizeV(b *testing.B) {
 	s := sim.New(algorithms.GHZ(14))
 	if _, err := s.RunToEnd(); err != nil {
@@ -338,5 +338,32 @@ func BenchmarkMicroSizeV(b *testing.B) {
 				_ = dd.SizeV(small)
 			}
 		})
+	}
+}
+
+// BenchmarkMicroSizeM times the node count of the 1365-node QFT(6)
+// functionality: the walk a verify build runs after every gate.
+func BenchmarkMicroSizeM(b *testing.B) {
+	u, _, err := verify.BuildFunctionality(dd.New(6), algorithms.QFT(6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = dd.SizeM(u)
+	}
+}
+
+// BenchmarkMicroFunctionalityGrover6 times building Grover(6)'s system
+// matrix on a fresh package: gate application, weight canonicalization
+// in the complex table and one SizeM walk per gate.
+func BenchmarkMicroFunctionalityGrover6(b *testing.B) {
+	circ := algorithms.Grover(6, 45)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := verify.BuildFunctionality(dd.New(circ.NQubits), circ); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

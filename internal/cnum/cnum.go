@@ -12,6 +12,30 @@
 // maps all values within a tolerance of each other onto one canonical
 // representative. Canonical values are bit-identical and may therefore
 // be used directly as Go map keys.
+//
+// # Table layout
+//
+// A Table stores its canonical reals in one flat array of
+// entry{key int64; v float64}, where key = floor(v/(2·tol)) is the
+// value's bucket. Entries are open-addressed by the hashed bucket with
+// linear probing, and a NaN value marks an empty slot: LookupReal
+// rejects NaN, so no stored value can be mistaken for one.
+//
+// Canonicalization depends on the order in which a lookup meets the
+// stored candidates: bucket key first, then key−1, then key+1, and
+// within a bucket the oldest value first. Nothing is ever deleted, so
+// a bucket's values lie along its probe sequence in insertion order
+// and a new value takes the first empty slot after them. Growth keeps
+// that order by re-inserting each probe cluster in probe order. The
+// flat table therefore returns exactly what a table of per-bucket
+// value slices returns.
+//
+// The array holds no pointers. Inserting a value allocates nothing,
+// and the garbage collector never scans the table; a slice per bucket
+// would cost one allocation per distinct value, all of them pointers
+// the collector traces on every cycle. Every DD node normalization
+// passes its weights through this table, so both costs sit on the
+// engine's hot path.
 package cnum
 
 import (
@@ -36,35 +60,34 @@ const (
 // Complex values are canonicalized component-wise. A Table is not safe
 // for concurrent use; decision-diagram packages own exactly one.
 //
-// The store is an open-addressed hash table over half-open buckets of
-// width 2·tol (the complex-table layout of Zulehner et al., ICCAD
-// 2019): a value's bucket index is floor(v/(2·tol)), and a lookup
-// probes the value's own bucket plus its two neighbours, so any stored
-// representative within tol is found. Open addressing with linear
-// probing replaces the earlier Go map because canonical-value lookups
-// sit on the hot path of every DD node normalization.
+// Values are grouped into half-open buckets of width 2·tol (the
+// complex-table layout of Zulehner et al., ICCAD 2019): a value's
+// bucket index is floor(v/(2·tol)), and a lookup probes the value's
+// own bucket plus its two neighbours, so any stored representative
+// within tol is found. The package documentation describes the flat
+// store and the ordering invariant that keeps lookups exact.
 type Table struct {
 	tol     float64
 	inv     float64 // 1/bucket width
-	slots   []slot  // power-of-two open-addressed bucket store
+	entries []entry // power-of-two open-addressed store; NaN marks empty
 	mask    uint64
-	used    int // occupied slots
+	n       int // stored values
 	lookups uint64
 	hits    uint64
 }
 
-// slot holds one bucket: all canonical representatives whose bucket
-// index equals key. Most buckets hold exactly one value.
-type slot struct {
-	key  int64
-	vals []float64
+// entry is one canonical representative and its bucket index. A
+// bucket holding several representatives owns several entries.
+type entry struct {
+	key int64
+	v   float64
 }
 
 // NewTable returns a table using DefaultTolerance.
 func NewTable() *Table { return NewTableTol(DefaultTolerance) }
 
-// minSlots keeps even tiny tables collision-light after seeding.
-const minSlots = 256
+// minEntries keeps even tiny tables collision-light after seeding.
+const minEntries = 256
 
 // NewTableTol returns a table identifying reals within tol of each
 // other. tol must be positive.
@@ -73,10 +96,10 @@ func NewTableTol(tol float64) *Table {
 		panic(fmt.Sprintf("cnum: tolerance must be positive, got %g", tol))
 	}
 	t := &Table{
-		tol:   tol,
-		inv:   1 / (2 * tol),
-		slots: make([]slot, minSlots),
-		mask:  minSlots - 1,
+		tol:     tol,
+		inv:     1 / (2 * tol),
+		entries: newEntries(minEntries),
+		mask:    minEntries - 1,
 	}
 	// Seed with the values that must be exactly representable so that
 	// IsZero/IsOne tests on canonical values are exact comparisons.
@@ -86,30 +109,62 @@ func NewTableTol(tol float64) *Table {
 	return t
 }
 
-// findSlot returns the slot holding bucket key, or the empty slot
-// where that bucket would be inserted.
-func (t *Table) findSlot(key int64) *slot {
-	i := hashInt64(key) & t.mask
-	for {
-		s := &t.slots[i]
-		if s.vals == nil || s.key == key {
-			return s
+// newEntries returns n empty entries.
+func newEntries(n int) []entry {
+	s := make([]entry, n)
+	nan := math.NaN()
+	for i := range s {
+		s[i].v = nan
+	}
+	return s
+}
+
+// find scans bucket key's probe cluster for a representative of v. It
+// returns the index of the first one in insertion order, or of the
+// empty slot that ends the cluster (where v would be inserted).
+// Infinities match only themselves: |Inf−Inf| is NaN.
+func (t *Table) find(key int64, v float64) (i uint64, ok bool) {
+	for i = hashInt64(key) & t.mask; ; i = (i + 1) & t.mask {
+		e := &t.entries[i]
+		if e.v != e.v {
+			return i, false
 		}
-		i = (i + 1) & t.mask
+		if e.key == key && (math.Abs(e.v-v) <= t.tol || e.v == v) {
+			return i, true
+		}
 	}
 }
 
-// grow doubles the slot array and rehashes the occupied buckets.
+// grow doubles the entry array and re-inserts every entry. The rehash
+// starts at an empty slot, so each probe cluster, including one that
+// wraps around the end of the array, is walked in probe order: the
+// entries of a bucket keep their insertion order.
 func (t *Table) grow() {
-	old := t.slots
-	t.slots = make([]slot, 2*len(old))
-	t.mask = uint64(len(t.slots)) - 1
-	for i := range old {
-		if old[i].vals == nil {
+	old := t.entries
+	t.entries = newEntries(2 * len(old))
+	t.mask = uint64(len(t.entries)) - 1
+	oldMask := len(old) - 1
+	start := 0
+	for old[start].v == old[start].v {
+		start++
+	}
+	for j := range old {
+		e := old[(start+j)&oldMask]
+		if e.v != e.v {
 			continue
 		}
-		*t.findSlot(old[i].key) = old[i]
+		t.entries[t.freeSlot(e.key)] = e
 	}
+}
+
+// freeSlot returns the empty slot that ends bucket key's probe
+// cluster: where the bucket's next value goes.
+func (t *Table) freeSlot(key int64) uint64 {
+	i := hashInt64(key) & t.mask
+	for t.entries[i].v == t.entries[i].v {
+		i = (i + 1) & t.mask
+	}
+	return i
 }
 
 // Tolerance reports the identification radius of the table.
@@ -121,36 +176,42 @@ func (t *Table) Stats() (lookups, hits uint64) { return t.lookups, t.hits }
 
 // LookupReal returns the canonical representative for v: if a value
 // within the tolerance is already stored it is returned, otherwise v
-// itself becomes canonical.
+// itself becomes canonical. ±Inf are canonicalized by exact match.
 func (t *Table) LookupReal(v float64) float64 {
 	t.lookups++
+	if v == 0 && t.n > 0 {
+		// Exact zeros (absent edges, imaginary parts of real weights)
+		// are the most common input. Zero is the first value ever
+		// stored, so bucket 0 always answers with it.
+		t.hits++
+		return 0
+	}
 	if math.IsNaN(v) {
 		panic("cnum: NaN cannot be canonicalized")
 	}
 	key := int64(math.Floor(v * t.inv))
 	// The candidate may fall in the bucket of v or a neighbour.
-	for _, k := range [3]int64{key, key - 1, key + 1} {
-		s := t.findSlot(k)
-		if s.vals == nil {
-			continue
-		}
-		for _, c := range s.vals {
-			if math.Abs(c-v) <= t.tol {
-				t.hits++
-				return c
-			}
+	free, ok := t.find(key, v)
+	if ok {
+		t.hits++
+		return t.entries[free].v
+	}
+	// Not in its own bucket: free is where v goes if the neighbours
+	// have no representative either.
+	for _, k := range [2]int64{key - 1, key + 1} {
+		if i, ok := t.find(k, v); ok {
+			t.hits++
+			return t.entries[i].v
 		}
 	}
-	s := t.findSlot(key)
-	if s.vals == nil {
-		t.used++
-		if 4*t.used > 3*len(t.slots) {
-			t.grow()
-			s = t.findSlot(key)
-		}
-		s.key = key
+	t.n++
+	// Load stays at most 1/2, keeping the three cluster scans of a
+	// lookup short under linear probing.
+	if 2*t.n > len(t.entries) {
+		t.grow()
+		free = t.freeSlot(key)
 	}
-	s.vals = append(s.vals, v)
+	t.entries[free] = entry{key: key, v: v}
 	return v
 }
 
@@ -161,13 +222,7 @@ func (t *Table) Lookup(c complex128) complex128 {
 }
 
 // Size reports the number of distinct canonical reals stored.
-func (t *Table) Size() int {
-	n := 0
-	for i := range t.slots {
-		n += len(t.slots[i].vals)
-	}
-	return n
-}
+func (t *Table) Size() int { return t.n }
 
 // Multiply-xor mixing constants (golden-ratio multipliers of the
 // splitmix64 finalizer), shared by the hash helpers below and the

@@ -2,78 +2,148 @@ package dd
 
 import "sync"
 
-// Node-count walks. SizeV/SizeM run on every web frame render and
-// inside the simulator's peak tracking, so they are iterative (no
-// recursion) and draw their visited set and work stack from a pool
-// instead of allocating fresh maps per call. The walkers are safe for
-// concurrent use across sessions: each call checks a private walker
-// out of the pool.
+// Node-count walks. SizeV/SizeM run on every web frame render, after
+// every gate of the simulator's peak tracking and of a verify build,
+// so they are iterative (no recursion) and draw their visited set and
+// work stack from a pool instead of allocating per call. The walkers
+// are safe for concurrent use across sessions: each call checks a
+// private walker out of the pool.
+//
+// The visited set is open-addressed over the node's stored
+// unique-table hash, with linear probing and pointer comparison, so a
+// membership test costs one masked index and usually one load. The set
+// records the slots it filled, and release empties exactly those:
+// resetting costs O(visited), not O(capacity), so a walker that once
+// grew for a large diagram does not tax later small walks. (A Go map
+// would hash the pointer on every probe and clear its whole capacity
+// on reuse.)
+
+// minWalkSlots is the set capacity of a fresh walker.
+const minWalkSlots = 64
+
+// maxPooledSlots bounds the set capacity of walkers returned to the
+// pool, so the pool never pins the memory of a huge walk.
+const maxPooledSlots = 1 << 16
 
 type vWalker struct {
-	seen  map[*VNode]struct{}
+	set   []*VNode // power-of-two open-addressed visited set, nil = empty
+	used  []uint32 // indices of the occupied set slots
 	stack []*VNode
 }
 
 type mWalker struct {
-	seen  map[*MNode]struct{}
+	set   []*MNode
+	used  []uint32
 	stack []*MNode
 }
 
 var vWalkerPool = sync.Pool{New: func() any {
-	return &vWalker{seen: make(map[*VNode]struct{}, 64), stack: make([]*VNode, 0, 64)}
+	return &vWalker{set: make([]*VNode, minWalkSlots)}
 }}
 
 var mWalkerPool = sync.Pool{New: func() any {
-	return &mWalker{seen: make(map[*MNode]struct{}, 64), stack: make([]*MNode, 0, 64)}
+	return &mWalker{set: make([]*MNode, minWalkSlots)}
 }}
 
-// maxPooledWalk bounds the walkers returned to the pool. A Go map
-// never shrinks and clear costs O(capacity), so a walker that once
-// visited a large diagram would tax every later small walk with a
-// large clear; such walkers are left to the garbage collector.
-const maxPooledWalk = 1024
-
 func (w *vWalker) release() {
-	if len(w.seen) > maxPooledWalk {
+	if len(w.set) > maxPooledSlots {
 		return
 	}
-	clear(w.seen)
+	for _, i := range w.used {
+		w.set[i] = nil
+	}
+	w.used = w.used[:0]
 	w.stack = w.stack[:0]
 	vWalkerPool.Put(w)
 }
 
 func (w *mWalker) release() {
-	if len(w.seen) > maxPooledWalk {
+	if len(w.set) > maxPooledSlots {
 		return
 	}
-	clear(w.seen)
+	for _, i := range w.used {
+		w.set[i] = nil
+	}
+	w.used = w.used[:0]
 	w.stack = w.stack[:0]
 	mWalkerPool.Put(w)
 }
 
-// push marks n and queues it, returning whether it was new.
-func (w *vWalker) push(n *VNode) bool {
-	if n == vTerminal {
-		return false
+// slot returns the set index holding n, or the empty index where n
+// belongs.
+func (w *vWalker) slot(n *VNode) uint64 {
+	mask := uint64(len(w.set) - 1)
+	i := n.hash & mask
+	for w.set[i] != nil && w.set[i] != n {
+		i = (i + 1) & mask
 	}
-	if _, ok := w.seen[n]; ok {
-		return false
-	}
-	w.seen[n] = struct{}{}
-	w.stack = append(w.stack, n)
-	return true
+	return i
 }
 
-func (w *mWalker) push(n *MNode) bool {
-	if n == mTerminal {
-		return false
+func (w *mWalker) slot(n *MNode) uint64 {
+	mask := uint64(len(w.set) - 1)
+	i := n.hash & mask
+	for w.set[i] != nil && w.set[i] != n {
+		i = (i + 1) & mask
 	}
-	if _, ok := w.seen[n]; ok {
-		return false
+	return i
+}
+
+// grow doubles the set, keeping the load at most 1/2.
+func (w *vWalker) grow() {
+	old := w.set
+	w.set = make([]*VNode, 2*len(old))
+	for k, i := range w.used {
+		j := w.slot(old[i])
+		w.set[j] = old[i]
+		w.used[k] = uint32(j)
 	}
-	w.seen[n] = struct{}{}
+}
+
+func (w *mWalker) grow() {
+	old := w.set
+	w.set = make([]*MNode, 2*len(old))
+	for k, i := range w.used {
+		j := w.slot(old[i])
+		w.set[j] = old[i]
+		w.used[k] = uint32(j)
+	}
+}
+
+// push marks n and queues it unless it is the terminal or already
+// marked.
+func (w *vWalker) push(n *VNode) {
+	if n == vTerminal {
+		return
+	}
+	i := w.slot(n)
+	if w.set[i] != nil {
+		return
+	}
+	if 2*(len(w.used)+1) > len(w.set) {
+		w.grow()
+		i = w.slot(n)
+	}
+	w.set[i] = n
+	w.used = append(w.used, uint32(i))
 	w.stack = append(w.stack, n)
-	return true
+}
+
+func (w *mWalker) push(n *MNode) {
+	if n == mTerminal {
+		return
+	}
+	i := w.slot(n)
+	if w.set[i] != nil {
+		return
+	}
+	if 2*(len(w.used)+1) > len(w.set) {
+		w.grow()
+		i = w.slot(n)
+	}
+	w.set[i] = n
+	w.used = append(w.used, uint32(i))
+	w.stack = append(w.stack, n)
 }
 
 // visitV visits every distinct non-terminal node reachable from root.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"quantumdd/internal/qc"
 )
@@ -236,8 +237,8 @@ func (p *parser) parseRegDecl(quantum bool) error {
 	if sz.kind != tokNumber {
 		return p.errAt(sz, "expected register size")
 	}
-	size := 0
-	if _, err := fmt.Sscanf(sz.text, "%d", &size); err != nil || size <= 0 {
+	size, err := strconv.Atoi(sz.text)
+	if err != nil || size <= 0 {
 		return p.errAt(sz, "invalid register size %q", sz.text)
 	}
 	p.advance()
@@ -452,9 +453,11 @@ func (p *parser) parseOperand() (operand, error) {
 		if idx.kind != tokNumber {
 			return operand{}, p.errAt(idx, "expected index")
 		}
-		if _, err := fmt.Sscanf(idx.text, "%d", &op.index); err != nil {
+		index, err := strconv.Atoi(idx.text)
+		if err != nil {
 			return operand{}, p.errAt(idx, "invalid index %q", idx.text)
 		}
+		op.index = index
 		p.advance()
 		if err := p.expect(tokRBracket); err != nil {
 			return operand{}, err
@@ -632,8 +635,8 @@ func (p *parser) parseIf() error {
 	if valTok.kind != tokNumber {
 		return p.errAt(valTok, "expected integer in if condition")
 	}
-	var value uint64
-	if _, err := fmt.Sscanf(valTok.text, "%d", &value); err != nil {
+	value, err := strconv.ParseUint(valTok.text, 10, 64)
+	if err != nil {
 		return p.errAt(valTok, "invalid integer %q", valTok.text)
 	}
 	p.advance()

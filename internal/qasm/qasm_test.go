@@ -291,6 +291,10 @@ func TestParseErrors(t *testing.T) {
 	cases := []struct{ src, want string }{
 		{"", "no quantum register"},
 		{"qreg q[0];", "invalid register size"},
+		// Integers must be whole tokens, not a digit prefix of a real.
+		{"qreg q[2.7];", "invalid register size \"2.7\""},
+		{"qreg q[2];\nx q[1.5];", "invalid index \"1.5\""},
+		{"qreg q[1];\ncreg c[1];\nif(c==1e0) x q[0];", "invalid integer \"1e0\""},
 		{"qreg q[1];\nqreg q[1];", "already declared"},
 		{"qreg q[2];\nh q[5];", "out of range"},
 		{"qreg q[2];\ncx q[0],q[0];", "overlap"},

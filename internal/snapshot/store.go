@@ -49,11 +49,11 @@ type FileInfo struct {
 // OSFS is the real filesystem.
 type OSFS struct{}
 
-func (OSFS) MkdirAll(path string) error                { return os.MkdirAll(path, 0o755) }
-func (OSFS) WriteFile(path string, data []byte) error  { return os.WriteFile(path, data, 0o644) }
-func (OSFS) Rename(oldPath, newPath string) error      { return os.Rename(oldPath, newPath) }
-func (OSFS) ReadFile(path string) ([]byte, error)      { return os.ReadFile(path) }
-func (OSFS) Remove(path string) error                  { return os.Remove(path) }
+func (OSFS) MkdirAll(path string) error               { return os.MkdirAll(path, 0o755) }
+func (OSFS) WriteFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }
+func (OSFS) Rename(oldPath, newPath string) error     { return os.Rename(oldPath, newPath) }
+func (OSFS) ReadFile(path string) ([]byte, error)     { return os.ReadFile(path) }
+func (OSFS) Remove(path string) error                 { return os.Remove(path) }
 func (o OSFS) ReadDir(path string) ([]FileInfo, error) {
 	ents, err := os.ReadDir(path)
 	if err != nil {

@@ -654,12 +654,14 @@ func (s *Server) handleVerifyStep(w http.ResponseWriter, r *http.Request) {
 	applied := ""
 	switch req.Action {
 	case "forward":
-		gate, err := sess.stepSide(ctx, req.Side)
+		op, err := sess.stepSide(ctx, req.Side)
 		if err != nil {
 			s.writeVerifyStepError(w, r, sess, style, err)
 			return
 		}
-		applied = gate
+		if op != nil {
+			applied = op.String()
+		}
 	case "barrier":
 		n, err := sess.runToBarrier(ctx, req.Side)
 		if err != nil {

@@ -309,9 +309,9 @@ func (v *verifySession) applyOp(op *qc.Op, side string) (dd.MEdge, error) {
 }
 
 // stepSide applies the next gate of the chosen side ("left" = G,
-// "right" = G′). It returns the description of the applied gate, or
-// "" when that side is exhausted.
-func (v *verifySession) stepSide(ctx context.Context, side string) (string, error) {
+// "right" = G′). It returns the applied gate, or nil when that side is
+// exhausted.
+func (v *verifySession) stepSide(ctx context.Context, side string) (*qc.Op, error) {
 	var circ *qc.Circuit
 	var pos *int
 	switch side {
@@ -320,14 +320,14 @@ func (v *verifySession) stepSide(ctx context.Context, side string) (string, erro
 	case "right":
 		circ, pos = v.right, &v.ri
 	default:
-		return "", fmt.Errorf("web: unknown side %q", side)
+		return nil, fmt.Errorf("web: unknown side %q", side)
 	}
 	// Skip barriers.
 	for *pos < len(circ.Ops) && circ.Ops[*pos].Kind == qc.KindBarrier {
 		*pos++
 	}
 	if *pos >= len(circ.Ops) {
-		return "", nil
+		return nil, nil
 	}
 	op := &circ.Ops[*pos]
 	var sp *trace.Span
@@ -343,7 +343,7 @@ func (v *verifySession) stepSide(ctx context.Context, side string) (string, erro
 		sp.End()
 		// The diagram is unchanged; the session keeps its position so
 		// the user can undo their way back below the budget.
-		return "", err
+		return nil, err
 	}
 	n := dd.SizeM(next)
 	sp.SetAttr("nodes_after", int64(n))
@@ -358,7 +358,7 @@ func (v *verifySession) stepSide(ctx context.Context, side string) (string, erro
 	v.x = next
 	v.pkg.MaybeShapeM(v.x)
 	*pos++
-	return op.String(), nil
+	return op, nil
 }
 
 func (v *verifySession) sideCirc(side string) *qc.Circuit {
