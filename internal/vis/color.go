@@ -93,23 +93,23 @@ func ColorWheelSVG(size int) string {
 	for i := 0; i < segments; i++ {
 		a0 := float64(i) / segments * 2 * math.Pi
 		a1 := float64(i+1)/segments*2*math.Pi + 0.005
-		b.num("<path d=\"M", cx+rInner*math.Cos(a0), 2)
-		b.num(",", cy-rInner*math.Sin(a0), 2)
-		b.num(" L", cx+rOuter*math.Cos(a0), 2)
-		b.num(",", cy-rOuter*math.Sin(a0), 2)
-		b.num(" A", rOuter, 2)
-		b.num(",", rOuter, 2)
-		b.num(" 0 0 1 ", cx+rOuter*math.Cos(a1), 2)
-		b.num(",", cy-rOuter*math.Sin(a1), 2)
-		b.num(" L", cx+rInner*math.Cos(a1), 2)
-		b.num(",", cy-rInner*math.Sin(a1), 2)
-		b.num(" A", rInner, 2)
-		b.num(",", rInner, 2)
-		b.num(" 0 0 0 ", cx+rInner*math.Cos(a0), 2)
-		b.num(",", cy-rInner*math.Sin(a0), 2)
-		b.str(" Z\" fill=\"")
+		b.num(fPath, cx+rInner*math.Cos(a0), 2)
+		b.num(fComma, cy-rInner*math.Sin(a0), 2)
+		b.num(fWheelL, cx+rOuter*math.Cos(a0), 2)
+		b.num(fComma, cy-rOuter*math.Sin(a0), 2)
+		b.num(fWheelA, rOuter, 2)
+		b.num(fComma, rOuter, 2)
+		b.num(fWheelArcOut, cx+rOuter*math.Cos(a1), 2)
+		b.num(fComma, cy-rOuter*math.Sin(a1), 2)
+		b.num(fWheelL, cx+rInner*math.Cos(a1), 2)
+		b.num(fComma, cy-rInner*math.Sin(a1), 2)
+		b.num(fWheelA, rInner, 2)
+		b.num(fComma, rInner, 2)
+		b.num(fWheelArcIn, cx+rInner*math.Cos(a0), 2)
+		b.num(fComma, cy-rInner*math.Sin(a0), 2)
+		b.str(fWheelFill)
 		b.buf = appendPhaseColor(b.buf, cmplx.Exp(complex(0, a0)))
-		b.str("\" stroke=\"none\"/>\n")
+		b.str(fWheelSegment)
 	}
 	labels := []struct {
 		angle float64

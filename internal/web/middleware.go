@@ -13,21 +13,28 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"time"
 )
 
-type ctxKey int
+// ctxKey keys the one context value the middleware sets.
+type ctxKey struct{}
 
-const (
-	ctxKeyRequestID ctxKey = iota
-	ctxKeyLogger
-)
+// reqInfo is that value: the request id and the request-scoped
+// logger, which reqLogger builds on first use. Handlers log from the
+// request's own goroutine, so the lazy field needs no lock.
+type reqInfo struct {
+	id     string
+	logger *slog.Logger
+}
 
 // requestID returns the id the middleware assigned to this request
 // ("" outside the middleware chain, e.g. in direct handler tests).
 func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(ctxKeyRequestID).(string)
-	return id
+	if ri, ok := r.Context().Value(ctxKey{}).(*reqInfo); ok {
+		return ri.id
+	}
+	return ""
 }
 
 // reqLogger returns the request-scoped logger: the server's injected
@@ -35,10 +42,14 @@ func requestID(r *http.Request) string {
 // through this so every line of a request's story carries the same
 // id. Outside the middleware chain it falls back to the bare logger.
 func (s *Server) reqLogger(r *http.Request) *slog.Logger {
-	if l, ok := r.Context().Value(ctxKeyLogger).(*slog.Logger); ok {
-		return l
+	ri, ok := r.Context().Value(ctxKey{}).(*reqInfo)
+	if !ok {
+		return s.logger
 	}
-	return s.logger
+	if ri.logger == nil {
+		ri.logger = s.logger.With("requestId", ri.id)
+	}
+	return ri.logger
 }
 
 // statusWriter records what was sent so the recovery, logging and
@@ -77,24 +88,26 @@ func (w *statusWriter) Flush() {
 
 // withMiddleware wraps next with the hardening chain: request-ID
 // tagging, body size cap, per-request deadline, panic recovery,
-// access logging, and traffic metrics.
+// access logging, and traffic metrics. It sits on every request, so it
+// stays cheap: one context value, no logger clone unless a handler
+// logs, and an access-log line that is only built when its level is
+// enabled.
 func (s *Server) withMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := fmt.Sprintf("req-%d", s.nextReqID.Add(1))
+		ri := &reqInfo{id: "req-" + strconv.FormatInt(s.nextReqID.Add(1), 10)}
 		// The SSE live stream is deliberately long-lived: exempt it from
 		// the per-request deadline (which would cut every stream after
 		// RequestTimeout) and from the latency histogram (where one
 		// hour-long stream would poison the p99 the SLO gate reads).
 		streaming := r.URL.Path == "/debug/live"
-		ctx := context.WithValue(r.Context(), ctxKeyRequestID, id)
-		ctx = context.WithValue(ctx, ctxKeyLogger, s.logger.With("requestId", id))
+		ctx := context.WithValue(r.Context(), ctxKey{}, ri)
 		if s.cfg.RequestTimeout > 0 && !streaming {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 			defer cancel()
 		}
 		r = r.WithContext(ctx)
-		w.Header().Set("X-Request-ID", id)
+		w.Header().Set("X-Request-ID", ri.id)
 		if r.Body != nil && s.cfg.MaxBodyBytes > 0 {
 			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		}
@@ -122,9 +135,13 @@ func (s *Server) withMiddleware(next http.Handler) http.Handler {
 			if !streaming {
 				s.metrics.reqDuration.ObserveSeconds(int64(elapsed))
 			}
-			s.reqLogger(r).Info("request",
-				"method", r.Method, "path", r.URL.Path,
-				"status", status, "duration", elapsed)
+			// The request id leads, as it would on a reqLogger line.
+			if ctx := r.Context(); s.logger.Enabled(ctx, slog.LevelInfo) {
+				s.logger.LogAttrs(ctx, slog.LevelInfo, "request",
+					slog.String("requestId", ri.id),
+					slog.String("method", r.Method), slog.String("path", r.URL.Path),
+					slog.Int("status", status), slog.Duration("duration", elapsed))
+			}
 		}()
 		next.ServeHTTP(sw, r)
 	})

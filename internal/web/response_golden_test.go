@@ -1,0 +1,156 @@
+package web
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"hash"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"quantumdd/internal/algorithms"
+	"quantumdd/internal/qc"
+)
+
+// The digests below are SHA-256 sums over raw response bodies,
+// recorded while every response still went through encoding/json.
+// They pin the frame responses byte for byte: the SVG, its escaping,
+// field order, omitted empty fields, float formatting and the
+// trailing newline.
+const (
+	simResponsesGoldenDigest           = "94a57e78769907a653427a33ae52a2a9e542250515aa5152f0d1cd64e85186e5"
+	functionalityResponsesGoldenDigest = "41afec77af1949fa3663089e55331b69540a9cd9d8b501f233b8db7abeca17b1"
+	verifyCreateResponsesGoldenDigest  = "0812c5b5e6dbfa0daddb1ad8e2ca3e859a46fc026c0bb4884027f5b541981679"
+)
+
+// goldenStyles are the query strings of the three modes, each with
+// edge labels forced on and forced off.
+var goldenStyles = []string{
+	"?style=classic&labels=1", "?style=classic&labels=0",
+	"?style=colored&labels=1", "?style=colored&labels=0",
+	"?style=modern&labels=1", "?style=modern&labels=0",
+}
+
+// goldenClient serves requests through the handler in process and
+// hashes every response body.
+type goldenClient struct {
+	t *testing.T
+	h http.Handler
+	d hash.Hash
+	n int
+}
+
+func newGoldenClient(t *testing.T) *goldenClient {
+	t.Helper()
+	ws := NewServer(1)
+	t.Cleanup(ws.Close)
+	return &goldenClient{t: t, h: ws.Handler(), d: sha256.New()}
+}
+
+// do serves one request, hashes its body, decodes it into out (when
+// non-nil) and fails the test on a non-200 answer.
+func (c *goldenClient) do(method, path string, body interface{}, out interface{}) {
+	c.t.Helper()
+	var rd *bytes.Reader
+	if body != nil {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		rd = bytes.NewReader(buf)
+	} else {
+		rd = bytes.NewReader(nil)
+	}
+	rec := httptest.NewRecorder()
+	c.h.ServeHTTP(rec, httptest.NewRequest(method, path, rd))
+	if rec.Code != http.StatusOK {
+		c.t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body.Bytes())
+	}
+	c.d.Write(rec.Body.Bytes())
+	c.n++
+	if out != nil {
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+			c.t.Fatalf("%s %s: %v", method, path, err)
+		}
+	}
+}
+
+func (c *goldenClient) check(want string) {
+	c.t.Helper()
+	if got := hex.EncodeToString(c.d.Sum(nil)); got != want {
+		c.t.Fatalf("%d response bodies changed: digest %s, want %s", c.n, got, want)
+	}
+}
+
+// TestSimResponsesGolden creates a session for every built-in example
+// in every style and drives it through forward, backward, start,
+// break and end steps, answers each measurement dialog with choose,
+// and reads the session back with GET.
+func TestSimResponsesGolden(t *testing.T) {
+	c := newGoldenClient(t)
+	for _, ex := range Examples() {
+		for _, q := range goldenStyles {
+			var created newResp
+			c.do("POST", "/api/simulation"+q, newSimRequest{Code: ex.Code}, &created)
+			base := "/api/simulation/" + created.ID
+			var st stepResponse
+			for _, action := range []string{"forward", "forward", "backward", "start", "break", "forward", "end"} {
+				st = stepResponse{}
+				c.do("POST", base+"/step"+q, stepRequest{Action: action}, &st)
+			}
+			for i := 0; st.Pending != nil && i < 16; i++ {
+				outcome := 0
+				if st.Pending.P1 > st.Pending.P0 {
+					outcome = 1
+				}
+				c.do("POST", base+"/choose"+q, chooseRequest{Outcome: outcome}, nil)
+				st = stepResponse{}
+				c.do("POST", base+"/step"+q, stepRequest{Action: "end"}, &st)
+			}
+			if !st.AtEnd {
+				t.Fatalf("%s%s: walk did not reach the end", ex.Name, q)
+			}
+			c.do("GET", base+q, nil, nil)
+		}
+	}
+	c.check(simResponsesGoldenDigest)
+}
+
+// TestFunctionalityResponsesGolden renders the functionality of QFT(3),
+// Grover(4) and its inverse, and Adder(4) in every style.
+func TestFunctionalityResponsesGolden(t *testing.T) {
+	c := newGoldenClient(t)
+	cases := []struct {
+		circ    *qc.Circuit
+		inverse bool
+	}{
+		{algorithms.QFT(3), false},
+		{algorithms.Grover(4, 5), false},
+		{algorithms.Grover(4, 5), true},
+		{algorithms.Adder(4), false},
+	}
+	for _, tc := range cases {
+		for _, q := range goldenStyles {
+			c.do("POST", "/api/functionality"+q, functionalityRequest{Code: tc.circ.QASM(), Inverse: tc.inverse}, nil)
+		}
+	}
+	c.check(functionalityResponsesGoldenDigest)
+}
+
+// TestVerifyCreateResponsesGolden creates verification sessions in
+// every style; TestVerifyStepResponsesGolden covers the steps.
+func TestVerifyCreateResponsesGolden(t *testing.T) {
+	c := newGoldenClient(t)
+	pairs := []newVerifyRequest{
+		{Left: algorithms.QFT(3).QASM(), Right: algorithms.QFTCompiled(3).QASM()},
+		{Left: algorithms.Grover(4, 5).QASM(), Right: algorithms.Grover(4, 5).QASM()},
+	}
+	for _, pair := range pairs {
+		for _, q := range goldenStyles {
+			c.do("POST", "/api/verification"+q, pair, nil)
+		}
+	}
+	c.check(verifyCreateResponsesGoldenDigest)
+}

@@ -1,11 +1,11 @@
 package web
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"quantumdd/internal/algorithms"
@@ -84,14 +84,13 @@ func writeTimeoutFor(requestTimeout time.Duration) time.Duration {
 	return requestTimeout + 5*time.Second
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		s.reqLogger(r).Error("response encoding failed", "path", r.URL.Path, "error", err)
+// query parses the request's query string; nil when it has none.
+// Handlers call it once and read every parameter from the result.
+func query(r *http.Request) url.Values {
+	if r.URL.RawQuery == "" {
+		return nil
 	}
+	return r.URL.Query()
 }
 
 func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
@@ -171,19 +170,18 @@ func (s *Server) handleNewSimulation(w http.ResponseWriter, r *http.Request) {
 	id := s.newID("sim")
 	sess.rec = s.newRecorder(id)
 	s.instrument(sess.sim.Pkg(), sess.rec, sess.acct)
-	style := styleFrom(r.URL.Query().Get("style"), r.URL.Query().Get("labels"))
-	// Render before publishing: the session is not yet reachable, so no
-	// lock is needed and a rendering panic cannot leak a broken session.
+	style := styleFrom(query(r))
+	// Extract the frame before publishing: the session is not yet
+	// reachable, so no lock is needed. The response renders the SVG
+	// after the put from the frame's own graph, which no other request
+	// can reach.
 	frame := simFrame(sess, style, "initial state |0…0⟩")
 	s.metrics.simsCreated.Inc()
 	if evicted := s.sims.put(id, sess, time.Now()); evicted != "" {
 		s.metrics.evictedLRU.Inc()
 		s.reqLogger(r).Info("evicted LRU session", "sessionId", id, "evictedSessionId", evicted)
 	}
-	s.writeJSON(w, r, http.StatusOK, map[string]interface{}{
-		"id":    id,
-		"frame": frame,
-	})
+	s.writeFrame(w, r, &frameResponse{Frame: frame, ID: id})
 }
 
 type stepRequest struct {
@@ -213,7 +211,7 @@ func stepErrorCaption(err error) string {
 // its place instead of facing a dead tab.
 func (s *Server) writeStepError(w http.ResponseWriter, r *http.Request, sess *simSession, style vis.Style, err error) {
 	caption := stepErrorCaption(err)
-	s.writeJSON(w, r, http.StatusOK, stepResponse{
+	s.writeFrame(w, r, &stepResponse{
 		Frame:   simFrame(sess, style, caption),
 		Event:   caption,
 		Error:   err.Error(),
@@ -239,12 +237,12 @@ func (s *Server) handleSimStep(w http.ResponseWriter, r *http.Request) {
 	ctx := trace.With(r.Context(), sess.rec)
 	ctx, rsp := trace.StartSpan(ctx, "POST /api/simulation/{id}/step")
 	defer rsp.End()
-	style := styleFrom(r.URL.Query().Get("style"), r.URL.Query().Get("labels"))
+	style := styleFrom(query(r))
 	caption := ""
 	switch req.Action {
 	case "forward":
 		if pending := sess.pending(); pending != nil {
-			s.writeJSON(w, r, http.StatusOK, stepResponse{Frame: simFrame(sess, style, "awaiting dialog choice"), Pending: pending})
+			s.writeFrame(w, r, &stepResponse{Frame: simFrame(sess, style, "awaiting dialog choice"), Pending: pending})
 			return
 		}
 		ev, err := sess.sim.StepForwardCtx(ctx)
@@ -280,7 +278,7 @@ func (s *Server) handleSimStep(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if pending := sess.pending(); pending != nil {
-				s.writeJSON(w, r, http.StatusOK, stepResponse{Frame: simFrame(sess, style, "awaiting dialog choice"), Pending: pending})
+				s.writeFrame(w, r, &stepResponse{Frame: simFrame(sess, style, "awaiting dialog choice"), Pending: pending})
 				return
 			}
 			ev, err := sess.sim.StepForwardCtx(ctx)
@@ -298,7 +296,7 @@ func (s *Server) handleSimStep(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusBadRequest, codeBadRequest, fmt.Errorf("web: unknown action %q", req.Action))
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, stepResponse{
+	s.writeFrame(w, r, &stepResponse{
 		Frame:   simFrame(sess, style, caption),
 		Event:   caption,
 		AtEnd:   sess.sim.AtEnd(),
@@ -351,14 +349,14 @@ func (s *Server) handleSimChoose(w http.ResponseWriter, r *http.Request) {
 	ctx := trace.With(r.Context(), sess.rec)
 	ctx, rsp := trace.StartSpan(ctx, "POST /api/simulation/{id}/choose")
 	defer rsp.End()
-	style := styleFrom(r.URL.Query().Get("style"), r.URL.Query().Get("labels"))
+	style := styleFrom(query(r))
 	ev, err := sess.sim.StepForwardCtx(ctx)
 	if err != nil {
 		s.writeStepError(w, r, sess, style, err)
 		return
 	}
 	caption := describeEvent(sess, ev)
-	s.writeJSON(w, r, http.StatusOK, stepResponse{
+	s.writeFrame(w, r, &stepResponse{
 		Frame:   simFrame(sess, style, caption),
 		Event:   caption,
 		AtEnd:   sess.sim.AtEnd(),
@@ -374,8 +372,8 @@ func (s *Server) handleSimGet(w http.ResponseWriter, r *http.Request) {
 	}
 	defer h.release()
 	sess := h.val
-	style := styleFrom(r.URL.Query().Get("style"), r.URL.Query().Get("labels"))
-	s.writeJSON(w, r, http.StatusOK, stepResponse{
+	style := styleFrom(query(r))
+	s.writeFrame(w, r, &stepResponse{
 		Frame:   simFrame(sess, style, ""),
 		Pending: sess.pending(),
 		AtEnd:   sess.sim.AtEnd(),
@@ -487,9 +485,8 @@ func (s *Server) handleSimExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.release()
-	style := styleFrom(r.URL.Query().Get("style"), r.URL.Query().Get("labels"))
 	g := vis.FromVector(h.val.sim.State())
-	s.writeExport(w, r, g, style, r.URL.Query().Get("format"))
+	s.writeExport(w, r, g, query(r))
 }
 
 func (s *Server) handleVerifyExport(w http.ResponseWriter, r *http.Request) {
@@ -499,13 +496,13 @@ func (s *Server) handleVerifyExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.release()
-	style := styleFrom(r.URL.Query().Get("style"), r.URL.Query().Get("labels"))
 	g := vis.FromMatrix(h.val.x)
-	s.writeExport(w, r, g, style, r.URL.Query().Get("format"))
+	s.writeExport(w, r, g, query(r))
 }
 
-func (s *Server) writeExport(w http.ResponseWriter, r *http.Request, g *vis.Graph, style vis.Style, format string) {
-	switch format {
+func (s *Server) writeExport(w http.ResponseWriter, r *http.Request, g *vis.Graph, q url.Values) {
+	style := styleFrom(q)
+	switch format := q.Get("format"); format {
 	case "dot":
 		w.Header().Set("Content-Type", "text/vnd.graphviz")
 		io.WriteString(w, g.DOT(style))
@@ -540,7 +537,7 @@ func (s *Server) handleFunctionality(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusUnprocessableEntity, codeCircuitTooLarge, err)
 		return
 	}
-	style := styleFrom(r.URL.Query().Get("style"), r.URL.Query().Get("labels"))
+	style := styleFrom(query(r))
 	frame, err := buildFunctionalityFrame(circ, req.Inverse, style, s.cfg.MaxNodes)
 	if err != nil {
 		if errors.Is(err, dd.ErrResourceExhausted) {
@@ -550,7 +547,7 @@ func (s *Server) handleFunctionality(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, map[string]interface{}{"frame": frame})
+	s.writeFrame(w, r, &frameResponse{Frame: frame})
 }
 
 type newVerifyRequest struct {
@@ -590,17 +587,14 @@ func (s *Server) handleNewVerification(w http.ResponseWriter, r *http.Request) {
 	id := s.newID("verify")
 	sess.rec = s.newRecorder(id)
 	s.instrument(sess.pkg, sess.rec, sess.acct)
-	style := styleFrom(r.URL.Query().Get("style"), r.URL.Query().Get("labels"))
+	style := styleFrom(query(r))
 	frame := verifyFrame(sess, style, "identity")
 	s.metrics.verifiesCreated.Inc()
 	if evicted := s.verifies.put(id, sess, time.Now()); evicted != "" {
 		s.metrics.evictedLRU.Inc()
 		s.reqLogger(r).Info("evicted LRU session", "sessionId", id, "evictedSessionId", evicted)
 	}
-	s.writeJSON(w, r, http.StatusOK, map[string]interface{}{
-		"id":    id,
-		"frame": frame,
-	})
+	s.writeFrame(w, r, &frameResponse{Frame: frame, ID: id})
 }
 
 type verifyStepRequest struct {
@@ -626,7 +620,7 @@ func (s *Server) writeVerifyStepError(w http.ResponseWriter, r *http.Request, se
 		return
 	}
 	caption := stepErrorCaption(err)
-	s.writeJSON(w, r, http.StatusOK, verifyStepResponse{
+	s.writeFrame(w, r, &verifyStepResponse{
 		Frame:    verifyFrame(sess, style, caption),
 		Error:    err.Error(),
 		Identity: sess.identity(),
@@ -650,7 +644,7 @@ func (s *Server) handleVerifyStep(w http.ResponseWriter, r *http.Request) {
 	ctx := trace.With(r.Context(), sess.rec)
 	ctx, rsp := trace.StartSpan(ctx, "POST /api/verification/{id}/step")
 	defer rsp.End()
-	style := styleFrom(r.URL.Query().Get("style"), r.URL.Query().Get("labels"))
+	style := styleFrom(query(r))
 	applied := ""
 	switch req.Action {
 	case "forward":
@@ -677,7 +671,7 @@ func (s *Server) handleVerifyStep(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusBadRequest, codeBadRequest, fmt.Errorf("web: unknown action %q", req.Action))
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, verifyStepResponse{
+	s.writeFrame(w, r, &verifyStepResponse{
 		Frame:    verifyFrame(sess, style, applied),
 		Applied:  applied,
 		Identity: sess.identity(),
@@ -694,8 +688,8 @@ func (s *Server) handleVerifyGet(w http.ResponseWriter, r *http.Request) {
 	}
 	defer h.release()
 	sess := h.val
-	style := styleFrom(r.URL.Query().Get("style"), r.URL.Query().Get("labels"))
-	s.writeJSON(w, r, http.StatusOK, verifyStepResponse{
+	style := styleFrom(query(r))
+	s.writeFrame(w, r, &verifyStepResponse{
 		Frame:    verifyFrame(sess, style, ""),
 		Identity: sess.identity(),
 		LeftPos:  sess.li,

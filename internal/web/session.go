@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -586,10 +587,11 @@ func (s *Server) newID(prefix string) string {
 	return fmt.Sprintf("%s-%d", prefix, s.nextSessID.Add(1))
 }
 
-// styleFrom maps query parameters onto a vis.Style.
-func styleFrom(mode string, labels string) vis.Style {
+// styleFrom maps the style and labels query parameters onto a
+// vis.Style.
+func styleFrom(q url.Values) vis.Style {
 	st := vis.Style{}
-	switch mode {
+	switch q.Get("style") {
 	case "colored":
 		st.Mode = vis.Colored
 	case "modern":
@@ -597,7 +599,7 @@ func styleFrom(mode string, labels string) vis.Style {
 	default:
 		st.Mode = vis.Classic
 	}
-	switch labels {
+	switch q.Get("labels") {
 	case "1", "true", "on":
 		yes := true
 		st.ShowEdgeLabels = &yes
@@ -622,6 +624,12 @@ type Frame struct {
 	PeakNodes int          `json:"peakNodes,omitempty"`
 	LevelHist []int        `json:"levelHist,omitempty"` // nodes per qubit level
 	Engine    *EngineStats `json:"engine,omitempty"`    // table & memory counters
+
+	// graph, when set, stands in for SVG: the handlers' frames carry
+	// the request-owned diagram and its style, and the response
+	// appender renders it straight into the body.
+	graph *vis.Graph
+	style vis.Style
 }
 
 // EngineStats surfaces the DD engine's table and memory-manager
@@ -685,7 +693,8 @@ func engineStats(p *dd.Pkg) *EngineStats {
 func simFrame(s *simSession, style vis.Style, caption string) Frame {
 	g := vis.FromVector(s.sim.State())
 	return Frame{
-		SVG:       vis.FrameSVG(g, style, caption),
+		graph:     g,
+		style:     style,
 		Nodes:     g.NodeCount(),
 		Caption:   caption,
 		Pos:       s.sim.Pos(),
@@ -702,7 +711,8 @@ func simFrame(s *simSession, style vis.Style, caption string) Frame {
 func verifyFrame(v *verifySession, style vis.Style, caption string) Frame {
 	g := vis.FromMatrix(v.x)
 	return Frame{
-		SVG:       vis.FrameSVG(g, style, caption),
+		graph:     g,
+		style:     style,
 		Nodes:     g.NodeCount(),
 		Caption:   caption,
 		Pos:       gatesBefore(v.left, v.li) + gatesBefore(v.right, v.ri),
@@ -733,7 +743,11 @@ func (v *verifySession) nodeCount() int        { return dd.SizeM(v.x) }
 // the verification tab: it constructs the (inverse) functionality of
 // one circuit (Ex. 14) and returns its rendered frame.
 func BuildFunctionalityFrame(circ *qc.Circuit, inverse bool, style vis.Style) (Frame, error) {
-	return buildFunctionalityFrame(circ, inverse, style, 0)
+	f, err := buildFunctionalityFrame(circ, inverse, style, 0)
+	if err == nil {
+		f.SVG = vis.FrameSVG(f.graph, style, f.Caption)
+	}
+	return f, err
 }
 
 // buildFunctionalityFrame is BuildFunctionalityFrame with a node
@@ -760,7 +774,8 @@ func buildFunctionalityFrame(circ *qc.Circuit, inverse bool, style vis.Style, ma
 		caption = "inverse " + caption
 	}
 	return Frame{
-		SVG:     vis.FrameSVG(g, style, caption),
+		graph:   g,
+		style:   style,
 		Nodes:   g.NodeCount(),
 		Caption: caption,
 		Pos:     use.NumGates(),
