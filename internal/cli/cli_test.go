@@ -332,8 +332,10 @@ func TestDdsimNoiseMode(t *testing.T) {
 	if !strings.Contains(o, "|000>") {
 		t.Fatalf("missing dominant outcome:\n%s", o)
 	}
-	if code := RunDdsim([]string{"-noise", "2", path}, &out, &errb); code != 1 {
-		t.Fatalf("invalid noise accepted: exit %d", code)
+	for _, bad := range []string{"2", "-0.1", "NaN", "+Inf"} {
+		if code := RunDdsim([]string{"-noise", bad, path}, &out, &errb); code != 1 {
+			t.Fatalf("invalid noise %s accepted: exit %d", bad, code)
+		}
 	}
 }
 

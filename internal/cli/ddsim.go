@@ -63,7 +63,9 @@ func RunDdsim(args []string, stdout, stderr io.Writer) int {
 		to = newTraceOutput(*traceOut, "ddsim")
 		defer to.finish(stderr)
 	}
-	if *noise > 0 {
+	// Any nonzero value, NaN included, takes the noisy path, whose
+	// validation rejects probabilities outside [0,1].
+	if *noise != 0 {
 		return runDdsimNoisy(circ, *noise, *trajectories, *workers, *seed, stdout, stderr)
 	}
 	return runDdsimOn(to.context(), circ, *seed, *shots, *amplitudes, *trace, *stats, *draw, md, stdout, stderr)

@@ -33,7 +33,9 @@ func (m NoiseModel) IsZero() bool {
 
 func (m NoiseModel) validate() error {
 	for _, p := range []float64{m.Depolarizing, m.BitFlip, m.PhaseFlip} {
-		if p < 0 || p > 1 {
+		// Written so that NaN, which fails every comparison, is
+		// rejected too; ±Inf fall outside the range.
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("sim: noise probability %v out of [0,1]", p)
 		}
 	}
@@ -72,9 +74,10 @@ type NoisyResult struct {
 
 // RunNoisy simulates the circuit trajectories times under the noise
 // model and aggregates end-of-circuit samples. Measurements inside the
-// circuit are sampled per trajectory (no dialogs). Extra options apply
-// to every trajectory simulator (e.g. WithMaxNodes); fusion is forced
-// off because errors are injected per original gate op.
+// circuit are sampled per trajectory (no dialogs; WithChooser is
+// ignored). Extra options apply to every trajectory simulator (e.g.
+// WithMaxNodes); fusion is forced off because errors are injected per
+// original gate op.
 //
 // Trajectories are fanned out over a pool of independent DD engine
 // replicas (WithWorkers; default GOMAXPROCS). Each trajectory's
@@ -86,6 +89,33 @@ type NoisyResult struct {
 // ensemble.
 func RunNoisy(circ *qc.Circuit, model NoiseModel, trajectories int, seed int64, opts ...Option) (*NoisyResult, error) {
 	return RunNoisyCtx(context.Background(), circ, model, trajectories, seed, opts...)
+}
+
+// nextError continues the Pauli draws of gate op at its i-th touched
+// qubit — the targets first, then the controls — and returns the first
+// error gate drawn with its touched index, or GateNone when none of
+// the remaining qubits draws one. A zero model draws nothing. The
+// prefix-trie walk and the suffix loop (prefix.go) both draw through
+// it, so the two cannot drift apart.
+func nextError(rng *rand.Rand, m NoiseModel, op *qc.Op, i int) (qc.Gate, int) {
+	if m.IsZero() {
+		return qc.GateNone, i
+	}
+	for n := len(op.Targets) + len(op.Controls); i < n; i++ {
+		if g := samplePauli(rng, m); g != qc.GateNone {
+			return g, i
+		}
+	}
+	return qc.GateNone, i
+}
+
+// touchedQubit returns the i-th qubit gate op touches, in nextError's
+// order.
+func touchedQubit(op *qc.Op, i int) int {
+	if i < len(op.Targets) {
+		return op.Targets[i]
+	}
+	return op.Controls[i-len(op.Targets)].Qubit
 }
 
 // samplePauli draws an error gate (or GateNone) from the model.

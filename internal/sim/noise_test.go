@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"quantumdd/internal/algorithms"
@@ -78,11 +79,19 @@ func TestPhaseFlipInvisibleInZBasis(t *testing.T) {
 }
 
 func TestNoiseValidation(t *testing.T) {
-	if _, err := RunNoisy(algorithms.Bell(), NoiseModel{BitFlip: 1.5}, 10, 1); err == nil {
-		t.Fatal("invalid probability accepted")
-	}
-	if _, err := RunNoisy(algorithms.Bell(), NoiseModel{BitFlip: 0.6, PhaseFlip: 0.6}, 10, 1); err == nil {
-		t.Fatal("over-unit combined probability accepted")
+	for _, m := range []NoiseModel{
+		{BitFlip: 1.5},
+		{Depolarizing: math.NaN()},
+		{PhaseFlip: math.NaN(), BitFlip: 0.1},
+		{BitFlip: math.Inf(1)},
+		{Depolarizing: math.Inf(-1)},
+		{PhaseFlip: -0.1},
+		{Depolarizing: 1.1},
+		{BitFlip: 0.6, PhaseFlip: 0.6},
+	} {
+		if res, err := RunNoisy(algorithms.GHZ(3), m, 10, 1); err == nil {
+			t.Fatalf("invalid model %+v accepted: %d error events", m, res.ErrorEvents)
+		}
 	}
 	if _, err := RunNoisy(algorithms.Bell(), NoiseModel{}, 0, 1); err == nil {
 		t.Fatal("zero trajectories accepted")

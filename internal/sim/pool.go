@@ -14,9 +14,13 @@ package sim
 // trajectories a worker claims, which keeps interned complex values,
 // gate descriptors, and table allocations warm.
 //
-// A trajectory should cost only its DD work, so the per-trajectory
-// bookkeeping is O(1):
+// A trajectory should cost only the DD work no other trajectory does:
 //
+//   - Each worker simulates the circuit's error-free states once per
+//     ensemble, into a trie (prefix.go). A trajectory walks it while
+//     drawing its random numbers and simulates only from its first
+//     sampled error; an error-free trajectory is one dd.Sample on the
+//     cached final state.
 //   - Workers claim trajectory indices from one atomic counter. There
 //     is no feeder goroutine and no channel hand-off, which at
 //     ~20µs per trajectory would wake a sleeping worker every time.
@@ -29,6 +33,8 @@ package sim
 //     steps and keeps only 31 bits of the seed.
 //   - Replica simulators skip the per-gate peak-size walk and the
 //     step history, which only the interactive tool reads.
+//   - Under a node budget, a replica collects only when a trajectory
+//     left garbage behind, not after every trajectory.
 //
 // Determinism is order-independent by construction:
 //
@@ -41,10 +47,10 @@ package sim
 //     events, and the node total (an integer sum, so MeanNodes is
 //     exact) add up identically in any completion order.
 //   - Failed trajectories do not abort the ensemble: each failure is
-//     a per-index fact (same circuit, same budget, same stream), the
-//     first error by trajectory index is reported, and completed
-//     trajectories keep their counts — the partial-progress contract
-//     of PR 1's budget frames.
+//     a per-index fact (same circuit, same budget, same stream, same
+//     pinned trie to start from), the first error by trajectory index
+//     is reported, and completed trajectories keep their counts — the
+//     partial-progress contract of the budget frames.
 //
 // The result: RunNoisy returns a bit-identical *NoisyResult for every
 // worker count, including 1.
@@ -52,7 +58,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	randv2 "math/rand/v2"
 	"runtime"
 	"sync"
@@ -155,6 +160,22 @@ func (a *ensembleAccum) merge(b *ensembleAccum) {
 	}
 }
 
+// result converts the merged accumulator into the ensemble result.
+func (a *ensembleAccum) result(requested, workers int) *NoisyResult {
+	res := &NoisyResult{
+		Trajectories: a.completed,
+		Requested:    requested,
+		Failed:       a.failed,
+		Workers:      workers,
+		Counts:       a.counts,
+		ErrorEvents:  a.errorEvents,
+	}
+	if a.completed > 0 {
+		res.MeanNodes = float64(a.totalNodes) / float64(a.completed)
+	}
+	return res
+}
+
 // resolveWorkers clamps the requested pool width to something useful:
 // the default tracks the machine, and a pool never outnumbers its
 // trajectories.
@@ -209,16 +230,24 @@ func RunNoisyCtx(ctx context.Context, circ *qc.Circuit, model NoiseModel, trajec
 	partials := make([]ensembleAccum, workers)
 	work := func(pkg *dd.Pkg, part *ensembleAccum) {
 		part.counts = make(map[int64]int)
-		src := &pcgSource{}
-		rng := rand.New(src)
+		r := newReplica(pkg, circ, model, opts)
+		defer r.close()
 		for ctx.Err() == nil {
 			tr := int(next.Add(1) - 1)
 			if tr >= trajectories {
 				return
 			}
-			src.seedTrajectory(seed, tr)
-			part.add(runOneTrajectory(ctx, pkg, circ, model, tr, rng, opts, observer))
-			maintainReplica(pkg)
+			r.src.seedTrajectory(seed, tr)
+			var start time.Time
+			if observer != nil {
+				start = time.Now()
+			}
+			out := r.run(ctx, tr)
+			if out.err == nil && observer != nil {
+				observer(time.Since(start).Seconds())
+			}
+			part.add(out)
+			r.maintain()
 		}
 	}
 	var wg sync.WaitGroup
@@ -236,17 +265,7 @@ func RunNoisyCtx(ctx context.Context, circ *qc.Circuit, model NoiseModel, trajec
 		acc.merge(&partials[w])
 	}
 
-	res := &NoisyResult{
-		Trajectories: acc.completed,
-		Requested:    trajectories,
-		Failed:       acc.failed,
-		Workers:      workers,
-		Counts:       acc.counts,
-		ErrorEvents:  acc.errorEvents,
-	}
-	if acc.completed > 0 {
-		res.MeanNodes = float64(acc.totalNodes) / float64(acc.completed)
-	}
+	res := acc.result(trajectories, workers)
 	if err := ctx.Err(); err != nil {
 		return res, fmt.Errorf("sim: ensemble interrupted after %d/%d trajectories: %w", acc.completed, trajectories, err)
 	}
@@ -254,84 +273,6 @@ func RunNoisyCtx(ctx context.Context, circ *qc.Circuit, model NoiseModel, trajec
 		return res, fmt.Errorf("sim: trajectory %d: %w", acc.firstErrIdx, acc.firstErr)
 	}
 	return res, nil
-}
-
-// maintainReplica keeps a reused engine healthy between trajectories.
-// With a node budget set, it collects after every trajectory so each
-// one starts from the same live-node count — that is what makes
-// budget verdicts a per-index fact independent of scheduling. Without
-// a budget it collects only past poolGCThreshold, preserving the
-// warm-table sharing between similar trajectories.
-func maintainReplica(p *dd.Pkg) {
-	if p.MaxNodes() > 0 {
-		p.GarbageCollect()
-		return
-	}
-	p.MaybeGC(poolGCThreshold)
-}
-
-// runOneTrajectory simulates trajectory index tr on the worker's
-// engine replica: every random draw (measurement outcomes, Pauli
-// error sampling, the final basis-state sample) comes from rng, the
-// trajectory's private counter-seeded stream, which replaces any seed
-// the caller's options installed.
-func runOneTrajectory(ctx context.Context, pkg *dd.Pkg, circ *qc.Circuit, model NoiseModel, tr int, rng *rand.Rand, opts []Option, observer func(float64)) (out trajectoryOutcome) {
-	out.index = tr
-	start := time.Now()
-	s := newOn(pkg, circ, rng, opts...)
-	defer s.release()
-	// Errors are injected per original gate op, so fusion must not
-	// fold ops together.
-	s.fusion = false
-	s.replica = true
-	noiseless := model.IsZero()
-	for !s.AtEnd() {
-		if err := ctx.Err(); err != nil {
-			out.err = err
-			return out
-		}
-		op := &circ.Ops[s.Pos()]
-		if _, err := s.StepForward(); err != nil {
-			out.err = err
-			return out
-		}
-		if op.Kind != qc.KindGate || noiseless {
-			continue
-		}
-		// Inject sampled Pauli errors on the touched qubits.
-		for _, q := range op.Targets {
-			if err := injectSampledError(s, rng, model, q, &out); err != nil {
-				return out
-			}
-		}
-		for _, ctl := range op.Controls {
-			if err := injectSampledError(s, rng, model, ctl.Qubit, &out); err != nil {
-				return out
-			}
-		}
-	}
-	out.sample = dd.Sample(s.State(), rng)
-	out.nodes = dd.SizeV(s.State())
-	if observer != nil {
-		observer(time.Since(start).Seconds())
-	}
-	return out
-}
-
-// injectSampledError draws one error gate for qubit q and applies it,
-// recording the event on the outcome. A non-nil return means the
-// trajectory is over (budget exhaustion on the injected gate).
-func injectSampledError(s *Simulator, rng *rand.Rand, model NoiseModel, q int, out *trajectoryOutcome) error {
-	g := samplePauli(rng, model)
-	if g == qc.GateNone {
-		return nil
-	}
-	out.events++
-	if err := s.injectGate(g, q); err != nil {
-		out.err = err
-		return err
-	}
-	return nil
 }
 
 // IsPartial reports whether the result covers fewer trajectories than

@@ -282,9 +282,9 @@ func (s *Simulator) maybeGC() {
 // release drops every diagram reference this simulator holds — the
 // current state and all history snapshots — returning the shared DD
 // package to the pool in a collectible state. The simulator must not
-// be used afterwards. Only the trajectory pool calls this: an
-// interactive simulator owns its package and lets it die with the
-// session instead.
+// be stepped afterwards until moveTo positions it again. Only the
+// trajectory pool calls this: an interactive simulator owns its
+// package and lets it die with the session instead.
 func (s *Simulator) release() {
 	for i := range s.history {
 		s.pkg.DecRefV(s.history[i].state)
@@ -452,31 +452,43 @@ func (s *Simulator) stepForward(ctx context.Context) (Event, error) {
 	return ev, nil
 }
 
+// outcomeEps is the branch probability at or below which a
+// measurement outcome is never taken.
+const outcomeEps = 1e-12
+
 // measure obtains an outcome for qubit q: deterministic when one
 // branch has probability ~0, otherwise via the chooser (dialog) or by
 // sampling.
 func (s *Simulator) measure(op *qc.Op, q int) (outcome int, collapsed dd.VEdge, p0, p1 float64, err error) {
 	p1 = s.pkg.ProbOne(s.state, q)
 	p0 = 1 - p1
-	const eps = 1e-12
-	switch {
-	case p1 <= eps:
-		outcome = 0
-	case p0 <= eps:
-		outcome = 1
-	case s.chooser != nil:
+	if s.chooser != nil && p0 > outcomeEps && p1 > outcomeEps {
 		outcome = s.chooser(op, q, p0, p1)
 		if outcome != 0 && outcome != 1 {
 			return 0, dd.VZero(), p0, p1, fmt.Errorf("sim: chooser returned invalid outcome %d", outcome)
 		}
-	default:
-		outcome = 0
-		if s.rng.Float64() < p1 {
-			outcome = 1
-		}
+	} else {
+		outcome = drawOutcome(s.rng, p1)
 	}
 	collapsed, err = s.pkg.Collapse(s.state, q, outcome)
 	return outcome, collapsed, p0, p1, err
+}
+
+// drawOutcome samples a measurement outcome whose probability of
+// reading 1 is p1. A branch at or below outcomeEps is never taken and
+// the certain outcome costs no draw; otherwise one Float64 decides.
+// Simulator.measure and the prefix-trie walk (prefix.go) both draw
+// through it, so they consume a trajectory's stream identically.
+func drawOutcome(rng *rand.Rand, p1 float64) int {
+	switch {
+	case p1 <= outcomeEps:
+		return 0
+	case 1-p1 <= outcomeEps:
+		return 1
+	case rng.Float64() < p1:
+		return 1
+	}
+	return 0
 }
 
 func (s *Simulator) condHolds(c *qc.Condition) bool {

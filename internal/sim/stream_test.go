@@ -24,14 +24,7 @@ func bornProbs(t *testing.T, circ *qc.Circuit) []float64 {
 		if op.Kind != qc.KindGate || op.Cond != nil || op.Gate == qc.Swap {
 			t.Fatalf("bornProbs: unsupported op %s", op)
 		}
-		var pos, neg []int
-		for _, c := range op.Controls {
-			if c.Neg {
-				neg = append(neg, c.Qubit)
-			} else {
-				pos = append(pos, c.Qubit)
-			}
-		}
+		pos, neg := splitControls(op)
 		linalg.ApplyControlledGate(v, qc.Matrix2(op.Gate, op.Params), op.Targets[0], pos, neg)
 	}
 	probs := make([]float64, len(v))
@@ -39,6 +32,19 @@ func bornProbs(t *testing.T, circ *qc.Circuit) []float64 {
 		probs[i] = real(a)*real(a) + imag(a)*imag(a)
 	}
 	return probs
+}
+
+// splitControls returns an op's positive and negative control qubits,
+// the form the linalg baselines take.
+func splitControls(op *qc.Op) (pos, neg []int) {
+	for _, c := range op.Controls {
+		if c.Neg {
+			neg = append(neg, c.Qubit)
+		} else {
+			pos = append(pos, c.Qubit)
+		}
+	}
+	return pos, neg
 }
 
 // within5Sigma reports whether an observed binomial count over n
@@ -78,6 +84,88 @@ func TestEnsembleFitsBornProbabilities(t *testing.T) {
 			}
 			if n := res.Counts[int64(idx)]; !within5Sigma(n, trajectories, p) {
 				t.Errorf("%s: outcome %d sampled %d times, Born expectation %.1f", circ.Name, idx, n, p*trajectories)
+			}
+		}
+	}
+}
+
+// densityProbs returns the final-register distribution of a noisy
+// ensemble computed without trajectories: the circuit runs on the
+// dense linalg.Mixed reference, with the Pauli channel samplePauli
+// draws from applied to every touched qubit after every gate op,
+// targets first, then controls — also after a classically controlled
+// gate whose condition fails, as the trajectory loop does.
+func densityProbs(t *testing.T, circ *qc.Circuit, model NoiseModel) []float64 {
+	t.Helper()
+	m := linalg.NewMixed(circ.NQubits)
+	third := model.Depolarizing / 3
+	px, py, pz := third+model.BitFlip, third, third+model.PhaseFlip
+	for i := range circ.Ops {
+		op := &circ.Ops[i]
+		switch op.Kind {
+		case qc.KindBarrier:
+		case qc.KindMeasure:
+			m.Measure(op.Targets[0], op.Cbit)
+		case qc.KindReset:
+			m.Reset(op.Targets[0])
+		case qc.KindGate:
+			if op.Gate == qc.Swap {
+				t.Fatalf("densityProbs: unsupported op %s", op)
+			}
+			var cond func(uint64) bool
+			if c := op.Cond; c != nil {
+				cond = func(rec uint64) bool {
+					var v uint64
+					for j, b := range c.Bits {
+						v |= (rec >> uint(b) & 1) << uint(j)
+					}
+					return v == c.Value
+				}
+			}
+			pos, neg := splitControls(op)
+			m.Apply(linalg.ExtendGate(circ.NQubits, qc.Matrix2(op.Gate, op.Params), op.Targets[0], pos, neg), cond)
+			for j := 0; j < len(op.Targets)+len(op.Controls); j++ {
+				m.PauliChannel(touchedQubit(op, j), px, py, pz)
+			}
+		}
+	}
+	return m.Probabilities()
+}
+
+// TestNoisyFitsDensityMatrix checks the noisy engine against an
+// independent oracle: every outcome count of an ensemble is binomial
+// in the diagonal of the dense density-matrix reference, within 5σ,
+// and outcomes of probability zero never appear. Teleport covers
+// mid-circuit measurement and classical control.
+func TestNoisyFitsDensityMatrix(t *testing.T) {
+	const trajectories = 20000
+	cases := []struct {
+		circ  *qc.Circuit
+		model NoiseModel
+	}{
+		{algorithms.GHZ(3), NoiseModel{Depolarizing: 0.05}},
+		{algorithms.Bell(), NoiseModel{BitFlip: 0.1, PhaseFlip: 0.05}},
+		{algorithms.Teleport(1.0, 0.3), NoiseModel{Depolarizing: 0.05}},
+		{algorithms.Teleport(2.2, -0.9), NoiseModel{BitFlip: 0.03, PhaseFlip: 0.03}},
+	}
+	for _, c := range cases {
+		res, err := RunNoisy(c.circ, c.model, trajectories, 29)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probs := densityProbs(t, c.circ, c.model)
+		for idx, n := range res.Counts {
+			if idx < 0 || int(idx) >= len(probs) || probs[idx] < 1e-12 {
+				t.Fatalf("%s %+v: sampled impossible outcome %d (%d times)", c.circ.Name, c.model, idx, n)
+			}
+		}
+		for idx, p := range probs {
+			if p < 1e-12 {
+				continue
+			}
+			if n := res.Counts[int64(idx)]; !within5Sigma(n, trajectories, p) {
+				t.Errorf("%s %+v: outcome %d sampled %d times, density-matrix expectation %.1f",
+					c.circ.Name, c.model, idx, n, p*trajectories)
 			}
 		}
 	}
@@ -187,7 +275,7 @@ func TestTrajectoryAllocBytes(t *testing.T) {
 	circ := algorithms.Teleport(1.0, 0.3)
 	model := NoiseModel{BitFlip: 0.01}
 	const trajectories = 2000
-	const maxBytes = 4096
+	const maxBytes = 1024
 	run := func() {
 		if _, err := RunNoisy(circ, model, trajectories, 1, WithWorkers(1)); err != nil {
 			t.Fatal(err)
