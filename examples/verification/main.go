@@ -24,11 +24,11 @@ func main() {
 
 	// Ex. 11: both circuits build the identical canonical DD.
 	p := dd.New(3)
-	u1, _, err := verify.BuildFunctionality(p, qft)
+	u1, err := verify.Functionality(p, qft)
 	if err != nil {
 		log.Fatal(err)
 	}
-	u2, _, err := verify.BuildFunctionality(p, compiled)
+	u2, err := verify.Functionality(p, compiled)
 	if err != nil {
 		log.Fatal(err)
 	}

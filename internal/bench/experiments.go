@@ -137,11 +137,11 @@ func safeProb(s *sim.Simulator) float64 {
 // compares against the dense ω-matrix of Fig. 5(c).
 func runE5(w io.Writer) (Summary, error) {
 	p := dd.New(3)
-	u1, _, err := verify.BuildFunctionality(p, algorithms.QFT(3))
+	u1, err := verify.Functionality(p, algorithms.QFT(3))
 	if err != nil {
 		return nil, err
 	}
-	u2, _, err := verify.BuildFunctionality(p, algorithms.QFTCompiled(3))
+	u2, err := verify.Functionality(p, algorithms.QFTCompiled(3))
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +279,7 @@ func runE8(w io.Writer) (Summary, error) {
 	// QFT functionality matrix DDs.
 	for _, n := range []int{2, 3, 4, 5, 6} {
 		p := dd.New(n)
-		u, _, err := verify.BuildFunctionality(p, algorithms.QFT(n))
+		u, err := verify.Functionality(p, algorithms.QFT(n))
 		if err != nil {
 			return nil, err
 		}
@@ -469,7 +469,7 @@ func runE10(w io.Writer) (Summary, error) {
 func runA1(w io.Writer) (Summary, error) {
 	build := func(tol float64) (int, int) {
 		p := dd.NewTol(3, tol)
-		u, _, err := verify.BuildFunctionality(p, algorithms.QFTCompiled(3))
+		u, err := verify.Functionality(p, algorithms.QFTCompiled(3))
 		if err != nil {
 			return 0, 0
 		}

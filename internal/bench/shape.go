@@ -24,7 +24,7 @@ const shapeStride = 32
 // identityFraction builds circ's functionality matrix and profiles it.
 func identityFraction(circ *qc.Circuit) (dd.ShapeProfile, error) {
 	p := dd.New(circ.NQubits)
-	u, _, err := verify.BuildFunctionality(p, circ)
+	u, err := verify.Functionality(p, circ)
 	if err != nil {
 		return dd.ShapeProfile{}, err
 	}

@@ -78,7 +78,7 @@ func NewStepper(circ *qc.Circuit, seed int64) *sim.Simulator {
 // unitary circuit as a decision diagram (Ex. 14).
 func Functionality(circ *qc.Circuit) (dd.MEdge, *dd.Pkg, error) {
 	p := dd.New(circ.NQubits)
-	u, _, err := verify.BuildFunctionality(p, circ)
+	u, err := verify.Functionality(p, circ)
 	if err != nil {
 		return dd.MZero(), nil, err
 	}

@@ -86,11 +86,11 @@ func DiagnoseNonEquivalence(c1, c2 *qc.Circuit) (equivalent bool, overlap float6
 		return false, 0, nil, fmt.Errorf("verify: qubit counts differ (%d vs %d)", c1.NQubits, c2.NQubits)
 	}
 	p := dd.New(c1.NQubits)
-	u1, _, err := BuildFunctionality(p, c1)
+	u1, err := Functionality(p, c1)
 	if err != nil {
 		return false, 0, nil, err
 	}
-	u2, _, err := BuildFunctionality(p, c2)
+	u2, err := Functionality(p, c2)
 	if err != nil {
 		return false, 0, nil, err
 	}

@@ -252,10 +252,21 @@ func BuildFunctionality(p *dd.Pkg, c *qc.Circuit, opts ...Option) (dd.MEdge, []S
 		p.SetShapeInterval(cfg.shapeEvery)
 	}
 	eng := &engine{p: p, generic: cfg.genericMM}
-	return buildFunctionality(context.Background(), eng, c)
+	return buildFunctionality(context.Background(), eng, c, true)
 }
 
-func buildFunctionality(ctx context.Context, eng *engine, c *qc.Circuit) (dd.MEdge, []StepRecord, error) {
+// Functionality is BuildFunctionality without the per-gate records,
+// for callers that need only U: it skips the node count, gate string
+// and span each record costs. The root is the same.
+func Functionality(p *dd.Pkg, c *qc.Circuit) (dd.MEdge, error) {
+	u, _, err := buildFunctionality(context.Background(), &engine{p: p}, c, false)
+	return u, err
+}
+
+// buildFunctionality multiplies the gates of c into the identity; with
+// record set it traces each application and returns one StepRecord
+// per gate.
+func buildFunctionality(ctx context.Context, eng *engine, c *qc.Circuit, record bool) (dd.MEdge, []StepRecord, error) {
 	if c.HasNonUnitary() {
 		return dd.MZero(), nil, fmt.Errorf("verify: circuit %q contains non-unitary operations", c.Name)
 	}
@@ -264,7 +275,10 @@ func buildFunctionality(ctx context.Context, eng *engine, c *qc.Circuit) (dd.MEd
 	p.IncRefM(u)
 	var recs []StepRecord
 	for _, op := range unitaryOps(c) {
-		_, sp := trace.StartSpan(ctx, "verify:apply")
+		var sp *trace.Span
+		if record {
+			_, sp = trace.StartSpan(ctx, "verify:apply")
+		}
 		next, err := eng.leftChecked(u, op)
 		if err != nil {
 			sp.End()
@@ -274,10 +288,12 @@ func buildFunctionality(ctx context.Context, eng *engine, c *qc.Circuit) (dd.MEd
 		p.IncRefM(next)
 		p.DecRefM(u)
 		u = next
-		n := dd.SizeM(u)
-		sp.SetAttr("nodes_after", int64(n))
-		sp.End()
-		recs = append(recs, StepRecord{Side: "G", Gate: op.String(), Nodes: n})
+		if record {
+			n := dd.SizeM(u)
+			sp.SetAttr("nodes_after", int64(n))
+			sp.End()
+			recs = append(recs, StepRecord{Side: "G", Gate: op.String(), Nodes: n})
+		}
 		p.MaybeShapeM(u)
 	}
 	p.DecRefM(u)
@@ -330,11 +346,11 @@ func CheckOnCtx(ctx context.Context, p *dd.Pkg, c1, c2 *qc.Circuit, strategy Str
 
 func checkConstruction(ctx context.Context, eng *engine, c1, c2 *qc.Circuit) (*Result, error) {
 	res := &Result{Strategy: Construction}
-	u1, t1, err := buildFunctionality(ctx, eng, c1)
+	u1, t1, err := buildFunctionality(ctx, eng, c1, true)
 	if err != nil {
 		return nil, err
 	}
-	u2, t2, err := buildFunctionality(ctx, eng, c2)
+	u2, t2, err := buildFunctionality(ctx, eng, c2, true)
 	if err != nil {
 		return nil, err
 	}

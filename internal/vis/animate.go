@@ -38,12 +38,14 @@ func AnimationSVG(frames []string, frameDur float64) (string, error) {
 	fmt.Fprintf(&b, "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"%.0f\" height=\"%.0f\" viewBox=\"0 0 %.0f %.0f\">\n", maxW, maxH, maxW, maxH)
 	b.WriteString("<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n")
 	for i, f := range frames {
-		inner, err := svgInner(f)
+		attrs, inner, err := svgInner(f)
 		if err != nil {
 			return "", fmt.Errorf("vis: frame %d: %w", i, err)
 		}
 		begin := frameDur * float64(i)
-		fmt.Fprintf(&b, "<g visibility=\"hidden\">\n")
+		// The group takes over the frame root's presentation attributes,
+		// which the frame's elements inherit.
+		fmt.Fprintf(&b, "<g visibility=\"hidden\"%s>\n", attrs)
 		// Loop: each frame shows for frameDur within a total-length cycle.
 		fmt.Fprintf(&b, "<set attributeName=\"visibility\" to=\"visible\" begin=\"%.2fs;anim0.begin+%.2fs\" dur=\"%.2fs\"/>\n",
 			begin, begin, frameDur)
@@ -57,7 +59,8 @@ func AnimationSVG(frames []string, frameDur float64) (string, error) {
 }
 
 var (
-	svgOpenRe = regexp.MustCompile(`<svg[^>]*\swidth="([0-9.]+)"[^>]*\sheight="([0-9.]+)"`)
+	svgOpenRe = regexp.MustCompile(`<svg[^>]*\swidth=["']([0-9.]+)["'][^>]*\sheight=["']([0-9.]+)["']`)
+	svgAttrRe = regexp.MustCompile(`\s([\w:-]+)=(?:"[^"]*"|'[^']*')`)
 )
 
 func svgSize(svg string) (w, h float64, err error) {
@@ -75,15 +78,25 @@ func svgSize(svg string) (w, h float64, err error) {
 }
 
 // svgInner extracts the content between the <svg> open tag and the
-// closing </svg>.
-func svgInner(svg string) (string, error) {
+// closing </svg>, and the attributes of the open tag other than the
+// namespace, size and viewBox, each with its leading space and quotes.
+func svgInner(svg string) (attrs, inner string, err error) {
 	open := strings.Index(svg, ">")
 	if open < 0 {
-		return "", fmt.Errorf("malformed svg")
+		return "", "", fmt.Errorf("malformed svg")
 	}
 	close := strings.LastIndex(svg, "</svg>")
 	if close < 0 || close <= open {
-		return "", fmt.Errorf("malformed svg")
+		return "", "", fmt.Errorf("malformed svg")
 	}
-	return svg[open+1 : close], nil
+	var kept strings.Builder
+	for _, m := range svgAttrRe.FindAllStringSubmatch(svg[:open], -1) {
+		switch name := m[1]; {
+		case name == "width", name == "height", name == "viewBox",
+			name == "xmlns", strings.HasPrefix(name, "xmlns:"):
+		default:
+			kept.WriteString(m[0])
+		}
+	}
+	return kept.String(), svg[open+1 : close], nil
 }

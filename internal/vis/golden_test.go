@@ -17,7 +17,7 @@ import (
 // It pins the SVG writer's exact bytes, so a change to number
 // formatting, element order or escaping shows here. Update it only
 // for an intended change of the rendered markup.
-const goldenSVGDigest = "d5ed37485e905461f9d5fa3b0edac67b19ba4f4984e00be40704d6e6bde865a9"
+const goldenSVGDigest = "b373c54ed14c4fc430e6b42897aafc23f3efba146d22640b172f72232a5ea781"
 
 // goldenCircuits are the constructors behind the web tool's built-in
 // examples, called directly so the digest does not depend on the QASM
@@ -37,34 +37,32 @@ func goldenCircuits() []*qc.Circuit {
 	}
 }
 
-// writeGoldenSVG renders every vector frame of every golden circuit,
+// goldenCaption is the caption the corpus renders every frame with,
+// besides rendering it bare: it needs XML and JSON escaping.
+const goldenCaption = "after <h> & \"cx\" q[1],q[0]"
+
+// svgWriter is one SVG writer as the golden corpus drives it.
+type svgWriter struct {
+	frame func(g *Graph, style Style, caption string) string
+	wheel func(size int) string
+}
+
+var compactWriter = svgWriter{frame: FrameSVG, wheel: ColorWheelSVG}
+
+// goldenGraphs returns every vector frame of every golden circuit,
 // stepped from |0…0⟩ to the end, plus each circuit's functionality
-// where it has one, in all three modes with labels defaulted, forced
-// on and forced off, bare and with an escaped caption.
-func writeGoldenSVG(t testing.TB, w io.Writer) {
+// where it has one, after the all-zero state.
+func goldenGraphs(t testing.TB) []*Graph {
 	t.Helper()
-	on, off := true, false
-	var styles []Style
-	for _, m := range []Mode{Classic, Colored, Modern} {
-		for _, l := range []*bool{nil, &on, &off} {
-			styles = append(styles, Style{Mode: m, ShowEdgeLabels: l})
-		}
-	}
-	render := func(g *Graph) {
-		for _, st := range styles {
-			io.WriteString(w, g.SVG(st))
-			io.WriteString(w, FrameSVG(g, st, "after <h> & \"cx\" q[1],q[0]"))
-		}
-	}
-	render(FromVector(dd.VZero()))
+	graphs := []*Graph{FromVector(dd.VZero())}
 	for _, c := range goldenCircuits() {
 		s := sim.New(c, sim.WithSeed(1))
-		render(FromVector(s.State()))
+		graphs = append(graphs, FromVector(s.State()))
 		for !s.AtEnd() {
 			if _, err := s.StepForward(); err != nil {
 				t.Fatalf("%s: %v", c.Name, err)
 			}
-			render(FromVector(s.State()))
+			graphs = append(graphs, FromVector(s.State()))
 		}
 		if c.HasNonUnitary() {
 			continue
@@ -73,14 +71,28 @@ func writeGoldenSVG(t testing.TB, w io.Writer) {
 		if err != nil {
 			t.Fatalf("%s functionality: %v", c.Name, err)
 		}
-		render(FromMatrix(u))
+		graphs = append(graphs, FromMatrix(u))
 	}
-	io.WriteString(w, ColorWheelSVG(160))
+	return graphs
+}
+
+// writeGoldenSVG renders every golden graph with wr in all three
+// modes with labels defaulted, forced on and forced off, bare and
+// with goldenCaption, followed by the color wheel.
+func writeGoldenSVG(t testing.TB, w io.Writer, wr svgWriter) {
+	t.Helper()
+	for _, g := range goldenGraphs(t) {
+		for _, st := range allStyles() {
+			io.WriteString(w, wr.frame(g, st, ""))
+			io.WriteString(w, wr.frame(g, st, goldenCaption))
+		}
+	}
+	io.WriteString(w, wr.wheel(160))
 }
 
 func TestSVGGoldenDigest(t *testing.T) {
 	h := sha256.New()
-	writeGoldenSVG(t, h)
+	writeGoldenSVG(t, h, compactWriter)
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenSVGDigest {
 		t.Fatalf("SVG digest = %s, want %s", got, goldenSVGDigest)
 	}

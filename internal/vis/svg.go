@@ -38,77 +38,92 @@ func (s Style) labels() bool {
 	return s.Mode == Classic
 }
 
-// frag is a constant piece of SVG markup in both output forms the
-// writer has: [0] the markup itself, [1] the same bytes escaped as the
-// contents of a JSON string ('"' and newline escaped). Both forms are
-// computed once at init, so writing either is a plain append.
-type frag [2]string
+// The markup fragments of the diagram and color-wheel writers. Every
+// attribute is single-quoted and no fragment holds a byte JSON
+// escapes, so a fragment is appended alike in both output forms.
+//
+// The root carries the presentation attributes most elements share
+// (stroke-width, font-size, text-anchor); an element omits one whose
+// value equals the root's. Elements follow each other without a
+// newline; an edge is a two-point path.
+const (
+	fSVGOpen      = `<svg xmlns='http://www.w3.org/2000/svg' width='`
+	fHeight       = `' height='`
+	fViewBox      = `' viewBox='0 0 `
+	fSpace        = " "
+	fComma        = ","
+	fSVGHead      = `' font-family='Helvetica,Arial,sans-serif' stroke-width='1.4' font-size='12' text-anchor='middle'><rect width='100%' height='100%' fill='white'/>`
+	fPath         = `<path d='M`
+	fLineTo       = "L"
+	fStroke       = `' stroke='`
+	fStrokeWidth  = `' stroke-width='`
+	fDashed       = `' stroke-dasharray='5,3`
+	fEndTag       = `'/>`
+	fBlack        = "black"
+	fZeroStub     = "#999999"
+	fTextX        = `<text x='`
+	fY            = `' y='`
+	fFontSize     = `' font-size='`
+	fTextAnchor   = `' text-anchor='`
+	fTagEnd       = `'>`
+	fTextClose    = "</text>"
+	fCaption      = `<text x='8' y='16' text-anchor='start' fill='#555'>`
+	fRectX        = `<rect x='`
+	fWidth        = `' width='`
+	fQuote        = `'`
+	fRootHead     = ` l-4,-7 l8,0 Z' fill='black'/>`
+	fPlainFill    = ` fill='white' stroke='black'/>`
+	fModernFill   = ` rx='8' fill='#eef4ff' stroke='#35507a'/>`
+	fBarTrack     = `' height='4' fill='#d4ddec'/>`
+	fBarFill      = `' height='4' fill='#35507a'/>`
+	fCircleCX     = `<circle cx='`
+	fCY           = `' cy='`
+	fR            = `' r='`
+	fCirclePlain  = `' fill='white' stroke='black'/>`
+	fWheelL       = " L"
+	fWheelA       = " A"
+	fWheelArcOut  = " 0 0 1 "
+	fWheelArcIn   = " 0 0 0 "
+	fWheelFill    = ` Z' fill='`
+	fWheelSegment = `' stroke='none'/>`
 
-func mk(s string) frag { return frag{s, string(jsonenc.AppendEscaped(nil, s))} }
-
-// The markup fragments of the diagram and color-wheel writers.
-var (
-	fSVGOpen      = mk(`<svg xmlns="http://www.w3.org/2000/svg" width="`)
-	fHeight       = mk(`" height="`)
-	fViewBox      = mk(`" viewBox="0 0 `)
-	fSpace        = mk(" ")
-	fComma        = mk(",")
-	fSVGHead      = mk("\" font-family=\"Helvetica,Arial,sans-serif\">\n<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n")
-	fSVGClose     = mk("</svg>\n")
-	fLineX1       = mk(`<line x1="`)
-	fY1           = mk(`" y1="`)
-	fX2           = mk(`" x2="`)
-	fY2           = mk(`" y2="`)
-	fStroke       = mk(`" stroke="`)
-	fStrokeWidth  = mk(`" stroke-width="`)
-	fDashed       = mk(`" stroke-dasharray="5,3`)
-	fEndTag       = mk("\"/>\n")
-	fBlack        = mk("black")
-	fZeroStub     = mk("#999999")
-	fTextX        = mk(`<text x="`)
-	fY            = mk(`" y="`)
-	fFontSize     = mk(`" font-size="`)
-	fTextAnchor   = mk(`" text-anchor="`)
-	fTagEnd       = mk(`">`)
-	fTextClose    = mk("</text>\n")
-	fCaption      = mk(`<text x="8" y="16" font-size="12" fill="#555">`)
-	fRectX        = mk(`<rect x="`)
-	fWidth        = mk(`" width="`)
-	fQuote        = mk(`"`)
-	fPath         = mk(`<path d="M`)
-	fRootHead     = mk(" l-4,-7 l8,0 Z\" fill=\"black\"/>\n")
-	fPlainFill    = mk(" fill=\"white\" stroke=\"black\" stroke-width=\"1.4\"/>\n")
-	fModernFill   = mk(" rx=\"8\" fill=\"#eef4ff\" stroke=\"#35507a\" stroke-width=\"1.4\"/>\n")
-	fBarTrack     = mk("\" height=\"4\" fill=\"#d4ddec\"/>\n")
-	fBarFill      = mk("\" height=\"4\" fill=\"#35507a\"/>\n")
-	fCircleCX     = mk(`<circle cx="`)
-	fCY           = mk(`" cy="`)
-	fR            = mk(`" r="`)
-	fCirclePlain  = mk("\" fill=\"white\" stroke=\"black\" stroke-width=\"1.4\"/>\n")
-	fWheelL       = mk(" L")
-	fWheelA       = mk(" A")
-	fWheelArcOut  = mk(" 0 0 1 ")
-	fWheelArcIn   = mk(" 0 0 0 ")
-	fWheelFill    = mk(" Z\" fill=\"")
-	fWheelSegment = mk("\" stroke=\"none\"/>\n")
+	// The root's values of the inherited presentation attributes, as
+	// fSVGHead writes them.
+	rootStrokeWidth = "1.4"
+	rootFontSize    = 12
+	rootAnchor      = "middle"
 )
 
 // svgBuilder appends SVG markup to one byte slice, either as markup
-// (esc 0) or already escaped as the contents of a JSON string (esc 1).
+// or already escaped as the contents of a JSON string (json set).
 // Numbers go through appendFixed and colors through appendPhaseColor;
-// neither ever produces a byte JSON escapes, so they are appended in
-// both forms alike, and no fmt call runs per element.
+// neither ever produces a byte JSON escapes, so, like the fragments,
+// they are appended in both forms alike, and no fmt call runs per
+// element. Only text content and the final newline differ.
 type svgBuilder struct {
-	buf []byte
-	esc int
+	buf  []byte
+	json bool
 }
 
-func (b *svgBuilder) str(f frag) { b.buf = append(b.buf, f[b.esc&1]...) }
+func (b *svgBuilder) str(f string) { b.buf = append(b.buf, f...) }
 
-// num appends f followed by x with prec decimals.
-func (b *svgBuilder) num(f frag, x float64, prec int) {
-	b.buf = append(b.buf, f[b.esc&1]...)
+// num appends f followed by x with prec decimals, less trailing
+// zeros and a bare decimal point (72.0 → 72, 1.40 → 1.4).
+func (b *svgBuilder) num(f string, x float64, prec int) {
+	b.buf = append(b.buf, f...)
 	b.buf = appendFixed(b.buf, x, prec)
+	if prec == 0 {
+		return
+	}
+	// appendFixed wrote a decimal point, so the zeros stop there.
+	n := len(b.buf)
+	for b.buf[n-1] == '0' {
+		n--
+	}
+	if b.buf[n-1] == '.' {
+		n--
+	}
+	b.buf = b.buf[:n]
 }
 
 func (b *svgBuilder) open(w, h float64) {
@@ -119,7 +134,13 @@ func (b *svgBuilder) open(w, h float64) {
 	b.str(fSVGHead)
 }
 
-func (b *svgBuilder) close() { b.str(fSVGClose) }
+func (b *svgBuilder) close() {
+	if b.json {
+		b.str(`</svg>\n`)
+	} else {
+		b.str("</svg>\n")
+	}
+}
 
 // String returns the accumulated markup without copying it, as
 // strings.Builder does; the builder must not be written to afterwards.
@@ -127,18 +148,23 @@ func (b *svgBuilder) String() string {
 	return unsafe.String(unsafe.SliceData(b.buf), len(b.buf))
 }
 
-// lineTo appends a line element up to the opening quote of its stroke
-// color, which the caller appends before calling lineEnd.
+// lineTo appends a two-point path up to the opening quote of its
+// stroke color, which the caller appends before calling lineEnd.
 func (b *svgBuilder) lineTo(x1, y1, x2, y2 float64) {
-	b.num(fLineX1, x1, 1)
-	b.num(fY1, y1, 1)
-	b.num(fX2, x2, 1)
-	b.num(fY2, y2, 1)
+	b.num(fPath, x1, 1)
+	b.num(fSpace, y1, 1)
+	b.num(fLineTo, x2, 1)
+	b.num(fSpace, y2, 1)
 	b.str(fStroke)
 }
 
+// lineEnd closes a line; a width that prints as the root's is omitted.
 func (b *svgBuilder) lineEnd(width float64, dashed bool) {
+	n := len(b.buf)
 	b.num(fStrokeWidth, width, 2)
+	if string(b.buf[n+len(fStrokeWidth):]) == rootStrokeWidth {
+		b.buf = b.buf[:n]
+	}
 	if dashed {
 		b.str(fDashed)
 	}
@@ -157,20 +183,25 @@ func (b *svgBuilder) edge(x1, y1, x2, y2 float64, s Style, w complex128) {
 }
 
 // text appends a text element; anchor is "start" or "middle", which
-// need no escaping in either form.
+// need no escaping in either form. A size or anchor equal to the
+// root's is omitted.
 func (b *svgBuilder) text(x, y float64, s string, size float64, anchor string) {
 	b.num(fTextX, x, 1)
 	b.num(fY, y, 1)
-	b.num(fFontSize, size, 0)
-	b.str(fTextAnchor)
-	b.buf = append(b.buf, anchor...)
+	if size != rootFontSize {
+		b.num(fFontSize, size, 0)
+	}
+	if anchor != rootAnchor {
+		b.str(fTextAnchor)
+		b.str(anchor)
+	}
 	b.str(fTagEnd)
 	b.escText(s)
 	b.str(fTextClose)
 }
 
 // rect appends a rect element up to the end of its geometry; the
-// caller appends the remaining attributes and the closing "/>\n".
+// caller appends the remaining attributes and the closing "/>".
 func (b *svgBuilder) rect(x, y, w, h float64) {
 	b.num(fRectX, x, 1)
 	b.num(fY, y, 1)
@@ -206,7 +237,7 @@ func (b *svgBuilder) escText(s string) {
 }
 
 func (b *svgBuilder) run(s string) {
-	if b.esc == 0 {
+	if !b.json {
 		b.buf = append(b.buf, s...)
 	} else {
 		b.buf = jsonenc.AppendEscaped(b.buf, s)
@@ -225,18 +256,65 @@ func (g *Graph) svg(style Style, caption string) string {
 	return b.String()
 }
 
-// svgSize estimates the markup size from measured output so that most
-// frames never regrow: about 190 bytes per node (500 with probability
-// bars), 120 per edge and 60 more per edge when weights are labelled.
+// svgSize estimates the markup size from the elements the frame
+// draws, at byte costs fitted on the golden corpus: the estimate is at
+// least the actual size for over 90 % of its frames and never more
+// than 1.3 times it (TestSVGSizeEstimate), so few frames regrow their
+// buffer and none is grossly oversized.
 func (g *Graph) svgSize(style Style, caption string) int {
-	nodeBytes, edgeBytes := 190, 120
-	if style.Mode == Modern && g.Kind == KindVector {
-		nodeBytes = 500
+	const (
+		fixed      = 420 // root, background, root arrow, terminal, close
+		captionEl  = 60
+		plainNode  = 95  // circle and label
+		modernNode = 140 // rounded box and label
+		probBars   = 260 // the four bars of a modern vector node
+		plainEdge  = 45
+		hueEdge    = 75  // with stroke color and width (Colored)
+		zeroStub   = 110 // tick and its "0" (not drawn in Colored)
+		dash       = 26
+		weightText = 75
+	)
+	n := fixed
+	if caption != "" {
+		n += captionEl + len(caption)
+	}
+	node := plainNode
+	if style.Mode == Modern {
+		node = modernNode
+		if g.Kind == KindVector {
+			node += probBars
+		}
+	}
+	if len(g.Nodes) > 1 {
+		n += node * (len(g.Nodes) - 1)
+	}
+	edge, stub, weighted := plainEdge, zeroStub, 0
+	switch style.Mode {
+	case Classic:
+		weighted = dash
+	case Colored:
+		edge, stub = hueEdge, 0
 	}
 	if style.labels() {
-		edgeBytes += 60
+		weighted += weightText
 	}
-	return 512 + len(caption) + nodeBytes*len(g.Nodes) + edgeBytes*len(g.Edges)
+	// Only non-unit weights are dashed and labelled.
+	if weighted > 0 && g.Root != noNode && !cnum.IsOne(g.RootWeight, 1e-9) {
+		n += weighted
+	}
+	for _, e := range g.Edges {
+		switch {
+		case e.Zero:
+			n += stub
+		case weighted > 0 && !cnum.IsOne(e.Weight, 1e-9):
+			n += edge + weighted
+		default:
+			n += edge
+		}
+	}
+	// A margin for the longer coordinates of wide canvases, where the
+	// fitted costs fall a few percent short.
+	return n + n/16
 }
 
 // diagram appends the rendered graph.
@@ -369,8 +447,7 @@ func FrameSVG(g *Graph, style Style, caption string) string { return g.svg(style
 // without HTML escaping. The markup is escaped while it is written, so
 // the frame responses never hold the SVG as a separate string.
 func AppendFrameSVGJSON(dst []byte, g *Graph, style Style, caption string) []byte {
-	// Escaping adds about one byte in ten (each '"' becomes \").
-	b := svgBuilder{buf: slices.Grow(dst, g.svgSize(style, caption)*9/8+2), esc: 1}
+	b := svgBuilder{buf: slices.Grow(dst, g.svgSize(style, caption)+2), json: true}
 	b.buf = append(b.buf, '"')
 	b.diagram(g, style, caption)
 	return append(b.buf, '"')

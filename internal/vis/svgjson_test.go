@@ -72,28 +72,10 @@ func fuzzGraphs(t testing.TB) []*Graph {
 // TestAppendFrameSVGJSONGolden checks the JSON form on every frame the
 // SVG golden renders.
 func TestAppendFrameSVGJSONGolden(t *testing.T) {
-	graphs := []*Graph{FromVector(dd.VZero())}
-	for _, c := range goldenCircuits() {
-		s := sim.New(c, sim.WithSeed(1))
-		graphs = append(graphs, FromVector(s.State()))
-		for !s.AtEnd() {
-			if _, err := s.StepForward(); err != nil {
-				t.Fatalf("%s: %v", c.Name, err)
-			}
-			graphs = append(graphs, FromVector(s.State()))
-		}
-		if !c.HasNonUnitary() {
-			u, _, err := verify.BuildFunctionality(dd.New(c.NQubits), c)
-			if err != nil {
-				t.Fatalf("%s functionality: %v", c.Name, err)
-			}
-			graphs = append(graphs, FromMatrix(u))
-		}
-	}
-	for _, g := range graphs {
+	for _, g := range goldenGraphs(t) {
 		for _, st := range allStyles() {
 			checkFrameSVGJSON(t, g, st, "")
-			checkFrameSVGJSON(t, g, st, "after <h> & \"cx\" q[1],q[0]")
+			checkFrameSVGJSON(t, g, st, goldenCaption)
 		}
 	}
 }
@@ -101,12 +83,14 @@ func TestAppendFrameSVGJSONGolden(t *testing.T) {
 // FuzzFrameSVGJSON checks that AppendFrameSVGJSON equals the quoted
 // FrameSVG for arbitrary captions and node labels (quotes, backslashes,
 // markup characters, control bytes, invalid UTF-8, U+2028) in every
-// style.
+// style, and that FrameSVG is well-formed XML whenever the caption and
+// label consist of characters XML allows.
 func FuzzFrameSVGJSON(f *testing.F) {
 	f.Add("after <h> & \"cx\" q[1],q[0]", "q1", uint8(0))
 	f.Add("a\\b\x00\x1f\b\f\r\t\n", "\xff\xc3<q>", uint8(4))
 	f.Add("\u2028\u2029 √2·π", "&amp;\"", uint8(8))
 	f.Add("", "", uint8(2))
+	f.Add("it's 'q' <\"x\">", "q'0", uint8(1))
 	graphs := fuzzGraphs(f)
 	styles := allStyles()
 	f.Fuzz(func(t *testing.T, caption, label string, pick uint8) {
@@ -116,8 +100,15 @@ func FuzzFrameSVGJSON(f *testing.F) {
 				g.Nodes[i].Label = label
 			}
 		}
+		legal := xmlText(caption) && xmlText(label)
 		for _, st := range styles {
 			checkFrameSVGJSON(t, g, st, caption)
+			if !legal {
+				continue
+			}
+			if err := wellFormed(FrameSVG(g, st, caption)); err != nil {
+				t.Fatalf("style %+v, caption %q, label %q: %v", st, caption, label, err)
+			}
 		}
 	})
 }

@@ -155,10 +155,11 @@ func TestModernSVGHasBars(t *testing.T) {
 	_, e := bell(t)
 	g := FromVector(e)
 	svg := g.SVG(Style{Mode: Modern})
-	if !strings.Contains(svg, "rx=\"8\"") {
+	if !strings.Contains(svg, "rx='8'") {
 		t.Fatal("modern style uses rounded nodes")
 	}
-	if strings.Count(svg, "#35507a") < 2 {
+	// Node outlines are stroked in the bar color too; only the bars fill.
+	if strings.Count(svg, "fill='#35507a'") < 2 {
 		t.Fatal("modern style draws probability bars")
 	}
 }

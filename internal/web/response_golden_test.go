@@ -14,16 +14,50 @@ import (
 	"quantumdd/internal/qc"
 )
 
-// The digests below are SHA-256 sums over raw response bodies,
-// recorded while every response still went through encoding/json.
-// They pin the frame responses byte for byte: the SVG, its escaping,
-// field order, omitted empty fields, float formatting and the
-// trailing newline.
+// The digests below are SHA-256 sums over raw response bodies, first
+// recorded while every response still went through encoding/json and
+// re-recorded for the compact SVG markup, which the blanked digests
+// and TestCompactSVGEquivalent cover. They pin the frame responses
+// byte for byte: the SVG, its escaping, field order, omitted empty
+// fields, float formatting and the trailing newline.
 const (
-	simResponsesGoldenDigest           = "94a57e78769907a653427a33ae52a2a9e542250515aa5152f0d1cd64e85186e5"
-	functionalityResponsesGoldenDigest = "41afec77af1949fa3663089e55331b69540a9cd9d8b501f233b8db7abeca17b1"
-	verifyCreateResponsesGoldenDigest  = "0812c5b5e6dbfa0daddb1ad8e2ca3e859a46fc026c0bb4884027f5b541981679"
+	simResponsesGoldenDigest           = "9ffd6f2c6b84a504fe12937893fe9cb6e308000f19b3274549e675bd20ab546e"
+	functionalityResponsesGoldenDigest = "8a9a5ec48f8165a3b923998e3757cdf22840fa7b2f263b287637cc42043ba30d"
+	verifyCreateResponsesGoldenDigest  = "52d9f8674f75e545818909c4759c5064e20ba88ad8710c3be71eea53807296b7"
 )
+
+// The blanked digests cover the same bodies with every frame's "svg"
+// value emptied (blankSVG). They pin captions, engine counters, field
+// order and float formatting independently of the SVG markup, so a
+// change of the markup alone must leave them as they are.
+const (
+	simResponsesBlankedDigest           = "ad1453615967bd479472028a36af15ea987d2b7ff72e022b0828997016d3b2df"
+	functionalityResponsesBlankedDigest = "efad120d4f72bd9605383d1dce72235882f66414f708197038b48635dcf85dc9"
+	verifyCreateResponsesBlankedDigest  = "7f03f05e8450bf6e3a0f4a0bce56eb58948a84bba70395acfebccd21b2d433a6"
+)
+
+// blankSVG returns body with the string value of every "svg" member
+// emptied. Frames are written with the SVG first, so every one starts
+// with {"svg":" and its value ends at the first unescaped quote.
+func blankSVG(body []byte) []byte {
+	const key = `"svg":"`
+	var out []byte
+	for {
+		i := bytes.Index(body, []byte(key))
+		if i < 0 {
+			return append(out, body...)
+		}
+		out = append(out, body[:i+len(key)]...)
+		j := i + len(key)
+		for body[j] != '"' {
+			if body[j] == '\\' {
+				j++
+			}
+			j++
+		}
+		body = body[j:]
+	}
+}
 
 // goldenStyles are the query strings of the three modes, each with
 // edge labels forced on and forced off.
@@ -38,7 +72,8 @@ var goldenStyles = []string{
 type goldenClient struct {
 	t *testing.T
 	h http.Handler
-	d hash.Hash
+	d hash.Hash // raw bodies
+	b hash.Hash // bodies with the svg values blanked
 	n int
 }
 
@@ -46,7 +81,7 @@ func newGoldenClient(t *testing.T) *goldenClient {
 	t.Helper()
 	ws := NewServer(1)
 	t.Cleanup(ws.Close)
-	return &goldenClient{t: t, h: ws.Handler(), d: sha256.New()}
+	return &goldenClient{t: t, h: ws.Handler(), d: sha256.New(), b: sha256.New()}
 }
 
 // do serves one request, hashes its body, decodes it into out (when
@@ -69,6 +104,7 @@ func (c *goldenClient) do(method, path string, body interface{}, out interface{}
 		c.t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body.Bytes())
 	}
 	c.d.Write(rec.Body.Bytes())
+	c.b.Write(blankSVG(rec.Body.Bytes()))
 	c.n++
 	if out != nil {
 		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
@@ -77,8 +113,13 @@ func (c *goldenClient) do(method, path string, body interface{}, out interface{}
 	}
 }
 
-func (c *goldenClient) check(want string) {
+// check compares the digest of the raw bodies with want and that of
+// the svg-blanked bodies with wantBlanked.
+func (c *goldenClient) check(want, wantBlanked string) {
 	c.t.Helper()
+	if got := hex.EncodeToString(c.b.Sum(nil)); got != wantBlanked {
+		c.t.Errorf("%d response bodies changed outside their SVG: blanked digest %s, want %s", c.n, got, wantBlanked)
+	}
 	if got := hex.EncodeToString(c.d.Sum(nil)); got != want {
 		c.t.Fatalf("%d response bodies changed: digest %s, want %s", c.n, got, want)
 	}
@@ -115,7 +156,7 @@ func TestSimResponsesGolden(t *testing.T) {
 			c.do("GET", base+q, nil, nil)
 		}
 	}
-	c.check(simResponsesGoldenDigest)
+	c.check(simResponsesGoldenDigest, simResponsesBlankedDigest)
 }
 
 // TestFunctionalityResponsesGolden renders the functionality of QFT(3),
@@ -136,7 +177,7 @@ func TestFunctionalityResponsesGolden(t *testing.T) {
 			c.do("POST", "/api/functionality"+q, functionalityRequest{Code: tc.circ.QASM(), Inverse: tc.inverse}, nil)
 		}
 	}
-	c.check(functionalityResponsesGoldenDigest)
+	c.check(functionalityResponsesGoldenDigest, functionalityResponsesBlankedDigest)
 }
 
 // TestVerifyCreateResponsesGolden creates verification sessions in
@@ -152,5 +193,5 @@ func TestVerifyCreateResponsesGolden(t *testing.T) {
 			c.do("POST", "/api/verification"+q, pair, nil)
 		}
 	}
-	c.check(verifyCreateResponsesGoldenDigest)
+	c.check(verifyCreateResponsesGoldenDigest, verifyCreateResponsesBlankedDigest)
 }

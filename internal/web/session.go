@@ -764,7 +764,7 @@ func buildFunctionalityFrame(circ *qc.Circuit, inverse bool, style vis.Style, ma
 	}
 	p := dd.New(use.NQubits)
 	p.SetMaxNodes(maxNodes)
-	u, _, err := verify.BuildFunctionality(p, use)
+	u, err := verify.Functionality(p, use)
 	if err != nil {
 		return Frame{}, err
 	}
