@@ -53,7 +53,6 @@ func BenchmarkA4NormalizationAblation(b *testing.B)   { runExperiment(b, "A4") }
 func BenchmarkA5ApproximationSweep(b *testing.B)      { runExperiment(b, "A5") }
 func BenchmarkA6VariableOrderSifting(b *testing.B)    { runExperiment(b, "A6") }
 func BenchmarkK1KernelVsGeneric(b *testing.B)         { runExperiment(b, "K1") }
-func BenchmarkK2PeepholeFusion(b *testing.B)          { runExperiment(b, "K2") }
 
 // --- micro benchmarks of the DD engine primitives ---
 
@@ -165,9 +164,9 @@ func BenchmarkMicroGateDDMultMV(b *testing.B) {
 	}
 }
 
-// rotationLadderCirc mirrors the compiled-circuit shape of the K2
-// experiment: per layer an rz·ry·rz Euler run on every qubit, then a
-// CX ring.
+// rotationLadderCirc builds the compiled-circuit shape dominated by
+// Euler rotations: per layer an rz·ry·rz run on every qubit, then a CX
+// ring.
 func rotationLadderCirc(n, layers int) *qc.Circuit {
 	c := qc.New(n, 0)
 	for l := 0; l < layers; l++ {
@@ -184,24 +183,12 @@ func rotationLadderCirc(n, layers int) *qc.Circuit {
 	return c
 }
 
-// BenchmarkMicroSimRotations / ...Fused time the rotation ladder with
-// and without peephole fusion.
+// BenchmarkMicroSimRotations times the rotation ladder.
 func BenchmarkMicroSimRotations(b *testing.B) {
 	circ := rotationLadderCirc(12, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := sim.New(circ)
-		if _, err := s.RunToEnd(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMicroSimRotationsFused(b *testing.B) {
-	circ := rotationLadderCirc(12, 3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := sim.New(circ, sim.WithFusion())
 		if _, err := s.RunToEnd(); err != nil {
 			b.Fatal(err)
 		}

@@ -156,13 +156,11 @@ func runUnitary(c *qc.Circuit) (*dd.Pkg, dd.VEdge, error) {
 		for k, cc := range op.Controls {
 			ctl[k] = dd.Control{Qubit: cc.Qubit, Neg: cc.Neg}
 		}
-		var g dd.MEdge
 		if op.Gate == qc.Swap {
-			g = p.MakeSwapDD(op.Targets[0], op.Targets[1], ctl...)
+			state = p.ApplySwap(state, op.Targets[0], op.Targets[1], ctl...)
 		} else {
-			g = p.MakeGateDD(dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
+			state = p.ApplyGate(state, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
 		}
-		state = p.MultMV(g, state)
 	}
 	return p, state, nil
 }

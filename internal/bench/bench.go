@@ -62,8 +62,6 @@ func All() []Experiment {
 			Paper: "canonicity is relative to the variable order; order can matter exponentially", Run: runA6},
 		{ID: "K1", Title: "Kernel: direct gate application vs MakeGateDD+MultMV",
 			Paper: "identity-skipping descent beats the generic multiply on the hot path", Run: runK1},
-		{ID: "K2", Title: "Kernel: peephole gate fusion on rotation runs",
-			Paper: "folding rz·ry·rz runs into one 2×2 apply preserves the state", Run: runK2},
 		{ID: "V1", Title: "Verify core: matrix-apply kernel vs generic MultMM",
 			Paper: "identity-stripped matrix apply beats gate-DD multiply in the alternating checker", Run: runV1},
 		{ID: "N1", Title: "Parallel trajectories: sharded replica pool vs sequential",

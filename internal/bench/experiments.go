@@ -548,7 +548,11 @@ func runA4(w io.Writer) (Summary, error) {
 			for k, c := range op.Controls {
 				ctl[k] = dd.Control{Qubit: c.Qubit, Neg: c.Neg}
 			}
-			st = p.MultMV(gateDDOp(p, op, ctl), st)
+			if op.Gate == qc.Swap {
+				st = p.ApplySwap(st, op.Targets[0], op.Targets[1], ctl...)
+			} else {
+				st = p.ApplyGate(st, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
+			}
 		}
 		return p, st, nil
 	}
@@ -591,13 +595,6 @@ func runA4(w io.Writer) (Summary, error) {
 		return nil, fmt.Errorf("probability read-out guard wrong")
 	}
 	return Summary{"nodesL2": float64(n2), "nodesMax": float64(nm), "ampMaxDiff": maxDiff}, nil
-}
-
-func gateDDOp(p *dd.Pkg, op *qc.Op, ctl []dd.Control) dd.MEdge {
-	if op.Gate == qc.Swap {
-		return p.MakeSwapDD(op.Targets[0], op.Targets[1], ctl...)
-	}
-	return p.MakeGateDD(dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
 }
 
 // runA5 sweeps the approximation threshold on a hard (near-maximal)

@@ -1,13 +1,12 @@
 package bench
 
-// Kernel studies (PR 4): quantify the direct gate-application kernel
-// against the MakeGateDD+MultMV baseline it replaces on the simulation
-// hot path, and the peephole fusion pass on rotation-heavy circuits.
+// Kernel study: quantify the direct gate-application kernel against
+// the MakeGateDD+MultMV baseline it replaces on the simulation hot
+// path.
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/cmplx"
 	"time"
 
@@ -23,26 +22,6 @@ type kernelScenario struct {
 	name string
 	circ *qc.Circuit
 	reps int // simulator runs per timing sample, amortizing setup
-}
-
-// rotationLadder builds the compiled-circuit shape dominated by Euler
-// rotation runs: per layer, rz·ry·rz on every qubit followed by a CX
-// ring — adjacent same-target single-qubit runs everywhere, the
-// peephole fusion target.
-func rotationLadder(n, layers int) *qc.Circuit {
-	c := qc.New(n, 0)
-	for l := 0; l < layers; l++ {
-		for q := 0; q < n; q++ {
-			a := 0.3 + 0.1*float64(l*n+q)
-			c.Gate(qc.RZ, []float64{a}, q)
-			c.Gate(qc.RY, []float64{a / 2}, q)
-			c.Gate(qc.RZ, []float64{a / 3}, q)
-		}
-		for q := 0; q < n; q++ {
-			c.CX(q, (q+1)%n)
-		}
-	}
-	return c
 }
 
 // qaoaCircuit builds a MaxCut ring ansatz with two distinct layers —
@@ -110,60 +89,4 @@ func runK1(w io.Writer) (Summary, error) {
 		return nil, fmt.Errorf("kernel slower than the generic path on every scenario (best %.2fx)", best)
 	}
 	return sum, nil
-}
-
-// runK2 measures peephole fusion on the rotation ladder and proves the
-// pass fires: the summary line carries fused=N for the CI smoke guard.
-func runK2(w io.Writer) (Summary, error) {
-	circ := rotationLadder(12, 3)
-	plain := sim.New(circ)
-	if _, err := plain.RunToEnd(); err != nil {
-		return nil, err
-	}
-	fused := sim.New(circ, sim.WithFusion())
-	if _, err := fused.RunToEnd(); err != nil {
-		return nil, err
-	}
-	a, b := plain.Amplitudes(), fused.Amplitudes()
-	maxDiff := 0.0
-	for i := range a {
-		if d := cmplx.Abs(a[i] - b[i]); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	if maxDiff > 1e-10 {
-		return nil, fmt.Errorf("fusion changed the state (max amplitude diff %g)", maxDiff)
-	}
-	nFused := fused.Pkg().Stats().GatesFused
-	unfusedT := timeIt(func() {
-		s := sim.New(circ)
-		if _, err := s.RunToEnd(); err != nil {
-			panic(err)
-		}
-	})
-	fusedT := timeIt(func() {
-		s := sim.New(circ, sim.WithFusion())
-		if _, err := s.RunToEnd(); err != nil {
-			panic(err)
-		}
-	})
-	speedup := float64(unfusedT) / float64(fusedT)
-	fmt.Fprintf(w, "%-20s %14s %14s %10s %8s\n", "circuit", "unfused", "fused", "speedup", "fused")
-	fmt.Fprintf(w, "%-20s %14s %14s %9.2fx fused=%d\n", "rotation-ladder(12,3)", unfusedT, fusedT, speedup, nFused)
-	if nFused == 0 {
-		return nil, fmt.Errorf("fusion pass never fired on the rotation ladder")
-	}
-	// Each (rz, ry, rz) run folds 3 gates into 1: 3 layers × 12 qubits
-	// × 2 saved gates.
-	if want := uint64(3 * 12 * 2); nFused != want {
-		return nil, fmt.Errorf("GatesFused = %d, want %d", nFused, want)
-	}
-	if math.IsNaN(speedup) || speedup <= 0 {
-		return nil, fmt.Errorf("degenerate fusion timing")
-	}
-	return Summary{
-		"gatesFused":    float64(nFused),
-		"fusionSpeedup": speedup,
-		"maxAmpDiff":    maxDiff,
-	}, nil
 }

@@ -36,7 +36,7 @@ func newMetricsDumper() *metricsDumper {
 // Only packages the tool holds a handle on can be recorded; latency
 // histograms cover every package regardless.
 func (m *metricsDumper) record(st dd.Stats) {
-	m.agg = obs.AddStats(m.agg, st)
+	m.agg = m.agg.Add(st)
 	m.pkgs++
 }
 

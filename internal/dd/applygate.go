@@ -344,15 +344,6 @@ func scaleV(w complex128, e VEdge) VEdge {
 	return VEdge{W: w * e.W, N: e.N}
 }
 
-// AddGatesFused records n gates eliminated by a front-end fusion pass
-// (internal/sim's peephole folding) so the saving shows up next to the
-// apply counters in Stats, the web statistics panel and /metrics.
-func (p *Pkg) AddGatesFused(n int) {
-	if n > 0 {
-		p.stats.GatesFused += uint64(n)
-	}
-}
-
 // MakeGateDD builds the matrix diagram of a (multi-)controlled
 // single-qubit gate u acting on target, extended to the full register
 // width with identities (the tensor-product extension of Ex. 3/8).

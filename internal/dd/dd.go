@@ -227,7 +227,7 @@ type Stats struct {
 	ApplyCTLookups   uint64 // apply/split compute-table lookups
 	ApplyCTHits      uint64 // apply/split compute-table hits
 	ApplyCTEvictions uint64 // apply/split stores displacing a live entry
-	GatesFused       uint64 // gates eliminated by peephole fusion (AddGatesFused)
+	GatesFused       uint64 // always 0 since fusion was removed
 	GateDDCacheHits  uint64 // MakeGateDD calls served from the gate-DD cache
 
 	// Matrix-apply kernel counters (applygatem.go), broken out the same

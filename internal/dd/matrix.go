@@ -34,21 +34,6 @@ func (p *Pkg) identUpTo(v Var) MEdge {
 // share the interned gate descriptors, and MakeGateDD caches its
 // result there per package generation.
 
-// MakeSwapDD builds the diagram of a SWAP between qubits a and b
-// (optionally controlled) as the product of three CNOTs — the standard
-// decomposition the paper's compiled circuits use.
-func (p *Pkg) MakeSwapDD(a, b int, controls ...Control) MEdge {
-	if a == b {
-		panic("dd: SWAP qubits must differ")
-	}
-	notX := GateMatrix{0, 1, 1, 0}
-	c1 := append(append([]Control{}, controls...), Control{Qubit: a})
-	c2 := append(append([]Control{}, controls...), Control{Qubit: b})
-	cx1 := p.MakeGateDD(notX, b, c1...)
-	cx2 := p.MakeGateDD(notX, a, c2...)
-	return p.MultMM(cx1, p.MultMM(cx2, cx1))
-}
-
 // MatrixEntry reconstructs the matrix element ⟨row|e|col⟩.
 func MatrixEntry(e MEdge, row, col int64) complex128 {
 	w := e.W

@@ -7,8 +7,8 @@ import (
 
 // Observables: expectation values of Pauli strings ⟨ϕ|P|ϕ⟩, the
 // measurement quantities variational algorithms read off simulators.
-// The operator is applied as a sequence of local gate diagrams (cheap:
-// each is a 1- or 2-node DD), followed by one inner product.
+// The operator is applied one Pauli at a time through the gate-apply
+// kernel, followed by one inner product.
 
 var (
 	pauliX = GateMatrix{0, 1, 1, 0}
@@ -40,7 +40,7 @@ func (p *Pkg) ExpectationPauli(e VEdge, pauli string) (float64, error) {
 		default:
 			return 0, fmt.Errorf("dd: invalid Pauli letter %q in %q", r, pauli)
 		}
-		applied = p.MultMV(p.MakeGateDD(g, q), applied)
+		applied = p.ApplyGate(applied, g, q)
 	}
 	ip := p.InnerProduct(e, applied)
 	// Pauli strings are Hermitian: the expectation is real. Guard the

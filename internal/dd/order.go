@@ -33,7 +33,7 @@ func (p *Pkg) ReorderedState(e VEdge, perm []int) (VEdge, error) {
 		if have == want {
 			continue
 		}
-		out = p.MultMV(p.MakeSwapDD(have, want), out)
+		out = p.ApplySwap(out, have, want)
 		other := cur[want]
 		cur[want], cur[have] = q, other
 		pos[q], pos[other] = want, have

@@ -37,7 +37,6 @@ type DDCollector struct {
 	applyLookups   *Gauge
 	applyHits      *Gauge
 	applyEvictions *Gauge
-	gatesFused     *Gauge
 	gateCacheHits  *Gauge
 
 	applyMLookups   *Gauge
@@ -90,8 +89,6 @@ func NewDDCollector(r *Registry) *DDCollector {
 		"Gate-application kernel compute-table hits over live packages.")
 	c.applyEvictions = r.Gauge("dd_apply_table_evictions",
 		"Gate-application kernel stores that displaced a live entry.")
-	c.gatesFused = r.Gauge("dd_gates_fused",
-		"Gates eliminated by peephole fusion before reaching the kernel.")
 	c.gateCacheHits = r.Gauge("dd_gate_cache_hits",
 		"MakeGateDD requests served from the per-package gate-DD cache.")
 	c.applyMLookups = r.Gauge("dd_apply_m_table_lookups",
@@ -124,7 +121,8 @@ func (c *DDCollector) Tracer() dd.TraceFunc {
 }
 
 // Record sets the snapshot gauges from one Stats value. The snapshot
-// may be a single package's stats or an aggregate built with AddStats.
+// may be a single package's stats or an aggregate built with
+// dd.Stats.Add.
 func (c *DDCollector) Record(st dd.Stats) {
 	c.nodesLive.Set(float64(st.LiveNodes))
 	c.nodesFree.Set(float64(st.FreeNodesV + st.FreeNodesM))
@@ -146,7 +144,6 @@ func (c *DDCollector) Record(st dd.Stats) {
 	c.applyLookups.Set(float64(st.ApplyCTLookups))
 	c.applyHits.Set(float64(st.ApplyCTHits))
 	c.applyEvictions.Set(float64(st.ApplyCTEvictions))
-	c.gatesFused.Set(float64(st.GatesFused))
 	c.gateCacheHits.Set(float64(st.GateDDCacheHits))
 	c.applyMLookups.Set(float64(st.ApplyMCTLookups))
 	c.applyMHits.Set(float64(st.ApplyMCTHits))
@@ -155,9 +152,3 @@ func (c *DDCollector) Record(st dd.Stats) {
 	c.mmOpsKernel.Set(float64(st.ApplyMOps))
 	c.mmOpsGeneric.Set(float64(st.MultMMOps))
 }
-
-// AddStats accumulates b into a for building fleet-wide aggregates
-// over several packages' snapshots. It is dd.Stats.Add under the name
-// existing callers use. Load factors are summed; divide by the
-// package count before recording if a mean is wanted.
-func AddStats(a, b dd.Stats) dd.Stats { return a.Add(b) }

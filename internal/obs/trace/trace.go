@@ -1,9 +1,8 @@
 // Package trace is the span-tracing layer of the reproduction: a
 // zero-dependency tracer whose spans form a tree — HTTP request →
 // session operation (step / fast-forward / measure / verify round) →
-// gate application or fused run → top-level DD operation — and a
-// bounded per-session flight recorder holding the most recent
-// completed spans.
+// gate application → top-level DD operation — and a bounded
+// per-session flight recorder holding the most recent completed spans.
 //
 // DD behavior is wildly instance-dependent (Wille et al., CSUR 2022),
 // so aggregate histograms cannot answer "where did THIS step's time
@@ -45,7 +44,7 @@ import (
 const MaxAttrs = 8
 
 // Attr is one integer-valued span attribute (node counts, cache hits,
-// fused widths, microsecond pauses). Integer-only keeps spans
+// op indices, microsecond pauses). Integer-only keeps spans
 // fixed-size and SetAttr allocation-free.
 type Attr struct {
 	Key   string

@@ -76,8 +76,7 @@ type NoisyResult struct {
 // model and aggregates end-of-circuit samples. Measurements inside the
 // circuit are sampled per trajectory (no dialogs; WithChooser is
 // ignored). Extra options apply to every trajectory simulator (e.g.
-// WithMaxNodes); fusion is forced off because errors are injected per
-// original gate op.
+// WithMaxNodes).
 //
 // Trajectories are fanned out over a pool of independent DD engine
 // replicas (WithWorkers; default GOMAXPROCS). Each trajectory's

@@ -83,9 +83,6 @@ func newReplica(pkg *dd.Pkg, circ *qc.Circuit, model NoiseModel, opts []Option) 
 	r := &replica{pkg: pkg, circ: circ, model: model}
 	r.rng = rand.New(&r.src)
 	s := newOn(pkg, circ, r.rng, opts...)
-	// Errors are injected per original gate op, so fusion must not
-	// fold ops together.
-	s.fusion = false
 	s.replica = true
 	r.sim = s
 	r.build()

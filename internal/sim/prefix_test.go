@@ -36,7 +36,6 @@ func runOneTrajectory(ctx context.Context, pkg *dd.Pkg, circ *qc.Circuit, model 
 	out.index = tr
 	s := newOn(pkg, circ, rng, opts...)
 	defer s.release()
-	s.fusion = false
 	s.replica = true
 	noiseless := model.IsZero()
 	for !s.AtEnd() {

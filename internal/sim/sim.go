@@ -35,10 +35,9 @@ const (
 type Event struct {
 	Kind    EventKind
 	OpIndex int     // index of the executed op
-	Op      *qc.Op  // the executed op (nil for EventEnd; first op of a fused run)
+	Op      *qc.Op  // the executed op (nil for EventEnd)
 	Outcome int     // measurement/reset outcome (pre-reset value)
 	P0, P1  float64 // branch probabilities shown in the dialog
-	Fused   int     // additional ops folded into this gate event by peephole fusion
 }
 
 // OutcomeChooser decides measurement (and pre-reset) outcomes when a
@@ -76,10 +75,6 @@ type Simulator struct {
 	// ApplyGate kernel — the differential-test oracle path.
 	generic bool
 
-	// fusion enables peephole folding of adjacent single-qubit gate
-	// runs on the same target into one 2×2 matrix per step.
-	fusion bool
-
 	// workers and trajObserver configure the trajectory pool
 	// (pool.go); they have no effect on a single interactive
 	// simulator but ride on Option so RunNoisy keeps one variadic
@@ -97,7 +92,6 @@ type Simulator struct {
 type snapshot struct {
 	state     dd.VEdge
 	classical []int
-	span      int // circuit ops covered by this snapshot (>1 for fused runs)
 }
 
 // Option configures a Simulator.
@@ -125,20 +119,9 @@ func WithApproximation(threshold float64) Option {
 // WithGenericApply routes every gate through the generic
 // MakeGateDD+MultMV path instead of the specialized ApplyGate kernel.
 // The two are equivalent; the generic path serves as the oracle in
-// differential tests and as an escape hatch. It disables fusion.
+// differential tests and as an escape hatch.
 func WithGenericApply() Option {
 	return func(s *Simulator) { s.generic = true }
-}
-
-// WithFusion enables peephole gate fusion: a run of adjacent
-// uncontrolled, unconditional single-qubit gates on the same target is
-// folded into one 2×2 matrix and applied in a single kernel call. A
-// fused run executes as one step — StepForward consumes the whole run
-// (Event.Fused reports the extra ops) and StepBackward rewinds it
-// atomically, so fusion is off by default to keep the op-by-op
-// stepping of the interactive tool.
-func WithFusion() Option {
-	return func(s *Simulator) { s.fusion = true }
 }
 
 // WithMaxNodes caps the decision-diagram unique tables at n live
@@ -321,10 +304,9 @@ func stepSpanName(op *qc.Op) string {
 // StepForwardCtx is StepForward under a trace context: when a flight
 // recorder rides on ctx (trace.With), the step is recorded as a
 // session-op span carrying the DD attributes triage needs — node
-// counts before/after, compute-table and apply-table hit deltas,
-// fusion width, and whether the node budget aborted the step — with
-// the gate application and the engine's top-level DD operations as
-// child spans. Without a recorder it is exactly StepForward: the
+// counts before/after, compute-table and apply-table hit deltas, and
+// whether the node budget aborted the step — with the gate application
+// and the engine's top-level DD operations as child spans. Without a recorder it is exactly StepForward: the
 // tracing path adds no allocations.
 func (s *Simulator) StepForwardCtx(ctx context.Context) (Event, error) {
 	if !trace.Enabled(ctx) {
@@ -343,9 +325,6 @@ func (s *Simulator) StepForwardCtx(ctx context.Context) (Event, error) {
 	sp.SetAttr("nodes_after", int64(dd.SizeV(s.state)))
 	sp.SetAttr("ct_hits", int64(after.CacheHits-before.CacheHits))
 	sp.SetAttr("apply_ct_hits", int64(after.ApplyCTHits-before.ApplyCTHits))
-	if ev.Fused > 0 {
-		sp.SetAttr("fused", int64(ev.Fused))
-	}
 	if err != nil && errors.Is(err, dd.ErrResourceExhausted) {
 		sp.SetAttr("budget_exhausted", 1)
 	}
@@ -362,7 +341,7 @@ func (s *Simulator) stepForward(ctx context.Context) (Event, error) {
 	op := &s.circ.Ops[s.pos]
 	// Snapshot for backward stepping. A replica never steps back, so
 	// it skips the classical copy and drops the snapshot at the end.
-	snap := snapshot{state: s.state, span: 1}
+	snap := snapshot{state: s.state}
 	if !s.replica {
 		snap.classical = append([]int(nil), s.classical...)
 	}
@@ -402,25 +381,13 @@ func (s *Simulator) stepForward(ctx context.Context) (Event, error) {
 			ev.Kind = EventCondSkip
 			break
 		}
-		run := s.fusionRun(op)
-		var next dd.VEdge
-		var err error
 		var asp *trace.Span
 		if trace.Enabled(ctx) {
 			// Name the application span after the concrete gate — the
 			// string build only happens with a recorder attached.
-			if run > 1 {
-				_, asp = trace.StartSpan(ctx, "fused-run "+op.String())
-				asp.SetAttr("width", int64(run))
-			} else {
-				_, asp = trace.StartSpan(ctx, "apply "+op.String())
-			}
+			_, asp = trace.StartSpan(ctx, "apply "+op.String())
 		}
-		if run > 1 {
-			next, err = s.applyFused(run)
-		} else {
-			next, err = s.applyGate(op)
-		}
+		next, err := s.applyGate(op)
 		asp.End()
 		if err != nil {
 			s.pkg.DecRefV(snap.state)
@@ -432,8 +399,6 @@ func (s *Simulator) stepForward(ctx context.Context) (Event, error) {
 			next = approx
 		}
 		s.setState(next)
-		snap.span = run
-		ev.Fused = run - 1
 		if op.Cond != nil {
 			ev.Kind = EventCondApply
 		} else {
@@ -448,7 +413,7 @@ func (s *Simulator) stepForward(ctx context.Context) (Event, error) {
 	} else {
 		s.history = append(s.history, snap)
 	}
-	s.pos += snap.span
+	s.pos++
 	return ev, nil
 }
 
@@ -502,83 +467,30 @@ func (s *Simulator) condHolds(c *qc.Condition) bool {
 	return v == c.Value
 }
 
-// applyGate applies one gate op under the node budget. Single-target
-// gates go through the specialized ApplyGate kernel; Swap (a genuine
-// two-target op) and the generic-oracle mode fall back to building the
-// matrix diagram and the generic multiply.
+// applyGate applies one gate op under the node budget through the
+// gate-apply kernel: ApplyGate for single-target gates, ApplySwap for
+// SWAP. The generic-oracle mode multiplies the gate diagram instead.
 func (s *Simulator) applyGate(op *qc.Op) (dd.VEdge, error) {
-	if s.generic || op.Gate == qc.Swap {
-		g, err := s.gateDD(op)
-		if err != nil {
-			return dd.VZero(), err
-		}
-		return s.pkg.MultMVChecked(g, s.state)
-	}
 	ctl := make([]dd.Control, len(op.Controls))
 	for i, c := range op.Controls {
 		ctl[i] = dd.Control{Qubit: c.Qubit, Neg: c.Neg}
+	}
+	switch {
+	case s.generic:
+		return s.pkg.MultMVChecked(s.gateDD(op, ctl), s.state)
+	case op.Gate == qc.Swap:
+		return s.pkg.ApplySwapChecked(s.state, op.Targets[0], op.Targets[1], ctl...)
 	}
 	return s.pkg.ApplyGateChecked(s.state, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
 }
 
-// fusable reports whether an op may join a peephole fusion run: an
-// unconditional, uncontrolled single-qubit unitary.
-func fusable(op *qc.Op) bool {
-	return op.Kind == qc.KindGate && op.Cond == nil && len(op.Controls) == 0 &&
-		op.Gate != qc.Swap && len(op.Targets) == 1
-}
-
-// fusionRun returns how many ops starting at the current position fold
-// into one kernel call (1 when fusion is off or the run is trivial).
-func (s *Simulator) fusionRun(op *qc.Op) int {
-	if !s.fusion || s.generic || !fusable(op) {
-		return 1
-	}
-	run := 1
-	for s.pos+run < len(s.circ.Ops) {
-		next := &s.circ.Ops[s.pos+run]
-		if !fusable(next) || next.Targets[0] != op.Targets[0] {
-			break
-		}
-		run++
-	}
-	return run
-}
-
-// applyFused multiplies the run's 2×2 matrices (later gates on the
-// left) and applies the product in one kernel call.
-func (s *Simulator) applyFused(run int) (dd.VEdge, error) {
-	first := &s.circ.Ops[s.pos]
-	m := qc.Matrix2(first.Gate, first.Params)
-	for i := 1; i < run; i++ {
-		op := &s.circ.Ops[s.pos+i]
-		m = mul2(qc.Matrix2(op.Gate, op.Params), m)
-	}
-	next, err := s.pkg.ApplyGateChecked(s.state, dd.GateMatrix(m), first.Targets[0])
-	if err != nil {
-		return dd.VZero(), err
-	}
-	s.pkg.AddGatesFused(run - 1)
-	return next, nil
-}
-
-// mul2 returns the 2×2 matrix product a·b (row-major).
-func mul2(a, b [4]complex128) [4]complex128 {
-	return [4]complex128{
-		a[0]*b[0] + a[1]*b[2], a[0]*b[1] + a[1]*b[3],
-		a[2]*b[0] + a[3]*b[2], a[2]*b[1] + a[3]*b[3],
-	}
-}
-
-func (s *Simulator) gateDD(op *qc.Op) (dd.MEdge, error) {
-	ctl := make([]dd.Control, len(op.Controls))
-	for i, c := range op.Controls {
-		ctl[i] = dd.Control{Qubit: c.Qubit, Neg: c.Neg}
-	}
+// gateDD lowers op to its gate diagram for the WithGenericApply
+// oracle.
+func (s *Simulator) gateDD(op *qc.Op, ctl []dd.Control) dd.MEdge {
 	if op.Gate == qc.Swap {
-		return s.pkg.MakeSwapDD(op.Targets[0], op.Targets[1], ctl...), nil
+		return s.pkg.MakeSwapDD(op.Targets[0], op.Targets[1], ctl...)
 	}
-	return s.pkg.MakeGateDD(dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...), nil
+	return s.pkg.MakeGateDD(dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
 }
 
 // StepBackward undoes the most recently executed operation (including
@@ -595,7 +507,7 @@ func (s *Simulator) StepBackward() bool {
 	s.pkg.DecRefV(s.state)
 	s.state = snap.state // snapshot already holds a reference
 	s.classical = snap.classical
-	s.pos -= snap.span // a fused run rewinds atomically
+	s.pos--
 	return true
 }
 

@@ -128,7 +128,8 @@ func ddControls(op *qc.Op) []dd.Control {
 	return ctl
 }
 
-// gateDD lowers one unitary circuit op to its matrix DD.
+// gateDD lowers one unitary circuit op to its matrix DD for the
+// WithGenericMM oracle.
 func gateDD(p *dd.Pkg, op *qc.Op) dd.MEdge {
 	ctl := ddControls(op)
 	if op.Gate == qc.Swap {
@@ -137,34 +138,14 @@ func gateDD(p *dd.Pkg, op *qc.Op) dd.MEdge {
 	return p.MakeGateDD(dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
 }
 
-// notX is the Pauli-X block used to decompose SWAP into three CNOTs
-// for the kernel path (the same decomposition MakeSwapDD lowers).
-var notX = dd.GateMatrix{0, 1, 1, 0}
-
 // engine dispatches one gate application to the matrix kernel or the
 // generic multiply, tallying the split for Result and the web views.
+// The kernel takes a SWAP as three CNOTs and counts each.
 type engine struct {
 	p          *dd.Pkg
 	generic    bool
 	kernelOps  int
 	genericOps int
-}
-
-// swapCNOTs yields the three CNOT (matrix, target, controls) triples
-// of a (controlled) SWAP. The palindromic order works from either
-// side: S·X and X·S both consume cx1, cx2, cx1.
-func swapCNOTs(op *qc.Op) [3]struct {
-	target int
-	ctl    []dd.Control
-} {
-	base := ddControls(op)
-	a, b := op.Targets[0], op.Targets[1]
-	c1 := append(append([]dd.Control{}, base...), dd.Control{Qubit: a})
-	c2 := append(append([]dd.Control{}, base...), dd.Control{Qubit: b})
-	return [3]struct {
-		target int
-		ctl    []dd.Control
-	}{{b, c1}, {a, c2}, {b, c1}}
 }
 
 // left computes U·x, right computes x·U, for the op as given (callers
@@ -175,11 +156,8 @@ func (e *engine) left(x dd.MEdge, op *qc.Op) dd.MEdge {
 		return e.p.MultMM(gateDD(e.p, op), x)
 	}
 	if op.Gate == qc.Swap {
-		for _, cx := range swapCNOTs(op) {
-			x = e.p.ApplyGateML(x, notX, cx.target, cx.ctl...)
-		}
 		e.kernelOps += 3
-		return x
+		return e.p.ApplySwapML(x, op.Targets[0], op.Targets[1], ddControls(op)...)
 	}
 	e.kernelOps++
 	return e.p.ApplyGateML(x, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ddControls(op)...)
@@ -191,40 +169,25 @@ func (e *engine) right(x dd.MEdge, op *qc.Op) dd.MEdge {
 		return e.p.MultMM(x, gateDD(e.p, op))
 	}
 	if op.Gate == qc.Swap {
-		for _, cx := range swapCNOTs(op) {
-			x = e.p.ApplyGateMR(x, notX, cx.target, cx.ctl...)
-		}
 		e.kernelOps += 3
-		return x
+		return e.p.ApplySwapMR(x, op.Targets[0], op.Targets[1], ddControls(op)...)
 	}
 	e.kernelOps++
 	return e.p.ApplyGateMR(x, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ddControls(op)...)
 }
 
-// leftChecked is left under the node budget. The SWAP decomposition
-// ref-protects its intermediates: a checked call may garbage-collect
-// on entry, which would otherwise sweep the previous CNOT's result.
+// leftChecked is left under the node budget.
 func (e *engine) leftChecked(x dd.MEdge, op *qc.Op) (dd.MEdge, error) {
 	if e.generic {
 		e.genericOps++
 		return e.p.MultMMChecked(gateDD(e.p, op), x)
 	}
 	if op.Gate == qc.Swap {
-		cur := x
-		e.p.IncRefM(cur)
-		for _, cx := range swapCNOTs(op) {
-			next, err := e.p.ApplyGateMLChecked(cur, notX, cx.target, cx.ctl...)
-			if err != nil {
-				e.p.DecRefM(cur)
-				return dd.MZero(), err
-			}
-			e.p.IncRefM(next)
-			e.p.DecRefM(cur)
-			cur = next
+		next, err := e.p.ApplySwapMLChecked(x, op.Targets[0], op.Targets[1], ddControls(op)...)
+		if err == nil {
+			e.kernelOps += 3
 		}
-		e.kernelOps += 3
-		e.p.DecRefM(cur)
-		return cur, nil
+		return next, err
 	}
 	e.kernelOps++
 	return e.p.ApplyGateMLChecked(x, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ddControls(op)...)
@@ -576,7 +539,11 @@ func SimulationCheck(c1, c2 *qc.Circuit, stimuli int, seed int64) (equivalentSoF
 func runOn(p *dd.Pkg, c *qc.Circuit, idx int64) dd.VEdge {
 	st := p.BasisState(idx)
 	for _, op := range unitaryOps(c) {
-		st = p.MultMV(gateDD(p, op), st)
+		if op.Gate == qc.Swap {
+			st = p.ApplySwap(st, op.Targets[0], op.Targets[1], ddControls(op)...)
+		} else {
+			st = p.ApplyGate(st, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ddControls(op)...)
+		}
 	}
 	return st
 }

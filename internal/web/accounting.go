@@ -72,9 +72,10 @@ type sessionUsage struct {
 	ApplyCTLookups uint64 `json:"applyCtLookups"`
 	ApplyCTHits    uint64 `json:"applyCtHits"`
 	GCRuns         uint64 `json:"gcRuns"`
-	// Matrix-apply kernel split (verify sessions): how much of the
-	// session's gate work the identity-skipping kernel absorbed versus
-	// the generic MultMM fallback.
+	// Matrix-apply kernel meters (verify sessions): the identity-
+	// skipping kernel applies every gate, SWAP as three CNOTs;
+	// GenericOps counts generic MultMM calls, which only the
+	// differential oracle makes.
 	ApplyMCTHits uint64 `json:"applyMCtHits"`
 	KernelOps    uint64 `json:"kernelOps"`
 	GenericOps   uint64 `json:"genericOps"`

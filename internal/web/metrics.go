@@ -209,7 +209,7 @@ func (s *Server) collect() {
 			}
 		}
 		if st, ok := p.LastStats(); ok {
-			agg = obs.AddStats(agg, st)
+			agg = agg.Add(st)
 			pkgs++
 		}
 		if sp := p.LastShape(); sp != nil {
@@ -225,7 +225,7 @@ func (s *Server) collect() {
 			}
 		}
 		if st, ok := sess.pkg.LastStats(); ok {
-			agg = obs.AddStats(agg, st)
+			agg = agg.Add(st)
 			pkgs++
 		}
 		if sp := sess.pkg.LastShape(); sp != nil {

@@ -102,7 +102,6 @@ func TestMetricsEndpointAfterScriptedSession(t *testing.T) {
 		`sessions_created_total{kind="sim"} 1`,
 		`dd_op_duration_seconds_count{op="applygate"}`,
 		`dd_apply_table_lookups`,
-		`dd_gates_fused`,
 		`dd_gate_cache_hits`,
 		`dd_compute_table_hit_ratio`,
 		`dd_nodes_live`,

@@ -17,11 +17,12 @@ import (
 // The digests below are SHA-256 sums over raw response bodies, first
 // recorded while every response still went through encoding/json and
 // re-recorded for the compact SVG markup, which the blanked digests
-// and TestCompactSVGEquivalent cover. They pin the frame responses
+// and TestCompactSVGEquivalent cover, and for the engine counters of
+// SWAP through the kernel, which the engine-blanked digests cover. They pin the frame responses
 // byte for byte: the SVG, its escaping, field order, omitted empty
 // fields, float formatting and the trailing newline.
 const (
-	simResponsesGoldenDigest           = "9ffd6f2c6b84a504fe12937893fe9cb6e308000f19b3274549e675bd20ab546e"
+	simResponsesGoldenDigest           = "632792a99dcffca44adf16b61b8800cf95f1e1df0ca863099c073af069bdfa10"
 	functionalityResponsesGoldenDigest = "8a9a5ec48f8165a3b923998e3757cdf22840fa7b2f263b287637cc42043ba30d"
 	verifyCreateResponsesGoldenDigest  = "52d9f8674f75e545818909c4759c5064e20ba88ad8710c3be71eea53807296b7"
 )
@@ -31,9 +32,21 @@ const (
 // order and float formatting independently of the SVG markup, so a
 // change of the markup alone must leave them as they are.
 const (
-	simResponsesBlankedDigest           = "ad1453615967bd479472028a36af15ea987d2b7ff72e022b0828997016d3b2df"
+	simResponsesBlankedDigest           = "5045286d9cbb40b9ba4fa51a19027c3f096ebab52f4fc3f82af4b2ec2b3f9fa7"
 	functionalityResponsesBlankedDigest = "efad120d4f72bd9605383d1dce72235882f66414f708197038b48635dcf85dc9"
 	verifyCreateResponsesBlankedDigest  = "7f03f05e8450bf6e3a0f4a0bce56eb58948a84bba70395acfebccd21b2d433a6"
+)
+
+// The engine-blanked digests cover the same bodies with every
+// "engine" object emptied (blankEngine) and the SVG kept. They pin
+// every frame, caption, node count and verdict independently of the
+// engine's table and operation counters, so a change of how a gate
+// reaches the diagram, and not of what it yields, leaves them as they
+// are.
+const (
+	simResponsesEngineBlankedDigest           = "0a6b374647ef8cebca1e0d1b58d5d78f51e641e13f8376b7d037c29a91ce6f71"
+	functionalityResponsesEngineBlankedDigest = "8a9a5ec48f8165a3b923998e3757cdf22840fa7b2f263b287637cc42043ba30d"
+	verifyCreateResponsesEngineBlankedDigest  = "89e7f7f90b460f4cd8800fe487fde7d1306928abb56d2598cb9076b04cb5d2f3"
 )
 
 // blankSVG returns body with the string value of every "svg" member
@@ -59,6 +72,21 @@ func blankSVG(body []byte) []byte {
 	}
 }
 
+// blankEngine returns body with every "engine" object emptied. The
+// object holds only numbers, so its value ends at the first '}'.
+func blankEngine(body []byte) []byte {
+	const key = `"engine":{`
+	var out []byte
+	for {
+		i := bytes.Index(body, []byte(key))
+		if i < 0 {
+			return append(out, body...)
+		}
+		out = append(out, body[:i+len(key)]...)
+		body = body[i+len(key)+bytes.IndexByte(body[i+len(key):], '}'):]
+	}
+}
+
 // goldenStyles are the query strings of the three modes, each with
 // edge labels forced on and forced off.
 var goldenStyles = []string{
@@ -74,6 +102,7 @@ type goldenClient struct {
 	h http.Handler
 	d hash.Hash // raw bodies
 	b hash.Hash // bodies with the svg values blanked
+	e hash.Hash // bodies with the engine objects blanked
 	n int
 }
 
@@ -81,7 +110,7 @@ func newGoldenClient(t *testing.T) *goldenClient {
 	t.Helper()
 	ws := NewServer(1)
 	t.Cleanup(ws.Close)
-	return &goldenClient{t: t, h: ws.Handler(), d: sha256.New(), b: sha256.New()}
+	return &goldenClient{t: t, h: ws.Handler(), d: sha256.New(), b: sha256.New(), e: sha256.New()}
 }
 
 // do serves one request, hashes its body, decodes it into out (when
@@ -105,6 +134,7 @@ func (c *goldenClient) do(method, path string, body interface{}, out interface{}
 	}
 	c.d.Write(rec.Body.Bytes())
 	c.b.Write(blankSVG(rec.Body.Bytes()))
+	c.e.Write(blankEngine(rec.Body.Bytes()))
 	c.n++
 	if out != nil {
 		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
@@ -113,10 +143,14 @@ func (c *goldenClient) do(method, path string, body interface{}, out interface{}
 	}
 }
 
-// check compares the digest of the raw bodies with want and that of
-// the svg-blanked bodies with wantBlanked.
-func (c *goldenClient) check(want, wantBlanked string) {
+// check compares the digest of the raw bodies with want, that of the
+// svg-blanked bodies with wantBlanked and that of the engine-blanked
+// bodies with wantEngineBlanked.
+func (c *goldenClient) check(want, wantBlanked, wantEngineBlanked string) {
 	c.t.Helper()
+	if got := hex.EncodeToString(c.e.Sum(nil)); got != wantEngineBlanked {
+		c.t.Errorf("%d response bodies changed outside their engine counters: engine-blanked digest %s, want %s", c.n, got, wantEngineBlanked)
+	}
 	if got := hex.EncodeToString(c.b.Sum(nil)); got != wantBlanked {
 		c.t.Errorf("%d response bodies changed outside their SVG: blanked digest %s, want %s", c.n, got, wantBlanked)
 	}
@@ -156,7 +190,7 @@ func TestSimResponsesGolden(t *testing.T) {
 			c.do("GET", base+q, nil, nil)
 		}
 	}
-	c.check(simResponsesGoldenDigest, simResponsesBlankedDigest)
+	c.check(simResponsesGoldenDigest, simResponsesBlankedDigest, simResponsesEngineBlankedDigest)
 }
 
 // TestFunctionalityResponsesGolden renders the functionality of QFT(3),
@@ -177,7 +211,7 @@ func TestFunctionalityResponsesGolden(t *testing.T) {
 			c.do("POST", "/api/functionality"+q, functionalityRequest{Code: tc.circ.QASM(), Inverse: tc.inverse}, nil)
 		}
 	}
-	c.check(functionalityResponsesGoldenDigest, functionalityResponsesBlankedDigest)
+	c.check(functionalityResponsesGoldenDigest, functionalityResponsesBlankedDigest, functionalityResponsesEngineBlankedDigest)
 }
 
 // TestVerifyCreateResponsesGolden creates verification sessions in
@@ -193,5 +227,5 @@ func TestVerifyCreateResponsesGolden(t *testing.T) {
 			c.do("POST", "/api/verification"+q, pair, nil)
 		}
 	}
-	c.check(verifyCreateResponsesGoldenDigest, verifyCreateResponsesBlankedDigest)
+	c.check(verifyCreateResponsesGoldenDigest, verifyCreateResponsesBlankedDigest, verifyCreateResponsesEngineBlankedDigest)
 }

@@ -268,37 +268,20 @@ func resumeVerifySession(snap *snapshot.Verify, maxNodes int) (*verifySession, e
 	return v, nil
 }
 
-func (v *verifySession) gateDD(op *qc.Op, invert bool) dd.MEdge {
-	g, params := op.Gate, op.Params
-	if invert {
-		g, params = qc.InverseGate(op.Gate, op.Params)
-	}
+// applyOp multiplies one gate into the product diagram through the
+// matrix-apply kernel: G ops from the left (U·x), G′ ops inverted from
+// the right (x·U⁻¹). SWAP, its own inverse, goes in as three kernel
+// CNOTs.
+func (v *verifySession) applyOp(op *qc.Op, side string) (dd.MEdge, error) {
 	ctl := make([]dd.Control, len(op.Controls))
 	for i, c := range op.Controls {
 		ctl[i] = dd.Control{Qubit: c.Qubit, Neg: c.Neg}
 	}
-	if g == qc.Swap {
-		return v.pkg.MakeSwapDD(op.Targets[0], op.Targets[1], ctl...)
-	}
-	return v.pkg.MakeGateDD(dd.GateMatrix(qc.Matrix2(g, params)), op.Targets[0], ctl...)
-}
-
-// applyOp multiplies one gate into the product diagram: G ops from the
-// left (U·x), G′ ops inverted from the right (x·U⁻¹). Plain gates go
-// through the matrix-apply kernel (the identity-skipping descent of
-// ApplyGateML/MR); SWAP — a two-target permutation the 2×2 kernel
-// cannot express in one call — stays on the materialized gate DD and
-// the generic checked multiply.
-func (v *verifySession) applyOp(op *qc.Op, side string) (dd.MEdge, error) {
 	if op.Gate == qc.Swap {
 		if side == "left" {
-			return v.pkg.MultMMChecked(v.gateDD(op, false), v.x)
+			return v.pkg.ApplySwapMLChecked(v.x, op.Targets[0], op.Targets[1], ctl...)
 		}
-		return v.pkg.MultMMChecked(v.x, v.gateDD(op, true))
-	}
-	ctl := make([]dd.Control, len(op.Controls))
-	for i, c := range op.Controls {
-		ctl[i] = dd.Control{Qubit: c.Qubit, Neg: c.Neg}
+		return v.pkg.ApplySwapMRChecked(v.x, op.Targets[0], op.Targets[1], ctl...)
 	}
 	if side == "left" {
 		u := dd.GateMatrix(qc.Matrix2(op.Gate, op.Params))
@@ -649,11 +632,12 @@ type EngineStats struct {
 	ApplyLookups    uint64 `json:"applyLookups"`
 	ApplyHits       uint64 `json:"applyHits"`
 	ApplyEvictions  uint64 `json:"applyEvictions"`
-	GatesFused      uint64 `json:"gatesFused"`
+	GatesFused      uint64 `json:"gatesFused"` // always 0 since fusion was removed
 	GateDDCacheHits uint64 `json:"gateDDCacheHits"`
-	// Matrix-apply kernel counters (PR 9). KernelOps vs GenericOps is
-	// the per-session split between the identity-skipping matrix kernel
-	// and the generic MultMM fallback (SWAPs, restored sessions).
+	// Matrix-apply kernel counters. KernelOps counts the
+	// identity-skipping matrix kernel's applications, three per SWAP;
+	// GenericOps counts generic MultMM calls, which only the
+	// differential oracle (ddverify -generic-mm) makes.
 	ApplyMLookups       uint64 `json:"applyMLookups"`
 	ApplyMHits          uint64 `json:"applyMHits"`
 	ApplyMEvictions     uint64 `json:"applyMEvictions"`

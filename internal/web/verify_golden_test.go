@@ -15,20 +15,27 @@ import (
 // verifyStepGoldenDigest is the SHA-256 of every verification step
 // response body of the walk in TestVerifyStepResponsesGolden, recorded
 // when stepping still formatted every applied gate and re-recorded for
-// the compact SVG markup. It pins the "applied" captions, the frames
-// and the engine counters they carry.
-const verifyStepGoldenDigest = "be166a69f3bcd85602a03cb7d0a04a2df30107be738b478260ccbf9b61fc9fdc"
+// the compact SVG markup and for the engine counters of SWAP through
+// the kernel. It pins the "applied" captions, the frames and the
+// engine counters they carry.
+const verifyStepGoldenDigest = "75b88ec44503841f93823b6a326f6b8c68ea81a1798eaae9d982a20e234fe455"
 
 // verifyStepBlankedDigest covers the same bodies with every frame's
-// "svg" value emptied (blankSVG), so it holds across markup changes.
-const verifyStepBlankedDigest = "dcabaf288d5cba0d72a607c4a9ff95405d57e156e1aae8b449a7491586aa4c0c"
+// "svg" value emptied (blankSVG), so it holds across markup changes;
+// it was re-recorded with the full digest for the engine counters.
+const verifyStepBlankedDigest = "f7f16dbf35a516f47bd307d0461713b0f0f71b3f205ab287ba1d26e58472bb7e"
+
+// verifyStepEngineBlankedDigest covers the same bodies with every
+// "engine" object emptied (blankEngine) and the SVG kept, so it holds
+// across changes of the engine counters alone.
+const verifyStepEngineBlankedDigest = "c62a8620d781d884290ea2f6a13e54470d6d9b792d65e294d489669783a3aa0a"
 
 // TestVerifyStepResponsesGolden walks two verification sessions through
 // single steps on both sides, barrier fast-forwards, steps past the
 // end of a side and undos, and hashes the raw response bodies.
 func TestVerifyStepResponsesGolden(t *testing.T) {
 	srv := newTestServer(t)
-	h, blanked := sha256.New(), sha256.New()
+	h, blanked, engineBlanked := sha256.New(), sha256.New(), sha256.New()
 	pairs := []newVerifyRequest{
 		{Left: algorithms.QFT(3).QASM(), Right: algorithms.QFTCompiled(3).QASM()},
 		{Left: algorithms.Grover(4, 5).QASM(), Right: algorithms.Grover(4, 5).QASM()},
@@ -61,7 +68,11 @@ func TestVerifyStepResponsesGolden(t *testing.T) {
 			}
 			h.Write(body)
 			blanked.Write(blankSVG(body))
+			engineBlanked.Write(blankEngine(body))
 		}
+	}
+	if got := hex.EncodeToString(engineBlanked.Sum(nil)); got != verifyStepEngineBlankedDigest {
+		t.Errorf("verification step responses changed outside their engine counters: engine-blanked digest %s, want %s", got, verifyStepEngineBlankedDigest)
 	}
 	if got := hex.EncodeToString(blanked.Sum(nil)); got != verifyStepBlankedDigest {
 		t.Errorf("verification step responses changed outside their SVG: blanked digest %s, want %s", got, verifyStepBlankedDigest)
