@@ -15,11 +15,14 @@
 //
 // # Table layout
 //
-// A Table stores its canonical reals in one flat array of
-// entry{key int64; v float64}, where key = floor(v/(2·tol)) is the
-// value's bucket. Entries are open-addressed by the hashed bucket with
-// linear probing, and a NaN value marks an empty slot: LookupReal
-// rejects NaN, so no stored value can be mistaken for one.
+// A Table stores its canonical reals in one flat array of 8-byte
+// slots. A slot holds the value's bits XORed with a fixed NaN pattern
+// (slotNaN), so a zeroed slot is empty and a fresh array needs no
+// initialization: LookupReal rejects NaN, so no stored value encodes
+// to zero. A value's bucket is floor(v/(2·tol)); slots are
+// open-addressed by the hashed bucket with linear probing. The bucket
+// is not stored: a lookup recomputes it, with a range compare, only
+// for a stored value that already lies within tol of the query.
 //
 // Canonicalization depends on the order in which a lookup meets the
 // stored candidates: bucket key first, then key−1, then key+1, and
@@ -29,6 +32,13 @@
 // that order by re-inserting each probe cluster in probe order. The
 // flat table therefore returns exactly what a table of per-bucket
 // value slices returns.
+//
+// A miss in its own bucket probes only the neighbour that can hold a
+// representative within tol: key−1 when v lies in the lower half of
+// its bucket, key+1 in the upper half. Within 1/64 of a bucket of the
+// midpoint, or where v/(2·tol) is too large for that split to be
+// exact, it probes both, key−1 first. Skipping a bucket that cannot
+// answer leaves the order above, and so every result, unchanged.
 //
 // The array holds no pointers. Inserting a value allocates nothing,
 // and the garbage collector never scans the table; a slice per bucket
@@ -63,31 +73,32 @@ const (
 // Values are grouped into half-open buckets of width 2·tol (the
 // complex-table layout of Zulehner et al., ICCAD 2019): a value's
 // bucket index is floor(v/(2·tol)), and a lookup probes the value's
-// own bucket plus its two neighbours, so any stored representative
-// within tol is found. The package documentation describes the flat
-// store and the ordering invariant that keeps lookups exact.
+// own bucket plus the neighbours that can hold a value within tol, so
+// any stored representative within tol is found. The package
+// documentation describes the flat store and the ordering invariant
+// that keeps lookups exact.
 type Table struct {
 	tol     float64
-	inv     float64 // 1/bucket width
-	entries []entry // power-of-two open-addressed store; NaN marks empty
+	inv     float64  // 1/bucket width
+	slots   []uint64 // power-of-two open-addressed store; 0 marks empty
 	mask    uint64
 	n       int // stored values
 	lookups uint64
 	hits    uint64
 }
 
-// entry is one canonical representative and its bucket index. A
-// bucket holding several representatives owns several entries.
-type entry struct {
-	key int64
-	v   float64
-}
+// slotNaN is the quiet-NaN bit pattern XORed into every stored value,
+// so that the zero slot of a fresh array reads as empty.
+const slotNaN = 0x7ff8_0000_0000_0001
+
+func encode(v float64) uint64 { return math.Float64bits(v) ^ slotNaN }
+func decode(s uint64) float64 { return math.Float64frombits(s ^ slotNaN) }
 
 // NewTable returns a table using DefaultTolerance.
 func NewTable() *Table { return NewTableTol(DefaultTolerance) }
 
-// minEntries keeps even tiny tables collision-light after seeding.
-const minEntries = 256
+// minSlots keeps even tiny tables collision-light after seeding.
+const minSlots = 256
 
 // NewTableTol returns a table identifying reals within tol of each
 // other. tol must be positive.
@@ -96,10 +107,10 @@ func NewTableTol(tol float64) *Table {
 		panic(fmt.Sprintf("cnum: tolerance must be positive, got %g", tol))
 	}
 	t := &Table{
-		tol:     tol,
-		inv:     1 / (2 * tol),
-		entries: newEntries(minEntries),
-		mask:    minEntries - 1,
+		tol:   tol,
+		inv:   1 / (2 * tol),
+		slots: make([]uint64, minSlots),
+		mask:  minSlots - 1,
 	}
 	// Seed with the values that must be exactly representable so that
 	// IsZero/IsOne tests on canonical values are exact comparisons.
@@ -109,14 +120,19 @@ func NewTableTol(tol float64) *Table {
 	return t
 }
 
-// newEntries returns n empty entries.
-func newEntries(n int) []entry {
-	s := make([]entry, n)
-	nan := math.NaN()
-	for i := range s {
-		s[i].v = nan
+// bucket returns v's bucket index, floor(v/(2·tol)).
+func (t *Table) bucket(v float64) int64 { return int64(math.Floor(v * t.inv)) }
+
+// inBucket reports whether t.bucket(e) == key. Below 2^52 a range
+// compare on e/(2·tol) answers exactly and without calling Floor;
+// larger magnitudes, ±Inf included, take the general path.
+func (t *Table) inBucket(e float64, key int64) bool {
+	x := e * t.inv
+	if math.Abs(x) < 1<<52 {
+		kf := float64(key)
+		return kf <= x && x < kf+1
 	}
-	return s
+	return int64(math.Floor(x)) == key
 }
 
 // find scans bucket key's probe cluster for a representative of v. It
@@ -125,35 +141,35 @@ func newEntries(n int) []entry {
 // Infinities match only themselves: |Inf−Inf| is NaN.
 func (t *Table) find(key int64, v float64) (i uint64, ok bool) {
 	for i = hashInt64(key) & t.mask; ; i = (i + 1) & t.mask {
-		e := &t.entries[i]
-		if e.v != e.v {
+		s := t.slots[i]
+		if s == 0 {
 			return i, false
 		}
-		if e.key == key && (math.Abs(e.v-v) <= t.tol || e.v == v) {
+		if e := decode(s); (math.Abs(e-v) <= t.tol || e == v) && t.inBucket(e, key) {
 			return i, true
 		}
 	}
 }
 
-// grow doubles the entry array and re-inserts every entry. The rehash
+// grow doubles the slot array and re-inserts every value. The rehash
 // starts at an empty slot, so each probe cluster, including one that
 // wraps around the end of the array, is walked in probe order: the
-// entries of a bucket keep their insertion order.
+// values of a bucket keep their insertion order.
 func (t *Table) grow() {
-	old := t.entries
-	t.entries = newEntries(2 * len(old))
-	t.mask = uint64(len(t.entries)) - 1
+	old := t.slots
+	t.slots = make([]uint64, 2*len(old))
+	t.mask = uint64(len(t.slots)) - 1
 	oldMask := len(old) - 1
 	start := 0
-	for old[start].v == old[start].v {
+	for old[start] != 0 {
 		start++
 	}
 	for j := range old {
-		e := old[(start+j)&oldMask]
-		if e.v != e.v {
+		s := old[(start+j)&oldMask]
+		if s == 0 {
 			continue
 		}
-		t.entries[t.freeSlot(e.key)] = e
+		t.slots[t.freeSlot(t.bucket(decode(s)))] = s
 	}
 }
 
@@ -161,7 +177,7 @@ func (t *Table) grow() {
 // cluster: where the bucket's next value goes.
 func (t *Table) freeSlot(key int64) uint64 {
 	i := hashInt64(key) & t.mask
-	for t.entries[i].v == t.entries[i].v {
+	for t.slots[i] != 0 {
 		i = (i + 1) & t.mask
 	}
 	return i
@@ -189,29 +205,47 @@ func (t *Table) LookupReal(v float64) float64 {
 	if math.IsNaN(v) {
 		panic("cnum: NaN cannot be canonicalized")
 	}
-	key := int64(math.Floor(v * t.inv))
-	// The candidate may fall in the bucket of v or a neighbour.
+	x := v * t.inv
+	fl := math.Floor(x)
+	key := int64(fl)
 	free, ok := t.find(key, v)
 	if ok {
 		t.hits++
-		return t.entries[free].v
+		return decode(t.slots[free])
 	}
 	// Not in its own bucket: free is where v goes if the neighbours
-	// have no representative either.
-	for _, k := range [2]int64{key - 1, key + 1} {
-		if i, ok := t.find(k, v); ok {
+	// have no representative either. Only the neighbour on v's side of
+	// the bucket midpoint can hold one within tol; below 2^40 the
+	// rounding of x is far below the 1/64 margin.
+	lower, upper := true, true
+	if math.Abs(x) < 1<<40 {
+		switch f := x - fl; {
+		case f < 0.5-1.0/64:
+			upper = false
+		case f > 0.5+1.0/64:
+			lower = false
+		}
+	}
+	if lower {
+		if i, ok := t.find(key-1, v); ok {
 			t.hits++
-			return t.entries[i].v
+			return decode(t.slots[i])
+		}
+	}
+	if upper {
+		if i, ok := t.find(key+1, v); ok {
+			t.hits++
+			return decode(t.slots[i])
 		}
 	}
 	t.n++
-	// Load stays at most 1/2, keeping the three cluster scans of a
-	// lookup short under linear probing.
-	if 2*t.n > len(t.entries) {
+	// Load stays at most 1/2, keeping the cluster scans of a lookup
+	// short under linear probing.
+	if 2*t.n > len(t.slots) {
 		t.grow()
 		free = t.freeSlot(key)
 	}
-	t.entries[free] = entry{key: key, v: v}
+	t.slots[free] = encode(v)
 	return v
 }
 

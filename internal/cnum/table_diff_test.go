@@ -8,9 +8,13 @@ import (
 )
 
 // diffGen draws lookup inputs that stress the table's bucketing: exact
-// bucket edges, values just across an edge, near-duplicates of earlier
+// bucket edges, values just across an edge, values a few ulps around
+// a bucket midpoint and around the 1/64 margins where a miss switches
+// between probing one neighbour and both, near-duplicates of earlier
 // inputs that share or straddle their buckets, signed zeros,
-// subnormals, magnitudes up to 1e3 and exact repeats.
+// subnormals, magnitudes up to 1e6 (past 2^40 buckets at the default
+// tolerance, where every miss probes both neighbours) and exact
+// repeats.
 type diffGen struct {
 	rng  *rand.Rand
 	tol  float64
@@ -25,17 +29,17 @@ func (g *diffGen) earlier() float64 {
 }
 
 // bucketIndex draws a bucket index, mostly near zero where DD weights
-// live, sometimes anywhere up to magnitude 1e3.
+// live, sometimes anywhere up to magnitude 1e6.
 func (g *diffGen) bucketIndex() float64 {
 	if g.rng.Intn(4) == 0 {
-		return math.Floor((g.rng.Float64()*2 - 1) * 1e3 / (2 * g.tol))
+		return math.Floor((g.rng.Float64()*2 - 1) * math.Pow(10, g.rng.Float64()*6) / (2 * g.tol))
 	}
 	return float64(g.rng.Intn(1<<20) - 1<<19)
 }
 
 func (g *diffGen) next() float64 {
 	var v float64
-	switch g.rng.Intn(10) {
+	switch g.rng.Intn(11) {
 	case 0: // bucket edge
 		v = g.bucketIndex() * 2 * g.tol
 	case 1: // one and a half tolerances off an edge
@@ -51,12 +55,19 @@ func (g *diffGen) next() float64 {
 		default:
 			v = -math.Float64frombits(g.rng.Uint64() & (1<<52 - 1))
 		}
-	case 5: // any magnitude from 1e-12 to 1e3
-		v = (g.rng.Float64()*2 - 1) * math.Pow(10, g.rng.Float64()*15-12)
+	case 5: // any magnitude from 1e-12 to 1e6
+		v = (g.rng.Float64()*2 - 1) * math.Pow(10, g.rng.Float64()*18-12)
 	case 6, 7: // exact repeat
 		v = g.earlier()
 	case 8: // a DD-style amplitude: a phase component times a power of 1/√2
 		v = math.Cos(float64(g.rng.Intn(64))*math.Pi/32) * math.Pow(SqrtHalf, float64(g.rng.Intn(12)))
+	case 9: // a few ulps around a bucket midpoint or a 1/64 margin
+		frac := [...]float64{0.5, 0.5 - 1.0/64, 0.5 + 1.0/64}[g.rng.Intn(3)]
+		v = (g.bucketIndex() + frac) * 2 * g.tol
+		dir := math.Inf(2*g.rng.Intn(2) - 1)
+		for n := g.rng.Intn(4); n > 0; n-- {
+			v = math.Nextafter(v, dir)
+		}
 	default:
 		v = g.rng.Float64()*2 - 1
 	}
@@ -177,7 +188,7 @@ func FuzzLookupReal(f *testing.F) {
 }
 
 // TestGrowKeepsWrappedClusterOrder places two representatives of one
-// bucket in a probe cluster that wraps around the end of the entry
+// bucket in a probe cluster that wraps around the end of the slot
 // array, grows the table, and looks up a value within tolerance of
 // both: the older one must still answer, as in the reference. A rehash
 // that started at slot 0 would re-insert the wrapped tail first and
@@ -190,23 +201,48 @@ func TestGrowKeepsWrappedClusterOrder(t *testing.T) {
 	for hashInt64(key)&last != last {
 		key++
 	}
-	if got.entries[last].v == got.entries[last].v {
-		t.Fatalf("last slot already taken by %v", got.entries[last].v)
+	if got.slots[last] != 0 {
+		t.Fatalf("last slot already taken by %v", decode(got.slots[last]))
 	}
 	base := float64(key) * 2 * tol
 	older, newer := base+0.2*tol, base+1.8*tol
 	lookupBoth(t, got, want, older)
 	lookupBoth(t, got, want, newer)
-	if i, _ := got.find(key, newer); i >= last || got.entries[i].v != newer {
+	if i, _ := got.find(key, newer); i >= last || decode(got.slots[i]) != newer {
 		t.Fatalf("second value of the bucket did not wrap to the array start (slot %d)", i)
 	}
-	size := len(got.entries)
-	for v := -1e3; len(got.entries) == size; v -= 1 {
+	size := len(got.slots)
+	for v := -1e3; len(got.slots) == size; v -= 1 {
 		lookupBoth(t, got, want, v)
 	}
 	q := base + tol
 	if c, w := got.LookupReal(q), want.LookupReal(q); c != older || w != older {
 		t.Fatalf("after growth, LookupReal(%v) = %v, reference %v, want the older representative %v", q, c, w, older)
 	}
+	checkSame(t, got, want)
+}
+
+// TestFindChecksBucket places a value of bucket key+1 ahead of a value
+// of bucket key in one probe cluster (the two buckets hash to the same
+// home slot) and looks up a value within tolerance of both: the own
+// bucket must answer, as in the reference, although the scan meets the
+// neighbour's value first.
+func TestFindChecksBucket(t *testing.T) {
+	const tol = 1e-4
+	got, want := NewTableTol(tol), newRefTableTol(tol)
+	key := int64(1)
+	for hashInt64(key)&got.mask != hashInt64(key+1)&got.mask {
+		key++
+	}
+	width := 2 * tol
+	neighbour := (float64(key) + 1.3) * width
+	own := (float64(key) + 0.7) * width
+	lookupBoth(t, got, want, neighbour)
+	lookupBoth(t, got, want, own)
+	q := (float64(key) + 0.9) * width
+	if c := got.LookupReal(q); c != own {
+		t.Fatalf("LookupReal(%v) = %v, want the own-bucket representative %v", q, c, own)
+	}
+	want.LookupReal(q)
 	checkSame(t, got, want)
 }

@@ -246,6 +246,10 @@ type Stats struct {
 	FreeNodesV  int     // vector nodes parked on the free list
 	FreeNodesM  int     // matrix nodes parked on the free list
 	LiveNodes   int     // nodes currently in the unique tables
+
+	// ComplexValues is the number of canonical reals in the complex
+	// table, which only grows for the life of the package.
+	ComplexValues int
 }
 
 // Add returns the field-wise sum of s and b, for building aggregates
@@ -283,6 +287,7 @@ func (s Stats) Add(b Stats) Stats {
 	s.FreeNodesV += b.FreeNodesV
 	s.FreeNodesM += b.FreeNodesM
 	s.LiveNodes += b.LiveNodes
+	s.ComplexValues += b.ComplexValues
 	return s
 }
 
@@ -291,8 +296,8 @@ func (s Stats) Add(b Stats) Stats {
 // telemetry sampling). Monotone counters subtract reset-safe — a
 // snapshot from a fresh package (counter went backwards) clamps that
 // field to the current value rather than going negative. Snapshot-time
-// gauges (load factors, free/live node counts) keep s's current value:
-// a delta of a gauge is meaningless.
+// gauges (load factors, free/live node counts, complex-table size)
+// keep s's current value: a delta of a gauge is meaningless.
 func (s Stats) Delta(prev Stats) Stats {
 	sub := func(cur, old uint64) uint64 {
 		if cur < old {
@@ -331,6 +336,7 @@ func (s Stats) Delta(prev Stats) Stats {
 		FreeNodesV:          s.FreeNodesV,
 		FreeNodesM:          s.FreeNodesM,
 		LiveNodes:           s.LiveNodes,
+		ComplexValues:       s.ComplexValues,
 	}
 }
 
@@ -395,7 +401,9 @@ func NewTol(n int, tol float64) *Pkg {
 // SetComputeTableSize reconfigures the capacity (in entries, rounded
 // up to a power of two) of the four binary-operation compute tables;
 // the unary/fidelity tables get a quarter of it. Current cache
-// contents are dropped; diagrams are unaffected. The default is 8192.
+// contents are dropped; diagrams are unaffected. The default is
+// ctDefaultLarge, 131072 entries; tables start small and grow toward
+// their capacity under eviction pressure (see compute.go).
 func (p *Pkg) SetComputeTableSize(n int) {
 	large := nextPow2(n)
 	small := nextPow2(large / 4)
@@ -449,6 +457,7 @@ func (p *Pkg) Stats() Stats {
 	s.FreeNodesV = p.vMem.freeLen
 	s.FreeNodesM = p.mMem.freeLen
 	s.LiveNodes = p.live
+	s.ComplexValues = p.cn.Size()
 	return s
 }
 

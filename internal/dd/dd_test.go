@@ -582,3 +582,28 @@ func TestMaybeGC(t *testing.T) {
 	}
 	p.DecRefV(keep)
 }
+
+// TestStatsComplexValues: the complex-table gauge reports the table's
+// size, grows as new weights appear, sums under Add and keeps its
+// current value under Delta, like the other gauges.
+func TestStatsComplexValues(t *testing.T) {
+	p := New(3)
+	before := p.Stats()
+	if before.ComplexValues != p.cn.Size() || before.ComplexValues == 0 {
+		t.Fatalf("fresh package: ComplexValues = %d, table size %d", before.ComplexValues, p.cn.Size())
+	}
+	e := p.ZeroState()
+	for q := 0; q < 3; q++ {
+		e = p.MultMV(p.MakeGateDD(GateMatrix{complex(0.6, 0), complex(0.8, 0), complex(0.8, 0), complex(-0.6, 0)}, q), e)
+	}
+	after := p.Stats()
+	if after.ComplexValues != p.cn.Size() || after.ComplexValues <= before.ComplexValues {
+		t.Fatalf("after new weights: ComplexValues = %d (was %d), table size %d", after.ComplexValues, before.ComplexValues, p.cn.Size())
+	}
+	if sum := after.Add(before); sum.ComplexValues != after.ComplexValues+before.ComplexValues {
+		t.Fatalf("Add: ComplexValues = %d, want %d", sum.ComplexValues, after.ComplexValues+before.ComplexValues)
+	}
+	if d := after.Delta(before); d.ComplexValues != after.ComplexValues {
+		t.Fatalf("Delta: ComplexValues = %d, want the current %d", d.ComplexValues, after.ComplexValues)
+	}
+}

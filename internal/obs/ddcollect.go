@@ -45,6 +45,8 @@ type DDCollector struct {
 	applyMSkips     *Gauge
 	mmOpsKernel     *Gauge
 	mmOpsGeneric    *Gauge
+
+	complexValues *Gauge
 }
 
 // NewDDCollector registers (or re-binds) the dd metric families on r.
@@ -103,6 +105,8 @@ func NewDDCollector(r *Registry) *DDCollector {
 		"Matrix-matrix gate applications by path.", L("path", "kernel"))
 	c.mmOpsGeneric = r.Gauge("dd_mm_ops",
 		"Matrix-matrix gate applications by path.", L("path", "generic"))
+	c.complexValues = r.Gauge("dd_complex_table_values",
+		"Canonical reals held in the complex tables, summed over live packages.")
 	return c
 }
 
@@ -151,4 +155,5 @@ func (c *DDCollector) Record(st dd.Stats) {
 	c.applyMSkips.Set(float64(st.ApplyMIdentitySkips))
 	c.mmOpsKernel.Set(float64(st.ApplyMOps))
 	c.mmOpsGeneric.Set(float64(st.MultMMOps))
+	c.complexValues.Set(float64(st.ComplexValues))
 }

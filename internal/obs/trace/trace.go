@@ -16,10 +16,15 @@
 // Hot-path costs: with no recorder attached to the context, StartSpan
 // is two context lookups and allocates nothing — the disabled path is
 // guarded by an AllocsPerRun test. With a recorder attached, starting
-// a span costs one span allocation plus one context allocation, and
-// completing it copies the span into the ring under the recorder
-// mutex. Attributes live in a fixed-size inline array, so SetAttr
-// never allocates.
+// a span allocates only the derived context: active spans come from a
+// free list the recorder owns, and End returns them to it. Completing
+// a span writes a compact record (ID, parent, name, start, duration,
+// attribute count; 56 bytes) into the ring under the recorder mutex,
+// plus its attributes, if any, into a FIFO side buffer that evicts in
+// step with the ring. Both grow on demand up to capacity, so short
+// sessions stay small. Snapshot rebuilds full Span values on read.
+// Attributes of an active span live in a fixed-size inline array, so
+// SetAttr never allocates.
 //
 // Concurrency: a Recorder belongs to one session, and sessions are
 // single-goroutine by construction (the web server holds the
@@ -65,9 +70,9 @@ type Span struct {
 	nattrs int
 	attrs  [MaxAttrs]Attr
 
-	// Active-span bookkeeping; nil on completed (ring) copies.
+	// Active-span bookkeeping; nil on completed (snapshot) copies.
 	rec  *Recorder
-	prev *Span // enclosing active span, restored as current on End
+	prev *Span // enclosing active span, restored as current on End; next free span on the free list
 }
 
 // SetAttr attaches an integer attribute. Safe on a nil span (the
@@ -100,21 +105,39 @@ func MakeSpan(id, parent uint64, name string, startNS, durNS int64, attrs ...Att
 }
 
 // End completes the span: it computes the duration, restores the
-// enclosing span as the recorder's current one, and copies the span
-// into the flight-recorder ring. Safe on a nil span. A span must be
-// ended exactly once, on the goroutine that started it.
+// enclosing span as the recorder's current one, records the span in
+// the flight-recorder ring and hands the Span back to the recorder
+// for reuse. Safe on a nil span. A span must be ended exactly once, on
+// the goroutine that started it and after its children; neither it
+// nor a context carrying it may be used afterwards.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	r := s.rec
-	s.Dur = int64(time.Since(r.epoch)) - s.Start
+	s.Dur = sinceEpoch(r.epoch) - s.Start
 	r.current = s.prev
-	done := *s
-	done.rec, done.prev = nil, nil
-	done.nattrs = s.nattrs
-	r.Emit(done)
+	r.emit(s.record(), s.attrs[:s.nattrs])
+	s.prev = r.free
+	r.free = s
 }
+
+// record is the ring form of a completed span: everything but the
+// attributes, which the recorder keeps in its side buffer.
+type record struct {
+	id, parent uint64
+	name       string
+	start, dur int64
+	nattrs     int
+}
+
+func (s *Span) record() record {
+	return record{id: s.ID, parent: s.Parent, name: s.Name, start: s.Start, dur: s.Dur, nattrs: s.nattrs}
+}
+
+// sinceEpoch returns the nanoseconds elapsed since epoch on the
+// monotonic clock. Tests replace it with a deterministic clock.
+var sinceEpoch = func(epoch time.Time) int64 { return int64(time.Since(epoch)) }
 
 // Recorder is the per-session flight recorder: a fixed-capacity ring
 // of completed spans, oldest-evicted, with an exact eviction count.
@@ -124,14 +147,17 @@ type Recorder struct {
 	cap   int
 
 	mu      sync.Mutex
-	ring    []Span // grows up to cap, then wraps
-	head    int    // index of the oldest span once the ring is full
+	ring    []record // grows up to cap, then wraps
+	head    int      // index of the oldest record once the ring is full
+	attrs   attrFIFO // attributes of the retained records, oldest first
 	dropped uint64
 	nextID  uint64
 
-	// current is the innermost active span. Owner-goroutine only —
-	// see the package comment.
+	// current is the innermost active span; free lists ended spans
+	// for reuse, linked through prev. Owner-goroutine only — see the
+	// package comment.
 	current *Span
+	free    *Span
 
 	// onDrop, when set, observes each eviction — the web server wires
 	// it to the trace_spans_dropped_total counter so the metric
@@ -139,9 +165,55 @@ type Recorder struct {
 	onDrop func()
 }
 
+// attrFIFO holds the attributes of the ring's records in record
+// order: a power-of-two circular buffer that grows on demand. Evicting
+// a record pops its attributes from the front.
+type attrFIFO struct {
+	buf  []Attr
+	head int // index of the oldest attribute
+	n    int // attributes held
+}
+
+func (q *attrFIFO) push(attrs []Attr) {
+	if q.n+len(attrs) > len(q.buf) {
+		q.grow(q.n + len(attrs))
+	}
+	mask := len(q.buf) - 1
+	for _, a := range attrs {
+		q.buf[(q.head+q.n)&mask] = a
+		q.n++
+	}
+}
+
+func (q *attrFIFO) pop(k int) {
+	if k > 0 {
+		q.head = (q.head + k) & (len(q.buf) - 1)
+		q.n -= k
+	}
+}
+
+// at returns the i-th oldest attribute.
+func (q *attrFIFO) at(i int) Attr { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+func (q *attrFIFO) grow(need int) {
+	size := 2 * len(q.buf)
+	if size < 2*MaxAttrs {
+		size = 2 * MaxAttrs
+	}
+	for size < need {
+		size *= 2
+	}
+	buf := make([]Attr, size)
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.at(i)
+	}
+	q.buf, q.head = buf, 0
+}
+
 // DefaultCapacity is the flight-recorder size sessions get unless
 // configured otherwise: enough for a few hundred gate steps with
-// their DD-op children, bounded at roughly 250 KiB per session.
+// their DD-op children. A record takes 56 bytes and an attribute 24,
+// so a full ring of traced steps holds roughly 100 KiB per session.
 const DefaultCapacity = 1024
 
 // NewRecorder creates a flight recorder holding up to capacity
@@ -161,19 +233,19 @@ func (r *Recorder) Name() string { return r.name }
 // the recorder sees traffic; the hook runs outside the ring mutex.
 func (r *Recorder) OnDrop(f func()) { r.onDrop = f }
 
-// start begins a span. Owner-goroutine only.
+// start begins a span, reusing an ended one when the free list has
+// one. Owner-goroutine only.
 func (r *Recorder) start(name string, parent *Span) *Span {
-	r.mu.Lock()
-	r.nextID++
-	id := r.nextID
-	r.mu.Unlock()
-	s := &Span{
-		ID:    id,
-		Name:  name,
-		Start: int64(time.Since(r.epoch)),
-		rec:   r,
-		prev:  r.current,
+	id := r.nextSpanID()
+	s := r.free
+	if s != nil {
+		r.free = s.prev
+		*s = Span{}
+	} else {
+		s = new(Span)
 	}
+	s.ID, s.Name, s.Start = id, name, sinceEpoch(r.epoch)
+	s.rec, s.prev = r, r.current
 	if parent != nil {
 		s.Parent = parent.ID
 	} else if r.current != nil {
@@ -184,16 +256,20 @@ func (r *Recorder) start(name string, parent *Span) *Span {
 }
 
 // Emit appends a completed span to the ring, evicting the oldest one
-// when the recorder is at capacity. Spans built elsewhere (tests, the
-// DD tracer) enter the recorder through here; ID assignment is the
-// caller's business.
-func (r *Recorder) Emit(s Span) {
+// when the recorder is at capacity. Spans built elsewhere (tests,
+// synthesized timelines) enter the recorder through here; ID
+// assignment is the caller's business.
+func (r *Recorder) Emit(s Span) { r.emit(s.record(), s.attrs[:s.nattrs]) }
+
+// emit appends one record and its attributes to the ring.
+func (r *Recorder) emit(rec record, attrs []Attr) {
 	var evicted bool
 	r.mu.Lock()
 	if len(r.ring) < r.cap {
-		r.ring = append(r.ring, s)
+		r.ring = append(r.ring, rec)
 	} else {
-		r.ring[r.head] = s
+		r.attrs.pop(r.ring[r.head].nattrs)
+		r.ring[r.head] = rec
 		r.head++
 		if r.head == r.cap {
 			r.head = 0
@@ -201,14 +277,15 @@ func (r *Recorder) Emit(s Span) {
 		r.dropped++
 		evicted = true
 	}
+	r.attrs.push(attrs)
 	r.mu.Unlock()
 	if evicted && r.onDrop != nil {
 		r.onDrop()
 	}
 }
 
-// nextSpanID reserves an ID for an externally built span (the DD
-// tracer), keeping IDs unique within the recorder.
+// nextSpanID reserves an ID for a new span, keeping IDs unique within
+// the recorder.
 func (r *Recorder) nextSpanID() uint64 {
 	r.mu.Lock()
 	r.nextID++
@@ -223,8 +300,17 @@ func (r *Recorder) Snapshot() ([]Span, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Span, 0, len(r.ring))
-	out = append(out, r.ring[r.head:]...)
-	out = append(out, r.ring[:r.head]...)
+	a := 0 // next attribute, in record order
+	for _, part := range [2][]record{r.ring[r.head:], r.ring[:r.head]} {
+		for _, rec := range part {
+			s := Span{ID: rec.id, Parent: rec.parent, Name: rec.name, Start: rec.start, Dur: rec.dur, nattrs: rec.nattrs}
+			for i := 0; i < rec.nattrs; i++ {
+				s.attrs[i] = r.attrs.at(a)
+				a++
+			}
+			out = append(out, s)
+		}
+	}
 	return out, r.dropped
 }
 
@@ -269,14 +355,14 @@ func (r *Recorder) DDTracer() dd.TraceFunc {
 		if cur == nil || op >= dd.NumOps {
 			return
 		}
-		end := int64(time.Since(r.epoch))
-		r.Emit(Span{
-			ID:     r.nextSpanID(),
-			Parent: cur.ID,
-			Name:   ddOpNames[op],
-			Start:  end - int64(d),
-			Dur:    int64(d),
-		})
+		end := sinceEpoch(r.epoch)
+		r.emit(record{
+			id:     r.nextSpanID(),
+			parent: cur.ID,
+			name:   ddOpNames[op],
+			start:  end - int64(d),
+			dur:    int64(d),
+		}, nil)
 	}
 }
 

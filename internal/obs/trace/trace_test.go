@@ -3,6 +3,7 @@ package trace_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,5 +229,30 @@ func TestTee(t *testing.T) {
 	tee(dd.OpMultMV, time.Microsecond)
 	if a != 1 || b != 1 {
 		t.Fatalf("tee fan-out broken: a=%d b=%d", a, b)
+	}
+}
+
+// TestRingBytesPerSpan guards the flight recorder's heap cost per
+// retained span: filling a DefaultCapacity recorder with the mix a
+// traced gate step emits (a step span with five attributes, its apply
+// span and one DD-op span), growth copies included, may allocate at
+// most the measured bytes per span plus about 20 %.
+func TestRingBytesPerSpan(t *testing.T) {
+	const maxBytes = 264
+	rec := trace.NewRecorder("s", trace.DefaultCapacity)
+	attrs := []trace.Attr{{Key: "op_index", Value: 1}, {Key: "nodes_before", Value: 2},
+		{Key: "nodes_after", Value: 3}, {Key: "ct_hits", Value: 4}, {Key: "apply_ct_hits", Value: 5}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for id := uint64(1); rec.Len() < trace.DefaultCapacity; id += 3 {
+		rec.Emit(trace.MakeSpan(id, 0, "step:gate", 0, 10, attrs...))
+		rec.Emit(trace.MakeSpan(id+1, id, "apply h q[0]", 1, 5))
+		rec.Emit(trace.MakeSpan(id+2, id+1, "dd:applygate", 2, 3))
+	}
+	runtime.ReadMemStats(&after)
+	perSpan := float64(after.TotalAlloc-before.TotalAlloc) / float64(rec.Len())
+	t.Logf("%.0f heap bytes per retained span", perSpan)
+	if perSpan > maxBytes {
+		t.Fatalf("%.0f heap bytes per retained span, bound %d", perSpan, maxBytes)
 	}
 }

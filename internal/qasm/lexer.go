@@ -104,6 +104,7 @@ type lexer struct {
 	pos  int
 	line int
 	col  int
+	err  error // the first lex error; the parser stops reading here
 }
 
 func newLexer(src string) *lexer {
@@ -279,18 +280,13 @@ func (l *lexer) next() (token, error) {
 	return tok, nil
 }
 
-// lexAll tokenizes the whole input.
-func lexAll(src string) ([]token, error) {
-	l := newLexer(src)
-	var out []token
+// drain lexes the rest of the input and returns the first error, if
+// any.
+func (l *lexer) drain() error {
 	for {
 		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
+		if err != nil || t.kind == tokEOF {
+			return err
 		}
 	}
 }

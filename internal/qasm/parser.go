@@ -36,24 +36,31 @@ type macroStmt struct {
 	col     int
 }
 
+// parser is a recursive-descent parser with one token of lookahead,
+// pulled on demand from a stack of lexers: lex[0] reads the main
+// source and each include pushes a lexer for the included file (incAt
+// holds the file-name token of the include statement that pushed it).
+//
+// Errors are reported as if the whole source were lexed before
+// parsing starts: a lex error anywhere in the main source wins over
+// any parse error, and an include's lex error is reported at its
+// include statement. A lexer that fails ends the token stream, and
+// after parsing lexError drains what is left of the open sources (on
+// success, nothing) to find the lex error that takes precedence.
 type parser struct {
-	toks   []token
-	pos    int
+	tok   token // lookahead: the next unconsumed token
+	lex   []*lexer
+	incAt []token
+
 	qregs  map[string]reg
 	cregs  map[string]reg
 	qorder []string // declaration order, for stable flattening
 	corder []string
 	nq, nc int
 	macros map[string]*macro
-	ops    []pendingOp
+	ops    []qc.Op
 
-	resolve  IncludeResolver
-	includes int // nesting guard
-}
-
-// pendingOp is an IR op recorded before the final circuit exists.
-type pendingOp struct {
-	op qc.Op
+	resolve IncludeResolver
 }
 
 // IncludeResolver loads the source text of an include file by name.
@@ -88,18 +95,19 @@ func ParseFile(path string) (*qc.Circuit, error) {
 
 // ParseWithIncludes parses source with a custom include resolver.
 func ParseWithIncludes(src string, resolve IncludeResolver) (*qc.Circuit, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
 	p := &parser{
-		toks:    toks,
+		lex:     []*lexer{newLexer(src)},
 		qregs:   map[string]reg{},
 		cregs:   map[string]reg{},
 		macros:  map[string]*macro{},
 		resolve: resolve,
 	}
-	if err := p.parseProgram(); err != nil {
+	p.advance() // load the lookahead
+	err := p.parseProgram()
+	if lerr := p.lexError(); lerr != nil {
+		return nil, lerr
+	}
+	if err != nil {
 		return nil, err
 	}
 	if p.nq == 0 {
@@ -107,14 +115,63 @@ func ParseWithIncludes(src string, resolve IncludeResolver) (*qc.Circuit, error)
 	}
 	circ := qc.New(p.nq, p.nc)
 	circ.Name = "qasm"
-	for _, po := range p.ops {
-		circ.Append(po.op)
+	circ.Ops = make([]qc.Op, 0, len(p.ops))
+	for _, op := range p.ops {
+		circ.Append(op)
 	}
 	return circ, nil
 }
 
-func (p *parser) peek() token    { return p.toks[p.pos] }
-func (p *parser) advance() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) peek() token { return p.tok }
+
+// advance consumes the lookahead token and pulls the next one from the
+// innermost lexer, returning to the including source at the end of an
+// included file. After a lex error the stream reads as end of input.
+func (p *parser) advance() token {
+	t := p.tok
+	for {
+		l := p.lex[len(p.lex)-1]
+		if l.err != nil {
+			p.tok = token{kind: tokEOF, line: l.line, col: l.col}
+			return t
+		}
+		next, err := l.next()
+		if err != nil {
+			l.err = err
+			continue
+		}
+		if next.kind == tokEOF && len(p.lex) > 1 {
+			p.lex = p.lex[:len(p.lex)-1]
+			p.incAt = p.incAt[:len(p.incAt)-1]
+			continue
+		}
+		p.tok = next
+		return t
+	}
+}
+
+// lexError returns the lex error that lexing every source up front
+// would have reported, or nil. Sources are checked outermost first:
+// the main source was lexed before parsing began, and each include
+// when its statement was reached. Included files already popped from
+// the stack lexed cleanly to their end.
+func (p *parser) lexError() error {
+	for i, l := range p.lex {
+		err := l.err
+		if err == nil {
+			err = l.drain()
+		}
+		if err == nil {
+			continue
+		}
+		if i == 0 {
+			return err
+		}
+		at := p.incAt[i-1]
+		return p.errAt(at, "include %q: %v", at.text, err)
+	}
+	return nil
+}
 
 func (p *parser) errAt(t token, format string, args ...interface{}) *Error {
 	return &Error{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
@@ -185,6 +242,8 @@ func (p *parser) parseStatement() error {
 	}
 }
 
+// maxIncludeDepth bounds how many included files may be open at once,
+// which stops an include cycle.
 const maxIncludeDepth = 16
 
 func (p *parser) parseInclude() error {
@@ -194,32 +253,29 @@ func (p *parser) parseInclude() error {
 		return p.errAt(t, "expected file name string after include")
 	}
 	p.advance()
-	if err := p.expect(tokSemicolon); err != nil {
-		return err
+	if p.peek().kind != tokSemicolon {
+		return p.expect(tokSemicolon)
 	}
 	if t.text == "qelib1.inc" {
 		// The standard library is built in.
+		p.advance()
 		return nil
 	}
 	if p.resolve == nil {
 		return p.errAt(t, "include %q not available (only \"qelib1.inc\" is built in; use ParseFile for file includes)", t.text)
 	}
-	p.includes++
-	if p.includes > maxIncludeDepth {
+	if len(p.lex) > maxIncludeDepth {
 		return p.errAt(t, "includes nested deeper than %d (cycle?)", maxIncludeDepth)
 	}
 	src, err := p.resolve(t.text)
 	if err != nil {
 		return p.errAt(t, "include %q: %v", t.text, err)
 	}
-	toks, err := lexAll(src)
-	if err != nil {
-		return p.errAt(t, "include %q: %v", t.text, err)
-	}
-	// Splice the included tokens (minus their EOF) before the current
-	// position.
-	rest := append([]token(nil), p.toks[p.pos:]...)
-	p.toks = append(append(p.toks[:p.pos:p.pos], toks[:len(toks)-1]...), rest...)
+	// Push the included source before consuming the ';', so the next
+	// lookahead is the included file's first token.
+	p.lex = append(p.lex, newLexer(src))
+	p.incAt = append(p.incAt, t)
+	p.advance()
 	return nil
 }
 
@@ -549,13 +605,13 @@ func (p *parser) parseMeasure(cond *qc.Condition) error {
 		if src.index >= qr.size || dst.index >= cr.size {
 			return p.errAt(token{line: src.line, col: src.col}, "measure index out of range")
 		}
-		p.ops = append(p.ops, pendingOp{op: qc.Op{Kind: qc.KindMeasure, Targets: []int{qr.offset + src.index}, Cbit: cr.offset + dst.index}})
+		p.ops = append(p.ops, qc.Op{Kind: qc.KindMeasure, Targets: []int{qr.offset + src.index}, Cbit: cr.offset + dst.index})
 	case !src.indexed && !dst.indexed:
 		if qr.size != cr.size {
 			return p.errAt(token{line: src.line, col: src.col}, "measure register sizes differ (%d vs %d)", qr.size, cr.size)
 		}
 		for i := 0; i < qr.size; i++ {
-			p.ops = append(p.ops, pendingOp{op: qc.Op{Kind: qc.KindMeasure, Targets: []int{qr.offset + i}, Cbit: cr.offset + i}})
+			p.ops = append(p.ops, qc.Op{Kind: qc.KindMeasure, Targets: []int{qr.offset + i}, Cbit: cr.offset + i})
 		}
 	default:
 		return p.errAt(token{line: src.line, col: src.col}, "measure operands must both be indexed or both be registers")
@@ -584,11 +640,11 @@ func (p *parser) parseReset(cond *qc.Condition) error {
 		if op.index >= r.size {
 			return p.errAt(t, "reset index out of range")
 		}
-		p.ops = append(p.ops, pendingOp{op: qc.Op{Kind: qc.KindReset, Targets: []int{r.offset + op.index}}})
+		p.ops = append(p.ops, qc.Op{Kind: qc.KindReset, Targets: []int{r.offset + op.index}})
 		return nil
 	}
 	for i := 0; i < r.size; i++ {
-		p.ops = append(p.ops, pendingOp{op: qc.Op{Kind: qc.KindReset, Targets: []int{r.offset + i}}})
+		p.ops = append(p.ops, qc.Op{Kind: qc.KindReset, Targets: []int{r.offset + i}})
 	}
 	return nil
 }
@@ -610,7 +666,7 @@ func (p *parser) parseBarrier() error {
 		}
 	}
 	p.advance() // ';'
-	p.ops = append(p.ops, pendingOp{op: qc.Op{Kind: qc.KindBarrier}})
+	p.ops = append(p.ops, qc.Op{Kind: qc.KindBarrier})
 	return nil
 }
 
@@ -730,7 +786,7 @@ func (p *parser) emitGate(at token, name string, params []float64, qubits []int,
 			return p.errAt(at, "%v", err)
 		}
 		op.Cond = cond
-		p.ops = append(p.ops, pendingOp{op: op})
+		p.ops = append(p.ops, op)
 		return nil
 	}
 	if m, ok := p.macros[name]; ok {

@@ -1,6 +1,7 @@
 package qasm
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -376,12 +377,38 @@ func TestIncludeWithoutResolverRejected(t *testing.T) {
 	parseErr(t, "include \"other.inc\";\nqreg q[1];\n", "only \"qelib1.inc\" is built in")
 }
 
+// TestIncludeCycleGuard: the include guard bounds how many included
+// files are open at once, which stops a cycle, not how many a program
+// includes.
 func TestIncludeCycleGuard(t *testing.T) {
-	resolve := func(name string) (string, error) {
-		return "include \"self.inc\";\n", nil // endless self-include
+	files := map[string]string{
+		"self.inc":  "include \"self.inc\";\n", // endless self-include
+		"empty.inc": "",
 	}
-	_, err := ParseWithIncludes("include \"self.inc\";\nqreg q[1];\n", resolve)
-	if err == nil || !strings.Contains(err.Error(), "nested deeper") {
-		t.Fatalf("cycle not caught: %v", err)
+	// deep0.inc includes deep1.inc, …, deep16.inc: 17 files open at once.
+	for i := 0; i <= maxIncludeDepth; i++ {
+		next := ""
+		if i < maxIncludeDepth {
+			next = fmt.Sprintf("include \"deep%d.inc\";\n", i+1)
+		}
+		files[fmt.Sprintf("deep%d.inc", i)] = next
+	}
+	resolve := func(name string) (string, error) { return files[name], nil }
+	for _, tc := range []struct {
+		name, src string
+		guarded   bool
+	}{
+		{"self-include", "include \"self.inc\";\nqreg q[1];\n", true},
+		{"17 nested", "include \"deep0.inc\";\nqreg q[1];\n", true},
+		{"16 nested", "include \"deep1.inc\";\nqreg q[1];\n", false},
+		{"17 siblings", strings.Repeat("include \"empty.inc\";\n", maxIncludeDepth+1) + "qreg q[1];\n", false},
+	} {
+		_, err := ParseWithIncludes(tc.src, resolve)
+		if tc.guarded && (err == nil || !strings.Contains(err.Error(), "nested deeper")) {
+			t.Errorf("%s: error %v, want the nesting guard", tc.name, err)
+		}
+		if !tc.guarded && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }

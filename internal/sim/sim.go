@@ -83,14 +83,16 @@ type Simulator struct {
 	trajObserver func(seconds float64)
 
 	// replica marks a trajectory simulator on a pool worker (pool.go).
-	// Nothing reads its peak size or steps it backward, so setState
-	// skips the size walk and stepForward keeps no history.
+	// Nothing reads its sizes or steps it backward, so setState skips
+	// the size walk and stepForward keeps no history.
 	replica   bool
+	size      int // nodes of state; not maintained on a replica
 	peakNodes int // largest state diagram observed
 }
 
 type snapshot struct {
 	state     dd.VEdge
+	size      int
 	classical []int
 }
 
@@ -197,6 +199,7 @@ func newOn(p *dd.Pkg, circ *qc.Circuit, rng *rand.Rand, opts ...Option) *Simulat
 		s.rng = rng
 	}
 	s.pkg.IncRefV(s.state)
+	s.size = dd.SizeV(s.state)
 	return s
 }
 
@@ -231,8 +234,9 @@ func (s *Simulator) setState(e dd.VEdge) {
 	s.pkg.DecRefV(s.state)
 	s.state = e
 	if !s.replica {
-		if n := dd.SizeV(e); n > s.peakNodes {
-			s.peakNodes = n
+		s.size = dd.SizeV(e)
+		if s.size > s.peakNodes {
+			s.peakNodes = s.size
 		}
 	}
 	if s.GCThreshold > 0 {
@@ -244,8 +248,8 @@ func (s *Simulator) setState(e dd.VEdge) {
 // PeakNodes reports the largest state diagram seen so far — the
 // "strengths and limits" indicator surfaced by the tool's statistics.
 func (s *Simulator) PeakNodes() int {
-	if n := dd.SizeV(s.state); n > s.peakNodes {
-		s.peakNodes = n
+	if s.size > s.peakNodes {
+		s.peakNodes = s.size
 	}
 	return s.peakNodes
 }
@@ -274,7 +278,7 @@ func (s *Simulator) release() {
 	}
 	s.history = nil
 	s.pkg.DecRefV(s.state)
-	s.state = dd.VZero()
+	s.state, s.size = dd.VZero(), 0
 }
 
 // StepForward executes the next operation and reports what happened.
@@ -318,11 +322,11 @@ func (s *Simulator) StepForwardCtx(ctx context.Context) (Event, error) {
 	}
 	ctx, sp := trace.StartSpan(ctx, name)
 	sp.SetAttr("op_index", int64(s.pos))
-	sp.SetAttr("nodes_before", int64(dd.SizeV(s.state)))
+	sp.SetAttr("nodes_before", int64(s.size))
 	before := s.pkg.Stats()
 	ev, err := s.stepForward(ctx)
 	after := s.pkg.Stats()
-	sp.SetAttr("nodes_after", int64(dd.SizeV(s.state)))
+	sp.SetAttr("nodes_after", int64(s.size))
 	sp.SetAttr("ct_hits", int64(after.CacheHits-before.CacheHits))
 	sp.SetAttr("apply_ct_hits", int64(after.ApplyCTHits-before.ApplyCTHits))
 	if err != nil && errors.Is(err, dd.ErrResourceExhausted) {
@@ -341,7 +345,7 @@ func (s *Simulator) stepForward(ctx context.Context) (Event, error) {
 	op := &s.circ.Ops[s.pos]
 	// Snapshot for backward stepping. A replica never steps back, so
 	// it skips the classical copy and drops the snapshot at the end.
-	snap := snapshot{state: s.state}
+	snap := snapshot{state: s.state, size: s.size}
 	if !s.replica {
 		snap.classical = append([]int(nil), s.classical...)
 	}
@@ -505,7 +509,7 @@ func (s *Simulator) StepBackward() bool {
 	snap := s.history[len(s.history)-1]
 	s.history = s.history[:len(s.history)-1]
 	s.pkg.DecRefV(s.state)
-	s.state = snap.state // snapshot already holds a reference
+	s.state, s.size = snap.state, snap.size // snapshot already holds a reference
 	s.classical = snap.classical
 	s.pos--
 	return true

@@ -105,6 +105,7 @@ func TestMetricsEndpointAfterScriptedSession(t *testing.T) {
 		`dd_gate_cache_hits`,
 		`dd_compute_table_hit_ratio`,
 		`dd_nodes_live`,
+		`dd_complex_table_values`,
 		`http_requests_total{code="2xx"} 2`,
 	} {
 		if !strings.Contains(body, series) {
