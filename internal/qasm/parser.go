@@ -186,6 +186,21 @@ func (p *parser) expect(kind tokenKind) error {
 	return nil
 }
 
+// listNext reads what follows an item of a comma-separated list that
+// ends at the token close: it consumes a ',' and reports that another
+// item follows, or reports the end of the list at close.
+func (p *parser) listNext(close tokenKind) (bool, error) {
+	switch t := p.peek(); t.kind {
+	case tokComma:
+		p.advance()
+		return true, nil
+	case close:
+		return false, nil
+	default:
+		return false, p.errAt(t, "expected ',' or %s, found %s %q", close, t.kind, t.text)
+	}
+}
+
 func (p *parser) parseProgram() error {
 	// Optional version header.
 	if t := p.peek(); t.kind == tokIdent && t.text == "OPENQASM" {
@@ -348,15 +363,16 @@ func (p *parser) parseGateDecl() error {
 	}
 	if p.peek().kind == tokLParen {
 		p.advance()
-		for p.peek().kind != tokRParen {
+		for more := p.peek().kind != tokRParen; more; {
 			t := p.peek()
 			if t.kind != tokIdent {
 				return p.errAt(t, "expected parameter name")
 			}
 			m.params = append(m.params, t.text)
 			p.advance()
-			if p.peek().kind == tokComma {
-				p.advance()
+			var err error
+			if more, err = p.listNext(tokRParen); err != nil {
+				return err
 			}
 		}
 		p.advance() // ')'
@@ -445,14 +461,14 @@ func (p *parser) parseMacroStmt(m *macro) (macroStmt, error) {
 	p.advance()
 	if p.peek().kind == tokLParen {
 		p.advance()
-		for p.peek().kind != tokRParen {
+		for more := p.peek().kind != tokRParen; more; {
 			e, err := p.parseExpr()
 			if err != nil {
 				return macroStmt{}, err
 			}
 			st.params = append(st.params, e)
-			if p.peek().kind == tokComma {
-				p.advance()
+			if more, err = p.listNext(tokRParen); err != nil {
+				return macroStmt{}, err
 			}
 		}
 		p.advance()
@@ -653,7 +669,7 @@ func (p *parser) parseBarrier() error {
 	p.advance()
 	// Operands are irrelevant for the breakpoint semantics; validate
 	// they name known registers, then emit a single barrier.
-	for p.peek().kind != tokSemicolon {
+	for more := p.peek().kind != tokSemicolon; more; {
 		op, err := p.parseOperand()
 		if err != nil {
 			return err
@@ -661,8 +677,8 @@ func (p *parser) parseBarrier() error {
 		if _, ok := p.qregs[op.name]; !ok {
 			return p.errAt(token{line: op.line, col: op.col}, "unknown quantum register %q", op.name)
 		}
-		if p.peek().kind == tokComma {
-			p.advance()
+		if more, err = p.listNext(tokSemicolon); err != nil {
+			return err
 		}
 	}
 	p.advance() // ';'
@@ -727,7 +743,7 @@ func (p *parser) parseGateCall(cond *qc.Condition) error {
 	var params []float64
 	if p.peek().kind == tokLParen {
 		p.advance()
-		for p.peek().kind != tokRParen {
+		for more := p.peek().kind != tokRParen; more; {
 			e, err := p.parseExpr()
 			if err != nil {
 				return err
@@ -737,8 +753,8 @@ func (p *parser) parseGateCall(cond *qc.Condition) error {
 				return err
 			}
 			params = append(params, v)
-			if p.peek().kind == tokComma {
-				p.advance()
+			if more, err = p.listNext(tokRParen); err != nil {
+				return err
 			}
 		}
 		p.advance()

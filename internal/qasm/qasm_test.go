@@ -310,6 +310,14 @@ func TestParseErrors(t *testing.T) {
 		{"qreg q[1];\nh q[0]; = ;", "unexpected '='"},
 		{"qreg q[1];\n/* unterminated", "unterminated block comment"},
 		{"qreg q[1];\nh \"str\";", "expected"},
+		// List items must be separated by commas, with none trailing.
+		{"qreg q[1];\nu3(0.1 0.2 0.3) q[0];", "qasm:2:8: expected ',' or ')', found number \"0.2\""},
+		{"qreg q[1];\nu3(0.1,0.2,0.3,) q[0];", "qasm:2:16: expected expression, found ')'"},
+		{"qreg q[2];\nbarrier q[0] q[1];", "qasm:2:14: expected ',' or ';', found identifier \"q\""},
+		{"qreg q[2];\nbarrier q,;", "qasm:2:11: expected register operand"},
+		{"qreg q[1];\ngate g(a b) x { rz(a) x; }", "qasm:2:10: expected ',' or ')', found identifier \"b\""},
+		{"qreg q[1];\ngate g(a,) x { rz(a) x; }", "qasm:2:10: expected parameter name"},
+		{"qreg q[1];\ngate g(a) x { U(a 0, 0) x; }", "qasm:2:19: expected ',' or ')', found number \"0\""},
 	}
 	for _, c := range cases {
 		parseErr(t, c.src, c.want)

@@ -84,6 +84,21 @@ func (p *refParser) expect(kind tokenKind) error {
 	return nil
 }
 
+// listNext reads what follows an item of a comma-separated list that
+// ends at the token close: it consumes a ',' and reports that another
+// item follows, or reports the end of the list at close.
+func (p *refParser) listNext(close tokenKind) (bool, error) {
+	switch t := p.peek(); t.kind {
+	case tokComma:
+		p.advance()
+		return true, nil
+	case close:
+		return false, nil
+	default:
+		return false, p.errAt(t, "expected ',' or %s, found %s %q", close, t.kind, t.text)
+	}
+}
+
 func (p *refParser) parseProgram() error {
 	// Optional version header.
 	if t := p.peek(); t.kind == tokIdent && t.text == "OPENQASM" {
@@ -243,15 +258,16 @@ func (p *refParser) parseGateDecl() error {
 	}
 	if p.peek().kind == tokLParen {
 		p.advance()
-		for p.peek().kind != tokRParen {
+		for more := p.peek().kind != tokRParen; more; {
 			t := p.peek()
 			if t.kind != tokIdent {
 				return p.errAt(t, "expected parameter name")
 			}
 			m.params = append(m.params, t.text)
 			p.advance()
-			if p.peek().kind == tokComma {
-				p.advance()
+			var err error
+			if more, err = p.listNext(tokRParen); err != nil {
+				return err
 			}
 		}
 		p.advance() // ')'
@@ -338,14 +354,14 @@ func (p *refParser) parseMacroStmt(m *refMacro) (refMacroStmt, error) {
 	p.advance()
 	if p.peek().kind == tokLParen {
 		p.advance()
-		for p.peek().kind != tokRParen {
+		for more := p.peek().kind != tokRParen; more; {
 			e, err := p.parseExpr()
 			if err != nil {
 				return refMacroStmt{}, err
 			}
 			st.params = append(st.params, e)
-			if p.peek().kind == tokComma {
-				p.advance()
+			if more, err = p.listNext(tokRParen); err != nil {
+				return refMacroStmt{}, err
 			}
 		}
 		p.advance()
@@ -486,7 +502,7 @@ func (p *refParser) parseBarrier() error {
 	p.advance()
 	// Operands are irrelevant for the breakpoint semantics; validate
 	// they name known registers, then emit a single barrier.
-	for p.peek().kind != tokSemicolon {
+	for more := p.peek().kind != tokSemicolon; more; {
 		op, err := p.parseOperand()
 		if err != nil {
 			return err
@@ -494,8 +510,8 @@ func (p *refParser) parseBarrier() error {
 		if _, ok := p.qregs[op.name]; !ok {
 			return p.errAt(refToken{line: op.line, col: op.col}, "unknown quantum register %q", op.name)
 		}
-		if p.peek().kind == tokComma {
-			p.advance()
+		if more, err = p.listNext(tokSemicolon); err != nil {
+			return err
 		}
 	}
 	p.advance() // ';'
@@ -559,7 +575,7 @@ func (p *refParser) parseGateCall(cond *qc.Condition) error {
 	var params []float64
 	if p.peek().kind == tokLParen {
 		p.advance()
-		for p.peek().kind != tokRParen {
+		for more := p.peek().kind != tokRParen; more; {
 			e, err := p.parseExpr()
 			if err != nil {
 				return err
@@ -569,8 +585,8 @@ func (p *refParser) parseGateCall(cond *qc.Condition) error {
 				return err
 			}
 			params = append(params, v)
-			if p.peek().kind == tokComma {
-				p.advance()
+			if more, err = p.listNext(tokRParen); err != nil {
+				return err
 			}
 		}
 		p.advance()
