@@ -9,6 +9,7 @@ package quantumdd_test
 import (
 	"io"
 	"math/rand"
+	"os"
 	"runtime"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"quantumdd/internal/bench"
 	"quantumdd/internal/dd"
 	"quantumdd/internal/linalg"
+	"quantumdd/internal/qasm"
 	"quantumdd/internal/qc"
 	"quantumdd/internal/sim"
 	"quantumdd/internal/verify"
@@ -266,6 +268,23 @@ func BenchmarkMicroVerifyQFT6Generic(b *testing.B) {
 		res, err := verify.Check(qft, comp, verify.Proportional, verify.WithGenericMM())
 		if err != nil || !res.Equivalent {
 			b.Fatalf("verification failed: %v %v", res, err)
+		}
+	}
+}
+
+// BenchmarkMicroParseGrover7 times the QASM front end on the lowered
+// Grover(7) source the batch benchmark sends; MB/s is source bytes.
+func BenchmarkMicroParseGrover7(b *testing.B) {
+	src, err := os.ReadFile("testdata/grover7_lowered.qasm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	code := string(src)
+	b.SetBytes(int64(len(code)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := qasm.Parse(code); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -6,4 +6,5 @@ package qasm
 var (
 	RefParseWithIncludes = refParseWithIncludes
 	CircuitDigest        = circuitDigest
+	CheckOps             = checkOps
 )

@@ -6,110 +6,131 @@ import (
 	"strconv"
 )
 
-// expr is a parameter expression AST evaluated against the formal
-// parameters of a gate macro (empty environment at top level).
-type expr interface {
-	eval(env map[string]float64) (float64, error)
-}
+// expr is a compiled parameter expression: its instructions in
+// postfix order, evaluated against the formal parameters of a gate
+// macro (none at top level). Evaluation is the post-order walk of the
+// expression tree, so the first error it meets is the one a
+// tree-walking evaluator would report.
+type expr []instr
 
-type numExpr float64
+type opcode uint8
 
-func (e numExpr) eval(map[string]float64) (float64, error) { return float64(e), nil }
+const (
+	opNum opcode = iota // push val
+	opVar               // push env[arg]
+	opNeg
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opPow
+	opSin
+	opCos
+	opTan
+	opExp
+	opLn
+	opSqrt
+	opCall // a call of an unknown function
+)
 
-type piExpr struct{}
-
-func (piExpr) eval(map[string]float64) (float64, error) { return math.Pi, nil }
-
-type varExpr struct {
-	name      string
+type instr struct {
+	op        opcode
+	arg       int     // opVar: formal parameter index, -1 if name is not one
+	val       float64 // opNum
+	name      string  // opVar, opCall: the identifier, for error messages
 	line, col int
 }
 
-func (e varExpr) eval(env map[string]float64) (float64, error) {
-	if v, ok := env[e.name]; ok {
-		return v, nil
-	}
-	return 0, &Error{Line: e.line, Col: e.col, Msg: fmt.Sprintf("unknown parameter %q", e.name)}
+func (in *instr) errf(format string, args ...interface{}) error {
+	return &Error{Line: in.line, Col: in.col, Msg: fmt.Sprintf(format, args...)}
 }
 
-type unaryExpr struct {
-	op rune // '-'
-	x  expr
-}
-
-func (e unaryExpr) eval(env map[string]float64) (float64, error) {
-	v, err := e.x.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	return -v, nil
-}
-
-type binExpr struct {
-	op        rune // '+', '-', '*', '/', '^'
-	l, r      expr
-	line, col int
-}
-
-func (e binExpr) eval(env map[string]float64) (float64, error) {
-	a, err := e.l.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	b, err := e.r.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch e.op {
-	case '+':
-		return a + b, nil
-	case '-':
-		return a - b, nil
-	case '*':
-		return a * b, nil
-	case '/':
-		if b == 0 {
-			return 0, &Error{Line: e.line, Col: e.col, Msg: "division by zero in parameter expression"}
-		}
-		return a / b, nil
-	case '^':
-		return math.Pow(a, b), nil
-	}
-	return 0, &Error{Line: e.line, Col: e.col, Msg: fmt.Sprintf("unknown operator %q", e.op)}
-}
-
-type callExpr struct {
-	fn        string
-	arg       expr
-	line, col int
-}
-
-func (e callExpr) eval(env map[string]float64) (float64, error) {
-	v, err := e.arg.eval(env)
-	if err != nil {
-		return 0, err
-	}
-	switch e.fn {
+// function returns the opcode of a built-in function, or opCall for
+// any other name.
+func function(name string) opcode {
+	switch name {
 	case "sin":
-		return math.Sin(v), nil
+		return opSin
 	case "cos":
-		return math.Cos(v), nil
+		return opCos
 	case "tan":
-		return math.Tan(v), nil
+		return opTan
 	case "exp":
-		return math.Exp(v), nil
+		return opExp
 	case "ln":
-		if v <= 0 {
-			return 0, &Error{Line: e.line, Col: e.col, Msg: "ln of non-positive value"}
-		}
-		return math.Log(v), nil
+		return opLn
 	case "sqrt":
-		if v < 0 {
-			return 0, &Error{Line: e.line, Col: e.col, Msg: "sqrt of negative value"}
-		}
-		return math.Sqrt(v), nil
+		return opSqrt
 	}
-	return 0, &Error{Line: e.line, Col: e.col, Msg: fmt.Sprintf("unknown function %q", e.fn)}
+	return opCall
+}
+
+// eval runs e with env as the values of the formal parameters, on
+// the parser's reusable stack.
+func (p *parser) eval(e expr, env []float64) (float64, error) {
+	st := p.stack[:0]
+	for i := range e {
+		in := &e[i]
+		switch in.op {
+		case opNum:
+			st = append(st, in.val)
+			continue
+		case opVar:
+			if in.arg < 0 {
+				return 0, in.errf("unknown parameter %q", in.name)
+			}
+			st = append(st, env[in.arg])
+			continue
+		case opCall:
+			return 0, in.errf("unknown function %q", in.name)
+		}
+		top := len(st) - 1
+		v := st[top]
+		switch in.op {
+		case opNeg:
+			v = -v
+		case opSin:
+			v = math.Sin(v)
+		case opCos:
+			v = math.Cos(v)
+		case opTan:
+			v = math.Tan(v)
+		case opExp:
+			v = math.Exp(v)
+		case opLn:
+			if v <= 0 {
+				return 0, in.errf("ln of non-positive value")
+			}
+			v = math.Log(v)
+		case opSqrt:
+			if v < 0 {
+				return 0, in.errf("sqrt of negative value")
+			}
+			v = math.Sqrt(v)
+		default:
+			top--
+			a, b := st[top], v
+			switch in.op {
+			case opAdd:
+				v = a + b
+			case opSub:
+				v = a - b
+			case opMul:
+				v = a * b
+			case opDiv:
+				if b == 0 {
+					return 0, in.errf("division by zero in parameter expression")
+				}
+				v = a / b
+			case opPow:
+				v = math.Pow(a, b)
+			}
+			st = st[:top+1]
+		}
+		st[top] = v
+	}
+	p.stack = st
+	return st[0], nil
 }
 
 // Expression grammar (OpenQASM 2.0 §A.2):
@@ -119,117 +140,133 @@ func (e callExpr) eval(env map[string]float64) (float64, error) {
 //	unary  := '-' unary | pow
 //	pow    := primary ('^' unary)?
 //	primary:= number | 'pi' | ident | ident '(' expr ')' | '(' expr ')'
+//
+// parseExpr compiles one expression and returns its instructions, a
+// slice of p.code that the next parseExpr overwrites. Identifiers
+// name formal parameters of p.formals; when a name repeats, the last
+// one counts.
 func (p *parser) parseExpr() (expr, error) {
-	l, err := p.parseTerm()
-	if err != nil {
+	p.code = p.code[:0]
+	if err := p.parseSum(); err != nil {
 		return nil, err
 	}
+	return p.code, nil
+}
+
+func (p *parser) emit(op opcode, at token) {
+	p.code = append(p.code, instr{op: op, line: at.line, col: at.col})
+}
+
+func (p *parser) parseSum() error {
+	if err := p.parseTerm(); err != nil {
+		return err
+	}
 	for {
-		t := p.peek()
+		t := p.tok
 		if t.kind != tokPlus && t.kind != tokMinus {
-			return l, nil
+			return nil
 		}
 		p.advance()
-		r, err := p.parseTerm()
-		if err != nil {
-			return nil, err
+		if err := p.parseTerm(); err != nil {
+			return err
 		}
-		op := '+'
+		op := opAdd
 		if t.kind == tokMinus {
-			op = '-'
+			op = opSub
 		}
-		l = binExpr{op: op, l: l, r: r, line: t.line, col: t.col}
+		p.emit(op, t)
 	}
 }
 
-func (p *parser) parseTerm() (expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
+func (p *parser) parseTerm() error {
+	if err := p.parseUnary(); err != nil {
+		return err
 	}
 	for {
-		t := p.peek()
+		t := p.tok
 		if t.kind != tokStar && t.kind != tokSlash {
-			return l, nil
+			return nil
 		}
 		p.advance()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		if err := p.parseUnary(); err != nil {
+			return err
 		}
-		op := '*'
+		op := opMul
 		if t.kind == tokSlash {
-			op = '/'
+			op = opDiv
 		}
-		l = binExpr{op: op, l: l, r: r, line: t.line, col: t.col}
+		p.emit(op, t)
 	}
 }
 
-func (p *parser) parseUnary() (expr, error) {
-	if t := p.peek(); t.kind == tokMinus {
+func (p *parser) parseUnary() error {
+	if t := p.tok; t.kind == tokMinus {
 		p.advance()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		if err := p.parseUnary(); err != nil {
+			return err
 		}
-		return unaryExpr{op: '-', x: x}, nil
+		p.emit(opNeg, t)
+		return nil
 	}
 	return p.parsePow()
 }
 
-func (p *parser) parsePow() (expr, error) {
-	base, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
+func (p *parser) parsePow() error {
+	if err := p.parsePrimary(); err != nil {
+		return err
 	}
-	if t := p.peek(); t.kind == tokCaret {
+	if t := p.tok; t.kind == tokCaret {
 		p.advance()
-		exp, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		if err := p.parseUnary(); err != nil {
+			return err
 		}
-		return binExpr{op: '^', l: base, r: exp, line: t.line, col: t.col}, nil
+		p.emit(opPow, t)
 	}
-	return base, nil
+	return nil
 }
 
-func (p *parser) parsePrimary() (expr, error) {
-	t := p.peek()
+func (p *parser) parsePrimary() error {
+	t := p.tok
 	switch t.kind {
 	case tokNumber:
 		p.advance()
 		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
-			return nil, &Error{Line: t.line, Col: t.col, Msg: fmt.Sprintf("malformed number %q", t.text)}
+			return p.errAt(t, "malformed number %q", t.text)
 		}
-		return numExpr(v), nil
+		p.code = append(p.code, instr{op: opNum, val: v})
+		return nil
 	case tokIdent:
 		p.advance()
 		if t.text == "pi" {
-			return piExpr{}, nil
+			p.code = append(p.code, instr{op: opNum, val: math.Pi})
+			return nil
 		}
-		if p.peek().kind == tokLParen {
+		if p.tok.kind == tokLParen {
 			p.advance()
-			arg, err := p.parseExpr()
-			if err != nil {
-				return nil, err
+			if err := p.parseSum(); err != nil {
+				return err
 			}
 			if err := p.expect(tokRParen); err != nil {
-				return nil, err
+				return err
 			}
-			return callExpr{fn: t.text, arg: arg, line: t.line, col: t.col}, nil
+			p.code = append(p.code, instr{op: function(t.text), name: t.text, line: t.line, col: t.col})
+			return nil
 		}
-		return varExpr{name: t.text, line: t.line, col: t.col}, nil
+		arg := -1
+		for i, f := range p.formals {
+			if f == t.text {
+				arg = i
+			}
+		}
+		p.code = append(p.code, instr{op: opVar, arg: arg, name: t.text, line: t.line, col: t.col})
+		return nil
 	case tokLParen:
 		p.advance()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+		if err := p.parseSum(); err != nil {
+			return err
 		}
-		if err := p.expect(tokRParen); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return p.expect(tokRParen)
 	}
-	return nil, &Error{Line: t.line, Col: t.col, Msg: fmt.Sprintf("expected expression, found %s", t.kind)}
+	return p.errAt(t, "expected expression, found %s", t.kind)
 }

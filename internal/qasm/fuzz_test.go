@@ -27,6 +27,27 @@ var parseSeeds = []string{
 	"qreg q[1];\nh -> q[0];",
 	"opaque o a;",
 	"qreg q[1];\n/* */ h q[0];",
+	// Rune semantics of the lexer: identifiers, digits and whitespace
+	// are unicode classes, columns count runes and each invalid UTF-8
+	// byte reads as one U+FFFD.
+	"qreg ä[2]; h ä[0]; $",
+	"qreg\u00a0q[2];\u0085h q[0];\u2028cx q[0],\u00a0q[1]; $",
+	"qreg q[2];\nh q[\u0661];",
+	"qreg q[\u0663];",
+	"qreg q[1];\np(\u0663) q[0];",
+	"qreg q\xff[1];",
+	"qreg q[1\xff];",
+	"qreg q[1];\nh q\xc3[0];",
+	"qreg q[1]; // \xff\xfe ü\nh q[0]; /* \xc3 \x80\x80 é */ x q[0]; $",
+	"include \"\xff.inc\";\nqreg q[1];",
+	"include \"ü\xe2\x82.inc\";\nqreg q[1];",
+	"OPENQASM 2.0;\r\nqreg q[2];\r\nh q[0];\r\ncx q[0],q[1];\r\n$",
+	"qreg q[1];\nh q[0]; // ü€\n€ h q[0];",
+	"qreg q[1]; /* ✓✓ */ #",
+	"qreg q[1];\n/* ü€\nx",
+	"qreg q[1];\n/* ü€",
+	"include \"ü€",
+	"qreg q[1];\nh q[0];\u3000\u00a0=",
 }
 
 // FuzzParse checks that the parser never panics and that accepted

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -81,6 +82,9 @@ func (k tokenKind) String() string {
 	}
 }
 
+// token is one lexeme. Its text is a substring of the source (empty
+// for punctuation); only a string literal holding invalid UTF-8 gets
+// a copy, with U+FFFD for each invalid byte.
 type token struct {
 	kind tokenKind
 	text string
@@ -99,67 +103,114 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("qasm:%d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
+// lexer reads a source string in place. Positions count runes, as
+// if the source were a []rune: each invalid UTF-8 byte is one U+FFFD.
+// ASCII takes a byte fast path; other runes are decoded and classed
+// with the unicode package, so a non-ASCII letter may start an
+// identifier, a non-ASCII digit may appear in a number and U+00A0
+// separates tokens.
 type lexer struct {
-	src  []rune
-	pos  int
+	src  string
+	pos  int // byte offset of the next rune
 	line int
 	col  int
 	err  error // the first lex error; the parser stops reading here
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1, col: 1}
+func newLexer(src string) lexer {
+	return lexer{src: src, line: 1, col: 1}
 }
 
 func (l *lexer) errf(format string, args ...interface{}) *Error {
 	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *lexer) peek() rune {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
+// Byte classes. From classSpace on, a byte may begin whitespace or a
+// comment, which skipSpaceAndComments consumes.
+const (
+	classOther  uint8 = iota // other ASCII: punctuation or an error
+	classLetter              // A-Z, a-z and '_', which identifiers treat as a letter
+	classDigit
+	classSpace // ASCII whitespace but '\n'
+	classNewline
+	classSlash
+	classMulti // a byte of a multi-byte rune, or invalid
+)
 
-func (l *lexer) advance() rune {
-	r := l.src[l.pos]
-	l.pos++
-	if r == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
+var byteClass = func() (c [256]uint8) {
+	for b := 'a'; b <= 'z'; b++ {
+		c[b] = classLetter
+		c[b-'a'+'A'] = classLetter
 	}
-	return r
+	c['_'] = classLetter
+	for b := '0'; b <= '9'; b++ {
+		c[b] = classDigit
+	}
+	for _, b := range "\t\v\f\r " {
+		c[b] = classSpace
+	}
+	c['\n'] = classNewline
+	c['/'] = classSlash
+	for b := utf8.RuneSelf; b < 256; b++ {
+		c[b] = classMulti
+	}
+	return c
+}()
+
+// skipTo moves the position forward to byte offset end, counting
+// lines and rune columns on the way.
+func (l *lexer) skipTo(end int) {
+	seg := l.src[l.pos:end]
+	if nl := strings.LastIndexByte(seg, '\n'); nl >= 0 {
+		l.line += strings.Count(seg, "\n")
+		l.col = 1
+		seg = seg[nl+1:]
+	}
+	l.col += utf8.RuneCountInString(seg)
+	l.pos = end
 }
 
 func (l *lexer) skipSpaceAndComments() error {
 	for l.pos < len(l.src) {
-		r := l.peek()
-		switch {
-		case unicode.IsSpace(r):
-			l.advance()
-		case r == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for l.pos < len(l.src) && l.peek() != '\n' {
-				l.advance()
-			}
-		case r == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
-			l.advance()
-			l.advance()
-			closed := false
-			for l.pos+1 < len(l.src) {
-				if l.peek() == '*' && l.src[l.pos+1] == '/' {
-					l.advance()
-					l.advance()
-					closed = true
-					break
+		switch byteClass[l.src[l.pos]] {
+		case classSpace:
+			l.pos++
+			l.col++
+		case classNewline:
+			l.pos++
+			l.line++
+			l.col = 1
+		case classSlash:
+			rest := l.src[l.pos:]
+			switch {
+			case strings.HasPrefix(rest, "//"):
+				end := strings.IndexByte(rest, '\n')
+				if end < 0 {
+					end = len(rest)
 				}
-				l.advance()
+				l.skipTo(l.pos + end)
+			case strings.HasPrefix(rest, "/*"):
+				end := strings.Index(rest[2:], "*/")
+				if end < 0 {
+					// Stop on the last rune, where the error is reported.
+					l.skipTo(l.pos + 2)
+					if l.pos < len(l.src) {
+						_, w := utf8.DecodeLastRuneInString(l.src[l.pos:])
+						l.skipTo(len(l.src) - w)
+					}
+					return l.errf("unterminated block comment")
+				}
+				l.skipTo(l.pos + 2 + end + 2)
+			default:
+				return nil
 			}
-			if !closed {
-				return l.errf("unterminated block comment")
+		case classMulti:
+			r, w := utf8.DecodeRuneInString(l.src[l.pos:])
+			if !unicode.IsSpace(r) {
+				return nil
 			}
+			l.pos += w
+			l.col++
 		default:
 			return nil
 		}
@@ -167,74 +218,62 @@ func (l *lexer) skipSpaceAndComments() error {
 	return nil
 }
 
-func (l *lexer) next() (token, error) {
-	if err := l.skipSpaceAndComments(); err != nil {
-		return token{}, err
+// scan reads the next token into tok. On an error tok is left
+// partly written.
+func (l *lexer) scan(tok *token) error {
+	if l.pos < len(l.src) && byteClass[l.src[l.pos]] >= classSpace {
+		if err := l.skipSpaceAndComments(); err != nil {
+			return err
+		}
 	}
-	tok := token{line: l.line, col: l.col}
+	tok.line, tok.col, tok.text = l.line, l.col, ""
 	if l.pos >= len(l.src) {
 		tok.kind = tokEOF
-		return tok, nil
+		return nil
 	}
-	r := l.peek()
+	start := l.pos
+	b := l.src[start]
+	r, w := rune(b), 1
+	class := byteClass[b]
+	if class == classMulti {
+		r, w = utf8.DecodeRuneInString(l.src[start:])
+		switch {
+		case unicode.IsLetter(r):
+			class = classLetter
+		case unicode.IsDigit(r):
+			class = classDigit
+		}
+	}
 	switch {
-	case unicode.IsLetter(r) || r == '_':
-		var b strings.Builder
-		for l.pos < len(l.src) {
-			r := l.peek()
-			if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-				b.WriteRune(l.advance())
-			} else {
-				break
-			}
-		}
+	case class == classLetter:
+		l.scanWhile(start, true)
 		tok.kind = tokIdent
-		tok.text = b.String()
-		return tok, nil
-	case unicode.IsDigit(r) || r == '.':
-		var b strings.Builder
-		seenDot := false
-		seenExp := false
-		for l.pos < len(l.src) {
-			r := l.peek()
-			switch {
-			case unicode.IsDigit(r):
-				b.WriteRune(l.advance())
-			case r == '.' && !seenDot && !seenExp:
-				seenDot = true
-				b.WriteRune(l.advance())
-			case (r == 'e' || r == 'E') && !seenExp && b.Len() > 0:
-				seenExp = true
-				b.WriteRune(l.advance())
-				if l.peek() == '+' || l.peek() == '-' {
-					b.WriteRune(l.advance())
-				}
-			default:
-				goto doneNumber
-			}
-		}
-	doneNumber:
-		if b.String() == "." {
-			return token{}, l.errf("malformed number")
-		}
+		tok.text = l.src[start:l.pos]
+		return nil
+	case class == classDigit || b == '.':
 		tok.kind = tokNumber
-		tok.text = b.String()
-		return tok, nil
-	case r == '"':
-		l.advance()
-		var b strings.Builder
-		for l.pos < len(l.src) && l.peek() != '"' {
-			b.WriteRune(l.advance())
+		tok.text = l.scanNumber(start)
+		if tok.text == "." {
+			return l.errf("malformed number")
 		}
-		if l.pos >= len(l.src) {
-			return token{}, l.errf("unterminated string literal")
+		return nil
+	case b == '"':
+		end := strings.IndexByte(l.src[start+1:], '"')
+		if end < 0 {
+			l.skipTo(len(l.src))
+			return l.errf("unterminated string literal")
 		}
-		l.advance()
+		text := l.src[start+1 : start+1+end]
+		l.skipTo(start + 1 + end + 1)
+		if !utf8.ValidString(text) {
+			text = string([]rune(text))
+		}
 		tok.kind = tokString
-		tok.text = b.String()
-		return tok, nil
+		tok.text = text
+		return nil
 	}
-	l.advance()
+	l.pos += w
+	l.col++
 	switch r {
 	case ';':
 		tok.kind = tokSemicolon
@@ -261,31 +300,83 @@ func (l *lexer) next() (token, error) {
 	case '^':
 		tok.kind = tokCaret
 	case '-':
-		if l.peek() == '>' {
-			l.advance()
+		if l.pos < len(l.src) && l.src[l.pos] == '>' {
+			l.pos++
+			l.col++
 			tok.kind = tokArrow
 		} else {
 			tok.kind = tokMinus
 		}
 	case '=':
-		if l.peek() == '=' {
-			l.advance()
+		if l.pos < len(l.src) && l.src[l.pos] == '=' {
+			l.pos++
+			l.col++
 			tok.kind = tokEqEq
 		} else {
-			return token{}, l.errf("unexpected '=' (did you mean '==')")
+			return l.errf("unexpected '=' (did you mean '==')")
 		}
 	default:
-		return token{}, l.errf("unexpected character %q", r)
+		return l.errf("unexpected character %q", r)
 	}
-	return tok, nil
+	return nil
+}
+
+// scanWhile consumes the digits from byte offset start on, and the
+// letters too if letters is set.
+func (l *lexer) scanWhile(start int, letters bool) {
+	i, extra := start, 0
+	for i < len(l.src) {
+		switch byteClass[l.src[i]] {
+		case classDigit:
+			i++
+			continue
+		case classLetter:
+			if letters {
+				i++
+				continue
+			}
+		case classMulti:
+			r, w := utf8.DecodeRuneInString(l.src[i:])
+			if unicode.IsDigit(r) || letters && unicode.IsLetter(r) {
+				i += w
+				extra += w - 1
+				continue
+			}
+		}
+		break
+	}
+	l.pos = i
+	l.col += i - start - extra
+}
+
+// scanNumber consumes a number: digits with at most one '.', then an
+// optional exponent ('e' or 'E', an optional sign and digits), where
+// an exponent needs something before it.
+func (l *lexer) scanNumber(start int) string {
+	l.scanWhile(start, false)
+	if l.pos < len(l.src) && l.src[l.pos] == '.' {
+		l.pos++
+		l.col++
+		l.scanWhile(l.pos, false)
+	}
+	if l.pos > start && l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
+		l.pos++
+		l.col++
+		if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
+			l.pos++
+			l.col++
+		}
+		l.scanWhile(l.pos, false)
+	}
+	return l.src[start:l.pos]
 }
 
 // drain lexes the rest of the input and returns the first error, if
 // any.
 func (l *lexer) drain() error {
+	var t token
 	for {
-		t, err := l.next()
-		if err != nil || t.kind == tokEOF {
+		if err := l.scan(&t); err != nil || t.kind == tokEOF {
 			return err
 		}
 	}

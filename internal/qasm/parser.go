@@ -6,34 +6,39 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"quantumdd/internal/qc"
 )
 
 // reg describes a declared quantum or classical register: a contiguous
-// slice of the flattened global index space.
+// slice of the flattened global index space of its kind.
 type reg struct {
-	offset int
-	size   int
+	offset  int
+	size    int
+	quantum bool
 }
 
 // macro is a user-defined gate ("gate name(params) qargs { body }").
 type macro struct {
-	name   string
-	params []string
-	qargs  []string
-	body   []macroStmt
+	name    string
+	nparams int
+	nqargs  int
+	body    []macroStmt
 }
 
-// macroStmt is one statement of a macro body: a gate call on formal
-// arguments, or a barrier (which is a no-op inside macros here).
+// macroStmt is one gate call of a macro body, resolved when the body
+// is parsed: the callee is a native gate or an earlier macro, each
+// parameter is compiled over the macro's formal parameters and each
+// qubit argument is an index into its qubit arguments. Barriers in a
+// body are scheduling hints and leave no statement.
 type macroStmt struct {
-	name    string
-	params  []expr
-	qargs   []string
-	barrier bool
-	line    int
-	col     int
+	name      string
+	gate      native
+	inner     *macro // the callee when it is a macro, else nil
+	params    []expr
+	qargs     []int
+	line, col int
 }
 
 // parser is a recursive-descent parser with one token of lookahead,
@@ -47,18 +52,45 @@ type macroStmt struct {
 // include statement. A lexer that fails ends the token stream, and
 // after parsing lexError drains what is left of the open sources (on
 // success, nothing) to find the lex error that takes precedence.
+//
+// The parser builds the circuit's ops in place. Their Targets,
+// Controls and Params slices, and the Bits of their conditions, are
+// cut from a few shared slabs (see take), and the scratch lists of a
+// statement live in small arrays inside the parser, so a parse
+// allocates little beyond the op array it returns.
 type parser struct {
 	tok   token // lookahead: the next unconsumed token
-	lex   []*lexer
+	lex   []lexer
 	incAt []token
 
-	qregs  map[string]reg
-	cregs  map[string]reg
-	qorder []string // declaration order, for stable flattening
-	corder []string
-	nq, nc int
-	macros map[string]*macro
+	regs     map[string]reg // quantum and classical share one namespace
+	lastName string         // the register lookupReg found last
+	lastReg  reg
+	nq, nc   int
+	macros   map[string]*macro
+
 	ops    []qc.Op
+	slab   int // elements of the first op array and of each first slab
+	ints   []int
+	ctls   []qc.Control
+	floats []float64
+
+	// Scratch: the operands of the statement being parsed, the qubits
+	// and parameter values of the gate applications in flight (stacks,
+	// as macro expansions nest), the formal parameters of the gate
+	// being declared and the code and value stack of an expression.
+	operands []operand
+	qubits   []int
+	params   []float64
+	formals  []string
+	code     expr
+	stack    []float64
+
+	operandBuf [4]operand
+	qubitBuf   [16]int
+	paramBuf   [8]float64
+	codeBuf    [8]instr
+	stackBuf   [8]float64
 
 	resolve IncludeResolver
 }
@@ -96,12 +128,16 @@ func ParseFile(path string) (*qc.Circuit, error) {
 // ParseWithIncludes parses source with a custom include resolver.
 func ParseWithIncludes(src string, resolve IncludeResolver) (*qc.Circuit, error) {
 	p := &parser{
-		lex:     []*lexer{newLexer(src)},
-		qregs:   map[string]reg{},
-		cregs:   map[string]reg{},
-		macros:  map[string]*macro{},
+		lex:     []lexer{newLexer(src)},
+		regs:    map[string]reg{},
+		slab:    min(strings.Count(src, ";")+1, maxPresize),
 		resolve: resolve,
 	}
+	p.operands = p.operandBuf[:0]
+	p.qubits = p.qubitBuf[:0]
+	p.params = p.paramBuf[:0]
+	p.code = p.codeBuf[:0]
+	p.stack = p.stackBuf[:0]
 	p.advance() // load the lookahead
 	err := p.parseProgram()
 	if lerr := p.lexError(); lerr != nil {
@@ -115,38 +151,78 @@ func ParseWithIncludes(src string, resolve IncludeResolver) (*qc.Circuit, error)
 	}
 	circ := qc.New(p.nq, p.nc)
 	circ.Name = "qasm"
-	circ.Ops = make([]qc.Op, 0, len(p.ops))
-	for _, op := range p.ops {
-		circ.Append(op)
+	circ.Ops = p.ops
+	if circ.Ops == nil {
+		circ.Ops = []qc.Op{}
 	}
 	return circ, nil
 }
 
-func (p *parser) peek() token { return p.tok }
+// maxPresize caps the pre-sized op array and first slabs. Every op
+// statement ends in ';', so the main source's count of ';' sizes them
+// unless broadcasts, macros or includes add more; but comments may
+// hold any number of ';', and the cap keeps such a source from buying
+// a large array.
+const maxPresize = 1 << 12
 
-// advance consumes the lookahead token and pulls the next one from the
+// take cuts n elements from the free end of *slab, starting a new slab
+// (of at least size elements, and twice the last one) when too little
+// is left. The result has no spare capacity, so an append to one op's
+// slice reallocates rather than write into its neighbour's.
+func take[T any](slab *[]T, n, size int) []T {
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(n, size, 2*cap(s)))
+	}
+	i := len(s)
+	s = s[:i+n]
+	*slab = s
+	return s[i : i+n : i+n]
+}
+
+// newOp appends a zero op to the circuit's ops and returns it to be
+// filled in. The parser has checked what qc.Circuit.Append would:
+// qubits and bits inside the registers declared so far, distinct
+// operands, and each gate's parameter and target counts.
+func (p *parser) newOp(kind qc.OpKind) *qc.Op {
+	if p.ops == nil {
+		p.ops = make([]qc.Op, 0, p.slab)
+	}
+	p.ops = append(p.ops, qc.Op{Kind: kind})
+	return &p.ops[len(p.ops)-1]
+}
+
+// targets copies qs into the slab for the ops' qubit lists.
+func (p *parser) targets(qs ...int) []int {
+	s := take(&p.ints, len(qs), p.slab)
+	copy(s, qs)
+	return s
+}
+
+// advance consumes the lookahead token and reads the next one from the
 // innermost lexer, returning to the including source at the end of an
 // included file. After a lex error the stream reads as end of input.
-func (p *parser) advance() token {
-	t := p.tok
+func (p *parser) advance() {
+	if l := &p.lex[len(p.lex)-1]; l.err == nil {
+		if l.err = l.scan(&p.tok); l.err == nil && (p.tok.kind != tokEOF || len(p.lex) == 1) {
+			return
+		}
+	}
 	for {
-		l := p.lex[len(p.lex)-1]
+		l := &p.lex[len(p.lex)-1]
 		if l.err != nil {
 			p.tok = token{kind: tokEOF, line: l.line, col: l.col}
-			return t
+			return
 		}
-		next, err := l.next()
-		if err != nil {
-			l.err = err
+		if l.err = l.scan(&p.tok); l.err != nil {
 			continue
 		}
-		if next.kind == tokEOF && len(p.lex) > 1 {
+		if p.tok.kind == tokEOF && len(p.lex) > 1 {
 			p.lex = p.lex[:len(p.lex)-1]
 			p.incAt = p.incAt[:len(p.incAt)-1]
 			continue
 		}
-		p.tok = next
-		return t
+		return
 	}
 }
 
@@ -156,7 +232,8 @@ func (p *parser) advance() token {
 // when its statement was reached. Included files already popped from
 // the stack lexed cleanly to their end.
 func (p *parser) lexError() error {
-	for i, l := range p.lex {
+	for i := range p.lex {
+		l := &p.lex[i]
 		err := l.err
 		if err == nil {
 			err = l.drain()
@@ -178,7 +255,7 @@ func (p *parser) errAt(t token, format string, args ...interface{}) *Error {
 }
 
 func (p *parser) expect(kind tokenKind) error {
-	t := p.peek()
+	t := p.tok
 	if t.kind != kind {
 		return p.errAt(t, "expected %s, found %s %q", kind, t.kind, t.text)
 	}
@@ -190,7 +267,7 @@ func (p *parser) expect(kind tokenKind) error {
 // ends at the token close: it consumes a ',' and reports that another
 // item follows, or reports the end of the list at close.
 func (p *parser) listNext(close tokenKind) (bool, error) {
-	switch t := p.peek(); t.kind {
+	switch t := p.tok; t.kind {
 	case tokComma:
 		p.advance()
 		return true, nil
@@ -203,9 +280,9 @@ func (p *parser) listNext(close tokenKind) (bool, error) {
 
 func (p *parser) parseProgram() error {
 	// Optional version header.
-	if t := p.peek(); t.kind == tokIdent && t.text == "OPENQASM" {
+	if t := p.tok; t.kind == tokIdent && t.text == "OPENQASM" {
 		p.advance()
-		v := p.peek()
+		v := p.tok
 		if v.kind != tokNumber {
 			return p.errAt(v, "expected version number after OPENQASM")
 		}
@@ -217,19 +294,16 @@ func (p *parser) parseProgram() error {
 			return err
 		}
 	}
-	for {
-		t := p.peek()
-		if t.kind == tokEOF {
-			return nil
-		}
+	for p.tok.kind != tokEOF {
 		if err := p.parseStatement(); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
 func (p *parser) parseStatement() error {
-	t := p.peek()
+	t := p.tok
 	if t.kind != tokIdent {
 		return p.errAt(t, "expected statement, found %s %q", t.kind, t.text)
 	}
@@ -263,12 +337,12 @@ const maxIncludeDepth = 16
 
 func (p *parser) parseInclude() error {
 	p.advance()
-	t := p.peek()
+	t := p.tok
 	if t.kind != tokString {
 		return p.errAt(t, "expected file name string after include")
 	}
 	p.advance()
-	if p.peek().kind != tokSemicolon {
+	if p.tok.kind != tokSemicolon {
 		return p.expect(tokSemicolon)
 	}
 	if t.text == "qelib1.inc" {
@@ -296,7 +370,7 @@ func (p *parser) parseInclude() error {
 
 func (p *parser) parseRegDecl(quantum bool) error {
 	p.advance()
-	name := p.peek()
+	name := p.tok
 	if name.kind != tokIdent {
 		return p.errAt(name, "expected register name")
 	}
@@ -304,7 +378,7 @@ func (p *parser) parseRegDecl(quantum bool) error {
 	if err := p.expect(tokLBracket); err != nil {
 		return err
 	}
-	sz := p.peek()
+	sz := p.tok
 	if sz.kind != tokNumber {
 		return p.errAt(sz, "expected register size")
 	}
@@ -319,27 +393,49 @@ func (p *parser) parseRegDecl(quantum bool) error {
 	if err := p.expect(tokSemicolon); err != nil {
 		return err
 	}
-	if _, dup := p.qregs[name.text]; dup {
+	if _, dup := p.lookupReg(name.text); dup {
 		return p.errAt(name, "register %q already declared", name.text)
 	}
-	if _, dup := p.cregs[name.text]; dup {
-		return p.errAt(name, "register %q already declared", name.text)
-	}
+	r := reg{size: size, quantum: quantum}
 	if quantum {
-		p.qregs[name.text] = reg{offset: p.nq, size: size}
-		p.qorder = append(p.qorder, name.text)
+		r.offset = p.nq
 		p.nq += size
 	} else {
-		p.cregs[name.text] = reg{offset: p.nc, size: size}
-		p.corder = append(p.corder, name.text)
+		r.offset = p.nc
 		p.nc += size
 	}
+	p.regs[name.text] = r
 	return nil
+}
+
+// lookupReg finds a declared register. Consecutive operands mostly
+// name the same register, so the last one found is kept at hand.
+func (p *parser) lookupReg(name string) (reg, bool) {
+	if name == p.lastName {
+		return p.lastReg, true
+	}
+	r, ok := p.regs[name]
+	if ok {
+		p.lastName, p.lastReg = name, r
+	}
+	return r, ok
+}
+
+// qreg looks up a quantum register.
+func (p *parser) qreg(name string) (reg, bool) {
+	r, ok := p.lookupReg(name)
+	return r, ok && r.quantum
+}
+
+// creg looks up a classical register.
+func (p *parser) creg(name string) (reg, bool) {
+	r, ok := p.lookupReg(name)
+	return r, ok && !r.quantum
 }
 
 func (p *parser) parseOpaque() error {
 	// opaque name(params?) qargs ;  — declared but never executable.
-	for p.peek().kind != tokSemicolon && p.peek().kind != tokEOF {
+	for p.tok.kind != tokSemicolon && p.tok.kind != tokEOF {
 		p.advance()
 	}
 	return p.expect(tokSemicolon)
@@ -347,7 +443,7 @@ func (p *parser) parseOpaque() error {
 
 func (p *parser) parseGateDecl() error {
 	p.advance()
-	nameTok := p.peek()
+	nameTok := p.tok
 	if nameTok.kind != tokIdent {
 		return p.errAt(nameTok, "expected gate name")
 	}
@@ -356,19 +452,20 @@ func (p *parser) parseGateDecl() error {
 	if _, exists := p.macros[m.name]; exists {
 		return p.errAt(nameTok, "gate %q already defined", m.name)
 	}
-	if _, native := natives[m.name]; native || m.name == "U" || m.name == "CX" {
+	if _, native := lookupNative(m.name); native {
 		// Re-declaring a builtin (as qelib1.inc itself would) is
 		// accepted; the builtin implementation wins.
 		return p.skipGateBody()
 	}
-	if p.peek().kind == tokLParen {
+	var formals, qargs []string
+	if p.tok.kind == tokLParen {
 		p.advance()
-		for more := p.peek().kind != tokRParen; more; {
-			t := p.peek()
+		for more := p.tok.kind != tokRParen; more; {
+			t := p.tok
 			if t.kind != tokIdent {
 				return p.errAt(t, "expected parameter name")
 			}
-			m.params = append(m.params, t.text)
+			formals = append(formals, t.text)
 			p.advance()
 			var err error
 			if more, err = p.listNext(tokRParen); err != nil {
@@ -378,13 +475,13 @@ func (p *parser) parseGateDecl() error {
 		p.advance() // ')'
 	}
 	for {
-		t := p.peek()
+		t := p.tok
 		if t.kind != tokIdent {
 			return p.errAt(t, "expected qubit argument name")
 		}
-		m.qargs = append(m.qargs, t.text)
+		qargs = append(qargs, t.text)
 		p.advance()
-		if p.peek().kind == tokComma {
+		if p.tok.kind == tokComma {
 			p.advance()
 			continue
 		}
@@ -393,14 +490,18 @@ func (p *parser) parseGateDecl() error {
 	if err := p.expect(tokLBrace); err != nil {
 		return err
 	}
-	for p.peek().kind != tokRBrace {
-		st, err := p.parseMacroStmt(m)
-		if err != nil {
+	m.nparams, m.nqargs = len(formals), len(qargs)
+	p.formals = formals
+	for p.tok.kind != tokRBrace {
+		if err := p.parseMacroStmt(m, qargs); err != nil {
 			return err
 		}
-		m.body = append(m.body, st)
 	}
 	p.advance() // '}'
+	p.formals = nil
+	if p.macros == nil {
+		p.macros = map[string]*macro{}
+	}
 	p.macros[m.name] = m
 	return nil
 }
@@ -410,7 +511,7 @@ func (p *parser) parseGateDecl() error {
 func (p *parser) skipGateBody() error {
 	depth := 0
 	for {
-		t := p.peek()
+		t := p.tok
 		switch t.kind {
 		case tokEOF:
 			return p.errAt(t, "unexpected end of input in gate declaration")
@@ -434,212 +535,242 @@ func (p *parser) skipGateBody() error {
 	}
 }
 
-func (p *parser) parseMacroStmt(m *macro) (macroStmt, error) {
-	t := p.peek()
+// parseMacroStmt parses one statement of the body of m, whose qubit
+// arguments are qargs, and appends it to m.body.
+func (p *parser) parseMacroStmt(m *macro, qargs []string) error {
+	t := p.tok
 	if t.kind != tokIdent {
-		return macroStmt{}, p.errAt(t, "expected gate call in gate body")
+		return p.errAt(t, "expected gate call in gate body")
 	}
 	if t.text == "barrier" {
 		// barrier inside a macro is a scheduling hint; skip operands.
-		for p.peek().kind != tokSemicolon && p.peek().kind != tokEOF {
+		for p.tok.kind != tokSemicolon && p.tok.kind != tokEOF {
 			p.advance()
 		}
-		if err := p.expect(tokSemicolon); err != nil {
-			return macroStmt{}, err
-		}
-		return macroStmt{barrier: true, line: t.line, col: t.col}, nil
+		return p.expect(tokSemicolon)
 	}
+	st := macroStmt{name: t.text, line: t.line, col: t.col}
 	// OpenQASM 2.0 requires gates to be defined before use, which also
 	// rules out (mutual) recursion: a gate is not visible inside its
 	// own body.
-	if _, isNative := natives[t.text]; !isNative {
-		if _, isMacro := p.macros[t.text]; !isMacro {
-			return macroStmt{}, p.errAt(t, "unknown gate %q in body of %q (gates must be defined before use)", t.text, m.name)
-		}
+	if n, ok := lookupNative(t.text); ok {
+		st.gate = n
+	} else if st.inner = p.macros[t.text]; st.inner == nil {
+		return p.errAt(t, "unknown gate %q in body of %q (gates must be defined before use)", t.text, m.name)
 	}
-	st := macroStmt{name: t.text, line: t.line, col: t.col}
 	p.advance()
-	if p.peek().kind == tokLParen {
+	if p.tok.kind == tokLParen {
 		p.advance()
-		for more := p.peek().kind != tokRParen; more; {
+		for more := p.tok.kind != tokRParen; more; {
 			e, err := p.parseExpr()
 			if err != nil {
-				return macroStmt{}, err
+				return err
 			}
-			st.params = append(st.params, e)
+			st.params = append(st.params, append(expr(nil), e...))
 			if more, err = p.listNext(tokRParen); err != nil {
-				return macroStmt{}, err
+				return err
 			}
 		}
 		p.advance()
 	}
 	for {
-		a := p.peek()
+		a := p.tok
 		if a.kind != tokIdent {
-			return macroStmt{}, p.errAt(a, "expected qubit argument")
+			return p.errAt(a, "expected qubit argument")
 		}
-		found := false
-		for _, q := range m.qargs {
+		// A repeated argument name binds to its last position.
+		idx := -1
+		for i, q := range qargs {
 			if q == a.text {
-				found = true
-				break
+				idx = i
 			}
 		}
-		if !found {
-			return macroStmt{}, p.errAt(a, "unknown qubit argument %q in gate %q", a.text, m.name)
+		if idx < 0 {
+			return p.errAt(a, "unknown qubit argument %q in gate %q", a.text, m.name)
 		}
-		st.qargs = append(st.qargs, a.text)
+		st.qargs = append(st.qargs, idx)
 		p.advance()
-		if p.peek().kind == tokComma {
+		if p.tok.kind == tokComma {
 			p.advance()
 			continue
 		}
 		break
 	}
 	if err := p.expect(tokSemicolon); err != nil {
-		return macroStmt{}, err
+		return err
 	}
-	return st, nil
+	m.body = append(m.body, st)
+	return nil
 }
 
 // operand is a parsed quantum/classical argument: whole register or a
-// single indexed bit.
+// single indexed bit. resolveQubits fills in its register.
 type operand struct {
 	name    string
 	indexed bool
 	index   int
 	line    int
 	col     int
+	reg     reg
 }
 
-func (p *parser) parseOperand() (operand, error) {
-	t := p.peek()
+// parseOperand parses an operand into op.
+func (p *parser) parseOperand(op *operand) error {
+	t := &p.tok // the lookahead, which advance overwrites
 	if t.kind != tokIdent {
-		return operand{}, p.errAt(t, "expected register operand")
+		return p.errAt(*t, "expected register operand")
 	}
+	*op = operand{name: t.text, line: t.line, col: t.col}
 	p.advance()
-	op := operand{name: t.text, line: t.line, col: t.col}
-	if p.peek().kind == tokLBracket {
+	if t.kind == tokLBracket {
 		p.advance()
-		idx := p.peek()
-		if idx.kind != tokNumber {
-			return operand{}, p.errAt(idx, "expected index")
+		if t.kind != tokNumber {
+			return p.errAt(*t, "expected index")
 		}
-		index, err := strconv.Atoi(idx.text)
+		index, err := strconv.Atoi(t.text)
 		if err != nil {
-			return operand{}, p.errAt(idx, "invalid index %q", idx.text)
+			return p.errAt(*t, "invalid index %q", t.text)
 		}
 		op.index = index
 		p.advance()
 		if err := p.expect(tokRBracket); err != nil {
-			return operand{}, err
+			return err
 		}
 		op.indexed = true
 	}
-	return op, nil
+	return nil
 }
 
-// resolveQubits flattens an operand list into per-repetition global
-// qubit indices, implementing qelib1 broadcasting: whole registers
-// must share a common size n, single qubits repeat n times.
-func (p *parser) resolveQubits(operands []operand) ([][]int, error) {
+// at is the operand's position, for error messages.
+func (o *operand) at() token { return token{line: o.line, col: o.col} }
+
+// resolveQubits checks the operands of a gate call against the quantum
+// registers and returns how many applications qelib1 broadcasting
+// makes of it: whole registers must share a common size n, single
+// qubits repeat n times. No application may use a qubit twice.
+func (p *parser) resolveQubits(operands []operand) (int, error) {
 	width := 1
-	for _, o := range operands {
-		r, ok := p.qregs[o.name]
+	for i := range operands {
+		o := &operands[i]
+		r, ok := p.qreg(o.name)
 		if !ok {
-			return nil, p.errAt(token{line: o.line, col: o.col}, "unknown quantum register %q", o.name)
+			return 0, p.errAt(o.at(), "unknown quantum register %q", o.name)
 		}
+		o.reg = r
 		if o.indexed {
 			if o.index < 0 || o.index >= r.size {
-				return nil, p.errAt(token{line: o.line, col: o.col}, "index %d out of range for %s[%d]", o.index, o.name, r.size)
+				return 0, p.errAt(o.at(), "index %d out of range for %s[%d]", o.index, o.name, r.size)
 			}
 			continue
 		}
 		if width == 1 {
 			width = r.size
 		} else if r.size != width {
-			return nil, p.errAt(token{line: o.line, col: o.col}, "broadcast register sizes differ (%d vs %d)", r.size, width)
+			return 0, p.errAt(o.at(), "broadcast register sizes differ (%d vs %d)", r.size, width)
 		}
 	}
-	out := make([][]int, width)
 	for rep := 0; rep < width; rep++ {
-		idx := make([]int, len(operands))
-		for i, o := range operands {
-			r := p.qregs[o.name]
-			if o.indexed {
-				idx[i] = r.offset + o.index
-			} else {
-				k := rep
-				if r.size == 1 {
-					k = 0
-				}
-				idx[i] = r.offset + k
+		base := len(p.qubits)
+		if q, dup := repeated(p.application(operands, rep)); dup {
+			return 0, p.errAt(operands[0].at(), "gate operands overlap on qubit %d", q)
+		}
+		p.qubits = p.qubits[:base]
+	}
+	return width, nil
+}
+
+// application pushes the global qubits of application rep of a
+// resolved operand list onto the qubit stack and returns them.
+func (p *parser) application(operands []operand, rep int) []int {
+	base := len(p.qubits)
+	for i := range operands {
+		o := &operands[i]
+		k := o.index
+		if !o.indexed {
+			k = rep
+			if o.reg.size == 1 {
+				k = 0
 			}
 		}
-		// Distinctness within one application.
-		seen := map[int]bool{}
-		for _, q := range idx {
+		p.qubits = append(p.qubits, o.reg.offset+k)
+	}
+	return p.qubits[base:]
+}
+
+// repeated returns the first qubit of qs that an earlier one equals.
+func repeated(qs []int) (int, bool) {
+	if len(qs) > 32 {
+		seen := make(map[int]bool, len(qs))
+		for _, q := range qs {
 			if seen[q] {
-				return nil, p.errAt(token{line: operands[0].line, col: operands[0].col}, "gate operands overlap on qubit %d", q)
+				return q, true
 			}
 			seen[q] = true
 		}
-		out[rep] = idx
+		return 0, false
 	}
-	return out, nil
+	for i, q := range qs {
+		for _, e := range qs[:i] {
+			if e == q {
+				return q, true
+			}
+		}
+	}
+	return 0, false
 }
 
 func (p *parser) parseMeasure(cond *qc.Condition) error {
 	p.advance()
-	src, err := p.parseOperand()
-	if err != nil {
+	var src, dst operand
+	if err := p.parseOperand(&src); err != nil {
 		return err
 	}
 	if err := p.expect(tokArrow); err != nil {
 		return err
 	}
-	dst, err := p.parseOperand()
-	if err != nil {
+	if err := p.parseOperand(&dst); err != nil {
 		return err
 	}
 	if err := p.expect(tokSemicolon); err != nil {
 		return err
 	}
 	if cond != nil {
-		return p.errAt(token{line: src.line, col: src.col}, "classically-controlled measure is not supported")
+		return p.errAt(src.at(), "classically-controlled measure is not supported")
 	}
-	qr, ok := p.qregs[src.name]
+	qr, ok := p.qreg(src.name)
 	if !ok {
-		return p.errAt(token{line: src.line, col: src.col}, "unknown quantum register %q", src.name)
+		return p.errAt(src.at(), "unknown quantum register %q", src.name)
 	}
-	cr, ok := p.cregs[dst.name]
+	cr, ok := p.creg(dst.name)
 	if !ok {
-		return p.errAt(token{line: dst.line, col: dst.col}, "unknown classical register %q", dst.name)
+		return p.errAt(dst.at(), "unknown classical register %q", dst.name)
 	}
 	switch {
 	case src.indexed && dst.indexed:
 		if src.index >= qr.size || dst.index >= cr.size {
-			return p.errAt(token{line: src.line, col: src.col}, "measure index out of range")
+			return p.errAt(src.at(), "measure index out of range")
 		}
-		p.ops = append(p.ops, qc.Op{Kind: qc.KindMeasure, Targets: []int{qr.offset + src.index}, Cbit: cr.offset + dst.index})
+		op := p.newOp(qc.KindMeasure)
+		op.Targets, op.Cbit = p.targets(qr.offset+src.index), cr.offset+dst.index
 	case !src.indexed && !dst.indexed:
 		if qr.size != cr.size {
-			return p.errAt(token{line: src.line, col: src.col}, "measure register sizes differ (%d vs %d)", qr.size, cr.size)
+			return p.errAt(src.at(), "measure register sizes differ (%d vs %d)", qr.size, cr.size)
 		}
 		for i := 0; i < qr.size; i++ {
-			p.ops = append(p.ops, qc.Op{Kind: qc.KindMeasure, Targets: []int{qr.offset + i}, Cbit: cr.offset + i})
+			op := p.newOp(qc.KindMeasure)
+			op.Targets, op.Cbit = p.targets(qr.offset+i), cr.offset+i
 		}
 	default:
-		return p.errAt(token{line: src.line, col: src.col}, "measure operands must both be indexed or both be registers")
+		return p.errAt(src.at(), "measure operands must both be indexed or both be registers")
 	}
 	return nil
 }
 
 func (p *parser) parseReset(cond *qc.Condition) error {
-	t := p.peek()
+	t := p.tok
 	p.advance()
-	op, err := p.parseOperand()
-	if err != nil {
+	var op operand
+	if err := p.parseOperand(&op); err != nil {
 		return err
 	}
 	if err := p.expect(tokSemicolon); err != nil {
@@ -648,7 +779,7 @@ func (p *parser) parseReset(cond *qc.Condition) error {
 	if cond != nil {
 		return p.errAt(t, "classically-controlled reset is not supported")
 	}
-	r, ok := p.qregs[op.name]
+	r, ok := p.qreg(op.name)
 	if !ok {
 		return p.errAt(t, "unknown quantum register %q", op.name)
 	}
@@ -656,11 +787,11 @@ func (p *parser) parseReset(cond *qc.Condition) error {
 		if op.index >= r.size {
 			return p.errAt(t, "reset index out of range")
 		}
-		p.ops = append(p.ops, qc.Op{Kind: qc.KindReset, Targets: []int{r.offset + op.index}})
+		p.newOp(qc.KindReset).Targets = p.targets(r.offset + op.index)
 		return nil
 	}
 	for i := 0; i < r.size; i++ {
-		p.ops = append(p.ops, qc.Op{Kind: qc.KindReset, Targets: []int{r.offset + i}})
+		p.newOp(qc.KindReset).Targets = p.targets(r.offset + i)
 	}
 	return nil
 }
@@ -669,20 +800,21 @@ func (p *parser) parseBarrier() error {
 	p.advance()
 	// Operands are irrelevant for the breakpoint semantics; validate
 	// they name known registers, then emit a single barrier.
-	for more := p.peek().kind != tokSemicolon; more; {
-		op, err := p.parseOperand()
-		if err != nil {
+	var op operand
+	for more := p.tok.kind != tokSemicolon; more; {
+		if err := p.parseOperand(&op); err != nil {
 			return err
 		}
-		if _, ok := p.qregs[op.name]; !ok {
-			return p.errAt(token{line: op.line, col: op.col}, "unknown quantum register %q", op.name)
+		if _, ok := p.qreg(op.name); !ok {
+			return p.errAt(op.at(), "unknown quantum register %q", op.name)
 		}
+		var err error
 		if more, err = p.listNext(tokSemicolon); err != nil {
 			return err
 		}
 	}
 	p.advance() // ';'
-	p.ops = append(p.ops, qc.Op{Kind: qc.KindBarrier})
+	p.newOp(qc.KindBarrier)
 	return nil
 }
 
@@ -691,19 +823,19 @@ func (p *parser) parseIf() error {
 	if err := p.expect(tokLParen); err != nil {
 		return err
 	}
-	regTok := p.peek()
+	regTok := p.tok
 	if regTok.kind != tokIdent {
 		return p.errAt(regTok, "expected classical register in if condition")
 	}
 	p.advance()
-	cr, ok := p.cregs[regTok.text]
+	cr, ok := p.creg(regTok.text)
 	if !ok {
 		return p.errAt(regTok, "unknown classical register %q", regTok.text)
 	}
 	if err := p.expect(tokEqEq); err != nil {
 		return err
 	}
-	valTok := p.peek()
+	valTok := p.tok
 	if valTok.kind != tokNumber {
 		return p.errAt(valTok, "expected integer in if condition")
 	}
@@ -715,12 +847,12 @@ func (p *parser) parseIf() error {
 	if err := p.expect(tokRParen); err != nil {
 		return err
 	}
-	bits := make([]int, cr.size)
+	bits := take(&p.ints, cr.size, p.slab)
 	for i := range bits {
 		bits[i] = cr.offset + i
 	}
 	cond := &qc.Condition{Bits: bits, Value: value}
-	st := p.peek()
+	st := p.tok
 	if st.kind != tokIdent {
 		return p.errAt(st, "expected quantum operation after if condition")
 	}
@@ -738,17 +870,17 @@ func (p *parser) parseIf() error {
 
 // parseGateCall parses "name(params?) operands ;" and emits ops.
 func (p *parser) parseGateCall(cond *qc.Condition) error {
-	nameTok := p.advance()
-	name := nameTok.text
-	var params []float64
-	if p.peek().kind == tokLParen {
+	nameTok := p.tok
+	p.advance()
+	params := p.params[:0]
+	if p.tok.kind == tokLParen {
 		p.advance()
-		for more := p.peek().kind != tokRParen; more; {
+		for more := p.tok.kind != tokRParen; more; {
 			e, err := p.parseExpr()
 			if err != nil {
 				return err
 			}
-			v, err := e.eval(nil)
+			v, err := p.eval(e, nil)
 			if err != nil {
 				return err
 			}
@@ -759,30 +891,33 @@ func (p *parser) parseGateCall(cond *qc.Condition) error {
 		}
 		p.advance()
 	}
-	var operands []operand
+	p.params = params
+	operands := p.operands[:0]
 	for {
-		o, err := p.parseOperand()
-		if err != nil {
+		operands = append(operands, operand{})
+		if err := p.parseOperand(&operands[len(operands)-1]); err != nil {
 			return err
 		}
-		operands = append(operands, o)
-		if p.peek().kind == tokComma {
+		if p.tok.kind == tokComma {
 			p.advance()
 			continue
 		}
 		break
 	}
+	p.operands = operands
 	if err := p.expect(tokSemicolon); err != nil {
 		return err
 	}
-	applications, err := p.resolveQubits(operands)
+	width, err := p.resolveQubits(operands)
 	if err != nil {
 		return err
 	}
-	for _, qubits := range applications {
-		if err := p.emitGate(nameTok, name, params, qubits, cond); err != nil {
+	for rep := 0; rep < width; rep++ {
+		base := len(p.qubits)
+		if err := p.emitGate(nameTok, nameTok.text, params, p.application(operands, rep), cond); err != nil {
 			return err
 		}
+		p.qubits = p.qubits[:base]
 	}
 	return nil
 }
@@ -790,169 +925,189 @@ func (p *parser) parseGateCall(cond *qc.Condition) error {
 // emitGate lowers one gate application (builtin, qelib1 native, or
 // user macro) onto global qubit indices.
 func (p *parser) emitGate(at token, name string, params []float64, qubits []int, cond *qc.Condition) error {
-	if n, ok := natives[name]; ok {
-		if len(params) != n.params {
-			return p.errAt(at, "gate %q takes %d parameter(s), got %d", name, n.params, len(params))
-		}
-		if len(qubits) != n.qubits {
-			return p.errAt(at, "gate %q takes %d qubit(s), got %d", name, n.qubits, len(qubits))
-		}
-		op, err := n.build(params, qubits)
-		if err != nil {
-			return p.errAt(at, "%v", err)
-		}
-		op.Cond = cond
-		p.ops = append(p.ops, op)
-		return nil
+	if n, ok := lookupNative(name); ok {
+		return p.emitNative(at, name, n, params, qubits, cond)
 	}
 	if m, ok := p.macros[name]; ok {
-		if len(params) != len(m.params) {
-			return p.errAt(at, "gate %q takes %d parameter(s), got %d", name, len(m.params), len(params))
+		if len(params) != m.nparams {
+			return p.errAt(at, "gate %q takes %d parameter(s), got %d", name, m.nparams, len(params))
 		}
-		if len(qubits) != len(m.qargs) {
-			return p.errAt(at, "gate %q takes %d qubit(s), got %d", name, len(m.qargs), len(qubits))
+		if len(qubits) != m.nqargs {
+			return p.errAt(at, "gate %q takes %d qubit(s), got %d", name, m.nqargs, len(qubits))
 		}
 		return p.expandMacro(at, m, params, qubits, cond, 0)
 	}
 	return p.errAt(at, "unknown gate %q", name)
 }
 
-const maxMacroDepth = 64
-
-func (p *parser) expandMacro(at token, m *macro, params []float64, qubits []int, cond *qc.Condition, depth int) error {
-	if depth > maxMacroDepth {
-		return p.errAt(at, "gate expansion exceeds depth %d (recursive definition?)", maxMacroDepth)
+// emitNative appends the op of native gate n applied to qubits.
+func (p *parser) emitNative(at token, name string, n native, params []float64, qubits []int, cond *qc.Condition) error {
+	if len(params) != n.params {
+		return p.errAt(at, "gate %q takes %d parameter(s), got %d", name, n.params, len(params))
 	}
-	env := make(map[string]float64, len(m.params))
-	for i, name := range m.params {
-		env[name] = params[i]
+	if len(qubits) != n.qubits() {
+		return p.errAt(at, "gate %q takes %d qubit(s), got %d", name, n.qubits(), len(qubits))
 	}
-	qenv := make(map[string]int, len(m.qargs))
-	for i, name := range m.qargs {
-		qenv[name] = qubits[i]
+	op := p.newOp(qc.KindGate)
+	op.Gate, op.Cond = n.gate, cond
+	switch {
+	case n.ctrls > 0:
+		op.Controls = take(&p.ctls, n.ctrls, p.slab)
+		for i := range op.Controls {
+			op.Controls[i] = qc.Control{Qubit: qubits[i]}
+		}
+	case !n.nilCtl:
+		op.Controls = []qc.Control{}
 	}
-	for _, st := range m.body {
-		if st.barrier {
-			continue
-		}
-		vals := make([]float64, len(st.params))
-		for i, e := range st.params {
-			v, err := e.eval(env)
-			if err != nil {
-				return err
-			}
-			vals[i] = v
-		}
-		qs := make([]int, len(st.qargs))
-		for i, qa := range st.qargs {
-			qs[i] = qenv[qa]
-		}
-		stTok := token{line: st.line, col: st.col}
-		if inner, ok := p.macros[st.name]; ok {
-			if len(vals) != len(inner.params) || len(qs) != len(inner.qargs) {
-				return p.errAt(stTok, "gate %q arity mismatch inside %q", st.name, m.name)
-			}
-			if err := p.expandMacro(stTok, inner, vals, qs, cond, depth+1); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := p.emitGate(stTok, st.name, vals, qs, cond); err != nil {
-			return err
+	op.Targets = p.targets(qubits[n.ctrls:]...)
+	if n.params > 0 {
+		if n.u2 {
+			op.Params = take(&p.floats, 3, p.slab)
+			op.Params[0] = math.Pi / 2
+			copy(op.Params[1:], params)
+		} else {
+			op.Params = take(&p.floats, n.params, p.slab)
+			copy(op.Params, params)
 		}
 	}
 	return nil
 }
 
-// native describes a builtin gate and its lowering to the IR.
-type native struct {
-	params int
-	qubits int
-	build  func(params []float64, q []int) (qc.Op, error)
-}
+const maxMacroDepth = 64
 
-func simple(g qc.Gate, nctrl int) native {
-	return native{
-		qubits: nctrl + 1,
-		build: func(params []float64, q []int) (qc.Op, error) {
-			ctl := make([]qc.Control, nctrl)
-			for i := 0; i < nctrl; i++ {
-				ctl[i] = qc.Control{Qubit: q[i]}
+// expandMacro emits the body of m with params as the values of its
+// formal parameters and qubits as its qubit arguments. Each body
+// statement's values and qubits go on the parser's stacks above the
+// caller's, which params and qubits may be part of.
+func (p *parser) expandMacro(at token, m *macro, params []float64, qubits []int, cond *qc.Condition, depth int) error {
+	if depth > maxMacroDepth {
+		return p.errAt(at, "gate expansion exceeds depth %d (recursive definition?)", maxMacroDepth)
+	}
+	for i := range m.body {
+		st := &m.body[i]
+		pbase, qbase := len(p.params), len(p.qubits)
+		for _, e := range st.params {
+			v, err := p.eval(e, params)
+			if err != nil {
+				return err
 			}
-			return qc.Op{Kind: qc.KindGate, Gate: g, Targets: []int{q[nctrl]}, Controls: ctl}, nil
-		},
+			p.params = append(p.params, v)
+		}
+		for _, a := range st.qargs {
+			p.qubits = append(p.qubits, qubits[a])
+		}
+		vals, qs := p.params[pbase:], p.qubits[qbase:]
+		stTok := token{line: st.line, col: st.col}
+		var err error
+		if inner := st.inner; inner != nil {
+			if len(vals) != inner.nparams || len(qs) != inner.nqargs {
+				return p.errAt(stTok, "gate %q arity mismatch inside %q", st.name, m.name)
+			}
+			err = p.expandMacro(stTok, inner, vals, qs, cond, depth+1)
+		} else {
+			err = p.emitNative(stTok, st.name, st.gate, vals, qs, cond)
+		}
+		if err != nil {
+			return err
+		}
+		p.params, p.qubits = p.params[:pbase], p.qubits[:qbase]
 	}
+	return nil
 }
 
-func param1(g qc.Gate, nctrl int) native {
-	n := simple(g, nctrl)
-	n.params = 1
-	base := n.build
-	n.build = func(params []float64, q []int) (qc.Op, error) {
-		op, err := base(nil, q)
-		op.Params = []float64{params[0]}
-		return op, err
-	}
-	return n
+// native describes how a builtin gate lowers onto the IR: its first
+// ctrls qubit operands become controls, the rest (one, or two for the
+// swap family) targets.
+type native struct {
+	gate   qc.Gate
+	params int // angle parameters the call takes
+	ctrls  int
+	swap   bool
+	u2     bool // the op's Params are (π/2, φ, λ) for the call's (φ, λ)
+	nilCtl bool // without controls, Controls is nil rather than empty
 }
 
-// natives lists the builtin primitives (U, CX) and the qelib1 standard
-// library, mapped directly onto the IR.
-var natives = map[string]native{
-	// OpenQASM primitives.
-	"U": {params: 3, qubits: 1, build: func(ps []float64, q []int) (qc.Op, error) {
-		return qc.Op{Kind: qc.KindGate, Gate: qc.U, Params: []float64{ps[0], ps[1], ps[2]}, Targets: []int{q[0]}}, nil
-	}},
-	"CX": simple(qc.X, 1),
+func (n native) qubits() int {
+	if n.swap {
+		return n.ctrls + 2
+	}
+	return n.ctrls + 1
+}
+
+// lookupNative finds a builtin primitive (U, CX) or a gate of the
+// qelib1 standard library, mapped directly onto the IR.
+func lookupNative(name string) (native, bool) {
+	switch name {
+	// OpenQASM primitives and the general single-qubit gates.
+	case "U", "u3", "u":
+		return native{gate: qc.U, params: 3, nilCtl: true}, true
+	case "u2":
+		return native{gate: qc.U, params: 2, u2: true, nilCtl: true}, true
+	case "CX", "cx":
+		return native{gate: qc.X, ctrls: 1}, true
 	// qelib1 single-qubit gates.
-	"id":   simple(qc.I, 0),
-	"x":    simple(qc.X, 0),
-	"y":    simple(qc.Y, 0),
-	"z":    simple(qc.Z, 0),
-	"h":    simple(qc.H, 0),
-	"s":    simple(qc.S, 0),
-	"sdg":  simple(qc.Sdg, 0),
-	"t":    simple(qc.T, 0),
-	"tdg":  simple(qc.Tdg, 0),
-	"sx":   simple(qc.SX, 0),
-	"sxdg": simple(qc.SXdg, 0),
-	"v":    simple(qc.V, 0),
-	"vdg":  simple(qc.Vdg, 0),
-	"p":    param1(qc.P, 0),
-	"u1":   param1(qc.P, 0),
-	"rx":   param1(qc.RX, 0),
-	"ry":   param1(qc.RY, 0),
-	"rz":   param1(qc.RZ, 0),
-	"u2": {params: 2, qubits: 1, build: func(ps []float64, q []int) (qc.Op, error) {
-		return qc.Op{Kind: qc.KindGate, Gate: qc.U, Params: []float64{math.Pi / 2, ps[0], ps[1]}, Targets: []int{q[0]}}, nil
-	}},
-	"u3": {params: 3, qubits: 1, build: func(ps []float64, q []int) (qc.Op, error) {
-		return qc.Op{Kind: qc.KindGate, Gate: qc.U, Params: []float64{ps[0], ps[1], ps[2]}, Targets: []int{q[0]}}, nil
-	}},
-	"u": {params: 3, qubits: 1, build: func(ps []float64, q []int) (qc.Op, error) {
-		return qc.Op{Kind: qc.KindGate, Gate: qc.U, Params: []float64{ps[0], ps[1], ps[2]}, Targets: []int{q[0]}}, nil
-	}},
+	case "id":
+		return native{gate: qc.I}, true
+	case "x":
+		return native{gate: qc.X}, true
+	case "y":
+		return native{gate: qc.Y}, true
+	case "z":
+		return native{gate: qc.Z}, true
+	case "h":
+		return native{gate: qc.H}, true
+	case "s":
+		return native{gate: qc.S}, true
+	case "sdg":
+		return native{gate: qc.Sdg}, true
+	case "t":
+		return native{gate: qc.T}, true
+	case "tdg":
+		return native{gate: qc.Tdg}, true
+	case "sx":
+		return native{gate: qc.SX}, true
+	case "sxdg":
+		return native{gate: qc.SXdg}, true
+	case "v":
+		return native{gate: qc.V}, true
+	case "vdg":
+		return native{gate: qc.Vdg}, true
+	case "p", "u1":
+		return native{gate: qc.P, params: 1}, true
+	case "rx":
+		return native{gate: qc.RX, params: 1}, true
+	case "ry":
+		return native{gate: qc.RY, params: 1}, true
+	case "rz":
+		return native{gate: qc.RZ, params: 1}, true
 	// Controlled gates.
-	"cx":  simple(qc.X, 1),
-	"cy":  simple(qc.Y, 1),
-	"cz":  simple(qc.Z, 1),
-	"ch":  simple(qc.H, 1),
-	"csx": simple(qc.SX, 1),
-	"cp":  param1(qc.P, 1),
-	"cu1": param1(qc.P, 1),
-	"crx": param1(qc.RX, 1),
-	"cry": param1(qc.RY, 1),
-	"crz": param1(qc.RZ, 1),
-	"cu3": {params: 3, qubits: 2, build: func(ps []float64, q []int) (qc.Op, error) {
-		return qc.Op{Kind: qc.KindGate, Gate: qc.U, Params: []float64{ps[0], ps[1], ps[2]}, Targets: []int{q[1]}, Controls: []qc.Control{{Qubit: q[0]}}}, nil
-	}},
-	"ccx": simple(qc.X, 2),
-	"ccz": simple(qc.Z, 2),
+	case "cy":
+		return native{gate: qc.Y, ctrls: 1}, true
+	case "cz":
+		return native{gate: qc.Z, ctrls: 1}, true
+	case "ch":
+		return native{gate: qc.H, ctrls: 1}, true
+	case "csx":
+		return native{gate: qc.SX, ctrls: 1}, true
+	case "cp", "cu1":
+		return native{gate: qc.P, params: 1, ctrls: 1}, true
+	case "crx":
+		return native{gate: qc.RX, params: 1, ctrls: 1}, true
+	case "cry":
+		return native{gate: qc.RY, params: 1, ctrls: 1}, true
+	case "crz":
+		return native{gate: qc.RZ, params: 1, ctrls: 1}, true
+	case "cu3":
+		return native{gate: qc.U, params: 3, ctrls: 1}, true
+	case "ccx":
+		return native{gate: qc.X, ctrls: 2}, true
+	case "ccz":
+		return native{gate: qc.Z, ctrls: 2}, true
 	// Swap family.
-	"swap": {qubits: 2, build: func(ps []float64, q []int) (qc.Op, error) {
-		return qc.Op{Kind: qc.KindGate, Gate: qc.Swap, Targets: []int{q[0], q[1]}}, nil
-	}},
-	"cswap": {qubits: 3, build: func(ps []float64, q []int) (qc.Op, error) {
-		return qc.Op{Kind: qc.KindGate, Gate: qc.Swap, Targets: []int{q[1], q[2]}, Controls: []qc.Control{{Qubit: q[0]}}}, nil
-	}},
+	case "swap":
+		return native{gate: qc.Swap, swap: true, nilCtl: true}, true
+	case "cswap":
+		return native{gate: qc.Swap, ctrls: 1, swap: true}, true
+	}
+	return native{}, false
 }

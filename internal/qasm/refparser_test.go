@@ -4,10 +4,10 @@ package qasm
 // oracle of the production parser's differential tests: for every
 // input without more than refMaxIncludeDepth includes, both must
 // produce the same circuit or the same error text. Everything it
-// needs beyond the exported Error type, the token kinds and the
-// register record is a ref* copy in this file (lexer, expression
-// AST, macro expansion, the qelib1 gate table), so that a rewrite of
-// the production front end is compared with the old code, not with
+// needs beyond the exported Error type and the token kinds is a ref*
+// copy in this file (lexer, registers, expression AST, macro
+// expansion, the qelib1 gate table), so that a rewrite of the
+// production front end is compared with the old code, not with
 // itself.
 
 import (
@@ -24,6 +24,13 @@ import (
 // may execute.
 const refMaxIncludeDepth = 16
 
+// refReg is a declared register: a contiguous slice of the flattened
+// index space of its kind.
+type refReg struct {
+	offset int
+	size   int
+}
+
 // refParser reads a pre-lexed token slice; includes splice their
 // tokens in at the include statement.
 type refParser struct {
@@ -31,8 +38,8 @@ type refParser struct {
 	pos      int
 	includes int // counts every include, nested or not
 
-	qregs  map[string]reg
-	cregs  map[string]reg
+	qregs  map[string]refReg
+	cregs  map[string]refReg
 	nq, nc int
 	macros map[string]*refMacro
 	ops    []qc.Op
@@ -46,8 +53,8 @@ func refParseWithIncludes(src string, resolve IncludeResolver) (*qc.Circuit, err
 		return nil, err
 	}
 	p := &refParser{
-		qregs:   map[string]reg{},
-		cregs:   map[string]reg{},
+		qregs:   map[string]refReg{},
+		cregs:   map[string]refReg{},
 		macros:  map[string]*refMacro{},
 		resolve: resolve,
 		toks:    toks,
@@ -223,10 +230,10 @@ func (p *refParser) parseRegDecl(quantum bool) error {
 		return p.errAt(name, "register %q already declared", name.text)
 	}
 	if quantum {
-		p.qregs[name.text] = reg{offset: p.nq, size: size}
+		p.qregs[name.text] = refReg{offset: p.nq, size: size}
 		p.nq += size
 	} else {
-		p.cregs[name.text] = reg{offset: p.nc, size: size}
+		p.cregs[name.text] = refReg{offset: p.nc, size: size}
 		p.nc += size
 	}
 	return nil

@@ -1,6 +1,7 @@
 package qasm_test
 
 import (
+	"os"
 	"runtime"
 	"testing"
 
@@ -75,6 +76,19 @@ func loweredSources() map[string]string {
 	}
 }
 
+// TestGroverFixtureIsCurrent keeps testdata/grover7_lowered.qasm, the
+// source the root package's BenchmarkMicroParseGrover7 parses, equal
+// to the lowered Grover(7) source the benchmark workloads send.
+func TestGroverFixtureIsCurrent(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/grover7_lowered.qasm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != loweredSources()["grover"] {
+		t.Fatal("testdata/grover7_lowered.qasm differs from the lowered Grover(7) source; regenerate it from loweredSources")
+	}
+}
+
 // TestStreamingMatchesReferenceOnCircuits compares the streaming
 // parser with the lex-everything-first reference on every built-in
 // example and on the lowered benchmark circuits.
@@ -95,14 +109,19 @@ func TestStreamingMatchesReferenceOnCircuits(t *testing.T) {
 		if qasm.CircuitDigest(got) != qasm.CircuitDigest(want) || got.QASM() != want.QASM() {
 			t.Fatalf("%s: circuits differ\nstreaming:\n%s\nreference:\n%s", name, qasm.CircuitDigest(got), qasm.CircuitDigest(want))
 		}
+		qasm.CheckOps(t, got)
 	}
 }
 
-// TestParseAllocBytes guards the heap bytes of parsing the lowered
-// Grover(7) source the batch benchmark sends. The bound is the
-// measured value plus about 20 %.
+// TestParseAllocBytes guards the heap bytes and allocations of parsing
+// the lowered Grover(7) source the batch benchmark sends. The bounds
+// are the measured values plus about 20 %; the op array alone is
+// about 53 kB of the measured 71.7 kB.
 func TestParseAllocBytes(t *testing.T) {
-	const maxBytes = 375_000
+	const (
+		maxBytes  = 86_000
+		maxAllocs = 10
+	)
 	src := loweredSources()["grover"]
 	const runs = 20
 	var before, after runtime.MemStats
@@ -114,8 +133,12 @@ func TestParseAllocBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perParse := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("%.0f heap bytes, %d allocations per parse of %d source bytes", perParse, (after.Mallocs-before.Mallocs)/runs, len(src))
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	t.Logf("%.0f heap bytes, %d allocations per parse of %d source bytes", perParse, allocs, len(src))
 	if perParse > maxBytes {
-		t.Fatalf("%.0f heap bytes per parse, bound %d", perParse, maxBytes)
+		t.Errorf("%.0f heap bytes per parse, bound %d", perParse, maxBytes)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("%d allocations per parse, bound %d", allocs, maxAllocs)
 	}
 }

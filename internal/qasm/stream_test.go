@@ -23,6 +23,10 @@ var includeFiles = map[string]string{
 	"bothbad.inc":  "h h h;\n@\n",
 	"lexlate.inc":  "include \"lib.inc\";\nqreg r[1];\nh r[0];\n/* unterminated",
 	"self.inc":     "include \"self.inc\";\n",
+	// A file name with an invalid byte resolves under its U+FFFD
+	// spelling; lex errors after multi-byte runes count rune columns.
+	"\ufffd.inc": "gate gx a { x a; }\n",
+	"ü.inc":      "qreg r[1];\nh r[0]; \u00a0ü €\n",
 }
 
 func resolveIncludeFile(name string) (string, error) {
@@ -33,7 +37,8 @@ func resolveIncludeFile(name string) (string, error) {
 }
 
 // circuitDigest spells out every field of a parsed circuit, with
-// parameters as bit patterns so that NaN compares equal to itself.
+// parameters as bit patterns so that NaN compares equal to itself,
+// and which of an op's slices are nil rather than empty.
 func circuitDigest(c *qc.Circuit) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %d %d\n", c.Name, c.NQubits, c.NClbits)
@@ -43,6 +48,7 @@ func circuitDigest(c *qc.Circuit) string {
 			bits[i] = math.Float64bits(p)
 		}
 		fmt.Fprintf(&b, "%d %d %x %v %v %d %q", op.Kind, op.Gate, bits, op.Targets, op.Controls, op.Cbit, op.Label)
+		fmt.Fprintf(&b, " nil:%t,%t,%t", op.Params == nil, op.Targets == nil, op.Controls == nil)
 		if op.Cond != nil {
 			fmt.Fprintf(&b, " if %v==%d", op.Cond.Bits, op.Cond.Value)
 		}
@@ -51,10 +57,32 @@ func circuitDigest(c *qc.Circuit) string {
 	return b.String()
 }
 
-// checkSameParse parses src with the streaming parser and with the
+// checkOps fails unless every op of c passes qc.Circuit.Append's
+// checks and no slice of an op (or of its condition) has spare
+// capacity, which an append could share with a neighbouring op.
+func checkOps(t *testing.T, c *qc.Circuit) {
+	t.Helper()
+	re := qc.New(c.NQubits, c.NClbits)
+	for i, op := range c.Ops {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("op %d (%s) fails qc.Circuit.Append: %v", i, op.String(), r)
+				}
+			}()
+			re.Append(op)
+		}()
+		spare := cap(op.Params) != len(op.Params) || cap(op.Targets) != len(op.Targets) || cap(op.Controls) != len(op.Controls)
+		if spare || op.Cond != nil && cap(op.Cond.Bits) != len(op.Cond.Bits) {
+			t.Fatalf("op %d (%s) has a slice with spare capacity", i, op.String())
+		}
+	}
+}
+
+// checkSameParse parses src with the production parser and with the
 // lex-everything-first reference and fails unless both return the
 // same circuit (field by field and as exported QASM) or the same
-// error text. Sources that open more than maxIncludeDepth include
+// error text, and the production circuit passes checkOps. Sources that open more than maxIncludeDepth include
 // files are skipped: the reference counts every include against that
 // bound, the streaming parser only nested ones.
 func checkSameParse(t *testing.T, src string) {
@@ -71,10 +99,12 @@ func checkSameParse(t *testing.T, src string) {
 	switch {
 	case gerr != nil || werr != nil:
 		if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
-			t.Fatalf("source %q:\nstreaming error: %v\nreference error: %v", src, gerr, werr)
+			t.Fatalf("source %q:\nproduction error: %v\nreference error: %v", src, gerr, werr)
 		}
 	case circuitDigest(got) != circuitDigest(want) || got.QASM() != want.QASM():
-		t.Fatalf("source %q: circuits differ\nstreaming:\n%s\nreference:\n%s", src, circuitDigest(got), circuitDigest(want))
+		t.Fatalf("source %q: circuits differ\nproduction:\n%s\nreference:\n%s", src, circuitDigest(got), circuitDigest(want))
+	default:
+		checkOps(t, got)
 	}
 }
 
@@ -100,6 +130,8 @@ var includeSeeds = []string{
 	"include lib;\n",
 	"include \"lib.inc\";",
 	"qreg q[2];\ninclude \"lib.inc\";\ng2 q[0], q[1]; /* open",
+	"include \"\xff.inc\";\nqreg q[1];\ngx q[0];\n",
+	"include \"ü.inc\";\nqreg q[1];\n",
 }
 
 // FuzzParseMatchesReference compares the streaming parser with the
