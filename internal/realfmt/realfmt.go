@@ -31,9 +31,16 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("real:%d: %s", e.Line, e.Msg) }
 
 // Parse reads a .real circuit description.
-func Parse(r io.Reader) (*qc.Circuit, error) {
+func Parse(r io.Reader) (*qc.Circuit, error) { return parse(r, 1<<16) }
+
+// maxLine is the longest line Parse accepts, in bytes.
+const maxLine = 1 << 22
+
+// parse reads a .real description into a line buffer of initially
+// bufSize bytes, which grows up to maxLine.
+func parse(r io.Reader, bufSize int) (*qc.Circuit, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(make([]byte, bufSize), maxLine)
 	var (
 		line     int
 		numvars  = -1
@@ -128,8 +135,12 @@ func Parse(r io.Reader) (*qc.Circuit, error) {
 	return circ, nil
 }
 
-// ParseString parses a .real description held in a string.
-func ParseString(src string) (*qc.Circuit, error) { return Parse(strings.NewReader(src)) }
+// ParseString parses a .real description held in a string. Its line
+// buffer starts at the size of the source, so a short source does not
+// pay for Parse's 64 kB.
+func ParseString(src string) (*qc.Circuit, error) {
+	return parse(strings.NewReader(src), min(len(src)+1, 1<<16))
+}
 
 func parseGateLine(circ *qc.Circuit, varIndex map[string]int, fields []string, line int) error {
 	errf := func(format string, args ...interface{}) error {

@@ -1,6 +1,8 @@
 package realfmt
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 
@@ -211,5 +213,25 @@ t1 x0
 	}
 	if c.NumGates() != 1 {
 		t.Fatal("comments broke parsing")
+	}
+}
+
+// TestLineLimit checks that both entry points accept a line shorter
+// than maxLine (4 MB) and reject one of maxLine bytes with
+// bufio.ErrTooLong, whatever size their line buffer starts at.
+func TestLineLimit(t *testing.T) {
+	head := ".numvars 1\n.variables a\n.begin\nt1 a\n#"
+	for _, n := range []int{maxLine - 1, maxLine} {
+		src := head + strings.Repeat("x", n-1) + "\n.end\n"
+		_, err1 := ParseString(src)
+		_, err2 := Parse(strings.NewReader(src))
+		for _, err := range []error{err1, err2} {
+			if n < maxLine && err != nil {
+				t.Errorf("a %d-byte line: %v", n, err)
+			}
+			if n == maxLine && !errors.Is(err, bufio.ErrTooLong) {
+				t.Errorf("a %d-byte line: error %v, want %v", n, err, bufio.ErrTooLong)
+			}
+		}
 	}
 }

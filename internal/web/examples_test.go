@@ -2,9 +2,11 @@ package web
 
 import (
 	"math/cmplx"
+	"runtime"
 	"strings"
 	"testing"
 
+	"quantumdd/internal/realfmt"
 	"quantumdd/internal/sim"
 )
 
@@ -61,4 +63,33 @@ func TestGroverExampleFindsMarkedState(t *testing.T) {
 		return
 	}
 	t.Fatal("Grover example missing")
+}
+
+// TestRealExampleParseAllocBytes guards the heap bytes of parsing the
+// .real tour example. The bound is the measured value plus about 20 %;
+// a parse that sized its line buffer for long sources cost 67 kB.
+func TestRealExampleParseAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap byte counts are not meaningful under the race detector")
+	}
+	const maxBytes = 2150
+	exs := Examples()
+	src := exs[len(exs)-1].Code
+	if !strings.HasPrefix(src, "#") {
+		t.Fatalf("the last example is not the .real one:\n%s", src)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := realfmt.ParseString(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perParse := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.0f heap bytes, %d allocations per parse of %d source bytes", perParse, (after.Mallocs-before.Mallocs)/runs, len(src))
+	if perParse > maxBytes {
+		t.Fatalf("%.0f heap bytes per parse, bound %d", perParse, maxBytes)
+	}
 }
