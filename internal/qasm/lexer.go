@@ -157,6 +157,13 @@ var byteClass = func() (c [256]uint8) {
 	return c
 }()
 
+// punct maps the bytes that are a token by themselves to its kind.
+var punct = [256]tokenKind{
+	';': tokSemicolon, ',': tokComma, '(': tokLParen, ')': tokRParen,
+	'{': tokLBrace, '}': tokRBrace, '[': tokLBracket, ']': tokRBracket,
+	'+': tokPlus, '*': tokStar, '/': tokSlash, '^': tokCaret,
+}
+
 // skipTo moves the position forward to byte offset end, counting
 // lines and rune columns on the way.
 func (l *lexer) skipTo(end int) {
@@ -274,31 +281,11 @@ func (l *lexer) scan(tok *token) error {
 	}
 	l.pos += w
 	l.col++
+	if k := punct[b]; k != tokEOF {
+		tok.kind = k
+		return nil
+	}
 	switch r {
-	case ';':
-		tok.kind = tokSemicolon
-	case ',':
-		tok.kind = tokComma
-	case '(':
-		tok.kind = tokLParen
-	case ')':
-		tok.kind = tokRParen
-	case '{':
-		tok.kind = tokLBrace
-	case '}':
-		tok.kind = tokRBrace
-	case '[':
-		tok.kind = tokLBracket
-	case ']':
-		tok.kind = tokRBracket
-	case '+':
-		tok.kind = tokPlus
-	case '*':
-		tok.kind = tokStar
-	case '/':
-		tok.kind = tokSlash
-	case '^':
-		tok.kind = tokCaret
 	case '-':
 		if l.pos < len(l.src) && l.src[l.pos] == '>' {
 			l.pos++

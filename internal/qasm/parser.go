@@ -63,14 +63,11 @@ type parser struct {
 	lex   []lexer
 	incAt []token
 
-	regs     map[string]reg // quantum and classical share one namespace
-	lastName string         // the register lookupReg found last
-	lastReg  reg
-	nq, nc   int
-	macros   map[string]*macro
+	regs   map[string]reg // quantum and classical share one namespace
+	nq, nc int
+	macros map[string]*macro
 
 	ops    []qc.Op
-	slab   int // elements of the first op array and of each first slab
 	ints   []int
 	ctls   []qc.Control
 	floats []float64
@@ -130,7 +127,6 @@ func ParseWithIncludes(src string, resolve IncludeResolver) (*qc.Circuit, error)
 	p := &parser{
 		lex:     []lexer{newLexer(src)},
 		regs:    map[string]reg{},
-		slab:    min(strings.Count(src, ";")+1, maxPresize),
 		resolve: resolve,
 	}
 	p.operands = p.operandBuf[:0]
@@ -158,21 +154,21 @@ func ParseWithIncludes(src string, resolve IncludeResolver) (*qc.Circuit, error)
 	return circ, nil
 }
 
-// maxPresize caps the pre-sized op array and first slabs. Every op
-// statement ends in ';', so the main source's count of ';' sizes them
-// unless broadcasts, macros or includes add more; but comments may
-// hold any number of ';', and the cap keeps such a source from buying
-// a large array.
+// maxPresize caps the pre-sized op array: comments
+// may hold any number of ';', and the cap keeps such a source from
+// buying a large array.
 const maxPresize = 1 << 12
 
-// take cuts n elements from the free end of *slab, starting a new slab
-// (of at least size elements, and twice the last one) when too little
-// is left. The result has no spare capacity, so an append to one op's
-// slice reallocates rather than write into its neighbour's.
-func take[T any](slab *[]T, n, size int) []T {
+// take cuts n elements from the free end of *slab for the op being
+// built, starting a new slab when too little is left. A new slab has
+// room for one element per op that the op array still has room for,
+// which tracks the op array as it grows. The result has no spare
+// capacity, so an append to one op's slice reallocates rather than
+// write into its neighbour's.
+func take[T any](p *parser, slab *[]T, n int) []T {
 	s := *slab
 	if cap(s)-len(s) < n {
-		s = make([]T, 0, max(n, size, 2*cap(s)))
+		s = make([]T, 0, max(n, cap(p.ops)-len(p.ops)+1))
 	}
 	i := len(s)
 	s = s[:i+n]
@@ -186,7 +182,17 @@ func take[T any](slab *[]T, n, size int) []T {
 // operands, and each gate's parameter and target counts.
 func (p *parser) newOp(kind qc.OpKind) *qc.Op {
 	if p.ops == nil {
-		p.ops = make([]qc.Op, 0, p.slab)
+		// Every op statement ends in ';'. Those left in the main
+		// source, this statement's and the lookahead's size the op
+		// array, unless broadcasts, macros or includes add more.
+		// Declarations come first in most programs, so their ';' no
+		// longer count.
+		main := &p.lex[0]
+		n := strings.Count(main.src[main.pos:], ";") + 1
+		if p.tok.kind == tokSemicolon {
+			n++
+		}
+		p.ops = make([]qc.Op, 0, min(n, maxPresize))
 	}
 	p.ops = append(p.ops, qc.Op{Kind: kind})
 	return &p.ops[len(p.ops)-1]
@@ -194,7 +200,7 @@ func (p *parser) newOp(kind qc.OpKind) *qc.Op {
 
 // targets copies qs into the slab for the ops' qubit lists.
 func (p *parser) targets(qs ...int) []int {
-	s := take(&p.ints, len(qs), p.slab)
+	s := take(p, &p.ints, len(qs))
 	copy(s, qs)
 	return s
 }
@@ -393,7 +399,7 @@ func (p *parser) parseRegDecl(quantum bool) error {
 	if err := p.expect(tokSemicolon); err != nil {
 		return err
 	}
-	if _, dup := p.lookupReg(name.text); dup {
+	if _, dup := p.regs[name.text]; dup {
 		return p.errAt(name, "register %q already declared", name.text)
 	}
 	r := reg{size: size, quantum: quantum}
@@ -408,28 +414,15 @@ func (p *parser) parseRegDecl(quantum bool) error {
 	return nil
 }
 
-// lookupReg finds a declared register. Consecutive operands mostly
-// name the same register, so the last one found is kept at hand.
-func (p *parser) lookupReg(name string) (reg, bool) {
-	if name == p.lastName {
-		return p.lastReg, true
-	}
-	r, ok := p.regs[name]
-	if ok {
-		p.lastName, p.lastReg = name, r
-	}
-	return r, ok
-}
-
 // qreg looks up a quantum register.
 func (p *parser) qreg(name string) (reg, bool) {
-	r, ok := p.lookupReg(name)
+	r, ok := p.regs[name]
 	return r, ok && r.quantum
 }
 
 // creg looks up a classical register.
 func (p *parser) creg(name string) (reg, bool) {
-	r, ok := p.lookupReg(name)
+	r, ok := p.regs[name]
 	return r, ok && !r.quantum
 }
 
@@ -847,7 +840,7 @@ func (p *parser) parseIf() error {
 	if err := p.expect(tokRParen); err != nil {
 		return err
 	}
-	bits := take(&p.ints, cr.size, p.slab)
+	bits := take(p, &p.ints, cr.size)
 	for i := range bits {
 		bits[i] = cr.offset + i
 	}
@@ -952,7 +945,7 @@ func (p *parser) emitNative(at token, name string, n native, params []float64, q
 	op.Gate, op.Cond = n.gate, cond
 	switch {
 	case n.ctrls > 0:
-		op.Controls = take(&p.ctls, n.ctrls, p.slab)
+		op.Controls = take(p, &p.ctls, n.ctrls)
 		for i := range op.Controls {
 			op.Controls[i] = qc.Control{Qubit: qubits[i]}
 		}
@@ -962,11 +955,11 @@ func (p *parser) emitNative(at token, name string, n native, params []float64, q
 	op.Targets = p.targets(qubits[n.ctrls:]...)
 	if n.params > 0 {
 		if n.u2 {
-			op.Params = take(&p.floats, 3, p.slab)
+			op.Params = take(p, &p.floats, 3)
 			op.Params[0] = math.Pi / 2
 			copy(op.Params[1:], params)
 		} else {
-			op.Params = take(&p.floats, n.params, p.slab)
+			op.Params = take(p, &p.floats, n.params)
 			copy(op.Params, params)
 		}
 	}
