@@ -48,6 +48,14 @@ var parseSeeds = []string{
 	"qreg q[1];\n/* ü€",
 	"include \"ü€",
 	"qreg q[1];\nh q[0];\u3000\u00a0=",
+	// Every native gate; repeated formal and qubit argument names
+	// bind to their last position; a gate body must not apply a gate
+	// to one qubit twice.
+	"qreg q[3];\nid q[0]; x q[0]; y q[0]; z q[0]; h q[0]; s q[0]; sdg q[0];\nt q[0]; tdg q[0]; sx q[0]; sxdg q[0]; v q[0]; vdg q[0];\nu1(0.1) q[0]; u2(0.1,0.2) q[0]; u3(0.1,0.2,0.3) q[0]; u(0.1,0.2,0.3) q[0]; U(0.1,0.2,0.3) q[0]; p(0.1) q[0];\nrx(0.1) q[0]; ry(0.1) q[0]; rz(0.1) q[0];\nCX q[0],q[1]; cx q[0],q[1]; cy q[0],q[1]; cz q[0],q[1]; ch q[0],q[1]; csx q[0],q[1];\ncp(0.1) q[0],q[1]; cu1(0.1) q[0],q[1]; crx(0.1) q[0],q[1]; cry(0.1) q[0],q[1]; crz(0.1) q[0],q[1];\ncu3(0.1,0.2,0.3) q[0],q[1];\nccx q[0],q[1],q[2]; ccz q[0],q[1],q[2];\nswap q[0],q[1];\ncswap q[0],q[1],q[2];\n",
+	"qreg q[2];\ngate g(a, a) x, x { rz(a) x; }\ng(1, 2) q[0], q[1];",
+	"qreg q[1];\ngate g a { cx a, a; }\ng q[0];",
+	"qreg q[2];\ngate g x, x { cx x, x; }\ng q[0], q[1];",
+	"qreg q[2];\ngate g a, b { h a; }\ng q[0], q[0];",
 }
 
 // FuzzParse checks that the parser never panics and that accepted

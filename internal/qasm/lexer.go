@@ -336,9 +336,9 @@ func (l *lexer) scanWhile(start int, letters bool) {
 	l.col += i - start - extra
 }
 
-// scanNumber consumes a number: digits with at most one '.', then an
-// optional exponent ('e' or 'E', an optional sign and digits), where
-// an exponent needs something before it.
+// scanNumber consumes a number that starts at a digit or '.': digits
+// with at most one '.', then an optional exponent ('e' or 'E', an
+// optional sign and digits).
 func (l *lexer) scanNumber(start int) string {
 	l.scanWhile(start, false)
 	if l.pos < len(l.src) && l.src[l.pos] == '.' {
@@ -346,7 +346,7 @@ func (l *lexer) scanNumber(start int) string {
 		l.col++
 		l.scanWhile(l.pos, false)
 	}
-	if l.pos > start && l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
+	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
 		l.pos++
 		l.col++
 		if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {

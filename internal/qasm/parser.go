@@ -941,6 +941,11 @@ func (p *parser) emitNative(at token, name string, n native, params []float64, q
 	if len(qubits) != n.qubits() {
 		return p.errAt(at, "gate %q takes %d qubit(s), got %d", name, n.qubits(), len(qubits))
 	}
+	// A gate body may name one qubit argument twice, or bind two to
+	// one qubit.
+	if q, dup := repeated(qubits); dup {
+		return p.errAt(at, "gate operands overlap on qubit %d", q)
+	}
 	op := p.newOp(qc.KindGate)
 	op.Gate, op.Cond = n.gate, cond
 	switch {

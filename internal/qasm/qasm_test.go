@@ -318,6 +318,8 @@ func TestParseErrors(t *testing.T) {
 		{"qreg q[1];\ngate g(a b) x { rz(a) x; }", "qasm:2:10: expected ',' or ')', found identifier \"b\""},
 		{"qreg q[1];\ngate g(a,) x { rz(a) x; }", "qasm:2:10: expected parameter name"},
 		{"qreg q[1];\ngate g(a) x { U(a 0, 0) x; }", "qasm:2:19: expected ',' or ')', found number \"0\""},
+		// A gate body may not apply a gate to one qubit twice.
+		{"qreg q[1];\ngate g a { cx a, a; }\ng q[0];", "qasm:2:12: gate operands overlap on qubit 0"},
 	}
 	for _, c := range cases {
 		parseErr(t, c.src, c.want)

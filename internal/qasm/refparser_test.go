@@ -1151,6 +1151,13 @@ func (p *refParser) emitGate(at refToken, name string, params []float64, qubits 
 		if len(qubits) != n.qubits {
 			return p.errAt(at, "gate %q takes %d qubit(s), got %d", name, n.qubits, len(qubits))
 		}
+		seen := map[int]bool{}
+		for _, q := range qubits {
+			if seen[q] {
+				return p.errAt(at, "gate operands overlap on qubit %d", q)
+			}
+			seen[q] = true
+		}
 		op, err := n.build(params, qubits)
 		if err != nil {
 			return p.errAt(at, "%v", err)

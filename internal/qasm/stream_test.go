@@ -41,7 +41,7 @@ func resolveIncludeFile(name string) (string, error) {
 // and which of an op's slices are nil rather than empty.
 func circuitDigest(c *qc.Circuit) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s %d %d\n", c.Name, c.NQubits, c.NClbits)
+	fmt.Fprintf(&b, "%s %d %d nil:%t\n", c.Name, c.NQubits, c.NClbits, c.Ops == nil)
 	for _, op := range c.Ops {
 		bits := make([]uint64, len(op.Params))
 		for i, p := range op.Params {
