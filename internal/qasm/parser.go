@@ -185,8 +185,8 @@ func (p *parser) newOp(kind qc.OpKind) *qc.Op {
 		// Every op statement ends in ';'. Those left in the main
 		// source, this statement's and the lookahead's size the op
 		// array, unless broadcasts, macros or includes add more.
-		// Declarations come first in most programs, so their ';' no
-		// longer count.
+		// Counting from the first op leaves out the declarations
+		// before it.
 		main := &p.lex[0]
 		n := strings.Count(main.src[main.pos:], ";") + 1
 		if p.tok.kind == tokSemicolon {
@@ -209,11 +209,6 @@ func (p *parser) targets(qs ...int) []int {
 // innermost lexer, returning to the including source at the end of an
 // included file. After a lex error the stream reads as end of input.
 func (p *parser) advance() {
-	if l := &p.lex[len(p.lex)-1]; l.err == nil {
-		if l.err = l.scan(&p.tok); l.err == nil && (p.tok.kind != tokEOF || len(p.lex) == 1) {
-			return
-		}
-	}
 	for {
 		l := &p.lex[len(p.lex)-1]
 		if l.err != nil {
