@@ -282,6 +282,7 @@ func BenchmarkMicroParseGrover7(b *testing.B) {
 	code := string(src)
 	b.SetBytes(int64(len(code)))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := qasm.Parse(code); err != nil {
 			b.Fatal(err)

@@ -154,9 +154,9 @@ func ParseWithIncludes(src string, resolve IncludeResolver) (*qc.Circuit, error)
 	return circ, nil
 }
 
-// maxPresize caps the pre-sized op array: comments
-// may hold any number of ';', and the cap keeps such a source from
-// buying a large array.
+// maxPresize caps the pre-sized op array: comments may hold any
+// number of ';', and the cap keeps such a source from buying a large
+// array.
 const maxPresize = 1 << 12
 
 // take cuts n elements from the free end of *slab for the op being
