@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"quantumdd/internal/bench"
-	"quantumdd/internal/dd"
-	"quantumdd/internal/obs"
 	"quantumdd/internal/obs/tsdb"
 )
 
@@ -54,26 +52,19 @@ func RunDdbench(args []string, stdout, stderr io.Writer) int {
 		}
 		return 1
 	}
+	// The experiments build their engines internally; the run observer
+	// still reaches them through the process-wide default, so the dump
+	// carries the op-latency histograms of the whole run and the
+	// sampler sweeps real series, as in the web server.
 	var md *metricsDumper
-	if *metricsDump {
-		// The experiments build their engines internally; the tracer
-		// still reaches them through the process-wide default, so the
-		// dump carries the op-latency histograms of the whole run.
+	if *metricsDump || *sampleInterval > 0 {
 		md = newMetricsDumper()
+	}
+	if *metricsDump {
 		defer md.dump(stdout)
 	}
 	if *sampleInterval > 0 {
-		// The sampler needs a populated registry: reuse the dumper's if
-		// present, otherwise install the same default-tracer plumbing so
-		// the sweeps see real op-latency series, as in the web server.
-		reg := obs.NewRegistry()
-		if md != nil {
-			reg = md.reg
-		} else {
-			coll := obs.NewDDCollector(reg)
-			dd.SetDefaultTracer(coll.Tracer())
-		}
-		store := tsdb.New(reg, tsdb.Config{Interval: *sampleInterval})
+		store := tsdb.New(md.reg, tsdb.Config{Interval: *sampleInterval})
 		stop := make(chan struct{})
 		done := make(chan struct{})
 		go func() {
@@ -96,14 +87,16 @@ func RunDdbench(args []string, stdout, stderr io.Writer) int {
 				store.Samples(), store.SeriesCount(), store.RetainedBytes())
 		}()
 	}
+	var to *traceOutput
 	if *traceOut != "" {
 		// Experiments don't thread a context, so the timeline is the
 		// root span with every engine operation as a direct child —
 		// still enough to see where a regenerated experiment spends
 		// its time, op by op.
-		to := newTraceOutput(*traceOut, "ddbench")
+		to = newTraceOutput(*traceOut, "ddbench")
 		defer to.finish(stderr)
 	}
+	defer observeRun(md, to)()
 	if *list {
 		for _, e := range bench.All() {
 			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)

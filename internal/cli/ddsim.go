@@ -56,13 +56,14 @@ func RunDdsim(args []string, stdout, stderr io.Writer) int {
 		md = newMetricsDumper()
 		defer md.dump(stdout)
 	}
-	// After the dumper: finish() runs first on exit (LIFO), restoring
-	// the dumper's tracer before the dump detaches it.
 	var to *traceOutput
 	if *traceOut != "" {
 		to = newTraceOutput(*traceOut, "ddsim")
 		defer to.finish(stderr)
 	}
+	// Deferred last, so the observer is removed before the trace file
+	// and the dump are written.
+	defer observeRun(md, to)()
 	// Any nonzero value, NaN included, takes the noisy path, whose
 	// validation rejects probabilities outside [0,1].
 	if *noise != 0 {

@@ -72,8 +72,9 @@ func RunDdverify(args []string, stdout, stderr io.Writer) int {
 		to = newTraceOutput(*traceOut, "ddverify")
 		defer to.finish(stderr)
 	}
+	defer observeRun(md, to)()
 	// Own the engine so its final statistics land in the dump
-	// alongside the op-latency histograms the tracer collects.
+	// alongside the op-latency histograms the observer collects.
 	p := dd.New(left.NQubits)
 	var opts []verify.Option
 	if *genericMM {

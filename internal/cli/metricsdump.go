@@ -1,10 +1,10 @@
 package cli
 
 // -metrics-dump support shared by the CLI tools: a private registry
-// fed by the process-wide engine tracer, printed as a Prometheus text
-// snapshot when the run finishes. The tools and the web server expose
-// the same metric families, so a run's numbers can be compared
-// directly against a production scrape.
+// fed by the run's engine observer (observe.go), printed as a
+// Prometheus text snapshot when the run finishes. The tools and the
+// web server expose the same metric families, so a run's numbers can
+// be compared directly against a production scrape.
 
 import (
 	"fmt"
@@ -21,15 +21,12 @@ type metricsDumper struct {
 	pkgs int
 }
 
-// newMetricsDumper installs a process-wide default tracer feeding a
-// fresh registry, so every dd.Pkg the run creates — including ones
-// built deep inside the sim/verify/bench harnesses — reports its
-// operation latencies here.
+// newMetricsDumper creates a fresh registry with the dd metric
+// families; observeRun feeds its latency histograms from every dd.Pkg
+// the run creates.
 func newMetricsDumper() *metricsDumper {
 	reg := obs.NewRegistry()
-	coll := obs.NewDDCollector(reg)
-	dd.SetDefaultTracer(coll.Tracer())
-	return &metricsDumper{reg: reg, coll: coll}
+	return &metricsDumper{reg: reg, coll: obs.NewDDCollector(reg)}
 }
 
 // record folds one engine's final statistics into the gauge view.
@@ -40,9 +37,8 @@ func (m *metricsDumper) record(st dd.Stats) {
 	m.pkgs++
 }
 
-// dump detaches the tracer and writes the Prometheus snapshot.
+// dump writes the Prometheus snapshot.
 func (m *metricsDumper) dump(w io.Writer) {
-	dd.SetDefaultTracer(nil)
 	if m.pkgs > 1 {
 		// Load factors are per-package ratios; expose the mean.
 		m.agg.UniqueLoadV /= float64(m.pkgs)

@@ -12,7 +12,6 @@ import (
 	"io"
 	"os"
 
-	"quantumdd/internal/dd"
 	"quantumdd/internal/obs/trace"
 )
 
@@ -22,27 +21,22 @@ import (
 // silently truncating a long simulation's timeline.
 const cliTraceCapacity = 1 << 16
 
-// traceOutput owns a run's recorder, root span, and the tee into the
-// process-wide default tracer. Nil methods are no-ops so call sites
-// need no "-trace-out given?" branches.
+// traceOutput owns a run's recorder and root span; observeRun feeds
+// the recorder every engine operation. Nil methods are no-ops so call
+// sites need no "-trace-out given?" branches.
 type traceOutput struct {
 	path string
 	rec  *trace.Recorder
 	ctx  context.Context
 	root *trace.Span
-	prev dd.TraceFunc
 }
 
-// newTraceOutput starts recording: it opens the root span and chains
-// the recorder's DD tracer behind whatever default tracer is already
-// installed (the -metrics-dump collector, typically), so both observe
-// every engine operation.
+// newTraceOutput starts recording: it opens the root span that engine
+// operations nest under.
 func newTraceOutput(path, name string) *traceOutput {
 	rec := trace.NewRecorder(name, cliTraceCapacity)
 	ctx, root := trace.StartSpan(trace.With(context.Background(), rec), name)
-	prev := dd.DefaultTracer()
-	dd.SetDefaultTracer(trace.Tee(prev, rec.DDTracer()))
-	return &traceOutput{path: path, rec: rec, ctx: ctx, root: root, prev: prev}
+	return &traceOutput{path: path, rec: rec, ctx: ctx, root: root}
 }
 
 // context returns the run context carrying the recorder and root
@@ -54,15 +48,13 @@ func (t *traceOutput) context() context.Context {
 	return t.ctx
 }
 
-// finish closes the root span, restores the previous default tracer,
-// and writes the trace file. Failures are reported, not fatal: the
-// run's real output already happened.
+// finish closes the root span and writes the trace file. Failures
+// are reported, not fatal: the run's real output already happened.
 func (t *traceOutput) finish(stderr io.Writer) {
 	if t == nil {
 		return
 	}
 	t.root.End()
-	dd.SetDefaultTracer(t.prev)
 	f, err := os.Create(t.path)
 	if err != nil {
 		fmt.Fprintln(stderr, "trace-out:", err)

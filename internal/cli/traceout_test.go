@@ -53,7 +53,7 @@ func TestDdsimTraceOut(t *testing.T) {
 }
 
 func TestDdsimTraceOutWithMetricsDump(t *testing.T) {
-	// Both observers share the engine hook via the tee; the dump and
+	// Both sinks hang off the run's one engine observer; the dump and
 	// the trace file must each see the run.
 	circ := writeTemp(t, "bell.qasm", bellQASM)
 	tracePath := filepath.Join(t.TempDir(), "run.trace.json")
@@ -65,11 +65,11 @@ func TestDdsimTraceOutWithMetricsDump(t *testing.T) {
 		t.Fatalf("metrics dump missing:\n%s", out.String())
 	}
 	if strings.Contains(out.String(), `dd_op_duration_seconds_count{op="applygate"} 0`) {
-		t.Fatalf("metrics tracer lost behind the tee:\n%s", out.String())
+		t.Fatalf("metrics collector missed the run:\n%s", out.String())
 	}
 	names := readTraceFile(t, tracePath)
 	if !strings.Contains(strings.Join(names, "\n"), "dd:applygate") {
-		t.Fatalf("trace recorder lost behind the tee: %v", names)
+		t.Fatalf("trace recorder missed the run: %v", names)
 	}
 }
 

@@ -166,14 +166,7 @@ func hashApply(k applyVKey) uint64 { return hashMix(k.v.hash, k.g.hash) }
 // specialized fast path equivalent to MultMV(MakeGateDD(u, target,
 // controls...), v), without building the matrix diagram.
 func (p *Pkg) ApplyGate(v VEdge, u GateMatrix, target int, controls ...Control) VEdge {
-	g := p.internGate(u, target, controls)
-	if p.tracer == nil {
-		return p.applyGate(v, g)
-	}
-	start := time.Now()
-	res := p.applyGate(v, g)
-	p.traced(OpApplyGate, start)
-	return res
+	return p.applyGateTraced(v, p.internGate(u, target, controls))
 }
 
 // ApplyGateChecked is ApplyGate under the node budget (see budget.go):
@@ -184,19 +177,20 @@ func (p *Pkg) ApplyGateChecked(v VEdge, u GateMatrix, target int, controls ...Co
 	p.IncRefV(v)
 	defer p.DecRefV(v)
 	var res VEdge
-	err := p.checked(func() {
-		if p.tracer == nil {
-			res = p.applyGate(v, g)
-			return
-		}
-		start := time.Now()
-		res = p.applyGate(v, g)
-		p.traced(OpApplyGate, start)
-	})
-	if err != nil {
+	if err := p.checked(func() { res = p.applyGateTraced(v, g) }); err != nil {
 		return VZero(), err
 	}
 	return res, nil
+}
+
+func (p *Pkg) applyGateTraced(v VEdge, g *appliedGate) VEdge {
+	if p.observer == nil {
+		return p.applyGate(v, g)
+	}
+	start := time.Now()
+	res := p.applyGate(v, g)
+	p.traced(OpApplyGate, start)
+	return res
 }
 
 // applyGate is the weight-factored entry: the gate is linear, so the

@@ -156,7 +156,7 @@ func (p *Pkg) ApplyGateMRChecked(m MEdge, u GateMatrix, target int, controls ...
 
 func (p *Pkg) applyGateMLTraced(m MEdge, g *appliedGate) MEdge {
 	p.stats.ApplyMOps++
-	if p.tracer == nil {
+	if p.observer == nil {
 		return p.applyGateML(m, g)
 	}
 	start := time.Now()
@@ -167,7 +167,7 @@ func (p *Pkg) applyGateMLTraced(m MEdge, g *appliedGate) MEdge {
 
 func (p *Pkg) applyGateMRTraced(m MEdge, g *appliedGate) MEdge {
 	p.stats.ApplyMOps++
-	if p.tracer == nil {
+	if p.observer == nil {
 		return p.applyGateMR(m, g)
 	}
 	start := time.Now()

@@ -62,17 +62,30 @@ func (p *Pkg) exceeded() *ResourceError {
 // checked runs op with the budget armed: node allocations beyond
 // MaxNodes abort the operation via a panic that is converted back into
 // a *ResourceError here. Before starting, garbage is collected if the
-// tables are already at the cap, so stale intermediates of earlier
-// operations do not eat the budget of this one. After an abort, the
-// partially built (unreferenced) result nodes are swept so the package
-// stays usable; referenced diagrams are untouched.
-func (p *Pkg) checked(op func()) (err error) {
+// tables are already at the cap. After an abort, the partially built
+// (unreferenced) result nodes are swept so the package stays usable;
+// referenced diagrams are untouched. When that sweep leaves fewer live
+// nodes than the operation started with, stale intermediates of
+// earlier operations were eating its budget, so op runs once more on
+// the collected tables. A genuine blow-up frees nothing that predates
+// it and is not retried.
+func (p *Pkg) checked(op func()) error {
 	if p.maxNodes > 0 && p.live >= p.maxNodes {
 		p.GarbageCollect()
 		if p.live >= p.maxNodes {
 			return p.exceeded()
 		}
 	}
+	start := p.live
+	err := p.armed(op)
+	if err != nil && p.live < start {
+		err = p.armed(op)
+	}
+	return err
+}
+
+// armed runs op once with the budget armed, collecting after an abort.
+func (p *Pkg) armed(op func()) (err error) {
 	defer func() {
 		p.budgetArmed = false
 		if r := recover(); r != nil {
@@ -90,10 +103,10 @@ func (p *Pkg) checked(op func()) (err error) {
 }
 
 // The *Checked wrappers ref-protect their operands for the duration
-// of the call: checked() may garbage-collect both before the
-// operation (to reclaim stale intermediates) and after an abort, and
-// with the recycling allocator (mem.go) an unreferenced operand would
-// not merely fall out of the unique tables — its nodes would be
+// of the call: checked() may garbage-collect before the operation and
+// after an abort, then run the operation again on the same operands,
+// and with the recycling allocator (mem.go) an unreferenced operand
+// would not merely fall out of the unique tables — its nodes would be
 // zeroed and reused. The temporary references keep operands intact
 // through any internal collection; after the wrapper returns they are
 // subject to normal GC rules again.

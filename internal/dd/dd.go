@@ -182,11 +182,11 @@ type Pkg struct {
 	live        int
 	budgetArmed bool
 
-	// Observability (see trace.go): tracer observes top-level
+	// Observability (see trace.go): observer sees top-level
 	// operation latencies, tracedOps strides snapshot publication,
 	// and statsSnap is the atomically published Stats snapshot that
 	// other goroutines read via LastStats.
-	tracer    TraceFunc
+	observer  Observer
 	tracedOps uint64
 	statsSnap atomic.Pointer[Stats]
 
@@ -394,7 +394,9 @@ func NewTol(n int, tol float64) *Pkg {
 		p.mUnique[i] = newMTable()
 	}
 	p.SetComputeTableSize(ctDefaultLarge)
-	p.tracer = loadDefaultTracer()
+	if o := defaultObserver.Load(); o != nil {
+		p.observer = *o
+	}
 	return p
 }
 

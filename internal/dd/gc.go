@@ -96,8 +96,8 @@ func (p *Pkg) GarbageCollect() (vecFreed, matFreed int) {
 	p.stats.NodesFreed += uint64(vecFreed + matFreed)
 	pause := time.Since(start)
 	p.stats.GCPauseNS += uint64(pause)
-	if p.tracer != nil {
-		p.tracer(OpGC, pause)
+	if p.observer != nil {
+		p.observer.ObserveOp(OpGC, pause)
 		p.PublishStats()
 	}
 	return vecFreed, matFreed

@@ -36,9 +36,9 @@ type (
 )
 
 // The exported entry points (AddV, MultMV, …) live in trace.go: they
-// time the recursive bodies below when a tracer is installed. The
+// time the recursive bodies below when an observer is installed. The
 // recursion calls the unexported bodies directly, so only top-level
-// invocations are traced.
+// invocations are observed.
 
 // addV is the recursive body of AddV.
 func (p *Pkg) addV(a, b VEdge) VEdge {

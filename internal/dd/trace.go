@@ -1,17 +1,18 @@
 package dd
 
-// Operation tracing and race-clean stats snapshots.
+// Operation observation and race-clean stats snapshots.
 //
 // A Pkg is single-goroutine by design, but production deployments
 // need to watch it from other goroutines: a metrics scraper must read
 // table loads and cache ratios while a session is mid-step. Two
 // mechanisms make that possible without locking the hot path:
 //
-//   - An optional TraceFunc observes the wall-clock latency of every
-//     top-level diagram operation (the public AddV/MultMV/… entry
-//     points time themselves around their recursive bodies) and every
-//     garbage collection. With no tracer installed the cost is a
-//     single nil check per operation.
+//   - One optional Observer per package sees the wall-clock latency of
+//     every top-level diagram operation (the public AddV/MultMV/…
+//     entry points time themselves around their recursive bodies) and
+//     every garbage collection. Callers that feed several sinks compose
+//     them in one Observer value of their own. With no observer
+//     installed the cost is a single nil check per operation.
 //
 //   - The package periodically publishes an immutable Stats snapshot
 //     through an atomic pointer (LastStats). Readers on any goroutine
@@ -66,40 +67,26 @@ func (o Op) String() string {
 	}
 }
 
-// TraceFunc observes one completed operation. Implementations must be
-// safe for concurrent use when several packages share one tracer.
-type TraceFunc func(op Op, d time.Duration)
-
-// tracerBox wraps a TraceFunc for atomic.Value (which cannot hold a
-// bare nil func).
-type tracerBox struct{ f TraceFunc }
-
-var defaultTracer atomic.Value // tracerBox
-
-// SetDefaultTracer installs a process-wide tracer inherited by every
-// subsequently created Pkg — how the CLI tools observe packages built
-// deep inside the bench and verify harnesses. Pass nil to clear.
-func SetDefaultTracer(f TraceFunc) { defaultTracer.Store(tracerBox{f: f}) }
-
-func loadDefaultTracer() TraceFunc {
-	if b, ok := defaultTracer.Load().(tracerBox); ok {
-		return b.f
-	}
-	return nil
+// Observer watches the operations of a package. ObserveOp runs on
+// the goroutine that completed the operation; implementations shared
+// by several packages must be safe for concurrent use.
+type Observer interface {
+	ObserveOp(op Op, d time.Duration)
 }
 
-// DefaultTracer returns the currently installed process-wide tracer
-// (nil when none) — callers chaining an additional observer (e.g. the
-// -trace-out flight recorder next to -metrics-dump) read the existing
-// hook through this and install a tee.
-func DefaultTracer() TraceFunc { return loadDefaultTracer() }
+var defaultObserver atomic.Pointer[Observer]
 
-// SetTracer installs (or, with nil, removes) the tracer of this
-// package, overriding any default tracer it inherited. Installing a
-// tracer publishes an initial stats snapshot.
-func (p *Pkg) SetTracer(f TraceFunc) {
-	p.tracer = f
-	if f != nil {
+// SetDefaultObserver installs a process-wide observer inherited by
+// every subsequently created Pkg — how the CLI tools observe packages
+// built deep inside the bench and verify harnesses. Pass nil to clear.
+func SetDefaultObserver(o Observer) { defaultObserver.Store(&o) }
+
+// SetObserver installs (or, with nil, removes) the observer of this
+// package, overriding any default it inherited. Installing an
+// observer publishes an initial stats snapshot.
+func (p *Pkg) SetObserver(o Observer) {
+	p.observer = o
+	if o != nil {
 		p.PublishStats()
 	}
 }
@@ -131,7 +118,7 @@ func (p *Pkg) LastStats() (Stats, bool) {
 // traced runs after a top-level operation completed: it reports the
 // latency and periodically republishes the stats snapshot.
 func (p *Pkg) traced(op Op, start time.Time) {
-	p.tracer(op, time.Since(start))
+	p.observer.ObserveOp(op, time.Since(start))
 	p.tracedOps++
 	if p.tracedOps%publishStride == 0 {
 		p.PublishStats()
@@ -141,7 +128,7 @@ func (p *Pkg) traced(op Op, start time.Time) {
 // AddV returns the element-wise sum of the vectors a and b. Operands
 // must stem from this package and represent equally sized vectors.
 func (p *Pkg) AddV(a, b VEdge) VEdge {
-	if p.tracer == nil {
+	if p.observer == nil {
 		return p.addV(a, b)
 	}
 	start := time.Now()
@@ -152,7 +139,7 @@ func (p *Pkg) AddV(a, b VEdge) VEdge {
 
 // AddM returns the element-wise sum of the matrices a and b.
 func (p *Pkg) AddM(a, b MEdge) MEdge {
-	if p.tracer == nil {
+	if p.observer == nil {
 		return p.addM(a, b)
 	}
 	start := time.Now()
@@ -164,7 +151,7 @@ func (p *Pkg) AddM(a, b MEdge) MEdge {
 // MultMV computes the matrix-vector product m·v, the core of DD-based
 // simulation (Ex. 9, Fig. 4 of the paper).
 func (p *Pkg) MultMV(m MEdge, v VEdge) VEdge {
-	if p.tracer == nil {
+	if p.observer == nil {
 		return p.multMV(m, v)
 	}
 	start := time.Now()
@@ -177,7 +164,7 @@ func (p *Pkg) MultMV(m MEdge, v VEdge) VEdge {
 // used to build circuit functionality U = U_{m-1}···U_0.
 func (p *Pkg) MultMM(a, b MEdge) MEdge {
 	p.stats.MultMMOps++
-	if p.tracer == nil {
+	if p.observer == nil {
 		return p.multMM(a, b)
 	}
 	start := time.Now()
@@ -189,7 +176,7 @@ func (p *Pkg) MultMM(a, b MEdge) MEdge {
 // KronM computes the tensor product a⊗b, where b spans the
 // lowerQubits bottom levels (Fig. 3 of the paper).
 func (p *Pkg) KronM(a, b MEdge, lowerQubits int) MEdge {
-	if p.tracer == nil {
+	if p.observer == nil {
 		return p.kronM(a, b, lowerQubits)
 	}
 	start := time.Now()
@@ -201,7 +188,7 @@ func (p *Pkg) KronM(a, b MEdge, lowerQubits int) MEdge {
 // ConjTranspose returns the conjugate transpose (adjoint) m† of the
 // matrix diagram.
 func (p *Pkg) ConjTranspose(m MEdge) MEdge {
-	if p.tracer == nil {
+	if p.observer == nil {
 		return p.conjTranspose(m)
 	}
 	start := time.Now()

@@ -13,15 +13,20 @@ var hGate = GateMatrix{
 	complex(1/math.Sqrt2, 0), complex(-1/math.Sqrt2, 0),
 }
 
-func TestTracerObservesTopLevelOps(t *testing.T) {
+// observerFunc adapts a function to the Observer interface.
+type observerFunc func(op Op, d time.Duration)
+
+func (f observerFunc) ObserveOp(op Op, d time.Duration) { f(op, d) }
+
+func TestObserverSeesTopLevelOps(t *testing.T) {
 	p := New(3)
 	var counts [NumOps]int
-	p.SetTracer(func(op Op, d time.Duration) {
+	p.SetObserver(observerFunc(func(op Op, d time.Duration) {
 		if d < 0 {
 			t.Errorf("negative duration for %v", op)
 		}
 		counts[op]++
-	})
+	}))
 	h := p.MakeGateDD(hGate, 0)
 	state := p.MultMV(h, p.ZeroState())
 	_ = p.AddV(state, state)
@@ -46,15 +51,37 @@ func TestTracerObservesTopLevelOps(t *testing.T) {
 	}
 }
 
-func TestDefaultTracerInheritedByNewPackages(t *testing.T) {
+func TestDefaultObserverInheritedByNewPackages(t *testing.T) {
 	var ops atomic.Int64
-	SetDefaultTracer(func(op Op, d time.Duration) { ops.Add(1) })
-	defer SetDefaultTracer(nil)
+	SetDefaultObserver(observerFunc(func(op Op, d time.Duration) { ops.Add(1) }))
+	defer SetDefaultObserver(nil)
 	p := New(2)
 	h := p.MakeGateDD(hGate, 0)
 	p.MultMV(h, p.ZeroState())
 	if ops.Load() == 0 {
-		t.Fatal("package created after SetDefaultTracer did not trace")
+		t.Fatal("package created after SetDefaultObserver was not observed")
+	}
+}
+
+// TestObservedApplyAllocs pins the per-operation cost of the hook: a
+// warm gate application allocates nothing with no observer and, with
+// a no-op observer, nothing beyond the stats snapshot published once
+// per publishStride operations (which AllocsPerRun's integer average
+// amortises to 0). The CI workflow runs this guard explicitly.
+func TestObservedApplyAllocs(t *testing.T) {
+	for _, o := range []Observer{nil, observerFunc(func(Op, time.Duration) {})} {
+		p := New(3)
+		p.SetObserver(o)
+		v := p.ApplyGate(p.ZeroState(), hGate, 0)
+		m := p.ApplyGateML(p.Ident(), hGate, 1)
+		p.IncRefV(v)
+		p.IncRefM(m)
+		if n := testing.AllocsPerRun(1000, func() {
+			p.ApplyGate(v, hGate, 1)
+			p.ApplyGateML(m, hGate, 2)
+		}); n != 0 {
+			t.Fatalf("observer %v: warm ApplyGate+ApplyGateML allocated %.1f times per call, want 0", o != nil, n)
+		}
 	}
 }
 
@@ -88,7 +115,7 @@ func TestGCPauseAccumulates(t *testing.T) {
 // snapshot, which is what the web scrape path uses.)
 func TestLastStatsRaceCleanDuringGC(t *testing.T) {
 	p := New(4)
-	p.SetTracer(func(Op, time.Duration) {})
+	p.SetObserver(observerFunc(func(Op, time.Duration) {}))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -134,7 +161,7 @@ func TestLastStatsRaceCleanDuringGC(t *testing.T) {
 
 	st, ok := p.LastStats()
 	if !ok {
-		t.Fatal("no snapshot published despite tracer being installed")
+		t.Fatal("no snapshot published despite an observer being installed")
 	}
 	if st.GCRuns == 0 {
 		t.Fatal("test exercised no GC; lower the MaybeGC threshold")

@@ -1,7 +1,7 @@
 package obs
 
-// DDCollector bridges the dd engine into the registry: a tracer that
-// feeds per-operation latency histograms, and gauge recording for
+// DDCollector bridges the dd engine into the registry: an observer
+// that feeds per-operation latency histograms, and gauge recording for
 // Stats snapshots. The web server records an aggregate snapshot over
 // all live sessions at scrape time; the CLI tools record the final
 // snapshot of a run before dumping the registry — both read the same
@@ -110,17 +110,15 @@ func NewDDCollector(r *Registry) *DDCollector {
 	return c
 }
 
-// Tracer returns the dd.TraceFunc feeding the latency histograms.
-// Safe for concurrent use by several packages.
-func (c *DDCollector) Tracer() dd.TraceFunc {
-	return func(op dd.Op, d time.Duration) {
-		if op >= dd.NumOps {
-			return
-		}
-		c.opDur[op].ObserveSeconds(int64(d))
-		if op == dd.OpGC {
-			c.gcPause.ObserveSeconds(int64(d))
-		}
+// ObserveOp feeds the latency histograms; DDCollector is a
+// dd.Observer safe for concurrent use by several packages.
+func (c *DDCollector) ObserveOp(op dd.Op, d time.Duration) {
+	if op >= dd.NumOps {
+		return
+	}
+	c.opDur[op].ObserveSeconds(int64(d))
+	if op == dd.OpGC {
+		c.gcPause.ObserveSeconds(int64(d))
 	}
 }
 

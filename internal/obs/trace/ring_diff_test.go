@@ -92,7 +92,6 @@ func TestRingMatchesReference(t *testing.T) {
 		var hookDrops uint64
 		got.OnDrop(func() { hookDrops++ })
 		want := &refRecorder{cap: capacity}
-		hook := got.DDTracer()
 		root := With(context.Background(), got)
 
 		type open struct {
@@ -132,7 +131,7 @@ func TestRingMatchesReference(t *testing.T) {
 				want.Emit(s)
 			default:
 				op, d := dd.Op(rng.Intn(int(dd.NumOps)+1)), time.Duration(rng.Intn(500))
-				hook(op, d)
+				got.ObserveOp(op, d)
 				want.ddOp(op, d)
 			}
 			if step%97 == 0 || step == 2999 {

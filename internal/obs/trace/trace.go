@@ -29,7 +29,7 @@
 // Concurrency: a Recorder belongs to one session, and sessions are
 // single-goroutine by construction (the web server holds the
 // per-session lock for the duration of a request; the CLIs are
-// sequential). StartSpan/End and the DD tracer therefore run on the
+// sequential). StartSpan/End and ObserveOp therefore run on the
 // session's goroutine only; Snapshot and Dropped take the ring mutex
 // and may be called from any goroutine (the trace exporter, the
 // debug-bundle builder, a metrics scrape).
@@ -329,7 +329,7 @@ func (r *Recorder) Len() int {
 }
 
 // ddOpNames maps dd.Op to a stable pre-built span name, so the DD
-// tracer never concatenates strings on the hot path.
+// observer never concatenates strings on the hot path.
 var ddOpNames = func() [dd.NumOps]string {
 	var names [dd.NumOps]string
 	for op := dd.Op(0); op < dd.NumOps; op++ {
@@ -338,56 +338,29 @@ var ddOpNames = func() [dd.NumOps]string {
 	return names
 }()
 
-// DDTracer returns a dd.TraceFunc bridging the engine's PR 3 trace
-// hook into the recorder: every top-level DD operation (multmv,
-// applygate, gc, …) becomes a child span of the recorder's current
-// active span. Operations completing while no span is active (e.g.
-// diagram rendering outside a request span) are not recorded, which
-// keeps the ring filled with request-attributable work.
+// ObserveOp makes the recorder a dd.Observer: every top-level DD
+// operation (multmv, applygate, gc, …) becomes a child span of the
+// recorder's current active span. Operations completing while no span
+// is active (e.g. diagram rendering outside a request span) are not
+// recorded, which keeps the ring filled with request-attributable
+// work.
 //
-// The returned func may be called from goroutines other than the
-// session's only while the set of active spans is stable (the
-// Monte-Carlo noise harness), since it reads the current span without
-// the ring mutex.
-func (r *Recorder) DDTracer() dd.TraceFunc {
-	return func(op dd.Op, d time.Duration) {
-		cur := r.current
-		if cur == nil || op >= dd.NumOps {
-			return
-		}
-		end := sinceEpoch(r.epoch)
-		r.emit(record{
-			id:     r.nextSpanID(),
-			parent: cur.ID,
-			name:   ddOpNames[op],
-			start:  end - int64(d),
-			dur:    int64(d),
-		}, nil)
+// ObserveOp may be called from goroutines other than the session's
+// only while the set of active spans is stable (the Monte-Carlo noise
+// harness), since it reads the current span without the ring mutex.
+func (r *Recorder) ObserveOp(op dd.Op, d time.Duration) {
+	cur := r.current
+	if cur == nil || op >= dd.NumOps {
+		return
 	}
-}
-
-// Tee combines trace funcs, skipping nils — how a session's DD
-// package feeds the metrics histograms and the flight recorder from
-// one hook.
-func Tee(fns ...dd.TraceFunc) dd.TraceFunc {
-	live := fns[:0]
-	for _, f := range fns {
-		if f != nil {
-			live = append(live, f)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	out := append([]dd.TraceFunc(nil), live...)
-	return func(op dd.Op, d time.Duration) {
-		for _, f := range out {
-			f(op, d)
-		}
-	}
+	end := sinceEpoch(r.epoch)
+	r.emit(record{
+		id:     r.nextSpanID(),
+		parent: cur.ID,
+		name:   ddOpNames[op],
+		start:  end - int64(d),
+		dur:    int64(d),
+	}, nil)
 }
 
 // Context plumbing. Two keys: one for the recorder (attached once per

@@ -102,7 +102,6 @@ func runSession(seed int64, capacity, spans int, drops *atomic.Uint64) (*trace.R
 // can hand the recorder to observer goroutines beforehand.
 func runSessionOn(rec *trace.Recorder, seed int64, spans int) (int, map[uint64]uint64) {
 	rng := rand.New(rand.NewSource(seed))
-	ddHook := rec.DDTracer()
 	parentOf := make(map[uint64]uint64)
 	emitted := 0
 
@@ -126,7 +125,7 @@ func runSessionOn(rec *trace.Recorder, seed int64, spans int) (int, map[uint64]u
 			parentOf[sp.ID] = parent
 			stack = append(stack, open{ctx, sp})
 		case rng.Intn(2) == 0:
-			ddHook(dd.OpMultMV, time.Microsecond)
+			rec.ObserveOp(dd.OpMultMV, time.Microsecond)
 			emitted++
 		default:
 			top := stack[len(stack)-1]
@@ -215,20 +214,6 @@ func TestConcurrentSessions(t *testing.T) {
 				t.Fatalf("session %d: span %d parent %d, want %d", i, s.ID, s.Parent, want)
 			}
 		}
-	}
-}
-
-func TestTee(t *testing.T) {
-	var a, b int
-	fa := func(op dd.Op, d time.Duration) { a++ }
-	fb := func(op dd.Op, d time.Duration) { b++ }
-	if trace.Tee(nil, nil) != nil {
-		t.Fatal("Tee of nils must be nil")
-	}
-	tee := trace.Tee(fa, nil, fb)
-	tee(dd.OpMultMV, time.Microsecond)
-	if a != 1 || b != 1 {
-		t.Fatalf("tee fan-out broken: a=%d b=%d", a, b)
 	}
 }
 

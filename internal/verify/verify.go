@@ -79,18 +79,13 @@ type Result struct {
 	GenericOps      int      // applications served by generic MultMM
 	Root            dd.MEdge // canonical root edge of the final diagram
 	Trace           []StepRecord
-	// Shape is the structural profile of the final diagram —
-	// identity-padding fraction, per-level occupancy, sharing — taken
-	// when shape profiling was enabled via WithShapeEvery.
-	Shape *dd.ShapeProfile
 }
 
 // Option configures a check run.
 type Option func(*config)
 
 type config struct {
-	genericMM  bool
-	shapeEvery int
+	genericMM bool
 }
 
 // WithGenericMM routes every gate application through the generic
@@ -100,16 +95,6 @@ type config struct {
 // guarantees both engines produce pointer-identical root edges on the
 // same package.
 func WithGenericMM() Option { return func(c *config) { c.genericMM = true } }
-
-// WithShapeEvery enables structural profiling of the intermediate
-// diagram during checking: every n gate applications the engine
-// publishes a dd.ShapeProfile on its package (readable concurrently
-// via Pkg.LastShape), and the final diagram's profile is attached to
-// Result.Shape. The per-level occupancy timeline this yields is how
-// an operator sees an alternating check drift away from the identity
-// before the node budget kills it. n ≤ 0 (the default) disables
-// profiling.
-func WithShapeEvery(n int) Option { return func(c *config) { c.shapeEvery = n } }
 
 func buildConfig(opts []Option) config {
 	var c config
@@ -210,11 +195,7 @@ func unitaryOps(c *qc.Circuit) []*qc.Op {
 // application. Gates are multiplied in by the matrix kernel unless
 // WithGenericMM selects the generic path.
 func BuildFunctionality(p *dd.Pkg, c *qc.Circuit, opts ...Option) (dd.MEdge, []StepRecord, error) {
-	cfg := buildConfig(opts)
-	if cfg.shapeEvery > 0 {
-		p.SetShapeInterval(cfg.shapeEvery)
-	}
-	eng := &engine{p: p, generic: cfg.genericMM}
+	eng := &engine{p: p, generic: buildConfig(opts).genericMM}
 	return buildFunctionality(context.Background(), eng, c, true)
 }
 
@@ -294,11 +275,7 @@ func CheckOnCtx(ctx context.Context, p *dd.Pkg, c1, c2 *qc.Circuit, strategy Str
 	if c1.HasNonUnitary() || c2.HasNonUnitary() {
 		return nil, fmt.Errorf("verify: measurements, resets and classically-controlled operations are not supported in verification")
 	}
-	cfg := buildConfig(opts)
-	if cfg.shapeEvery > 0 {
-		p.SetShapeInterval(cfg.shapeEvery)
-	}
-	eng := &engine{p: p, generic: cfg.genericMM}
+	eng := &engine{p: p, generic: buildConfig(opts).genericMM}
 	switch strategy {
 	case Construction:
 		return checkConstruction(ctx, eng, c1, c2)
@@ -337,10 +314,6 @@ func checkConstruction(ctx context.Context, eng *engine, c1, c2 *qc.Circuit) (*R
 	res.FinalNodes = dd.SizeM(u1)
 	res.Root = u1
 	res.KernelOps, res.GenericOps = eng.kernelOps, eng.genericOps
-	if eng.p.ShapeInterval() > 0 {
-		final := eng.p.PublishShapeM(u1)
-		res.Shape = &final
-	}
 	if u1 == u2 {
 		res.Equivalent = true
 	} else if u1.N == u2.N {
@@ -493,10 +466,6 @@ func checkAlternating(ctx context.Context, eng *engine, c1, c2 *qc.Circuit, stra
 	res.FinalNodes = dd.SizeM(x)
 	res.Root = x
 	res.KernelOps, res.GenericOps = eng.kernelOps, eng.genericOps
-	if p.ShapeInterval() > 0 {
-		final := p.PublishShapeM(x)
-		res.Shape = &final
-	}
 	switch p.CheckIdentity(x) {
 	case dd.IdentityExact:
 		res.Equivalent = true

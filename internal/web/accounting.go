@@ -3,11 +3,12 @@ package web
 // Per-session resource accounting.
 //
 // Every session carries a sessionAccount: cheap atomic meters fed by
-// the same tracer tee that drives the shared latency histograms, plus
-// a request counter bumped at the acquire choke point. The account
-// answers "which session is eating the box" — GET /debug/sessions/top
-// ranks live sessions by cumulative DD work, the same ranking rides in
-// debug bundles (sessions/top.json) and the live telemetry frames.
+// the same engine observer that drives the shared latency histograms,
+// plus a request counter bumped at the acquire choke point. The
+// account answers "which session is eating the box" — GET
+// /debug/sessions/top ranks live sessions by cumulative DD work, the
+// same ranking rides in debug bundles (sessions/top.json) and the live
+// telemetry frames.
 //
 // Node and table counters are NOT duplicated here: they come from the
 // engine's atomically published Stats snapshot (dd.Pkg.LastStats), so
@@ -27,7 +28,7 @@ import (
 var errBadTopN = errors.New("web: n must be a positive integer")
 
 // sessionAccount meters one session's cumulative resource usage. All
-// fields are atomics; the tracer side runs on the session goroutine,
+// fields are atomics; the observer side runs on the session goroutine,
 // the read side (top endpoint, telemetry tick) on any other.
 type sessionAccount struct {
 	created  time.Time
@@ -48,13 +49,11 @@ func (a *sessionAccount) touch() {
 	}
 }
 
-// ddTracer returns the accounting leg of the tracer tee: every
+// ObserveOp is the accounting leg of the session observer: every
 // top-level DD operation adds to the op and wall-time meters.
-func (a *sessionAccount) ddTracer() dd.TraceFunc {
-	return func(op dd.Op, d time.Duration) {
-		a.ddOps.Add(1)
-		a.ddNanos.Add(int64(d))
-	}
+func (a *sessionAccount) ObserveOp(op dd.Op, d time.Duration) {
+	a.ddOps.Add(1)
+	a.ddNanos.Add(int64(d))
 }
 
 // sessionUsage is one session's accounting snapshot — the top-endpoint

@@ -1,11 +1,15 @@
 package web
 
 // Per-session resource accounting: ranking, truncation, and input
-// validation on /debug/sessions/top.
+// validation on /debug/sessions/top, and its agreement with the other
+// sinks of the session observer.
 
 import (
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 
 	"quantumdd/internal/algorithms"
@@ -76,5 +80,65 @@ func TestSessionsTopCapsN(t *testing.T) {
 	resp := get(t, srv, fmt.Sprintf("/debug/sessions/top?n=%d", maxTopN+1), nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("oversized n should clamp, not fail: status %d", resp.StatusCode)
+	}
+}
+
+// TestSessionObserverSinksAgree drives one session and checks that the
+// three sinks of its engine observer saw the same operations: the
+// account's DD op meter, the dd_op_duration_seconds histogram counts
+// summed over ops, and the dd: child spans in the session's recorder.
+func TestSessionObserverSinksAgree(t *testing.T) {
+	_, srv := newTracedServer(t)
+	var created newResp
+	post(t, srv, "/api/simulation", newSimRequest{Code: algorithms.QFT(5).QASM()}, &created)
+
+	ddOps := func() uint64 {
+		var top topResponse
+		get(t, srv, "/debug/sessions/top", &top)
+		if len(top.Sessions) != 1 {
+			t.Fatalf("%d sessions, want 1", len(top.Sessions))
+		}
+		return top.Sessions[0].DDOps
+	}
+	histCount := func() uint64 {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var sum uint64
+		for _, line := range strings.Split(string(body), "\n") {
+			if strings.HasPrefix(line, "dd_op_duration_seconds_count{") {
+				n, err := strconv.ParseUint(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+				if err != nil {
+					t.Fatalf("metrics line %q: %v", line, err)
+				}
+				sum += n
+			}
+		}
+		return sum
+	}
+	ddSpans := func() uint64 {
+		var doc struct {
+			TraceEvents []traceEvent `json:"traceEvents"`
+		}
+		get(t, srv, "/debug/sessions/"+created.ID+"/trace", &doc)
+		var n uint64
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph == "X" && strings.HasPrefix(ev.Name, "dd:") {
+				n++
+			}
+		}
+		return n
+	}
+
+	ops0, hist0, spans0 := ddOps(), histCount(), ddSpans()
+	for _, action := range []string{"forward", "forward", "forward", "backward", "forward", "end", "start", "end"} {
+		post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: action}, nil)
+	}
+	ops, hist, spans := ddOps()-ops0, histCount()-hist0, ddSpans()-spans0
+	if ops == 0 || ops != hist || ops != spans {
+		t.Fatalf("observer sinks disagree over 8 steps: account %d ops, histograms %d, recorder %d dd: spans", ops, hist, spans)
 	}
 }

@@ -18,7 +18,10 @@ import (
 	"testing"
 	"time"
 
+	"quantumdd/internal/algorithms"
+	"quantumdd/internal/dd"
 	"quantumdd/internal/qc"
+	"quantumdd/internal/verify"
 )
 
 // newHardenedServer spins up a test server with explicit limits and
@@ -284,7 +287,8 @@ func TestNodeBudgetSurfacesAsPartialFrame(t *testing.T) {
 }
 
 func TestFunctionalityBudgetRejected422(t *testing.T) {
-	_, ts := newHardenedServer(t, Config{MaxNodes: 200})
+	const budget = 200
+	_, ts := newHardenedServer(t, Config{MaxNodes: budget})
 	circ := blowUpCircuit(10)
 	buf, _ := json.Marshal(functionalityRequest{Code: circ.QASM()})
 	resp, err := http.Post(ts.URL+"/api/functionality", "application/json", bytes.NewReader(buf))
@@ -294,8 +298,64 @@ func TestFunctionalityBudgetRejected422(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422", resp.StatusCode)
 	}
-	if e := decodeAPIError(t, resp); e.Code != codeResourceExhausted {
+	e := decodeAPIError(t, resp)
+	if e.Code != codeResourceExhausted {
 		t.Fatalf("code %q, want %q", e.Code, codeResourceExhausted)
+	}
+	// A genuine blow-up aborts with the tables full of its own nodes,
+	// not of garbage a retry could have reclaimed.
+	var live, limit int
+	i := strings.Index(e.Error, "diagram too large: ")
+	if i < 0 {
+		t.Fatalf("no budget report in %q", e.Error)
+	}
+	if _, err := fmt.Sscanf(e.Error[i:], "diagram too large: %d live nodes exceed the budget of %d", &live, &limit); err != nil {
+		t.Fatalf("parse %q: %v", e.Error, err)
+	}
+	if limit != budget || live < budget/2 {
+		t.Fatalf("aborted at %d live nodes of a %d budget, want at least half the cap", live, limit)
+	}
+}
+
+// TestFunctionalityBudgetStaleGarbage is the regression test for a
+// build that fits its budget but used to abort on garbage: the
+// 210-gate random circuit leaves about 250k stale intermediates for a
+// 5461-node operator, so under DefaultConfig the budget tripped and
+// the endpoint answered 422. The abort's collection frees that
+// garbage and the gate is applied again; the operator must be
+// bit-identical to the unbudgeted build.
+func TestFunctionalityBudgetStaleGarbage(t *testing.T) {
+	circ := algorithms.RandomCircuit(7, 30, 3)
+	cfg := DefaultConfig()
+	_, ts := newHardenedServer(t, cfg)
+	buf, _ := json.Marshal(functionalityRequest{Code: circ.QASM()})
+	resp, err := http.Post(ts.URL+"/api/functionality", "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200: %+v", resp.StatusCode, decodeAPIError(t, resp))
+	}
+	var got frameResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got.Frame.Nodes != 5461 {
+		t.Fatalf("operator has %d nodes, want 5461", got.Frame.Nodes)
+	}
+
+	build := func(maxNodes int) []byte {
+		p := dd.New(circ.NQubits)
+		p.SetMaxNodes(maxNodes)
+		u, err := verify.Functionality(p, circ)
+		if err != nil {
+			t.Fatalf("budget %d: %v", maxNodes, err)
+		}
+		return p.AppendMatrixBinary(nil, u)
+	}
+	if !bytes.Equal(build(cfg.MaxNodes), build(0)) {
+		t.Fatal("budgeted operator differs from the unbudgeted build")
 	}
 }
 

@@ -14,6 +14,7 @@ package web
 
 import (
 	"net/http"
+	"time"
 
 	"quantumdd/internal/dd"
 	"quantumdd/internal/obs"
@@ -256,25 +257,34 @@ func (s *Server) MetricsHandler() http.Handler {
 // Metrics exposes the server's registry for embedding callers.
 func (s *Server) Metrics() *obs.Registry { return s.metrics.registry }
 
-// instrument installs the engine tracer tee on a session's DD
-// package: the shared latency histograms, the session's resource
-// account, and (when present) the flight recorder all observe the
-// same top-level operations from one hook. Ring evictions feed
-// trace_spans_dropped_total.
+// sessionObserver is a session's one engine observer: every top-level
+// DD operation feeds the shared latency histograms, the session's
+// resource account and, when tracing is on, its flight recorder.
+type sessionObserver struct {
+	coll *obs.DDCollector
+	acct *sessionAccount
+	rec  *trace.Recorder // nil when tracing is disabled
+}
+
+func (o *sessionObserver) ObserveOp(op dd.Op, d time.Duration) {
+	o.coll.ObserveOp(op, d)
+	o.acct.ObserveOp(op, d)
+	if o.rec != nil {
+		o.rec.ObserveOp(op, d)
+	}
+}
+
+// instrument installs the session observer on a session's DD package.
+// Ring evictions feed trace_spans_dropped_total.
 func (s *Server) instrument(p *dd.Pkg, rec *trace.Recorder, acct *sessionAccount) {
 	// The one per-session engine-setup choke point (it covers fresh and
 	// spill-restored sessions alike), so the shape profiling stride is
 	// installed here too.
 	p.SetShapeInterval(s.shapeInterval())
-	fns := []dd.TraceFunc{s.metrics.dd.Tracer()}
-	if acct != nil {
-		fns = append(fns, acct.ddTracer())
-	}
 	if rec != nil {
 		rec.OnDrop(s.metrics.spansDropped.Inc)
-		fns = append(fns, rec.DDTracer())
 	}
-	p.SetTracer(trace.Tee(fns...))
+	p.SetObserver(&sessionObserver{coll: s.metrics.dd, acct: acct, rec: rec})
 }
 
 // newRecorder creates a session's flight recorder, or nil when
