@@ -62,7 +62,9 @@ func (p *Pkg) exceeded() *ResourceError {
 // checked runs op with the budget armed: node allocations beyond
 // MaxNodes abort the operation via a panic that is converted back into
 // a *ResourceError here. Before starting, garbage is collected if the
-// tables are already at the cap. After an abort, the partially built
+// tables are already at the cap, and the operation is refused if they
+// still are; otherwise one served from the compute tables would
+// succeed over budget. After an abort, the partially built
 // (unreferenced) result nodes are swept so the package stays usable;
 // referenced diagrams are untouched. When that sweep leaves fewer live
 // nodes than the operation started with, stale intermediates of
