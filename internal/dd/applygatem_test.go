@@ -1,6 +1,9 @@
 package dd
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/cmplx"
@@ -326,5 +329,92 @@ func TestAdjointProductFastPath(t *testing.T) {
 	b := p.MultMM(a, p.MakeGateDD(gateH, 1))
 	if ov := p.HSOverlap(b, b); math.Abs(ov-1) > 1e-9 {
 		t.Fatalf("HSOverlap(b,b) = %v, want 1", ov)
+	}
+}
+
+// TestApplyGateMSidesDigest pins the matrix kernel's output bits and
+// counters on seeded mixed-side runs over 2–9 qubits: left and right
+// gate applications with positive and negative controls above and
+// below the target, SWAPs on both sides, checked and unchecked
+// entries, a garbage collection mid-run, and (on odd widths) compute
+// tables small enough to evict. The digest was recorded before the
+// left and right descents were folded into one side-parameterised
+// recursion; a change in node or complex-value creation order, or in
+// which table a lookup lands in, moves it.
+func TestApplyGateMSidesDigest(t *testing.T) {
+	const want = "0edfb50a8577c8e307fb95b78894f5e3f63f842f818f0fa2efe2af1f31fcb9e6"
+	h := sha256.New()
+	var buf []byte
+	for n := 2; n <= 9; n++ {
+		rng := rand.New(rand.NewSource(int64(200 + n)))
+		p := New(n)
+		p.SetMaxNodes(1 << 20)
+		if n%2 == 1 {
+			p.SetComputeTableSize(ctMinSize)
+		}
+		m := p.Ident()
+		p.IncRefM(m)
+		for s := 0; s < 60; s++ {
+			if s == 30 {
+				p.GarbageCollect()
+			}
+			target := rng.Intn(n)
+			var free []int
+			for q := 0; q < n; q++ {
+				if q != target {
+					free = append(free, q)
+				}
+			}
+			rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+			var next MEdge
+			var err error
+			switch k := rng.Intn(6); k {
+			case 4, 5:
+				var ctl []Control
+				if len(free) > 1 && rng.Intn(2) == 1 {
+					ctl = []Control{{Qubit: free[1], Neg: rng.Intn(2) == 1}}
+				}
+				if k == 4 {
+					next, err = p.ApplySwapMLChecked(m, target, free[0], ctl...)
+				} else {
+					next = p.ApplySwapMR(m, target, free[0], ctl...)
+				}
+			default:
+				ctl := make([]Control, 0, 3)
+				for _, q := range free[:min(rng.Intn(4), len(free))] {
+					ctl = append(ctl, Control{Qubit: q, Neg: rng.Intn(2) == 1})
+				}
+				u := randGateMatrix(rng)
+				switch k {
+				case 0:
+					next = p.ApplyGateML(m, u, target, ctl...)
+				case 1:
+					next = p.ApplyGateMR(m, u, target, ctl...)
+				case 2:
+					next, err = p.ApplyGateMLChecked(m, u, target, ctl...)
+				default:
+					next, err = p.ApplyGateMRChecked(m, u, target, ctl...)
+				}
+			}
+			if err != nil {
+				t.Fatalf("n=%d step=%d: %v", n, s, err)
+			}
+			p.IncRefM(next)
+			p.DecRefM(m)
+			m = next
+		}
+		st := p.Stats()
+		buf = p.AppendMatrixBinary(buf[:0], m)
+		for _, c := range []uint64{
+			st.ApplyMCTLookups, st.ApplyMCTHits, st.ApplyMCTEvictions, st.ApplyMIdentitySkips,
+			st.ApplyMOps, st.CacheLookups, st.CacheHits, st.CTStores, st.CTEvictions,
+			uint64(st.ComplexValues),
+		} {
+			buf = binary.LittleEndian.AppendUint64(buf, c)
+		}
+		h.Write(buf)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("digest = %s, want %s", got, want)
 	}
 }
