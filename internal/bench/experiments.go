@@ -499,7 +499,9 @@ func runA1(w io.Writer) (Summary, error) {
 func runA2(w io.Writer) (Summary, error) {
 	run := func(disable bool) dd.Stats {
 		p := dd.New(8)
-		p.CachesDisabled = disable
+		if disable {
+			p.SetComputeTableSize(0)
+		}
 		st := p.ZeroState()
 		layer := make([]dd.MEdge, 0, 8)
 		for q := 0; q < 8; q++ {

@@ -51,7 +51,7 @@ func (p *Pkg) adjointProduct(a, b MEdge) MEdge {
 	if g := p.gateFromRoot(a.N); g != nil && !a.IsZero() && !b.IsZero() &&
 		b.N != mTerminal && b.N.V >= g.target {
 		// a = (a.W/g.dd.W)·G, so a†·b = conj(a.W/g.dd.W)·(G†·b).
-		prod := p.applyGateMLTraced(b, p.gateInverse(g))
+		prod := p.applyGateMTraced(b, p.gateInverse(g), left)
 		f := complex(real(a.W/g.dd.W), -imag(a.W/g.dd.W))
 		return p.scaleM(prod, f)
 	}

@@ -215,7 +215,7 @@ func (p *Pkg) applyRec(n *VNode, g *appliedGate) VEdge {
 	p.stats.ApplyCTLookups++
 	key := applyVKey{v: n, g: g}
 	h := hashApply(key)
-	if res, ok := p.applyCache.lookup(h, key, p.gen); ok && !p.CachesDisabled {
+	if res, ok := p.applyCache.lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
 		p.stats.ApplyCTHits++
 		return res
@@ -297,7 +297,7 @@ func (p *Pkg) splitControls(e VEdge, g *appliedGate) (act, inact VEdge) {
 	p.stats.ApplyCTLookups++
 	key := applyVKey{v: n, g: g}
 	h := hashApply(key)
-	if pr, ok := p.applySplit.lookup(h, key, p.gen); ok && !p.CachesDisabled {
+	if pr, ok := p.applySplit.lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
 		p.stats.ApplyCTHits++
 		return scaleV(e.W, pr.act), scaleV(e.W, pr.inact)
@@ -347,7 +347,7 @@ func scaleV(w complex128, e VEdge) VEdge {
 // gates hundreds of times.
 func (p *Pkg) MakeGateDD(u GateMatrix, target int, controls ...Control) MEdge {
 	g := p.internGate(u, target, controls)
-	if !p.CachesDisabled && g.ddGen == p.gen {
+	if g.ddGen == p.gen {
 		p.stats.GateDDCacheHits++
 		return g.dd
 	}

@@ -14,24 +14,39 @@ package dd
 // Quantum Decision Diagrams of their Identity", Sander et al., 2024),
 // and near the fixed point the operand X is mostly identity too — the
 // generic MultMM recursion walks all of it, while the descent below
-// touches only what the gate changes:
+// touches only what the gate changes.
+//
+// Both products run through one descent. Index a node's quadrants
+// (i,j) by row i and column j, stored at 2i+j. The left product is
+// (G·M)ᵢⱼ = Σₖ uᵢₖ·Mₖⱼ; the right product (M·G)ᵢⱼ = Σₖ Mᵢₖ·uₖⱼ is the
+// same sum with every index pair read transposed. So the descent
+// addresses quadrant (i,j) at storage index t(i,j), where
+// t = quad[side] is the identity map for the left product and the
+// transposition {0,2,1,3} for the right one, and computes
+// out[t(i,j)] = Σₖ u[t(i,k)]·M[t(k,j)]. The same map serves the
+// result, the operand and the gate entries; no operand is transposed.
+// Under the map the gate's row index i is M's row on the left and
+// M's column on the right, which is all the orientations differ in:
 //
 //   - Levels above every involved qubit recurse all four quadrants
 //     (shared subdiagrams collapse into apply-cache hits).
-//   - A control level above the target splits once: for a left apply
-//     the inactive ROW quadrants pass through untouched, for a right
-//     apply the inactive COLUMN quadrants do — only the active pair
-//     recurses.
+//   - A control level above the target splits once: the quadrants
+//     with t-row index i inactive (rows on the left, columns on the
+//     right) pass through untouched, only the active pair recurses.
 //   - At the target level the quadrants are combined with the four
-//     gate entries: left combines rows ((G·M)ᵢⱼ = Σₖ uᵢₖ·Mₖⱼ), right
-//     combines columns ((M·G)ᵢⱼ = Σₖ Mᵢₖ·uₖⱼ).
+//     gate entries by the sum above.
 //   - Controls below the target are resolved by a projector merge:
 //     the gated combination y is computed as if the controls were
 //     satisfied everywhere, then one pairwise descent per quadrant
-//     forms P_inact·x + P_act·y — the original quadrant x where a
-//     remaining control fails, the gated y where they all hold (rows
-//     on the left, columns on the right). The zero-operand corners
-//     fall back to memoized single-sided projections.
+//     forms P_inact·x + P_act·y (x·P_inact + y·P_act on the right) —
+//     the original quadrant x where a remaining control fails, the
+//     gated y where they all hold. The zero-operand corners fall back
+//     to memoized single-sided projections.
+//
+// Every routine visits quadrants in storage order, so nodes and
+// complex values are created in the order the two hand-mirrored
+// descents this replaced created them. Each side keeps its own apply,
+// split and merge tables (the key does not carry the side).
 //
 // Identity sub-blocks are additionally skipped wholesale: the package
 // caches the canonical per-level identity node chain (the same nodes
@@ -47,10 +62,22 @@ import (
 	"quantumdd/internal/cnum"
 )
 
+// side selects the orientation of a matrix apply: G·M or M·G.
+type side uint8
+
+const (
+	left side = iota
+	right
+)
+
+// quad[s] maps quadrant (i,j), read through side s, to its storage
+// index: quad[s][2i+j]. Both maps are involutions, so the (i,j) of
+// storage index q is quad[s][q] split into its two bits.
+var quad = [2][4]int{{0, 1, 2, 3}, {0, 2, 1, 3}}
+
 // applyMKey keys the matrix-apply compute tables: the matrix node plus
-// the interned gate pointer. The left/right orientations and the
-// row/column split decompositions use separate tables, so one key
-// shape serves all four.
+// the interned gate pointer. Each side has its own apply and split
+// tables, so one key shape serves all four.
 type (
 	applyMKey struct {
 		m *MNode
@@ -60,7 +87,7 @@ type (
 		act, inact MEdge
 	}
 	// mergeMKey keys the projector-merge recursion P_inact·x + P_act·y
-	// (mergeRowsML/mergeColsMR): both nodes, the gate, and the residual
+	// (mergeM): both nodes, the gate, and the residual
 	// weight ratio y.W/x.W after factoring x's weight out.
 	mergeMKey struct {
 		x, y *MNode
@@ -118,96 +145,86 @@ func (p *Pkg) gateSubDD(g *appliedGate, v Var) MEdge {
 // MultMM(MakeGateDD(u, target, controls...), m), without building the
 // gate diagram.
 func (p *Pkg) ApplyGateML(m MEdge, u GateMatrix, target int, controls ...Control) MEdge {
-	return p.applyGateMLTraced(m, p.internGate(u, target, controls))
+	return p.applyGateMTraced(m, p.internGate(u, target, controls), left)
 }
 
 // ApplyGateMR computes the right product M·G, the orientation the
 // alternating verify scheme uses to consume inverted gates of the
 // second circuit.
 func (p *Pkg) ApplyGateMR(m MEdge, u GateMatrix, target int, controls ...Control) MEdge {
-	return p.applyGateMRTraced(m, p.internGate(u, target, controls))
+	return p.applyGateMTraced(m, p.internGate(u, target, controls), right)
 }
 
 // ApplyGateMLChecked is ApplyGateML under the node budget (see
 // budget.go): it returns a *ResourceError instead of growing the
 // unique tables past MaxNodes, leaving the operand diagram intact.
 func (p *Pkg) ApplyGateMLChecked(m MEdge, u GateMatrix, target int, controls ...Control) (MEdge, error) {
-	g := p.internGate(u, target, controls)
-	p.IncRefM(m)
-	defer p.DecRefM(m)
-	var res MEdge
-	if err := p.checked(func() { res = p.applyGateMLTraced(m, g) }); err != nil {
-		return MZero(), err
-	}
-	return res, nil
+	return p.applyGateMChecked(m, p.internGate(u, target, controls), left)
 }
 
 // ApplyGateMRChecked is ApplyGateMR under the node budget.
 func (p *Pkg) ApplyGateMRChecked(m MEdge, u GateMatrix, target int, controls ...Control) (MEdge, error) {
-	g := p.internGate(u, target, controls)
+	return p.applyGateMChecked(m, p.internGate(u, target, controls), right)
+}
+
+func (p *Pkg) applyGateMChecked(m MEdge, g *appliedGate, s side) (MEdge, error) {
 	p.IncRefM(m)
 	defer p.DecRefM(m)
 	var res MEdge
-	if err := p.checked(func() { res = p.applyGateMRTraced(m, g) }); err != nil {
+	if err := p.checked(func() { res = p.applyGateMTraced(m, g, s) }); err != nil {
 		return MZero(), err
 	}
 	return res, nil
 }
 
-func (p *Pkg) applyGateMLTraced(m MEdge, g *appliedGate) MEdge {
-	p.stats.ApplyMOps++
+// applyGateMTraced counts ApplyMOps once the descent has returned: a
+// budget abort unwinds out of the descent past the count, so an
+// aborted gate counts nothing and a gate that checked re-runs after a
+// collection counts once.
+func (p *Pkg) applyGateMTraced(m MEdge, g *appliedGate, s side) MEdge {
+	var res MEdge
 	if p.observer == nil {
-		return p.applyGateML(m, g)
+		res = p.applyGateM(m, g, s)
+	} else {
+		start := time.Now()
+		res = p.applyGateM(m, g, s)
+		p.traced(OpApplyGateM, start)
 	}
-	start := time.Now()
-	res := p.applyGateML(m, g)
-	p.traced(OpApplyGateM, start)
+	p.stats.ApplyMOps++
 	return res
 }
 
-func (p *Pkg) applyGateMRTraced(m MEdge, g *appliedGate) MEdge {
-	p.stats.ApplyMOps++
-	if p.observer == nil {
-		return p.applyGateMR(m, g)
-	}
-	start := time.Now()
-	res := p.applyGateMR(m, g)
-	p.traced(OpApplyGateM, start)
-	return res
-}
-
-// applyGateML is the weight-factored entry: the product is bilinear,
+// applyGateM is the weight-factored entry: the product is bilinear,
 // so the root weight passes through and the recursion works on node
 // pointers only, keeping the cache keys structural.
-func (p *Pkg) applyGateML(m MEdge, g *appliedGate) MEdge {
+func (p *Pkg) applyGateM(m MEdge, g *appliedGate, s side) MEdge {
 	if m.IsZero() {
 		return MZero()
 	}
 	if m.N == mTerminal || m.N.V < g.target {
-		panic(fmt.Sprintf("dd: ApplyGateML operand does not span target level %d", g.target))
+		panic(fmt.Sprintf("dd: ApplyGateM%c operand does not span target level %d", "LR"[s], g.target))
 	}
-	res := p.applyMLRec(m.N, g)
+	res := p.applyMRec(m.N, g, s)
 	return MEdge{W: p.cn.Lookup(res.W * m.W), N: res.N}
 }
 
-func (p *Pkg) applyGateMR(m MEdge, g *appliedGate) MEdge {
-	if m.IsZero() {
-		return MZero()
+// activeRow returns the control value of g's control at level v: the
+// t-row index whose quadrants receive the gate.
+func activeRow(g *appliedGate, v Var) int {
+	if g.neg>>uint(v)&1 == 1 {
+		return 0
 	}
-	if m.N == mTerminal || m.N.V < g.target {
-		panic(fmt.Sprintf("dd: ApplyGateMR operand does not span target level %d", g.target))
-	}
-	res := p.applyMRRec(m.N, g)
-	return MEdge{W: p.cn.Lookup(res.W * m.W), N: res.N}
+	return 1
 }
 
-// applyMLRec rebuilds the diagram under n with the gate multiplied in
-// from the left. n is at or above the target level; zero stubs never
+// applyMRec rebuilds the diagram under n with the gate multiplied in
+// on side s. n is at or above the target level; zero stubs never
 // reach here (G·0 = 0 is handled at the edges).
-func (p *Pkg) applyMLRec(n *MNode, g *appliedGate) MEdge {
+func (p *Pkg) applyMRec(n *MNode, g *appliedGate, s side) MEdge {
 	v := n.V
 	if n == p.identNode(v) {
-		// G·I = G over the remaining levels; nothing below is walked.
+		// G·I = I·G = G over the remaining levels; nothing below is
+		// walked.
 		p.stats.ApplyMIdentitySkips++
 		return p.gateSubDD(g, v)
 	}
@@ -215,7 +232,7 @@ func (p *Pkg) applyMLRec(n *MNode, g *appliedGate) MEdge {
 	p.stats.ApplyMCTLookups++
 	key := applyMKey{m: n, g: g}
 	h := hashApplyM(key)
-	if res, ok := p.applyMLCache.lookup(h, key, p.gen); ok && !p.CachesDisabled {
+	if res, ok := p.applyMCache[s].lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
 		p.stats.ApplyMCTHits++
 		return res
@@ -223,160 +240,80 @@ func (p *Pkg) applyMLRec(n *MNode, g *appliedGate) MEdge {
 	var res MEdge
 	switch {
 	case v == g.target:
-		res = p.applyMLAtTarget(n, g)
+		res = p.applyMAtTarget(n, g, s)
 	case (g.pos|g.neg)>>uint(v)&1 == 1:
 		// Control level above the target: the gate is diagonal here, so
-		// only the active row recurses — the inactive row quadrants are
+		// only the active t-row recurses — the inactive quadrants are
 		// the identity block the generic multiply would have walked.
-		active := 1
-		if g.neg>>uint(v)&1 == 1 {
-			active = 0
-		}
+		active := activeRow(g, v)
 		var e [4]MEdge
-		for j := 0; j < 2; j++ {
-			e[2*(1-active)+j] = n.E[2*(1-active)+j]
-			e[2*active+j] = p.applyMLEdge(n.E[2*active+j], g)
+		for q := range e {
+			if quad[s][q]>>1 == active {
+				e[q] = p.applyMEdge(n.E[q], g, s)
+			} else {
+				e[q] = n.E[q]
+			}
 		}
 		res = p.makeMNode(v, e)
 	default:
 		// Free level above the target: descend all four quadrants.
 		var e [4]MEdge
-		for i := range e {
-			e[i] = p.applyMLEdge(n.E[i], g)
+		for q := range e {
+			e[q] = p.applyMEdge(n.E[q], g, s)
 		}
 		res = p.makeMNode(v, e)
 	}
-	if p.applyMLCache.store(h, key, res, p.gen, &p.stats) {
+	if p.applyMCache[s].store(h, key, res, p.gen, &p.stats) {
 		p.stats.ApplyMCTEvictions++
 	}
 	return res
 }
 
-// applyMRRec is the right-product mirror of applyMLRec: the gate acts
-// on the column index, so control levels pass the inactive COLUMN
-// through and the target combines quadrants along columns.
-func (p *Pkg) applyMRRec(n *MNode, g *appliedGate) MEdge {
-	v := n.V
-	if n == p.identNode(v) {
-		// I·G = G over the remaining levels.
-		p.stats.ApplyMIdentitySkips++
-		return p.gateSubDD(g, v)
-	}
-	p.stats.CacheLookups++
-	p.stats.ApplyMCTLookups++
-	key := applyMKey{m: n, g: g}
-	h := hashApplyM(key)
-	if res, ok := p.applyMRCache.lookup(h, key, p.gen); ok && !p.CachesDisabled {
-		p.stats.CacheHits++
-		p.stats.ApplyMCTHits++
-		return res
-	}
-	var res MEdge
-	switch {
-	case v == g.target:
-		res = p.applyMRAtTarget(n, g)
-	case (g.pos|g.neg)>>uint(v)&1 == 1:
-		active := 1
-		if g.neg>>uint(v)&1 == 1 {
-			active = 0
-		}
-		var e [4]MEdge
-		for i := 0; i < 2; i++ {
-			e[2*i+1-active] = n.E[2*i+1-active]
-			e[2*i+active] = p.applyMREdge(n.E[2*i+active], g)
-		}
-		res = p.makeMNode(v, e)
-	default:
-		var e [4]MEdge
-		for i := range e {
-			e[i] = p.applyMREdge(n.E[i], g)
-		}
-		res = p.makeMNode(v, e)
-	}
-	if p.applyMRCache.store(h, key, res, p.gen, &p.stats) {
-		p.stats.ApplyMCTEvictions++
-	}
-	return res
-}
-
-// applyMLEdge / applyMREdge recurse through an edge, shortcutting zero
-// stubs.
-func (p *Pkg) applyMLEdge(e MEdge, g *appliedGate) MEdge {
+// applyMEdge recurses through an edge, shortcutting zero stubs.
+func (p *Pkg) applyMEdge(e MEdge, g *appliedGate, s side) MEdge {
 	if e.IsZero() {
 		return MZero()
 	}
-	r := p.applyMLRec(e.N, g)
+	r := p.applyMRec(e.N, g, s)
 	return MEdge{W: r.W * e.W, N: r.N}
 }
 
-func (p *Pkg) applyMREdge(e MEdge, g *appliedGate) MEdge {
-	if e.IsZero() {
-		return MZero()
-	}
-	r := p.applyMRRec(e.N, g)
-	return MEdge{W: r.W * e.W, N: r.N}
-}
-
-// applyMLAtTarget combines the target node's quadrants with the four
-// gate entries along rows: (G·M)ᵢⱼ = Σₖ uᵢₖ·Mₖⱼ. With controls below
-// the target, each quadrant is first row-split into the component
-// where all remaining controls are satisfied (which receives the gate)
-// and the untouched remainder.
-func (p *Pkg) applyMLAtTarget(n *MNode, g *appliedGate) MEdge {
+// applyMAtTarget combines the target node's quadrants with the four
+// gate entries: out[t(i,j)] = Σₖ u[t(i,k)]·M[t(k,j)]. With controls
+// below the target, each result quadrant is merged with the original
+// one, keeping the gated combination only where all remaining
+// controls are satisfied.
+func (p *Pkg) applyMAtTarget(n *MNode, g *appliedGate, s side) MEdge {
+	t := &quad[s]
 	var out [4]MEdge
-	if g.belowMask == 0 {
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				out[2*i+j] = p.addM(scaleMRaw(g.u[2*i], n.E[j]), scaleMRaw(g.u[2*i+1], n.E[2+j]))
-			}
+	for q := range out {
+		i, j := t[q]>>1, t[q]&1
+		y := p.addM(scaleMRaw(g.u[t[2*i]], n.E[t[j]]), scaleMRaw(g.u[t[2*i+1]], n.E[t[2+j]]))
+		if g.belowMask != 0 {
+			y = p.mergeM(n.E[q], y, g, s)
 		}
-		return p.makeMNode(n.V, out)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			y := p.addM(scaleMRaw(g.u[2*i], n.E[j]), scaleMRaw(g.u[2*i+1], n.E[2+j]))
-			out[2*i+j] = p.mergeRowsML(n.E[2*i+j], y, g)
-		}
+		out[q] = y
 	}
 	return p.makeMNode(n.V, out)
 }
 
-// applyMRAtTarget combines quadrants along columns:
-// (M·G)ᵢⱼ = Σₖ Mᵢₖ·uₖⱼ; below-target controls column-split.
-func (p *Pkg) applyMRAtTarget(n *MNode, g *appliedGate) MEdge {
-	var out [4]MEdge
-	if g.belowMask == 0 {
-		for i := 0; i < 2; i++ {
-			for j := 0; j < 2; j++ {
-				out[2*i+j] = p.addM(scaleMRaw(g.u[j], n.E[2*i]), scaleMRaw(g.u[2+j], n.E[2*i+1]))
-			}
-		}
-		return p.makeMNode(n.V, out)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			y := p.addM(scaleMRaw(g.u[j], n.E[2*i]), scaleMRaw(g.u[2+j], n.E[2*i+1]))
-			out[2*i+j] = p.mergeColsMR(n.E[2*i+j], y, g)
-		}
-	}
-	return p.makeMNode(n.V, out)
-}
-
-// mergeRowsML computes P_inact·x + P_act·y in one pairwise descent,
-// where P_act projects onto the row subspace in which every control of
-// g at or below the operands' level is satisfied and P_inact is its
-// complement. The at-target combination passes x = the original
-// quadrant and y = the plain gated combination, so the single descent
-// replaces materializing both split components of all four quadrants
-// plus the recombining additions. If one operand is zero the result is
-// a pure projection, served by the split cache.
-func (p *Pkg) mergeRowsML(x, y MEdge, g *appliedGate) MEdge {
+// mergeM computes P_inact·x + P_act·y (x·P_inact + y·P_act on the
+// right) in one pairwise descent, where P_act projects onto the
+// subspace in which every control of g at or below the operands'
+// level is satisfied and P_inact is its complement; left-multiplying
+// by a diagonal projector restricts rows, right-multiplying restricts
+// columns. The at-target combination passes x = the original quadrant
+// and y = the plain gated combination, so the single descent replaces
+// materializing both split components of all four quadrants plus the
+// recombining additions. If one operand is zero the result is a pure
+// projection, served by the split cache.
+func (p *Pkg) mergeM(x, y MEdge, g *appliedGate, s side) MEdge {
 	if x.IsZero() {
-		act, _ := p.splitRowsML(y, g)
+		act, _ := p.splitM(y, g, s)
 		return act
 	}
 	if y.IsZero() {
-		_, inact := p.splitRowsML(x, g)
+		_, inact := p.splitM(x, g, s)
 		return inact
 	}
 	n := x.N
@@ -389,79 +326,25 @@ func (p *Pkg) mergeRowsML(x, y MEdge, g *appliedGate) MEdge {
 	p.stats.ApplyMCTLookups++
 	key := mergeMKey{x: n, y: y.N, g: g, r: r}
 	h := hashMergeM(key)
-	if res, ok := p.applyMLMerge.lookup(h, key, p.gen); ok && !p.CachesDisabled {
+	if res, ok := p.applyMMerge[s].lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
 		p.stats.ApplyMCTHits++
 		return scaleMRaw(x.W, res)
 	}
 	v := n.V
 	yn := MEdge{W: r, N: y.N}
+	control := g.belowMask>>uint(v)&1 == 1
+	active := activeRow(g, v)
 	var out [4]MEdge
-	if g.belowMask>>uint(v)&1 == 1 {
-		active := 1
-		if g.neg>>uint(v)&1 == 1 {
-			active = 0
-		}
-		for j := 0; j < 2; j++ {
-			out[2*active+j] = p.mergeRowsML(n.E[2*active+j], mEdgeAt(yn, 2*active+j), g)
-			out[2*(1-active)+j] = n.E[2*(1-active)+j]
-		}
-	} else {
-		for i := range out {
-			out[i] = p.mergeRowsML(n.E[i], mEdgeAt(yn, i), g)
+	for q := range out {
+		if control && quad[s][q]>>1 != active {
+			out[q] = n.E[q]
+		} else {
+			out[q] = p.mergeM(n.E[q], mEdgeAt(yn, q), g, s)
 		}
 	}
 	res := p.makeMNode(v, out)
-	if p.applyMLMerge.store(h, key, res, p.gen, &p.stats) {
-		p.stats.ApplyMCTEvictions++
-	}
-	return scaleMRaw(x.W, res)
-}
-
-// mergeColsMR is the column mirror: x·P_inact + y·P_act, the control
-// projector restricting columns.
-func (p *Pkg) mergeColsMR(x, y MEdge, g *appliedGate) MEdge {
-	if x.IsZero() {
-		act, _ := p.splitColsMR(y, g)
-		return act
-	}
-	if y.IsZero() {
-		_, inact := p.splitColsMR(x, g)
-		return inact
-	}
-	n := x.N
-	if n == mTerminal || g.belowMask&(1<<uint(n.V+1)-1) == 0 {
-		return y
-	}
-	r := p.cn.Lookup(y.W / x.W)
-	p.stats.CacheLookups++
-	p.stats.ApplyMCTLookups++
-	key := mergeMKey{x: n, y: y.N, g: g, r: r}
-	h := hashMergeM(key)
-	if res, ok := p.applyMRMerge.lookup(h, key, p.gen); ok && !p.CachesDisabled {
-		p.stats.CacheHits++
-		p.stats.ApplyMCTHits++
-		return scaleMRaw(x.W, res)
-	}
-	v := n.V
-	yn := MEdge{W: r, N: y.N}
-	var out [4]MEdge
-	if g.belowMask>>uint(v)&1 == 1 {
-		active := 1
-		if g.neg>>uint(v)&1 == 1 {
-			active = 0
-		}
-		for i := 0; i < 2; i++ {
-			out[2*i+active] = p.mergeColsMR(n.E[2*i+active], mEdgeAt(yn, 2*i+active), g)
-			out[2*i+1-active] = n.E[2*i+1-active]
-		}
-	} else {
-		for i := range out {
-			out[i] = p.mergeColsMR(n.E[i], mEdgeAt(yn, i), g)
-		}
-	}
-	res := p.makeMNode(v, out)
-	if p.applyMRMerge.store(h, key, res, p.gen, &p.stats) {
+	if p.applyMMerge[s].store(h, key, res, p.gen, &p.stats) {
 		p.stats.ApplyMCTEvictions++
 	}
 	return scaleMRaw(x.W, res)
@@ -477,12 +360,11 @@ func mEdgeAt(e MEdge, i int) MEdge {
 	return MEdge{W: e.W * c.W, N: c.N}
 }
 
-// splitRowsML decomposes e = act + inact, where act is P·e for the
-// projector P onto the row subspace in which every control of g below
-// the target is satisfied — left-multiplying by a diagonal projector
-// restricts rows. Both components are built directly (no subtraction),
-// memoized per (node, gate).
-func (p *Pkg) splitRowsML(e MEdge, g *appliedGate) (act, inact MEdge) {
+// splitM decomposes e = act + inact, where act is P·e (e·P on the
+// right) for the projector P onto the subspace in which every control
+// of g below the target is satisfied. Both components are built
+// directly (no subtraction), memoized per (node, gate) and side.
+func (p *Pkg) splitM(e MEdge, g *appliedGate, s side) (act, inact MEdge) {
 	if e.IsZero() {
 		return MZero(), MZero()
 	}
@@ -495,87 +377,24 @@ func (p *Pkg) splitRowsML(e MEdge, g *appliedGate) (act, inact MEdge) {
 	p.stats.ApplyMCTLookups++
 	key := applyMKey{m: n, g: g}
 	h := hashApplyM(key)
-	if pr, ok := p.applyMLSplit.lookup(h, key, p.gen); ok && !p.CachesDisabled {
+	if pr, ok := p.applyMSplit[s].lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
 		p.stats.ApplyMCTHits++
 		return scaleMRaw(e.W, pr.act), scaleMRaw(e.W, pr.inact)
 	}
 	v := n.V
-	var pr mPair
-	if g.belowMask>>uint(v)&1 == 1 {
-		active := 1
-		if g.neg>>uint(v)&1 == 1 {
-			active = 0
+	control := g.belowMask>>uint(v)&1 == 1
+	active := activeRow(g, v)
+	var actKids, inactKids [4]MEdge
+	for q := range actKids {
+		if control && quad[s][q]>>1 != active {
+			actKids[q], inactKids[q] = MZero(), n.E[q]
+		} else {
+			actKids[q], inactKids[q] = p.splitM(n.E[q], g, s)
 		}
-		var actKids, inactKids [4]MEdge
-		for j := 0; j < 2; j++ {
-			cAct, cInact := p.splitRowsML(n.E[2*active+j], g)
-			actKids[2*active+j] = cAct
-			actKids[2*(1-active)+j] = MZero()
-			inactKids[2*active+j] = cInact
-			inactKids[2*(1-active)+j] = n.E[2*(1-active)+j]
-		}
-		pr.act = p.makeMNode(v, actKids)
-		pr.inact = p.makeMNode(v, inactKids)
-	} else {
-		var actKids, inactKids [4]MEdge
-		for i := range actKids {
-			actKids[i], inactKids[i] = p.splitRowsML(n.E[i], g)
-		}
-		pr.act = p.makeMNode(v, actKids)
-		pr.inact = p.makeMNode(v, inactKids)
 	}
-	if p.applyMLSplit.store(h, key, pr, p.gen, &p.stats) {
-		p.stats.ApplyMCTEvictions++
-	}
-	return scaleMRaw(e.W, pr.act), scaleMRaw(e.W, pr.inact)
-}
-
-// splitColsMR is the column mirror: act is e·P, right-multiplying by
-// the control projector restricts columns.
-func (p *Pkg) splitColsMR(e MEdge, g *appliedGate) (act, inact MEdge) {
-	if e.IsZero() {
-		return MZero(), MZero()
-	}
-	n := e.N
-	if n == mTerminal || g.belowMask&(1<<uint(n.V+1)-1) == 0 {
-		return e, MZero()
-	}
-	p.stats.CacheLookups++
-	p.stats.ApplyMCTLookups++
-	key := applyMKey{m: n, g: g}
-	h := hashApplyM(key)
-	if pr, ok := p.applyMRSplit.lookup(h, key, p.gen); ok && !p.CachesDisabled {
-		p.stats.CacheHits++
-		p.stats.ApplyMCTHits++
-		return scaleMRaw(e.W, pr.act), scaleMRaw(e.W, pr.inact)
-	}
-	v := n.V
-	var pr mPair
-	if g.belowMask>>uint(v)&1 == 1 {
-		active := 1
-		if g.neg>>uint(v)&1 == 1 {
-			active = 0
-		}
-		var actKids, inactKids [4]MEdge
-		for i := 0; i < 2; i++ {
-			cAct, cInact := p.splitColsMR(n.E[2*i+active], g)
-			actKids[2*i+active] = cAct
-			actKids[2*i+1-active] = MZero()
-			inactKids[2*i+active] = cInact
-			inactKids[2*i+1-active] = n.E[2*i+1-active]
-		}
-		pr.act = p.makeMNode(v, actKids)
-		pr.inact = p.makeMNode(v, inactKids)
-	} else {
-		var actKids, inactKids [4]MEdge
-		for i := range actKids {
-			actKids[i], inactKids[i] = p.splitColsMR(n.E[i], g)
-		}
-		pr.act = p.makeMNode(v, actKids)
-		pr.inact = p.makeMNode(v, inactKids)
-	}
-	if p.applyMRSplit.store(h, key, pr, p.gen, &p.stats) {
+	pr := mPair{act: p.makeMNode(v, actKids), inact: p.makeMNode(v, inactKids)}
+	if p.applyMSplit[s].store(h, key, pr, p.gen, &p.stats) {
 		p.stats.ApplyMCTEvictions++
 	}
 	return scaleMRaw(e.W, pr.act), scaleMRaw(e.W, pr.inact)

@@ -59,10 +59,12 @@ func (t *computeTable[K, V]) lookup(h uint64, key K, gen uint64) (res V, ok bool
 // the eviction to their own per-operation counters as well.
 func (t *computeTable[K, V]) store(h uint64, key K, res V, gen uint64, st *Stats) (evicted bool) {
 	if t.entries == nil {
-		size := ctMinSize
-		if t.cap > 0 && t.cap < size {
-			size = t.cap
+		if t.cap == 0 {
+			// Tables off (SetComputeTableSize(0)): lookups keep
+			// missing on the nil entries.
+			return false
 		}
+		size := min(ctMinSize, t.cap)
 		t.entries = make([]ctEntry[K, V], size)
 		t.mask = uint64(size) - 1
 	}
@@ -88,7 +90,8 @@ func (t *computeTable[K, V]) store(h uint64, key K, res V, gen uint64, st *Stats
 }
 
 // setSize reconfigures the maximum capacity, dropping current
-// contents; the next store reallocates from ctMinSize again.
+// contents; the next store reallocates from ctMinSize again, unless
+// the capacity is 0, which keeps the table off.
 func (t *computeTable[K, V]) setSize(n int) {
 	t.cap = n
 	t.entries = nil

@@ -119,11 +119,6 @@ type Pkg struct {
 	nqubits int
 	cn      *cnum.Table
 
-	// CachesDisabled turns the operation caches off (lookups always
-	// miss and results are not stored). Exists for the ablation
-	// experiments quantifying what the compute tables buy.
-	CachesDisabled bool
-
 	// vnorm selects the vector normalization scheme; see NormScheme.
 	vnorm NormScheme
 
@@ -148,14 +143,12 @@ type Pkg struct {
 	applyCache computeTable[applyVKey, VEdge]
 	applySplit computeTable[applyVKey, vPair]
 
-	// Matrix-apply kernel tables (applygatem.go): left/right gate
-	// products and their row/column control-split decompositions.
-	applyMLCache computeTable[applyMKey, MEdge]
-	applyMRCache computeTable[applyMKey, MEdge]
-	applyMLSplit computeTable[applyMKey, mPair]
-	applyMRSplit computeTable[applyMKey, mPair]
-	applyMLMerge computeTable[mergeMKey, MEdge]
-	applyMRMerge computeTable[mergeMKey, MEdge]
+	// Matrix-apply kernel tables (applygatem.go), indexed by side:
+	// gate products, control-split decompositions and projector
+	// merges.
+	applyMCache [2]computeTable[applyMKey, MEdge]
+	applyMSplit [2]computeTable[applyMKey, mPair]
+	applyMMerge [2]computeTable[mergeMKey, MEdge]
 
 	// Interned gate applications (applygate.go): canonical
 	// (matrix, target, controls) triples resolve to stable pointers
@@ -237,7 +230,7 @@ type Stats struct {
 	ApplyMCTHits        uint64 // matrix apply/split compute-table hits
 	ApplyMCTEvictions   uint64 // matrix apply/split stores displacing a live entry
 	ApplyMIdentitySkips uint64 // identity sub-blocks short-circuited by the descent
-	ApplyMOps           uint64 // top-level ApplyGateML/MR invocations
+	ApplyMOps           uint64 // completed top-level ApplyGateML/MR applications
 	MultMMOps           uint64 // top-level generic MultMM invocations
 
 	// Snapshot-time gauges, filled by Stats().
@@ -405,10 +398,15 @@ func NewTol(n int, tol float64) *Pkg {
 // the unary/fidelity tables get a quarter of it. Current cache
 // contents are dropped; diagrams are unaffected. The default is
 // ctDefaultLarge, 131072 entries; tables start small and grow toward
-// their capacity under eviction pressure (see compute.go).
+// their capacity under eviction pressure (see compute.go). Zero or
+// negative turns every table off: lookups miss and nothing is stored,
+// which is what the compute-table ablation measures against.
 func (p *Pkg) SetComputeTableSize(n int) {
-	large := nextPow2(n)
-	small := nextPow2(large / 4)
+	large, small := 0, 0
+	if n > 0 {
+		large = nextPow2(n)
+		small = nextPow2(large / 4)
+	}
 	p.addVCache.setSize(large)
 	p.addMCache.setSize(large)
 	p.mulMV.setSize(large)
@@ -418,12 +416,11 @@ func (p *Pkg) SetComputeTableSize(n int) {
 	p.fidCache.setSize(small)
 	p.applyCache.setSize(large)
 	p.applySplit.setSize(small)
-	p.applyMLCache.setSize(large)
-	p.applyMRCache.setSize(large)
-	p.applyMLSplit.setSize(small)
-	p.applyMRSplit.setSize(small)
-	p.applyMLMerge.setSize(large)
-	p.applyMRMerge.setSize(large)
+	for s := range p.applyMCache {
+		p.applyMCache[s].setSize(large)
+		p.applyMSplit[s].setSize(small)
+		p.applyMMerge[s].setSize(large)
+	}
 }
 
 // invalidateComputeTables discards all cached operation results in

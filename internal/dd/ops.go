@@ -58,7 +58,7 @@ func (p *Pkg) addV(a, b VEdge) VEdge {
 	p.stats.CacheLookups++
 	key := addVKey{a: a.N, b: b.N, r: r}
 	h := hashAddV(key)
-	if res, ok := p.addVCache.lookup(h, key, p.gen); ok && !p.CachesDisabled {
+	if res, ok := p.addVCache.lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
 		return VEdge{W: p.cn.Lookup(res.W * a.W), N: res.N}
 	}
@@ -92,7 +92,7 @@ func (p *Pkg) addM(a, b MEdge) MEdge {
 	p.stats.CacheLookups++
 	key := addMKey{a: a.N, b: b.N, r: r}
 	h := hashAddM(key)
-	if res, ok := p.addMCache.lookup(h, key, p.gen); ok && !p.CachesDisabled {
+	if res, ok := p.addMCache.lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
 		return MEdge{W: p.cn.Lookup(res.W * a.W), N: res.N}
 	}
@@ -124,7 +124,7 @@ func (p *Pkg) multMV(m MEdge, v VEdge) VEdge {
 	p.stats.CacheLookups++
 	key := mulMVKey{m: m.N, v: v.N}
 	h := hashMulMV(key)
-	if res, ok := p.mulMV.lookup(h, key, p.gen); ok && !p.CachesDisabled {
+	if res, ok := p.mulMV.lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
 		return VEdge{W: p.cn.Lookup(res.W * m.W * v.W), N: res.N}
 	}
@@ -158,7 +158,7 @@ func (p *Pkg) multMM(a, b MEdge) MEdge {
 	p.stats.CacheLookups++
 	key := mulMMKey{a: a.N, b: b.N}
 	h := hashMulMM(key)
-	if res, ok := p.mulMM.lookup(h, key, p.gen); ok && !p.CachesDisabled {
+	if res, ok := p.mulMM.lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
 		return MEdge{W: p.cn.Lookup(res.W * a.W * b.W), N: res.N}
 	}
@@ -190,7 +190,7 @@ func (p *Pkg) kronM(a, b MEdge, lowerQubits int) MEdge {
 	p.stats.CacheLookups++
 	key := kronKey{a: a.N, b: b.N}
 	h := hashKron(key)
-	if res, ok := p.kronCache.lookup(h, key, p.gen); ok && !p.CachesDisabled {
+	if res, ok := p.kronCache.lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
 		return MEdge{W: p.cn.Lookup(res.W * a.W * b.W), N: res.N}
 	}
@@ -250,7 +250,7 @@ func (p *Pkg) conjTranspose(m MEdge) MEdge {
 	w := p.cn.Lookup(cmplx.Conj(m.W))
 	p.stats.CacheLookups++
 	h := m.N.hash
-	if res, ok := p.conjCache.lookup(h, m.N, p.gen); ok && !p.CachesDisabled {
+	if res, ok := p.conjCache.lookup(h, m.N, p.gen); ok {
 		p.stats.CacheHits++
 		return MEdge{W: p.cn.Lookup(res.W * w), N: res.N}
 	}

@@ -67,39 +67,38 @@ func (p *Pkg) ApplySwapChecked(v VEdge, a, b int, controls ...Control) (VEdge, e
 // ApplySwapML computes the left product S·M of a (controlled) SWAP and
 // the matrix diagram m as three ApplyGateML CNOTs.
 func (p *Pkg) ApplySwapML(m MEdge, a, b int, controls ...Control) MEdge {
-	for _, cx := range swapCNOTs(a, b, controls) {
-		m = p.ApplyGateML(m, pauliX, cx.target, cx.controls...)
-	}
-	return m
+	return p.applySwapM(m, a, b, controls, left)
 }
 
 // ApplySwapMR computes the right product M·S as three ApplyGateMR
 // CNOTs.
 func (p *Pkg) ApplySwapMR(m MEdge, a, b int, controls ...Control) MEdge {
-	for _, cx := range swapCNOTs(a, b, controls) {
-		m = p.ApplyGateMR(m, pauliX, cx.target, cx.controls...)
-	}
-	return m
+	return p.applySwapM(m, a, b, controls, right)
 }
 
 // ApplySwapMLChecked is ApplySwapML under the node budget, with the
 // intermediates protected as in ApplySwapChecked.
 func (p *Pkg) ApplySwapMLChecked(m MEdge, a, b int, controls ...Control) (MEdge, error) {
-	for _, cx := range swapCNOTs(a, b, controls) {
-		var err error
-		if m, err = p.ApplyGateMLChecked(m, pauliX, cx.target, cx.controls...); err != nil {
-			return MZero(), err
-		}
-	}
-	return m, nil
+	return p.applySwapMChecked(m, a, b, controls, left)
 }
 
 // ApplySwapMRChecked is ApplySwapMR under the node budget, with the
 // intermediates protected as in ApplySwapChecked.
 func (p *Pkg) ApplySwapMRChecked(m MEdge, a, b int, controls ...Control) (MEdge, error) {
+	return p.applySwapMChecked(m, a, b, controls, right)
+}
+
+func (p *Pkg) applySwapM(m MEdge, a, b int, controls []Control, s side) MEdge {
+	for _, cx := range swapCNOTs(a, b, controls) {
+		m = p.applyGateMTraced(m, p.internGate(pauliX, cx.target, cx.controls), s)
+	}
+	return m
+}
+
+func (p *Pkg) applySwapMChecked(m MEdge, a, b int, controls []Control, s side) (MEdge, error) {
 	for _, cx := range swapCNOTs(a, b, controls) {
 		var err error
-		if m, err = p.ApplyGateMRChecked(m, pauliX, cx.target, cx.controls...); err != nil {
+		if m, err = p.applyGateMChecked(m, p.internGate(pauliX, cx.target, cx.controls), s); err != nil {
 			return MZero(), err
 		}
 	}

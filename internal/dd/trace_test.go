@@ -79,8 +79,9 @@ func TestObservedApplyAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, func() {
 			p.ApplyGate(v, hGate, 1)
 			p.ApplyGateML(m, hGate, 2)
+			p.ApplyGateMR(m, hGate, 2)
 		}); n != 0 {
-			t.Fatalf("observer %v: warm ApplyGate+ApplyGateML allocated %.1f times per call, want 0", o != nil, n)
+			t.Fatalf("observer %v: warm ApplyGate+ApplyGateML+ApplyGateMR allocated %.1f times per call, want 0", o != nil, n)
 		}
 	}
 }

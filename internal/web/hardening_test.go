@@ -345,12 +345,18 @@ func TestFunctionalityBudgetStaleGarbage(t *testing.T) {
 		t.Fatalf("operator has %d nodes, want 5461", got.Frame.Nodes)
 	}
 
+	// Both builds apply each of the 210 gates once through the kernel:
+	// a gate the budget retries after its abort's collection counts
+	// once, not twice.
 	build := func(maxNodes int) []byte {
 		p := dd.New(circ.NQubits)
 		p.SetMaxNodes(maxNodes)
 		u, err := verify.Functionality(p, circ)
 		if err != nil {
 			t.Fatalf("budget %d: %v", maxNodes, err)
+		}
+		if ops := p.Stats().ApplyMOps; ops != 210 {
+			t.Fatalf("budget %d: ApplyMOps = %d, want 210", maxNodes, ops)
 		}
 		return p.AppendMatrixBinary(nil, u)
 	}
