@@ -43,10 +43,12 @@ package dd
 //     gated y where they all hold. The zero-operand corners fall back
 //     to memoized single-sided projections.
 //
-// Every routine visits quadrants in storage order, so nodes and
-// complex values are created in the order the two hand-mirrored
-// descents this replaced created them. Each side keeps its own apply,
-// split and merge tables (the key does not carry the side).
+// Every routine visits quadrants in storage order, on both sides: the
+// order nodes and complex values are created in decides which
+// canonical value a later near-equal weight resolves to, so it is part
+// of the output, and TestApplyGateMSidesDigest pins it. Each side
+// keeps its own apply, split and merge tables (the keys do not carry
+// the side).
 //
 // Identity sub-blocks are additionally skipped wholesale: the package
 // caches the canonical per-level identity node chain (the same nodes
@@ -182,15 +184,15 @@ func (p *Pkg) applyGateMChecked(m MEdge, g *appliedGate, s side) (MEdge, error) 
 // aborted gate counts nothing and a gate that checked re-runs after a
 // collection counts once.
 func (p *Pkg) applyGateMTraced(m MEdge, g *appliedGate, s side) MEdge {
-	var res MEdge
-	if p.observer == nil {
-		res = p.applyGateM(m, g, s)
-	} else {
-		start := time.Now()
-		res = p.applyGateM(m, g, s)
+	var start time.Time
+	if p.observer != nil {
+		start = time.Now()
+	}
+	res := p.applyGateM(m, g, s)
+	p.stats.ApplyMOps++
+	if p.observer != nil {
 		p.traced(OpApplyGateM, start)
 	}
-	p.stats.ApplyMOps++
 	return res
 }
 

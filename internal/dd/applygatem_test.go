@@ -337,10 +337,11 @@ func TestAdjointProductFastPath(t *testing.T) {
 // gate applications with positive and negative controls above and
 // below the target, SWAPs on both sides, checked and unchecked
 // entries, a garbage collection mid-run, and (on odd widths) compute
-// tables small enough to evict. The digest was recorded before the
-// left and right descents were folded into one side-parameterised
-// recursion; a change in node or complex-value creation order, or in
-// which table a lookup lands in, moves it.
+// tables small enough to evict. The digest was recorded from two
+// hand-mirrored left and right descents, so it checks that the one
+// side-parameterised descent reproduces them bit for bit; a change in
+// node or complex-value creation order, or in which table a lookup
+// lands in, moves it.
 func TestApplyGateMSidesDigest(t *testing.T) {
 	const want = "0edfb50a8577c8e307fb95b78894f5e3f63f842f818f0fa2efe2af1f31fcb9e6"
 	h := sha256.New()
