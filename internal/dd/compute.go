@@ -64,9 +64,8 @@ func (t *computeTable[K, V]) store(h uint64, key K, res V, gen uint64, st *Stats
 			// missing on the nil entries.
 			return false
 		}
-		size := min(ctMinSize, t.cap)
-		t.entries = make([]ctEntry[K, V], size)
-		t.mask = uint64(size) - 1
+		t.entries = make([]ctEntry[K, V], ctMinSize)
+		t.mask = ctMinSize - 1
 	}
 	e := &t.entries[h&t.mask]
 	if e.gen == gen && e.key != key {
