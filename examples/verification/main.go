@@ -28,6 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	p.IncRefM(u1) // the second build may collect garbage
 	u2, err := verify.Functionality(p, compiled)
 	if err != nil {
 		log.Fatal(err)

@@ -141,6 +141,7 @@ func runE5(w io.Writer) (Summary, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.IncRefM(u1) // the second build may collect garbage
 	u2, err := verify.Functionality(p, algorithms.QFTCompiled(3))
 	if err != nil {
 		return nil, err

@@ -115,7 +115,11 @@ func runV1(w io.Writer) (Summary, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%v kernel: %w", pair.name, s, err)
 			}
+			// A construction build collects garbage; keep the kernel's
+			// root live through the generic run.
+			p.IncRefM(kr.Root)
 			gr, err := verify.CheckOn(p, pair.c1, pair.c2, s, verify.WithGenericMM())
+			p.DecRefM(kr.Root)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%v generic: %w", pair.name, s, err)
 			}

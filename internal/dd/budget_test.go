@@ -148,3 +148,52 @@ func TestCheckedOpsWithoutBudgetBehaveLikeUnchecked(t *testing.T) {
 		t.Fatalf("AddMChecked failed: %v", err)
 	}
 }
+
+// TestMultMMCheckedCountsOnce checks MultMMOps under the budget: a
+// product aborted by a genuine blow-up counts nothing, and one that
+// MultMMChecked re-runs after its abort's collection freed stale
+// garbage counts once.
+func TestMultMMCheckedCountsOnce(t *testing.T) {
+	const n = 5
+	p := New(n)
+	// Build an operator of distinct controlled phases; every product
+	// on the way leaves its intermediates behind as garbage.
+	u := p.Ident()
+	k := 0
+	for i := 0; i < n; i++ {
+		u = p.MultMM(p.MakeGateDD(gateH, i), u)
+		for j := i + 1; j < n; j++ {
+			k++
+			u = p.MultMM(p.MakeGateDD(phaseGate(math.Pi/math.Sqrt(float64(k)+1.5)), j, Control{Qubit: i}), u)
+		}
+	}
+	p.IncRefM(u)
+	h := p.MakeGateDD(gateH, 0)
+	p.IncRefM(h)
+
+	// One node of headroom: the product aborts, the collection frees
+	// the garbage, and the re-run fits.
+	p.SetMaxNodes(p.LiveNodes() + 1)
+	before := p.Stats()
+	if _, err := p.MultMMChecked(h, u); err != nil {
+		t.Fatalf("retried product: %v", err)
+	}
+	st := p.Stats()
+	if st.GCRuns == before.GCRuns {
+		t.Fatal("the product was not retried after a collection")
+	}
+	if got := st.MultMMOps - before.MultMMOps; got != 1 {
+		t.Fatalf("retried product counted %d MultMMOps, want 1", got)
+	}
+
+	// With no garbage left, the same headroom is a genuine blow-up.
+	p.GarbageCollect()
+	p.SetMaxNodes(p.LiveNodes() + 1)
+	before = p.Stats()
+	if _, err := p.MultMMChecked(p.MakeGateDD(gateH, 1), u); !errors.Is(err, ErrResourceExhausted) {
+		t.Fatalf("product with one node of headroom: err %v, want ErrResourceExhausted", err)
+	}
+	if got := p.Stats().MultMMOps - before.MultMMOps; got != 0 {
+		t.Fatalf("aborted product counted %d MultMMOps, want 0", got)
+	}
+}

@@ -161,14 +161,18 @@ func (p *Pkg) MultMV(m MEdge, v VEdge) VEdge {
 }
 
 // MultMM computes the matrix-matrix product a·b (a applied after b),
-// used to build circuit functionality U = U_{m-1}···U_0.
+// used to build circuit functionality U = U_{m-1}···U_0. MultMMOps is
+// counted once the product has returned, so a product aborted by the
+// node budget counts nothing and one MultMMChecked re-runs counts once.
 func (p *Pkg) MultMM(a, b MEdge) MEdge {
-	p.stats.MultMMOps++
 	if p.observer == nil {
-		return p.multMM(a, b)
+		res := p.multMM(a, b)
+		p.stats.MultMMOps++
+		return res
 	}
 	start := time.Now()
 	res := p.multMM(a, b)
+	p.stats.MultMMOps++
 	p.traced(OpMultMM, start)
 	return res
 }

@@ -90,6 +90,8 @@ func DiagnoseNonEquivalence(c1, c2 *qc.Circuit) (equivalent bool, overlap float6
 	if err != nil {
 		return false, 0, nil, err
 	}
+	p.IncRefM(u1) // the second build may collect garbage
+	defer p.DecRefM(u1)
 	u2, err := Functionality(p, c2)
 	if err != nil {
 		return false, 0, nil, err

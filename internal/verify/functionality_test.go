@@ -3,30 +3,13 @@ package verify
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"quantumdd/internal/algorithms"
 	"quantumdd/internal/dd"
 	"quantumdd/internal/qc"
 )
-
-// digestCircuits are the circuits whose functionalities
-// TestFunctionalityDigest pins.
-func digestCircuits(t *testing.T) []*qc.Circuit {
-	t.Helper()
-	inv, err := algorithms.QFT(5).Inverse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []*qc.Circuit{
-		lowerMCZ(algorithms.Grover(4, 0b1011)),
-		lowerMCZ(algorithms.Grover(5, 0b10110)),
-		algorithms.Adder(8),
-		algorithms.QFT(5),
-		algorithms.RandomCircuit(7, 30, 3),
-		inv,
-	}
-}
 
 // TestFunctionalityDigest pins the serialized functionality of six
 // circuits, built with and without per-gate records on a fresh
@@ -42,7 +25,18 @@ func TestFunctionalityDigest(t *testing.T) {
 		"random_7_30":         "48e5bc2eebd5e07ff32c646d9817f237e5cbd2ff27d4fc1e7bb017b961f7f4ee", // 7 qubits, 210 gates, 5461 nodes
 		"qft_5_inv":           "58ae49f9fdea52b9b799c81e5c3b851faac0c3a2a5ed29fe846b377290bf328d", // 5 qubits, 17 gates, 341 nodes
 	}
-	for _, c := range digestCircuits(t) {
+	inv, err := algorithms.QFT(5).Inverse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*qc.Circuit{
+		lowerMCZ(algorithms.Grover(4, 0b1011)),
+		lowerMCZ(algorithms.Grover(5, 0b10110)),
+		algorithms.Adder(8),
+		algorithms.QFT(5),
+		algorithms.RandomCircuit(7, 30, 3),
+		inv,
+	} {
 		p := dd.New(c.NQubits)
 		u, err := Functionality(p, c)
 		if err != nil {
@@ -63,5 +57,79 @@ func TestFunctionalityDigest(t *testing.T) {
 		if w := want[c.Name]; got != w {
 			t.Errorf("%s: digest %s, want %s", c.Name, got, w)
 		}
+	}
+}
+
+// TestConstructionUnderBudget checks the construction strategy with a
+// node budget small enough that building G′ collects garbage: U of G
+// must survive those collections. Held unreferenced, it was swept, so
+// lowered Grover(5) against itself answered not equivalent under
+// budgets of 3000 to 10000 nodes and panicked at 2000.
+func TestConstructionUnderBudget(t *testing.T) {
+	g5 := lowerMCZ(algorithms.Grover(5, 0b10110))
+	for _, budget := range []int{10000, 8000, 6000, 4000, 3000, 2000} {
+		p := dd.New(g5.NQubits)
+		p.SetMaxNodes(budget)
+		res, err := CheckOn(p, g5, g5, Construction)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if !res.Equivalent || res.UpToGlobalPhase {
+			t.Fatalf("budget %d: equivalent=%v upToPhase=%v, want exactly equivalent", budget, res.Equivalent, res.UpToGlobalPhase)
+		}
+		if res.FinalNodes != 179 {
+			t.Fatalf("budget %d: %d final nodes, want 179", budget, res.FinalNodes)
+		}
+	}
+}
+
+// TestFunctionalityAllocBytes bounds the heap bytes of building
+// lowered Grover(5)'s functionality (7 qubits, 157 gates, 179 nodes)
+// on a fresh package under the web server's default node budget. The
+// build collects as the operator grows, so swept nodes are recycled
+// and the unique and compute tables stay sized to the operator; kept
+// live to the end, its 10k intermediates cost about 4.4 MB.
+func TestFunctionalityAllocBytes(t *testing.T) {
+	circ := lowerMCZ(algorithms.Grover(5, 0b10110))
+	const maxBytes = 2 << 20
+	build := func() {
+		p := dd.New(circ.NQubits)
+		p.SetMaxNodes(250000)
+		if _, err := Functionality(p, circ); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // warm up lazily built gate and package state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d heap bytes, %d allocations", bytes, after.Mallocs-before.Mallocs)
+	if bytes > maxBytes {
+		t.Fatalf("%d heap bytes, bound %d", bytes, maxBytes)
+	}
+}
+
+// TestFunctionalityCollects checks the collection rule of an
+// unbudgeted build: the random circuit's 5461-node operator leaves
+// about 274k live nodes when nothing is collected, and with a
+// collection whenever the live nodes double it ends below twice the
+// operator.
+func TestFunctionalityCollects(t *testing.T) {
+	circ := algorithms.RandomCircuit(7, 30, 3)
+	p := dd.New(circ.NQubits)
+	u, err := Functionality(p, circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := dd.SizeM(u)
+	if nodes != 5461 {
+		t.Fatalf("operator has %d nodes, want 5461", nodes)
+	}
+	st := p.Stats()
+	t.Logf("%d live nodes, %d collections, %d nodes freed", p.LiveNodes(), st.GCRuns, st.NodesFreed)
+	if live := p.LiveNodes(); live > 2*nodes {
+		t.Fatalf("%d live nodes after the build, want at most %d", live, 2*nodes)
 	}
 }

@@ -51,6 +51,9 @@ func TestKernelMatchesGenericAllStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v kernel: %v", pair.name, s, err)
 			}
+			// A construction build collects garbage: only a referenced
+			// root survives the second run.
+			p.IncRefM(kr.Root)
 			gr, err := CheckOn(p, pair.c1, pair.c2, s, WithGenericMM())
 			if err != nil {
 				t.Fatalf("%s/%v generic: %v", pair.name, s, err)

@@ -193,7 +193,10 @@ func unitaryOps(c *qc.Circuit) []*qc.Op {
 // BuildFunctionality constructs the system matrix U = U_{m-1}···U_0 of
 // the circuit as a matrix DD, recording the node count after each
 // application. Gates are multiplied in by the matrix kernel unless
-// WithGenericMM selects the generic path.
+// WithGenericMM selects the generic path. The build collects garbage
+// on p as the operator grows, so a diagram on p that the caller has
+// not referenced (IncRefM) may be swept; the returned root is
+// unreferenced.
 func BuildFunctionality(p *dd.Pkg, c *qc.Circuit, opts ...Option) (dd.MEdge, []StepRecord, error) {
 	eng := &engine{p: p, generic: buildConfig(opts).genericMM}
 	return buildFunctionality(context.Background(), eng, c, true)
@@ -201,15 +204,25 @@ func BuildFunctionality(p *dd.Pkg, c *qc.Circuit, opts ...Option) (dd.MEdge, []S
 
 // Functionality is BuildFunctionality without the per-gate records,
 // for callers that need only U: it skips the node count, gate string
-// and span each record costs. The root is the same.
+// and span each record costs. The root is the same, and it collects
+// garbage the same way: unreferenced diagrams on p may be swept.
 func Functionality(p *dd.Pkg, c *qc.Circuit) (dd.MEdge, error) {
 	u, _, err := buildFunctionality(context.Background(), &engine{p: p}, c, false)
 	return u, err
 }
 
+// gcFloor is the live-node count below which a functionality build
+// never collects, so small builds skip the sweep altogether.
+const gcFloor = 1024
+
 // buildFunctionality multiplies the gates of c into the identity; with
 // record set it traces each application and returns one StepRecord
-// per gate.
+// per gate. Each product leaves the previous operator and its
+// intermediates as garbage, so once the live nodes reach twice what
+// the previous collection left (at least gcFloor) the build collects:
+// the swept nodes return to the free list and the tables stay sized
+// to the operator, not to its history. Only diagrams referenced on p
+// survive such a collection.
 func buildFunctionality(ctx context.Context, eng *engine, c *qc.Circuit, record bool) (dd.MEdge, []StepRecord, error) {
 	if c.HasNonUnitary() {
 		return dd.MZero(), nil, fmt.Errorf("verify: circuit %q contains non-unitary operations", c.Name)
@@ -217,6 +230,7 @@ func buildFunctionality(ctx context.Context, eng *engine, c *qc.Circuit, record 
 	p := eng.p
 	u := p.Ident()
 	p.IncRefM(u)
+	gcAt := gcFloor
 	var recs []StepRecord
 	for _, op := range unitaryOps(c) {
 		var sp *trace.Span
@@ -232,6 +246,9 @@ func buildFunctionality(ctx context.Context, eng *engine, c *qc.Circuit, record 
 		p.IncRefM(next)
 		p.DecRefM(u)
 		u = next
+		if p.MaybeGC(gcAt) {
+			gcAt = max(gcFloor, 2*p.LiveNodes())
+		}
 		if record {
 			n := dd.SizeM(u)
 			sp.SetAttr("nodes_after", int64(n))
@@ -290,6 +307,9 @@ func checkConstruction(ctx context.Context, eng *engine, c1, c2 *qc.Circuit) (*R
 	if err != nil {
 		return nil, err
 	}
+	// The second build may collect garbage: U of G must stay referenced.
+	eng.p.IncRefM(u1)
+	defer eng.p.DecRefM(u1)
 	u2, t2, err := buildFunctionality(ctx, eng, c2, true)
 	if err != nil {
 		return nil, err

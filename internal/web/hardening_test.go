@@ -318,11 +318,12 @@ func TestFunctionalityBudgetRejected422(t *testing.T) {
 }
 
 // TestFunctionalityBudgetStaleGarbage is the regression test for a
-// build that fits its budget but used to abort on garbage: the
-// 210-gate random circuit leaves about 250k stale intermediates for a
-// 5461-node operator, so under DefaultConfig the budget tripped and
-// the endpoint answered 422. The abort's collection frees that
-// garbage and the gate is applied again; the operator must be
+// build that fits its budget but used to abort on garbage: kept to the
+// end, the 210-gate random circuit's stale intermediates reach about
+// 250k nodes for a 5461-node operator, so under DefaultConfig the
+// budget tripped and the endpoint answered 422. The build now collects
+// as the operator grows, and an abort's collection still frees what
+// is left before the gate is applied again; the operator must be
 // bit-identical to the unbudgeted build.
 func TestFunctionalityBudgetStaleGarbage(t *testing.T) {
 	circ := algorithms.RandomCircuit(7, 30, 3)
