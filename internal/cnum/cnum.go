@@ -8,10 +8,13 @@
 // errors, so two weights that are mathematically equal may differ in
 // their bit patterns. Without countermeasures this destroys node
 // sharing (the whole point of a decision diagram) and compute-table
-// hits. The fix is to funnel every weight through a unique table that
-// maps all values within a tolerance of each other onto one canonical
-// representative. Canonical values are bit-identical and may therefore
-// be used directly as Go map keys.
+// hits. The fix is to funnel every weight a diagram keeps through a
+// unique table that maps all values within a tolerance of each other
+// onto one canonical representative. Canonical values are
+// bit-identical and may therefore be used directly as Go map keys.
+// Package dd canonicalizes only where it needs those bits: the child
+// weights a node stores, the weights in compute-table keys and the
+// root edges its operations return. Intermediate results stay raw.
 //
 // # Table layout
 //
@@ -43,8 +46,8 @@
 // The array holds no pointers. Inserting a value allocates nothing,
 // and the garbage collector never scans the table; a slice per bucket
 // would cost one allocation per distinct value, all of them pointers
-// the collector traces on every cycle. Every DD node normalization
-// passes its weights through this table, so both costs sit on the
+// the collector traces on every cycle. Every DD node creation passes
+// its child weights through this table, so both costs sit on the
 // engine's hot path.
 package cnum
 

@@ -53,7 +53,7 @@ func (p *Pkg) adjointProduct(a, b MEdge) MEdge {
 		// a = (a.W/g.dd.W)·G, so a†·b = conj(a.W/g.dd.W)·(G†·b).
 		prod := p.applyGateMTraced(b, p.gateInverse(g), left)
 		f := complex(real(a.W/g.dd.W), -imag(a.W/g.dd.W))
-		return p.scaleM(prod, f)
+		return scaleMRaw(f, prod)
 	}
 	return p.MultMM(p.ConjTranspose(a), b)
 }
@@ -94,12 +94,12 @@ func (p *Pkg) FromMatrix(rows [][]complex128) (MEdge, error) {
 			return MZero(), fmt.Errorf("dd: row %d has %d entries, want %d", i, len(r), dim)
 		}
 	}
-	return p.fromMatrix(rows, 0, 0, dim, p.nqubits-1), nil
+	return p.rootM(p.fromMatrix(rows, 0, 0, dim, p.nqubits-1)), nil
 }
 
 func (p *Pkg) fromMatrix(rows [][]complex128, r0, c0, size int, v Var) MEdge {
 	if size == 1 {
-		return MEdge{W: p.cn.Lookup(rows[r0][c0]), N: mTerminal}
+		return MEdge{W: rows[r0][c0], N: mTerminal}
 	}
 	half := size / 2
 	var e [4]MEdge

@@ -185,10 +185,10 @@ func (p *Pkg) ApplyGateChecked(v VEdge, u GateMatrix, target int, controls ...Co
 
 func (p *Pkg) applyGateTraced(v VEdge, g *appliedGate) VEdge {
 	if p.observer == nil {
-		return p.applyGate(v, g)
+		return p.rootV(p.applyGate(v, g))
 	}
 	start := time.Now()
-	res := p.applyGate(v, g)
+	res := p.rootV(p.applyGate(v, g))
 	p.traced(OpApplyGate, start)
 	return res
 }
@@ -204,7 +204,7 @@ func (p *Pkg) applyGate(v VEdge, g *appliedGate) VEdge {
 		panic(fmt.Sprintf("dd: ApplyGate operand does not span target level %d", g.target))
 	}
 	res := p.applyRec(v.N, g)
-	return VEdge{W: p.cn.Lookup(res.W * v.W), N: res.N}
+	return VEdge{W: res.W * v.W, N: res.N}
 }
 
 // applyRec rebuilds the diagram under n with the gate applied. n is at
@@ -329,8 +329,9 @@ func (p *Pkg) splitControls(e VEdge, g *appliedGate) (act, inact VEdge) {
 	return scaleV(e.W, pr.act), scaleV(e.W, pr.inact)
 }
 
-// scaleV multiplies an edge weight without canonicalizing: the result
-// always flows into addV/makeVNode, which canonicalize downstream.
+// scaleV multiplies an edge weight without canonicalizing, like every
+// intermediate weight: makeVNode canonicalizes the child weights it
+// stores.
 func scaleV(w complex128, e VEdge) VEdge {
 	if w == 0 || e.IsZero() {
 		return VZero()
@@ -351,7 +352,7 @@ func (p *Pkg) MakeGateDD(u GateMatrix, target int, controls ...Control) MEdge {
 		p.stats.GateDDCacheHits++
 		return g.dd
 	}
-	e := p.buildGateDDUpTo(g, p.nqubits-1)
+	e := p.rootM(p.buildGateDDUpTo(g, p.nqubits-1))
 	g.dd, g.ddGen = e, p.gen
 	p.registerGateRoot(e.N, g)
 	return e

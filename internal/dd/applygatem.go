@@ -179,16 +179,16 @@ func (p *Pkg) applyGateMChecked(m MEdge, g *appliedGate, s side) (MEdge, error) 
 	return res, nil
 }
 
-// applyGateMTraced counts ApplyMOps once the descent has returned: a
-// budget abort unwinds out of the descent past the count, so an
-// aborted gate counts nothing and a gate that checked re-runs after a
-// collection counts once.
+// applyGateMTraced canonicalizes the root and counts ApplyMOps once
+// the descent has returned: a budget abort unwinds out of the descent
+// past the count, so an aborted gate counts nothing and a gate that
+// checked re-runs after a collection counts once.
 func (p *Pkg) applyGateMTraced(m MEdge, g *appliedGate, s side) MEdge {
 	var start time.Time
 	if p.observer != nil {
 		start = time.Now()
 	}
-	res := p.applyGateM(m, g, s)
+	res := p.rootM(p.applyGateM(m, g, s))
 	p.stats.ApplyMOps++
 	if p.observer != nil {
 		p.traced(OpApplyGateM, start)
@@ -207,7 +207,7 @@ func (p *Pkg) applyGateM(m MEdge, g *appliedGate, s side) MEdge {
 		panic(fmt.Sprintf("dd: ApplyGateM%c operand does not span target level %d", "LR"[s], g.target))
 	}
 	res := p.applyMRec(m.N, g, s)
-	return MEdge{W: p.cn.Lookup(res.W * m.W), N: res.N}
+	return MEdge{W: res.W * m.W, N: res.N}
 }
 
 // activeRow returns the control value of g's control at level v: the
@@ -402,9 +402,9 @@ func (p *Pkg) splitM(e MEdge, g *appliedGate, s side) (act, inact MEdge) {
 	return scaleMRaw(e.W, pr.act), scaleMRaw(e.W, pr.inact)
 }
 
-// scaleMRaw multiplies an edge weight without canonicalizing: the
-// result always flows into addM/makeMNode, which canonicalize
-// downstream.
+// scaleMRaw multiplies an edge weight without canonicalizing, like
+// every intermediate weight: makeMNode canonicalizes the child weights
+// it stores, and the exported entry points canonicalize the root.
 func scaleMRaw(w complex128, e MEdge) MEdge {
 	if w == 0 || e.IsZero() {
 		return MZero()

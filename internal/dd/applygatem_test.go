@@ -337,13 +337,13 @@ func TestAdjointProductFastPath(t *testing.T) {
 // gate applications with positive and negative controls above and
 // below the target, SWAPs on both sides, checked and unchecked
 // entries, a garbage collection mid-run, and (on odd widths) compute
-// tables small enough to evict. The digest was recorded from two
-// hand-mirrored left and right descents, so it checks that the one
-// side-parameterised descent reproduces them bit for bit; a change in
-// node or complex-value creation order, or in which table a lookup
-// lands in, moves it.
+// tables small enough to evict. The digest was first recorded from two
+// hand-mirrored left and right descents, and re-recorded when
+// intermediate weights stopped going through the complex table; a
+// change in node or complex-value creation order, or in which table a
+// lookup lands in, moves it.
 func TestApplyGateMSidesDigest(t *testing.T) {
-	const want = "0edfb50a8577c8e307fb95b78894f5e3f63f842f818f0fa2efe2af1f31fcb9e6"
+	const want = "0a863e9792b10b26de94da9b540aa58b904b7c6277d456d4788c22e87290e1e0"
 	h := sha256.New()
 	var buf []byte
 	for n := 2; n <= 9; n++ {

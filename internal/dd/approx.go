@@ -33,7 +33,7 @@ func (p *Pkg) Approximate(e VEdge, threshold float64) (approx VEdge, fidelity fl
 	}
 	// Renormalize to the original norm, preserving the root phase.
 	scale := Norm(e) / Norm(VEdge{W: e.W * pruned.W, N: pruned.N})
-	approx = VEdge{W: p.cn.Lookup(e.W * pruned.W * complex(scale, 0)), N: pruned.N}
+	approx = p.rootV(VEdge{W: e.W * pruned.W * complex(scale, 0), N: pruned.N})
 	fid := p.InnerProduct(e, approx)
 	norm := Norm(e)
 	fidelity = real(fid)*real(fid) + imag(fid)*imag(fid)

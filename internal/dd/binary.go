@@ -282,7 +282,7 @@ func (p *Pkg) DecodeVectorBinary(data []byte) (VEdge, error) {
 	if w == 0 {
 		return VZero(), fmt.Errorf("dd: snapshot blob: zero root weight on a non-terminal root")
 	}
-	return VEdge{W: p.cn.Lookup(w), N: root}, nil
+	return p.rootV(VEdge{W: w, N: root}), nil
 }
 
 // resolveVChild validates and resolves one child reference of a
@@ -311,7 +311,10 @@ func (p *Pkg) resolveVChild(nodes []*VNode, lvl int64, w complex128, ref, rec ui
 	if int64(child.V) != lvl-1 {
 		return VEdge{}, fmt.Errorf("dd: snapshot blob: node %d: child at level %d under level %d violates quasi-reduction", rec, child.V, lvl)
 	}
-	return VEdge{W: p.cn.Lookup(w), N: child}, nil
+	if w = p.cn.Lookup(w); w == 0 {
+		return VEdge{}, fmt.Errorf("dd: snapshot blob: node %d: weight within tolerance of zero on a non-terminal child", rec)
+	}
+	return VEdge{W: w, N: child}, nil
 }
 
 // validateVNorm checks the canonical-form invariants of a vector
@@ -488,7 +491,7 @@ func (p *Pkg) DecodeMatrixBinary(data []byte) (MEdge, error) {
 	if w == 0 {
 		return MZero(), fmt.Errorf("dd: snapshot blob: zero root weight on a non-terminal root")
 	}
-	return MEdge{W: p.cn.Lookup(w), N: root}, nil
+	return p.rootM(MEdge{W: w, N: root}), nil
 }
 
 func (p *Pkg) resolveMChild(nodes []*MNode, lvl int64, w complex128, ref, rec uint64) (MEdge, error) {
@@ -514,7 +517,10 @@ func (p *Pkg) resolveMChild(nodes []*MNode, lvl int64, w complex128, ref, rec ui
 	if int64(child.V) != lvl-1 {
 		return MEdge{}, fmt.Errorf("dd: snapshot blob: node %d: child at level %d under level %d violates quasi-reduction", rec, child.V, lvl)
 	}
-	return MEdge{W: p.cn.Lookup(w), N: child}, nil
+	if w = p.cn.Lookup(w); w == 0 {
+		return MEdge{}, fmt.Errorf("dd: snapshot blob: node %d: weight within tolerance of zero on a non-terminal child", rec)
+	}
+	return MEdge{W: w, N: child}, nil
 }
 
 // validateMNorm checks the QMDD canonical form of a matrix node: the

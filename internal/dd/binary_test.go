@@ -2,7 +2,9 @@ package dd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -202,5 +204,27 @@ func TestBinaryDecodeWrongShape(t *testing.T) {
 	}
 	if _, err := New(3).DecodeVectorBinary(nil); err == nil {
 		t.Fatal("empty blob accepted")
+	}
+}
+
+// TestBinaryDecodeRejectsNegligibleChildWeight checks that a non-zero
+// child weight within the tolerance of zero is rejected: it used to
+// canonicalize to 0 and leave a zero weight on a non-terminal child,
+// a node no canonical diagram contains.
+func TestBinaryDecodeRejectsNegligibleChildWeight(t *testing.T) {
+	p := New(2)
+	blob := p.AppendVectorBinary(nil, p.ApplyGate(p.ZeroState(), gateH, 1))
+	half := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.Sqrt(0.5)))
+	i := bytes.Index(blob, half)
+	j := i + 8 + bytes.Index(blob[i+8:], half)
+	if i < 0 || j < i+8 {
+		t.Fatal("root weights of H|0⟩ not found in the blob")
+	}
+	// The root node's weights become (1e-11, 1): L2-normalized within
+	// the decoder's tolerance, with the first weight negligible.
+	binary.LittleEndian.PutUint64(blob[i:], math.Float64bits(1e-11))
+	binary.LittleEndian.PutUint64(blob[j:], math.Float64bits(1))
+	if e, err := New(2).DecodeVectorBinary(blob); err == nil {
+		t.Fatalf("decoded %+v with children %+v, want an error", e, e.N.E)
 	}
 }

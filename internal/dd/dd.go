@@ -21,6 +21,16 @@
 // identical, which is what makes DD-based equivalence checking a
 // pointer comparison.
 //
+// A weight goes through the complex table only where canonical bits
+// are needed: the child weights a node stores (makeVNode/makeMNode),
+// the weight ratios that key the addition and projector-merge compute
+// tables, the entries of an interned gate, and the root edge an
+// exported operation returns. Everything in between stays a raw
+// complex128: the top weight a new node hands back, the results the
+// recursions return and their terminal sums. A child weight within the
+// tolerance of zero becomes a zero stub when its node is made, and a
+// returned root whose weight canonicalizes to zero is the zero edge.
+//
 // All diagrams are "quasi-reduced": every path from the root to the
 // terminal visits every level, except that all-zero sub-structures are
 // collapsed into zero stubs (a weight-0 edge to the terminal). This is
@@ -84,7 +94,7 @@ var (
 // VEdge is a weighted edge to a vector node. The zero value is not
 // meaningful; use Pkg methods or VZero/VOne helpers.
 type VEdge struct {
-	W complex128 // canonical complex weight
+	W complex128 // canonical in stored children and returned roots
 	N *VNode
 }
 
@@ -472,8 +482,31 @@ func MZero() MEdge { return MEdge{W: 0, N: mTerminal} }
 // MOne returns the terminal matrix edge with weight one.
 func MOne() MEdge { return MEdge{W: 1, N: mTerminal} }
 
+// rootV canonicalizes the weight of a root edge that an exported
+// operation returns. A weight that canonicalizes to zero leaves the
+// all-zero vector, so the edge becomes the zero stub.
+func (p *Pkg) rootV(e VEdge) VEdge {
+	w := p.cn.Lookup(e.W)
+	if w == 0 {
+		return VZero()
+	}
+	return VEdge{W: w, N: e.N}
+}
+
+// rootM is rootV for matrix edges.
+func (p *Pkg) rootM(e MEdge) MEdge {
+	w := p.cn.Lookup(e.W)
+	if w == 0 {
+		return MZero()
+	}
+	return MEdge{W: w, N: e.N}
+}
+
 // makeVNode normalizes the candidate node (v, e) and interns it in the
-// unique table, returning the canonical weighted edge.
+// unique table, returning the weighted edge to it. The node's child
+// weights are canonical; the returned top weight is raw, and only a
+// root an exported operation returns is canonicalized (rootV). A child
+// whose weight lies within the tolerance of zero is a zero stub.
 //
 // Vector nodes are normalized by the 2-norm of the pair of edge
 // weights (footnote 3 of the paper): the outgoing weights are divided
@@ -487,8 +520,10 @@ func (p *Pkg) makeVNode(v Var, e [2]VEdge) VEdge {
 	if v < 0 || v >= p.nqubits {
 		panic(fmt.Sprintf("dd: level %d out of range [0,%d)", v, p.nqubits))
 	}
+	tol := p.cn.Tolerance()
 	for i, c := range e {
-		if c.IsZero() {
+		if cnum.IsZero(c.W, tol) {
+			e[i] = VZero()
 			continue
 		}
 		if c.N.V != v-1 {
@@ -506,7 +541,7 @@ func (p *Pkg) makeVNode(v Var, e [2]VEdge) VEdge {
 		// QMDD convention: divide by the dominant entry (first on a
 		// tie within tolerance) so that one weight becomes exactly 1.
 		idx := 0
-		if m1 > m0+p.cn.Tolerance() {
+		if m1 > m0+tol {
 			idx = 1
 		}
 		if idx == 0 {
@@ -524,22 +559,24 @@ func (p *Pkg) makeVNode(v Var, e [2]VEdge) VEdge {
 		w1 = complex(real(w1)/norm, imag(w1)/norm)
 		top = complex(norm, 0)
 		// Pull the phase of the first non-zero weight into the top edge.
-		first := w0
-		if w0 == 0 || cnum.IsZero(w0, p.cn.Tolerance()) {
-			first = w1
+		// That weight becomes its magnitude, an exact real, so its
+		// imaginary part takes the complex table's zero fast path.
+		first := &w0
+		if w0 == 0 || cnum.IsZero(w0, tol) {
+			first = &w1
 		}
-		mag := math.Hypot(real(first), imag(first))
-		phase := complex(real(first)/mag, imag(first)/mag)
-		if phase != 1 {
+		if f := *first; imag(f) != 0 || real(f) < 0 {
+			mag := math.Hypot(real(f), imag(f))
+			phase := complex(real(f)/mag, imag(f)/mag)
 			top *= phase
 			inv := complex(real(phase), -imag(phase)) // 1/phase for unit-magnitude phase
 			w0 *= inv
 			w1 *= inv
+			*first = complex(mag, 0)
 		}
 	}
 	w0 = p.cn.Lookup(w0)
 	w1 = p.cn.Lookup(w1)
-	top = p.cn.Lookup(top)
 	if w0 == 0 && w1 == 0 {
 		// Both weights vanished within tolerance: the whole sub-vector
 		// is numerically zero.
@@ -574,7 +611,9 @@ func (p *Pkg) makeVNode(v Var, e [2]VEdge) VEdge {
 	return VEdge{W: top, N: n}
 }
 
-// makeMNode normalizes the candidate matrix node and interns it.
+// makeMNode normalizes the candidate matrix node and interns it. As in
+// makeVNode, the child weights are canonical, the returned top weight
+// is raw, and a child within the tolerance of zero is a zero stub.
 //
 // Matrix nodes are normalized by the entry of largest magnitude
 // (first such entry in index order on ties), which is divided out of
@@ -585,8 +624,10 @@ func (p *Pkg) makeMNode(v Var, e [4]MEdge) MEdge {
 	if v < 0 || v >= p.nqubits {
 		panic(fmt.Sprintf("dd: level %d out of range [0,%d)", v, p.nqubits))
 	}
+	tol := p.cn.Tolerance()
 	for i, c := range e {
-		if c.IsZero() {
+		if cnum.IsZero(c.W, tol) {
+			e[i] = MZero()
 			continue
 		}
 		if c.N.V != v-1 {
@@ -603,7 +644,6 @@ func (p *Pkg) makeMNode(v Var, e [4]MEdge) MEdge {
 	argMax := -1
 	maxMag := 0.0 // squared magnitude of the current arg-max
 	maxLin := 0.0 // its linear magnitude
-	tol := p.cn.Tolerance()
 	for i, c := range e {
 		m := real(c.W)*real(c.W) + imag(c.W)*imag(c.W)
 		if m > maxMag+tol*(2*maxLin+tol) {
@@ -630,7 +670,6 @@ func (p *Pkg) makeMNode(v Var, e [4]MEdge) MEdge {
 			n[i] = mTerminal
 		}
 	}
-	top = p.cn.Lookup(top)
 	h := hashMNode(&w, &n)
 	tab := &p.mUnique[v]
 	if nd := tab.lookup(h, &w, &n, &p.stats); nd != nil {

@@ -88,7 +88,7 @@ func (p *Pkg) Collapse(e VEdge, q int, outcome int) (VEdge, error) {
 	// keeps the original norm, and carry over the original root phase.
 	scale := Norm(e) / Norm(collapsed)
 	phase := e.W / complex(Norm(e), 0)
-	return VEdge{W: p.cn.Lookup(collapsed.W * complex(scale, 0) * phase), N: collapsed.N}, nil
+	return p.rootV(VEdge{W: collapsed.W * complex(scale, 0) * phase, N: collapsed.N}), nil
 }
 
 func (p *Pkg) collapse(e VEdge, q, outcome int, memo map[*VNode]VEdge) VEdge {
@@ -96,7 +96,7 @@ func (p *Pkg) collapse(e VEdge, q, outcome int, memo map[*VNode]VEdge) VEdge {
 		return e
 	}
 	if res, ok := memo[e.N]; ok {
-		return VEdge{W: p.cn.Lookup(res.W * e.W), N: res.N}
+		return VEdge{W: res.W * e.W, N: res.N}
 	}
 	var res VEdge
 	if e.N.V == q {
@@ -112,7 +112,7 @@ func (p *Pkg) collapse(e VEdge, q, outcome int, memo map[*VNode]VEdge) VEdge {
 		res = p.makeVNode(e.N.V, kids)
 	}
 	memo[e.N] = res
-	return VEdge{W: p.cn.Lookup(res.W * e.W), N: res.N}
+	return VEdge{W: res.W * e.W, N: res.N}
 }
 
 // Measure samples an outcome for qubit q using rng, collapses the
@@ -135,7 +135,7 @@ func (p *Pkg) Measure(e VEdge, q int, rng *rand.Rand) (outcome int, collapsed VE
 func (p *Pkg) ApplyX(e VEdge, q int) VEdge {
 	memo := make(map[*VNode]VEdge)
 	res := p.applyX(VEdge{W: 1, N: e.N}, q, memo)
-	return VEdge{W: p.cn.Lookup(res.W * e.W), N: res.N}
+	return p.rootV(VEdge{W: res.W * e.W, N: res.N})
 }
 
 func (p *Pkg) applyX(e VEdge, q int, memo map[*VNode]VEdge) VEdge {
@@ -143,7 +143,7 @@ func (p *Pkg) applyX(e VEdge, q int, memo map[*VNode]VEdge) VEdge {
 		return e
 	}
 	if res, ok := memo[e.N]; ok {
-		return VEdge{W: p.cn.Lookup(res.W * e.W), N: res.N}
+		return VEdge{W: res.W * e.W, N: res.N}
 	}
 	var res VEdge
 	if e.N.V == q {
@@ -156,7 +156,7 @@ func (p *Pkg) applyX(e VEdge, q int, memo map[*VNode]VEdge) VEdge {
 		res = p.makeVNode(e.N.V, kids)
 	}
 	memo[e.N] = res
-	return VEdge{W: p.cn.Lookup(res.W * e.W), N: res.N}
+	return VEdge{W: res.W * e.W, N: res.N}
 }
 
 // Reset collapses qubit q to the sampled outcome and re-initializes it

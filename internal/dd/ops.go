@@ -13,7 +13,9 @@ import (
 //	conj-T:   (w·M)†               = conj(w)·M†
 //
 // The residual ratio in the addition key is canonicalized through the
-// complex table so numerically equal ratios collide.
+// complex table so numerically equal ratios collide. It is the only
+// weight these recursions canonicalize: the results they return carry
+// raw weights, and the exported entry points canonicalize the root.
 type (
 	addVKey struct {
 		a, b *VNode
@@ -36,9 +38,10 @@ type (
 )
 
 // The exported entry points (AddV, MultMV, …) live in trace.go: they
-// time the recursive bodies below when an observer is installed. The
-// recursion calls the unexported bodies directly, so only top-level
-// invocations are observed.
+// canonicalize the root the recursive bodies below return, and time
+// them when an observer is installed. The recursion calls the
+// unexported bodies directly, so only top-level invocations are
+// observed and only their roots go through the complex table.
 
 // addV is the recursive body of AddV.
 func (p *Pkg) addV(a, b VEdge) VEdge {
@@ -49,7 +52,7 @@ func (p *Pkg) addV(a, b VEdge) VEdge {
 		return a
 	}
 	if a.N == vTerminal && b.N == vTerminal {
-		return VEdge{W: p.cn.Lookup(a.W + b.W), N: vTerminal}
+		return VEdge{W: a.W + b.W, N: vTerminal}
 	}
 	if a.N.V != b.N.V {
 		panic("dd: AddV operands have mismatched levels")
@@ -60,7 +63,7 @@ func (p *Pkg) addV(a, b VEdge) VEdge {
 	h := hashAddV(key)
 	if res, ok := p.addVCache.lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
-		return VEdge{W: p.cn.Lookup(res.W * a.W), N: res.N}
+		return VEdge{W: res.W * a.W, N: res.N}
 	}
 	v := a.N.V
 	var e [2]VEdge
@@ -71,7 +74,7 @@ func (p *Pkg) addV(a, b VEdge) VEdge {
 	}
 	res := p.makeVNode(v, e)
 	p.addVCache.store(h, key, res, p.gen, &p.stats)
-	return VEdge{W: p.cn.Lookup(res.W * a.W), N: res.N}
+	return VEdge{W: res.W * a.W, N: res.N}
 }
 
 // addM is the recursive body of AddM.
@@ -83,7 +86,7 @@ func (p *Pkg) addM(a, b MEdge) MEdge {
 		return a
 	}
 	if a.N == mTerminal && b.N == mTerminal {
-		return MEdge{W: p.cn.Lookup(a.W + b.W), N: mTerminal}
+		return MEdge{W: a.W + b.W, N: mTerminal}
 	}
 	if a.N.V != b.N.V {
 		panic("dd: AddM operands have mismatched levels")
@@ -94,7 +97,7 @@ func (p *Pkg) addM(a, b MEdge) MEdge {
 	h := hashAddM(key)
 	if res, ok := p.addMCache.lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
-		return MEdge{W: p.cn.Lookup(res.W * a.W), N: res.N}
+		return MEdge{W: res.W * a.W, N: res.N}
 	}
 	v := a.N.V
 	var e [4]MEdge
@@ -105,7 +108,7 @@ func (p *Pkg) addM(a, b MEdge) MEdge {
 	}
 	res := p.makeMNode(v, e)
 	p.addMCache.store(h, key, res, p.gen, &p.stats)
-	return MEdge{W: p.cn.Lookup(res.W * a.W), N: res.N}
+	return MEdge{W: res.W * a.W, N: res.N}
 }
 
 // multMV is the recursive body of MultMV: the product is decomposed
@@ -116,7 +119,7 @@ func (p *Pkg) multMV(m MEdge, v VEdge) VEdge {
 		return VZero()
 	}
 	if m.N == mTerminal && v.N == vTerminal {
-		return VEdge{W: p.cn.Lookup(m.W * v.W), N: vTerminal}
+		return VEdge{W: m.W * v.W, N: vTerminal}
 	}
 	if m.N.V != v.N.V {
 		panic("dd: MultMV operands have mismatched levels")
@@ -126,7 +129,7 @@ func (p *Pkg) multMV(m MEdge, v VEdge) VEdge {
 	h := hashMulMV(key)
 	if res, ok := p.mulMV.lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
-		return VEdge{W: p.cn.Lookup(res.W * m.W * v.W), N: res.N}
+		return VEdge{W: res.W * m.W * v.W, N: res.N}
 	}
 	lv := m.N.V
 	var e [2]VEdge
@@ -141,7 +144,7 @@ func (p *Pkg) multMV(m MEdge, v VEdge) VEdge {
 	}
 	res := p.makeVNode(lv, e)
 	p.mulMV.store(h, key, res, p.gen, &p.stats)
-	return VEdge{W: p.cn.Lookup(res.W * m.W * v.W), N: res.N}
+	return VEdge{W: res.W * m.W * v.W, N: res.N}
 }
 
 // multMM is the recursive body of MultMM.
@@ -150,7 +153,7 @@ func (p *Pkg) multMM(a, b MEdge) MEdge {
 		return MZero()
 	}
 	if a.N == mTerminal && b.N == mTerminal {
-		return MEdge{W: p.cn.Lookup(a.W * b.W), N: mTerminal}
+		return MEdge{W: a.W * b.W, N: mTerminal}
 	}
 	if a.N.V != b.N.V {
 		panic("dd: MultMM operands have mismatched levels")
@@ -160,7 +163,7 @@ func (p *Pkg) multMM(a, b MEdge) MEdge {
 	h := hashMulMM(key)
 	if res, ok := p.mulMM.lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
-		return MEdge{W: p.cn.Lookup(res.W * a.W * b.W), N: res.N}
+		return MEdge{W: res.W * a.W * b.W, N: res.N}
 	}
 	lv := a.N.V
 	var e [4]MEdge
@@ -177,7 +180,7 @@ func (p *Pkg) multMM(a, b MEdge) MEdge {
 	}
 	res := p.makeMNode(lv, e)
 	p.mulMM.store(h, key, res, p.gen, &p.stats)
-	return MEdge{W: p.cn.Lookup(res.W * a.W * b.W), N: res.N}
+	return MEdge{W: res.W * a.W * b.W, N: res.N}
 }
 
 // kronM is the body of KronM: as illustrated in Fig. 3 of the paper,
@@ -192,11 +195,11 @@ func (p *Pkg) kronM(a, b MEdge, lowerQubits int) MEdge {
 	h := hashKron(key)
 	if res, ok := p.kronCache.lookup(h, key, p.gen); ok {
 		p.stats.CacheHits++
-		return MEdge{W: p.cn.Lookup(res.W * a.W * b.W), N: res.N}
+		return MEdge{W: res.W * a.W * b.W, N: res.N}
 	}
 	res := p.kronRec(MEdge{W: 1, N: a.N}, b.N, lowerQubits)
 	p.kronCache.store(h, key, res, p.gen, &p.stats)
-	return MEdge{W: p.cn.Lookup(res.W * a.W * b.W), N: res.N}
+	return MEdge{W: res.W * a.W * b.W, N: res.N}
 }
 
 func (p *Pkg) kronRec(a MEdge, b *MNode, shift int) MEdge {
@@ -210,7 +213,7 @@ func (p *Pkg) kronRec(a MEdge, b *MNode, shift int) MEdge {
 	for i, c := range a.N.E {
 		e[i] = p.kronRec(c, b, shift)
 	}
-	return p.scaleM(p.makeMNode(a.N.V+shift, e), a.W)
+	return scaleMRaw(a.W, p.makeMNode(a.N.V+shift, e))
 }
 
 // KronV computes the tensor product a⊗b of two state diagrams, with b
@@ -220,7 +223,7 @@ func (p *Pkg) KronV(a, b VEdge, lowerQubits int) VEdge {
 		return VZero()
 	}
 	res := p.kronVRec(VEdge{W: 1, N: a.N}, b.N, lowerQubits)
-	return VEdge{W: p.cn.Lookup(res.W * a.W * b.W), N: res.N}
+	return p.rootV(VEdge{W: res.W * a.W * b.W, N: res.N})
 }
 
 func (p *Pkg) kronVRec(a VEdge, b *VNode, shift int) VEdge {
@@ -235,7 +238,7 @@ func (p *Pkg) kronVRec(a VEdge, b *VNode, shift int) VEdge {
 		e[i] = p.kronVRec(c, b, shift)
 	}
 	res := p.makeVNode(a.N.V+shift, e)
-	return VEdge{W: p.cn.Lookup(res.W * a.W), N: res.N}
+	return VEdge{W: res.W * a.W, N: res.N}
 }
 
 // conjTranspose is the recursive body of ConjTranspose, used to
@@ -245,14 +248,14 @@ func (p *Pkg) conjTranspose(m MEdge) MEdge {
 		return MZero()
 	}
 	if m.N == mTerminal {
-		return MEdge{W: p.cn.Lookup(cmplx.Conj(m.W)), N: mTerminal}
+		return MEdge{W: cmplx.Conj(m.W), N: mTerminal}
 	}
-	w := p.cn.Lookup(cmplx.Conj(m.W))
+	w := cmplx.Conj(m.W)
 	p.stats.CacheLookups++
 	h := m.N.hash
 	if res, ok := p.conjCache.lookup(h, m.N, p.gen); ok {
 		p.stats.CacheHits++
-		return MEdge{W: p.cn.Lookup(res.W * w), N: res.N}
+		return MEdge{W: res.W * w, N: res.N}
 	}
 	var e [4]MEdge
 	for i := 0; i < 2; i++ {
@@ -263,9 +266,5 @@ func (p *Pkg) conjTranspose(m MEdge) MEdge {
 	}
 	res := p.makeMNode(m.N.V, e)
 	p.conjCache.store(h, m.N, res, p.gen, &p.stats)
-	return MEdge{W: p.cn.Lookup(res.W * w), N: res.N}
-}
-
-func (p *Pkg) scaleM(e MEdge, w complex128) MEdge {
-	return MEdge{W: p.cn.Lookup(e.W * w), N: e.N}
+	return MEdge{W: res.W * w, N: res.N}
 }

@@ -153,7 +153,7 @@ func (p *Pkg) ReadVector(r io.Reader) (VEdge, error) {
 				return VZero(), fmt.Errorf("dd: line %d: %v", line, err)
 			}
 			if fields[2] == "T" {
-				return VEdge{W: p.cn.Lookup(w), N: vTerminal}, nil
+				return p.rootV(VEdge{W: w, N: vTerminal}), nil
 			}
 			id, err := strconv.Atoi(fields[2])
 			if err != nil {
@@ -163,7 +163,7 @@ func (p *Pkg) ReadVector(r io.Reader) (VEdge, error) {
 			if !ok {
 				return VZero(), fmt.Errorf("dd: line %d: root node %d undefined", line, id)
 			}
-			return VEdge{W: p.cn.Lookup(w * root.W), N: root.N}, nil
+			return p.rootV(VEdge{W: w * root.W, N: root.N}), nil
 		default:
 			return VZero(), fmt.Errorf("dd: line %d: unknown record %q", line, fields[0])
 		}
@@ -285,7 +285,7 @@ func (p *Pkg) ReadMatrix(r io.Reader) (MEdge, error) {
 				return MZero(), fmt.Errorf("dd: line %d: %v", line, err)
 			}
 			if fields[2] == "T" {
-				return MEdge{W: p.cn.Lookup(w), N: mTerminal}, nil
+				return p.rootM(MEdge{W: w, N: mTerminal}), nil
 			}
 			id, err := strconv.Atoi(fields[2])
 			if err != nil {
@@ -295,7 +295,7 @@ func (p *Pkg) ReadMatrix(r io.Reader) (MEdge, error) {
 			if !ok {
 				return MZero(), fmt.Errorf("dd: line %d: root node %d undefined", line, id)
 			}
-			return MEdge{W: p.cn.Lookup(w * root.W), N: root.N}, nil
+			return p.rootM(MEdge{W: w * root.W, N: root.N}), nil
 		default:
 			return MZero(), fmt.Errorf("dd: line %d: unknown record %q", line, fields[0])
 		}

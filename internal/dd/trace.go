@@ -129,10 +129,10 @@ func (p *Pkg) traced(op Op, start time.Time) {
 // must stem from this package and represent equally sized vectors.
 func (p *Pkg) AddV(a, b VEdge) VEdge {
 	if p.observer == nil {
-		return p.addV(a, b)
+		return p.rootV(p.addV(a, b))
 	}
 	start := time.Now()
-	res := p.addV(a, b)
+	res := p.rootV(p.addV(a, b))
 	p.traced(OpAddV, start)
 	return res
 }
@@ -140,10 +140,10 @@ func (p *Pkg) AddV(a, b VEdge) VEdge {
 // AddM returns the element-wise sum of the matrices a and b.
 func (p *Pkg) AddM(a, b MEdge) MEdge {
 	if p.observer == nil {
-		return p.addM(a, b)
+		return p.rootM(p.addM(a, b))
 	}
 	start := time.Now()
-	res := p.addM(a, b)
+	res := p.rootM(p.addM(a, b))
 	p.traced(OpAddM, start)
 	return res
 }
@@ -152,10 +152,10 @@ func (p *Pkg) AddM(a, b MEdge) MEdge {
 // simulation (Ex. 9, Fig. 4 of the paper).
 func (p *Pkg) MultMV(m MEdge, v VEdge) VEdge {
 	if p.observer == nil {
-		return p.multMV(m, v)
+		return p.rootV(p.multMV(m, v))
 	}
 	start := time.Now()
-	res := p.multMV(m, v)
+	res := p.rootV(p.multMV(m, v))
 	p.traced(OpMultMV, start)
 	return res
 }
@@ -166,12 +166,12 @@ func (p *Pkg) MultMV(m MEdge, v VEdge) VEdge {
 // node budget counts nothing and one MultMMChecked re-runs counts once.
 func (p *Pkg) MultMM(a, b MEdge) MEdge {
 	if p.observer == nil {
-		res := p.multMM(a, b)
+		res := p.rootM(p.multMM(a, b))
 		p.stats.MultMMOps++
 		return res
 	}
 	start := time.Now()
-	res := p.multMM(a, b)
+	res := p.rootM(p.multMM(a, b))
 	p.stats.MultMMOps++
 	p.traced(OpMultMM, start)
 	return res
@@ -181,10 +181,10 @@ func (p *Pkg) MultMM(a, b MEdge) MEdge {
 // lowerQubits bottom levels (Fig. 3 of the paper).
 func (p *Pkg) KronM(a, b MEdge, lowerQubits int) MEdge {
 	if p.observer == nil {
-		return p.kronM(a, b, lowerQubits)
+		return p.rootM(p.kronM(a, b, lowerQubits))
 	}
 	start := time.Now()
-	res := p.kronM(a, b, lowerQubits)
+	res := p.rootM(p.kronM(a, b, lowerQubits))
 	p.traced(OpKron, start)
 	return res
 }
@@ -193,10 +193,10 @@ func (p *Pkg) KronM(a, b MEdge, lowerQubits int) MEdge {
 // matrix diagram.
 func (p *Pkg) ConjTranspose(m MEdge) MEdge {
 	if p.observer == nil {
-		return p.conjTranspose(m)
+		return p.rootM(p.conjTranspose(m))
 	}
 	start := time.Now()
-	res := p.conjTranspose(m)
+	res := p.rootM(p.conjTranspose(m))
 	p.traced(OpConjTranspose, start)
 	return res
 }

@@ -41,12 +41,12 @@ func (p *Pkg) FromVector(amps []complex128) (VEdge, error) {
 	if len(amps) != 1<<uint(p.nqubits) {
 		return VZero(), fmt.Errorf("dd: vector length %d does not match %d qubits (want %d)", len(amps), p.nqubits, 1<<uint(p.nqubits))
 	}
-	return p.fromVector(amps, p.nqubits-1), nil
+	return p.rootV(p.fromVector(amps, p.nqubits-1)), nil
 }
 
 func (p *Pkg) fromVector(amps []complex128, v Var) VEdge {
 	if len(amps) == 1 {
-		return VEdge{W: p.cn.Lookup(amps[0]), N: vTerminal}
+		return VEdge{W: amps[0], N: vTerminal}
 	}
 	half := len(amps) / 2
 	lo := p.fromVector(amps[:half], v-1)

@@ -529,3 +529,26 @@ func mustImport(t *testing.T, p *dd.Pkg, from *Simulator) dd.VEdge {
 	}
 	return e
 }
+
+// TestQAOAComplexValues guards the complex-table cost of a run:
+// only the child weights of new nodes, the addition keys and each
+// gate's returned root go through the table. QAOA MaxCut on ring(8) at
+// fixed angles, run to the end, stored 10491 canonical reals when
+// every intermediate result was canonicalized too; the guard allows
+// 60 % of that.
+func TestQAOAComplexValues(t *testing.T) {
+	const canonicalizedEverywhere = 10491
+	c, err := algorithms.QAOAMaxCut(algorithms.Ring(8), []float64{0.7}, []float64{0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(c, WithSeed(1))
+	if _, err := s.RunToEnd(); err != nil {
+		t.Fatal(err)
+	}
+	got := s.Pkg().Stats().ComplexValues
+	t.Logf("%d complex values, %d with every intermediate canonicalized", got, canonicalizedEverywhere)
+	if got > canonicalizedEverywhere*6/10 {
+		t.Fatalf("%d complex values, bound %d", got, canonicalizedEverywhere*6/10)
+	}
+}

@@ -16,13 +16,16 @@ import (
 // package: the SHA-256 of AppendMatrixBinary covers the structure and
 // every weight bit, so a change to how a build manages its package
 // (collection, compute tables, recycling) cannot move the operator.
+// Three digests were re-recorded when intermediate weights stopped
+// going through the complex table; TestDenseOracleFunctionality
+// checks those operators against the dense unitary.
 func TestFunctionalityDigest(t *testing.T) {
 	want := map[string]string{
-		"grover_4_11_lowered": "206493f2dc94d7e9288aaf6dc1dbef15a8ba53589eef9f1f3597ff12a1aee64b", // 5 qubits, 88 gates, 45 nodes
-		"grover_5_22_lowered": "08737267986eeaac1bb3bb12e3e90d7a7526d3188e90384bdf59fbc0bea2317e", // 7 qubits, 157 gates, 179 nodes
+		"grover_4_11_lowered": "c74604c3fe9150d1f9325e9ced4ef79ee55598ba3e15cf9a063ae8a6966a63e1", // 5 qubits, 88 gates, 45 nodes
+		"grover_5_22_lowered": "e9f3159200ed78828471e94fe6b6a229948f0f80db2d5904c75227dab73369ed", // 7 qubits, 157 gates, 179 nodes
 		"adder_8":             "18dedbf0f08cbe93302103ba1cf9ac199bbec48803bf59ad1b22e4daadb91b4b", // 18 qubits, 49 gates, 43 nodes
 		"qft_5":               "484544be417814b3548be95dcd340b6f3c2e0b478ac4b7d6cd23b56b0c21420a", // 5 qubits, 17 gates, 341 nodes
-		"random_7_30":         "48e5bc2eebd5e07ff32c646d9817f237e5cbd2ff27d4fc1e7bb017b961f7f4ee", // 7 qubits, 210 gates, 5461 nodes
+		"random_7_30":         "f450000846cfa5bda918dea90ab10e5478a179373625db48faca02b196fb7a6f", // 7 qubits, 210 gates, 5461 nodes
 		"qft_5_inv":           "58ae49f9fdea52b9b799c81e5c3b851faac0c3a2a5ed29fe846b377290bf328d", // 5 qubits, 17 gates, 341 nodes
 	}
 	inv, err := algorithms.QFT(5).Inverse()
@@ -131,5 +134,25 @@ func TestFunctionalityCollects(t *testing.T) {
 	t.Logf("%d live nodes, %d collections, %d nodes freed", p.LiveNodes(), st.GCRuns, st.NodesFreed)
 	if live := p.LiveNodes(); live > 2*nodes {
 		t.Fatalf("%d live nodes after the build, want at most %d", live, 2*nodes)
+	}
+}
+
+// TestFunctionalityComplexValues guards the complex-table cost of a
+// build: only the child weights of new nodes, the addition keys and
+// the returned root go through the table. Building lowered Grover(5)'s
+// functionality on a fresh package stored 14122 canonical reals when
+// every intermediate result was canonicalized too; the guard allows
+// 60 % of that.
+func TestFunctionalityComplexValues(t *testing.T) {
+	const canonicalizedEverywhere = 14122
+	c := lowerMCZ(algorithms.Grover(5, 0b10110))
+	p := dd.New(c.NQubits)
+	if _, err := Functionality(p, c); err != nil {
+		t.Fatal(err)
+	}
+	got := p.Stats().ComplexValues
+	t.Logf("%d complex values, %d with every intermediate canonicalized", got, canonicalizedEverywhere)
+	if got > canonicalizedEverywhere*6/10 {
+		t.Fatalf("%d complex values, bound %d", got, canonicalizedEverywhere*6/10)
 	}
 }
