@@ -67,6 +67,11 @@ func (p *Pkg) ExpectationZ(e VEdge, q int) float64 {
 // SizeByLevelV histograms the distinct nodes of a vector diagram per
 // qubit level (index = level). Feeds the statistics view: wide levels
 // are where entanglement concentrates.
+//
+// It takes the plain visit, not the ordered walk: a histogram alone
+// needs no listing, and the visit costs about half as much. A frame
+// takes its histogram from the listing it already holds
+// (FlatV.LevelHist).
 func (p *Pkg) SizeByLevelV(e VEdge) []int {
 	counts := make([]int, p.nqubits)
 	visitV(e.N, func(n *VNode) { counts[n.V]++ })
@@ -121,27 +126,8 @@ func (p *Pkg) IsUnitaryDD(m MEdge) bool {
 // weight in a vector diagram — the number of basis states with
 // (potentially) non-zero amplitude, computed without enumeration.
 func PathCount(e VEdge) int64 {
-	if e.IsZero() {
-		return 0
-	}
-	memo := make(map[*VNode]int64)
-	var walk func(n *VNode) int64
-	walk = func(n *VNode) int64 {
-		if n == vTerminal {
-			return 1
-		}
-		if c, ok := memo[n]; ok {
-			return c
-		}
-		var c int64
-		if n.E[0].W != 0 {
-			c += walk(n.E[0].N)
-		}
-		if n.E[1].W != 0 {
-			c += walk(n.E[1].N)
-		}
-		memo[n] = c
-		return c
-	}
-	return walk(e.N)
+	f := FlattenV(e)
+	n := f.PathCount()
+	f.Release()
+	return n
 }

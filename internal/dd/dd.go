@@ -444,6 +444,13 @@ func (p *Pkg) Qubits() int { return p.nqubits }
 // Tolerance reports the complex identification radius.
 func (p *Pkg) Tolerance() float64 { return p.cn.Tolerance() }
 
+// HitCounts reports Stats().CacheHits and Stats().ApplyCTHits without
+// the snapshot's walk over the unique tables: a traced step reads them
+// before and after every op.
+func (p *Pkg) HitCounts() (cache, apply uint64) {
+	return p.stats.CacheHits, p.stats.ApplyCTHits
+}
+
 // Stats returns a snapshot of the package counters, including the
 // point-in-time table-load and free-list gauges.
 func (p *Pkg) Stats() Stats {

@@ -4,67 +4,53 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 )
 
-// ProbOne returns the probability of measuring qubit q as |1⟩ in the
-// state e. Thanks to the 2-norm normalization the squared edge-weight
-// magnitudes at each node are the branch probabilities (Sec. III-B),
-// so a memoized downward pass suffices.
-func (p *Pkg) ProbOne(e VEdge, q int) float64 {
-	if q < 0 || q >= p.nqubits {
-		panic(fmt.Sprintf("dd: qubit %d out of range [0,%d)", q, p.nqubits))
-	}
+// checkProb panics unless e is a state ProbOne can measure.
+func (p *Pkg) checkProb(e VEdge) {
 	if p.vnorm != NormL2 {
 		panic("dd: ProbOne requires 2-norm vector normalization (see NormScheme)")
 	}
 	if Norm(e) == 0 {
 		panic("dd: cannot measure the zero vector")
 	}
-	// The root weight cancels out of the conditional probabilities, and
-	// every node's sub-vector has unit norm, so the downward pass over
-	// squared branch weights yields the probability directly. The memo
-	// map is pooled: Probabilities calls this once per qubit on every
-	// web frame render.
-	memo := probMemoPool.Get().(map[*VNode]float64)
-	r := probOne(e.N, q, memo)
-	clear(memo)
-	probMemoPool.Put(memo)
-	return r
 }
 
-var probMemoPool = sync.Pool{New: func() any { return make(map[*VNode]float64, 64) }}
-
-func probOne(n *VNode, q int, memo map[*VNode]float64) float64 {
-	if n == vTerminal {
-		return 0
+// ProbOne returns the probability of measuring qubit q as |1⟩ in the
+// state e. Thanks to the 2-norm normalization the squared edge-weight
+// magnitudes at each node are the branch probabilities (Sec. III-B),
+// so one bottom-up pass over the walk suffices: the root weight
+// cancels out of the conditional probabilities, and every node's
+// sub-vector has unit norm.
+func (p *Pkg) ProbOne(e VEdge, q int) float64 {
+	if q < 0 || q >= p.nqubits {
+		panic(fmt.Sprintf("dd: qubit %d out of range [0,%d)", q, p.nqubits))
 	}
-	if n.V == q {
-		w := n.E[1].W
-		return real(w)*real(w) + imag(w)*imag(w)
-	}
-	if r, ok := memo[n]; ok {
-		return r
-	}
-	var sum float64
-	for i := 0; i < 2; i++ {
-		w := n.E[i].W
-		m := real(w)*real(w) + imag(w)*imag(w)
-		if m == 0 {
-			continue
-		}
-		sum += m * probOne(n.E[i].N, q, memo)
-	}
-	memo[n] = sum
-	return sum
+	p.checkProb(e)
+	f := FlattenV(e)
+	r := f.probOne(q)
+	f.Release()
+	return r
 }
 
 // Probabilities returns the per-qubit probability of measuring |1⟩
 // for every qubit, as shown in the tool's measurement dialogs.
 func (p *Pkg) Probabilities(e VEdge) []float64 {
+	f := FlattenV(e)
+	out := p.FlatProbabilities(f)
+	f.Release()
+	return out
+}
+
+// FlatProbabilities is Probabilities over a listing already taken, one
+// pass per qubit.
+func (p *Pkg) FlatProbabilities(f *FlatV) []float64 {
 	out := make([]float64, p.nqubits)
+	if len(out) > 0 {
+		p.checkProb(f.Root)
+	}
 	for q := range out {
-		out[q] = p.ProbOne(e, q)
+		out[q] = f.probOne(q)
 	}
 	return out
 }

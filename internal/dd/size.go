@@ -2,12 +2,13 @@ package dd
 
 import "sync"
 
-// Node-count walks. SizeV/SizeM run on every web frame render, after
-// every gate of the simulator's peak tracking and of a verify build,
-// so they are iterative (no recursion) and draw their visited set and
-// work stack from a pool instead of allocating per call. The walkers
-// are safe for concurrent use across sessions: each call checks a
-// private walker out of the pool.
+// Node-count walks. SizeV/SizeM run after every gate of the
+// simulator's peak tracking and of a verify build, so they are
+// iterative (no recursion) and draw their visited set and work stack
+// from a pool instead of allocating per call. The same pooled walkers
+// back the ordered walk of flat.go that every web frame takes. The
+// walkers are safe for concurrent use across sessions: each call
+// checks a private walker out of the pool.
 //
 // The visited set is open-addressed over the node's stored
 // unique-table hash, with linear probing and pointer comparison, so a
@@ -29,12 +30,20 @@ type vWalker struct {
 	set   []*VNode // power-of-two open-addressed visited set, nil = empty
 	used  []uint32 // indices of the occupied set slots
 	stack []*VNode
+	// The ordered walk (flat.go) also keeps each marked node's index
+	// in its listing, in ids[slot]; the probes touch only set.
+	ids   []int32
+	flat  FlatV     // the ordered walk's listing
+	vals  []float64 // per-node scratch of the flat statistics
+	paths []int64
 }
 
 type mWalker struct {
 	set   []*MNode
 	used  []uint32
 	stack []*MNode
+	ids   []int32
+	flat  FlatM
 }
 
 var vWalkerPool = sync.Pool{New: func() any {
@@ -89,25 +98,68 @@ func (w *mWalker) slot(n *MNode) uint64 {
 	return i
 }
 
-// grow doubles the set, keeping the load at most 1/2.
+// grow doubles the set, keeping the load at most 1/2, and moves the
+// listing indices along when the walk keeps them.
 func (w *vWalker) grow() {
-	old := w.set
+	old, oldIDs := w.set, w.ids
 	w.set = make([]*VNode, 2*len(old))
+	if oldIDs != nil {
+		w.ids = make([]int32, len(w.set))
+	}
 	for k, i := range w.used {
 		j := w.slot(old[i])
 		w.set[j] = old[i]
+		if oldIDs != nil {
+			w.ids[j] = oldIDs[i]
+		}
 		w.used[k] = uint32(j)
 	}
 }
 
 func (w *mWalker) grow() {
-	old := w.set
+	old, oldIDs := w.set, w.ids
 	w.set = make([]*MNode, 2*len(old))
+	if oldIDs != nil {
+		w.ids = make([]int32, len(w.set))
+	}
 	for k, i := range w.used {
 		j := w.slot(old[i])
 		w.set[j] = old[i]
+		if oldIDs != nil {
+			w.ids[j] = oldIDs[i]
+		}
 		w.used[k] = uint32(j)
 	}
+}
+
+// insert marks n unless it is already marked. It returns n's slot and
+// whether n was new.
+func (w *vWalker) insert(n *VNode) (uint64, bool) {
+	i := w.slot(n)
+	if w.set[i] != nil {
+		return i, false
+	}
+	if 2*(len(w.used)+1) > len(w.set) {
+		w.grow()
+		i = w.slot(n)
+	}
+	w.set[i] = n
+	w.used = append(w.used, uint32(i))
+	return i, true
+}
+
+func (w *mWalker) insert(n *MNode) (uint64, bool) {
+	i := w.slot(n)
+	if w.set[i] != nil {
+		return i, false
+	}
+	if 2*(len(w.used)+1) > len(w.set) {
+		w.grow()
+		i = w.slot(n)
+	}
+	w.set[i] = n
+	w.used = append(w.used, uint32(i))
+	return i, true
 }
 
 // push marks n and queues it unless it is the terminal or already
@@ -116,34 +168,18 @@ func (w *vWalker) push(n *VNode) {
 	if n == vTerminal {
 		return
 	}
-	i := w.slot(n)
-	if w.set[i] != nil {
-		return
+	if _, fresh := w.insert(n); fresh {
+		w.stack = append(w.stack, n)
 	}
-	if 2*(len(w.used)+1) > len(w.set) {
-		w.grow()
-		i = w.slot(n)
-	}
-	w.set[i] = n
-	w.used = append(w.used, uint32(i))
-	w.stack = append(w.stack, n)
 }
 
 func (w *mWalker) push(n *MNode) {
 	if n == mTerminal {
 		return
 	}
-	i := w.slot(n)
-	if w.set[i] != nil {
-		return
+	if _, fresh := w.insert(n); fresh {
+		w.stack = append(w.stack, n)
 	}
-	if 2*(len(w.used)+1) > len(w.set) {
-		w.grow()
-		i = w.slot(n)
-	}
-	w.set[i] = n
-	w.used = append(w.used, uint32(i))
-	w.stack = append(w.stack, n)
 }
 
 // visitV visits every distinct non-terminal node reachable from root.

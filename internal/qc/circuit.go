@@ -2,6 +2,7 @@ package qc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -56,57 +57,66 @@ func (o *Op) IsUnitary() bool { return o.Kind == KindGate && o.Cond == nil }
 // measurement results).
 func (o *Op) IsSpecial() bool { return o.Kind != KindGate || o.Cond != nil }
 
-// String renders the operation in OpenQASM-like syntax.
+// String renders the operation in OpenQASM-like syntax. It names
+// every traced step and applied-gate caption, so it appends with
+// strconv instead of formatting through fmt.
 func (o *Op) String() string {
+	var buf [64]byte
+	return string(o.appendString(buf[:0]))
+}
+
+func (o *Op) appendString(b []byte) []byte {
 	switch o.Kind {
 	case KindBarrier:
-		return "barrier;"
+		return append(b, "barrier;"...)
 	case KindMeasure:
-		return fmt.Sprintf("measure q[%d] -> c[%d];", o.Targets[0], o.Cbit)
+		b = appendQubit(append(b, "measure "...), o.Targets[0])
+		b = strconv.AppendInt(append(b, " -> c["...), int64(o.Cbit), 10)
+		return append(b, "];"...)
 	case KindReset:
-		return fmt.Sprintf("reset q[%d];", o.Targets[0])
+		return append(appendQubit(append(b, "reset "...), o.Targets[0]), ';')
 	}
-	var b strings.Builder
 	if o.Cond != nil {
-		fmt.Fprintf(&b, "if (c==%d) ", o.Cond.Value)
+		b = strconv.AppendUint(append(b, "if (c=="...), o.Cond.Value, 10)
+		b = append(b, ") "...)
 	}
-	name := o.Gate.String()
-	for _, c := range o.Controls {
-		if c.Neg {
-			name = "n" + name
+	// Each control prefixes the name, so the last one comes first.
+	for i := len(o.Controls) - 1; i >= 0; i-- {
+		if o.Controls[i].Neg {
+			b = append(b, 'n')
 		} else {
-			name = "c" + name
+			b = append(b, 'c')
 		}
 	}
-	b.WriteString(name)
+	b = append(b, o.Gate.String()...)
 	if len(o.Params) > 0 {
-		b.WriteByte('(')
+		b = append(b, '(')
 		for i, p := range o.Params {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			fmt.Fprintf(&b, "%g", p)
+			b = strconv.AppendFloat(b, p, 'g', -1, 64) // as fmt's %g
 		}
-		b.WriteByte(')')
+		b = append(b, ')')
 	}
-	b.WriteByte(' ')
-	first := true
-	for _, c := range o.Controls {
-		if !first {
-			b.WriteString(", ")
+	b = append(b, ' ')
+	for i, c := range o.Controls {
+		if i > 0 {
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "q[%d]", c.Qubit)
-		first = false
+		b = appendQubit(b, c.Qubit)
 	}
-	for _, t := range o.Targets {
-		if !first {
-			b.WriteString(", ")
+	for i, t := range o.Targets {
+		if i > 0 || len(o.Controls) > 0 {
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "q[%d]", t)
-		first = false
+		b = appendQubit(b, t)
 	}
-	b.WriteByte(';')
-	return b.String()
+	return append(b, ';')
+}
+
+func appendQubit(b []byte, q int) []byte {
+	return append(strconv.AppendInt(append(b, "q["...), int64(q), 10), ']')
 }
 
 // Circuit is a straight-line quantum program.

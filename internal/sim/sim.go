@@ -323,12 +323,12 @@ func (s *Simulator) StepForwardCtx(ctx context.Context) (Event, error) {
 	ctx, sp := trace.StartSpan(ctx, name)
 	sp.SetAttr("op_index", int64(s.pos))
 	sp.SetAttr("nodes_before", int64(s.size))
-	before := s.pkg.Stats()
+	cache0, apply0 := s.pkg.HitCounts()
 	ev, err := s.stepForward(ctx)
-	after := s.pkg.Stats()
+	cache1, apply1 := s.pkg.HitCounts()
 	sp.SetAttr("nodes_after", int64(s.size))
-	sp.SetAttr("ct_hits", int64(after.CacheHits-before.CacheHits))
-	sp.SetAttr("apply_ct_hits", int64(after.ApplyCTHits-before.ApplyCTHits))
+	sp.SetAttr("ct_hits", int64(cache1-cache0))
+	sp.SetAttr("apply_ct_hits", int64(apply1-apply0))
 	if err != nil && errors.Is(err, dd.ErrResourceExhausted) {
 		sp.SetAttr("budget_exhausted", 1)
 	}

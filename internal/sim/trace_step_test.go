@@ -122,3 +122,64 @@ func TestTracedStepAllocBytes(t *testing.T) {
 		t.Fatalf("%.0f heap bytes per traced step, bound %d", perStep, maxBytes)
 	}
 }
+
+// TestStepSpanHitAttrs pins the ct_hits and apply_ct_hits attributes
+// of every traced step to the CacheHits and ApplyCTHits deltas of two
+// full Stats snapshots around the step, across gates, a conditional
+// gate, measurements and a reset.
+func TestStepSpanHitAttrs(t *testing.T) {
+	c := qc.New(6, 2)
+	c.Ops = append(c.Ops, algorithms.RandomCircuit(6, 8, 5).Ops...)
+	c.Measure(2, 0)
+	c.Reset(3)
+	c.Ops = append(c.Ops, qc.Op{Kind: qc.KindGate, Gate: qc.X, Targets: []int{4},
+		Cond: &qc.Condition{Bits: []int{0, 1}, Value: 1}})
+	c.Measure(4, 1)
+	c.Ops = append(c.Ops, algorithms.RandomCircuit(6, 4, 9).Ops...)
+	rec := trace.NewRecorder("s", 1<<14)
+	ctx := trace.With(context.Background(), rec)
+	s := New(c, WithSeed(2))
+	type hits struct{ ct, apply int64 }
+	var want []hits
+	for pass := 0; pass < 2; pass++ {
+		for !s.AtEnd() {
+			before := s.Pkg().Stats()
+			if _, err := s.StepForwardCtx(ctx); err != nil {
+				t.Fatal(err)
+			}
+			after := s.Pkg().Stats()
+			want = append(want, hits{int64(after.CacheHits - before.CacheHits), int64(after.ApplyCTHits - before.ApplyCTHits)})
+		}
+		s.Rewind()
+	}
+	spans, _ := rec.Snapshot()
+	var got []hits
+	for _, sp := range spans {
+		if sp.Parent != 0 {
+			continue
+		}
+		var h hits
+		for _, a := range sp.Attrs() {
+			switch a.Key {
+			case "ct_hits":
+				h.ct = a.Value
+			case "apply_ct_hits":
+				h.apply = a.Value
+			}
+		}
+		got = append(got, h)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d step spans, %d steps", len(got), len(want))
+	}
+	var total int64
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("step %d: span hits %+v, Stats deltas %+v", i, got[i], want[i])
+		}
+		total += want[i].ct
+	}
+	if total == 0 {
+		t.Fatal("no step hit a compute table; the attributes are untested")
+	}
+}

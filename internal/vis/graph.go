@@ -24,29 +24,30 @@ const (
 
 // NodeID indexes a node within a Graph. The pseudo root-arrow source
 // has no NodeID; the terminal node has one.
-type NodeID int
+type NodeID int32
 
 const noNode NodeID = -1
 
 // Node is a renderable decision-diagram node.
 type Node struct {
 	ID       NodeID
-	Level    int    // qubit level, -1 for the terminal
-	Label    string // "q2", or "1" for the terminal
 	Terminal bool
+	Level    int     // qubit level, -1 for the terminal
+	Label    string  // "q2", or "1" for the terminal
 	X, Y     float64 // set by layout (centre position)
 	// Probs holds |w|² per successor port for vector nodes; used by
 	// the modern style's amplitude bars.
 	Probs []float64
 }
 
-// Edge is a renderable successor edge.
+// Edge is a renderable successor edge. A frame allocates one per port
+// of every node, so the small fields are packed behind the weight.
 type Edge struct {
+	Weight complex128
 	From   NodeID
 	To     NodeID // noNode for a retracted zero stub
-	Port   int    // successor index at From (0..1 vector, 0..3 matrix)
-	NPorts int
-	Weight complex128
+	Port   uint8  // successor index at From (0..1 vector, 0..3 matrix)
+	NPorts uint8
 	Zero   bool
 }
 
@@ -74,101 +75,81 @@ func (g *Graph) NodeCount() int {
 
 // FromVector extracts the graph of a state diagram.
 func FromVector(e dd.VEdge) *Graph {
-	g := &Graph{Kind: KindVector, RootWeight: e.W, Root: noNode}
-	if e.IsTerminal() {
-		// A constant, e.g. the zero vector, renders as a lone terminal
-		// under its root weight.
-		id := g.addTerminal()
-		g.Root = id
-		return g
-	}
-	ids := map[*dd.VNode]NodeID{}
-	var term NodeID = noNode
-	var probs []float64 // two per non-terminal node, in node order
-	var walk func(n *dd.VNode) NodeID
-	walk = func(n *dd.VNode) NodeID {
-		if id, ok := ids[n]; ok {
-			return id
-		}
-		id := NodeID(len(g.Nodes))
-		g.Nodes = append(g.Nodes, Node{ID: id, Level: n.V, Label: levelLabel(n.V)})
-		probs = append(probs, prob(n.E[0].W), prob(n.E[1].W))
-		ids[n] = id
-		if n.V+1 > g.Levels {
-			g.Levels = n.V + 1
-		}
-		for port, c := range n.E {
-			switch {
-			case c.W == 0:
-				g.Edges = append(g.Edges, Edge{From: id, To: noNode, Port: port, NPorts: 2, Zero: true})
-			case c.IsTerminal():
-				if term == noNode {
-					term = g.addTerminal()
-				}
-				g.Edges = append(g.Edges, Edge{From: id, To: term, Port: port, NPorts: 2, Weight: c.W})
-			default:
-				child := walk(c.N)
-				g.Edges = append(g.Edges, Edge{From: id, To: child, Port: port, NPorts: 2, Weight: c.W})
-			}
-		}
-		return id
-	}
-	g.Root = walk(e.N)
-	// Slice Probs out of the shared array only now: appends above may
-	// have moved it.
-	for i := range g.Nodes {
-		if n := &g.Nodes[i]; !n.Terminal {
-			n.Probs, probs = probs[:2:2], probs[2:]
-		}
-	}
+	f := dd.FlattenV(e)
+	g := FromFlatV(f)
+	f.Release()
 	return g
 }
 
 // FromMatrix extracts the graph of an operation diagram.
 func FromMatrix(e dd.MEdge) *Graph {
-	g := &Graph{Kind: KindMatrix, RootWeight: e.W, Root: noNode}
-	if e.IsTerminal() {
-		id := g.addTerminal()
-		g.Root = id
-		return g
-	}
-	ids := map[*dd.MNode]NodeID{}
-	var term NodeID = noNode
-	var walk func(n *dd.MNode) NodeID
-	walk = func(n *dd.MNode) NodeID {
-		if id, ok := ids[n]; ok {
-			return id
-		}
-		id := NodeID(len(g.Nodes))
-		g.Nodes = append(g.Nodes, Node{ID: id, Level: n.V, Label: levelLabel(n.V)})
-		ids[n] = id
-		if n.V+1 > g.Levels {
-			g.Levels = n.V + 1
-		}
-		for port, c := range n.E {
-			switch {
-			case c.W == 0:
-				g.Edges = append(g.Edges, Edge{From: id, To: noNode, Port: port, NPorts: 4, Zero: true})
-			case c.IsTerminal():
-				if term == noNode {
-					term = g.addTerminal()
-				}
-				g.Edges = append(g.Edges, Edge{From: id, To: term, Port: port, NPorts: 4, Weight: c.W})
-			default:
-				child := walk(c.N)
-				g.Edges = append(g.Edges, Edge{From: id, To: child, Port: port, NPorts: 4, Weight: c.W})
-			}
-		}
-		return id
-	}
-	g.Root = walk(e.N)
+	f := dd.FlattenM(e)
+	g := FromFlatM(f)
+	f.Release()
 	return g
 }
 
-func (g *Graph) addTerminal() NodeID {
-	id := NodeID(len(g.Nodes))
-	g.Nodes = append(g.Nodes, Node{ID: id, Level: -1, Label: "1", Terminal: true})
-	return id
+// FromFlatV builds the graph of a state diagram from its walk listing:
+// node i of the listing becomes node i of the graph and the edges keep
+// the listing's order. A constant, e.g. the zero vector, renders as a
+// lone terminal under its root weight.
+func FromFlatV(f *dd.FlatV) *Graph {
+	g := newGraph(KindVector, f.Root.W, len(f.Nodes), len(f.Edges))
+	probs := make([]float64, len(f.Edges)) // two per non-terminal node
+	for i, n := range f.Nodes {
+		if int32(i) == f.Term {
+			g.Nodes[i] = terminalNode(i)
+			continue
+		}
+		g.Nodes[i] = Node{ID: NodeID(i), Level: n.V, Label: levelLabel(n.V), Probs: probs[:2:2]}
+		probs[0], probs[1], probs = prob(n.E[0].W), prob(n.E[1].W), probs[2:]
+		g.Levels = max(g.Levels, n.V+1)
+	}
+	for j, k := range f.Edges {
+		from, port := k>>1, k&1
+		g.Edges[j] = edge(from, f.Kids[k], port, 2, f.Nodes[from].E[port].W)
+	}
+	return g
+}
+
+// FromFlatM builds the graph of an operation diagram from its walk
+// listing, as FromFlatV does for states.
+func FromFlatM(f *dd.FlatM) *Graph {
+	g := newGraph(KindMatrix, f.Root.W, len(f.Nodes), len(f.Edges))
+	for i, n := range f.Nodes {
+		if int32(i) == f.Term {
+			g.Nodes[i] = terminalNode(i)
+			continue
+		}
+		g.Nodes[i] = Node{ID: NodeID(i), Level: n.V, Label: levelLabel(n.V)}
+		g.Levels = max(g.Levels, n.V+1)
+	}
+	for j, k := range f.Edges {
+		from, port := k>>2, k&3
+		g.Edges[j] = edge(from, f.Kids[k], port, 4, f.Nodes[from].E[port].W)
+	}
+	return g
+}
+
+func newGraph(kind Kind, rootWeight complex128, nodes, edges int) *Graph {
+	g := &Graph{Kind: kind, RootWeight: rootWeight, Root: 0, Nodes: make([]Node, nodes)}
+	if edges > 0 { // a lone terminal has none
+		g.Edges = make([]Edge, edges)
+	}
+	return g
+}
+
+func terminalNode(i int) Node {
+	return Node{ID: NodeID(i), Level: -1, Label: "1", Terminal: true}
+}
+
+// edge is the graph edge behind port of node from, whose child has
+// listing index to; a zero-weight edge (to < 0) is a retracted stub.
+func edge(from, to, port int32, nports uint8, w complex128) Edge {
+	if to < 0 {
+		return Edge{From: NodeID(from), To: noNode, Port: uint8(port), NPorts: nports, Zero: true}
+	}
+	return Edge{From: NodeID(from), To: NodeID(to), Port: uint8(port), NPorts: nports, Weight: w}
 }
 
 // levelLabels holds the node labels of the first 64 qubit levels.

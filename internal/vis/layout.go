@@ -31,57 +31,64 @@ func (g *Graph) Layout() (width, height float64) {
 		}
 		return top - n.Level
 	}
-	n := len(g.Nodes)
-	// Children and parents in CSR form: the neighbours of node i are
-	// kids[kidAt[i]:kidAt[i+1]] and pars[parAt[i]:parAt[i+1]], each in
-	// edge order. Rows share one backing array the same way.
-	nrows := g.Levels + 1
-	offs := make([]int, 2*(n+1)+nrows+1)
-	kidAt, parAt, rowAt := offs[:n+1], offs[n+1:2*(n+1)], offs[2*(n+1):]
+	n, nrows := len(g.Nodes), g.Levels+1
 	m := 0
 	for _, e := range g.Edges {
 		if e.To != noNode {
-			kidAt[e.From+1]++
-			parAt[e.To+1]++
 			m++
 		}
 	}
+	// One scratch array holds every list below, node ids index it.
+	// Children and parents are in CSR form: the neighbours of node i
+	// are kids[kidAt[i]:kidAt[i+1]] and pars[parAt[i]:parAt[i+1]],
+	// each in edge order. Row r is order[rowAt[r]:rowAt[r+1]].
+	scratch := make([]NodeID, 4*n+2*m+2*nrows+3)
+	carve := func(k int) []NodeID {
+		s := scratch[:k:k]
+		scratch = scratch[k:]
+		return s
+	}
+	kidAt, parAt, kids, pars := carve(n+1), carve(n+1), carve(m), carve(m)
+	rowAt, rowLen, order, pos := carve(nrows+1), carve(nrows), carve(n), carve(n)
+	// Count the neighbours, sum the counts to the end of each range,
+	// then place the edges last to first: each range fills backwards
+	// in edge order, and its offset ends at its start.
+	for _, e := range g.Edges {
+		if e.To != noNode {
+			kidAt[e.From]++
+			parAt[e.To]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		kidAt[i] += kidAt[i-1]
+		parAt[i] += parAt[i-1]
+	}
+	for j := len(g.Edges) - 1; j >= 0; j-- {
+		if e := &g.Edges[j]; e.To != noNode {
+			kidAt[e.From]--
+			kids[kidAt[e.From]] = e.To
+			parAt[e.To]--
+			pars[parAt[e.To]] = e.From
+		}
+	}
 	for i := range g.Nodes {
-		kidAt[i+1] += kidAt[i]
-		parAt[i+1] += parAt[i]
 		rowAt[rowOf(&g.Nodes[i])+1]++
 	}
 	for r := 0; r < nrows; r++ {
 		rowAt[r+1] += rowAt[r]
 	}
-	ids := make([]NodeID, 2*m+n)
-	kids, pars, order := ids[:m], ids[m:2*m], ids[2*m:]
-	fill := make([]int, 2*n)
-	fillK, fillP := fill[:n], fill[n:]
-	copy(fillK, kidAt[:n])
-	copy(fillP, parAt[:n])
-	for _, e := range g.Edges {
-		if e.To != noNode {
-			kids[fillK[e.From]] = e.To
-			fillK[e.From]++
-			pars[fillP[e.To]] = e.From
-			fillP[e.To]++
-		}
-	}
-	rows := make([][]NodeID, nrows)
-	for r := range rows {
-		rows[r] = order[rowAt[r]:rowAt[r]:rowAt[r+1]]
-	}
-	// DFS pre-order from the root for an initial ordering.
-	visited := make([]bool, n)
+	row := func(r int) []NodeID { return order[rowAt[r]:rowAt[r+1]] }
+	// DFS pre-order from the root for an initial ordering; pos marks
+	// the visited nodes until the positions are set.
 	var dfs func(id NodeID)
 	dfs = func(id NodeID) {
-		if visited[id] {
+		if pos[id] != 0 {
 			return
 		}
-		visited[id] = true
+		pos[id] = 1
 		r := rowOf(&g.Nodes[id])
-		rows[r] = append(rows[r], id)
+		order[rowAt[r]+rowLen[r]] = id
+		rowLen[r]++
 		for _, c := range kids[kidAt[id]:kidAt[id+1]] {
 			dfs(c)
 		}
@@ -90,52 +97,43 @@ func (g *Graph) Layout() (width, height float64) {
 		dfs(g.Root)
 	}
 	for id := range g.Nodes {
-		if !visited[id] {
-			dfs(NodeID(id))
-		}
+		dfs(NodeID(id))
 	}
 	// Barycenter sweeps: order each row by the mean position of
 	// parents (downward pass), then by children (upward pass).
-	pos := make([]float64, n)
 	maxW := 0
-	for _, row := range rows {
-		for i, id := range row {
-			pos[id] = float64(i)
+	for r := 0; r < nrows; r++ {
+		for i, id := range row(r) {
+			pos[id] = NodeID(i)
 		}
-		maxW = max(maxW, len(row))
+		maxW = max(maxW, int(rowLen[r]))
 	}
-	type keyed struct {
-		id  NodeID
-		key float64
-	}
-	buf := make([]keyed, maxW)
-	bary := func(row []NodeID, refs []NodeID, at []int) {
-		ks := buf[:len(row)]
-		for i, id := range row {
+	bary := func(row, refs, at []NodeID) {
+		// A key reads only positions of other rows, or the node's
+		// own from before the sort, so the sort can recompute it.
+		key := func(id NodeID) float64 {
 			rs := refs[at[id]:at[id+1]]
 			if len(rs) == 0 {
-				ks[i] = keyed{id, pos[id]}
-				continue
+				return float64(pos[id])
 			}
-			sum := 0.0
+			sum := 0
 			for _, r := range rs {
-				sum += pos[r]
+				sum += int(pos[r])
 			}
-			ks[i] = keyed{id, sum / float64(len(rs))}
+			return float64(sum) / float64(len(rs))
 		}
-		slices.SortStableFunc(ks, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+		slices.SortStableFunc(row, func(a, b NodeID) int { return cmp.Compare(key(a), key(b)) })
 		// Only this row's positions change.
-		for i := range ks {
-			row[i] = ks[i].id
-			pos[ks[i].id] = float64(i)
+		for i, id := range row {
+			pos[id] = NodeID(i)
 		}
 	}
 	for sweep := 0; sweep < 2; sweep++ {
-		for r := 1; r < len(rows); r++ {
-			bary(rows[r], pars, parAt)
+		for r := 1; r < nrows; r++ {
+			bary(row(r), pars, parAt)
 		}
-		for r := len(rows) - 2; r >= 0; r-- {
-			bary(rows[r], kids, kidAt)
+		for r := nrows - 2; r >= 0; r-- {
+			bary(row(r), kids, kidAt)
 		}
 	}
 	// Coordinates: centre every row horizontally.
@@ -143,14 +141,14 @@ func (g *Graph) Layout() (width, height float64) {
 	if width < 2*marginX+siblingGap {
 		width = 2*marginX + siblingGap
 	}
-	for r, row := range rows {
-		rowWidth := float64(len(row)-1) * siblingGap
+	for r := 0; r < nrows; r++ {
+		rowWidth := float64(rowLen[r]-1) * siblingGap
 		x0 := (width - rowWidth) / 2
-		for i, id := range row {
+		for i, id := range row(r) {
 			g.Nodes[id].X = x0 + float64(i)*siblingGap
 			g.Nodes[id].Y = marginY + float64(r+1)*levelGap
 		}
 	}
-	height = marginY + float64(len(rows)+1)*levelGap
+	height = marginY + float64(nrows+1)*levelGap
 	return width, height
 }

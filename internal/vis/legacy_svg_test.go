@@ -175,7 +175,7 @@ func legacyFrameSVG(g *Graph, style Style, caption string) string {
 
 	for _, e := range g.Edges {
 		from := &g.Nodes[e.From]
-		x1 := portX(from, e.Port, e.NPorts)
+		x1 := portX(from, int(e.Port), int(e.NPorts))
 		y1 := from.Y + nodeRadius - 2
 		if e.Zero {
 			if style.Mode != Colored {

@@ -348,7 +348,7 @@ func (b *svgBuilder) diagram(g *Graph, style Style, caption string) {
 	// Edges beneath nodes.
 	for _, e := range g.Edges {
 		from := &g.Nodes[e.From]
-		x1 := portX(from, e.Port, e.NPorts)
+		x1 := portX(from, int(e.Port), int(e.NPorts))
 		y1 := from.Y + nodeRadius - 2
 		if e.Zero {
 			// Retracted 0-stub: a short tick with a tiny "0".

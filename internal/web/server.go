@@ -260,6 +260,9 @@ func (s *Server) handleSimStep(w http.ResponseWriter, r *http.Request) {
 		sess.sim.Rewind()
 		caption = "initial state |0…0⟩"
 	case "break", "end":
+		// Only the last event's caption is sent, so only it is
+		// described.
+		var last sim.Event
 		steps := 0
 		if trace.Enabled(ctx) {
 			var ffsp *trace.Span
@@ -287,10 +290,13 @@ func (s *Server) handleSimStep(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			steps++
-			caption = describeEvent(sess, ev)
+			last = ev
 			if req.Action == "break" && ev.Op != nil && ev.Op.IsSpecial() {
 				break
 			}
+		}
+		if steps > 0 {
+			caption = describeEvent(sess, last)
 		}
 	default:
 		s.writeErr(w, r, http.StatusBadRequest, codeBadRequest, fmt.Errorf("web: unknown action %q", req.Action))

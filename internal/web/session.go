@@ -674,35 +674,40 @@ func engineStats(p *dd.Pkg) *EngineStats {
 	}
 }
 
+// simFrame and verifyFrame walk the diagram once: the graph and every
+// frame statistic come from the same listing.
 func simFrame(s *simSession, style vis.Style, caption string) Frame {
-	g := vis.FromVector(s.sim.State())
+	p := s.sim.Pkg()
+	f := dd.FlattenV(s.sim.State())
+	defer f.Release()
 	return Frame{
-		graph:     g,
+		graph:     vis.FromFlatV(f),
 		style:     style,
-		Nodes:     g.NodeCount(),
+		Nodes:     f.Size(),
 		Caption:   caption,
 		Pos:       s.sim.Pos(),
 		Total:     len(s.sim.Circuit().Ops),
 		Classical: s.sim.Classical(),
-		Probs:     s.sim.Pkg().Probabilities(s.sim.State()),
-		PathCount: dd.PathCount(s.sim.State()),
+		Probs:     p.FlatProbabilities(f),
+		PathCount: f.PathCount(),
 		PeakNodes: s.sim.PeakNodes(),
-		LevelHist: s.sim.Pkg().SizeByLevelV(s.sim.State()),
-		Engine:    engineStats(s.sim.Pkg()),
+		LevelHist: f.LevelHist(p.Qubits()),
+		Engine:    engineStats(p),
 	}
 }
 
 func verifyFrame(v *verifySession, style vis.Style, caption string) Frame {
-	g := vis.FromMatrix(v.x)
+	f := dd.FlattenM(v.x)
+	defer f.Release()
 	return Frame{
-		graph:     g,
+		graph:     vis.FromFlatM(f),
 		style:     style,
-		Nodes:     g.NodeCount(),
+		Nodes:     f.Size(),
 		Caption:   caption,
 		Pos:       gatesBefore(v.left, v.li) + gatesBefore(v.right, v.ri),
 		Total:     v.left.NumGates() + v.right.NumGates(),
 		PeakNodes: v.peak,
-		LevelHist: v.pkg.SizeByLevelM(v.x),
+		LevelHist: f.LevelHist(v.pkg.Qubits()),
 		Engine:    engineStats(v.pkg),
 	}
 }
