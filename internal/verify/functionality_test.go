@@ -91,10 +91,12 @@ func TestConstructionUnderBudget(t *testing.T) {
 // on a fresh package under the web server's default node budget. The
 // build collects as the operator grows, so swept nodes are recycled
 // and the unique and compute tables stay sized to the operator; kept
-// live to the end, its 10k intermediates cost about 4.4 MB.
+// live to the end, its 10k intermediates cost about 4.4 MB. Adding
+// two edges into one node by their weights took the build from about
+// 1.36 MB to 1.10 MB.
 func TestFunctionalityAllocBytes(t *testing.T) {
 	circ := lowerMCZ(algorithms.Grover(5, 0b10110))
-	const maxBytes = 2 << 20
+	const maxBytes = 5 << 18 // 1.25 MB
 	build := func() {
 		p := dd.New(circ.NQubits)
 		p.SetMaxNodes(250000)
@@ -111,6 +113,33 @@ func TestFunctionalityAllocBytes(t *testing.T) {
 	t.Logf("%d heap bytes, %d allocations", bytes, after.Mallocs-before.Mallocs)
 	if bytes > maxBytes {
 		t.Fatalf("%d heap bytes, bound %d", bytes, maxBytes)
+	}
+}
+
+// TestFunctionalityAddCounts guards the add work of building lowered
+// Grover(5)'s functionality as TestFunctionalityAllocBytes builds it.
+// Two edges into one node add by their weights, without a
+// compute-table probe or a descent: that took the build from 41,911
+// compute-table lookups and 10,920 matrix unique-table hits to 35,354
+// and 8,211, and created exactly the same 13,689 matrix nodes.
+func TestFunctionalityAddCounts(t *testing.T) {
+	circ := lowerMCZ(algorithms.Grover(5, 0b10110))
+	p := dd.New(circ.NQubits)
+	p.SetMaxNodes(250000)
+	if _, err := Functionality(p, circ); err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	t.Logf("%d matrix nodes created, %d compute-table lookups, %d matrix unique-table hits",
+		st.NodesCreatedM, st.CacheLookups, st.UniqueHitsM)
+	if st.NodesCreatedM != 13689 {
+		t.Errorf("%d matrix nodes created, want 13689", st.NodesCreatedM)
+	}
+	if st.CacheLookups > 36000 {
+		t.Errorf("%d compute-table lookups, bound 36000", st.CacheLookups)
+	}
+	if st.UniqueHitsM > 8500 {
+		t.Errorf("%d matrix unique-table hits, bound 8500", st.UniqueHitsM)
 	}
 }
 

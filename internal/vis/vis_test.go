@@ -1,6 +1,7 @@
 package vis
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"strings"
@@ -219,6 +220,44 @@ func TestDOTOutput(t *testing.T) {
 	colored := g.DOT(Style{Mode: Colored})
 	if !strings.Contains(colored, "penwidth") || !strings.Contains(colored, "color=\"#") {
 		t.Fatal("colored dot missing attributes")
+	}
+}
+
+// TestDOTDeterministic renders QFT(3)'s functionality, whose levels
+// hold several nodes each, 50 times: every call must return the same
+// bytes, with the rank=same groups from the top level down, the order
+// Text prints in.
+func TestDOTDeterministic(t *testing.T) {
+	u, _, err := verify.BuildFunctionality(dd.New(3), algorithms.QFT(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := FromMatrix(u)
+	first := g.DOT(Style{})
+	for i := 1; i < 50; i++ {
+		if dot := g.DOT(Style{}); dot != first {
+			t.Fatalf("call %d returned different bytes:\n%s\nfirst:\n%s", i, dot, first)
+		}
+	}
+	groups := strings.Count(first, "rank=same")
+	levels := []int{}
+	for _, line := range strings.Split(first, "\n") {
+		if !strings.Contains(line, "rank=same") {
+			continue
+		}
+		var id NodeID
+		if _, err := fmt.Sscanf(line, "  { rank=same; n%d;", &id); err != nil {
+			t.Fatalf("rank group %q: %v", line, err)
+		}
+		levels = append(levels, g.Nodes[id].Level)
+	}
+	if groups < 2 || len(levels) != groups {
+		t.Fatalf("%d rank groups, want at least 2:\n%s", groups, first)
+	}
+	for i := 1; i < len(levels); i++ {
+		if levels[i] >= levels[i-1] {
+			t.Fatalf("rank groups at levels %v, want descending", levels)
+		}
 	}
 }
 

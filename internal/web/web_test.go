@@ -372,6 +372,33 @@ func TestExportEndpoints(t *testing.T) {
 	}
 }
 
+// TestDOTExportDeterministic exports the final W(4) state, three of
+// whose levels hold two nodes each, as DOT ten times: every export of
+// the one session must return the same bytes.
+func TestDOTExportDeterministic(t *testing.T) {
+	srv := newTestServer(t)
+	var created newResp
+	post(t, srv, "/api/simulation", newSimRequest{Code: algorithms.WState(4).QASM()}, &created)
+	post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "end"}, nil)
+	export := func() string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/api/simulation/" + created.ID + "/export?format=dot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return readAll(t, resp)
+	}
+	first := export()
+	if strings.Count(first, "rank=same") < 2 {
+		t.Fatalf("export has fewer than two rank groups:\n%s", first)
+	}
+	for i := 1; i < 10; i++ {
+		if body := export(); body != first {
+			t.Fatalf("export %d differs from the first:\n%s\nfirst:\n%s", i, body, first)
+		}
+	}
+}
+
 func readAll(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	defer resp.Body.Close()
