@@ -339,11 +339,12 @@ func TestAdjointProductFastPath(t *testing.T) {
 // entries, a garbage collection mid-run, and (on odd widths) compute
 // tables small enough to evict. The digest was first recorded from two
 // hand-mirrored left and right descents, and re-recorded when
-// intermediate weights stopped going through the complex table; a
+// intermediate weights stopped going through the complex table and
+// when two addends into one node began to add by their weights; a
 // change in node or complex-value creation order, or in which table a
 // lookup lands in, moves it.
 func TestApplyGateMSidesDigest(t *testing.T) {
-	const want = "0a863e9792b10b26de94da9b540aa58b904b7c6277d456d4788c22e87290e1e0"
+	const want = "53800505c60431315365e93a12a40ded9678829fe4ba7ad84bfffced14eef2f2"
 	h := sha256.New()
 	var buf []byte
 	for n := 2; n <= 9; n++ {

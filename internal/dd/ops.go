@@ -2,6 +2,8 @@ package dd
 
 import (
 	"math/cmplx"
+
+	"quantumdd/internal/cnum"
 )
 
 // Cache keys. Weights are factored out of the operands wherever the
@@ -16,6 +18,15 @@ import (
 // complex table so numerically equal ratios collide. It is the only
 // weight these recursions canonicalize: the results they return carry
 // raw weights, and the exported entry points canonicalize the root.
+//
+// Two addends into one node need no key at all, as in the MQT DD
+// package (arXiv 2108.07027):
+//
+//	wa·N + wb·N = (wa+wb)·N
+//
+// so addV and addM return the summed edge without a ratio lookup, a
+// compute-table probe or a descent, and the zero edge when the sum is
+// within the tolerance of zero.
 type (
 	addVKey struct {
 		a, b *VNode
@@ -54,6 +65,13 @@ func (p *Pkg) addV(a, b VEdge) VEdge {
 	if a.N == vTerminal && b.N == vTerminal {
 		return VEdge{W: a.W + b.W, N: vTerminal}
 	}
+	if a.N == b.N {
+		w := a.W + b.W
+		if cnum.IsZero(w, p.cn.Tolerance()) {
+			return VZero()
+		}
+		return VEdge{W: w, N: a.N}
+	}
 	if a.N.V != b.N.V {
 		panic("dd: AddV operands have mismatched levels")
 	}
@@ -87,6 +105,13 @@ func (p *Pkg) addM(a, b MEdge) MEdge {
 	}
 	if a.N == mTerminal && b.N == mTerminal {
 		return MEdge{W: a.W + b.W, N: mTerminal}
+	}
+	if a.N == b.N {
+		w := a.W + b.W
+		if cnum.IsZero(w, p.cn.Tolerance()) {
+			return MZero()
+		}
+		return MEdge{W: w, N: a.N}
 	}
 	if a.N.V != b.N.V {
 		panic("dd: AddM operands have mismatched levels")

@@ -17,15 +17,17 @@ import (
 // every weight bit, so a change to how a build manages its package
 // (collection, compute tables, recycling) cannot move the operator.
 // Three digests were re-recorded when intermediate weights stopped
-// going through the complex table; TestDenseOracleFunctionality
-// checks those operators against the dense unitary.
+// going through the complex table, and two when two addends into one
+// node began to add by their weights (the sum's bits differ from the
+// descent's); TestDenseOracleFunctionality checks those operators
+// against the dense unitary.
 func TestFunctionalityDigest(t *testing.T) {
 	want := map[string]string{
 		"grover_4_11_lowered": "c74604c3fe9150d1f9325e9ced4ef79ee55598ba3e15cf9a063ae8a6966a63e1", // 5 qubits, 88 gates, 45 nodes
-		"grover_5_22_lowered": "e9f3159200ed78828471e94fe6b6a229948f0f80db2d5904c75227dab73369ed", // 7 qubits, 157 gates, 179 nodes
+		"grover_5_22_lowered": "080d38eb9a3347fe0e42a45ef047354835ad50488c140614bf4de92389327368", // 7 qubits, 157 gates, 179 nodes
 		"adder_8":             "18dedbf0f08cbe93302103ba1cf9ac199bbec48803bf59ad1b22e4daadb91b4b", // 18 qubits, 49 gates, 43 nodes
 		"qft_5":               "484544be417814b3548be95dcd340b6f3c2e0b478ac4b7d6cd23b56b0c21420a", // 5 qubits, 17 gates, 341 nodes
-		"random_7_30":         "f450000846cfa5bda918dea90ab10e5478a179373625db48faca02b196fb7a6f", // 7 qubits, 210 gates, 5461 nodes
+		"random_7_30":         "207b4de31371a182d252825457155d53f686c895de43121ac2379bf8f543298d", // 7 qubits, 210 gates, 5461 nodes
 		"qft_5_inv":           "58ae49f9fdea52b9b799c81e5c3b851faac0c3a2a5ed29fe846b377290bf328d", // 5 qubits, 17 gates, 341 nodes
 	}
 	inv, err := algorithms.QFT(5).Inverse()

@@ -19,9 +19,16 @@ func (g *Graph) DOT(style Style) string {
 	if g.Root != noNode {
 		b.WriteString("  root [shape=none, label=\"\"];\n")
 	}
-	// Rank groups per level.
-	byLevel := map[int][]NodeID{}
+	// Rank groups per level, written from the top level down (the
+	// order Text prints in) so one graph always exports the same bytes.
+	var byLevel [][]NodeID
 	for _, n := range g.Nodes {
+		if n.Level < 0 {
+			continue
+		}
+		for len(byLevel) <= n.Level {
+			byLevel = append(byLevel, nil)
+		}
 		byLevel[n.Level] = append(byLevel[n.Level], n.ID)
 	}
 	for _, n := range g.Nodes {
@@ -31,8 +38,9 @@ func (g *Graph) DOT(style Style) string {
 			fmt.Fprintf(&b, "  n%d [shape=circle, label=\"%s\"];\n", n.ID, n.Label)
 		}
 	}
-	for level, ids := range byLevel {
-		if len(ids) < 2 || level < 0 {
+	for level := len(byLevel) - 1; level >= 0; level-- {
+		ids := byLevel[level]
+		if len(ids) < 2 {
 			continue
 		}
 		b.WriteString("  { rank=same;")

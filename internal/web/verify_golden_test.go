@@ -15,15 +15,17 @@ import (
 // verifyStepGoldenDigest is the SHA-256 of every verification step
 // response body of the walk in TestVerifyStepResponsesGolden, recorded
 // when stepping still formatted every applied gate and re-recorded for
-// the compact SVG markup and for the engine counters of SWAP through
-// the kernel. It pins the "applied" captions, the frames and the
+// the compact SVG markup, for the engine counters of SWAP through the
+// kernel and for those of adding two edges into one node by their
+// weights. It pins the "applied" captions, the frames and the
 // engine counters they carry.
-const verifyStepGoldenDigest = "75b88ec44503841f93823b6a326f6b8c68ea81a1798eaae9d982a20e234fe455"
+const verifyStepGoldenDigest = "afa10c18598e9b6e2508866488d3f0a88e5e083e36278903e19bcef023c20497"
 
 // verifyStepBlankedDigest covers the same bodies with every frame's
 // "svg" value emptied (blankSVG), so it holds across markup changes;
-// it was re-recorded with the full digest for the engine counters.
-const verifyStepBlankedDigest = "f7f16dbf35a516f47bd307d0461713b0f0f71b3f205ab287ba1d26e58472bb7e"
+// it was re-recorded with the full digest for the engine counters,
+// both times.
+const verifyStepBlankedDigest = "0e1d65b96377d36f70f83f1afe85eda8ef25217422a593cc378c9cb3a85332f3"
 
 // verifyStepEngineBlankedDigest covers the same bodies with every
 // "engine" object emptied (blankEngine) and the SVG kept, so it holds
