@@ -54,7 +54,6 @@ func BenchmarkA3StrategyAblation(b *testing.B)        { runExperiment(b, "A3") }
 func BenchmarkA4NormalizationAblation(b *testing.B)   { runExperiment(b, "A4") }
 func BenchmarkA5ApproximationSweep(b *testing.B)      { runExperiment(b, "A5") }
 func BenchmarkA6VariableOrderSifting(b *testing.B)    { runExperiment(b, "A6") }
-func BenchmarkK1KernelVsGeneric(b *testing.B)         { runExperiment(b, "K1") }
 
 // --- micro benchmarks of the DD engine primitives ---
 
@@ -197,20 +196,6 @@ func BenchmarkMicroSimRotations(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroSimGHZGeneric pins the pre-kernel simulation path so
-// the GHZ pair (with BenchmarkMicroGHZSimulation, which now uses the
-// kernel) tracks the hot-path speedup end to end.
-func BenchmarkMicroSimGHZGeneric(b *testing.B) {
-	circ := algorithms.GHZ(20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := sim.New(circ, sim.WithGenericApply())
-		if _, err := s.RunToEnd(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMicroAddV times vector addition of two structurally
 // distinct wide states (GHZ ± phase layer), the second hot primitive
 // of DD simulation next to MultMV.
@@ -252,20 +237,6 @@ func BenchmarkMicroVerifyQFT6(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res, err := verify.Check(qft, comp, verify.Proportional)
-		if err != nil || !res.Equivalent {
-			b.Fatalf("verification failed: %v %v", res, err)
-		}
-	}
-}
-
-// BenchmarkMicroVerifyQFT6Generic is the same check on the generic
-// MultMM oracle — the baseline of the matrix-apply kernel pair.
-func BenchmarkMicroVerifyQFT6Generic(b *testing.B) {
-	qft := algorithms.QFT(6)
-	comp := algorithms.QFTCompiled(6)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := verify.Check(qft, comp, verify.Proportional, verify.WithGenericMM())
 		if err != nil || !res.Equivalent {
 			b.Fatalf("verification failed: %v %v", res, err)
 		}

@@ -89,8 +89,10 @@ func lowerBetter(k string) bool {
 // current < baseline*(1-threshold), lower-better keys when
 // current > baseline*(1+threshold), and direction-free keys (op
 // counts and similar determinism witnesses) when they drift past the
-// tolerance either way. Keys missing from either side are skipped —
-// a baseline gates the experiments it recorded, not the whole suite.
+// tolerance either way. A portable baseline key the run lacks is a
+// regression, so a renamed or dropped metric cannot switch its gate
+// off; keys only the run has are ignored — a baseline gates the
+// experiments it recorded, not the whole suite.
 func CompareBaseline(baseline, current map[string]float64, threshold float64) []Regression {
 	if threshold < 0 {
 		threshold = 0
@@ -108,6 +110,7 @@ func CompareBaseline(baseline, current map[string]float64, threshold float64) []
 		base := baseline[k]
 		cur, ok := current[k]
 		if !ok {
+			regs = append(regs, Regression{k, base, math.NaN(), "missing from the run"})
 			continue
 		}
 		switch {

@@ -49,9 +49,15 @@ func TestCompareBaseline(t *testing.T) {
 	if strings.Join(keys, ",") != strings.Join(want, ",") {
 		t.Fatalf("regressions %v, want %v", keys, want)
 	}
-	// Keys missing from the current run are skipped, not failed.
-	if regs := CompareBaseline(base, map[string]float64{}, 0.2); len(regs) != 0 {
-		t.Fatalf("empty current run regressed: %v", regs)
+	// Every portable key missing from the current run is reported; the
+	// machine-bound one is not.
+	keys = nil
+	for _, r := range CompareBaseline(base, map[string]float64{}, 0.2) {
+		keys = append(keys, r.Key)
+	}
+	want = []string{"V1_kernel_ops", "applym_ct_hits", "shape_overhead_pct", "speedup_v1", "speedup_v1_best"}
+	if strings.Join(keys, ",") != strings.Join(want, ",") {
+		t.Fatalf("missing keys reported as %v, want %v", keys, want)
 	}
 }
 

@@ -60,10 +60,8 @@ func All() []Experiment {
 			Paper: "size/fidelity trade-off against the exponential worst case", Run: runA5},
 		{ID: "A6", Title: "Extension: variable order and sifting (Sec. III-C)",
 			Paper: "canonicity is relative to the variable order; order can matter exponentially", Run: runA6},
-		{ID: "K1", Title: "Kernel: direct gate application vs MakeGateDD+MultMV",
-			Paper: "identity-skipping descent beats the generic multiply on the hot path", Run: runK1},
-		{ID: "V1", Title: "Verify core: matrix-apply kernel vs generic MultMM",
-			Paper: "identity-stripped matrix apply beats gate-DD multiply in the alternating checker", Run: runV1},
+		{ID: "V1", Title: "Verify core: matrix-apply kernel work under every strategy",
+			Paper: "identity-stripped matrix apply keeps the alternating checker near the identity", Run: runV1},
 		{ID: "N1", Title: "Parallel trajectories: sharded replica pool vs sequential",
 			Paper: "one-simulation-per-shot sampling is embarrassingly parallel; results stay bit-identical", Run: runN1},
 		{ID: "S1", Title: "Shape profiler: sampling overhead and example structure",

@@ -9,6 +9,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"quantumdd/internal/algorithms"
 	"quantumdd/internal/dd"
@@ -21,6 +22,36 @@ import (
 // the web server's default (see internal/web).
 const shapeStride = 32
 
+// simScenario is one simulation workload S1 times with and without
+// the sampling stride.
+type simScenario struct {
+	name string
+	circ *qc.Circuit
+	reps int // simulator runs per timing sample, amortizing setup
+}
+
+// qaoaCircuit builds a MaxCut ring ansatz with two distinct layers —
+// the parameterized sweep workload of A-series experiments.
+func qaoaCircuit(n int) *qc.Circuit {
+	circ, err := algorithms.QAOAMaxCut(algorithms.Ring(n),
+		[]float64{0.7, 1.3}, []float64{0.4, 0.9})
+	if err != nil {
+		panic(err)
+	}
+	return circ
+}
+
+func timeSim(circ *qc.Circuit, reps int, opts ...sim.Option) time.Duration {
+	return timeIt(func() {
+		for r := 0; r < reps; r++ {
+			s := sim.New(circ, opts...)
+			if _, err := s.RunToEnd(); err != nil {
+				panic(err)
+			}
+		}
+	})
+}
+
 // identityFraction builds circ's functionality matrix and profiles it.
 func identityFraction(circ *qc.Circuit) (dd.ShapeProfile, error) {
 	p := dd.New(circ.NQubits)
@@ -31,12 +62,12 @@ func identityFraction(circ *qc.Circuit) (dd.ShapeProfile, error) {
 	return p.ShapeM(u), nil
 }
 
-// runS1 times the profiling stride against the disabled path on the
-// kernel-study workloads and profiles the canonical examples.
+// runS1 times the profiling stride against the disabled path on three
+// simulation workloads and profiles the canonical examples.
 func runS1(w io.Writer) (Summary, error) {
 	sum := Summary{}
 
-	scenarios := []kernelScenario{
+	scenarios := []simScenario{
 		{"ghz20", algorithms.GHZ(20), 20},
 		{"qaoa12", qaoaCircuit(12), 2},
 		{"entangled12", algorithms.Entangled(12, 5, 3), 2},

@@ -28,7 +28,6 @@ func RunDdverify(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "", "input format: qasm, real, or auto")
 	metricsDump := fs.Bool("metrics-dump", false, "print a Prometheus metrics snapshot of the engine after the run")
 	traceOut := fs.String("trace-out", "", "write the run's span timeline to this file as Chrome trace-event JSON")
-	genericMM := fs.Bool("generic-mm", false, "apply gates via materialized gate DDs and the generic MultMM instead of the matrix-apply kernel")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -76,11 +75,7 @@ func RunDdverify(args []string, stdout, stderr io.Writer) int {
 	// Own the engine so its final statistics land in the dump
 	// alongside the op-latency histograms the observer collects.
 	p := dd.New(left.NQubits)
-	var opts []verify.Option
-	if *genericMM {
-		opts = append(opts, verify.WithGenericMM())
-	}
-	res, err := verify.CheckOnCtx(to.context(), p, left, right, strategy, opts...)
+	res, err := verify.CheckOnCtx(to.context(), p, left, right, strategy)
 	if md != nil {
 		md.record(p.Stats())
 	}
@@ -94,8 +89,8 @@ func RunDdverify(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-6d %-4s %-36s %6d\n", i, r.Side, r.Gate, r.Nodes)
 		}
 	}
-	fmt.Fprintf(stdout, "strategy: %s, peak %d nodes, final %d nodes, %d multiplications (%d kernel, %d generic)\n",
-		res.Strategy, res.PeakNodes, res.FinalNodes, res.MultOps, res.KernelOps, res.GenericOps)
+	fmt.Fprintf(stdout, "strategy: %s, peak %d nodes, final %d nodes, %d multiplications (%d kernel)\n",
+		res.Strategy, res.PeakNodes, res.FinalNodes, res.MultOps, res.KernelOps)
 	switch {
 	case res.Equivalent && res.UpToGlobalPhase:
 		fmt.Fprintln(stdout, "result: EQUIVALENT up to a global phase")

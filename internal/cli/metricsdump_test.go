@@ -51,30 +51,16 @@ func TestDdverifyMetricsDump(t *testing.T) {
 	if !strings.Contains(o, "result: EQUIVALENT") {
 		t.Fatalf("verdict missing:\n%s", o)
 	}
-	// Verification now runs on the matrix-apply kernel, so its
-	// histogram must be hot and the generic multiply cold.
+	// Verification runs on the matrix-apply kernel, so its histogram
+	// must be hot.
 	if !strings.Contains(o, `dd_op_duration_seconds_count{op="applygatem"}`) {
 		t.Fatalf("dump missing matrix-apply histogram:\n%s", o)
 	}
 	if strings.Contains(o, `dd_op_duration_seconds_count{op="applygatem"} 0`) {
 		t.Fatalf("applygatem histogram empty after verification:\n%s", o)
 	}
-	if !strings.Contains(o, " kernel, 0 generic)") || strings.Contains(o, "(0 kernel,") {
-		t.Fatalf("kernel/generic op split missing from report:\n%s", o)
-	}
-
-	// The -generic-mm oracle flips the split back to the baseline.
-	out.Reset()
-	errb.Reset()
-	if code := RunDdverify([]string{"-metrics-dump", "-generic-mm", left, right}, &out, &errb); code != 0 {
-		t.Fatalf("generic-mm exit %d: %s", code, errb.String())
-	}
-	o = out.String()
-	if strings.Contains(o, `dd_op_duration_seconds_count{op="multmm"} 0`) {
-		t.Fatalf("multmm histogram empty under -generic-mm:\n%s", o)
-	}
-	if !strings.Contains(o, "(0 kernel, ") || strings.Contains(o, " 0 generic)") {
-		t.Fatalf("generic op split missing from report:\n%s", o)
+	if !strings.Contains(o, " kernel)") || strings.Contains(o, "(0 kernel)") {
+		t.Fatalf("kernel op count missing from report:\n%s", o)
 	}
 }
 

@@ -41,20 +41,8 @@ func (p *Pkg) HSOverlap(a, b MEdge) float64 {
 	return cmplx.Abs(t) / float64(int64(1)<<uint(p.nqubits))
 }
 
-// adjointProduct computes a†·b. When a is recognized as an interned
-// gate's cached diagram (gateFromRoot), the product is served by the
-// matrix kernel applying the inverted descriptor directly — no
-// ConjTranspose diagram is ever materialized, and the gate cache is
-// not re-populated (the adjoint descriptor links back to the
-// original). Everything else falls back to the generic path.
+// adjointProduct computes a†·b.
 func (p *Pkg) adjointProduct(a, b MEdge) MEdge {
-	if g := p.gateFromRoot(a.N); g != nil && !a.IsZero() && !b.IsZero() &&
-		b.N != mTerminal && b.N.V >= g.target {
-		// a = (a.W/g.dd.W)·G, so a†·b = conj(a.W/g.dd.W)·(G†·b).
-		prod := p.applyGateMTraced(b, p.gateInverse(g), left)
-		f := complex(real(a.W/g.dd.W), -imag(a.W/g.dd.W))
-		return scaleMRaw(f, prod)
-	}
 	return p.MultMM(p.ConjTranspose(a), b)
 }
 

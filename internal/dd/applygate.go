@@ -61,11 +61,6 @@ type appliedGate struct {
 	dd    MEdge
 	ddGen uint64
 
-	// Adjoint descriptor (gateInverse, applygatem.go): linked both
-	// ways, so inverting twice returns the original pointer and never
-	// re-interns.
-	inv *appliedGate
-
 	// Per-generation truncated gate diagrams for the identity fast
 	// path of the matrix kernel: sub[v] is the gate lowered over levels
 	// 0..v with only the controls at or below v (gateSubDD).
@@ -354,7 +349,6 @@ func (p *Pkg) MakeGateDD(u GateMatrix, target int, controls ...Control) MEdge {
 	}
 	e := p.rootM(p.buildGateDDUpTo(g, p.nqubits-1))
 	g.dd, g.ddGen = e, p.gen
-	p.registerGateRoot(e.N, g)
 	return e
 }
 

@@ -411,62 +411,3 @@ func scaleMRaw(w complex128, e MEdge) MEdge {
 	}
 	return MEdge{W: w * e.W, N: e.N}
 }
-
-// gateInverse returns the interned descriptor of the adjoint gate:
-// same controls (control projectors are self-adjoint), conjugate-
-// transposed 2×2 block. The two descriptors link to each other, so the
-// inverse of the inverse is the original pointer and repeated
-// inversions never re-intern — the regression guard that the gate
-// cache is not double-populated.
-func (p *Pkg) gateInverse(g *appliedGate) *appliedGate {
-	if g.inv != nil {
-		return g.inv
-	}
-	u := GateMatrix{
-		complex(real(g.u[0]), -imag(g.u[0])),
-		complex(real(g.u[2]), -imag(g.u[2])),
-		complex(real(g.u[1]), -imag(g.u[1])),
-		complex(real(g.u[3]), -imag(g.u[3])),
-	}
-	inv := p.internGate(u, g.target, controlsOf(g))
-	g.inv = inv
-	inv.inv = g
-	return inv
-}
-
-// controlsOf reconstructs the control slice from the descriptor masks.
-func controlsOf(g *appliedGate) []Control {
-	var ctl []Control
-	for m := g.pos; m != 0; m &= m - 1 {
-		ctl = append(ctl, Control{Qubit: bitsLen64(m&-m) - 1})
-	}
-	for m := g.neg; m != 0; m &= m - 1 {
-		ctl = append(ctl, Control{Qubit: bitsLen64(m&-m) - 1, Neg: true})
-	}
-	return ctl
-}
-
-// registerGateRoot records that node n is the root of g's cached gate
-// diagram this generation, so analysis operations receiving a matrix
-// edge can recognize interned gates and apply their inverse via the
-// kernel instead of materializing a ConjTranspose.
-func (p *Pkg) registerGateRoot(n *MNode, g *appliedGate) {
-	if p.gateRootsGen != p.gen || p.gateRoots == nil {
-		p.gateRoots = make(map[*MNode]*appliedGate)
-		p.gateRootsGen = p.gen
-	}
-	p.gateRoots[n] = g
-}
-
-// gateFromRoot resolves a matrix node back to the gate descriptor
-// whose cached diagram it roots, or nil.
-func (p *Pkg) gateFromRoot(n *MNode) *appliedGate {
-	if p.gateRootsGen != p.gen {
-		return nil
-	}
-	g := p.gateRoots[n]
-	if g == nil || g.ddGen != p.gen || g.dd.N != n {
-		return nil
-	}
-	return g
-}

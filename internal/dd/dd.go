@@ -168,12 +168,9 @@ type Pkg struct {
 
 	// Identity fast path of the matrix kernel (applygatem.go): the
 	// canonical per-level identity node chain, rebuilt at most once per
-	// generation, plus the reverse map from cached gate-diagram roots
-	// back to their descriptors (analysis fast paths).
-	identNodes   []*MNode
-	identGen     uint64
-	gateRoots    map[*MNode]*appliedGate
-	gateRootsGen uint64
+	// generation.
+	identNodes []*MNode
+	identGen   uint64
 
 	// Roots protected from garbage collection, see IncRef/DecRef.
 	stats Stats
@@ -234,8 +231,8 @@ type Stats struct {
 	GateDDCacheHits  uint64 // MakeGateDD calls served from the gate-DD cache
 
 	// Matrix-apply kernel counters (applygatem.go), broken out the same
-	// way. ApplyMOps vs MultMMOps is the kernel-vs-generic split the
-	// verify views surface.
+	// way. Verification applies every gate through the kernel
+	// (ApplyMOps); MultMMOps counts direct MultMM calls.
 	ApplyMCTLookups     uint64 // matrix apply/split compute-table lookups
 	ApplyMCTHits        uint64 // matrix apply/split compute-table hits
 	ApplyMCTEvictions   uint64 // matrix apply/split stores displacing a live entry

@@ -251,6 +251,45 @@ func TestIdentity(t *testing.T) {
 	}
 }
 
+// TestCheckIdentityResidues: a diagram that is the identity up to
+// residues above the complex-table tolerance but within 1e-8 is the
+// identity (up to its root phase); a residue of 1e-6 is not.
+func TestCheckIdentityResidues(t *testing.T) {
+	p := New(3)
+	near := func(eps complex128, phase complex128) MEdge {
+		rows := make([][]complex128, 8)
+		for i := range rows {
+			rows[i] = make([]complex128, 8)
+			rows[i][i] = phase
+		}
+		rows[5][1] = phase * eps
+		rows[6][6] = phase * (1 + eps)
+		m, err := p.FromMatrix(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	phase := cmplx.Exp(complex(0, 1.234))
+	for _, c := range []struct {
+		eps, phase complex128
+		want       IdentityKind
+	}{
+		{5e-10, 1, IdentityExact},
+		{complex(0, -3e-9), phase, IdentityUpToPhase},
+		{1e-6, 1, NotIdentity},
+		{1e-6, phase, NotIdentity},
+	} {
+		m := near(c.eps, c.phase)
+		if m.N == p.Ident().N && c.eps != 0 {
+			t.Fatalf("residue %v snapped to the identity node; the test needs a distinct diagram", c.eps)
+		}
+		if k := p.CheckIdentity(m); k != c.want {
+			t.Fatalf("CheckIdentity(I + %v, phase %v) = %v, want %v", c.eps, c.phase, k, c.want)
+		}
+	}
+}
+
 func TestMultMMUnitaryComposition(t *testing.T) {
 	p := New(2)
 	h := p.MakeGateDD(gateH, 1)

@@ -31,7 +31,7 @@ func swapCNOTs(a, b int, controls []Control) [3]cnot {
 // b as the product of its three CNOT diagrams — the standard
 // decomposition the paper's compiled circuits use. Circuits apply SWAP
 // through the kernels (ApplySwap, ApplySwapML, ApplySwapMR); the
-// diagram serves the generic-multiply oracle.
+// diagram is for callers that multiply gate diagrams themselves.
 func (p *Pkg) MakeSwapDD(a, b int, controls ...Control) MEdge {
 	cx := swapCNOTs(a, b, controls)
 	g1 := p.MakeGateDD(pauliX, cx[0].target, cx[0].controls...)

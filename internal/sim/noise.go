@@ -140,14 +140,7 @@ func samplePauli(rng *rand.Rand, m NoiseModel) qc.Gate {
 // checked paths so an injected error respects the same SetMaxNodes
 // budget as the circuit's own gates.
 func (s *Simulator) injectGate(g qc.Gate, q int) error {
-	var next dd.VEdge
-	var err error
-	if s.generic {
-		m := s.pkg.MakeGateDD(dd.GateMatrix(qc.Matrix2(g, nil)), q)
-		next, err = s.pkg.MultMVChecked(m, s.state)
-	} else {
-		next, err = s.pkg.ApplyGateChecked(s.state, dd.GateMatrix(qc.Matrix2(g, nil)), q)
-	}
+	next, err := s.pkg.ApplyGateChecked(s.state, dd.GateMatrix(qc.Matrix2(g, nil)), q)
 	if err != nil {
 		return err
 	}

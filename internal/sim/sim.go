@@ -71,10 +71,6 @@ type Simulator struct {
 	approxThreshold float64
 	approxFidelity  float64
 
-	// generic routes gates through MakeGateDD+MultMV instead of the
-	// ApplyGate kernel — the differential-test oracle path.
-	generic bool
-
 	// workers and trajObserver configure the trajectory pool
 	// (pool.go); they have no effect on a single interactive
 	// simulator but ride on Option so RunNoisy keeps one variadic
@@ -116,14 +112,6 @@ func WithChooser(c OutcomeChooser) Option {
 // is available via ApproxFidelity. Threshold must be in [0, 1).
 func WithApproximation(threshold float64) Option {
 	return func(s *Simulator) { s.approxThreshold = threshold }
-}
-
-// WithGenericApply routes every gate through the generic
-// MakeGateDD+MultMV path instead of the specialized ApplyGate kernel.
-// The two are equivalent; the generic path serves as the oracle in
-// differential tests and as an escape hatch.
-func WithGenericApply() Option {
-	return func(s *Simulator) { s.generic = true }
 }
 
 // WithMaxNodes caps the decision-diagram unique tables at n live
@@ -473,28 +461,16 @@ func (s *Simulator) condHolds(c *qc.Condition) bool {
 
 // applyGate applies one gate op under the node budget through the
 // gate-apply kernel: ApplyGate for single-target gates, ApplySwap for
-// SWAP. The generic-oracle mode multiplies the gate diagram instead.
+// SWAP.
 func (s *Simulator) applyGate(op *qc.Op) (dd.VEdge, error) {
 	ctl := make([]dd.Control, len(op.Controls))
 	for i, c := range op.Controls {
 		ctl[i] = dd.Control{Qubit: c.Qubit, Neg: c.Neg}
 	}
-	switch {
-	case s.generic:
-		return s.pkg.MultMVChecked(s.gateDD(op, ctl), s.state)
-	case op.Gate == qc.Swap:
+	if op.Gate == qc.Swap {
 		return s.pkg.ApplySwapChecked(s.state, op.Targets[0], op.Targets[1], ctl...)
 	}
 	return s.pkg.ApplyGateChecked(s.state, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
-}
-
-// gateDD lowers op to its gate diagram for the WithGenericApply
-// oracle.
-func (s *Simulator) gateDD(op *qc.Op, ctl []dd.Control) dd.MEdge {
-	if op.Gate == qc.Swap {
-		return s.pkg.MakeSwapDD(op.Targets[0], op.Targets[1], ctl...)
-	}
-	return s.pkg.MakeGateDD(dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
 }
 
 // StepBackward undoes the most recently executed operation (including

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"quantumdd/internal/algorithms"
@@ -30,12 +31,43 @@ func recompileCX(c *qc.Circuit) *qc.Circuit {
 	return out
 }
 
-// TestKernelMatchesGenericAllStrategies is the end-to-end differential
-// test of the verify core: on one shared package (canonicity holds per
-// package), the kernel route and the WithGenericMM oracle must agree
-// on verdict, phase flag, AND the exact final root edge, for every
-// strategy, on equivalent and non-equivalent pairs alike.
-func TestKernelMatchesGenericAllStrategies(t *testing.T) {
+// checkTwice runs the check of (c1, c2) under s twice on one package
+// and holds both runs to the dense baseline: the verdict and phase
+// flag of the dense operators, and the final operator within 1e-10.
+// The first root is referenced across the second run, which may
+// collect, and the second run must return the same canonical root.
+func checkTwice(t *testing.T, name string, c1, c2 *qc.Circuit, s Strategy) *Result {
+	t.Helper()
+	p := dd.New(c1.NQubits)
+	first, err := CheckOn(p, c1, c2, s)
+	if err != nil {
+		t.Fatalf("%s/%v: %v", name, s, err)
+	}
+	p.IncRefM(first.Root)
+	defer p.DecRefM(first.Root)
+	second, err := CheckOn(p, c1, c2, s)
+	if err != nil {
+		t.Fatalf("%s/%v second run: %v", name, s, err)
+	}
+	equiv, phase := denseVerdict(t, c1, c2)
+	if first.Equivalent != equiv || first.UpToGlobalPhase != phase {
+		t.Fatalf("%s/%v: verdict %v/%v, dense %v/%v", name, s, first.Equivalent, first.UpToGlobalPhase, equiv, phase)
+	}
+	checkDense(t, fmt.Sprintf("%s/%v", name, s), p, first.Root, denseRoot(t, c1, c2, s), 1e-10)
+	if second.Root != first.Root {
+		t.Fatalf("%s/%v: root edges differ between two runs: (%v,%p) vs (%v,%p)",
+			name, s, first.Root.W, first.Root.N, second.Root.W, second.Root.N)
+	}
+	if first.KernelOps == 0 || second.KernelOps != first.KernelOps {
+		t.Fatalf("%s/%v: kernel ops %d then %d", name, s, first.KernelOps, second.KernelOps)
+	}
+	return first
+}
+
+// TestKernelMatchesDenseAllStrategies is the end-to-end test of the
+// verify core against the dense baseline, for every strategy, on
+// equivalent pairs with different gate sequences.
+func TestKernelMatchesDenseAllStrategies(t *testing.T) {
 	pairs := []struct {
 		name   string
 		c1, c2 *qc.Circuit
@@ -46,67 +78,29 @@ func TestKernelMatchesGenericAllStrategies(t *testing.T) {
 	}
 	for _, pair := range pairs {
 		for _, s := range allStrategies {
-			p := dd.New(pair.c1.NQubits)
-			kr, err := CheckOn(p, pair.c1, pair.c2, s)
-			if err != nil {
-				t.Fatalf("%s/%v kernel: %v", pair.name, s, err)
-			}
-			// A construction build collects garbage: only a referenced
-			// root survives the second run.
-			p.IncRefM(kr.Root)
-			gr, err := CheckOn(p, pair.c1, pair.c2, s, WithGenericMM())
-			if err != nil {
-				t.Fatalf("%s/%v generic: %v", pair.name, s, err)
-			}
-			if !kr.Equivalent || !gr.Equivalent {
-				t.Fatalf("%s/%v: equivalent pair rejected (kernel=%v generic=%v)",
-					pair.name, s, kr.Equivalent, gr.Equivalent)
-			}
-			if kr.UpToGlobalPhase != gr.UpToGlobalPhase {
-				t.Fatalf("%s/%v: phase flags differ", pair.name, s)
-			}
-			if kr.Root != gr.Root {
-				t.Fatalf("%s/%v: root edges differ: kernel (%v,%p) vs generic (%v,%p)",
-					pair.name, s, kr.Root.W, kr.Root.N, gr.Root.W, gr.Root.N)
-			}
-			if kr.KernelOps == 0 || kr.GenericOps != 0 {
-				t.Fatalf("%s/%v: kernel run counted kernel=%d generic=%d", pair.name, s, kr.KernelOps, kr.GenericOps)
-			}
-			if gr.GenericOps == 0 || gr.KernelOps != 0 {
-				t.Fatalf("%s/%v: generic run counted kernel=%d generic=%d", pair.name, s, gr.KernelOps, gr.GenericOps)
+			if r := checkTwice(t, pair.name, pair.c1, pair.c2, s); !r.Equivalent {
+				t.Fatalf("%s/%v: equivalent pair rejected", pair.name, s)
 			}
 		}
 	}
 }
 
-// TestKernelDetectsNonEquivalence: a mutated pair must be rejected
-// identically by both engines, with identical final roots.
+// TestKernelDetectsNonEquivalence: a mutated pair must be rejected by
+// every strategy, with the final operator of the dense baseline.
 func TestKernelDetectsNonEquivalence(t *testing.T) {
 	c1 := algorithms.QFT(4)
 	c2 := algorithms.QFTCompiled(4)
 	c2.X(2) // inject a fault
 	for _, s := range allStrategies {
-		p := dd.New(4)
-		kr, err := CheckOn(p, c1, c2, s)
-		if err != nil {
-			t.Fatalf("%v kernel: %v", s, err)
-		}
-		gr, err := CheckOn(p, c1, c2, s, WithGenericMM())
-		if err != nil {
-			t.Fatalf("%v generic: %v", s, err)
-		}
-		if kr.Equivalent || gr.Equivalent {
-			t.Fatalf("%v: faulty pair accepted (kernel=%v generic=%v)", s, kr.Equivalent, gr.Equivalent)
-		}
-		if kr.Root != gr.Root {
-			t.Fatalf("%v: root edges differ on non-equivalent pair", s)
+		if r := checkTwice(t, "faulty", c1, c2, s); r.Equivalent {
+			t.Fatalf("%v: faulty pair accepted", s)
 		}
 	}
 }
 
 // TestKernelSwapOps: circuits containing SWAP route through the
-// three-CNOT kernel decomposition and still match the generic path,
-// which lowers SWAP via MakeSwapDD.
+// three-CNOT kernel decomposition, so a SWAP counts three kernel ops;
+// the verdict and the functionality match the dense baseline.
 func TestKernelSwapOps(t *testing.T) {
 	c1 := qc.New(4, 0)
 	c1.Name = "swapped"
@@ -120,64 +114,64 @@ func TestKernelSwapOps(t *testing.T) {
 	c2.X(0, qc.Control{Qubit: 3})
 	c2.X(3, qc.Control{Qubit: 0})
 	c2.X(1, qc.Control{Qubit: 3})
+	const ops = 2 * 5 // H, SWAP as three CNOTs and CX on either side
 	for _, s := range allStrategies {
-		p := dd.New(4)
-		kr, err := CheckOn(p, c1, c2, s)
-		if err != nil {
-			t.Fatalf("%v kernel: %v", s, err)
+		r := checkTwice(t, "swap", c1, c2, s)
+		if !r.Equivalent {
+			t.Fatalf("%v: swap pair rejected", s)
 		}
-		gr, err := CheckOn(p, c1, c2, s, WithGenericMM())
-		if err != nil {
-			t.Fatalf("%v generic: %v", s, err)
-		}
-		if !kr.Equivalent || kr.Root != gr.Root {
-			t.Fatalf("%v: swap pair: equiv=%v rootsEqual=%v", s, kr.Equivalent, kr.Root == gr.Root)
+		// Lookahead also applies the probe it discards.
+		if r.KernelOps != ops && (s != Lookahead || r.KernelOps < ops) {
+			t.Fatalf("%v: %d kernel ops, want %d", s, r.KernelOps, ops)
 		}
 	}
+	p := dd.New(4)
+	u, _, err := BuildFunctionality(p, c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDense(t, "swap functionality", p, u, denseOperator(t, c1), 1e-10)
 }
 
-// TestBuildFunctionalityKernel: the construction path through the
-// kernel produces the same functionality diagram as the generic one.
+// TestBuildFunctionalityKernel: the kernel build of QFT(4) is the dense
+// operator, and a second build on the same package, with the first
+// root referenced, returns the same canonical root.
 func TestBuildFunctionalityKernel(t *testing.T) {
 	c := algorithms.QFT(4)
 	p := dd.New(4)
-	uk, _, err := BuildFunctionality(p, c)
+	u1, _, err := BuildFunctionality(p, c)
 	if err != nil {
-		t.Fatalf("kernel: %v", err)
+		t.Fatal(err)
 	}
-	ug, _, err := BuildFunctionality(p, c, WithGenericMM())
+	p.IncRefM(u1)
+	defer p.DecRefM(u1)
+	checkDense(t, "qft4", p, u1, denseOperator(t, c), 1e-10)
+	u2, _, err := BuildFunctionality(p, c)
 	if err != nil {
-		t.Fatalf("generic: %v", err)
+		t.Fatal(err)
 	}
-	if uk != ug {
-		t.Fatalf("functionality diagrams differ between engines")
+	if u1 != u2 {
+		t.Fatalf("two builds of one circuit returned different roots")
 	}
 }
 
 // TestKernelBudgetPartialProgress: when the node budget runs out
-// mid-build, both engines must surface dd.ErrResourceExhausted while
+// mid-build, the build must surface dd.ErrResourceExhausted while
 // keeping the per-step records accumulated before the failing gate —
 // the partial-progress contract the web verify tab's undo relies on.
 func TestKernelBudgetPartialProgress(t *testing.T) {
-	c := algorithms.QFT(7)
-	for _, generic := range []bool{false, true} {
-		var opts []Option
-		if generic {
-			opts = append(opts, WithGenericMM())
-		}
-		p := dd.New(7)
-		p.SetMaxNodes(40)
-		_, recs, err := BuildFunctionality(p, c, opts...)
-		if !errors.Is(err, dd.ErrResourceExhausted) {
-			t.Fatalf("generic=%v: err = %v, want ErrResourceExhausted", generic, err)
-		}
-		if len(recs) == 0 {
-			t.Fatalf("generic=%v: no partial step records survived the budget failure", generic)
-		}
-		for i, r := range recs {
-			if r.Nodes <= 0 || r.Gate == "" {
-				t.Fatalf("generic=%v: record %d degenerate: %+v", generic, i, r)
-			}
+	p := dd.New(7)
+	p.SetMaxNodes(40)
+	_, recs, err := BuildFunctionality(p, algorithms.QFT(7))
+	if !errors.Is(err, dd.ErrResourceExhausted) {
+		t.Fatalf("err = %v, want ErrResourceExhausted", err)
+	}
+	if len(recs) == 0 {
+		t.Fatalf("no partial step records survived the budget failure")
+	}
+	for i, r := range recs {
+		if r.Nodes <= 0 || r.Gate == "" {
+			t.Fatalf("record %d degenerate: %+v", i, r)
 		}
 	}
 }

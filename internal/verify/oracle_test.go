@@ -10,18 +10,21 @@ import (
 	"quantumdd/internal/qc"
 )
 
-// denseUnitary multiplies out a unitary circuit column by column: the
+// denseOperator multiplies out a unitary circuit column by column: the
 // k-th column is the circuit applied to the basis state |k⟩. SWAPs
-// apply as their CNOT triple.
-func denseUnitary(t *testing.T, c *qc.Circuit) [][]complex128 {
+// apply as their CNOT triple; barriers are skipped.
+func denseOperator(t *testing.T, c *qc.Circuit) linalg.Matrix {
 	t.Helper()
 	dim := 1 << uint(c.NQubits)
-	cols := make([][]complex128, dim)
-	for k := range cols {
+	m := linalg.NewMatrix(dim)
+	for k := range dim {
 		v := make(linalg.Vector, dim)
 		v[k] = 1
 		for i := range c.Ops {
 			op := &c.Ops[i]
+			if op.Kind == qc.KindBarrier {
+				continue
+			}
 			if !op.IsUnitary() {
 				t.Fatalf("%s: dense oracle does not support %s", c.Name, op)
 			}
@@ -43,9 +46,48 @@ func denseUnitary(t *testing.T, c *qc.Circuit) [][]complex128 {
 			}
 			linalg.ApplyControlledGate(v, qc.Matrix2(op.Gate, op.Params), op.Targets[0], pos, neg)
 		}
-		cols[k] = v
+		for r, a := range v {
+			m.Set(r, k, a)
+		}
 	}
-	return cols
+	return m
+}
+
+// denseRoot is the operator a check of (c1, c2) ends on: U of G for the
+// construction strategy, G·G′⁻¹ for the alternating ones.
+func denseRoot(t *testing.T, c1, c2 *qc.Circuit, s Strategy) linalg.Matrix {
+	t.Helper()
+	u1 := denseOperator(t, c1)
+	if s == Construction {
+		return u1
+	}
+	return linalg.Mul(u1, linalg.ConjTranspose(denseOperator(t, c2)))
+}
+
+// denseVerdict is the verdict the dense operators of c1 and c2 give:
+// equal, or equal up to a global phase other than 1.
+func denseVerdict(t *testing.T, c1, c2 *qc.Circuit) (equivalent, upToPhase bool) {
+	t.Helper()
+	u1, u2 := denseOperator(t, c1), denseOperator(t, c2)
+	if linalg.Equal(u1, u2, 1e-9) {
+		return true, false
+	}
+	eq := linalg.EqualUpToGlobalPhase(u1, u2, 1e-9)
+	return eq, eq
+}
+
+// checkDense fails the test when an entry of the operator u on p is
+// further than tol from want, global phase included.
+func checkDense(t *testing.T, what string, p *dd.Pkg, u dd.MEdge, want linalg.Matrix, tol float64) {
+	t.Helper()
+	got := p.Matrix(u)
+	for r := range got {
+		for k := range got[r] {
+			if d := cmplx.Abs(got[r][k] - want.At(r, k)); d > tol {
+				t.Fatalf("%s: entry (%d,%d) is %v, dense %v (|Δ| = %.3g)", what, r, k, got[r][k], want.At(r, k), d)
+			}
+		}
+	}
 }
 
 // TestDenseOracleFunctionality compares the functionality verify
@@ -69,13 +111,6 @@ func TestDenseOracleFunctionality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, cols := p.Matrix(u), denseUnitary(t, c)
-		for r := range got {
-			for k := range cols {
-				if d := cmplx.Abs(got[r][k] - cols[k][r]); d > 1e-9 {
-					t.Fatalf("%s: entry (%d,%d) is %v, dense %v (|Δ| = %.3g)", c.Name, r, k, got[r][k], cols[k][r], d)
-				}
-			}
-		}
+		checkDense(t, c.Name, p, u, denseOperator(t, c), 1e-9)
 	}
 }

@@ -75,33 +75,9 @@ type Result struct {
 	PeakNodes       int // maximum DD size observed
 	FinalNodes      int
 	MultOps         int      // number of gate-application steps
-	KernelOps       int      // applications served by the direct matrix kernel
-	GenericOps      int      // applications served by generic MultMM
+	KernelOps       int      // kernel applications; a SWAP counts three
 	Root            dd.MEdge // canonical root edge of the final diagram
 	Trace           []StepRecord
-}
-
-// Option configures a check run.
-type Option func(*config)
-
-type config struct {
-	genericMM bool
-}
-
-// WithGenericMM routes every gate application through the generic
-// MultMM on materialized gate diagrams instead of the direct
-// matrix-apply kernel (dd.ApplyGateML/MR). This is the differential-
-// testing oracle and the A/B baseline of the V1 benchmark; canonicity
-// guarantees both engines produce pointer-identical root edges on the
-// same package.
-func WithGenericMM() Option { return func(c *config) { c.genericMM = true } }
-
-func buildConfig(opts []Option) config {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
 }
 
 // ddControls converts a circuit op's control lines.
@@ -113,33 +89,17 @@ func ddControls(op *qc.Op) []dd.Control {
 	return ctl
 }
 
-// gateDD lowers one unitary circuit op to its matrix DD for the
-// WithGenericMM oracle.
-func gateDD(p *dd.Pkg, op *qc.Op) dd.MEdge {
-	ctl := ddControls(op)
-	if op.Gate == qc.Swap {
-		return p.MakeSwapDD(op.Targets[0], op.Targets[1], ctl...)
-	}
-	return p.MakeGateDD(dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
-}
-
-// engine dispatches one gate application to the matrix kernel or the
-// generic multiply, tallying the split for Result and the web views.
-// The kernel takes a SWAP as three CNOTs and counts each.
+// engine applies one gate to a matrix DD through the matrix-apply
+// kernel, counting applications for Result and the web views. The
+// kernel takes a SWAP as three CNOTs and counts each.
 type engine struct {
-	p          *dd.Pkg
-	generic    bool
-	kernelOps  int
-	genericOps int
+	p         *dd.Pkg
+	kernelOps int
 }
 
 // left computes U·x, right computes x·U, for the op as given (callers
 // pre-invert ops consumed from the right side).
 func (e *engine) left(x dd.MEdge, op *qc.Op) dd.MEdge {
-	if e.generic {
-		e.genericOps++
-		return e.p.MultMM(gateDD(e.p, op), x)
-	}
 	if op.Gate == qc.Swap {
 		e.kernelOps += 3
 		return e.p.ApplySwapML(x, op.Targets[0], op.Targets[1], ddControls(op)...)
@@ -149,10 +109,6 @@ func (e *engine) left(x dd.MEdge, op *qc.Op) dd.MEdge {
 }
 
 func (e *engine) right(x dd.MEdge, op *qc.Op) dd.MEdge {
-	if e.generic {
-		e.genericOps++
-		return e.p.MultMM(x, gateDD(e.p, op))
-	}
 	if op.Gate == qc.Swap {
 		e.kernelOps += 3
 		return e.p.ApplySwapMR(x, op.Targets[0], op.Targets[1], ddControls(op)...)
@@ -163,10 +119,6 @@ func (e *engine) right(x dd.MEdge, op *qc.Op) dd.MEdge {
 
 // leftChecked is left under the node budget.
 func (e *engine) leftChecked(x dd.MEdge, op *qc.Op) (dd.MEdge, error) {
-	if e.generic {
-		e.genericOps++
-		return e.p.MultMMChecked(gateDD(e.p, op), x)
-	}
 	if op.Gate == qc.Swap {
 		next, err := e.p.ApplySwapMLChecked(x, op.Targets[0], op.Targets[1], ddControls(op)...)
 		if err == nil {
@@ -192,14 +144,13 @@ func unitaryOps(c *qc.Circuit) []*qc.Op {
 
 // BuildFunctionality constructs the system matrix U = U_{m-1}···U_0 of
 // the circuit as a matrix DD, recording the node count after each
-// application. Gates are multiplied in by the matrix kernel unless
-// WithGenericMM selects the generic path. The build collects garbage
+// application. Gates are multiplied in by the matrix kernel. The
+// build collects garbage
 // on p as the operator grows, so a diagram on p that the caller has
 // not referenced (IncRefM) may be swept; the returned root is
 // unreferenced.
-func BuildFunctionality(p *dd.Pkg, c *qc.Circuit, opts ...Option) (dd.MEdge, []StepRecord, error) {
-	eng := &engine{p: p, generic: buildConfig(opts).genericMM}
-	return buildFunctionality(context.Background(), eng, c, true)
+func BuildFunctionality(p *dd.Pkg, c *qc.Circuit) (dd.MEdge, []StepRecord, error) {
+	return buildFunctionality(context.Background(), &engine{p: p}, c, true)
 }
 
 // Functionality is BuildFunctionality without the per-gate records,
@@ -264,19 +215,19 @@ func buildFunctionality(ctx context.Context, eng *engine, c *qc.Circuit, record 
 // Check decides the equivalence of two circuits using the given
 // strategy. The circuits must have equal register widths — the tool
 // imposes the same restriction (Sec. IV-C).
-func Check(c1, c2 *qc.Circuit, strategy Strategy, opts ...Option) (*Result, error) {
+func Check(c1, c2 *qc.Circuit, strategy Strategy) (*Result, error) {
 	if c1.NQubits != c2.NQubits {
 		return nil, fmt.Errorf("verify: qubit counts differ (%d vs %d); ancillary registers are not supported", c1.NQubits, c2.NQubits)
 	}
-	return CheckOn(dd.New(c1.NQubits), c1, c2, strategy, opts...)
+	return CheckOn(dd.New(c1.NQubits), c1, c2, strategy)
 }
 
 // CheckOn is Check running on a caller-supplied DD package, so the
 // caller keeps a handle on the engine for statistics after the run
 // (ddverify's -metrics-dump). The package must be at least as wide as
 // the circuits.
-func CheckOn(p *dd.Pkg, c1, c2 *qc.Circuit, strategy Strategy, opts ...Option) (*Result, error) {
-	return CheckOnCtx(context.Background(), p, c1, c2, strategy, opts...)
+func CheckOn(p *dd.Pkg, c1, c2 *qc.Circuit, strategy Strategy) (*Result, error) {
+	return CheckOnCtx(context.Background(), p, c1, c2, strategy)
 }
 
 // CheckOnCtx is CheckOn under a trace context: with a flight recorder
@@ -285,14 +236,14 @@ func CheckOn(p *dd.Pkg, c1, c2 *qc.Circuit, strategy Strategy, opts ...Option) (
 // node count — with the engine's matrix multiplications as child
 // spans, so a blown-up verify run shows exactly which application
 // left the vicinity of the identity.
-func CheckOnCtx(ctx context.Context, p *dd.Pkg, c1, c2 *qc.Circuit, strategy Strategy, opts ...Option) (*Result, error) {
+func CheckOnCtx(ctx context.Context, p *dd.Pkg, c1, c2 *qc.Circuit, strategy Strategy) (*Result, error) {
 	if c1.NQubits != c2.NQubits {
 		return nil, fmt.Errorf("verify: qubit counts differ (%d vs %d); ancillary registers are not supported", c1.NQubits, c2.NQubits)
 	}
 	if c1.HasNonUnitary() || c2.HasNonUnitary() {
 		return nil, fmt.Errorf("verify: measurements, resets and classically-controlled operations are not supported in verification")
 	}
-	eng := &engine{p: p, generic: buildConfig(opts).genericMM}
+	eng := &engine{p: p}
 	switch strategy {
 	case Construction:
 		return checkConstruction(ctx, eng, c1, c2)
@@ -333,7 +284,7 @@ func checkConstruction(ctx context.Context, eng *engine, c1, c2 *qc.Circuit) (*R
 	// Canonicity: equality of the diagrams is root-edge equality.
 	res.FinalNodes = dd.SizeM(u1)
 	res.Root = u1
-	res.KernelOps, res.GenericOps = eng.kernelOps, eng.genericOps
+	res.KernelOps = eng.kernelOps
 	if u1 == u2 {
 		res.Equivalent = true
 	} else if u1.N == u2.N {
@@ -485,7 +436,7 @@ func checkAlternating(ctx context.Context, eng *engine, c1, c2 *qc.Circuit, stra
 
 	res.FinalNodes = dd.SizeM(x)
 	res.Root = x
-	res.KernelOps, res.GenericOps = eng.kernelOps, eng.genericOps
+	res.KernelOps = eng.kernelOps
 	switch p.CheckIdentity(x) {
 	case dd.IdentityExact:
 		res.Equivalent = true

@@ -66,6 +66,9 @@ func TestQFTFunctionalityMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The second build may collect: U of the first must stay referenced.
+	p.IncRefM(u1)
+	defer p.DecRefM(u1)
 	u2, _, err := BuildFunctionality(p, algorithms.QFTCompiled(3))
 	if err != nil {
 		t.Fatal(err)

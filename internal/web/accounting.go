@@ -72,12 +72,9 @@ type sessionUsage struct {
 	ApplyCTHits    uint64 `json:"applyCtHits"`
 	GCRuns         uint64 `json:"gcRuns"`
 	// Matrix-apply kernel meters (verify sessions): the identity-
-	// skipping kernel applies every gate, SWAP as three CNOTs;
-	// GenericOps counts generic MultMM calls, which only the
-	// differential oracle makes.
+	// skipping kernel applies every gate, SWAP as three CNOTs.
 	ApplyMCTHits uint64 `json:"applyMCtHits"`
 	KernelOps    uint64 `json:"kernelOps"`
-	GenericOps   uint64 `json:"genericOps"`
 	// Structural meters from the last published shape profile (PR 10);
 	// all zero while the session has not crossed the sampling stride.
 	ShapeSeq              uint64  `json:"shapeSeq,omitempty"`
@@ -98,7 +95,6 @@ func usageFrom(id, kind string, acct *sessionAccount, st dd.Stats, shape *dd.Sha
 		GCRuns:         st.GCRuns,
 		ApplyMCTHits:   st.ApplyMCTHits,
 		KernelOps:      st.ApplyMOps,
-		GenericOps:     st.MultMMOps,
 	}
 	if acct != nil {
 		u.Requests = acct.requests.Load()

@@ -635,9 +635,9 @@ type EngineStats struct {
 	GatesFused      uint64 `json:"gatesFused"` // always 0 since fusion was removed
 	GateDDCacheHits uint64 `json:"gateDDCacheHits"`
 	// Matrix-apply kernel counters. KernelOps counts the
-	// identity-skipping matrix kernel's applications, three per SWAP;
-	// GenericOps counts generic MultMM calls, which only the
-	// differential oracle (ddverify -generic-mm) makes.
+	// identity-skipping matrix kernel's applications, three per SWAP.
+	// GenericOps counts generic MultMM calls; no served session makes
+	// one, and the field stays only for the frozen benchmark replay.
 	ApplyMLookups       uint64 `json:"applyMLookups"`
 	ApplyMHits          uint64 `json:"applyMHits"`
 	ApplyMEvictions     uint64 `json:"applyMEvictions"`
