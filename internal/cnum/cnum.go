@@ -48,7 +48,9 @@
 // would cost one allocation per distinct value, all of them pointers
 // the collector traces on every cycle. Every DD node creation passes
 // its child weights through this table, so both costs sit on the
-// engine's hot path.
+// engine's hot path. Slot arrays are drawn from package pool: growth
+// hands the outgrown array back, and so does Release when the table's
+// package is finished.
 package cnum
 
 import (
@@ -56,6 +58,8 @@ import (
 	"math"
 	"math/cmplx"
 	"strconv"
+
+	"quantumdd/internal/pool"
 )
 
 // DefaultTolerance is the radius within which two real values are
@@ -112,7 +116,7 @@ func NewTableTol(tol float64) *Table {
 	t := &Table{
 		tol:   tol,
 		inv:   1 / (2 * tol),
-		slots: make([]uint64, minSlots),
+		slots: pool.Get[uint64](minSlots),
 		mask:  minSlots - 1,
 	}
 	// Seed with the values that must be exactly representable so that
@@ -160,7 +164,7 @@ func (t *Table) find(key int64, v float64) (i uint64, ok bool) {
 // values of a bucket keep their insertion order.
 func (t *Table) grow() {
 	old := t.slots
-	t.slots = make([]uint64, 2*len(old))
+	t.slots = pool.Get[uint64](2 * len(old))
 	t.mask = uint64(len(t.slots)) - 1
 	oldMask := len(old) - 1
 	start := 0
@@ -174,6 +178,16 @@ func (t *Table) grow() {
 		}
 		t.slots[t.freeSlot(t.bucket(decode(s)))] = s
 	}
+	pool.Put(old)
+}
+
+// Release hands the slot array to the pool and empties the table. The
+// table is unusable afterwards: a lookup panics instead of reading
+// slots another table may own by then. Canonical values already handed
+// out stay valid numbers.
+func (t *Table) Release() {
+	pool.Put(t.slots)
+	t.slots, t.mask, t.n = nil, 0, 0
 }
 
 // freeSlot returns the empty slot that ends bucket key's probe

@@ -130,6 +130,7 @@ func finite(w complex128) bool {
 // AppendVectorBinary appends the binary encoding of the state diagram
 // rooted at e to buf and returns the extended slice.
 func (p *Pkg) AppendVectorBinary(buf []byte, e VEdge) []byte {
+	p.checkOpen()
 	buf = append(buf, binVectorTag)
 	buf = binary.AppendUvarint(buf, uint64(p.nqubits))
 	buf = append(buf, byte(p.vnorm))
@@ -374,6 +375,7 @@ func (p *Pkg) internVNode(v int, e [2]VEdge) (*VNode, error) {
 // AppendMatrixBinary appends the binary encoding of the operation
 // diagram rooted at e to buf and returns the extended slice.
 func (p *Pkg) AppendMatrixBinary(buf []byte, e MEdge) []byte {
+	p.checkOpen()
 	buf = append(buf, binMatrixTag)
 	buf = binary.AppendUvarint(buf, uint64(p.nqubits))
 	ids := map[*MNode]uint64{}

@@ -1,6 +1,9 @@
 package dd
 
-import "quantumdd/internal/cnum"
+import (
+	"quantumdd/internal/cnum"
+	"quantumdd/internal/pool"
+)
 
 // Fixed-size, direct-mapped, lossy compute tables for the operation
 // caches (the compute-table design of the MQT DD package): a
@@ -21,7 +24,9 @@ import "quantumdd/internal/cnum"
 // and fidelity see far fewer distinct keys. Tables are allocated
 // lazily at ctMinSize and double adaptively (up to their cap) when
 // the evictions of a single generation exceed the current size —
-// short-lived packages stay tiny, eviction-thrashed ones grow.
+// short-lived packages stay tiny, eviction-thrashed ones grow. Entry
+// arrays are drawn from package pool, and an array a table outgrows
+// goes back to it.
 const (
 	ctDefaultLarge = 1 << 17
 	ctDefaultSmall = 1 << 13
@@ -64,7 +69,7 @@ func (t *computeTable[K, V]) store(h uint64, key K, res V, gen uint64, st *Stats
 			// missing on the nil entries.
 			return false
 		}
-		t.entries = make([]ctEntry[K, V], ctMinSize)
+		t.entries = pool.Get[ctEntry[K, V]](ctMinSize)
 		t.mask = ctMinSize - 1
 	}
 	e := &t.entries[h&t.mask]
@@ -75,7 +80,9 @@ func (t *computeTable[K, V]) store(h uint64, key K, res V, gen uint64, st *Stats
 		if len(t.entries) < t.cap && t.evicted > uint64(len(t.entries)) {
 			// Thrashing: double (contents are lossy, dropping them
 			// only costs recomputation) and redirect the store.
-			t.entries = make([]ctEntry[K, V], 2*len(t.entries))
+			old := t.entries
+			t.entries = pool.Get[ctEntry[K, V]](2 * len(old))
+			pool.Put(old)
 			t.mask = uint64(len(t.entries)) - 1
 			t.evicted = 0
 			e = &t.entries[h&t.mask]
@@ -88,10 +95,11 @@ func (t *computeTable[K, V]) store(h uint64, key K, res V, gen uint64, st *Stats
 	return evicted
 }
 
-// setSize reconfigures the maximum capacity, dropping current
-// contents; the next store reallocates from ctMinSize again, unless
-// the capacity is 0, which keeps the table off.
+// setSize reconfigures the maximum capacity, handing the current
+// entries to the pool; the next store draws ctMinSize entries again,
+// unless the capacity is 0, which keeps the table off.
 func (t *computeTable[K, V]) setSize(n int) {
+	pool.Put(t.entries)
 	t.cap = n
 	t.entries = nil
 	t.mask = 0

@@ -39,6 +39,15 @@
 // Diagrams are created through a Pkg, which owns the unique tables,
 // the complex table, and the operation caches. A Pkg is not safe for
 // concurrent use.
+//
+// Ownership. A diagram stays alive while its root is referenced
+// (IncRefV/IncRefM); garbage collection sweeps every unreferenced
+// node. The package's own operations return unreferenced edges, and a
+// caller that keeps one across a collection references it. A root
+// handed to a caller as the finished result of a build that collects
+// (verify.CheckOn's Result.Root) comes back referenced, and the caller
+// releases it with DecRefV/DecRefM. Close ends the package and every
+// root on it, referenced or not.
 package dd
 
 import (
@@ -47,6 +56,7 @@ import (
 	"sync/atomic"
 
 	"quantumdd/internal/cnum"
+	"quantumdd/internal/pool"
 )
 
 // Var identifies a qubit level inside a diagram. Level 0 is the
@@ -171,6 +181,10 @@ type Pkg struct {
 	// generation.
 	identNodes []*MNode
 	identGen   uint64
+
+	// closed marks a package whose memory went back to the pools
+	// (Close); every later operation panics.
+	closed bool
 
 	// Roots protected from garbage collection, see IncRef/DecRef.
 	stats Stats
@@ -400,6 +414,43 @@ func NewTol(n int, tol float64) *Pkg {
 	return p
 }
 
+// Close ends the package: its node chunks, unique-table buckets,
+// compute-table entries and complex-table slots go to package pool,
+// where the next package draws them. Every diagram on p dies with it,
+// referenced or not, so Close belongs where the package's life
+// provably ends. An operation on a closed package panics rather than
+// read memory another package may own by then; LastStats and LastShape
+// keep answering with the last published snapshots. Closing twice is
+// a no-op.
+func (p *Pkg) Close() {
+	if p.closed {
+		return
+	}
+	p.closed = true
+	for i := range p.vUnique {
+		pool.Put(p.vUnique[i].buckets)
+	}
+	for i := range p.mUnique {
+		pool.Put(p.mUnique[i].buckets)
+	}
+	p.vUnique, p.mUnique = nil, nil
+	p.vMem.close()
+	p.mMem.close()
+	p.SetComputeTableSize(0)
+	p.cn.Release()
+	p.gateIntern, p.identNodes = nil, nil
+}
+
+// checkOpen panics on a closed package. Node creation, reference
+// counting, collection, statistics and the exported readers of a
+// diagram's values call it, so a root that outlived its package fails
+// loudly instead of reading recycled nodes.
+func (p *Pkg) checkOpen() {
+	if p.closed {
+		panic("dd: use of a closed package")
+	}
+}
+
 // SetComputeTableSize reconfigures the capacity (in entries, rounded
 // up to a power of two) of the four binary-operation compute tables;
 // the unary/fidelity tables get a quarter of it. Current cache
@@ -451,6 +502,7 @@ func (p *Pkg) HitCounts() (cache, apply uint64) {
 // Stats returns a snapshot of the package counters, including the
 // point-in-time table-load and free-list gauges.
 func (p *Pkg) Stats() Stats {
+	p.checkOpen()
 	s := p.stats
 	var vCount, vBuckets, mCount, mBuckets int
 	for i := range p.vUnique {
@@ -521,6 +573,7 @@ func (p *Pkg) rootM(e MEdge) MEdge {
 // probabilities of the node's qubit being 0 or 1 — this is what makes
 // single-path sampling (Hillmich et al., DAC 2020) work.
 func (p *Pkg) makeVNode(v Var, e [2]VEdge) VEdge {
+	p.checkOpen()
 	if v < 0 || v >= p.nqubits {
 		panic(fmt.Sprintf("dd: level %d out of range [0,%d)", v, p.nqubits))
 	}
@@ -625,6 +678,7 @@ func (p *Pkg) makeVNode(v Var, e [2]VEdge) VEdge {
 // normalization scheme and yields a canonical form given canonical
 // complex values.
 func (p *Pkg) makeMNode(v Var, e [4]MEdge) MEdge {
+	p.checkOpen()
 	if v < 0 || v >= p.nqubits {
 		panic(fmt.Sprintf("dd: level %d out of range [0,%d)", v, p.nqubits))
 	}

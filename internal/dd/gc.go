@@ -13,7 +13,10 @@ package dd
 import "time"
 
 // IncRefV marks the diagram rooted at e as live.
-func (p *Pkg) IncRefV(e VEdge) { incRefV(e.N) }
+func (p *Pkg) IncRefV(e VEdge) {
+	p.checkOpen()
+	incRefV(e.N)
+}
 
 func incRefV(n *VNode) {
 	if n == vTerminal {
@@ -27,7 +30,10 @@ func incRefV(n *VNode) {
 }
 
 // DecRefV releases a mark set by IncRefV.
-func (p *Pkg) DecRefV(e VEdge) { decRefV(e.N) }
+func (p *Pkg) DecRefV(e VEdge) {
+	p.checkOpen()
+	decRefV(e.N)
+}
 
 func decRefV(n *VNode) {
 	if n == vTerminal {
@@ -44,7 +50,10 @@ func decRefV(n *VNode) {
 }
 
 // IncRefM marks the matrix diagram rooted at e as live.
-func (p *Pkg) IncRefM(e MEdge) { incRefM(e.N) }
+func (p *Pkg) IncRefM(e MEdge) {
+	p.checkOpen()
+	incRefM(e.N)
+}
 
 func incRefM(n *MNode) {
 	if n == mTerminal {
@@ -59,7 +68,10 @@ func incRefM(n *MNode) {
 }
 
 // DecRefM releases a mark set by IncRefM.
-func (p *Pkg) DecRefM(e MEdge) { decRefM(e.N) }
+func (p *Pkg) DecRefM(e MEdge) {
+	p.checkOpen()
+	decRefM(e.N)
+}
 
 func decRefM(n *MNode) {
 	if n == mTerminal {
@@ -83,6 +95,7 @@ func decRefM(n *MNode) {
 // reallocates nothing. It returns the number of vector and matrix
 // nodes freed.
 func (p *Pkg) GarbageCollect() (vecFreed, matFreed int) {
+	p.checkOpen()
 	start := time.Now()
 	for i := range p.vUnique {
 		vecFreed += p.vUnique[i].sweep(&p.vMem)

@@ -54,6 +54,7 @@ func MatrixEntry(e MEdge, row, col int64) complex128 {
 // Matrix expands the diagram into a dense 2^n×2^n matrix (row-major
 // slices). Exponential; intended for tests and tiny examples.
 func (p *Pkg) Matrix(e MEdge) [][]complex128 {
+	p.checkOpen()
 	dim := 1 << uint(p.nqubits)
 	out := make([][]complex128, dim)
 	for i := range out {

@@ -23,6 +23,7 @@ func (p *Pkg) checkProb(e VEdge) {
 // cancels out of the conditional probabilities, and every node's
 // sub-vector has unit norm.
 func (p *Pkg) ProbOne(e VEdge, q int) float64 {
+	p.checkOpen()
 	if q < 0 || q >= p.nqubits {
 		panic(fmt.Sprintf("dd: qubit %d out of range [0,%d)", q, p.nqubits))
 	}
@@ -36,6 +37,7 @@ func (p *Pkg) ProbOne(e VEdge, q int) float64 {
 // Probabilities returns the per-qubit probability of measuring |1⟩
 // for every qubit, as shown in the tool's measurement dialogs.
 func (p *Pkg) Probabilities(e VEdge) []float64 {
+	p.checkOpen()
 	f := FlattenV(e)
 	out := p.FlatProbabilities(f)
 	f.Release()
@@ -45,6 +47,7 @@ func (p *Pkg) Probabilities(e VEdge) []float64 {
 // FlatProbabilities is Probabilities over a listing already taken, one
 // pass per qubit.
 func (p *Pkg) FlatProbabilities(f *FlatV) []float64 {
+	p.checkOpen()
 	out := make([]float64, p.nqubits)
 	if len(out) > 0 {
 		p.checkProb(f.Root)

@@ -1,5 +1,7 @@
 package dd
 
+import "quantumdd/internal/pool"
+
 // Node memory manager: chunked slab allocation plus free-list
 // recycling, mirroring the memory manager of the MQT DD package
 // (Wille, Hillmich, Burgholzer, arXiv:2108.07027, Sec. "Tools").
@@ -8,8 +10,12 @@ package dd
 // on the hot path is a pointer bump instead of a Go heap allocation,
 // and nodes swept by GarbageCollect are threaded onto a free list
 // (through their intrusive next pointer) and handed out again by the
-// next allocation. The Go runtime only ever sees whole chunks; node
-// churn inside a long simulation is invisible to it.
+// next allocation. Node churn inside a long simulation is invisible to
+// the Go runtime, and so are the chunks themselves as long as package
+// pool holds some: chunks come from its size-classed pools, growth
+// never frees one, and a finished package (Pkg.Close) hands all of its
+// chunks back for the next package to draw. The Go heap sees a chunk
+// only when a pool misses.
 //
 // Recycling is safe because the sweep in gc.go removes a node from the
 // unique table in the same step that releases it: by the ref-counting
@@ -57,7 +63,7 @@ func (a *vArena) alloc() (n *VNode, recycled bool) {
 		if len(a.chunks) > 0 {
 			prev = len(a.chunks[len(a.chunks)-1])
 		}
-		a.chunks = append(a.chunks, make([]VNode, nextChunkLen(prev)))
+		a.chunks = append(a.chunks, pool.Get[VNode](nextChunkLen(prev)))
 		a.used = 0
 	}
 	c := a.chunks[len(a.chunks)-1]
@@ -73,6 +79,15 @@ func (a *vArena) release(n *VNode) {
 	n.next = a.free
 	a.free = n
 	a.freeLen++
+}
+
+// close hands every chunk to the pool and empties the arena. Nodes
+// still pointing into the chunks are dead from here on.
+func (a *vArena) close() {
+	for _, c := range a.chunks {
+		pool.Put(c)
+	}
+	*a = vArena{}
 }
 
 // mArena allocates MNodes.
@@ -95,7 +110,7 @@ func (a *mArena) alloc() (n *MNode, recycled bool) {
 		if len(a.chunks) > 0 {
 			prev = len(a.chunks[len(a.chunks)-1])
 		}
-		a.chunks = append(a.chunks, make([]MNode, nextChunkLen(prev)))
+		a.chunks = append(a.chunks, pool.Get[MNode](nextChunkLen(prev)))
 		a.used = 0
 	}
 	c := a.chunks[len(a.chunks)-1]
@@ -109,4 +124,11 @@ func (a *mArena) release(n *MNode) {
 	n.next = a.free
 	a.free = n
 	a.freeLen++
+}
+
+func (a *mArena) close() {
+	for _, c := range a.chunks {
+		pool.Put(c)
+	}
+	*a = mArena{}
 }

@@ -127,6 +127,7 @@ func (s *ShapeProfile) finalize() {
 // O(nodes); it allocates the per-level slices and a path-count map,
 // so sample it at a stride (MaybeShapeV) on hot paths.
 func (p *Pkg) ShapeV(e VEdge) ShapeProfile {
+	p.checkOpen()
 	s := ShapeProfile{
 		Kind:          "vector",
 		Levels:        p.nqubits,
@@ -187,6 +188,7 @@ func (p *Pkg) ShapeV(e VEdge) ShapeProfile {
 // actually contains identity blocks, since canonicity already forced
 // those blocks onto the chain nodes.
 func (p *Pkg) ShapeM(e MEdge) ShapeProfile {
+	p.checkOpen()
 	s := ShapeProfile{
 		Kind:          "matrix",
 		Levels:        p.nqubits,

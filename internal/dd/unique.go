@@ -1,6 +1,9 @@
 package dd
 
-import "quantumdd/internal/cnum"
+import (
+	"quantumdd/internal/cnum"
+	"quantumdd/internal/pool"
+)
 
 // Per-level bucketed unique tables. Each level owns a power-of-two
 // array of bucket heads; nodes chain through their intrusive next
@@ -60,7 +63,7 @@ type vTable struct {
 }
 
 func newVTable() vTable {
-	return vTable{buckets: make([]*VNode, initialBuckets), mask: initialBuckets - 1}
+	return vTable{buckets: pool.Get[*VNode](initialBuckets), mask: initialBuckets - 1}
 }
 
 // lookup returns the interned node matching the normalized candidate,
@@ -89,7 +92,7 @@ func (t *vTable) insert(n *VNode) {
 
 func (t *vTable) grow() {
 	old := t.buckets
-	t.buckets = make([]*VNode, 2*len(old))
+	t.buckets = pool.Get[*VNode](2 * len(old))
 	t.mask = uint64(len(t.buckets)) - 1
 	for _, head := range old {
 		for n := head; n != nil; {
@@ -100,6 +103,7 @@ func (t *vTable) grow() {
 			n = next
 		}
 	}
+	pool.Put(old)
 }
 
 // sweep unlinks every unreferenced node, releasing it into the arena,
@@ -130,7 +134,7 @@ type mTable struct {
 }
 
 func newMTable() mTable {
-	return mTable{buckets: make([]*MNode, initialBuckets), mask: initialBuckets - 1}
+	return mTable{buckets: pool.Get[*MNode](initialBuckets), mask: initialBuckets - 1}
 }
 
 func (t *mTable) lookup(h uint64, w *[4]complex128, cn *[4]*MNode, st *Stats) *MNode {
@@ -157,7 +161,7 @@ func (t *mTable) insert(n *MNode) {
 
 func (t *mTable) grow() {
 	old := t.buckets
-	t.buckets = make([]*MNode, 2*len(old))
+	t.buckets = pool.Get[*MNode](2 * len(old))
 	t.mask = uint64(len(t.buckets)) - 1
 	for _, head := range old {
 		for n := head; n != nil; {
@@ -168,6 +172,7 @@ func (t *mTable) grow() {
 			n = next
 		}
 	}
+	pool.Put(old)
 }
 
 func (t *mTable) sweep(a *mArena) int {

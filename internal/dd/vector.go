@@ -74,6 +74,7 @@ func Amplitude(e VEdge, index int64) complex128 {
 // It is intended for tests and small visualization payloads; the
 // expansion is exponential by nature.
 func (p *Pkg) Vector(e VEdge) []complex128 {
+	p.checkOpen()
 	out := make([]complex128, 1<<uint(p.nqubits))
 	fillVector(e.W, e.N, p.nqubits, 0, out)
 	return out

@@ -230,6 +230,9 @@ func RunNoisyCtx(ctx context.Context, circ *qc.Circuit, model NoiseModel, trajec
 	partials := make([]ensembleAccum, workers)
 	work := func(pkg *dd.Pkg, part *ensembleAccum) {
 		part.counts = make(map[int64]int)
+		// The replica's package dies with the ensemble: its memory
+		// goes back to the pools for the next one.
+		defer pkg.Close()
 		r := newReplica(pkg, circ, model, opts)
 		defer r.close()
 		for ctx.Err() == nil {

@@ -34,8 +34,9 @@ func recompileCX(c *qc.Circuit) *qc.Circuit {
 // checkTwice runs the check of (c1, c2) under s twice on one package
 // and holds both runs to the dense baseline: the verdict and phase
 // flag of the dense operators, and the final operator within 1e-10.
-// The first root is referenced across the second run, which may
-// collect, and the second run must return the same canonical root.
+// CheckOn hands the first root back referenced, so it survives the
+// second run, which may collect, and the second run must return the
+// same canonical root.
 func checkTwice(t *testing.T, name string, c1, c2 *qc.Circuit, s Strategy) *Result {
 	t.Helper()
 	p := dd.New(c1.NQubits)
@@ -43,12 +44,12 @@ func checkTwice(t *testing.T, name string, c1, c2 *qc.Circuit, s Strategy) *Resu
 	if err != nil {
 		t.Fatalf("%s/%v: %v", name, s, err)
 	}
-	p.IncRefM(first.Root)
 	defer p.DecRefM(first.Root)
 	second, err := CheckOn(p, c1, c2, s)
 	if err != nil {
 		t.Fatalf("%s/%v second run: %v", name, s, err)
 	}
+	defer p.DecRefM(second.Root)
 	equiv, phase := denseVerdict(t, c1, c2)
 	if first.Equivalent != equiv || first.UpToGlobalPhase != phase {
 		t.Fatalf("%s/%v: verdict %v/%v, dense %v/%v", name, s, first.Equivalent, first.UpToGlobalPhase, equiv, phase)

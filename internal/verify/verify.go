@@ -76,7 +76,7 @@ type Result struct {
 	FinalNodes      int
 	MultOps         int      // number of gate-application steps
 	KernelOps       int      // kernel applications; a SWAP counts three
-	Root            dd.MEdge // canonical root edge of the final diagram
+	Root            dd.MEdge // canonical root edge of the final diagram, referenced (see CheckOn)
 	Trace           []StepRecord
 }
 
@@ -225,7 +225,9 @@ func Check(c1, c2 *qc.Circuit, strategy Strategy) (*Result, error) {
 // CheckOn is Check running on a caller-supplied DD package, so the
 // caller keeps a handle on the engine for statistics after the run
 // (ddverify's -metrics-dump). The package must be at least as wide as
-// the circuits.
+// the circuits. Result.Root comes back referenced on p, so later
+// builds on p cannot sweep it; the caller releases it with DecRefM.
+// A failed check returns no root and holds no reference.
 func CheckOn(p *dd.Pkg, c1, c2 *qc.Circuit, strategy Strategy) (*Result, error) {
 	return CheckOnCtx(context.Background(), p, c1, c2, strategy)
 }
@@ -258,11 +260,12 @@ func checkConstruction(ctx context.Context, eng *engine, c1, c2 *qc.Circuit) (*R
 	if err != nil {
 		return nil, err
 	}
-	// The second build may collect garbage: U of G must stay referenced.
+	// The second build may collect garbage: U of G stays referenced,
+	// and the reference goes to the caller with Result.Root.
 	eng.p.IncRefM(u1)
-	defer eng.p.DecRefM(u1)
 	u2, t2, err := buildFunctionality(ctx, eng, c2, true)
 	if err != nil {
+		eng.p.DecRefM(u1)
 		return nil, err
 	}
 	for _, r := range t1 {
@@ -444,7 +447,6 @@ func checkAlternating(ctx context.Context, eng *engine, c1, c2 *qc.Circuit, stra
 		res.Equivalent = true
 		res.UpToGlobalPhase = true
 	}
-	p.DecRefM(x)
 	return res, nil
 }
 

@@ -52,11 +52,17 @@ func (h *handle[T]) release() { h.mu.Unlock() }
 // held, so it can wait for a running request to finish. While the
 // per-session lock is held — i.e. with exclusive access to the
 // session's state — the eviction hook runs, which is where the spill
-// layer serializes the session before it becomes unreachable.
+// layer serializes the session before it becomes unreachable, and then
+// the close hook ends the session's engine.
 func (r *registry[T]) evictHandle(h *handle[T]) {
 	h.mu.Lock()
-	if !h.gone && r.onEvict != nil {
-		r.onEvict(h.id, h.val)
+	if !h.gone {
+		if r.onEvict != nil {
+			r.onEvict(h.id, h.val)
+		}
+		if r.onClose != nil {
+			r.onClose(h.val)
+		}
 	}
 	h.gone = true
 	h.mu.Unlock()
@@ -72,8 +78,13 @@ type registry[T any] struct {
 
 	// onEvict, when set, observes every eviction with the per-session
 	// lock held and the session state still intact — the spill hook.
-	// Set once before the registry serves traffic.
+	// onClose, when set, runs after it under the same lock and ends
+	// the session's engine: nothing reaches an evicted session's state
+	// again, since every later request answers 410 and busy-session
+	// scrapes read only published snapshots. Both are set once before
+	// the registry serves traffic.
 	onEvict func(id string, v T)
+	onClose func(v T)
 }
 
 func newRegistry[T any](maxLive int, ttl time.Duration) *registry[T] {

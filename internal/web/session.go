@@ -482,6 +482,8 @@ func NewServerWithConfig(cfg Config) *Server {
 		verifies: newRegistry[*verifySession](cfg.MaxSessions, cfg.SessionTTL),
 		started:  time.Now(),
 	}
+	s.sims.onClose = func(sess *simSession) { sess.sim.Pkg().Close() }
+	s.verifies.onClose = func(v *verifySession) { v.pkg.Close() }
 	if cfg.SpillDir != "" {
 		store, err := snapshot.OpenStore(cfg.SpillDir, cfg.SpillMaxBytes, nil)
 		if err != nil {
@@ -752,6 +754,7 @@ func buildFunctionalityFrame(circ *qc.Circuit, inverse bool, style vis.Style, ma
 		use = inv
 	}
 	p := dd.New(use.NQubits)
+	defer p.Close() // the graph copies what it draws
 	p.SetMaxNodes(maxNodes)
 	u, err := verify.Functionality(p, use)
 	if err != nil {
