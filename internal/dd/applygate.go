@@ -206,13 +206,9 @@ func (p *Pkg) applyGate(v VEdge, g *appliedGate) VEdge {
 // or above the target level; zero stubs never reach here (U·0 = 0 is
 // handled at the edges).
 func (p *Pkg) applyRec(n *VNode, g *appliedGate) VEdge {
-	p.stats.CacheLookups++
-	p.stats.ApplyCTLookups++
 	key := applyVKey{v: n, g: g}
 	h := hashApply(key)
 	if res, ok := p.applyCache.lookup(h, key, p.gen); ok {
-		p.stats.CacheHits++
-		p.stats.ApplyCTHits++
 		return res
 	}
 	v := n.V
@@ -236,9 +232,7 @@ func (p *Pkg) applyRec(n *VNode, g *appliedGate) VEdge {
 		// Free level above the target: descend both branches.
 		res = p.makeVNode(v, [2]VEdge{p.applyEdge(n.E[0], g), p.applyEdge(n.E[1], g)})
 	}
-	if p.applyCache.store(h, key, res, p.gen, &p.stats) {
-		p.stats.ApplyCTEvictions++
-	}
+	p.applyCache.store(h, key, res, p.gen)
 	return res
 }
 
@@ -288,13 +282,9 @@ func (p *Pkg) splitControls(e VEdge, g *appliedGate) (act, inact VEdge) {
 		// No controls remain at or below this level: fully active.
 		return e, VZero()
 	}
-	p.stats.CacheLookups++
-	p.stats.ApplyCTLookups++
 	key := applyVKey{v: n, g: g}
 	h := hashApply(key)
 	if pr, ok := p.applySplit.lookup(h, key, p.gen); ok {
-		p.stats.CacheHits++
-		p.stats.ApplyCTHits++
 		return scaleV(e.W, pr.act), scaleV(e.W, pr.inact)
 	}
 	v := n.V
@@ -318,9 +308,7 @@ func (p *Pkg) splitControls(e VEdge, g *appliedGate) (act, inact VEdge) {
 		pr.act = p.makeVNode(v, [2]VEdge{a0, a1})
 		pr.inact = p.makeVNode(v, [2]VEdge{i0, i1})
 	}
-	if p.applySplit.store(h, key, pr, p.gen, &p.stats) {
-		p.stats.ApplyCTEvictions++
-	}
+	p.applySplit.store(h, key, pr, p.gen)
 	return scaleV(e.W, pr.act), scaleV(e.W, pr.inact)
 }
 

@@ -230,13 +230,9 @@ func (p *Pkg) applyMRec(n *MNode, g *appliedGate, s side) MEdge {
 		p.stats.ApplyMIdentitySkips++
 		return p.gateSubDD(g, v)
 	}
-	p.stats.CacheLookups++
-	p.stats.ApplyMCTLookups++
 	key := applyMKey{m: n, g: g}
 	h := hashApplyM(key)
 	if res, ok := p.applyMCache[s].lookup(h, key, p.gen); ok {
-		p.stats.CacheHits++
-		p.stats.ApplyMCTHits++
 		return res
 	}
 	var res MEdge
@@ -265,9 +261,7 @@ func (p *Pkg) applyMRec(n *MNode, g *appliedGate, s side) MEdge {
 		}
 		res = p.makeMNode(v, e)
 	}
-	if p.applyMCache[s].store(h, key, res, p.gen, &p.stats) {
-		p.stats.ApplyMCTEvictions++
-	}
+	p.applyMCache[s].store(h, key, res, p.gen)
 	return res
 }
 
@@ -324,13 +318,9 @@ func (p *Pkg) mergeM(x, y MEdge, g *appliedGate, s side) MEdge {
 		return y
 	}
 	r := p.cn.Lookup(y.W / x.W)
-	p.stats.CacheLookups++
-	p.stats.ApplyMCTLookups++
 	key := mergeMKey{x: n, y: y.N, g: g, r: r}
 	h := hashMergeM(key)
 	if res, ok := p.applyMMerge[s].lookup(h, key, p.gen); ok {
-		p.stats.CacheHits++
-		p.stats.ApplyMCTHits++
 		return scaleMRaw(x.W, res)
 	}
 	v := n.V
@@ -346,9 +336,7 @@ func (p *Pkg) mergeM(x, y MEdge, g *appliedGate, s side) MEdge {
 		}
 	}
 	res := p.makeMNode(v, out)
-	if p.applyMMerge[s].store(h, key, res, p.gen, &p.stats) {
-		p.stats.ApplyMCTEvictions++
-	}
+	p.applyMMerge[s].store(h, key, res, p.gen)
 	return scaleMRaw(x.W, res)
 }
 
@@ -375,13 +363,9 @@ func (p *Pkg) splitM(e MEdge, g *appliedGate, s side) (act, inact MEdge) {
 		// No controls remain at or below this level: fully active.
 		return e, MZero()
 	}
-	p.stats.CacheLookups++
-	p.stats.ApplyMCTLookups++
 	key := applyMKey{m: n, g: g}
 	h := hashApplyM(key)
 	if pr, ok := p.applyMSplit[s].lookup(h, key, p.gen); ok {
-		p.stats.CacheHits++
-		p.stats.ApplyMCTHits++
 		return scaleMRaw(e.W, pr.act), scaleMRaw(e.W, pr.inact)
 	}
 	v := n.V
@@ -396,9 +380,7 @@ func (p *Pkg) splitM(e MEdge, g *appliedGate, s side) (act, inact MEdge) {
 		}
 	}
 	pr := mPair{act: p.makeMNode(v, actKids), inact: p.makeMNode(v, inactKids)}
-	if p.applyMSplit[s].store(h, key, pr, p.gen, &p.stats) {
-		p.stats.ApplyMCTEvictions++
-	}
+	p.applyMSplit[s].store(h, key, pr, p.gen)
 	return scaleMRaw(e.W, pr.act), scaleMRaw(e.W, pr.inact)
 }
 

@@ -108,7 +108,9 @@ func ctAggregates(st dd.Stats) [10]uint64 {
 // of every workload: lookups, hits, stores, evictions and the apply
 // and matrix-apply breakdowns. The numbers were recorded before the
 // tables counted for themselves, so moving the counting into the
-// tables cannot move a counter.
+// tables cannot move a counter. The per-table counters must sum to
+// the aggregates, keep hits ≤ lookups and evictions ≤ stores, and
+// every table must see lookups in some workload.
 func TestComputeTableCounterPin(t *testing.T) {
 	want := map[string][10]uint64{
 		// CacheLookups, CacheHits, CTStores, CTEvictions,
@@ -122,16 +124,46 @@ func TestComputeTableCounterPin(t *testing.T) {
 		"fidelity":                    {84, 13, 71, 14, 65, 4, 5, 0, 0, 0},
 		"mult_qft6":                   {65327, 18145, 47182, 28464, 0, 0, 0, 5065, 277, 3291},
 	}
+	var seen [dd.NumTables]uint64
 	for _, w := range ctWorkloads() {
-		got := ctAggregates(w.run(t).Stats())
-		if got != want[w.name] {
+		st := w.run(t).Stats()
+		if got := ctAggregates(st); got != want[w.name] {
 			t.Errorf("%s: counters %v, want %v", w.name, got, want[w.name])
+		}
+		var sum dd.Stats
+		for id, ts := range st.Tables {
+			seen[id] += ts.Lookups
+			if ts.Hits > ts.Lookups || ts.Evictions > ts.Stores {
+				t.Errorf("%s: table %s counts %+v", w.name, dd.Table(id), ts)
+			}
+			sum.CacheLookups += ts.Lookups
+			sum.CacheHits += ts.Hits
+			sum.CTStores += ts.Stores
+			sum.CTEvictions += ts.Evictions
+			if id := dd.Table(id); id == dd.TableApplyV || id == dd.TableSplitV {
+				sum.ApplyCTLookups += ts.Lookups
+				sum.ApplyCTHits += ts.Hits
+				sum.ApplyCTEvictions += ts.Evictions
+			}
+			if id := dd.Table(id); id == dd.TableApplyM || id == dd.TableSplitM || id == dd.TableMergeM {
+				sum.ApplyMCTLookups += ts.Lookups
+				sum.ApplyMCTHits += ts.Hits
+				sum.ApplyMCTEvictions += ts.Evictions
+			}
+		}
+		if got, tables := ctAggregates(st), ctAggregates(sum); got != tables {
+			t.Errorf("%s: aggregates %v, per-table sums %v", w.name, got, tables)
+		}
+	}
+	for id, n := range seen {
+		if n == 0 {
+			t.Errorf("no workload looks up table %s", dd.Table(id))
 		}
 	}
 }
 
 // TestComputeTablesOff checks SetComputeTableSize(0): every lookup
-// misses and nothing is stored.
+// misses and nothing is stored, in every table.
 func TestComputeTablesOff(t *testing.T) {
 	c := lowerMCZ(algorithms.Grover(5, 0b10110))
 	p := dd.New(c.NQubits)
@@ -143,6 +175,11 @@ func TestComputeTablesOff(t *testing.T) {
 	if st.CacheLookups == 0 || st.CacheHits != 0 || st.CTStores != 0 || st.CTEvictions != 0 {
 		t.Fatalf("tables off: %d lookups, %d hits, %d stores, %d evictions; want lookups > 0 and no hits or stores",
 			st.CacheLookups, st.CacheHits, st.CTStores, st.CTEvictions)
+	}
+	for id, ts := range st.Tables {
+		if ts.Hits != 0 || ts.Stores != 0 || ts.Evictions != 0 {
+			t.Errorf("tables off: table %s counts %+v", dd.Table(id), ts)
+		}
 	}
 }
 

@@ -150,8 +150,9 @@ type Pkg struct {
 	mMem    mArena
 
 	// Operation caches: fixed-size direct-mapped lossy tables
-	// (compute.go). Entries are invalidated wholesale on garbage
-	// collection by bumping gen; see gc.go.
+	// (compute.go), listed with their IDs and capacity classes by
+	// tables. Entries are invalidated wholesale on garbage collection
+	// by bumping gen; see gc.go.
 	gen        uint64
 	addVCache  computeTable[addVKey, VEdge]
 	addMCache  computeTable[addMKey, MEdge]
@@ -186,7 +187,8 @@ type Pkg struct {
 	// (Close); every later operation panics.
 	closed bool
 
-	// Roots protected from garbage collection, see IncRef/DecRef.
+	// Counters outside the compute tables, which count for
+	// themselves; Stats merges both.
 	stats Stats
 
 	// Node budget (see budget.go): maxNodes caps the live unique-table
@@ -221,8 +223,8 @@ type Stats struct {
 	NodesCreatedM uint64 // matrix unique-table misses
 	UniqueHitsV   uint64
 	UniqueHitsM   uint64
-	CacheLookups  uint64
-	CacheHits     uint64
+	CacheLookups  uint64 // compute-table lookups, all tables
+	CacheHits     uint64 // compute-table hits, all tables
 	GCRuns        uint64
 	NodesFreed    uint64
 	GCPauseNS     uint64 // cumulative wall-clock nanoseconds spent in GarbageCollect
@@ -235,18 +237,18 @@ type Stats struct {
 	CTStores       uint64 // compute-table stores
 	CTEvictions    uint64 // stores that displaced a live entry
 
-	// Gate-application kernel counters (applygate.go). The apply
-	// tables also feed the aggregate CacheLookups/CacheHits and
-	// CTStores/CTEvictions above; these break out the kernel's share.
+	// Gate-application kernel counters (applygate.go). The ApplyCT*
+	// fields sum the apply_v and split_v tables.
 	ApplyCTLookups   uint64 // apply/split compute-table lookups
 	ApplyCTHits      uint64 // apply/split compute-table hits
 	ApplyCTEvictions uint64 // apply/split stores displacing a live entry
 	GatesFused       uint64 // always 0 since fusion was removed
 	GateDDCacheHits  uint64 // MakeGateDD calls served from the gate-DD cache
 
-	// Matrix-apply kernel counters (applygatem.go), broken out the same
-	// way. Verification applies every gate through the kernel
-	// (ApplyMOps); MultMMOps counts direct MultMM calls.
+	// Matrix-apply kernel counters (applygatem.go). The ApplyMCT*
+	// fields sum the apply_m, split_m and merge_m tables. Verification
+	// applies every gate through the kernel (ApplyMOps); MultMMOps
+	// counts direct MultMM calls.
 	ApplyMCTLookups     uint64 // matrix apply/split compute-table lookups
 	ApplyMCTHits        uint64 // matrix apply/split compute-table hits
 	ApplyMCTEvictions   uint64 // matrix apply/split stores displacing a live entry
@@ -264,46 +266,35 @@ type Stats struct {
 	// ComplexValues is the number of canonical reals in the complex
 	// table, which only grows for the life of the package.
 	ComplexValues int
+
+	// Tables holds the counters of each compute table. CacheLookups,
+	// CacheHits, CTStores, CTEvictions and the ApplyCT*/ApplyMCT*
+	// fields are sums over it (sumTables).
+	Tables [NumTables]TableStats
+}
+
+// sumTables sets the aggregate compute-table fields from Tables.
+func (s *Stats) sumTables() {
+	var all, apply, applyM TableStats
+	for id, t := range s.Tables {
+		all = all.add(t)
+		switch Table(id) {
+		case TableApplyV, TableSplitV:
+			apply = apply.add(t)
+		case TableApplyM, TableSplitM, TableMergeM:
+			applyM = applyM.add(t)
+		}
+	}
+	s.CacheLookups, s.CacheHits, s.CTStores, s.CTEvictions = all.Lookups, all.Hits, all.Stores, all.Evictions
+	s.ApplyCTLookups, s.ApplyCTHits, s.ApplyCTEvictions = apply.Lookups, apply.Hits, apply.Evictions
+	s.ApplyMCTLookups, s.ApplyMCTHits, s.ApplyMCTEvictions = applyM.Lookups, applyM.Hits, applyM.Evictions
 }
 
 // Add returns the field-wise sum of s and b, for building aggregates
 // over several packages' snapshots (replica pools, fleet metrics).
 // Every field sums, including the load factors — callers wanting a
 // mean load divide by the package count afterwards.
-func (s Stats) Add(b Stats) Stats {
-	s.NodesCreatedV += b.NodesCreatedV
-	s.NodesCreatedM += b.NodesCreatedM
-	s.UniqueHitsV += b.UniqueHitsV
-	s.UniqueHitsM += b.UniqueHitsM
-	s.CacheLookups += b.CacheLookups
-	s.CacheHits += b.CacheHits
-	s.GCRuns += b.GCRuns
-	s.NodesFreed += b.NodesFreed
-	s.GCPauseNS += b.GCPauseNS
-	s.NodesRecycledV += b.NodesRecycledV
-	s.NodesRecycledM += b.NodesRecycledM
-	s.UTCollisions += b.UTCollisions
-	s.CTStores += b.CTStores
-	s.CTEvictions += b.CTEvictions
-	s.ApplyCTLookups += b.ApplyCTLookups
-	s.ApplyCTHits += b.ApplyCTHits
-	s.ApplyCTEvictions += b.ApplyCTEvictions
-	s.GatesFused += b.GatesFused
-	s.GateDDCacheHits += b.GateDDCacheHits
-	s.ApplyMCTLookups += b.ApplyMCTLookups
-	s.ApplyMCTHits += b.ApplyMCTHits
-	s.ApplyMCTEvictions += b.ApplyMCTEvictions
-	s.ApplyMIdentitySkips += b.ApplyMIdentitySkips
-	s.ApplyMOps += b.ApplyMOps
-	s.MultMMOps += b.MultMMOps
-	s.UniqueLoadV += b.UniqueLoadV
-	s.UniqueLoadM += b.UniqueLoadM
-	s.FreeNodesV += b.FreeNodesV
-	s.FreeNodesM += b.FreeNodesM
-	s.LiveNodes += b.LiveNodes
-	s.ComplexValues += b.ComplexValues
-	return s
-}
+func (s Stats) Add(b Stats) Stats { return s.combine(b, false) }
 
 // Delta returns the counter increase from prev to s, for windowed
 // accounting over successive snapshots (per-session resource meters,
@@ -312,46 +303,50 @@ func (s Stats) Add(b Stats) Stats {
 // field to the current value rather than going negative. Snapshot-time
 // gauges (load factors, free/live node counts, complex-table size)
 // keep s's current value: a delta of a gauge is meaningless.
-func (s Stats) Delta(prev Stats) Stats {
-	sub := func(cur, old uint64) uint64 {
-		if cur < old {
-			return cur
+func (s Stats) Delta(prev Stats) Stats { return s.combine(prev, true) }
+
+// combine is Add (delta false) or Delta (delta true): the one list of
+// Stats fields both walk. The aggregate compute-table fields are
+// derived from the combined Tables.
+func (s Stats) combine(o Stats, delta bool) Stats {
+	op := func(a, b uint64) uint64 {
+		if !delta {
+			return a + b
 		}
-		return cur - old
+		if a < b {
+			return a
+		}
+		return a - b
 	}
-	return Stats{
-		NodesCreatedV:       sub(s.NodesCreatedV, prev.NodesCreatedV),
-		NodesCreatedM:       sub(s.NodesCreatedM, prev.NodesCreatedM),
-		UniqueHitsV:         sub(s.UniqueHitsV, prev.UniqueHitsV),
-		UniqueHitsM:         sub(s.UniqueHitsM, prev.UniqueHitsM),
-		CacheLookups:        sub(s.CacheLookups, prev.CacheLookups),
-		CacheHits:           sub(s.CacheHits, prev.CacheHits),
-		GCRuns:              sub(s.GCRuns, prev.GCRuns),
-		NodesFreed:          sub(s.NodesFreed, prev.NodesFreed),
-		GCPauseNS:           sub(s.GCPauseNS, prev.GCPauseNS),
-		NodesRecycledV:      sub(s.NodesRecycledV, prev.NodesRecycledV),
-		NodesRecycledM:      sub(s.NodesRecycledM, prev.NodesRecycledM),
-		UTCollisions:        sub(s.UTCollisions, prev.UTCollisions),
-		CTStores:            sub(s.CTStores, prev.CTStores),
-		CTEvictions:         sub(s.CTEvictions, prev.CTEvictions),
-		ApplyCTLookups:      sub(s.ApplyCTLookups, prev.ApplyCTLookups),
-		ApplyCTHits:         sub(s.ApplyCTHits, prev.ApplyCTHits),
-		ApplyCTEvictions:    sub(s.ApplyCTEvictions, prev.ApplyCTEvictions),
-		GatesFused:          sub(s.GatesFused, prev.GatesFused),
-		GateDDCacheHits:     sub(s.GateDDCacheHits, prev.GateDDCacheHits),
-		ApplyMCTLookups:     sub(s.ApplyMCTLookups, prev.ApplyMCTLookups),
-		ApplyMCTHits:        sub(s.ApplyMCTHits, prev.ApplyMCTHits),
-		ApplyMCTEvictions:   sub(s.ApplyMCTEvictions, prev.ApplyMCTEvictions),
-		ApplyMIdentitySkips: sub(s.ApplyMIdentitySkips, prev.ApplyMIdentitySkips),
-		ApplyMOps:           sub(s.ApplyMOps, prev.ApplyMOps),
-		MultMMOps:           sub(s.MultMMOps, prev.MultMMOps),
-		UniqueLoadV:         s.UniqueLoadV,
-		UniqueLoadM:         s.UniqueLoadM,
-		FreeNodesV:          s.FreeNodesV,
-		FreeNodesM:          s.FreeNodesM,
-		LiveNodes:           s.LiveNodes,
-		ComplexValues:       s.ComplexValues,
+	s.NodesCreatedV = op(s.NodesCreatedV, o.NodesCreatedV)
+	s.NodesCreatedM = op(s.NodesCreatedM, o.NodesCreatedM)
+	s.UniqueHitsV = op(s.UniqueHitsV, o.UniqueHitsV)
+	s.UniqueHitsM = op(s.UniqueHitsM, o.UniqueHitsM)
+	s.GCRuns = op(s.GCRuns, o.GCRuns)
+	s.NodesFreed = op(s.NodesFreed, o.NodesFreed)
+	s.GCPauseNS = op(s.GCPauseNS, o.GCPauseNS)
+	s.NodesRecycledV = op(s.NodesRecycledV, o.NodesRecycledV)
+	s.NodesRecycledM = op(s.NodesRecycledM, o.NodesRecycledM)
+	s.UTCollisions = op(s.UTCollisions, o.UTCollisions)
+	s.GatesFused = op(s.GatesFused, o.GatesFused)
+	s.GateDDCacheHits = op(s.GateDDCacheHits, o.GateDDCacheHits)
+	s.ApplyMIdentitySkips = op(s.ApplyMIdentitySkips, o.ApplyMIdentitySkips)
+	s.ApplyMOps = op(s.ApplyMOps, o.ApplyMOps)
+	s.MultMMOps = op(s.MultMMOps, o.MultMMOps)
+	for i, t := range s.Tables {
+		b := o.Tables[i]
+		s.Tables[i] = TableStats{op(t.Lookups, b.Lookups), op(t.Hits, b.Hits), op(t.Stores, b.Stores), op(t.Evictions, b.Evictions)}
 	}
+	if !delta {
+		s.UniqueLoadV += o.UniqueLoadV
+		s.UniqueLoadM += o.UniqueLoadM
+		s.FreeNodesV += o.FreeNodesV
+		s.FreeNodesM += o.FreeNodesM
+		s.LiveNodes += o.LiveNodes
+		s.ComplexValues += o.ComplexValues
+	}
+	s.sumTables()
+	return s
 }
 
 // NormScheme selects how vector nodes are normalized. Both schemes
@@ -407,7 +402,7 @@ func NewTol(n int, tol float64) *Pkg {
 		p.vUnique[i] = newVTable()
 		p.mUnique[i] = newMTable()
 	}
-	p.SetComputeTableSize(ctDefaultLarge)
+	p.SetComputeTableSize(ctDefaultSize)
 	if o := defaultObserver.Load(); o != nil {
 		p.observer = *o
 	}
@@ -452,32 +447,21 @@ func (p *Pkg) checkOpen() {
 }
 
 // SetComputeTableSize reconfigures the capacity (in entries, rounded
-// up to a power of two) of the four binary-operation compute tables;
-// the unary/fidelity tables get a quarter of it. Current cache
-// contents are dropped; diagrams are unaffected. The default is
-// ctDefaultLarge, 131072 entries; tables start small and grow toward
-// their capacity under eviction pressure (see compute.go). Zero or
-// negative turns every table off: lookups miss and nothing is stored,
-// which is what the compute-table ablation measures against.
+// up to a power of two) of the compute tables: tables of the full
+// class get n, those of the quarter class a quarter of it, as the
+// table list (tables, compute.go) declares. Current cache contents are
+// dropped; diagrams are unaffected. The default is ctDefaultSize,
+// 131072 entries; tables start small and grow toward their capacity
+// under eviction pressure (see compute.go). Zero or negative turns
+// every table off: lookups miss and nothing is stored, which is what
+// the compute-table ablation measures against.
 func (p *Pkg) SetComputeTableSize(n int) {
-	large, small := 0, 0
-	if n > 0 {
-		large = nextPow2(n)
-		small = nextPow2(large / 4)
-	}
-	p.addVCache.setSize(large)
-	p.addMCache.setSize(large)
-	p.mulMV.setSize(large)
-	p.mulMM.setSize(large)
-	p.kronCache.setSize(small)
-	p.conjCache.setSize(small)
-	p.fidCache.setSize(small)
-	p.applyCache.setSize(large)
-	p.applySplit.setSize(small)
-	for s := range p.applyMCache {
-		p.applyMCache[s].setSize(large)
-		p.applyMSplit[s].setSize(small)
-		p.applyMMerge[s].setSize(large)
+	for _, s := range p.tables() {
+		size := 0
+		if n > 0 {
+			size = nextPow2(nextPow2(n) >> s.class)
+		}
+		s.t.setSize(size)
 	}
 }
 
@@ -496,7 +480,9 @@ func (p *Pkg) Tolerance() float64 { return p.cn.Tolerance() }
 // the snapshot's walk over the unique tables: a traced step reads them
 // before and after every op.
 func (p *Pkg) HitCounts() (cache, apply uint64) {
-	return p.stats.CacheHits, p.stats.ApplyCTHits
+	s := Stats{Tables: p.tableStats()}
+	s.sumTables()
+	return s.CacheHits, s.ApplyCTHits
 }
 
 // Stats returns a snapshot of the package counters, including the
@@ -523,6 +509,8 @@ func (p *Pkg) Stats() Stats {
 	s.FreeNodesM = p.mMem.freeLen
 	s.LiveNodes = p.live
 	s.ComplexValues = p.cn.Size()
+	s.Tables = p.tableStats()
+	s.sumTables()
 	return s
 }
 

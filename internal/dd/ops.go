@@ -76,11 +76,9 @@ func (p *Pkg) addV(a, b VEdge) VEdge {
 		panic("dd: AddV operands have mismatched levels")
 	}
 	r := p.cn.Lookup(b.W / a.W)
-	p.stats.CacheLookups++
 	key := addVKey{a: a.N, b: b.N, r: r}
 	h := hashAddV(key)
 	if res, ok := p.addVCache.lookup(h, key, p.gen); ok {
-		p.stats.CacheHits++
 		return VEdge{W: res.W * a.W, N: res.N}
 	}
 	v := a.N.V
@@ -91,7 +89,7 @@ func (p *Pkg) addV(a, b VEdge) VEdge {
 		e[i] = p.addV(ae, VEdge{W: r * be.W, N: be.N})
 	}
 	res := p.makeVNode(v, e)
-	p.addVCache.store(h, key, res, p.gen, &p.stats)
+	p.addVCache.store(h, key, res, p.gen)
 	return VEdge{W: res.W * a.W, N: res.N}
 }
 
@@ -117,11 +115,9 @@ func (p *Pkg) addM(a, b MEdge) MEdge {
 		panic("dd: AddM operands have mismatched levels")
 	}
 	r := p.cn.Lookup(b.W / a.W)
-	p.stats.CacheLookups++
 	key := addMKey{a: a.N, b: b.N, r: r}
 	h := hashAddM(key)
 	if res, ok := p.addMCache.lookup(h, key, p.gen); ok {
-		p.stats.CacheHits++
 		return MEdge{W: res.W * a.W, N: res.N}
 	}
 	v := a.N.V
@@ -132,7 +128,7 @@ func (p *Pkg) addM(a, b MEdge) MEdge {
 		e[i] = p.addM(ae, MEdge{W: r * be.W, N: be.N})
 	}
 	res := p.makeMNode(v, e)
-	p.addMCache.store(h, key, res, p.gen, &p.stats)
+	p.addMCache.store(h, key, res, p.gen)
 	return MEdge{W: res.W * a.W, N: res.N}
 }
 
@@ -149,11 +145,9 @@ func (p *Pkg) multMV(m MEdge, v VEdge) VEdge {
 	if m.N.V != v.N.V {
 		panic("dd: MultMV operands have mismatched levels")
 	}
-	p.stats.CacheLookups++
 	key := mulMVKey{m: m.N, v: v.N}
 	h := hashMulMV(key)
 	if res, ok := p.mulMV.lookup(h, key, p.gen); ok {
-		p.stats.CacheHits++
 		return VEdge{W: res.W * m.W * v.W, N: res.N}
 	}
 	lv := m.N.V
@@ -168,7 +162,7 @@ func (p *Pkg) multMV(m MEdge, v VEdge) VEdge {
 		e[i] = sum
 	}
 	res := p.makeVNode(lv, e)
-	p.mulMV.store(h, key, res, p.gen, &p.stats)
+	p.mulMV.store(h, key, res, p.gen)
 	return VEdge{W: res.W * m.W * v.W, N: res.N}
 }
 
@@ -183,11 +177,9 @@ func (p *Pkg) multMM(a, b MEdge) MEdge {
 	if a.N.V != b.N.V {
 		panic("dd: MultMM operands have mismatched levels")
 	}
-	p.stats.CacheLookups++
 	key := mulMMKey{a: a.N, b: b.N}
 	h := hashMulMM(key)
 	if res, ok := p.mulMM.lookup(h, key, p.gen); ok {
-		p.stats.CacheHits++
 		return MEdge{W: res.W * a.W * b.W, N: res.N}
 	}
 	lv := a.N.V
@@ -204,7 +196,7 @@ func (p *Pkg) multMM(a, b MEdge) MEdge {
 		}
 	}
 	res := p.makeMNode(lv, e)
-	p.mulMM.store(h, key, res, p.gen, &p.stats)
+	p.mulMM.store(h, key, res, p.gen)
 	return MEdge{W: res.W * a.W * b.W, N: res.N}
 }
 
@@ -215,15 +207,13 @@ func (p *Pkg) kronM(a, b MEdge, lowerQubits int) MEdge {
 	if a.IsZero() || b.IsZero() {
 		return MZero()
 	}
-	p.stats.CacheLookups++
 	key := kronKey{a: a.N, b: b.N}
 	h := hashKron(key)
 	if res, ok := p.kronCache.lookup(h, key, p.gen); ok {
-		p.stats.CacheHits++
 		return MEdge{W: res.W * a.W * b.W, N: res.N}
 	}
 	res := p.kronRec(MEdge{W: 1, N: a.N}, b.N, lowerQubits)
-	p.kronCache.store(h, key, res, p.gen, &p.stats)
+	p.kronCache.store(h, key, res, p.gen)
 	return MEdge{W: res.W * a.W * b.W, N: res.N}
 }
 
@@ -276,10 +266,8 @@ func (p *Pkg) conjTranspose(m MEdge) MEdge {
 		return MEdge{W: cmplx.Conj(m.W), N: mTerminal}
 	}
 	w := cmplx.Conj(m.W)
-	p.stats.CacheLookups++
 	h := m.N.hash
 	if res, ok := p.conjCache.lookup(h, m.N, p.gen); ok {
-		p.stats.CacheHits++
 		return MEdge{W: res.W * w, N: res.N}
 	}
 	var e [4]MEdge
@@ -290,6 +278,6 @@ func (p *Pkg) conjTranspose(m MEdge) MEdge {
 		}
 	}
 	res := p.makeMNode(m.N.V, e)
-	p.conjCache.store(h, m.N, res, p.gen, &p.stats)
+	p.conjCache.store(h, m.N, res, p.gen)
 	return MEdge{W: res.W * w, N: res.N}
 }

@@ -122,11 +122,9 @@ func (p *Pkg) innerProduct(a, b VEdge, levels int) complex128 {
 	if levels == 0 {
 		return w
 	}
-	p.stats.CacheLookups++
 	key := fidKey{a.N, b.N}
 	h := hashFid(key)
 	if r, ok := p.fidCache.lookup(h, key, p.gen); ok {
-		p.stats.CacheHits++
 		return w * r
 	}
 	var sum complex128
@@ -135,7 +133,7 @@ func (p *Pkg) innerProduct(a, b VEdge, levels int) complex128 {
 		be := followV(b.N, i)
 		sum += p.innerProduct(VEdge{W: ae.W, N: ae.N}, VEdge{W: be.W, N: be.N}, levels-1)
 	}
-	p.fidCache.store(h, key, sum, p.gen, &p.stats)
+	p.fidCache.store(h, key, sum, p.gen)
 	return w * sum
 }
 

@@ -29,22 +29,16 @@ type DDCollector struct {
 	nodesRecycled  *Gauge
 	nodesFreed     *Gauge
 	utCollisions   *Gauge
-	ctStores       *Gauge
-	ctEvictions    *Gauge
 	gcRuns         *Gauge
 	gcPauseSeconds *Gauge
 
-	applyLookups   *Gauge
-	applyHits      *Gauge
-	applyEvictions *Gauge
-	gateCacheHits  *Gauge
+	// Per compute table: lookups, hits, stores, evictions.
+	tables [dd.NumTables][4]*Gauge
 
-	applyMLookups   *Gauge
-	applyMHits      *Gauge
-	applyMEvictions *Gauge
-	applyMSkips     *Gauge
-	mmOpsKernel     *Gauge
-	mmOpsGeneric    *Gauge
+	gateCacheHits *Gauge
+	applyMSkips   *Gauge
+	mmOpsKernel   *Gauge
+	mmOpsGeneric  *Gauge
 
 	complexValues *Gauge
 }
@@ -77,28 +71,23 @@ func NewDDCollector(r *Registry) *DDCollector {
 		"Nodes swept by garbage collection over live packages.")
 	c.utCollisions = r.Gauge("dd_unique_table_collisions",
 		"Unique-table chain entries probed past the bucket head.")
-	c.ctStores = r.Gauge("dd_compute_table_stores",
-		"Compute-table stores over live packages.")
-	c.ctEvictions = r.Gauge("dd_compute_table_evictions",
-		"Compute-table stores that displaced a live entry.")
+	// Gauges, not counters: each sums the live packages and falls
+	// when one closes.
+	for id := dd.Table(0); id < dd.NumTables; id++ {
+		l := L("table", id.String())
+		c.tables[id] = [4]*Gauge{
+			r.Gauge("dd_compute_table_lookups", "Compute-table lookups over live packages.", l),
+			r.Gauge("dd_compute_table_hits", "Compute-table hits over live packages.", l),
+			r.Gauge("dd_compute_table_stores", "Compute-table stores over live packages.", l),
+			r.Gauge("dd_compute_table_evictions", "Compute-table stores that displaced a live entry.", l),
+		}
+	}
 	c.gcRuns = r.Gauge("dd_gc_runs",
 		"Garbage collections run over live packages.")
 	c.gcPauseSeconds = r.Gauge("dd_gc_pause_seconds_total",
 		"Cumulative wall-clock seconds spent in garbage collection.")
-	c.applyLookups = r.Gauge("dd_apply_table_lookups",
-		"Gate-application kernel compute-table lookups over live packages.")
-	c.applyHits = r.Gauge("dd_apply_table_hits",
-		"Gate-application kernel compute-table hits over live packages.")
-	c.applyEvictions = r.Gauge("dd_apply_table_evictions",
-		"Gate-application kernel stores that displaced a live entry.")
 	c.gateCacheHits = r.Gauge("dd_gate_cache_hits",
 		"MakeGateDD requests served from the per-package gate-DD cache.")
-	c.applyMLookups = r.Gauge("dd_apply_m_table_lookups",
-		"Matrix-apply kernel compute-table lookups over live packages.")
-	c.applyMHits = r.Gauge("dd_apply_m_table_hits",
-		"Matrix-apply kernel compute-table hits over live packages.")
-	c.applyMEvictions = r.Gauge("dd_apply_m_table_evictions",
-		"Matrix-apply kernel stores that displaced a live entry.")
 	c.applyMSkips = r.Gauge("dd_apply_m_identity_skips",
 		"Identity sub-blocks short-circuited by the matrix-apply descent.")
 	c.mmOpsKernel = r.Gauge("dd_mm_ops",
@@ -139,17 +128,14 @@ func (c *DDCollector) Record(st dd.Stats) {
 	c.nodesRecycled.Set(float64(st.NodesRecycledV + st.NodesRecycledM))
 	c.nodesFreed.Set(float64(st.NodesFreed))
 	c.utCollisions.Set(float64(st.UTCollisions))
-	c.ctStores.Set(float64(st.CTStores))
-	c.ctEvictions.Set(float64(st.CTEvictions))
 	c.gcRuns.Set(float64(st.GCRuns))
 	c.gcPauseSeconds.Set(float64(st.GCPauseNS) / 1e9)
-	c.applyLookups.Set(float64(st.ApplyCTLookups))
-	c.applyHits.Set(float64(st.ApplyCTHits))
-	c.applyEvictions.Set(float64(st.ApplyCTEvictions))
+	for id, t := range st.Tables {
+		for i, v := range [4]uint64{t.Lookups, t.Hits, t.Stores, t.Evictions} {
+			c.tables[id][i].Set(float64(v))
+		}
+	}
 	c.gateCacheHits.Set(float64(st.GateDDCacheHits))
-	c.applyMLookups.Set(float64(st.ApplyMCTLookups))
-	c.applyMHits.Set(float64(st.ApplyMCTHits))
-	c.applyMEvictions.Set(float64(st.ApplyMCTEvictions))
 	c.applyMSkips.Set(float64(st.ApplyMIdentitySkips))
 	c.mmOpsKernel.Set(float64(st.ApplyMOps))
 	c.mmOpsGeneric.Set(float64(st.MultMMOps))

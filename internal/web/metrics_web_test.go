@@ -101,7 +101,7 @@ func TestMetricsEndpointAfterScriptedSession(t *testing.T) {
 		`sessions_active{kind="sim"} 1`,
 		`sessions_created_total{kind="sim"} 1`,
 		`dd_op_duration_seconds_count{op="applygate"}`,
-		`dd_apply_table_lookups`,
+		`dd_compute_table_lookups{table="apply_v"}`,
 		`dd_gate_cache_hits`,
 		`dd_compute_table_hit_ratio`,
 		`dd_nodes_live`,

@@ -25,12 +25,16 @@ import (
 const (
 	// watchGCPauseP99 flags a windowed p99 GC pause above this.
 	watchGCPauseP99 = 100 * time.Millisecond
-	// watchCTHitFloor flags an apply compute-table hit ratio below this
-	// while the table is under real load (hit-rate collapse).
+	// watchCTHitFloor flags a windowed hit ratio (Δhits/Δlookups) of
+	// the vector-apply compute table below this while the table is
+	// under real load (hit-rate collapse).
 	watchCTHitFloor = 0.05
-	// watchCTMinLookups is the load floor for the collapse rule, so an
-	// idle engine's 0/0 ratio never fires it.
+	// watchCTMinLookups is the load floor for the collapse rule: the
+	// table's lookups over the window, so an idle engine's 0/0 ratio
+	// never fires it.
 	watchCTMinLookups = 1000.0
+	// watchCTTable selects the collapse rule's compute table.
+	watchCTTable = `table="apply_v"`
 	// watchBlowupFactor fires the node-blowup rule when the widest DD
 	// level grew by more than this factor over the window (or appeared
 	// from nothing at all) — exponential growth crosses any factor
@@ -90,15 +94,15 @@ func (s *Server) watchdogRules() []tsdb.Rule {
 		{
 			Name: "ct_hit_collapse",
 			Check: func(q tsdb.Querier, now time.Time) (string, bool) {
-				lookups, ok := q.Delta("dd_apply_table_lookups", "", win, now)
+				lookups, ok := q.Delta("dd_compute_table_lookups", watchCTTable, win, now)
 				if !ok || lookups < watchCTMinLookups {
 					return "", false
 				}
-				ratio, ok := q.Latest("dd_compute_table_hit_ratio", "")
-				if !ok || ratio.V >= watchCTHitFloor {
+				hits, ok := q.Delta("dd_compute_table_hits", watchCTTable, win, now)
+				if !ok || hits/lookups >= watchCTHitFloor {
 					return "", false
 				}
-				return fmt.Sprintf("compute-table hit ratio %.3f under %.0f lookups over %s", ratio.V, lookups, win), true
+				return fmt.Sprintf("apply_v compute-table hit ratio %.3f over %.0f lookups in %s", hits/lookups, lookups, win), true
 			},
 		},
 		{
