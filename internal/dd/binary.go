@@ -1,10 +1,8 @@
 package dd
 
-// Binary serialization of decision diagrams for durable session
-// snapshots (internal/snapshot). Unlike the text format in
-// serialize.go — which re-normalizes every node on read and therefore
-// only guarantees amplitude-level fidelity across packages — the
-// binary codec interns the stored canonical form verbatim: the
+// Binary serialization of decision diagrams, the one exchange format:
+// durable session snapshots (internal/snapshot), spill and ddconvert
+// use it. The codec interns the stored canonical form verbatim: the
 // encoder only ever sees weights that already live in a package's
 // complex table, so the decoder can validate them against the
 // canonical-form invariants and insert them bit-for-bit. Encoding a

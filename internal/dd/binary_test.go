@@ -228,3 +228,19 @@ func TestBinaryDecodeRejectsNegligibleChildWeight(t *testing.T) {
 		t.Fatalf("decoded %+v with children %+v, want an error", e, e.N.E)
 	}
 }
+
+func TestSerializationMergesAcrossStates(t *testing.T) {
+	// Decoding a diagram into a package that already holds parts of it
+	// must share nodes (canonicity across deserialization).
+	p := New(2)
+	blob := p.AppendVectorBinary(nil, bellState(t, p))
+	p2 := New(2)
+	other := bellState(t, p2) // independently built
+	back, err := p2.DecodeVectorBinary(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.N != other.N {
+		t.Fatal("deserialized diagram did not merge with existing nodes")
+	}
+}

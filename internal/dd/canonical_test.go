@@ -1,7 +1,6 @@
 package dd
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -110,11 +109,6 @@ func TestExportedRootsCanonical(t *testing.T) {
 			e, err = p.DecodeVectorBinary(p.AppendVectorBinary(nil, a))
 			must(err)
 			v("DecodeVectorBinary", e)
-			var buf bytes.Buffer
-			must(p.WriteVector(&buf, b))
-			e, err = p.ReadVector(&buf)
-			must(err)
-			v("ReadVector", e)
 
 			m("Ident", p.Ident())
 			m("MakeGateDD", p.MakeGateDD(u, target, ctl...))
@@ -139,11 +133,6 @@ func TestExportedRootsCanonical(t *testing.T) {
 			me, err = p.DecodeMatrixBinary(p.AppendMatrixBinary(nil, ma))
 			must(err)
 			m("DecodeMatrixBinary", me)
-			buf.Reset()
-			must(p.WriteMatrix(&buf, mb))
-			me, err = p.ReadMatrix(&buf)
-			must(err)
-			m("ReadMatrix", me)
 
 			if n < 2 {
 				continue

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"math/cmplx"
-	"strings"
 	"testing"
 
 	"quantumdd/internal/algorithms"
@@ -516,14 +515,10 @@ func TestApproximateSimulation(t *testing.T) {
 	}
 }
 
-// mustImport moves a state between packages via serialization.
+// mustImport moves a state between packages via the binary codec.
 func mustImport(t *testing.T, p *dd.Pkg, from *Simulator) dd.VEdge {
 	t.Helper()
-	var buf strings.Builder
-	if err := from.Pkg().WriteVector(&buf, from.State()); err != nil {
-		t.Fatal(err)
-	}
-	e, err := p.ReadVector(strings.NewReader(buf.String()))
+	e, err := p.DecodeVectorBinary(from.Pkg().AppendVectorBinary(nil, from.State()))
 	if err != nil {
 		t.Fatal(err)
 	}
