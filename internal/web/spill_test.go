@@ -52,133 +52,210 @@ func evictAll(t *testing.T, ws *Server) {
 	ws.spill.flush()
 }
 
-// sessionSnapshot re-encodes a live session's durable form; byte
+// sessionSnapshot re-encodes a live sim session's durable form; byte
 // equality of two snapshots proves the DD root edges (weights and
 // full node structure), position and classical state all match.
 func sessionSnapshot(t *testing.T, ws *Server, id string) []byte {
 	t.Helper()
-	h, err := ws.sims.acquire(id, time.Now())
-	if err != nil {
-		t.Fatalf("acquire %s: %v", id, err)
-	}
-	defer h.release()
-	return h.val.snapshot()
+	return spillKinds[0].snapshot(t, ws, id)
 }
 
-func TestSpillEvictRestoreSimBitIdentical(t *testing.T) {
-	ws, srv := newSpillTestServer(t, nil)
+// kindCounters are one session kind's durability series.
+type kindCounters struct {
+	spills, spillFailures, restores, restoreFailures, corruptions *obs.Counter
+}
 
-	var created newResp
-	post(t, srv, "/api/simulation", newSimRequest{Code: algorithms.GHZ(3).QASM()}, &created)
-	var stepped stepResponse
-	post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "forward"}, &stepped)
-	post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "forward"}, &stepped)
-	before := sessionSnapshot(t, ws, created.ID)
+// spillKind is one tab's side of the durability tests: where its API
+// lives, how to create and step a session of it, how to read a live
+// session's durable form and which series count its lifecycle.
+type spillKind struct {
+	name  string // "sim" or "verify"
+	path  string // API prefix; the session id follows
+	other string // the other tab's API prefix
+	// create opens a session over code and steps it twice.
+	create   func(t *testing.T, srv *httptest.Server, code string) string
+	finish   interface{} // step request that runs the session to its end
+	snapshot func(t *testing.T, ws *Server, id string) []byte
+	counters func(ws *Server) kindCounters
+}
 
-	evictAll(t, ws)
-	if got := ws.SpillStore().Len(); got != 1 {
-		t.Fatalf("spill store holds %d snapshots after eviction, want 1", got)
-	}
-	if got := ws.metrics.simsSpilled.Value(); got != 1 {
-		t.Fatalf("session_spills_total{kind=sim} = %d, want 1", got)
-	}
+var spillKinds = []spillKind{
+	{
+		name:  "sim",
+		path:  "/api/simulation/",
+		other: "/api/verification/",
+		create: func(t *testing.T, srv *httptest.Server, code string) string {
+			var created newResp
+			post(t, srv, "/api/simulation", newSimRequest{Code: code}, &created)
+			for i := 0; i < 2; i++ {
+				post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "forward"}, nil)
+			}
+			return created.ID
+		},
+		finish: stepRequest{Action: "end"},
+		snapshot: func(t *testing.T, ws *Server, id string) []byte {
+			t.Helper()
+			h, err := ws.sims.acquire(id, time.Now())
+			if err != nil {
+				t.Fatalf("acquire %s: %v", id, err)
+			}
+			defer h.release()
+			return h.val.snapshot()
+		},
+		counters: func(ws *Server) kindCounters {
+			m := ws.metrics
+			return kindCounters{m.simsSpilled, m.simSpillFailures, m.simsRestored, m.simRestoreFailures, m.simCorruptions}
+		},
+	},
+	{
+		name:  "verify",
+		path:  "/api/verification/",
+		other: "/api/simulation/",
+		create: func(t *testing.T, srv *httptest.Server, code string) string {
+			var created newResp
+			post(t, srv, "/api/verification", newVerifyRequest{Left: code, Right: code}, &created)
+			for i := 0; i < 2; i++ {
+				post(t, srv, "/api/verification/"+created.ID+"/step", verifyStepRequest{Action: "forward", Side: "left"}, nil)
+			}
+			return created.ID
+		},
+		finish: verifyStepRequest{Action: "barrier", Side: "right"},
+		snapshot: func(t *testing.T, ws *Server, id string) []byte {
+			t.Helper()
+			h, err := ws.verifies.acquire(id, time.Now())
+			if err != nil {
+				t.Fatalf("acquire %s: %v", id, err)
+			}
+			defer h.release()
+			return h.val.snapshot()
+		},
+		counters: func(ws *Server) kindCounters {
+			m := ws.metrics
+			return kindCounters{m.verifiesSpilled, m.verifySpillFailures, m.verifiesRestored, m.verifyRestoreFailures, m.verifyCorruptions}
+		},
+	},
+}
 
-	// The next request transparently restores: no 410, same state.
-	var restored stepResponse
-	resp := get(t, srv, "/api/simulation/"+created.ID, &restored)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET after eviction: status %d, want 200 (transparent restore)", resp.StatusCode)
-	}
-	if restored.Frame.SVG == "" || !strings.Contains(restored.Frame.SVG, "<svg") {
-		t.Fatal("restored session rendered no SVG frame")
-	}
-	after := sessionSnapshot(t, ws, created.ID)
-	if !bytes.Equal(before, after) {
-		t.Fatalf("restored session is not bit-identical: snapshot %d bytes vs %d bytes", len(before), len(after))
-	}
-	if got := ws.metrics.simsRestored.Value(); got != 1 {
-		t.Fatalf("session_restores_total{kind=sim} = %d, want 1", got)
-	}
-	// The consumed snapshot is stale the moment the session lives again.
-	if got := ws.SpillStore().Len(); got != 0 {
-		t.Fatalf("spill store holds %d snapshots after restore, want 0", got)
-	}
-
-	// The restored session keeps working: run it to the end.
-	post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "end"}, &stepped)
-	if !stepped.AtEnd {
-		t.Fatal("restored session did not run to the end")
+// forEachKind runs body as one subtest per session kind.
+func forEachKind(t *testing.T, body func(t *testing.T, k spillKind)) {
+	for _, k := range spillKinds {
+		t.Run(k.name, func(t *testing.T) { body(t, k) })
 	}
 }
 
-func TestSpillEvictRestoreVerify(t *testing.T) {
-	ws, srv := newSpillTestServer(t, nil)
-	qasm := algorithms.GHZ(2).QASM()
+func TestSpillEvictRestoreBitIdentical(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k spillKind) {
+		ws, srv := newSpillTestServer(t, nil)
+		id := k.create(t, srv, algorithms.GHZ(3).QASM())
+		before := k.snapshot(t, ws, id)
 
-	var created newResp
-	post(t, srv, "/api/verification", newVerifyRequest{Left: qasm, Right: qasm}, &created)
-	post(t, srv, "/api/verification/"+created.ID+"/step", verifyStepRequest{Action: "forward", Side: "left"}, nil)
+		evictAll(t, ws)
+		if got := ws.SpillStore().Len(); got != 1 {
+			t.Fatalf("spill store holds %d snapshots after eviction, want 1", got)
+		}
+		if got := k.counters(ws).spills.Value(); got != 1 {
+			t.Fatalf("session_spills_total{kind=%s} = %d, want 1", k.name, got)
+		}
 
-	h, err := ws.verifies.acquire(created.ID, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := h.val.snapshot()
-	h.release()
+		// The next request transparently restores: no 410, same state.
+		var restored struct{ Frame Frame }
+		resp := get(t, srv, k.path+id, &restored)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET after eviction: status %d, want 200 (transparent restore)", resp.StatusCode)
+		}
+		if !strings.Contains(restored.Frame.SVG, "<svg") {
+			t.Fatal("restored session rendered no SVG frame")
+		}
+		if after := k.snapshot(t, ws, id); !bytes.Equal(before, after) {
+			t.Fatalf("restored session is not bit-identical: snapshot %d bytes vs %d bytes", len(before), len(after))
+		}
+		if got := k.counters(ws).restores.Value(); got != 1 {
+			t.Fatalf("session_restores_total{kind=%s} = %d, want 1", k.name, got)
+		}
+		// The consumed snapshot is stale the moment the session lives again.
+		if got := ws.SpillStore().Len(); got != 0 {
+			t.Fatalf("spill store holds %d snapshots after restore, want 0", got)
+		}
 
-	evictAll(t, ws)
-	resp := get(t, srv, "/api/verification/"+created.ID, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET after eviction: status %d, want 200", resp.StatusCode)
-	}
-	h, err = ws.verifies.acquire(created.ID, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := h.val.snapshot()
-	h.release()
-	if !bytes.Equal(before, after) {
-		t.Fatal("restored verification session is not bit-identical")
-	}
-	if got := ws.metrics.verifiesRestored.Value(); got != 1 {
-		t.Fatalf("session_restores_total{kind=verify} = %d, want 1", got)
-	}
+		// The restored session keeps working: run it to the end.
+		if resp := post(t, srv, k.path+id+"/step", k.finish, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("step of the restored session: status %d, want 200", resp.StatusCode)
+		}
+	})
+}
+
+// TestWrongKindRequestKeepsSnapshot asks the other tab's endpoint for
+// a spilled session: it answers 404, as for a live session of the
+// other kind, and leaves the snapshot, the counters and the id alone,
+// so the session's own endpoint still restores it.
+func TestWrongKindRequestKeepsSnapshot(t *testing.T) {
+	forEachKind(t, func(t *testing.T, k spillKind) {
+		ws, srv := newSpillTestServer(t, nil)
+		id := k.create(t, srv, algorithms.GHZ(3).QASM())
+		before := k.snapshot(t, ws, id)
+		evictAll(t, ws)
+
+		if resp := get(t, srv, k.other+id, nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s%s: status %d, want 404", k.other, id, resp.StatusCode)
+		}
+		if got := ws.SpillStore().Len(); got != 1 {
+			t.Fatalf("spill store holds %d snapshots after the wrong-kind request, want 1", got)
+		}
+		for _, other := range spillKinds {
+			c := other.counters(ws)
+			if c.restoreFailures.Value() != 0 || c.corruptions.Value() != 0 {
+				t.Fatalf("wrong-kind request counted a failure under kind %s", other.name)
+			}
+		}
+
+		if resp := get(t, srv, k.path+id, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s%s after the wrong-kind request: status %d, want 200", k.path, id, resp.StatusCode)
+		}
+		if after := k.snapshot(t, ws, id); !bytes.Equal(before, after) {
+			t.Fatal("session restored after a wrong-kind request is not bit-identical")
+		}
+	})
 }
 
 // TestRestoreSurvivesRestart proves the errSessionUnknown restore path:
 // a fresh server over the same spill directory has an empty registry
-// (no tombstones either) but still restores the session.
+// (no tombstones either) but still restores the session — even after
+// it created and spilled a session of its own, which must not take
+// the spilled session's id.
 func TestRestoreSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	cfg := DefaultConfig()
-	cfg.Seed = 1
-	cfg.Metrics = obs.NewRegistry()
-	cfg.SpillDir = dir
-	cfg.SessionTTL = time.Minute
+	forEachKind(t, func(t *testing.T, k spillKind) {
+		cfg := DefaultConfig()
+		cfg.Seed = 1
+		cfg.Metrics = obs.NewRegistry()
+		cfg.SpillDir = t.TempDir()
+		cfg.SessionTTL = time.Minute
 
-	ws1 := NewServerWithConfig(cfg)
-	srv1 := httptest.NewServer(ws1.Handler())
-	var created newResp
-	post(t, srv1, "/api/simulation", newSimRequest{Code: algorithms.Bell().QASM()}, &created)
-	post(t, srv1, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "forward"}, nil)
-	before := sessionSnapshot(t, ws1, created.ID)
-	evictAll(t, ws1)
-	srv1.Close()
-	ws1.Close()
+		ws1 := NewServerWithConfig(cfg)
+		srv1 := httptest.NewServer(ws1.Handler())
+		id := k.create(t, srv1, algorithms.GHZ(3).QASM())
+		before := k.snapshot(t, ws1, id)
+		evictAll(t, ws1)
+		srv1.Close()
+		ws1.Close()
 
-	cfg.Metrics = obs.NewRegistry()
-	ws2 := NewServerWithConfig(cfg)
-	t.Cleanup(ws2.Close)
-	srv2 := httptest.NewServer(ws2.Handler())
-	t.Cleanup(srv2.Close)
-	resp := get(t, srv2, "/api/simulation/"+created.ID, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET on restarted server: status %d, want 200", resp.StatusCode)
-	}
-	after := sessionSnapshot(t, ws2, created.ID)
-	if !bytes.Equal(before, after) {
-		t.Fatal("session restored across restart is not bit-identical")
-	}
+		cfg.Metrics = obs.NewRegistry()
+		ws2 := NewServerWithConfig(cfg)
+		t.Cleanup(ws2.Close)
+		srv2 := httptest.NewServer(ws2.Handler())
+		t.Cleanup(srv2.Close)
+		if fresh := k.create(t, srv2, algorithms.Bell().QASM()); fresh == id {
+			t.Errorf("restarted server reissued the spilled id %s", id)
+		}
+		evictAll(t, ws2)
+
+		resp := get(t, srv2, k.path+id, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET on restarted server: status %d, want 200", resp.StatusCode)
+		}
+		if after := k.snapshot(t, ws2, id); !bytes.Equal(before, after) {
+			t.Fatal("session restored across restart is not bit-identical")
+		}
+	})
 }
 
 // TestCorruptSnapshotDegradesToGone flips one bit of the on-disk
@@ -186,114 +263,115 @@ func TestRestoreSurvivesRestart(t *testing.T) {
 // corruption, log a structured warning carrying the request id, leave
 // a definitive tombstone — and never crash or serve wrong state.
 func TestCorruptSnapshotDegradesToGone(t *testing.T) {
-	var logBuf bytes.Buffer
-	ws, srv := newSpillTestServer(t, func(cfg *Config) {
-		cfg.Logger = slog.New(slog.NewTextHandler(&logBuf, nil))
+	forEachKind(t, func(t *testing.T, k spillKind) {
+		var logBuf bytes.Buffer
+		ws, srv := newSpillTestServer(t, func(cfg *Config) {
+			cfg.Logger = slog.New(slog.NewTextHandler(&logBuf, nil))
+		})
+
+		id := k.create(t, srv, algorithms.GHZ(3).QASM())
+		evictAll(t, ws)
+
+		snaps, err := filepath.Glob(filepath.Join(ws.cfg.SpillDir, "*.snap"))
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("snapshot files on disk: %v (err %v)", snaps, err)
+		}
+		data, err := os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x10
+		if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		resp := get(t, srv, k.path+id, nil)
+		if resp.StatusCode != http.StatusGone {
+			t.Fatalf("GET with corrupt snapshot: status %d, want 410", resp.StatusCode)
+		}
+		if got := k.counters(ws).corruptions.Value(); got != 1 {
+			t.Fatalf("snapshot_corruptions_total{kind=%s} = %d, want 1", k.name, got)
+		}
+		if got := k.counters(ws).restoreFailures.Value(); got != 1 {
+			t.Fatalf("session_restore_failures_total{kind=%s} = %d, want 1", k.name, got)
+		}
+		logs := logBuf.String()
+		if !strings.Contains(logs, "degraded to tombstone") || !strings.Contains(logs, "requestId=") {
+			t.Fatalf("degraded path did not log a structured warning with request id:\n%s", logs)
+		}
+
+		// The unusable snapshot was discarded and the id tombstoned: a
+		// second request answers 410 immediately without re-counting.
+		resp = get(t, srv, k.path+id, nil)
+		if resp.StatusCode != http.StatusGone {
+			t.Fatalf("second GET: status %d, want 410", resp.StatusCode)
+		}
+		if got := k.counters(ws).corruptions.Value(); got != 1 {
+			t.Fatalf("corruption counted twice: %d", got)
+		}
+
+		// And the server still serves fresh sessions.
+		if again := k.create(t, srv, algorithms.Bell().QASM()); again == "" {
+			t.Fatal("server unhealthy after corruption: no session id")
+		}
 	})
-
-	var created newResp
-	post(t, srv, "/api/simulation", newSimRequest{Code: algorithms.GHZ(3).QASM()}, &created)
-	evictAll(t, ws)
-
-	snaps, err := filepath.Glob(filepath.Join(ws.cfg.SpillDir, "*.snap"))
-	if err != nil || len(snaps) != 1 {
-		t.Fatalf("snapshot files on disk: %v (err %v)", snaps, err)
-	}
-	data, err := os.ReadFile(snaps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x10
-	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	resp := get(t, srv, "/api/simulation/"+created.ID, nil)
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("GET with corrupt snapshot: status %d, want 410", resp.StatusCode)
-	}
-	if got := ws.metrics.simCorruptions.Value(); got != 1 {
-		t.Fatalf("snapshot_corruptions_total{kind=sim} = %d, want 1", got)
-	}
-	if got := ws.metrics.simRestoreFailures.Value(); got != 1 {
-		t.Fatalf("session_restore_failures_total{kind=sim} = %d, want 1", got)
-	}
-	logs := logBuf.String()
-	if !strings.Contains(logs, "degraded to tombstone") || !strings.Contains(logs, "requestId=") {
-		t.Fatalf("degraded path did not log a structured warning with request id:\n%s", logs)
-	}
-
-	// The unusable snapshot was discarded and the id tombstoned: a
-	// second request answers 410 immediately without re-counting.
-	resp = get(t, srv, "/api/simulation/"+created.ID, nil)
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("second GET: status %d, want 410", resp.StatusCode)
-	}
-	if got := ws.metrics.simCorruptions.Value(); got != 1 {
-		t.Fatalf("corruption counted twice: %d", got)
-	}
-
-	// And the server still serves fresh sessions.
-	var again newResp
-	resp = post(t, srv, "/api/simulation", newSimRequest{Code: algorithms.Bell().QASM()}, &again)
-	if resp.StatusCode != http.StatusOK || again.ID == "" {
-		t.Fatalf("server unhealthy after corruption: status %d", resp.StatusCode)
-	}
 }
 
 // TestTruncatedSnapshotDegradesToGone injects a short read through the
 // fault harness: restore sees a truncated envelope and degrades.
 func TestTruncatedSnapshotDegradesToGone(t *testing.T) {
-	ws, srv := newSpillTestServer(t, nil)
+	forEachKind(t, func(t *testing.T, k spillKind) {
+		ws, srv := newSpillTestServer(t, nil)
 
-	var created newResp
-	post(t, srv, "/api/simulation", newSimRequest{Code: algorithms.Bell().QASM()}, &created)
-	evictAll(t, ws)
+		id := k.create(t, srv, algorithms.Bell().QASM())
+		evictAll(t, ws)
 
-	// Re-open the same directory through a fault-injecting filesystem
-	// whose first read comes back short.
-	ffs := faultfs.New(snapshot.OSFS{})
-	ffs.ShortReads = map[int]bool{1: true}
-	st, err := snapshot.OpenStore(ws.cfg.SpillDir, 0, ffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws.spill.store = st
+		// Re-open the same directory through a fault-injecting filesystem
+		// whose first read comes back short.
+		ffs := faultfs.New(snapshot.OSFS{})
+		ffs.ShortReads = map[int]bool{1: true}
+		st, err := snapshot.OpenStore(ws.cfg.SpillDir, 0, ffs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws.spill.store = st
 
-	resp := get(t, srv, "/api/simulation/"+created.ID, nil)
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("GET with short read: status %d, want 410", resp.StatusCode)
-	}
-	if got := ws.metrics.simCorruptions.Value(); got != 1 {
-		t.Fatalf("snapshot_corruptions_total{kind=sim} = %d, want 1", got)
-	}
+		resp := get(t, srv, k.path+id, nil)
+		if resp.StatusCode != http.StatusGone {
+			t.Fatalf("GET with short read: status %d, want 410", resp.StatusCode)
+		}
+		if got := k.counters(ws).corruptions.Value(); got != 1 {
+			t.Fatalf("snapshot_corruptions_total{kind=%s} = %d, want 1", k.name, got)
+		}
+	})
 }
 
 // TestSpillWriteFailureDegradesToTombstone injects persistent write
 // failures: eviction falls back to the plain tombstone, the failure is
 // counted, and the server keeps running.
 func TestSpillWriteFailureDegradesToTombstone(t *testing.T) {
-	ws, srv := newSpillTestServer(t, nil)
+	forEachKind(t, func(t *testing.T, k spillKind) {
+		ws, srv := newSpillTestServer(t, nil)
 
-	ffs := faultfs.New(snapshot.OSFS{})
-	ffs.FailWrites = map[int]bool{1: true, 2: true, 3: true}
-	st, err := snapshot.OpenStore(ws.cfg.SpillDir, 0, ffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws.spill.store = st
+		ffs := faultfs.New(snapshot.OSFS{})
+		ffs.FailWrites = map[int]bool{1: true, 2: true, 3: true}
+		st, err := snapshot.OpenStore(ws.cfg.SpillDir, 0, ffs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws.spill.store = st
 
-	var created newResp
-	post(t, srv, "/api/simulation", newSimRequest{Code: algorithms.Bell().QASM()}, &created)
-	evictAll(t, ws)
+		id := k.create(t, srv, algorithms.Bell().QASM())
+		evictAll(t, ws)
 
-	if got := ws.metrics.simSpillFailures.Value(); got != 1 {
-		t.Fatalf("session_spill_failures_total{kind=sim} = %d, want 1", got)
-	}
-	resp := get(t, srv, "/api/simulation/"+created.ID, nil)
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("GET after failed spill: status %d, want 410", resp.StatusCode)
-	}
+		if got := k.counters(ws).spillFailures.Value(); got != 1 {
+			t.Fatalf("session_spill_failures_total{kind=%s} = %d, want 1", k.name, got)
+		}
+		resp := get(t, srv, k.path+id, nil)
+		if resp.StatusCode != http.StatusGone {
+			t.Fatalf("GET after failed spill: status %d, want 410", resp.StatusCode)
+		}
+	})
 }
 
 // TestSpillDirUnavailableStartsDegraded points SpillDir at a regular
