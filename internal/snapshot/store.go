@@ -244,6 +244,13 @@ func (st *Store) Len() int {
 	return len(st.sizes)
 }
 
+// IDs lists the ids of the stored snapshots, oldest write first.
+func (st *Store) IDs() []string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return append([]string(nil), st.order...)
+}
+
 // Bytes reports the total stored snapshot size.
 func (st *Store) Bytes() int64 {
 	st.mu.Lock()

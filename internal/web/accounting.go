@@ -119,20 +119,13 @@ func usageFrom(id, kind string, acct *sessionAccount, st dd.Stats, shape *dd.Sha
 func (s *Server) sessionUsageSnapshot() []sessionUsage {
 	now := time.Now()
 	var out []sessionUsage
-	s.sims.forEach(func(id string, sess *simSession, fresh bool) {
-		p := sess.sim.Pkg()
+	s.forEachSession(func(k int, id string, sess session, fresh bool) {
+		p := sess.ddPkg()
 		if fresh {
 			p.PublishStats()
 		}
 		st, _ := p.LastStats()
-		out = append(out, usageFrom(id, "sim", sess.acct, st, p.LastShape(), now))
-	})
-	s.verifies.forEach(func(id string, sess *verifySession, fresh bool) {
-		if fresh {
-			sess.pkg.PublishStats()
-		}
-		st, _ := sess.pkg.LastStats()
-		out = append(out, usageFrom(id, "verify", sess.acct, st, sess.pkg.LastShape(), now))
+		out = append(out, usageFrom(id, kindLabels[k], sess.base().acct, st, p.LastShape(), now))
 	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].DDOps != out[j].DDOps {

@@ -203,14 +203,14 @@ func TestSpillRestoresClosedSession(t *testing.T) {
 		}
 	}
 	ws.spill.flush()
-	if got := ws.metrics.simsSpilled.Value(); got != 1 {
+	if got := ws.metrics.spills[kindSim].Value(); got != 1 {
 		t.Fatalf("session_spills_total{kind=sim} = %d, want 1", got)
 	}
 	code, after := do("GET", path, nil)
 	if code != http.StatusOK {
 		t.Fatalf("GET after eviction: status %d: %s", code, after)
 	}
-	if got := ws.metrics.simsRestored.Value(); got != 1 {
+	if got := ws.metrics.restores[kindSim].Value(); got != 1 {
 		t.Fatalf("session_restores_total{kind=sim} = %d, want 1", got)
 	}
 	if !bytes.Equal(blankEngine(before), blankEngine(after)) {

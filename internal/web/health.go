@@ -100,7 +100,7 @@ func (s *Server) runProbes() []probeStatus {
 			Name: "registry",
 			OK:   true,
 			Detail: fmt.Sprintf("%d sim, %d verify session(s) live",
-				s.sims.size(), s.verifies.size()),
+				s.sims.reg.size(), s.verifies.reg.size()),
 		},
 	}
 

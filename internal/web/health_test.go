@@ -152,7 +152,7 @@ func TestWatchdogSpillCorruptionRule(t *testing.T) {
 	}
 	// A corrupt snapshot surfaces between two sweeps; the Delta-based
 	// rule must turn it into an event.
-	ws.metrics.simCorruptions.Inc()
+	ws.metrics.corruptions[kindSim].Inc()
 	ws.sampleTelemetry(now.Add(ws.cfg.SampleInterval))
 	evs := ws.WatchdogEvents()
 	if len(evs) != 1 || evs[0].Rule != "spill_corruption" {

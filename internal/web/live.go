@@ -170,8 +170,8 @@ func (s *Server) liveFrameBytes(now time.Time, usage []sessionUsage) []byte {
 		Seq:  s.liveSeq.Add(1),
 		Time: now.UTC().Format(time.RFC3339Nano),
 		Sessions: liveSessions{
-			Sim:    s.sims.size(),
-			Verify: s.verifies.size(),
+			Sim:    s.sims.reg.size(),
+			Verify: s.verifies.reg.size(),
 		},
 		HTTP: liveHTTP{
 			InFlight: st.LatestValue("http_requests_in_flight", "", 0),

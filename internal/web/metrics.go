@@ -32,34 +32,26 @@ type serverMetrics struct {
 	inFlight    *obs.Gauge
 	panics      *obs.Counter
 
-	// Session lifecycle.
-	simsActive      *obs.Gauge
-	verifiesActive  *obs.Gauge
-	simsTombs       *obs.Gauge
-	verifiesTombs   *obs.Gauge
-	simsCreated     *obs.Counter
-	verifiesCreated *obs.Counter
-	evictedLRU      *obs.Counter
-	evictedTTL      *obs.Counter
-	reaperSweeps    *obs.Counter
+	// Session lifecycle; the arrays are indexed by session kind.
+	active       [numKinds]*obs.Gauge
+	tombstones   [numKinds]*obs.Gauge
+	created      [numKinds]*obs.Counter
+	evictedLRU   *obs.Counter
+	evictedTTL   *obs.Counter
+	reaperSweeps *obs.Counter
 
 	// Durability: spill-to-disk and restore lifecycle (PR 6). Nil-safe
 	// to read — they are registered unconditionally even when spilling
 	// is disabled, so dashboards see stable zero series.
-	simsSpilled           *obs.Counter
-	verifiesSpilled       *obs.Counter
-	simSpillFailures      *obs.Counter
-	verifySpillFailures   *obs.Counter
-	simsRestored          *obs.Counter
-	verifiesRestored      *obs.Counter
-	simRestoreFailures    *obs.Counter
-	verifyRestoreFailures *obs.Counter
-	simCorruptions        *obs.Counter
-	verifyCorruptions     *obs.Counter
-	spillSeconds          *obs.Histogram
-	restoreSeconds        *obs.Histogram
-	spillBytes            *obs.Gauge
-	spillSnapshots        *obs.Gauge
+	spills          [numKinds]*obs.Counter
+	spillFailures   [numKinds]*obs.Counter
+	restores        [numKinds]*obs.Counter
+	restoreFailures [numKinds]*obs.Counter
+	corruptions     [numKinds]*obs.Counter
+	spillSeconds    *obs.Histogram
+	restoreSeconds  *obs.Histogram
+	spillBytes      *obs.Gauge
+	spillSnapshots  *obs.Gauge
 
 	// Parallel trajectory engine (PR 7): noisy-ensemble throughput.
 	trajectoriesCompleted *obs.Counter
@@ -76,12 +68,23 @@ type serverMetrics struct {
 	liveFrames  *obs.Counter
 }
 
-// corruptions selects the corruption counter for a session kind.
-func (m *serverMetrics) corruptions(kind string) *obs.Counter {
-	if kind == "verify" {
-		return m.verifyCorruptions
+// Session kinds index the per-kind series and Server.kinds, in the
+// order their series are registered and swept.
+const (
+	kindSim = iota
+	kindVerify
+	numKinds
+)
+
+// kindLabels are the kinds' metric and log labels and id prefixes.
+var kindLabels = [numKinds]string{"sim", "verify"}
+
+// byKind registers one family with a series per session kind.
+func byKind[M any](series func(name, help string, labels ...obs.Label) M, name, help string) (out [numKinds]M) {
+	for k := range out {
+		out[k] = series(name, help, obs.L("kind", kindLabels[k]))
 	}
-	return m.simCorruptions
+	return out
 }
 
 func newServerMetrics(r *obs.Registry) *serverMetrics {
@@ -100,44 +103,28 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		"Requests currently being served.")
 	m.panics = r.Counter("http_panics_recovered_total",
 		"Handler panics recovered by the middleware.")
-	m.simsActive = r.Gauge("sessions_active",
-		"Live sessions, by kind.", obs.L("kind", "sim"))
-	m.verifiesActive = r.Gauge("sessions_active",
-		"Live sessions, by kind.", obs.L("kind", "verify"))
-	m.simsTombs = r.Gauge("session_tombstones",
-		"Evicted session ids remembered for 410 answers, by kind.", obs.L("kind", "sim"))
-	m.verifiesTombs = r.Gauge("session_tombstones",
-		"Evicted session ids remembered for 410 answers, by kind.", obs.L("kind", "verify"))
-	m.simsCreated = r.Counter("sessions_created_total",
-		"Sessions created, by kind.", obs.L("kind", "sim"))
-	m.verifiesCreated = r.Counter("sessions_created_total",
-		"Sessions created, by kind.", obs.L("kind", "verify"))
+	m.active = byKind(r.Gauge, "sessions_active",
+		"Live sessions, by kind.")
+	m.tombstones = byKind(r.Gauge, "session_tombstones",
+		"Evicted session ids remembered for 410 answers, by kind.")
+	m.created = byKind(r.Counter, "sessions_created_total",
+		"Sessions created, by kind.")
 	m.evictedLRU = r.Counter("sessions_evicted_total",
 		"Sessions evicted, by reason.", obs.L("reason", "lru"))
 	m.evictedTTL = r.Counter("sessions_evicted_total",
 		"Sessions evicted, by reason.", obs.L("reason", "ttl"))
 	m.reaperSweeps = r.Counter("session_reaper_sweeps_total",
 		"Idle-session reaper sweeps completed.")
-	m.simsSpilled = r.Counter("session_spills_total",
-		"Sessions spilled to disk on eviction, by kind.", obs.L("kind", "sim"))
-	m.verifiesSpilled = r.Counter("session_spills_total",
-		"Sessions spilled to disk on eviction, by kind.", obs.L("kind", "verify"))
-	m.simSpillFailures = r.Counter("session_spill_failures_total",
-		"Spill writes that failed after retries (session degraded to tombstone), by kind.", obs.L("kind", "sim"))
-	m.verifySpillFailures = r.Counter("session_spill_failures_total",
-		"Spill writes that failed after retries (session degraded to tombstone), by kind.", obs.L("kind", "verify"))
-	m.simsRestored = r.Counter("session_restores_total",
-		"Sessions transparently restored from the spill store, by kind.", obs.L("kind", "sim"))
-	m.verifiesRestored = r.Counter("session_restores_total",
-		"Sessions transparently restored from the spill store, by kind.", obs.L("kind", "verify"))
-	m.simRestoreFailures = r.Counter("session_restore_failures_total",
-		"Restore attempts that degraded to a tombstone, by kind.", obs.L("kind", "sim"))
-	m.verifyRestoreFailures = r.Counter("session_restore_failures_total",
-		"Restore attempts that degraded to a tombstone, by kind.", obs.L("kind", "verify"))
-	m.simCorruptions = r.Counter("snapshot_corruptions_total",
-		"Snapshots rejected for checksum, truncation, or format damage, by kind.", obs.L("kind", "sim"))
-	m.verifyCorruptions = r.Counter("snapshot_corruptions_total",
-		"Snapshots rejected for checksum, truncation, or format damage, by kind.", obs.L("kind", "verify"))
+	m.spills = byKind(r.Counter, "session_spills_total",
+		"Sessions spilled to disk on eviction, by kind.")
+	m.spillFailures = byKind(r.Counter, "session_spill_failures_total",
+		"Spill writes that failed after retries (session degraded to tombstone), by kind.")
+	m.restores = byKind(r.Counter, "session_restores_total",
+		"Sessions transparently restored from the spill store, by kind.")
+	m.restoreFailures = byKind(r.Counter, "session_restore_failures_total",
+		"Restore attempts that degraded to a tombstone, by kind.")
+	m.corruptions = byKind(r.Counter, "snapshot_corruptions_total",
+		"Snapshots rejected for checksum, truncation, or format damage, by kind.")
 	m.spillSeconds = r.Histogram("session_spill_seconds",
 		"Durable spill write latency (encode excluded).", obs.LatencyBuckets)
 	m.restoreSeconds = r.Histogram("session_restore_seconds",
@@ -176,16 +163,16 @@ func (m *serverMetrics) observeStatus(status int) {
 // DD aggregate over every live session's last published snapshot.
 func (s *Server) collect() {
 	m := s.metrics
-	m.simsActive.Set(float64(s.sims.size()))
-	m.verifiesActive.Set(float64(s.verifies.size()))
-	m.simsTombs.Set(float64(s.sims.tombCount()))
-	m.verifiesTombs.Set(float64(s.verifies.tombCount()))
+	for k, kind := range s.kinds() {
+		m.active[k].Set(float64(kind.reg.size()))
+		m.tombstones[k].Set(float64(kind.reg.tombCount()))
+	}
 	if s.spill != nil {
 		m.spillBytes.Set(float64(s.spill.store.Bytes()))
 		m.spillSnapshots.Set(float64(s.spill.store.Len()))
 	}
 
-	// forEach hands idle sessions over with their lock held
+	// forEachSession hands idle sessions over with their lock held
 	// (fresh=true): those get a forced PublishStats first, so a scrape
 	// right after a short burst of activity (fewer ops than the
 	// publish stride, no GC) still observes current table loads and
@@ -199,14 +186,14 @@ func (s *Server) collect() {
 	// sessions are not invisible; busy ones read race-clean snapshots.
 	var agg dd.Stats
 	pkgs := 0
-	var vecShape, matShape *dd.ShapeProfile
-	var vecProfiles, matProfiles uint64
-	s.sims.forEach(func(id string, sess *simSession, fresh bool) {
-		p := sess.sim.Pkg()
+	var shapes [numKinds]*dd.ShapeProfile
+	var profiles [numKinds]uint64
+	s.forEachSession(func(k int, id string, sess session, fresh bool) {
+		p := sess.ddPkg()
 		if fresh {
 			p.PublishStats()
 			if p.ShapeInterval() > 0 && p.LastShape() == nil {
-				p.PublishShapeV(sess.sim.State())
+				sess.publishShape()
 			}
 		}
 		if st, ok := p.LastStats(); ok {
@@ -214,24 +201,8 @@ func (s *Server) collect() {
 			pkgs++
 		}
 		if sp := p.LastShape(); sp != nil {
-			vecShape = obs.MaxShape(vecShape, sp)
-			vecProfiles += sp.Seq
-		}
-	})
-	s.verifies.forEach(func(id string, sess *verifySession, fresh bool) {
-		if fresh {
-			sess.pkg.PublishStats()
-			if sess.pkg.ShapeInterval() > 0 && sess.pkg.LastShape() == nil {
-				sess.pkg.PublishShapeM(sess.x)
-			}
-		}
-		if st, ok := sess.pkg.LastStats(); ok {
-			agg = agg.Add(st)
-			pkgs++
-		}
-		if sp := sess.pkg.LastShape(); sp != nil {
-			matShape = obs.MaxShape(matShape, sp)
-			matProfiles += sp.Seq
+			shapes[k] = obs.MaxShape(shapes[k], sp)
+			profiles[k] += sp.Seq
 		}
 	})
 	if pkgs > 1 {
@@ -240,7 +211,15 @@ func (s *Server) collect() {
 		agg.UniqueLoadM /= float64(pkgs)
 	}
 	m.dd.Record(agg)
-	m.shape.Record(vecShape, matShape, vecProfiles, matProfiles)
+	m.shape.Record(shapes[kindSim], shapes[kindVerify], profiles[kindSim], profiles[kindVerify])
+}
+
+// forEachSession visits every live session, sims first, with its kind
+// index; fresh is as in registry.forEach.
+func (s *Server) forEachSession(f func(k int, id string, sess session, fresh bool)) {
+	for k, kind := range s.kinds() {
+		kind.reg.forEach(func(id string, sess session, fresh bool) { f(k, id, sess, fresh) })
+	}
 }
 
 // MetricsHandler serves this server's registry in Prometheus text
@@ -274,24 +253,20 @@ func (o *sessionObserver) ObserveOp(op dd.Op, d time.Duration) {
 	}
 }
 
-// instrument installs the session observer on a session's DD package.
-// Ring evictions feed trace_spans_dropped_total.
-func (s *Server) instrument(p *dd.Pkg, rec *trace.Recorder, acct *sessionAccount) {
+// instrument gives a fresh or restored session its flight recorder
+// (none when Config.TraceSpans < 0; ring evictions feed
+// trace_spans_dropped_total) and installs the session observer on its
+// DD package.
+func (s *Server) instrument(id string, sess session) {
+	b := sess.base()
+	if s.cfg.TraceSpans >= 0 {
+		b.rec = trace.NewRecorder(id, s.cfg.TraceSpans)
+		b.rec.OnDrop(s.metrics.spansDropped.Inc)
+	}
+	p := sess.ddPkg()
 	// The one per-session engine-setup choke point (it covers fresh and
 	// spill-restored sessions alike), so the shape profiling stride is
 	// installed here too.
 	p.SetShapeInterval(s.shapeInterval())
-	if rec != nil {
-		rec.OnDrop(s.metrics.spansDropped.Inc)
-	}
-	p.SetObserver(&sessionObserver{coll: s.metrics.dd, acct: acct, rec: rec})
-}
-
-// newRecorder creates a session's flight recorder, or nil when
-// tracing is disabled (Config.TraceSpans < 0).
-func (s *Server) newRecorder(id string) *trace.Recorder {
-	if s.cfg.TraceSpans < 0 {
-		return nil
-	}
-	return trace.NewRecorder(id, s.cfg.TraceSpans)
+	p.SetObserver(&sessionObserver{coll: s.metrics.dd, acct: b.acct, rec: b.rec})
 }

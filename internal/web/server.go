@@ -165,23 +165,7 @@ func (s *Server) handleNewSimulation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := newSimSession(circ, req.Code, req.Format, s.cfg.Seed, s.cfg.MaxNodes)
-	// The id is allocated before the recorder so the flight recorder's
-	// track label matches the session id in exported timelines.
-	id := s.newID("sim")
-	sess.rec = s.newRecorder(id)
-	s.instrument(sess.sim.Pkg(), sess.rec, sess.acct)
-	style := styleFrom(query(r))
-	// Extract the frame before publishing: the session is not yet
-	// reachable, so no lock is needed. The response renders the SVG
-	// after the put from the frame's own graph, which no other request
-	// can reach.
-	frame := simFrame(sess, style, "initial state |0…0⟩")
-	s.metrics.simsCreated.Inc()
-	if evicted := s.sims.put(id, sess, time.Now()); evicted != "" {
-		s.metrics.evictedLRU.Inc()
-		s.reqLogger(r).Info("evicted LRU session", "sessionId", id, "evictedSessionId", evicted)
-	}
-	s.writeFrame(w, r, &frameResponse{Frame: frame, ID: id})
+	s.sims.create(w, r, sess, func(style vis.Style) Frame { return simFrame(sess, style, "initial state |0…0⟩") })
 }
 
 type stepRequest struct {
@@ -221,13 +205,13 @@ func (s *Server) writeStepError(w http.ResponseWriter, r *http.Request, sess *si
 }
 
 func (s *Server) handleSimStep(w http.ResponseWriter, r *http.Request) {
-	h, err := s.acquireSim(r, r.PathValue("id"), time.Now())
+	h, err := s.sims.acquire(r, r.PathValue("id"), time.Now())
 	if err != nil {
 		s.sessionErr(w, r, err)
 		return
 	}
 	defer h.release()
-	sess := h.val
+	sess := h.val.(*simSession)
 	var req stepRequest
 	if s.decodeJSON(w, r, &req) != nil {
 		return
@@ -337,13 +321,13 @@ type chooseRequest struct {
 }
 
 func (s *Server) handleSimChoose(w http.ResponseWriter, r *http.Request) {
-	h, err := s.acquireSim(r, r.PathValue("id"), time.Now())
+	h, err := s.sims.acquire(r, r.PathValue("id"), time.Now())
 	if err != nil {
 		s.sessionErr(w, r, err)
 		return
 	}
 	defer h.release()
-	sess := h.val
+	sess := h.val.(*simSession)
 	var req chooseRequest
 	if s.decodeJSON(w, r, &req) != nil {
 		return
@@ -371,13 +355,13 @@ func (s *Server) handleSimChoose(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSimGet(w http.ResponseWriter, r *http.Request) {
-	h, err := s.acquireSim(r, r.PathValue("id"), time.Now())
+	h, err := s.sims.acquire(r, r.PathValue("id"), time.Now())
 	if err != nil {
 		s.sessionErr(w, r, err)
 		return
 	}
 	defer h.release()
-	sess := h.val
+	sess := h.val.(*simSession)
 	style := styleFrom(query(r))
 	s.writeFrame(w, r, &stepResponse{
 		Frame:   simFrame(sess, style, ""),
@@ -485,24 +469,24 @@ func (s *Server) handleNoisy(w http.ResponseWriter, r *http.Request) {
 // handleSimExport serves the current diagram as a standalone artifact
 // (format=svg or dot) for download from the tool.
 func (s *Server) handleSimExport(w http.ResponseWriter, r *http.Request) {
-	h, err := s.acquireSim(r, r.PathValue("id"), time.Now())
+	h, err := s.sims.acquire(r, r.PathValue("id"), time.Now())
 	if err != nil {
 		s.sessionErr(w, r, err)
 		return
 	}
 	defer h.release()
-	g := vis.FromVector(h.val.sim.State())
+	g := vis.FromVector(h.val.(*simSession).sim.State())
 	s.writeExport(w, r, g, query(r))
 }
 
 func (s *Server) handleVerifyExport(w http.ResponseWriter, r *http.Request) {
-	h, err := s.acquireVerify(r, r.PathValue("id"), time.Now())
+	h, err := s.verifies.acquire(r, r.PathValue("id"), time.Now())
 	if err != nil {
 		s.sessionErr(w, r, err)
 		return
 	}
 	defer h.release()
-	g := vis.FromMatrix(h.val.x)
+	g := vis.FromMatrix(h.val.(*verifySession).x)
 	s.writeExport(w, r, g, query(r))
 }
 
@@ -590,17 +574,7 @@ func (s *Server) handleNewVerification(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
-	id := s.newID("verify")
-	sess.rec = s.newRecorder(id)
-	s.instrument(sess.pkg, sess.rec, sess.acct)
-	style := styleFrom(query(r))
-	frame := verifyFrame(sess, style, "identity")
-	s.metrics.verifiesCreated.Inc()
-	if evicted := s.verifies.put(id, sess, time.Now()); evicted != "" {
-		s.metrics.evictedLRU.Inc()
-		s.reqLogger(r).Info("evicted LRU session", "sessionId", id, "evictedSessionId", evicted)
-	}
-	s.writeFrame(w, r, &frameResponse{Frame: frame, ID: id})
+	s.verifies.create(w, r, sess, func(style vis.Style) Frame { return verifyFrame(sess, style, "identity") })
 }
 
 type verifyStepRequest struct {
@@ -636,13 +610,13 @@ func (s *Server) writeVerifyStepError(w http.ResponseWriter, r *http.Request, se
 }
 
 func (s *Server) handleVerifyStep(w http.ResponseWriter, r *http.Request) {
-	h, err := s.acquireVerify(r, r.PathValue("id"), time.Now())
+	h, err := s.verifies.acquire(r, r.PathValue("id"), time.Now())
 	if err != nil {
 		s.sessionErr(w, r, err)
 		return
 	}
 	defer h.release()
-	sess := h.val
+	sess := h.val.(*verifySession)
 	var req verifyStepRequest
 	if s.decodeJSON(w, r, &req) != nil {
 		return
@@ -687,13 +661,13 @@ func (s *Server) handleVerifyStep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleVerifyGet(w http.ResponseWriter, r *http.Request) {
-	h, err := s.acquireVerify(r, r.PathValue("id"), time.Now())
+	h, err := s.verifies.acquire(r, r.PathValue("id"), time.Now())
 	if err != nil {
 		s.sessionErr(w, r, err)
 		return
 	}
 	defer h.release()
-	sess := h.val
+	sess := h.val.(*verifySession)
 	style := styleFrom(query(r))
 	s.writeFrame(w, r, &verifyStepResponse{
 		Frame:    verifyFrame(sess, style, ""),

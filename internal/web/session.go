@@ -7,11 +7,14 @@
 package web
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,11 +60,40 @@ type PendingChoice struct {
 	P1      float64 `json:"p1"`
 }
 
+// session is one tab's session as the shared lifecycle (sessionKind)
+// sees it: its engine, recorder and account, a hook that profiles its
+// current diagram, and its durable form.
+type session interface {
+	base() *sessionBase
+	ddPkg() *dd.Pkg
+	publishShape() dd.ShapeProfile
+	// snapshot serializes the session for spill-to-disk. Called with
+	// the per-session lock held (exclusive access), so the reads are
+	// consistent. Step and undo history are not persisted: a restored
+	// session cannot step backward past the restore point.
+	snapshot() []byte
+}
+
+// sessionBase is what every session carries for the lifecycle.
+type sessionBase struct {
+	// rec is the session's flight recorder (nil when tracing is
+	// disabled). Assigned once before the session is published to the
+	// registry; its Snapshot side is safe from any goroutine.
+	rec *trace.Recorder
+	// acct meters the session's cumulative resource usage (requests,
+	// DD ops, DD wall time). Assigned at construction; all-atomic, so
+	// the top endpoint and telemetry tick read it from any goroutine.
+	acct *sessionAccount
+}
+
+func (b *sessionBase) base() *sessionBase { return b }
+
 // simSession wraps a simulator with the dialog protocol: when the next
 // operation measures a qubit in superposition, stepping reports a
 // PendingChoice instead of advancing; the client resolves it with an
 // explicit outcome.
 type simSession struct {
+	sessionBase
 	sim    *sim.Simulator
 	forced *int // outcome for the next dialog-requiring op
 	// src and format retain the session's original circuit input
@@ -73,14 +105,6 @@ type simSession struct {
 	src    string
 	format string
 	seed   int64
-	// rec is the session's flight recorder (nil when tracing is
-	// disabled). Assigned once before the session is published to the
-	// registry; its Snapshot side is safe from any goroutine.
-	rec *trace.Recorder
-	// acct meters the session's cumulative resource usage (requests,
-	// DD ops, DD wall time). Assigned at construction; all-atomic, so
-	// the top endpoint and telemetry tick read it from any goroutine.
-	acct *sessionAccount
 }
 
 const superpositionEps = 1e-12
@@ -101,15 +125,17 @@ func (s *simSession) chooser() sim.OutcomeChooser {
 }
 
 func newSimSession(circ *qc.Circuit, src, format string, seed int64, maxNodes int) *simSession {
-	s := &simSession{src: src, format: format, seed: seed, acct: newSessionAccount()}
+	s := &simSession{sessionBase: sessionBase{acct: newSessionAccount()}, src: src, format: format, seed: seed}
 	s.sim = sim.New(circ, sim.WithSeed(seed), sim.WithMaxNodes(maxNodes), sim.WithChooser(s.chooser()))
 	return s
 }
 
-// snapshot serializes the session for spill-to-disk. Called with the
-// per-session lock held (exclusive access), so the reads are
-// consistent. The step history is not persisted; a restored session
-// cannot step backward past the restore point.
+func (s *simSession) ddPkg() *dd.Pkg { return s.sim.Pkg() }
+
+func (s *simSession) publishShape() dd.ShapeProfile {
+	return s.sim.Pkg().PublishShapeV(s.sim.State())
+}
+
 func (s *simSession) snapshot() []byte {
 	return snapshot.EncodeSim(&snapshot.Sim{
 		Source:    s.src,
@@ -122,15 +148,23 @@ func (s *simSession) snapshot() []byte {
 	})
 }
 
+// errOtherKind marks a spill snapshot that holds a session of the
+// other tab.
+var errOtherKind = errors.New("web: snapshot holds a session of the other kind")
+
 // resumeSimSession rebuilds a session from its durable form: re-parse
 // the original source, decode the DD state bit-exactly under the node
 // budget, and resume the simulator at the stored position.
-func resumeSimSession(snap *snapshot.Sim, maxNodes int) (*simSession, error) {
+func resumeSimSession(blob []byte, maxNodes int) (session, error) {
+	snap, _, err := snapshot.Decode(blob)
+	if err != nil || snap == nil {
+		return nil, cmp.Or(err, errOtherKind)
+	}
 	circ, err := ParseCircuit(snap.Source, snap.Format)
 	if err != nil {
 		return nil, fmt.Errorf("web: restore: circuit no longer parses: %w", err)
 	}
-	s := &simSession{src: snap.Source, format: snap.Format, seed: snap.Seed, acct: newSessionAccount()}
+	s := &simSession{sessionBase: sessionBase{acct: newSessionAccount()}, src: snap.Source, format: snap.Format, seed: snap.Seed}
 	s.sim, err = sim.Resume(circ, snap.Pos, snap.Classical, snap.PeakNodes,
 		func(p *dd.Pkg) (dd.VEdge, error) { return p.DecodeVectorBinary(snap.State) },
 		sim.WithSeed(snap.Seed), sim.WithMaxNodes(maxNodes), sim.WithChooser(s.chooser()))
@@ -178,6 +212,7 @@ func (s *simSession) choose(outcome int) error {
 // the right) over an identity-initialized diagram, with per-side
 // stepping, barrier-aware "fast-forward" and unlimited undo.
 type verifySession struct {
+	sessionBase
 	pkg   *dd.Pkg
 	left  *qc.Circuit
 	right *qc.Circuit
@@ -191,8 +226,6 @@ type verifySession struct {
 	li, ri  int
 	peak    int // largest node count the product diagram has reached
 	history []verifySnapshot
-	rec     *trace.Recorder // flight recorder; nil when tracing is disabled
-	acct    *sessionAccount // resource meters; see accounting.go
 }
 
 type verifySnapshot struct {
@@ -212,16 +245,18 @@ func newVerifySession(left, right *qc.Circuit, leftSrc, rightSrc, format string,
 	v := &verifySession{
 		pkg: p, left: left, right: right,
 		leftSrc: leftSrc, rightSrc: rightSrc, format: format,
-		x:    p.Ident(),
-		acct: newSessionAccount(),
+		x: p.Ident(),
 	}
+	v.acct = newSessionAccount()
 	v.pkg.IncRefM(v.x)
 	v.peak = dd.SizeM(v.x)
 	return v, nil
 }
 
-// snapshot serializes the session for spill-to-disk; called with the
-// per-session lock held. The undo history is not persisted.
+func (v *verifySession) ddPkg() *dd.Pkg { return v.pkg }
+
+func (v *verifySession) publishShape() dd.ShapeProfile { return v.pkg.PublishShapeM(v.x) }
+
 func (v *verifySession) snapshot() []byte {
 	return snapshot.EncodeVerify(&snapshot.Verify{
 		LeftSource:  v.leftSrc,
@@ -237,7 +272,11 @@ func (v *verifySession) snapshot() []byte {
 // resumeVerifySession rebuilds a verification session from its durable
 // form, validating the stored positions against the re-parsed circuits
 // and decoding the matrix diagram bit-exactly under the node budget.
-func resumeVerifySession(snap *snapshot.Verify, maxNodes int) (*verifySession, error) {
+func resumeVerifySession(blob []byte, maxNodes int) (session, error) {
+	_, snap, err := snapshot.Decode(blob)
+	if err != nil || snap == nil {
+		return nil, cmp.Or(err, errOtherKind)
+	}
 	left, err := ParseCircuit(snap.LeftSource, snap.LeftFormat)
 	if err != nil {
 		return nil, fmt.Errorf("web: restore: left circuit no longer parses: %w", err)
@@ -436,8 +475,7 @@ type Server struct {
 	nextSessID atomic.Int64
 	nextReqID  atomic.Int64
 
-	sims     *registry[*simSession]
-	verifies *registry[*verifySession]
+	sims, verifies sessionKind
 
 	// Durability layer: nil when Config.SpillDir is empty.
 	spill    *spiller
@@ -475,15 +513,13 @@ func NewServer(seed int64) *Server {
 // than not at all.
 func NewServerWithConfig(cfg Config) *Server {
 	s := &Server{
-		cfg:      cfg,
-		logger:   cfg.logger(),
-		metrics:  newServerMetrics(cfg.registry()),
-		sims:     newRegistry[*simSession](cfg.MaxSessions, cfg.SessionTTL),
-		verifies: newRegistry[*verifySession](cfg.MaxSessions, cfg.SessionTTL),
-		started:  time.Now(),
+		cfg:     cfg,
+		logger:  cfg.logger(),
+		metrics: newServerMetrics(cfg.registry()),
+		started: time.Now(),
 	}
-	s.sims.onClose = func(sess *simSession) { sess.sim.Pkg().Close() }
-	s.verifies.onClose = func(v *verifySession) { v.pkg.Close() }
+	s.sims = sessionKind{srv: s, idx: kindSim, resume: resumeSimSession}
+	s.verifies = sessionKind{srv: s, idx: kindVerify, resume: resumeVerifySession}
 	if cfg.SpillDir != "" {
 		store, err := snapshot.OpenStore(cfg.SpillDir, cfg.SpillMaxBytes, nil)
 		if err != nil {
@@ -491,8 +527,14 @@ func NewServerWithConfig(cfg Config) *Server {
 				"component", "spill", "dir", cfg.SpillDir, "error", err)
 		} else {
 			s.spill = newSpiller(store, s.logger, s.metrics)
-			s.sims.onEvict = s.spillSim
-			s.verifies.onEvict = s.spillVerify
+			s.nextSessID.Store(maxIDSuffix(store.IDs()))
+		}
+	}
+	for _, k := range s.kinds() {
+		k.reg = newRegistry[session](cfg.MaxSessions, cfg.SessionTTL)
+		k.reg.onClose = func(sess session) { sess.ddPkg().Close() }
+		if s.spill != nil {
+			k.reg.onEvict = k.spillSession
 		}
 	}
 	if cfg.SampleInterval > 0 {
@@ -558,7 +600,7 @@ func (s *Server) reaper() {
 // reapIdle evicts idle sessions once and reports how many went. Split
 // from the reaper loop so tests can trigger eviction deterministically.
 func (s *Server) reapIdle(now time.Time) int {
-	reaped := append(s.sims.reap(now), s.verifies.reap(now)...)
+	reaped := append(s.sims.reg.reap(now), s.verifies.reg.reap(now)...)
 	s.metrics.reaperSweeps.Inc()
 	if len(reaped) > 0 {
 		s.metrics.evictedTTL.Add(uint64(len(reaped)))
@@ -568,8 +610,61 @@ func (s *Server) reapIdle(now time.Time) int {
 	return len(reaped)
 }
 
-func (s *Server) newID(prefix string) string {
-	return fmt.Sprintf("%s-%d", prefix, s.nextSessID.Add(1))
+// sessionKind is one tab's session lifecycle: its registry under the
+// per-kind LRU cap, its index into the kind-indexed metric series and
+// the decoder that resumes its sessions from a spill snapshot. Create,
+// acquire, restore, spill and the scrape sweeps are written once over
+// it; code differs by kind only in stepping, frames and snapshots.
+type sessionKind struct {
+	srv    *Server
+	idx    int // kindSim or kindVerify
+	reg    *registry[session]
+	resume func(blob []byte, maxNodes int) (session, error)
+}
+
+func (k *sessionKind) label() string { return kindLabels[k.idx] }
+
+// kinds lists both session kinds in kind-index order.
+func (s *Server) kinds() [numKinds]*sessionKind {
+	return [numKinds]*sessionKind{&s.sims, &s.verifies}
+}
+
+// create publishes a new session: it takes an id, instruments the
+// session, builds its first frame, registers it and answers with both.
+func (k *sessionKind) create(w http.ResponseWriter, r *http.Request, sess session, frame func(vis.Style) Frame) {
+	// The id is allocated before the recorder so the flight recorder's
+	// track label matches the session id in exported timelines.
+	id := fmt.Sprintf("%s-%d", k.label(), k.srv.nextSessID.Add(1))
+	k.srv.instrument(id, sess)
+	// The frame is built before the put, while no other request can
+	// reach the session; the response renders it from its own graph.
+	f := frame(styleFrom(query(r)))
+	k.srv.metrics.created[k.idx].Inc()
+	k.put(r, id, sess, time.Now())
+	k.srv.writeFrame(w, r, &frameResponse{Frame: f, ID: id})
+}
+
+// put registers the session, evicting the least recently used one of
+// its kind at the cap.
+func (k *sessionKind) put(r *http.Request, id string, sess session, now time.Time) {
+	if evicted := k.reg.put(id, sess, now); evicted != "" {
+		k.srv.metrics.evictedLRU.Inc()
+		k.srv.reqLogger(r).Info("evicted LRU session", "sessionId", id, "evictedSessionId", evicted)
+	}
+}
+
+// maxIDSuffix returns the largest numeric suffix among session ids
+// ("sim-7" → 7). Session ids count on from it, so a server restarted
+// over a spill store never reissues the id of a spilled session.
+func maxIDSuffix(ids []string) int64 {
+	var top int64
+	for _, id := range ids {
+		n, err := strconv.ParseInt(id[strings.LastIndexByte(id, '-')+1:], 10, 64)
+		if err == nil && n > top {
+			top = n
+		}
+	}
+	return top
 }
 
 // styleFrom maps the style and labels query parameters onto a

@@ -99,37 +99,26 @@ func (s *Server) shapeTimelineFor(id string, now time.Time) *shapeTimeline {
 func (s *Server) handleSessionShape(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	now := time.Now()
-	if h, err := s.acquireSim(r, id, now); err == nil {
-		defer h.release()
-		sess := h.val
-		resp := shapeResponse{
-			ID:       id,
-			Kind:     "sim",
-			Interval: sess.sim.Pkg().ShapeInterval(),
-			Profile:  sess.sim.Pkg().PublishShapeV(sess.sim.State()),
-			Timeline: s.shapeTimelineFor(id, now),
+	for _, kind := range s.kinds() {
+		h, err := kind.acquire(r, id, now)
+		if errors.Is(err, errSessionUnknown) {
+			continue // perhaps a session of the next kind
 		}
-		s.writeJSON(w, r, http.StatusOK, resp)
-		return
-	} else if errors.Is(err, errSessionGone) {
-		s.sessionErr(w, r, err)
+		if err != nil {
+			s.sessionErr(w, r, err)
+			return
+		}
+		defer h.release()
+		s.writeJSON(w, r, http.StatusOK, shapeResponse{
+			ID:       id,
+			Kind:     kind.label(),
+			Interval: h.val.ddPkg().ShapeInterval(),
+			Profile:  h.val.publishShape(),
+			Timeline: s.shapeTimelineFor(id, now),
+		})
 		return
 	}
-	h, err := s.acquireVerify(r, id, now)
-	if err != nil {
-		s.sessionErr(w, r, err)
-		return
-	}
-	defer h.release()
-	sess := h.val
-	resp := shapeResponse{
-		ID:       id,
-		Kind:     "verify",
-		Interval: sess.pkg.ShapeInterval(),
-		Profile:  sess.pkg.PublishShapeM(sess.x),
-		Timeline: s.shapeTimelineFor(id, now),
-	}
-	s.writeJSON(w, r, http.StatusOK, resp)
+	s.sessionErr(w, r, errSessionUnknown)
 }
 
 // shapeBundleEntry is one session's slice of shape_timeline.json.
@@ -149,24 +138,14 @@ type shapeBundleEntry struct {
 // not invisible in bundles.
 func (s *Server) shapeTimelineSnapshot(now time.Time) []shapeBundleEntry {
 	entries := []shapeBundleEntry{}
-	s.sims.forEach(func(id string, sess *simSession, fresh bool) {
-		p := sess.sim.Pkg()
+	s.forEachSession(func(k int, id string, sess session, fresh bool) {
+		p := sess.ddPkg()
 		if fresh && p.ShapeInterval() > 0 && p.LastShape() == nil {
-			p.PublishShapeV(sess.sim.State())
+			sess.publishShape()
 		}
 		entries = append(entries, shapeBundleEntry{
-			ID: id, Kind: "sim",
+			ID: id, Kind: kindLabels[k],
 			Profile:  p.LastShape(),
-			Timeline: s.shapeTimelineFor(id, now),
-		})
-	})
-	s.verifies.forEach(func(id string, sess *verifySession, fresh bool) {
-		if fresh && sess.pkg.ShapeInterval() > 0 && sess.pkg.LastShape() == nil {
-			sess.pkg.PublishShapeM(sess.x)
-		}
-		entries = append(entries, shapeBundleEntry{
-			ID: id, Kind: "verify",
-			Profile:  sess.pkg.LastShape(),
 			Timeline: s.shapeTimelineFor(id, now),
 		})
 	})

@@ -31,7 +31,6 @@ import (
 	"sync"
 	"time"
 
-	"quantumdd/internal/obs"
 	"quantumdd/internal/snapshot"
 )
 
@@ -58,7 +57,7 @@ func newSpiller(store *snapshot.Store, logger *slog.Logger, metrics *serverMetri
 // spill accepts an encoded snapshot for id and schedules the durable
 // write. It returns immediately; the registry eviction path must not
 // block on disk.
-func (sp *spiller) spill(id string, blob []byte, spills, failures *obs.Counter, seconds *obs.Histogram) {
+func (sp *spiller) spill(id string, kind int, blob []byte) {
 	sp.mu.Lock()
 	sp.pending[id] = blob
 	sp.mu.Unlock()
@@ -67,7 +66,7 @@ func (sp *spiller) spill(id string, blob []byte, spills, failures *obs.Counter, 
 		defer sp.wg.Done()
 		start := time.Now()
 		err := sp.store.Put(id, blob)
-		seconds.Observe(time.Since(start).Seconds())
+		sp.metrics.spillSeconds.Observe(time.Since(start).Seconds())
 		sp.mu.Lock()
 		// Only clear the pending entry if it is still ours: a re-evict
 		// of a restored session may have published fresher bytes.
@@ -80,12 +79,12 @@ func (sp *spiller) spill(id string, blob []byte, spills, failures *obs.Counter, 
 			// before spill existed. No request is associated with a
 			// background write, so this warning carries the session id
 			// only.
-			failures.Inc()
+			sp.metrics.spillFailures[kind].Inc()
 			sp.logger.Warn("session spill failed; session degraded to tombstone",
 				"component", "spill", "sessionId", id, "error", err)
 			return
 		}
-		spills.Inc()
+		sp.metrics.spills[kind].Inc()
 	}()
 }
 
@@ -150,65 +149,24 @@ func (rf *restoreFlight) begin(id string) (done func(), run bool) {
 // spillEnabled reports whether the durability layer is active.
 func (s *Server) spillEnabled() bool { return s.spill != nil }
 
-// spillSim is the sims registry's eviction hook.
-func (s *Server) spillSim(id string, sess *simSession) {
-	s.spill.spill(id, sess.snapshot(), s.metrics.simsSpilled, s.metrics.simSpillFailures, s.metrics.spillSeconds)
+// spillSession is the registry's eviction hook.
+func (k *sessionKind) spillSession(id string, sess session) {
+	k.srv.spill.spill(id, k.idx, sess.snapshot())
 }
 
-// spillVerify is the verifies registry's eviction hook.
-func (s *Server) spillVerify(id string, sess *verifySession) {
-	s.spill.spill(id, sess.snapshot(), s.metrics.verifiesSpilled, s.metrics.verifySpillFailures, s.metrics.spillSeconds)
-}
-
-// classifyRestoreFailure maps a restore error onto the metrics and a
-// log reason. Checksum/truncation damage counts as corruption; a
-// snapshot that decodes but fails validation (format, budget, stale
-// semantics) counts as a restore failure.
-func (s *Server) classifyRestoreFailure(kind string, err error) string {
-	switch {
-	case errors.Is(err, snapshot.ErrChecksum), errors.Is(err, snapshot.ErrTruncated):
-		s.metrics.corruptions(kind).Inc()
-		return "corrupt"
-	case errors.Is(err, snapshot.ErrFormat):
-		s.metrics.corruptions(kind).Inc()
-		return "malformed"
-	default:
-		return "invalid"
-	}
-}
-
-// acquireSim looks up a simulation session, transparently restoring it
-// from the spill store when it was evicted (or the process restarted).
-func (s *Server) acquireSim(r *http.Request, id string, now time.Time) (*handle[*simSession], error) {
+// acquire looks up a session, transparently restoring it from the
+// spill store when it was evicted (or the process restarted). Every
+// request to a session passes through it.
+func (k *sessionKind) acquire(r *http.Request, id string, now time.Time) (*handle[session], error) {
 	for {
-		h, err := s.sims.acquire(id, now)
+		h, err := k.reg.acquire(id, now)
 		if err == nil {
 			// The single choke point every request to the session passes
 			// through — where the resource account counts it.
-			h.val.acct.touch()
+			h.val.base().acct.touch()
 			return h, nil
 		}
-		if !s.spillEnabled() || !restorable(err) {
-			return h, err
-		}
-		if !s.restoreSim(r, id, now) {
-			return nil, err
-		}
-	}
-}
-
-// acquireVerify is acquireSim for verification sessions.
-func (s *Server) acquireVerify(r *http.Request, id string, now time.Time) (*handle[*verifySession], error) {
-	for {
-		h, err := s.verifies.acquire(id, now)
-		if err == nil {
-			h.val.acct.touch()
-			return h, nil
-		}
-		if !s.spillEnabled() || !restorable(err) {
-			return h, err
-		}
-		if !s.restoreVerify(r, id, now) {
+		if !k.srv.spillEnabled() || !restorable(err) || !k.restore(r, id, now) {
 			return nil, err
 		}
 	}
@@ -221,9 +179,10 @@ func restorable(err error) bool {
 	return errors.Is(err, errSessionGone) || errors.Is(err, errSessionUnknown)
 }
 
-// restoreSim attempts one singleflight restore of a sim session and
-// reports whether a retry of acquire is worthwhile.
-func (s *Server) restoreSim(r *http.Request, id string, now time.Time) bool {
+// restore attempts one singleflight restore of id and reports whether
+// a retry of acquire is worthwhile.
+func (k *sessionKind) restore(r *http.Request, id string, now time.Time) bool {
+	s := k.srv
 	done, run := s.restores.begin(id)
 	if !run {
 		// Another request restored (or failed to); re-try acquire
@@ -237,98 +196,46 @@ func (s *Server) restoreSim(r *http.Request, id string, now time.Time) bool {
 		if !errors.Is(err, snapshot.ErrNotFound) {
 			// Store unavailable — the degraded path the fault harness
 			// exercises. The session stays a tombstone.
-			s.metrics.simRestoreFailures.Inc()
+			s.metrics.restoreFailures[k.idx].Inc()
 			s.reqLogger(r).Warn("session restore degraded: spill store unavailable",
 				"component", "spill", "sessionId", id, "error", err)
 		}
 		return false
 	}
-	sim, ver, err := snapshot.Decode(blob)
-	if err == nil && sim == nil {
-		err = errorVerifySnapshot
-		_ = ver
-	}
-	var sess *simSession
-	if err == nil {
-		sess, err = resumeSimSession(sim, s.cfg.MaxNodes)
-	}
-	if err != nil {
-		reason := s.classifyRestoreFailure("sim", err)
-		s.metrics.simRestoreFailures.Inc()
-		s.reqLogger(r).Warn("session restore degraded to tombstone",
-			"component", "spill", "sessionId", id, "reason", reason, "error", err)
-		s.spill.forget(id) // the snapshot is unusable; don't retry it forever
-		s.tombstoneSim(id)
+	sess, err := k.resume(blob, s.cfg.MaxNodes)
+	if errors.Is(err, errOtherKind) {
+		// The id names the other tab's session: answer as for a live
+		// one of that kind (404) and keep its snapshot.
 		return false
 	}
-	sess.rec = s.newRecorder(id)
-	s.instrument(sess.sim.Pkg(), sess.rec, sess.acct)
-	s.spill.forget(id)
-	if evicted := s.sims.put(id, sess, now); evicted != "" {
-		s.metrics.evictedLRU.Inc()
-	}
-	s.metrics.restoreSeconds.Observe(time.Since(start).Seconds())
-	s.metrics.simsRestored.Inc()
-	s.reqLogger(r).Info("session restored from spill",
-		"component", "spill", "sessionId", id, "kind", "sim")
-	return true
-}
-
-// restoreVerify mirrors restoreSim for verification sessions.
-func (s *Server) restoreVerify(r *http.Request, id string, now time.Time) bool {
-	done, run := s.restores.begin(id)
-	if !run {
-		return true
-	}
-	defer done()
-	start := time.Now()
-	blob, err := s.spill.fetch(id)
 	if err != nil {
-		if !errors.Is(err, snapshot.ErrNotFound) {
-			s.metrics.verifyRestoreFailures.Inc()
-			s.reqLogger(r).Warn("session restore degraded: spill store unavailable",
-				"component", "spill", "sessionId", id, "error", err)
+		// Checksum/truncation damage counts as corruption; a snapshot
+		// that decodes but fails validation (format, budget, stale
+		// semantics) counts as a restore failure only.
+		reason := "invalid"
+		switch {
+		case errors.Is(err, snapshot.ErrChecksum), errors.Is(err, snapshot.ErrTruncated):
+			reason = "corrupt"
+			s.metrics.corruptions[k.idx].Inc()
+		case errors.Is(err, snapshot.ErrFormat):
+			reason = "malformed"
+			s.metrics.corruptions[k.idx].Inc()
 		}
-		return false
-	}
-	sim, ver, err := snapshot.Decode(blob)
-	if err == nil && ver == nil {
-		err = errorSimSnapshot
-		_ = sim
-	}
-	var sess *verifySession
-	if err == nil {
-		sess, err = resumeVerifySession(ver, s.cfg.MaxNodes)
-	}
-	if err != nil {
-		reason := s.classifyRestoreFailure("verify", err)
-		s.metrics.verifyRestoreFailures.Inc()
+		s.metrics.restoreFailures[k.idx].Inc()
 		s.reqLogger(r).Warn("session restore degraded to tombstone",
 			"component", "spill", "sessionId", id, "reason", reason, "error", err)
+		// The snapshot is unusable: drop it, and tombstone the id so
+		// later requests get a definitive 410 instead of retrying.
 		s.spill.forget(id)
-		s.tombstoneVerify(id)
+		k.reg.tombstone(id)
 		return false
 	}
-	sess.rec = s.newRecorder(id)
-	s.instrument(sess.pkg, sess.rec, sess.acct)
+	s.instrument(id, sess)
 	s.spill.forget(id)
-	if evicted := s.verifies.put(id, sess, now); evicted != "" {
-		s.metrics.evictedLRU.Inc()
-	}
+	k.put(r, id, sess, now)
 	s.metrics.restoreSeconds.Observe(time.Since(start).Seconds())
-	s.metrics.verifiesRestored.Inc()
+	s.metrics.restores[k.idx].Inc()
 	s.reqLogger(r).Info("session restored from spill",
-		"component", "spill", "sessionId", id, "kind", "verify")
+		"component", "spill", "sessionId", id, "kind", k.label())
 	return true
 }
-
-var (
-	errorVerifySnapshot = errors.New("web: snapshot holds a verification session, not a simulation")
-	errorSimSnapshot    = errors.New("web: snapshot holds a simulation session, not a verification")
-)
-
-// tombstoneSim records a tombstone for an id whose snapshot proved
-// unusable, so subsequent requests get a definitive 410 instead of
-// retrying the restore path.
-func (s *Server) tombstoneSim(id string)    { s.sims.tombstone(id) }
-func (s *Server) tombstoneVerify(id string) { s.verifies.tombstone(id) }

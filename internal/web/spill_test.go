@@ -52,36 +52,35 @@ func evictAll(t *testing.T, ws *Server) {
 	ws.spill.flush()
 }
 
-// sessionSnapshot re-encodes a live sim session's durable form; byte
+// sessionSnapshot re-encodes a live session's durable form; byte
 // equality of two snapshots proves the DD root edges (weights and
 // full node structure), position and classical state all match.
 func sessionSnapshot(t *testing.T, ws *Server, id string) []byte {
 	t.Helper()
-	return spillKinds[0].snapshot(t, ws, id)
+	for _, kind := range ws.kinds() {
+		if h, err := kind.reg.acquire(id, time.Now()); err == nil {
+			defer h.release()
+			return h.val.snapshot()
+		}
+	}
+	t.Fatalf("no live session %s", id)
+	return nil
 }
 
-// kindCounters are one session kind's durability series.
-type kindCounters struct {
-	spills, spillFailures, restores, restoreFailures, corruptions *obs.Counter
-}
-
-// spillKind is one tab's side of the durability tests: where its API
-// lives, how to create and step a session of it, how to read a live
-// session's durable form and which series count its lifecycle.
+// spillKind is one tab's side of the durability tests: its kind
+// index, where its API lives and how to create and step a session.
 type spillKind struct {
-	name  string // "sim" or "verify"
+	idx   int    // kindSim or kindVerify
 	path  string // API prefix; the session id follows
 	other string // the other tab's API prefix
 	// create opens a session over code and steps it twice.
-	create   func(t *testing.T, srv *httptest.Server, code string) string
-	finish   interface{} // step request that runs the session to its end
-	snapshot func(t *testing.T, ws *Server, id string) []byte
-	counters func(ws *Server) kindCounters
+	create func(t *testing.T, srv *httptest.Server, code string) string
+	finish interface{} // step request that runs the session to its end
 }
 
 var spillKinds = []spillKind{
 	{
-		name:  "sim",
+		idx:   kindSim,
 		path:  "/api/simulation/",
 		other: "/api/verification/",
 		create: func(t *testing.T, srv *httptest.Server, code string) string {
@@ -93,22 +92,9 @@ var spillKinds = []spillKind{
 			return created.ID
 		},
 		finish: stepRequest{Action: "end"},
-		snapshot: func(t *testing.T, ws *Server, id string) []byte {
-			t.Helper()
-			h, err := ws.sims.acquire(id, time.Now())
-			if err != nil {
-				t.Fatalf("acquire %s: %v", id, err)
-			}
-			defer h.release()
-			return h.val.snapshot()
-		},
-		counters: func(ws *Server) kindCounters {
-			m := ws.metrics
-			return kindCounters{m.simsSpilled, m.simSpillFailures, m.simsRestored, m.simRestoreFailures, m.simCorruptions}
-		},
 	},
 	{
-		name:  "verify",
+		idx:   kindVerify,
 		path:  "/api/verification/",
 		other: "/api/simulation/",
 		create: func(t *testing.T, srv *httptest.Server, code string) string {
@@ -120,26 +106,13 @@ var spillKinds = []spillKind{
 			return created.ID
 		},
 		finish: verifyStepRequest{Action: "barrier", Side: "right"},
-		snapshot: func(t *testing.T, ws *Server, id string) []byte {
-			t.Helper()
-			h, err := ws.verifies.acquire(id, time.Now())
-			if err != nil {
-				t.Fatalf("acquire %s: %v", id, err)
-			}
-			defer h.release()
-			return h.val.snapshot()
-		},
-		counters: func(ws *Server) kindCounters {
-			m := ws.metrics
-			return kindCounters{m.verifiesSpilled, m.verifySpillFailures, m.verifiesRestored, m.verifyRestoreFailures, m.verifyCorruptions}
-		},
 	},
 }
 
 // forEachKind runs body as one subtest per session kind.
 func forEachKind(t *testing.T, body func(t *testing.T, k spillKind)) {
 	for _, k := range spillKinds {
-		t.Run(k.name, func(t *testing.T) { body(t, k) })
+		t.Run(kindLabels[k.idx], func(t *testing.T) { body(t, k) })
 	}
 }
 
@@ -147,14 +120,14 @@ func TestSpillEvictRestoreBitIdentical(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k spillKind) {
 		ws, srv := newSpillTestServer(t, nil)
 		id := k.create(t, srv, algorithms.GHZ(3).QASM())
-		before := k.snapshot(t, ws, id)
+		before := sessionSnapshot(t, ws, id)
 
 		evictAll(t, ws)
 		if got := ws.SpillStore().Len(); got != 1 {
 			t.Fatalf("spill store holds %d snapshots after eviction, want 1", got)
 		}
-		if got := k.counters(ws).spills.Value(); got != 1 {
-			t.Fatalf("session_spills_total{kind=%s} = %d, want 1", k.name, got)
+		if got := ws.metrics.spills[k.idx].Value(); got != 1 {
+			t.Fatalf("session_spills_total{kind=%s} = %d, want 1", kindLabels[k.idx], got)
 		}
 
 		// The next request transparently restores: no 410, same state.
@@ -166,11 +139,11 @@ func TestSpillEvictRestoreBitIdentical(t *testing.T) {
 		if !strings.Contains(restored.Frame.SVG, "<svg") {
 			t.Fatal("restored session rendered no SVG frame")
 		}
-		if after := k.snapshot(t, ws, id); !bytes.Equal(before, after) {
+		if after := sessionSnapshot(t, ws, id); !bytes.Equal(before, after) {
 			t.Fatalf("restored session is not bit-identical: snapshot %d bytes vs %d bytes", len(before), len(after))
 		}
-		if got := k.counters(ws).restores.Value(); got != 1 {
-			t.Fatalf("session_restores_total{kind=%s} = %d, want 1", k.name, got)
+		if got := ws.metrics.restores[k.idx].Value(); got != 1 {
+			t.Fatalf("session_restores_total{kind=%s} = %d, want 1", kindLabels[k.idx], got)
 		}
 		// The consumed snapshot is stale the moment the session lives again.
 		if got := ws.SpillStore().Len(); got != 0 {
@@ -192,7 +165,7 @@ func TestWrongKindRequestKeepsSnapshot(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k spillKind) {
 		ws, srv := newSpillTestServer(t, nil)
 		id := k.create(t, srv, algorithms.GHZ(3).QASM())
-		before := k.snapshot(t, ws, id)
+		before := sessionSnapshot(t, ws, id)
 		evictAll(t, ws)
 
 		if resp := get(t, srv, k.other+id, nil); resp.StatusCode != http.StatusNotFound {
@@ -201,17 +174,16 @@ func TestWrongKindRequestKeepsSnapshot(t *testing.T) {
 		if got := ws.SpillStore().Len(); got != 1 {
 			t.Fatalf("spill store holds %d snapshots after the wrong-kind request, want 1", got)
 		}
-		for _, other := range spillKinds {
-			c := other.counters(ws)
-			if c.restoreFailures.Value() != 0 || c.corruptions.Value() != 0 {
-				t.Fatalf("wrong-kind request counted a failure under kind %s", other.name)
+		for kind, label := range kindLabels {
+			if ws.metrics.restoreFailures[kind].Value() != 0 || ws.metrics.corruptions[kind].Value() != 0 {
+				t.Fatalf("wrong-kind request counted a failure under kind %s", label)
 			}
 		}
 
 		if resp := get(t, srv, k.path+id, nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s%s after the wrong-kind request: status %d, want 200", k.path, id, resp.StatusCode)
 		}
-		if after := k.snapshot(t, ws, id); !bytes.Equal(before, after) {
+		if after := sessionSnapshot(t, ws, id); !bytes.Equal(before, after) {
 			t.Fatal("session restored after a wrong-kind request is not bit-identical")
 		}
 	})
@@ -233,7 +205,7 @@ func TestRestoreSurvivesRestart(t *testing.T) {
 		ws1 := NewServerWithConfig(cfg)
 		srv1 := httptest.NewServer(ws1.Handler())
 		id := k.create(t, srv1, algorithms.GHZ(3).QASM())
-		before := k.snapshot(t, ws1, id)
+		before := sessionSnapshot(t, ws1, id)
 		evictAll(t, ws1)
 		srv1.Close()
 		ws1.Close()
@@ -252,7 +224,7 @@ func TestRestoreSurvivesRestart(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET on restarted server: status %d, want 200", resp.StatusCode)
 		}
-		if after := k.snapshot(t, ws2, id); !bytes.Equal(before, after) {
+		if after := sessionSnapshot(t, ws2, id); !bytes.Equal(before, after) {
 			t.Fatal("session restored across restart is not bit-identical")
 		}
 	})
@@ -289,11 +261,11 @@ func TestCorruptSnapshotDegradesToGone(t *testing.T) {
 		if resp.StatusCode != http.StatusGone {
 			t.Fatalf("GET with corrupt snapshot: status %d, want 410", resp.StatusCode)
 		}
-		if got := k.counters(ws).corruptions.Value(); got != 1 {
-			t.Fatalf("snapshot_corruptions_total{kind=%s} = %d, want 1", k.name, got)
+		if got := ws.metrics.corruptions[k.idx].Value(); got != 1 {
+			t.Fatalf("snapshot_corruptions_total{kind=%s} = %d, want 1", kindLabels[k.idx], got)
 		}
-		if got := k.counters(ws).restoreFailures.Value(); got != 1 {
-			t.Fatalf("session_restore_failures_total{kind=%s} = %d, want 1", k.name, got)
+		if got := ws.metrics.restoreFailures[k.idx].Value(); got != 1 {
+			t.Fatalf("session_restore_failures_total{kind=%s} = %d, want 1", kindLabels[k.idx], got)
 		}
 		logs := logBuf.String()
 		if !strings.Contains(logs, "degraded to tombstone") || !strings.Contains(logs, "requestId=") {
@@ -306,7 +278,7 @@ func TestCorruptSnapshotDegradesToGone(t *testing.T) {
 		if resp.StatusCode != http.StatusGone {
 			t.Fatalf("second GET: status %d, want 410", resp.StatusCode)
 		}
-		if got := k.counters(ws).corruptions.Value(); got != 1 {
+		if got := ws.metrics.corruptions[k.idx].Value(); got != 1 {
 			t.Fatalf("corruption counted twice: %d", got)
 		}
 
@@ -340,8 +312,8 @@ func TestTruncatedSnapshotDegradesToGone(t *testing.T) {
 		if resp.StatusCode != http.StatusGone {
 			t.Fatalf("GET with short read: status %d, want 410", resp.StatusCode)
 		}
-		if got := k.counters(ws).corruptions.Value(); got != 1 {
-			t.Fatalf("snapshot_corruptions_total{kind=%s} = %d, want 1", k.name, got)
+		if got := ws.metrics.corruptions[k.idx].Value(); got != 1 {
+			t.Fatalf("snapshot_corruptions_total{kind=%s} = %d, want 1", kindLabels[k.idx], got)
 		}
 	})
 }
@@ -364,8 +336,8 @@ func TestSpillWriteFailureDegradesToTombstone(t *testing.T) {
 		id := k.create(t, srv, algorithms.Bell().QASM())
 		evictAll(t, ws)
 
-		if got := k.counters(ws).spillFailures.Value(); got != 1 {
-			t.Fatalf("session_spill_failures_total{kind=%s} = %d, want 1", k.name, got)
+		if got := ws.metrics.spillFailures[k.idx].Value(); got != 1 {
+			t.Fatalf("session_spill_failures_total{kind=%s} = %d, want 1", kindLabels[k.idx], got)
 		}
 		resp := get(t, srv, k.path+id, nil)
 		if resp.StatusCode != http.StatusGone {
@@ -445,8 +417,8 @@ func TestCloseStopsAllGoroutines(t *testing.T) {
 		ws := NewServerWithConfig(cfg)
 		circ := algorithms.GHZ(3)
 		sess := newSimSession(circ, circ.QASM(), "", 1, cfg.MaxNodes)
-		ws.instrument(sess.sim.Pkg(), nil, sess.acct)
-		ws.sims.put("leakcheck", sess, time.Now())
+		ws.instrument("leakcheck", sess)
+		ws.sims.reg.put("leakcheck", sess, time.Now())
 		ws.reapIdle(time.Now().Add(cfg.SessionTTL + time.Minute))
 		// Close must wait for the reaper AND flush the spill write that
 		// the eviction just scheduled.

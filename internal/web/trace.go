@@ -31,11 +31,11 @@ import (
 // either kind. The bool reports whether the session exists AND has
 // tracing enabled.
 func (s *Server) sessionRecorder(id string) (*trace.Recorder, bool) {
-	if sess, ok := s.sims.peek(id); ok {
-		return sess.rec, sess.rec != nil
-	}
-	if sess, ok := s.verifies.peek(id); ok {
-		return sess.rec, sess.rec != nil
+	for _, kind := range s.kinds() {
+		if sess, ok := kind.reg.peek(id); ok {
+			rec := sess.base().rec
+			return rec, rec != nil
+		}
 	}
 	return nil, false
 }
@@ -59,14 +59,9 @@ func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
 // fresh flag is irrelevant here.
 func (s *Server) sessionTraces() []trace.SessionTrace {
 	var out []trace.SessionTrace
-	s.sims.forEach(func(id string, sess *simSession, fresh bool) {
-		if sess.rec != nil {
-			out = append(out, trace.SessionFromRecorder(sess.rec, len(out)+1))
-		}
-	})
-	s.verifies.forEach(func(id string, sess *verifySession, fresh bool) {
-		if sess.rec != nil {
-			out = append(out, trace.SessionFromRecorder(sess.rec, len(out)+1))
+	s.forEachSession(func(k int, id string, sess session, fresh bool) {
+		if rec := sess.base().rec; rec != nil {
+			out = append(out, trace.SessionFromRecorder(rec, len(out)+1))
 		}
 	})
 	return out

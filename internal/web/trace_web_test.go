@@ -241,11 +241,11 @@ func TestScrapeSeesFreshStatsOnIdleSession(t *testing.T) {
 	post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "forward"}, &out)
 	post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "forward"}, &out)
 
-	h, err := ws.sims.acquire(created.ID, time.Now())
+	h, err := ws.sims.reg.acquire(created.ID, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLive := h.val.sim.Pkg().LiveNodes()
+	wantLive := h.val.ddPkg().LiveNodes()
 	h.release()
 
 	resp, err := http.Get(srv.URL + "/metrics")
