@@ -7,7 +7,6 @@
 package web
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -148,17 +147,16 @@ func (s *simSession) snapshot() []byte {
 	})
 }
 
-// errOtherKind marks a spill snapshot that holds a session of the
-// other tab.
-var errOtherKind = errors.New("web: snapshot holds a session of the other kind")
-
 // resumeSimSession rebuilds a session from its durable form: re-parse
 // the original source, decode the DD state bit-exactly under the node
 // budget, and resume the simulator at the stored position.
 func resumeSimSession(blob []byte, maxNodes int) (session, error) {
 	snap, _, err := snapshot.Decode(blob)
-	if err != nil || snap == nil {
-		return nil, cmp.Or(err, errOtherKind)
+	if err != nil {
+		return nil, err
+	}
+	if snap == nil {
+		return nil, errors.New("web: restore: snapshot holds no simulation session")
 	}
 	circ, err := ParseCircuit(snap.Source, snap.Format)
 	if err != nil {
@@ -274,8 +272,11 @@ func (v *verifySession) snapshot() []byte {
 // and decoding the matrix diagram bit-exactly under the node budget.
 func resumeVerifySession(blob []byte, maxNodes int) (session, error) {
 	_, snap, err := snapshot.Decode(blob)
-	if err != nil || snap == nil {
-		return nil, cmp.Or(err, errOtherKind)
+	if err != nil {
+		return nil, err
+	}
+	if snap == nil {
+		return nil, errors.New("web: restore: snapshot holds no verification session")
 	}
 	left, err := ParseCircuit(snap.LeftSource, snap.LeftFormat)
 	if err != nil {

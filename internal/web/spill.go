@@ -28,6 +28,7 @@ import (
 	"errors"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -182,6 +183,12 @@ func restorable(err error) bool {
 // restore attempts one singleflight restore of id and reports whether
 // a retry of acquire is worthwhile.
 func (k *sessionKind) restore(r *http.Request, id string, now time.Time) bool {
+	if !strings.HasPrefix(id, k.label()+"-") {
+		// The id names the other tab's session (ids are "<kind>-N"):
+		// answer as for a live one of that kind (404) without reading
+		// its snapshot, counting anything or tombstoning the id.
+		return false
+	}
 	s := k.srv
 	done, run := s.restores.begin(id)
 	if !run {
@@ -203,11 +210,6 @@ func (k *sessionKind) restore(r *http.Request, id string, now time.Time) bool {
 		return false
 	}
 	sess, err := k.resume(blob, s.cfg.MaxNodes)
-	if errors.Is(err, errOtherKind) {
-		// The id names the other tab's session: answer as for a live
-		// one of that kind (404) and keep its snapshot.
-		return false
-	}
 	if err != nil {
 		// Checksum/truncation damage counts as corruption; a snapshot
 		// that decodes but fails validation (format, budget, stale

@@ -75,7 +75,9 @@ type spillKind struct {
 	other string // the other tab's API prefix
 	// create opens a session over code and steps it twice.
 	create func(t *testing.T, srv *httptest.Server, code string) string
-	finish interface{} // step request that runs the session to its end
+	// finish runs the session over code to its end and checks that the
+	// step answered 200 and reports the end.
+	finish func(t *testing.T, srv *httptest.Server, id, code string)
 }
 
 var spillKinds = []spillKind{
@@ -91,7 +93,13 @@ var spillKinds = []spillKind{
 			}
 			return created.ID
 		},
-		finish: stepRequest{Action: "end"},
+		finish: func(t *testing.T, srv *httptest.Server, id, code string) {
+			var step stepResponse
+			resp := post(t, srv, "/api/simulation/"+id+"/step", stepRequest{Action: "end"}, &step)
+			if resp.StatusCode != http.StatusOK || !step.AtEnd {
+				t.Fatalf("step to the end: status %d, atEnd %v; want 200 at the end", resp.StatusCode, step.AtEnd)
+			}
+		},
 	},
 	{
 		idx:   kindVerify,
@@ -105,7 +113,20 @@ var spillKinds = []spillKind{
 			}
 			return created.ID
 		},
-		finish: verifyStepRequest{Action: "barrier", Side: "right"},
+		finish: func(t *testing.T, srv *httptest.Server, id, code string) {
+			circ, err := ParseCircuit(code, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// No barriers: the right side runs to its end, and the left
+			// side stays where create left it.
+			var step verifyStepResponse
+			resp := post(t, srv, "/api/verification/"+id+"/step", verifyStepRequest{Action: "barrier", Side: "right"}, &step)
+			if resp.StatusCode != http.StatusOK || step.RightPos != len(circ.Ops) || step.LeftPos != 2 {
+				t.Fatalf("right side to its end: status %d, positions %d/%d; want 200 at 2/%d",
+					resp.StatusCode, step.LeftPos, step.RightPos, len(circ.Ops))
+			}
+		},
 	},
 }
 
@@ -119,7 +140,8 @@ func forEachKind(t *testing.T, body func(t *testing.T, k spillKind)) {
 func TestSpillEvictRestoreBitIdentical(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k spillKind) {
 		ws, srv := newSpillTestServer(t, nil)
-		id := k.create(t, srv, algorithms.GHZ(3).QASM())
+		code := algorithms.GHZ(3).QASM()
+		id := k.create(t, srv, code)
 		before := sessionSnapshot(t, ws, id)
 
 		evictAll(t, ws)
@@ -151,40 +173,60 @@ func TestSpillEvictRestoreBitIdentical(t *testing.T) {
 		}
 
 		// The restored session keeps working: run it to the end.
-		if resp := post(t, srv, k.path+id+"/step", k.finish, nil); resp.StatusCode != http.StatusOK {
-			t.Fatalf("step of the restored session: status %d, want 200", resp.StatusCode)
-		}
+		k.finish(t, srv, id, code)
 	})
 }
 
 // TestWrongKindRequestKeepsSnapshot asks the other tab's endpoint for
 // a spilled session: it answers 404, as for a live session of the
 // other kind, and leaves the snapshot, the counters and the id alone,
-// so the session's own endpoint still restores it.
+// so the session's own endpoint still restores it — or, when the
+// snapshot is corrupt, counts the damage under the session's own kind.
 func TestWrongKindRequestKeepsSnapshot(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k spillKind) {
-		ws, srv := newSpillTestServer(t, nil)
-		id := k.create(t, srv, algorithms.GHZ(3).QASM())
-		before := sessionSnapshot(t, ws, id)
-		evictAll(t, ws)
-
-		if resp := get(t, srv, k.other+id, nil); resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s%s: status %d, want 404", k.other, id, resp.StatusCode)
-		}
-		if got := ws.SpillStore().Len(); got != 1 {
-			t.Fatalf("spill store holds %d snapshots after the wrong-kind request, want 1", got)
-		}
-		for kind, label := range kindLabels {
-			if ws.metrics.restoreFailures[kind].Value() != 0 || ws.metrics.corruptions[kind].Value() != 0 {
-				t.Fatalf("wrong-kind request counted a failure under kind %s", label)
+		for _, corrupt := range []bool{false, true} {
+			name := "intact"
+			if corrupt {
+				name = "corrupt"
 			}
-		}
+			t.Run(name, func(t *testing.T) {
+				ws, srv := newSpillTestServer(t, nil)
+				id := k.create(t, srv, algorithms.GHZ(3).QASM())
+				before := sessionSnapshot(t, ws, id)
+				evictAll(t, ws)
+				if corrupt {
+					corruptSnapshot(t, ws)
+				}
 
-		if resp := get(t, srv, k.path+id, nil); resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s%s after the wrong-kind request: status %d, want 200", k.path, id, resp.StatusCode)
-		}
-		if after := sessionSnapshot(t, ws, id); !bytes.Equal(before, after) {
-			t.Fatal("session restored after a wrong-kind request is not bit-identical")
+				if resp := get(t, srv, k.other+id, nil); resp.StatusCode != http.StatusNotFound {
+					t.Fatalf("GET %s%s: status %d, want 404", k.other, id, resp.StatusCode)
+				}
+				if got := ws.SpillStore().Len(); got != 1 {
+					t.Fatalf("spill store holds %d snapshots after the wrong-kind request, want 1", got)
+				}
+				for kind, label := range kindLabels {
+					if ws.metrics.restoreFailures[kind].Value() != 0 || ws.metrics.corruptions[kind].Value() != 0 {
+						t.Fatalf("wrong-kind request counted a failure under kind %s", label)
+					}
+				}
+
+				resp := get(t, srv, k.path+id, nil)
+				if corrupt {
+					if resp.StatusCode != http.StatusGone {
+						t.Fatalf("GET %s%s with corrupt snapshot: status %d, want 410", k.path, id, resp.StatusCode)
+					}
+					if got := ws.metrics.corruptions[k.idx].Value(); got != 1 {
+						t.Fatalf("snapshot_corruptions_total{kind=%s} = %d, want 1", kindLabels[k.idx], got)
+					}
+					return
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s%s after the wrong-kind request: status %d, want 200", k.path, id, resp.StatusCode)
+				}
+				if after := sessionSnapshot(t, ws, id); !bytes.Equal(before, after) {
+					t.Fatal("session restored after a wrong-kind request is not bit-identical")
+				}
+			})
 		}
 	})
 }
@@ -230,6 +272,24 @@ func TestRestoreSurvivesRestart(t *testing.T) {
 	})
 }
 
+// corruptSnapshot flips one bit in the middle of the single snapshot
+// file in the server's spill directory.
+func corruptSnapshot(t *testing.T, ws *Server) {
+	t.Helper()
+	snaps, err := filepath.Glob(filepath.Join(ws.cfg.SpillDir, "*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshot files on disk: %v (err %v)", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x10
+	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCorruptSnapshotDegradesToGone flips one bit of the on-disk
 // snapshot: the restore must reject it (checksum), count the
 // corruption, log a structured warning carrying the request id, leave
@@ -243,19 +303,7 @@ func TestCorruptSnapshotDegradesToGone(t *testing.T) {
 
 		id := k.create(t, srv, algorithms.GHZ(3).QASM())
 		evictAll(t, ws)
-
-		snaps, err := filepath.Glob(filepath.Join(ws.cfg.SpillDir, "*.snap"))
-		if err != nil || len(snaps) != 1 {
-			t.Fatalf("snapshot files on disk: %v (err %v)", snaps, err)
-		}
-		data, err := os.ReadFile(snaps[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0x10
-		if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		corruptSnapshot(t, ws)
 
 		resp := get(t, srv, k.path+id, nil)
 		if resp.StatusCode != http.StatusGone {
