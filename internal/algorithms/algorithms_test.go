@@ -125,15 +125,11 @@ func TestQPEEstimatesPhase(t *testing.T) {
 		if op.Kind != qc.KindGate {
 			continue
 		}
-		ctl := make([]dd.Control, len(op.Controls))
-		for k, cc := range op.Controls {
-			ctl[k] = dd.Control{Qubit: cc.Qubit, Neg: cc.Neg}
-		}
 		var g dd.MEdge
 		if op.Gate == qc.Swap {
-			g = p.MakeSwapDD(op.Targets[0], op.Targets[1], ctl...)
+			g = p.MakeSwapDD(op.Targets[0], op.Targets[1], op.Controls...)
 		} else {
-			g = p.MakeGateDD(dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
+			g = p.MakeGateDD(dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], op.Controls...)
 		}
 		st = p.MultMV(g, st)
 	}

@@ -152,14 +152,9 @@ func runUnitary(c *qc.Circuit) (*dd.Pkg, dd.VEdge, error) {
 		default:
 			return nil, dd.VZero(), fmt.Errorf("algorithms: non-unitary op %q in runUnitary", op.String())
 		}
-		ctl := make([]dd.Control, len(op.Controls))
-		for k, cc := range op.Controls {
-			ctl[k] = dd.Control{Qubit: cc.Qubit, Neg: cc.Neg}
-		}
-		if op.Gate == qc.Swap {
-			state = p.ApplySwap(state, op.Targets[0], op.Targets[1], ctl...)
-		} else {
-			state = p.ApplyGate(state, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
+		var err error
+		if state, err = p.ApplyOp(state, op); err != nil {
+			return nil, dd.VZero(), err
 		}
 	}
 	return p, state, nil

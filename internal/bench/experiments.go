@@ -547,14 +547,9 @@ func runA4(w io.Writer) (Summary, error) {
 			if op.Kind != qc.KindGate {
 				continue
 			}
-			ctl := make([]dd.Control, len(op.Controls))
-			for k, c := range op.Controls {
-				ctl[k] = dd.Control{Qubit: c.Qubit, Neg: c.Neg}
-			}
-			if op.Gate == qc.Swap {
-				st = p.ApplySwap(st, op.Targets[0], op.Targets[1], ctl...)
-			} else {
-				st = p.ApplyGate(st, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
+			var err error
+			if st, err = p.ApplyOp(st, op); err != nil {
+				return nil, dd.VZero(), err
 			}
 		}
 		return p, st, nil

@@ -9,6 +9,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"quantumdd/internal/qc"
 )
 
 // randMatrixDD builds a random sparse operator diagram: roughly a
@@ -330,10 +332,11 @@ func TestApplyGateMSidesDigest(t *testing.T) {
 				if len(free) > 1 && rng.Intn(2) == 1 {
 					ctl = []Control{{Qubit: free[1], Neg: rng.Intn(2) == 1}}
 				}
+				op := &qc.Op{Kind: qc.KindGate, Gate: qc.Swap, Targets: []int{target, free[0]}, Controls: ctl}
 				if k == 4 {
-					next, err = p.ApplySwapMLChecked(m, target, free[0], ctl...)
+					next, err = p.ApplyOpML(m, op)
 				} else {
-					next = p.ApplySwapMR(m, target, free[0], ctl...)
+					next, err = p.ApplyOpMR(m, op)
 				}
 			default:
 				ctl := make([]Control, 0, 3)

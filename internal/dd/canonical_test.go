@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"quantumdd/internal/qc"
 )
 
 // TestMakeNodeNegligibleWeightIsZero checks that a candidate node
@@ -140,8 +142,13 @@ func TestExportedRootsCanonical(t *testing.T) {
 			q := (target + 1 + rng.Intn(n-1)) % n
 			v("ApplySwap", p.ApplySwap(a, target, q))
 			m("MakeSwapDD", p.MakeSwapDD(target, q))
-			m("ApplySwapML", p.ApplySwapML(ma, target, q))
-			m("ApplySwapMR", p.ApplySwapMR(ma, target, q))
+			swap := &qc.Op{Kind: qc.KindGate, Gate: qc.Swap, Targets: []int{target, q}}
+			me, err = p.ApplyOpML(ma, swap)
+			must(err)
+			m("ApplyOpML (SWAP)", me)
+			me, err = p.ApplyOpMR(ma, swap)
+			must(err)
+			m("ApplyOpMR (SWAP)", me)
 			e, err = p.ReorderedState(b, rng.Perm(n))
 			must(err)
 			v("ReorderedState", e)

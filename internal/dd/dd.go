@@ -48,6 +48,11 @@
 // (verify.CheckOn's Result.Root) comes back referenced, and the caller
 // releases it with DecRefV/DecRefM. Close ends the package and every
 // root on it, referenced or not.
+//
+// Circuits. Besides its number and memory helpers (cnum, pool), dd
+// imports the leaf package qc, which imports only the standard
+// library: Control is qc.Control, and ApplyOp/ApplyOpML/ApplyOpMR
+// (op.go) are the one entry from a circuit op to the gate kernels.
 package dd
 
 import (

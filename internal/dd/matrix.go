@@ -2,6 +2,8 @@ package dd
 
 import (
 	"math/cmplx"
+
+	"quantumdd/internal/qc"
 )
 
 // GateMatrix is a 2×2 unitary in row-major order: [U00, U01, U10, U11].
@@ -9,11 +11,10 @@ type GateMatrix [4]complex128
 
 // Control describes a control line of a quantum operation. A positive
 // control activates the gate when the qubit is |1⟩ (the • of circuit
-// diagrams), a negative control when it is |0⟩.
-type Control struct {
-	Qubit int
-	Neg   bool
-}
+// diagrams), a negative control when it is |0⟩. It is the circuit's own
+// control type, so a circuit op's controls pass to the kernels as they
+// are.
+type Control = qc.Control
 
 // Ident returns the identity diagram over all qubits of the package —
 // the starting point and target of the alternating equivalence-

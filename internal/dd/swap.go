@@ -6,8 +6,9 @@ package dd
 // controls. The sequence is a palindrome, so it serves both sides of a
 // matrix product: S·M and M·S both apply the triple in the order
 // given. Every SWAP the engine applies takes its CNOTs from swapCNOTs,
-// whether through the gate-apply kernels or lowered to its gate
-// diagram by MakeSwapDD.
+// whether through the gate-apply kernels (ApplySwap, ApplySwapChecked
+// and the matrix sides behind ApplyOpML/ApplyOpMR) or lowered to its
+// gate diagram by MakeSwapDD.
 
 // cnot is one gate of a SWAP's CNOT triple: X on target under
 // controls.
@@ -30,8 +31,8 @@ func swapCNOTs(a, b int, controls []Control) [3]cnot {
 // MakeSwapDD builds the diagram of a (controlled) SWAP of qubits a and
 // b as the product of its three CNOT diagrams — the standard
 // decomposition the paper's compiled circuits use. Circuits apply SWAP
-// through the kernels (ApplySwap, ApplySwapML, ApplySwapMR); the
-// diagram is for callers that multiply gate diagrams themselves.
+// through the kernels (ApplyOp, ApplyOpML, ApplyOpMR); the diagram is
+// for callers that multiply gate diagrams themselves.
 func (p *Pkg) MakeSwapDD(a, b int, controls ...Control) MEdge {
 	cx := swapCNOTs(a, b, controls)
 	g1 := p.MakeGateDD(pauliX, cx[0].target, cx[0].controls...)
@@ -64,37 +65,10 @@ func (p *Pkg) ApplySwapChecked(v VEdge, a, b int, controls ...Control) (VEdge, e
 	return v, nil
 }
 
-// ApplySwapML computes the left product S·M of a (controlled) SWAP and
-// the matrix diagram m as three ApplyGateML CNOTs.
-func (p *Pkg) ApplySwapML(m MEdge, a, b int, controls ...Control) MEdge {
-	return p.applySwapM(m, a, b, controls, left)
-}
-
-// ApplySwapMR computes the right product M·S as three ApplyGateMR
-// CNOTs.
-func (p *Pkg) ApplySwapMR(m MEdge, a, b int, controls ...Control) MEdge {
-	return p.applySwapM(m, a, b, controls, right)
-}
-
-// ApplySwapMLChecked is ApplySwapML under the node budget, with the
-// intermediates protected as in ApplySwapChecked.
-func (p *Pkg) ApplySwapMLChecked(m MEdge, a, b int, controls ...Control) (MEdge, error) {
-	return p.applySwapMChecked(m, a, b, controls, left)
-}
-
-// ApplySwapMRChecked is ApplySwapMR under the node budget, with the
-// intermediates protected as in ApplySwapChecked.
-func (p *Pkg) ApplySwapMRChecked(m MEdge, a, b int, controls ...Control) (MEdge, error) {
-	return p.applySwapMChecked(m, a, b, controls, right)
-}
-
-func (p *Pkg) applySwapM(m MEdge, a, b int, controls []Control, s side) MEdge {
-	for _, cx := range swapCNOTs(a, b, controls) {
-		m = p.applyGateMTraced(m, p.internGate(pauliX, cx.target, cx.controls), s)
-	}
-	return m
-}
-
+// applySwapMChecked computes the product S·M (side left) or M·S (side
+// right) of a (controlled) SWAP and m as three matrix-kernel CNOTs
+// under the node budget, with the intermediates protected as in
+// ApplySwapChecked.
 func (p *Pkg) applySwapMChecked(m MEdge, a, b int, controls []Control, s side) (MEdge, error) {
 	for _, cx := range swapCNOTs(a, b, controls) {
 		var err error

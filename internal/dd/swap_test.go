@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"quantumdd/internal/qc"
 )
 
 // TestApplySwapMatchesGateDD is the SWAP differential test: on a
 // package shared by both paths, the kernel SWAP must return exactly the
 // canonical root edge of MakeSwapDD followed by the generic multiply —
 // MultMV for states, MultMM on either side for matrices — and so must
-// the checked forms. It covers random states and matrices of 3–7
-// qubits, adjacent and distant pairs in both orders, and no, a positive
-// and a negative control.
+// the checked form and the circuit-op entries. It covers random states
+// and matrices of 3–7 qubits, adjacent and distant pairs in both
+// orders, and no, a positive and a negative control.
 //
 // Each case gets a fresh package. One that has interned the weights of
 // dozens of dense random operators can resolve the two evaluation
@@ -38,6 +40,7 @@ func TestApplySwapMatchesGateDD(t *testing.T) {
 					name := fmt.Sprintf("n=%d swap(%d,%d) ctl=%v", n, a, b, ctl)
 					p := New(n)
 					swap := p.MakeSwapDD(a, b, ctl...)
+					op := &qc.Op{Kind: qc.KindGate, Gate: qc.Swap, Targets: []int{a, b}, Controls: ctl}
 
 					v := randState(t, p, rng, n)
 					want := p.MultMV(swap, v)
@@ -47,20 +50,17 @@ func TestApplySwapMatchesGateDD(t *testing.T) {
 					if got, err := p.ApplySwapChecked(v, a, b, ctl...); err != nil || got != want {
 						t.Fatalf("%s: ApplySwapChecked %v, %v != MultMV %v", name, got, err, want)
 					}
+					if got, err := p.ApplyOp(v, op); err != nil || got != want {
+						t.Fatalf("%s: ApplyOp %v, %v != MultMV %v", name, got, err, want)
+					}
 
 					m := randMatrixDD(t, p, rng, n)
 					wantL, wantR := p.MultMM(swap, m), p.MultMM(m, swap)
-					if got := p.ApplySwapML(m, a, b, ctl...); got != wantL {
-						t.Fatalf("%s: ApplySwapML (%v,%p) != MultMM (%v,%p)", name, got.W, got.N, wantL.W, wantL.N)
+					if got, err := p.ApplyOpML(m, op); err != nil || got != wantL {
+						t.Fatalf("%s: ApplyOpML (%v,%p), %v != MultMM (%v,%p)", name, got.W, got.N, err, wantL.W, wantL.N)
 					}
-					if got := p.ApplySwapMR(m, a, b, ctl...); got != wantR {
-						t.Fatalf("%s: ApplySwapMR (%v,%p) != MultMM (%v,%p)", name, got.W, got.N, wantR.W, wantR.N)
-					}
-					if got, err := p.ApplySwapMLChecked(m, a, b, ctl...); err != nil || got != wantL {
-						t.Fatalf("%s: ApplySwapMLChecked differs: %v", name, err)
-					}
-					if got, err := p.ApplySwapMRChecked(m, a, b, ctl...); err != nil || got != wantR {
-						t.Fatalf("%s: ApplySwapMRChecked differs: %v", name, err)
+					if got, err := p.ApplyOpMR(m, op); err != nil || got != wantR {
+						t.Fatalf("%s: ApplyOpMR (%v,%p), %v != MultMM (%v,%p)", name, got.W, got.N, err, wantR.W, wantR.N)
 					}
 					cases += 3
 				}

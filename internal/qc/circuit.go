@@ -57,6 +57,14 @@ func (o *Op) IsUnitary() bool { return o.Kind == KindGate && o.Cond == nil }
 // measurement results).
 func (o *Op) IsSpecial() bool { return o.Kind != KindGate || o.Cond != nil }
 
+// Inverse returns the adjoint of the gate op: the inverted gate
+// (InverseGate) on the same targets and controls, which it shares with
+// o. The classical condition and label are not carried over.
+func (o *Op) Inverse() Op {
+	g, params := InverseGate(o.Gate, o.Params)
+	return Op{Kind: KindGate, Gate: g, Params: params, Targets: o.Targets, Controls: o.Controls}
+}
+
 // String renders the operation in OpenQASM-like syntax. It names
 // every traced step and applied-gate caption, so it appends with
 // strconv instead of formatting through fmt.
@@ -294,13 +302,12 @@ func (c *Circuit) Inverse() (*Circuit, error) {
 	inv := New(c.NQubits, c.NClbits)
 	inv.Name = c.Name + "_inv"
 	for i := len(c.Ops) - 1; i >= 0; i-- {
-		op := c.Ops[i]
+		op := &c.Ops[i]
 		if op.Kind == KindBarrier {
-			inv.Ops = append(inv.Ops, op)
+			inv.Ops = append(inv.Ops, *op)
 			continue
 		}
-		g, params := InverseGate(op.Gate, op.Params)
-		inv.Append(Op{Kind: KindGate, Gate: g, Params: params, Targets: op.Targets, Controls: op.Controls})
+		inv.Append(op.Inverse())
 	}
 	return inv, nil
 }

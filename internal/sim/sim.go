@@ -379,7 +379,7 @@ func (s *Simulator) stepForward(ctx context.Context) (Event, error) {
 			// string build only happens with a recorder attached.
 			_, asp = trace.StartSpan(ctx, "apply "+op.String())
 		}
-		next, err := s.applyGate(op)
+		next, err := s.pkg.ApplyOp(s.state, op)
 		asp.End()
 		if err != nil {
 			s.pkg.DecRefV(snap.state)
@@ -457,20 +457,6 @@ func (s *Simulator) condHolds(c *qc.Condition) bool {
 		}
 	}
 	return v == c.Value
-}
-
-// applyGate applies one gate op under the node budget through the
-// gate-apply kernel: ApplyGate for single-target gates, ApplySwap for
-// SWAP.
-func (s *Simulator) applyGate(op *qc.Op) (dd.VEdge, error) {
-	ctl := make([]dd.Control, len(op.Controls))
-	for i, c := range op.Controls {
-		ctl[i] = dd.Control{Qubit: c.Qubit, Neg: c.Neg}
-	}
-	if op.Gate == qc.Swap {
-		return s.pkg.ApplySwapChecked(s.state, op.Targets[0], op.Targets[1], ctl...)
-	}
-	return s.pkg.ApplyGateChecked(s.state, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ctl...)
 }
 
 // StepBackward undoes the most recently executed operation (including

@@ -1,8 +1,10 @@
 package verify
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"quantumdd/internal/algorithms"
@@ -173,6 +175,65 @@ func TestKernelBudgetPartialProgress(t *testing.T) {
 	for i, r := range recs {
 		if r.Nodes <= 0 || r.Gate == "" {
 			t.Fatalf("record %d degenerate: %+v", i, r)
+		}
+	}
+}
+
+// TestCheckUnderBudgetAllStrategies: every strategy applies its gates
+// under the node budget, the alternating ones included. A budget one
+// node below the unbudgeted peak of G·G′⁻¹ fails the check with
+// dd.ErrResourceExhausted and leaves no reference behind, and the same
+// package, with the budget lifted, then reaches the unbudgeted run's
+// root, peak, trace and kernel-op count. Budgets from the peak up,
+// under which the checked kernels collect garbage, each either fail
+// or reach that result too: nothing a strategy still needs, such as
+// lookahead's first probe while it computes the second, is swept.
+func TestCheckUnderBudgetAllStrategies(t *testing.T) {
+	c1, c2 := algorithms.QFT(5), algorithms.QFTCompiled(5)
+	for _, s := range allStrategies {
+		pFree := dd.New(c1.NQubits)
+		free, err := CheckOn(pFree, c1, c2, s)
+		if err != nil {
+			t.Fatalf("%v unbudgeted: %v", s, err)
+		}
+		// Canonical diagrams serialize to equal bytes exactly when they
+		// are the same diagram, across packages too.
+		root := pFree.AppendMatrixBinary(nil, free.Root)
+		same := func(p *dd.Pkg, r *Result) bool {
+			return r.Equivalent && r.PeakNodes == free.PeakNodes && r.KernelOps == free.KernelOps &&
+				reflect.DeepEqual(r.Trace, free.Trace) && bytes.Equal(p.AppendMatrixBinary(nil, r.Root), root)
+		}
+
+		p := dd.New(c1.NQubits)
+		p.SetMaxNodes(free.PeakNodes - 1)
+		if _, err := CheckOn(p, c1, c2, s); !errors.Is(err, dd.ErrResourceExhausted) {
+			t.Fatalf("%v under a budget of %d nodes (peak %d): err = %v, want ErrResourceExhausted", s, free.PeakNodes-1, free.PeakNodes, err)
+		}
+		if p.GarbageCollect(); p.LiveNodes() != 0 {
+			t.Fatalf("%v: the failed check left %d nodes referenced", s, p.LiveNodes())
+		}
+		p.SetMaxNodes(0)
+		if again, err := CheckOn(p, c1, c2, s); err != nil || !same(p, again) {
+			t.Fatalf("%v rerun without a budget: err %v, or a result other than the unbudgeted run's", s, err)
+		}
+
+		passed := 0
+		for b := free.PeakNodes; b <= 6*free.PeakNodes; b += max(1, free.PeakNodes/16) {
+			p := dd.New(c1.NQubits)
+			p.SetMaxNodes(b)
+			r, err := CheckOn(p, c1, c2, s)
+			switch {
+			case errors.Is(err, dd.ErrResourceExhausted):
+			case err != nil:
+				t.Fatalf("%v, budget %d: %v", s, b, err)
+			case !same(p, r):
+				t.Fatalf("%v, budget %d: the check passed with a result other than the unbudgeted run's", s, b)
+			default:
+				passed++
+			}
+		}
+		if passed == 0 {
+			t.Fatalf("%v: no budget up to 6× the peak of %d nodes let the check pass", s, free.PeakNodes)
 		}
 	}
 }

@@ -75,59 +75,9 @@ type Result struct {
 	PeakNodes       int // maximum DD size observed
 	FinalNodes      int
 	MultOps         int      // number of gate-application steps
-	KernelOps       int      // kernel applications; a SWAP counts three
+	KernelOps       int      // matrix-kernel applications (Stats.ApplyMOps over the check); a SWAP counts three
 	Root            dd.MEdge // canonical root edge of the final diagram, referenced (see CheckOn)
 	Trace           []StepRecord
-}
-
-// ddControls converts a circuit op's control lines.
-func ddControls(op *qc.Op) []dd.Control {
-	ctl := make([]dd.Control, len(op.Controls))
-	for i, c := range op.Controls {
-		ctl[i] = dd.Control{Qubit: c.Qubit, Neg: c.Neg}
-	}
-	return ctl
-}
-
-// engine applies one gate to a matrix DD through the matrix-apply
-// kernel, counting applications for Result and the web views. The
-// kernel takes a SWAP as three CNOTs and counts each.
-type engine struct {
-	p         *dd.Pkg
-	kernelOps int
-}
-
-// left computes U·x, right computes x·U, for the op as given (callers
-// pre-invert ops consumed from the right side).
-func (e *engine) left(x dd.MEdge, op *qc.Op) dd.MEdge {
-	if op.Gate == qc.Swap {
-		e.kernelOps += 3
-		return e.p.ApplySwapML(x, op.Targets[0], op.Targets[1], ddControls(op)...)
-	}
-	e.kernelOps++
-	return e.p.ApplyGateML(x, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ddControls(op)...)
-}
-
-func (e *engine) right(x dd.MEdge, op *qc.Op) dd.MEdge {
-	if op.Gate == qc.Swap {
-		e.kernelOps += 3
-		return e.p.ApplySwapMR(x, op.Targets[0], op.Targets[1], ddControls(op)...)
-	}
-	e.kernelOps++
-	return e.p.ApplyGateMR(x, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ddControls(op)...)
-}
-
-// leftChecked is left under the node budget.
-func (e *engine) leftChecked(x dd.MEdge, op *qc.Op) (dd.MEdge, error) {
-	if op.Gate == qc.Swap {
-		next, err := e.p.ApplySwapMLChecked(x, op.Targets[0], op.Targets[1], ddControls(op)...)
-		if err == nil {
-			e.kernelOps += 3
-		}
-		return next, err
-	}
-	e.kernelOps++
-	return e.p.ApplyGateMLChecked(x, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ddControls(op)...)
 }
 
 // unitaryOps filters the gate operations of a circuit (barriers are
@@ -150,7 +100,7 @@ func unitaryOps(c *qc.Circuit) []*qc.Op {
 // not referenced (IncRefM) may be swept; the returned root is
 // unreferenced.
 func BuildFunctionality(p *dd.Pkg, c *qc.Circuit) (dd.MEdge, []StepRecord, error) {
-	return buildFunctionality(context.Background(), &engine{p: p}, c, true)
+	return buildFunctionality(context.Background(), p, c, true)
 }
 
 // Functionality is BuildFunctionality without the per-gate records,
@@ -158,7 +108,7 @@ func BuildFunctionality(p *dd.Pkg, c *qc.Circuit) (dd.MEdge, []StepRecord, error
 // and span each record costs. The root is the same, and it collects
 // garbage the same way: unreferenced diagrams on p may be swept.
 func Functionality(p *dd.Pkg, c *qc.Circuit) (dd.MEdge, error) {
-	u, _, err := buildFunctionality(context.Background(), &engine{p: p}, c, false)
+	u, _, err := buildFunctionality(context.Background(), p, c, false)
 	return u, err
 }
 
@@ -174,11 +124,10 @@ const gcFloor = 1024
 // the swept nodes return to the free list and the tables stay sized
 // to the operator, not to its history. Only diagrams referenced on p
 // survive such a collection.
-func buildFunctionality(ctx context.Context, eng *engine, c *qc.Circuit, record bool) (dd.MEdge, []StepRecord, error) {
+func buildFunctionality(ctx context.Context, p *dd.Pkg, c *qc.Circuit, record bool) (dd.MEdge, []StepRecord, error) {
 	if c.HasNonUnitary() {
 		return dd.MZero(), nil, fmt.Errorf("verify: circuit %q contains non-unitary operations", c.Name)
 	}
-	p := eng.p
 	u := p.Ident()
 	p.IncRefM(u)
 	gcAt := gcFloor
@@ -188,7 +137,7 @@ func buildFunctionality(ctx context.Context, eng *engine, c *qc.Circuit, record 
 		if record {
 			_, sp = trace.StartSpan(ctx, "verify:apply")
 		}
-		next, err := eng.leftChecked(u, op)
+		next, err := p.ApplyOpML(u, op)
 		if err != nil {
 			sp.End()
 			p.DecRefM(u)
@@ -237,7 +186,9 @@ func CheckOn(p *dd.Pkg, c1, c2 *qc.Circuit, strategy Strategy) (*Result, error) 
 // strategy becomes a verify-round span — carrying side and resulting
 // node count — with the engine's matrix multiplications as child
 // spans, so a blown-up verify run shows exactly which application
-// left the vicinity of the identity.
+// left the vicinity of the identity. Every strategy applies its gates
+// under p's node budget (SetMaxNodes) and fails with
+// dd.ErrResourceExhausted when the budget runs out.
 func CheckOnCtx(ctx context.Context, p *dd.Pkg, c1, c2 *qc.Circuit, strategy Strategy) (*Result, error) {
 	if c1.NQubits != c2.NQubits {
 		return nil, fmt.Errorf("verify: qubit counts differ (%d vs %d); ancillary registers are not supported", c1.NQubits, c2.NQubits)
@@ -245,27 +196,33 @@ func CheckOnCtx(ctx context.Context, p *dd.Pkg, c1, c2 *qc.Circuit, strategy Str
 	if c1.HasNonUnitary() || c2.HasNonUnitary() {
 		return nil, fmt.Errorf("verify: measurements, resets and classically-controlled operations are not supported in verification")
 	}
-	eng := &engine{p: p}
-	switch strategy {
-	case Construction:
-		return checkConstruction(ctx, eng, c1, c2)
-	default:
-		return checkAlternating(ctx, eng, c1, c2, strategy)
+	ops := p.Stats().ApplyMOps
+	var res *Result
+	var err error
+	if strategy == Construction {
+		res, err = checkConstruction(ctx, p, c1, c2)
+	} else {
+		res, err = checkAlternating(ctx, p, c1, c2, strategy)
 	}
+	if err != nil {
+		return nil, err
+	}
+	res.KernelOps = int(p.Stats().ApplyMOps - ops)
+	return res, nil
 }
 
-func checkConstruction(ctx context.Context, eng *engine, c1, c2 *qc.Circuit) (*Result, error) {
+func checkConstruction(ctx context.Context, p *dd.Pkg, c1, c2 *qc.Circuit) (*Result, error) {
 	res := &Result{Strategy: Construction}
-	u1, t1, err := buildFunctionality(ctx, eng, c1, true)
+	u1, t1, err := buildFunctionality(ctx, p, c1, true)
 	if err != nil {
 		return nil, err
 	}
 	// The second build may collect garbage: U of G stays referenced,
 	// and the reference goes to the caller with Result.Root.
-	eng.p.IncRefM(u1)
-	u2, t2, err := buildFunctionality(ctx, eng, c2, true)
+	p.IncRefM(u1)
+	u2, t2, err := buildFunctionality(ctx, p, c2, true)
 	if err != nil {
-		eng.p.DecRefM(u1)
+		p.DecRefM(u1)
 		return nil, err
 	}
 	for _, r := range t1 {
@@ -287,7 +244,6 @@ func checkConstruction(ctx context.Context, eng *engine, c1, c2 *qc.Circuit) (*R
 	// Canonicity: equality of the diagrams is root-edge equality.
 	res.FinalNodes = dd.SizeM(u1)
 	res.Root = u1
-	res.KernelOps = eng.kernelOps
 	if u1 == u2 {
 		res.Equivalent = true
 	} else if u1.N == u2.N {
@@ -348,98 +304,110 @@ func schedule(strategy Strategy, m1, m2 int) []bool {
 	return out
 }
 
-func checkAlternating(ctx context.Context, eng *engine, c1, c2 *qc.Circuit, strategy Strategy) (*Result, error) {
-	p := eng.p
+func checkAlternating(ctx context.Context, p *dd.Pkg, c1, c2 *qc.Circuit, strategy Strategy) (*Result, error) {
 	g1 := unitaryOps(c1)
 	g2 := unitaryOps(c2)
 	res := &Result{Strategy: strategy}
 	x := p.Ident()
 	p.IncRefM(x)
-	record := func(sp *trace.Span, side string, gate string) {
+	res.PeakNodes = dd.SizeM(x)
+	// apply consumes op of G from the left, X ← U·X, or op of G′ from
+	// the right, X ← X·U′⁻¹: applying the inverted gates of G′ in
+	// original order from the right realizes G·G′⁻¹ once both circuits
+	// are consumed. The result comes back referenced.
+	apply := func(fromG bool, op *qc.Op) (dd.MEdge, error) {
+		var next dd.MEdge
+		var err error
+		if fromG {
+			next, err = p.ApplyOpML(x, op)
+		} else {
+			inv := op.Inverse()
+			next, err = p.ApplyOpMR(x, &inv)
+		}
+		if err == nil {
+			p.IncRefM(next)
+		}
+		return next, err
+	}
+	// take makes the referenced next the product and records the step.
+	take := func(sp *trace.Span, next dd.MEdge, side string, op *qc.Op) {
+		p.DecRefM(x)
+		x = next
 		n := dd.SizeM(x)
 		if n > res.PeakNodes {
 			res.PeakNodes = n
 		}
 		sp.SetAttr("nodes_after", int64(n))
 		sp.End()
-		res.Trace = append(res.Trace, StepRecord{Side: side, Gate: gate, Nodes: n})
+		res.Trace = append(res.Trace, StepRecord{Side: side, Gate: op.String(), Nodes: n})
 		res.MultOps++
 		p.MaybeShapeM(x)
 	}
-	res.PeakNodes = dd.SizeM(x)
-	applyLeft := func(op *qc.Op) {
-		// X ← U_i · X  (consume G from the left side)
-		_, sp := trace.StartSpan(ctx, "verify-round:G")
-		next := eng.left(x, op)
-		p.IncRefM(next)
-		p.DecRefM(x)
-		x = next
-		record(sp, "G", op.String())
+	step := func(fromG bool, op *qc.Op) error {
+		name, side := "verify-round:G'", "G'"
+		if fromG {
+			name, side = "verify-round:G", "G"
+		}
+		_, sp := trace.StartSpan(ctx, name)
+		next, err := apply(fromG, op)
+		if err != nil {
+			sp.End()
+			return err
+		}
+		take(sp, next, side, op)
+		return nil
 	}
-	applyRight := func(op *qc.Op) {
-		// X ← X · U′_j†  (consume G′ from the right side). Applying
-		// the inverted gates of G′ in original order from the right
-		// realizes G·G′⁻¹ once both circuits are consumed.
-		_, sp := trace.StartSpan(ctx, "verify-round:G'")
-		g, params := qc.InverseGate(op.Gate, op.Params)
-		invOp := qc.Op{Kind: qc.KindGate, Gate: g, Params: params, Targets: op.Targets, Controls: op.Controls}
-		next := eng.right(x, &invOp)
-		p.IncRefM(next)
-		p.DecRefM(x)
-		x = next
-		record(sp, "G'", op.String())
+	// lookahead applies both next gates and keeps the smaller result.
+	// The first probe stays referenced while the second may collect.
+	lookahead := func(opG, opG2 *qc.Op) (fromG bool, err error) {
+		_, sp := trace.StartSpan(ctx, "verify-round:lookahead")
+		left, err := apply(true, opG)
+		if err != nil {
+			sp.End()
+			return false, err
+		}
+		right, err := apply(false, opG2)
+		if err != nil {
+			p.DecRefM(left)
+			sp.End()
+			return false, err
+		}
+		res.MultOps++ // the discarded probe
+		if fromG = dd.SizeM(left) <= dd.SizeM(right); fromG {
+			p.DecRefM(right)
+			take(sp, left, "G", opG)
+		} else {
+			p.DecRefM(left)
+			take(sp, right, "G'", opG2)
+		}
+		return fromG, nil
 	}
 
-	if strategy == Lookahead {
-		i, j := 0, 0
-		for i < len(g1) || j < len(g2) {
-			switch {
-			case i >= len(g1):
-				applyRight(g2[j])
-				j++
-			case j >= len(g2):
-				applyLeft(g1[i])
-				i++
-			default:
-				// Try both sides, keep the smaller result.
-				_, sp := trace.StartSpan(ctx, "verify-round:lookahead")
-				left := eng.left(x, g1[i])
-				gInv, params := qc.InverseGate(g2[j].Gate, g2[j].Params)
-				invOp := qc.Op{Kind: qc.KindGate, Gate: gInv, Params: params, Targets: g2[j].Targets, Controls: g2[j].Controls}
-				right := eng.right(x, &invOp)
-				res.MultOps++ // the discarded probe
-				if dd.SizeM(left) <= dd.SizeM(right) {
-					p.IncRefM(left)
-					p.DecRefM(x)
-					x = left
-					record(sp, "G", g1[i].String())
-					i++
-				} else {
-					p.IncRefM(right)
-					p.DecRefM(x)
-					x = right
-					record(sp, "G'", g2[j].String())
-					j++
-				}
-			}
+	sched := schedule(strategy, len(g1), len(g2)) // empty under Lookahead
+	var err error
+	for i, j := 0, 0; err == nil && i+j < len(g1)+len(g2); {
+		fromG := j == len(g2) || i < len(g1) && strategy != Lookahead && sched[i+j]
+		switch {
+		case strategy == Lookahead && i < len(g1) && j < len(g2):
+			fromG, err = lookahead(g1[i], g2[j])
+		case fromG:
+			err = step(true, g1[i])
+		default:
+			err = step(false, g2[j])
 		}
-	} else {
-		for _, left := range schedule(strategy, len(g1), len(g2)) {
-			if left {
-				op := g1[0]
-				g1 = g1[1:]
-				applyLeft(op)
-			} else {
-				op := g2[0]
-				g2 = g2[1:]
-				applyRight(op)
-			}
+		if fromG {
+			i++
+		} else {
+			j++
 		}
+	}
+	if err != nil {
+		p.DecRefM(x)
+		return nil, fmt.Errorf("verify: %v check: %w", strategy, err)
 	}
 
 	res.FinalNodes = dd.SizeM(x)
 	res.Root = x
-	res.KernelOps = eng.kernelOps
 	switch p.CheckIdentity(x) {
 	case dd.IdentityExact:
 		res.Equivalent = true
@@ -461,33 +429,46 @@ func SimulationCheck(c1, c2 *qc.Circuit, stimuli int, seed int64) (equivalentSoF
 	if c1.HasNonUnitary() || c2.HasNonUnitary() {
 		return false, 0, fmt.Errorf("verify: non-unitary circuits cannot be checked by simulation")
 	}
-	p := dd.New(c1.NQubits)
+	return simulationCheckOn(dd.New(c1.NQubits), c1, c2, stimuli, seed)
+}
+
+// simulationCheckOn is SimulationCheck on p. A stimulus leaves both of
+// its states as garbage and no diagram has to survive into the next
+// one, so the check collects between stimuli once the live nodes reach
+// gcFloor.
+func simulationCheckOn(p *dd.Pkg, c1, c2 *qc.Circuit, stimuli int, seed int64) (bool, int64, error) {
 	rng := newSplitMix(seed)
 	dim := int64(1) << uint(c1.NQubits)
 	for k := 0; k < stimuli; k++ {
 		idx := int64(rng.next() % uint64(dim))
-		s1 := runOn(p, c1, idx)
-		s2 := runOn(p, c2, idx)
+		s1, err := runOn(p, c1, idx)
+		if err != nil {
+			return false, 0, err
+		}
+		s2, err := runOn(p, c2, idx)
+		if err != nil {
+			return false, 0, err
+		}
 		if s1.N != s2.N {
 			return false, idx, nil
 		}
 		// Same node: amplitudes may still differ by a non-phase factor
 		// in pathological non-unitary inputs; unitary circuits preserve
 		// the norm, so only phase can differ.
+		p.MaybeGC(gcFloor)
 	}
 	return true, 0, nil
 }
 
-func runOn(p *dd.Pkg, c *qc.Circuit, idx int64) dd.VEdge {
+func runOn(p *dd.Pkg, c *qc.Circuit, idx int64) (dd.VEdge, error) {
 	st := p.BasisState(idx)
 	for _, op := range unitaryOps(c) {
-		if op.Gate == qc.Swap {
-			st = p.ApplySwap(st, op.Targets[0], op.Targets[1], ddControls(op)...)
-		} else {
-			st = p.ApplyGate(st, dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0], ddControls(op)...)
+		var err error
+		if st, err = p.ApplyOp(st, op); err != nil {
+			return dd.VZero(), err
 		}
 	}
-	return st
+	return st, nil
 }
 
 // splitMix is a tiny deterministic PRNG so the package does not need

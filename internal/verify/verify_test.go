@@ -408,3 +408,22 @@ func TestMappedCircuitEquivalence(t *testing.T) {
 		t.Fatal("mapped circuit wrongly equivalent without conjugation")
 	}
 }
+
+// TestSimulationCheckCollects bounds the live nodes a random-stimulus
+// check leaves behind. Each stimulus leaves its two states as garbage;
+// uncollected, the package grew with the stimulus count, past 13
+// million live nodes after 100 stimuli of RandomCircuit(10, 40, 3).
+func TestSimulationCheckCollects(t *testing.T) {
+	c := algorithms.RandomCircuit(7, 15, 3)
+	p := dd.New(c.NQubits)
+	if ok, _, err := simulationCheckOn(p, c, c, 50, 1); err != nil || !ok {
+		t.Fatalf("self-check: ok=%v err=%v", ok, err)
+	}
+	// The bound is meaningful only if the stimuli made far more nodes.
+	if made := p.Stats().NodesCreatedV; made < 20*gcFloor {
+		t.Fatalf("the stimuli made only %d nodes", made)
+	}
+	if live := p.LiveNodes(); live > gcFloor {
+		t.Fatalf("%d live nodes after 50 stimuli, want at most %d", live, gcFloor)
+	}
+}

@@ -159,10 +159,21 @@ func (r *registry[T]) reap(now time.Time) []string {
 		return nil
 	}
 	cutoff := now.Add(-r.ttl).UnixNano()
+	return r.evictWhere(func(h *handle[T]) bool { return h.lastAccess.Load() < cutoff })
+}
+
+// evictAll evicts every live session, as at shutdown.
+func (r *registry[T]) evictAll() {
+	r.evictWhere(func(*handle[T]) bool { return true })
+}
+
+// evictWhere evicts every live session whose handle matches and
+// returns the evicted ids.
+func (r *registry[T]) evictWhere(match func(*handle[T]) bool) []string {
 	r.mu.Lock()
 	var victims []*handle[T]
 	for _, h := range r.entries {
-		if h.lastAccess.Load() < cutoff {
+		if match(h) {
 			victims = append(victims, h)
 		}
 	}

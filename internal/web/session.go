@@ -308,28 +308,14 @@ func resumeVerifySession(blob []byte, maxNodes int) (session, error) {
 	return v, nil
 }
 
-// applyOp multiplies one gate into the product diagram through the
-// matrix-apply kernel: G ops from the left (U·x), G′ ops inverted from
-// the right (x·U⁻¹). SWAP, its own inverse, goes in as three kernel
-// CNOTs.
+// applyOp multiplies one gate into the product diagram: G ops from
+// the left (U·x), G′ ops inverted from the right (x·U⁻¹).
 func (v *verifySession) applyOp(op *qc.Op, side string) (dd.MEdge, error) {
-	ctl := make([]dd.Control, len(op.Controls))
-	for i, c := range op.Controls {
-		ctl[i] = dd.Control{Qubit: c.Qubit, Neg: c.Neg}
-	}
-	if op.Gate == qc.Swap {
-		if side == "left" {
-			return v.pkg.ApplySwapMLChecked(v.x, op.Targets[0], op.Targets[1], ctl...)
-		}
-		return v.pkg.ApplySwapMRChecked(v.x, op.Targets[0], op.Targets[1], ctl...)
-	}
 	if side == "left" {
-		u := dd.GateMatrix(qc.Matrix2(op.Gate, op.Params))
-		return v.pkg.ApplyGateMLChecked(v.x, u, op.Targets[0], ctl...)
+		return v.pkg.ApplyOpML(v.x, op)
 	}
-	g, params := qc.InverseGate(op.Gate, op.Params)
-	u := dd.GateMatrix(qc.Matrix2(g, params))
-	return v.pkg.ApplyGateMRChecked(v.x, u, op.Targets[0], ctl...)
+	inv := op.Inverse()
+	return v.pkg.ApplyOpMR(v.x, &inv)
 }
 
 // stepSide applies the next gate of the chosen side ("left" = G,
@@ -560,9 +546,11 @@ func (s *Server) SpillStore() *snapshot.Store {
 }
 
 // Close stops the background reaper — waiting until it has fully
-// exited, so no sweep races the shutdown — and flushes in-flight spill
-// writes so no session promised to disk is lost. Sessions are dropped
-// with the server itself; Close is idempotent.
+// exited, so no sweep races the shutdown — then evicts every live
+// session through the eviction path (spilled when a spill store is
+// set, so a server restarted on it restores the session and issues
+// ids past it; then its engine closes), and flushes in-flight spill
+// writes so no session promised to disk is lost. Close is idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		if s.reaperStop != nil {
@@ -570,6 +558,9 @@ func (s *Server) Close() {
 			<-s.reaperDone
 		}
 		s.stopTelemetry()
+		for _, k := range s.kinds() {
+			k.reg.evictAll()
+		}
 		if s.spill != nil {
 			s.spill.flush()
 		}

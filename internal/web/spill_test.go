@@ -7,12 +7,14 @@ package web
 
 import (
 	"bytes"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -233,9 +235,10 @@ func TestWrongKindRequestKeepsSnapshot(t *testing.T) {
 
 // TestRestoreSurvivesRestart proves the errSessionUnknown restore path:
 // a fresh server over the same spill directory has an empty registry
-// (no tombstones either) but still restores the session — even after
-// it created and spilled a session of its own, which must not take
-// the spilled session's id.
+// (no tombstones either) but still restores its predecessor's
+// sessions — one spilled by eviction and one still live at Close,
+// which Close spills — and issues the next id, not one of theirs, even
+// after it created and spilled a session of its own.
 func TestRestoreSurvivesRestart(t *testing.T) {
 	forEachKind(t, func(t *testing.T, k spillKind) {
 		cfg := DefaultConfig()
@@ -246,9 +249,13 @@ func TestRestoreSurvivesRestart(t *testing.T) {
 
 		ws1 := NewServerWithConfig(cfg)
 		srv1 := httptest.NewServer(ws1.Handler())
-		id := k.create(t, srv1, algorithms.GHZ(3).QASM())
-		before := sessionSnapshot(t, ws1, id)
+		spilled := k.create(t, srv1, algorithms.GHZ(3).QASM())
+		before := map[string][]byte{spilled: sessionSnapshot(t, ws1, spilled)}
 		evictAll(t, ws1)
+		live := k.create(t, srv1, algorithms.QFT(3).QASM())
+		before[live] = sessionSnapshot(t, ws1, live)
+		var liveFrame newResp
+		get(t, srv1, k.path+live, &liveFrame)
 		srv1.Close()
 		ws1.Close()
 
@@ -257,17 +264,27 @@ func TestRestoreSurvivesRestart(t *testing.T) {
 		t.Cleanup(ws2.Close)
 		srv2 := httptest.NewServer(ws2.Handler())
 		t.Cleanup(srv2.Close)
-		if fresh := k.create(t, srv2, algorithms.Bell().QASM()); fresh == id {
-			t.Errorf("restarted server reissued the spilled id %s", id)
+		prefix, n, _ := strings.Cut(live, "-")
+		last, err := strconv.Atoi(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh, want := k.create(t, srv2, algorithms.Bell().QASM()), fmt.Sprintf("%s-%d", prefix, last+1); fresh != want {
+			t.Errorf("restarted server issued %s, want the next id %s", fresh, want)
 		}
 		evictAll(t, ws2)
 
-		resp := get(t, srv2, k.path+id, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET on restarted server: status %d, want 200", resp.StatusCode)
-		}
-		if after := sessionSnapshot(t, ws2, id); !bytes.Equal(before, after) {
-			t.Fatal("session restored across restart is not bit-identical")
+		for id, snap := range before {
+			var frame newResp
+			if resp := get(t, srv2, k.path+id, &frame); resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s on restarted server: status %d, want 200", id, resp.StatusCode)
+			}
+			if after := sessionSnapshot(t, ws2, id); !bytes.Equal(snap, after) {
+				t.Fatalf("session %s restored across restart is not bit-identical", id)
+			}
+			if id == live && (frame.Frame.SVG != liveFrame.Frame.SVG || frame.Frame.Nodes != liveFrame.Frame.Nodes || frame.Frame.Pos != liveFrame.Frame.Pos) {
+				t.Fatalf("session %s, live at Close, restored with a different frame", id)
+			}
 		}
 	})
 }

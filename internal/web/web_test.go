@@ -11,6 +11,9 @@ import (
 	"testing"
 
 	"quantumdd/internal/algorithms"
+	"quantumdd/internal/dd"
+	"quantumdd/internal/qc"
+	"quantumdd/internal/verify"
 	"quantumdd/internal/vis"
 )
 
@@ -253,6 +256,65 @@ func TestVerificationFlowEx12(t *testing.T) {
 	r := step("left", "backward")
 	if r.LeftPos+r.RightPos >= before {
 		t.Fatalf("undo did not rewind: %d -> %d", before, r.LeftPos+r.RightPos)
+	}
+}
+
+// TestVerificationTabAgreesWithCheckOn drives the verification tab
+// left, right, left, … to the end of both circuits, the one-to-one
+// schedule, and holds the verdict, phase flag, final node count and
+// kernel-op count of its last frame to verify.CheckOn's Result under
+// OneToOne: both apply the same ops through one entry.
+func TestVerificationTabAgreesWithCheckOn(t *testing.T) {
+	cswap := qc.New(3, 0)
+	cswap.H(0).H(1).Gate(qc.RY, []float64{0.4}, 2)
+	cswap.SwapGate(1, 2, qc.Control{Qubit: 0})
+	lowered := qc.New(3, 0)
+	lowered.H(0).H(1).Gate(qc.RY, []float64{0.4}, 2)
+	lowered.CX(2, 1).CCX(0, 1, 2).CX(2, 1)
+	faulty := algorithms.QFTCompiled(3)
+	faulty.X(1)
+	pairs := []struct {
+		name   string
+		c1, c2 *qc.Circuit
+		equiv  bool
+	}{
+		{"qft3", algorithms.QFT(3), algorithms.QFTCompiled(3), true},
+		{"cswap", cswap, lowered, true},
+		{"faulty", algorithms.QFT(3), faulty, false},
+	}
+	for _, pair := range pairs {
+		t.Run(pair.name, func(t *testing.T) {
+			want, err := verify.CheckOn(dd.New(pair.c1.NQubits), pair.c1, pair.c2, verify.OneToOne)
+			if err != nil || want.Equivalent != pair.equiv {
+				t.Fatalf("CheckOn: %+v, %v; want equivalent=%v", want, err, pair.equiv)
+			}
+			srv := newTestServer(t)
+			var created newResp
+			post(t, srv, "/api/verification", newVerifyRequest{Left: pair.c1.QASM(), Right: pair.c2.QASM()}, &created)
+			var last verifyStepResponse
+			for applied := true; applied; {
+				applied = false
+				for _, side := range []string{"left", "right"} {
+					last = verifyStepResponse{}
+					post(t, srv, "/api/verification/"+created.ID+"/step", verifyStepRequest{Side: side, Action: "forward"}, &last)
+					applied = applied || last.Applied != ""
+				}
+			}
+			if last.LeftPos != len(pair.c1.Ops) || last.RightPos != len(pair.c2.Ops) {
+				t.Fatalf("walk ended at %d/%d, want %d/%d", last.LeftPos, last.RightPos, len(pair.c1.Ops), len(pair.c2.Ops))
+			}
+			equivalent := last.Identity != "not-identity"
+			upToPhase := last.Identity == "identity-up-to-phase"
+			if equivalent != want.Equivalent || upToPhase != want.UpToGlobalPhase {
+				t.Fatalf("tab says %q, CheckOn equivalent=%v up-to-phase=%v", last.Identity, want.Equivalent, want.UpToGlobalPhase)
+			}
+			if last.Frame.Nodes != want.FinalNodes {
+				t.Fatalf("tab ends with %d nodes, CheckOn with %d", last.Frame.Nodes, want.FinalNodes)
+			}
+			if got := int(last.Frame.Engine.KernelOps); got != want.KernelOps {
+				t.Fatalf("tab counts %d kernel ops, CheckOn %d", got, want.KernelOps)
+			}
+		})
 	}
 }
 
