@@ -603,23 +603,68 @@ func TestCollapseZeroVectorRejected(t *testing.T) {
 	}
 }
 
-func TestMaybeGC(t *testing.T) {
-	p := New(3)
-	keep := p.ZeroState()
-	p.IncRefV(keep)
-	for i := 0; i < 20; i++ {
-		_ = p.MultMV(p.MakeGateDD(gateH, i%3), p.ZeroState())
+// TestGCWatermark pins the collection rule: the first collection comes
+// at GCFloor live nodes, the next once the live count has doubled from
+// what the previous one left, referenced diagrams survive, and a fresh
+// watermark on the same package starts from the floor again.
+func TestGCWatermark(t *testing.T) {
+	const n = 12 // a basis state adds at most n new nodes
+	p := New(n)
+	rng := rand.New(rand.NewSource(1))
+	kept := map[int64]VEdge{}
+	grow := func(keep bool) {
+		idx := rng.Int63n(1 << n)
+		e := p.BasisState(idx)
+		if _, dup := kept[idx]; keep && !dup {
+			p.IncRefV(e)
+			kept[idx] = e
+		}
 	}
-	if p.MaybeGC(1 << 30) {
-		t.Fatal("GC ran below threshold")
+
+	var w GCWatermark
+	var at, left []int // live nodes before and after each collection
+	for i := 0; len(at) < 3; i++ {
+		// Two of three states stay referenced, so what survives a
+		// collection is more than half the floor and the doubling, not
+		// the floor, sets the next watermark.
+		grow(i%3 != 0)
+		live := p.LiveNodes()
+		if w.MaybeCollect(p) {
+			at = append(at, live)
+			left = append(left, p.LiveNodes())
+		}
 	}
-	if !p.MaybeGC(1) {
-		t.Fatal("GC did not run above threshold")
+	if at[0] < GCFloor || at[0] >= GCFloor+n {
+		t.Fatalf("first collection at %d live nodes, want the first check past the floor %d", at[0], GCFloor)
 	}
-	if got := Amplitude(keep, 0); !approx(got, 1) {
-		t.Fatal("referenced diagram lost in MaybeGC")
+	for k := 1; k < len(at); k++ {
+		want := 2 * left[k-1]
+		if want <= GCFloor {
+			t.Fatalf("collection %d left %d live nodes: the test needs more than half the floor", k, left[k-1])
+		}
+		if at[k] < want || at[k] >= want+n {
+			t.Fatalf("collection %d at %d live nodes, want the first check past 2 × %d", k+1, at[k], left[k-1])
+		}
 	}
-	p.DecRefV(keep)
+	for idx, e := range kept {
+		if !approx(Amplitude(e, idx), 1) {
+			t.Fatalf("referenced basis state %d lost in a collection", idx)
+		}
+	}
+
+	// The caller keeps the watermark: a fresh one collects at the floor
+	// while w still waits for its doubling.
+	for p.LiveNodes() < GCFloor {
+		grow(false)
+	}
+	if live := p.LiveNodes(); live >= 2*left[len(left)-1] {
+		t.Fatalf("%d live nodes already reach w's watermark", live)
+	}
+	var fresh GCWatermark
+	if w.MaybeCollect(p) || !fresh.MaybeCollect(p) {
+		t.Fatal("a fresh watermark must collect at the floor and w must not")
+	}
+	t.Logf("collections at %v live nodes, leaving %v", at, left)
 }
 
 // TestStatsComplexValues: the complex-table gauge reports the table's

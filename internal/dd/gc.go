@@ -116,14 +116,42 @@ func (p *Pkg) GarbageCollect() (vecFreed, matFreed int) {
 	return vecFreed, matFreed
 }
 
-// MaybeGC runs a collection when the unique tables exceed the given
-// node threshold; convenience for long simulation loops. The check is
-// O(1) against the incrementally maintained live counter, so it can
-// sit inside per-operation loops.
-func (p *Pkg) MaybeGC(threshold int) bool {
-	if p.live < threshold {
+// GCFloor is the live-node count below which a GCWatermark never
+// collects, so small workloads skip the sweep altogether.
+const GCFloor = 1024
+
+// GCWatermark is the collection schedule of the package's long loops
+// (a functionality build, a random-stimulus check, a trajectory
+// replica): collect once the live nodes have doubled since the last
+// collection, and never below GCFloor. A collection sweeps every
+// unique table and invalidates every compute table, so collecting
+// after each unit of work would pay that sweep every time and keep the
+// tables cold; a limit that grows with what survives keeps the tables
+// sized to the live diagrams at a logarithmic number of sweeps. The
+// MQT DD package (arXiv 2108.07027) collects on the same kind of
+// growing limit.
+//
+// The zero value first collects at GCFloor. The caller keeps the
+// watermark, so a loop that starts again on the same package starts
+// from the floor.
+type GCWatermark struct{ next int }
+
+// MaybeCollect collects p when its live nodes have reached
+// max(GCFloor, twice the live count the last collection through w
+// left), and reports whether it did. The check is O(1) against the
+// incrementally maintained live counter, so it can sit inside
+// per-operation loops.
+func (w *GCWatermark) MaybeCollect(p *Pkg) bool {
+	if p.live < max(GCFloor, w.next) {
 		return false
 	}
-	p.GarbageCollect()
+	w.Collect(p)
 	return true
+}
+
+// Collect collects p now and moves the watermark to twice the live
+// nodes that survive.
+func (w *GCWatermark) Collect(p *Pkg) {
+	p.GarbageCollect()
+	w.next = 2 * p.live
 }

@@ -33,8 +33,9 @@ package sim
 //     steps and keeps only 31 bits of the seed.
 //   - Replica simulators skip the per-gate peak-size walk and the
 //     step history, which only the interactive tool reads.
-//   - Under a node budget, a replica collects only when a trajectory
-//     left garbage behind, not after every trajectory.
+//   - A replica collects only once its live nodes have doubled since
+//     its last collection (dd.GCWatermark), not after every
+//     trajectory, so its compute tables stay warm across trajectories.
 //
 // Determinism is order-independent by construction:
 //
@@ -48,9 +49,11 @@ package sim
 //     exact) add up identically in any completion order.
 //   - Failed trajectories do not abort the ensemble: each failure is
 //     a per-index fact (same circuit, same budget, same stream, same
-//     pinned trie to start from), the first error by trajectory index
-//     is reported, and completed trajectories keep their counts — the
-//     partial-progress contract of the budget frames.
+//     pinned trie to start from; garbage left by the worker's earlier
+//     trajectories never decides a verdict, see replica.maintain), the
+//     first error by trajectory index is reported, and completed
+//     trajectories keep their counts — the partial-progress contract
+//     of the budget frames.
 //
 // The result: RunNoisy returns a bit-identical *NoisyResult for every
 // worker count, including 1.
@@ -101,12 +104,10 @@ func (s *pcgSource) seedTrajectory(seed int64, tr int) {
 	s.pcg.Seed(uint64(TrajectorySeed(seed, 2*tr)), uint64(TrajectorySeed(seed, 2*tr+1)))
 }
 
-// poolGCThreshold bounds replica growth between trajectories when no
-// node budget is set: the worker collects its package once the unique
-// tables exceed this many live nodes. Below it, garbage from earlier
-// trajectories is left in place — later trajectories re-intern the
-// same nodes via unique-table hits, which is the point of reuse.
-const poolGCThreshold = 1 << 17
+// triePinnedCap caps the live nodes a replica's error-free trie pins
+// (prefix.go); under a node budget the cap is also at most half the
+// budget.
+const triePinnedCap = 1 << 16
 
 // trajectoryOutcome is the per-trajectory contribution merged into the
 // ensemble result.

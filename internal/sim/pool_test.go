@@ -12,6 +12,7 @@ import (
 
 	"quantumdd/internal/algorithms"
 	"quantumdd/internal/dd"
+	"quantumdd/internal/qc"
 )
 
 // sameNoisyResult compares the worker-count-invariant fields of two
@@ -121,8 +122,9 @@ func TestTrajectorySeedMixing(t *testing.T) {
 // the circuit fails every trajectory, but the ensemble still returns a
 // partial result (not nil) carrying the failure tally, and the error
 // unwraps to dd.ErrResourceExhausted. The verdict must be identical
-// for every worker count — budget checks are per-replica, and the
-// per-trajectory GC resets each replica to the same baseline.
+// for every worker count — budget checks are per-replica, and an op
+// that aborts with garbage present is collected and retried, so
+// garbage left by other trajectories never decides a verdict.
 func TestBudgetExhaustionPartialResult(t *testing.T) {
 	circ := algorithms.GHZ(14)
 	const trajectories = 20
@@ -164,6 +166,78 @@ func TestBudgetVerdictsDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: error presence differs: %v vs %v", w, err, refErr)
 		}
 		sameNoisyResult(t, ref, got, "budget sweep")
+	}
+}
+
+// gatedDenseLayers is denseLayers on n data qubits with every gate
+// also controlled by an extra qubit n in |0⟩: the error-free states
+// are all |0…0⟩, so the trie pins only that one chain, and a
+// trajectory grows dense states only after an error flips the
+// control qubit — the earlier the flip, the larger they get.
+func gatedDenseLayers(n, layers int) *qc.Circuit {
+	c := qc.New(n+1, 0)
+	c.Name = fmt.Sprintf("gated_dense_%d_%d", n, layers)
+	on := qc.Control{Qubit: n}
+	a := 0.37
+	for l := 0; l < layers; l++ {
+		for q := 0; q < n; q++ {
+			a += 0.61
+			c.Gate(qc.RY, []float64{a}, q, on)
+		}
+		for q := 0; q < n; q++ {
+			c.X((q+1)%n, on, qc.Control{Qubit: q})
+		}
+	}
+	return c
+}
+
+// TestBudgetVerdictsSurviveMidEnsembleCollections: replicas collect
+// only when their live nodes double, so a trajectory may start on
+// another trajectory's garbage, and which garbage depends on the
+// worker count. Garbage only raises the live count, and an op that
+// aborts with garbage present is collected and retried on the pinned
+// trie plus the trajectory's own state, so each op fits or fails as on
+// a collected package. Here the watermark fires many times and some
+// trajectories exhaust the budget; every worker count must give the
+// result of the reference loop, which collects after every trajectory.
+// Without the retry, garbage decides verdicts here: 1 and 2 workers
+// fail 31 trajectories and the reference and 5 workers 30.
+func TestBudgetVerdictsSurviveMidEnsembleCollections(t *testing.T) {
+	circ := gatedDenseLayers(11, 4)
+	model := NoiseModel{Depolarizing: 0.02}
+	const trajectories, seed, budget = 80, 3, 3000
+
+	// One replica, driven as the pool loop drives it, shows the
+	// schedule the ensemble runs under.
+	pkg := dd.New(circ.NQubits)
+	r := newReplica(pkg, circ, model, []Option{WithMaxNodes(budget)})
+	fired, failed := 0, 0
+	for tr := 0; tr < trajectories; tr++ {
+		r.src.seedTrajectory(seed, tr)
+		if out := r.run(context.Background(), tr); out.err != nil {
+			failed++
+		}
+		runs := pkg.Stats().GCRuns
+		r.maintain()
+		fired += int(pkg.Stats().GCRuns - runs)
+	}
+	r.close()
+	pkg.Close()
+	if fired < 3 || failed == 0 || failed == trajectories {
+		t.Fatalf("watermark fired %d times and %d of %d trajectories failed: the case needs several collections and a split", fired, failed, trajectories)
+	}
+	t.Logf("watermark fired %d times; %d of %d trajectories exhausted the budget", fired, failed, trajectories)
+
+	ref, refErr := runNoisyReference(circ, model, trajectories, seed, WithMaxNodes(budget))
+	if !errors.Is(refErr, dd.ErrResourceExhausted) || ref.Failed != failed {
+		t.Fatalf("reference: %d failed (%v), the replica failed %d", ref.Failed, refErr, failed)
+	}
+	for _, w := range []int{1, 2, 5} {
+		got, err := RunNoisy(circ, model, trajectories, seed, WithWorkers(w), WithMaxNodes(budget))
+		if !errors.Is(err, dd.ErrResourceExhausted) {
+			t.Fatalf("workers=%d: error %v, want the budget error", w, err)
+		}
+		sameNoisyResult(t, ref, got, fmt.Sprintf("workers=%d", w))
 	}
 }
 

@@ -22,8 +22,8 @@ package sim
 //     0 first, so every worker builds the same trie.
 //   - Its states stay ref-protected until the worker finishes. They
 //     count against the node budget, so the trie stops growing once
-//     the pinned nodes exceed half of min(budget, poolGCThreshold), or
-//     at 4·len(ops) states. A step that fails during the build leaves
+//     the pinned nodes exceed min(budget/2, triePinnedCap), or at
+//     4·len(ops) states. A step that fails during the build leaves
 //     its node a leaf, and trajectories reaching a leaf simulate the
 //     rest of the circuit from it.
 //
@@ -71,14 +71,11 @@ type replica struct {
 	rng   *rand.Rand
 	sim   *Simulator
 	root  *prefixNode
-
-	// baseline is the live node count after the post-build
-	// collection: the pinned trie and nothing else.
-	baseline int
+	gc    dd.GCWatermark
 }
 
 // newReplica builds the worker's trie on pkg and collects once, so
-// every trajectory starts from the same pinned baseline.
+// the replica's first trajectory starts from the pinned trie alone.
 func newReplica(pkg *dd.Pkg, circ *qc.Circuit, model NoiseModel, opts []Option) *replica {
 	r := &replica{pkg: pkg, circ: circ, model: model}
 	r.rng = rand.New(&r.src)
@@ -88,19 +85,17 @@ func newReplica(pkg *dd.Pkg, circ *qc.Circuit, model NoiseModel, opts []Option) 
 	r.build()
 	s.chooser = nil
 	s.release()
-	pkg.GarbageCollect()
-	r.baseline = pkg.LiveNodes()
+	r.gc.Collect(pkg)
 	return r
 }
 
 // build fills the trie depth-first, outcome 0 first.
 func (r *replica) build() {
 	ops := r.circ.Ops
-	limit := poolGCThreshold
-	if m := r.pkg.MaxNodes(); m > 0 && m < limit {
-		limit = m
+	limit := triePinnedCap
+	if m := r.pkg.MaxNodes(); m > 0 {
+		limit = min(limit, m/2)
 	}
-	limit /= 2
 	maxStates := 4 * len(ops)
 
 	var forced int
@@ -256,23 +251,18 @@ func (r *replica) finish(ctx context.Context, tr int, n *prefixNode, op *qc.Op, 
 	return out
 }
 
-// maintain keeps the replica healthy between trajectories. With a
-// node budget set, it collects whenever the live count differs from
-// the pinned baseline, so each trajectory starts from the same
-// live-node count — that is what makes budget verdicts a per-index
-// fact independent of scheduling. A trajectory that allocated nothing
-// leaves nothing to sweep, and skipping its collection keeps the
-// compute tables warm. Without a budget it collects only past
-// poolGCThreshold, preserving the warm-table sharing between similar
-// trajectories.
+// maintain keeps the replica healthy between trajectories: it
+// collects once the live nodes have doubled since the last collection
+// (dd.GCWatermark), with or without a node budget. Between collections
+// the garbage of earlier trajectories stays, and with it the compute
+// tables' entries, which later trajectories from the same trie states
+// hit. Garbage does not change a budget verdict: it only raises the
+// live count, and an op that aborts with garbage present is collected
+// and run once more by the budget retry, on the pinned trie and the
+// trajectory's own state, so every op fits or fails as it would on a
+// collected package.
 func (r *replica) maintain() {
-	if r.pkg.MaxNodes() > 0 {
-		if r.pkg.LiveNodes() != r.baseline {
-			r.pkg.GarbageCollect()
-		}
-		return
-	}
-	r.pkg.MaybeGC(poolGCThreshold)
+	r.gc.MaybeCollect(r.pkg)
 }
 
 // close releases the trie's pinned states.

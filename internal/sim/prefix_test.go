@@ -14,19 +14,8 @@ import (
 
 // The whole-trajectory loop below is the reference implementation of
 // the prefix-shared pool: every trajectory simulates the circuit from
-// |0…0⟩ and a budgeted replica collects after every trajectory.
-
-// maintainReplica keeps a reused engine healthy between trajectories.
-// With a node budget set, it collects after every trajectory so each
-// one starts from the same live-node count. Without a budget it
-// collects only past poolGCThreshold.
-func maintainReplica(p *dd.Pkg) {
-	if p.MaxNodes() > 0 {
-		p.GarbageCollect()
-		return
-	}
-	p.MaybeGC(poolGCThreshold)
-}
+// |0…0⟩ on a package collected after every trajectory, so each one
+// starts from an empty package and cold compute tables.
 
 // runOneTrajectory simulates trajectory index tr on the engine
 // replica: every random draw (measurement outcomes, Pauli error
@@ -94,7 +83,7 @@ func runNoisyReference(circ *qc.Circuit, model NoiseModel, trajectories int, see
 	for tr := 0; tr < trajectories; tr++ {
 		src.seedTrajectory(seed, tr)
 		acc.add(runOneTrajectory(context.Background(), pkg, circ, model, tr, rng, opts))
-		maintainReplica(pkg)
+		pkg.GarbageCollect()
 	}
 	return acc.result(trajectories, 1), acc.firstErr
 }
@@ -190,12 +179,13 @@ func denseLayers(n, layers int) *qc.Circuit {
 
 // TestPrefixTrieCapWideCircuit: an 11-qubit circuit with near-dense
 // states would pin up to 2047 nodes per op; the trie must stop once
-// its pinned nodes pass half of poolGCThreshold, and the ensemble must
-// still match the reference.
+// its pinned nodes pass triePinnedCap, and the ensemble must still
+// match the reference.
 func TestPrefixTrieCapWideCircuit(t *testing.T) {
 	circ := denseLayers(11, 4)
 	model := NoiseModel{Depolarizing: 0.01}
 	r := newReplica(dd.New(circ.NQubits), circ, model, nil)
+	pinned := r.pkg.LiveNodes()
 	states, leaves := 0, 0
 	r.root.walk(func(n *prefixNode) {
 		states++
@@ -203,17 +193,16 @@ func TestPrefixTrieCapWideCircuit(t *testing.T) {
 			leaves++
 		}
 	})
-	half := poolGCThreshold / 2
 	// The check runs before each step, so the last state may overshoot
 	// the limit by at most one dense state.
-	if limit := half + 1<<circ.NQubits; r.baseline > limit {
-		t.Fatalf("trie pins %d live nodes, cap %d", r.baseline, limit)
+	if limit := triePinnedCap + 1<<circ.NQubits; pinned > limit {
+		t.Fatalf("trie pins %d live nodes, cap %d", pinned, limit)
 	}
 	if leaves != 1 || states >= len(circ.Ops) {
-		t.Fatalf("trie has %d states and %d leaves over %d ops, %d pinned nodes: the cap did not bind", states, leaves, len(circ.Ops), r.baseline)
+		t.Fatalf("trie has %d states and %d leaves over %d ops, %d pinned nodes: the cap did not bind", states, leaves, len(circ.Ops), pinned)
 	}
 	r.close()
-	t.Logf("trie: %d states, %d pinned nodes (limit %d)", states, r.baseline, half)
+	t.Logf("trie: %d states, %d pinned nodes (limit %d)", states, pinned, triePinnedCap)
 
 	ref, refErr := runNoisyReference(circ, model, 4, 5)
 	if refErr != nil {
@@ -268,5 +257,35 @@ func TestPrefixTrieBudgetLeaf(t *testing.T) {
 	r.src.seedTrajectory(1, 0)
 	if out := r.run(context.Background(), 0); !errors.Is(out.err, dd.ErrResourceExhausted) {
 		t.Fatalf("trajectory from a budget leaf: err = %v", out.err)
+	}
+}
+
+// TestReplicaTablesStayWarm drives one replica under the server's node
+// budget through a GHZ(14) ensemble the way the pool loop does. A
+// replica that collected after every trajectory which allocated
+// anything swept its package 162 times here (once after the trie
+// build) and made 23,516 compute-table lookups, 20 of them hits;
+// collecting only when the live nodes double keeps the tables warm
+// across trajectories.
+func TestReplicaTablesStayWarm(t *testing.T) {
+	circ := algorithms.GHZ(14)
+	pkg := dd.New(circ.NQubits)
+	defer pkg.Close()
+	r := newReplica(pkg, circ, NoiseModel{Depolarizing: 0.02}, []Option{WithMaxNodes(250000)})
+	defer r.close()
+	for tr := 0; tr < 400; tr++ {
+		r.src.seedTrajectory(1, tr)
+		if out := r.run(context.Background(), tr); out.err != nil {
+			t.Fatalf("trajectory %d: %v", tr, out.err)
+		}
+		r.maintain()
+	}
+	st := pkg.Stats()
+	t.Logf("%d collections, %d of %d compute-table lookups hit", st.GCRuns, st.CacheHits, st.CacheLookups)
+	if st.GCRuns > 8 {
+		t.Errorf("%d collections, bound 8", st.GCRuns)
+	}
+	if st.CacheLookups > 12000 {
+		t.Errorf("%d compute-table lookups, bound 12000", st.CacheLookups)
 	}
 }

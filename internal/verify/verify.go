@@ -112,25 +112,22 @@ func Functionality(p *dd.Pkg, c *qc.Circuit) (dd.MEdge, error) {
 	return u, err
 }
 
-// gcFloor is the live-node count below which a functionality build
-// never collects, so small builds skip the sweep altogether.
-const gcFloor = 1024
-
 // buildFunctionality multiplies the gates of c into the identity; with
 // record set it traces each application and returns one StepRecord
 // per gate. Each product leaves the previous operator and its
-// intermediates as garbage, so once the live nodes reach twice what
-// the previous collection left (at least gcFloor) the build collects:
-// the swept nodes return to the free list and the tables stay sized
-// to the operator, not to its history. Only diagrams referenced on p
-// survive such a collection.
+// intermediates as garbage, so the build collects on a
+// dd.GCWatermark of its own: once the live nodes reach twice what the
+// previous collection left (at least dd.GCFloor), the swept nodes
+// return to the free list and the tables stay sized to the operator,
+// not to its history. Only diagrams referenced on p survive such a
+// collection.
 func buildFunctionality(ctx context.Context, p *dd.Pkg, c *qc.Circuit, record bool) (dd.MEdge, []StepRecord, error) {
 	if c.HasNonUnitary() {
 		return dd.MZero(), nil, fmt.Errorf("verify: circuit %q contains non-unitary operations", c.Name)
 	}
 	u := p.Ident()
 	p.IncRefM(u)
-	gcAt := gcFloor
+	var gc dd.GCWatermark
 	var recs []StepRecord
 	for _, op := range unitaryOps(c) {
 		var sp *trace.Span
@@ -146,9 +143,7 @@ func buildFunctionality(ctx context.Context, p *dd.Pkg, c *qc.Circuit, record bo
 		p.IncRefM(next)
 		p.DecRefM(u)
 		u = next
-		if p.MaybeGC(gcAt) {
-			gcAt = max(gcFloor, 2*p.LiveNodes())
-		}
+		gc.MaybeCollect(p)
 		if record {
 			n := dd.SizeM(u)
 			sp.SetAttr("nodes_after", int64(n))
@@ -434,9 +429,12 @@ func SimulationCheck(c1, c2 *qc.Circuit, stimuli int, seed int64) (equivalentSoF
 
 // simulationCheckOn is SimulationCheck on p. A stimulus leaves both of
 // its states as garbage and no diagram has to survive into the next
-// one, so the check collects between stimuli once the live nodes reach
-// gcFloor.
+// one, so the check collects between stimuli on a dd.GCWatermark. On
+// the fresh package SimulationCheck hands it, a collection leaves no
+// live node, so the watermark stays at dd.GCFloor and the check
+// collects whenever the live nodes reach it.
 func simulationCheckOn(p *dd.Pkg, c1, c2 *qc.Circuit, stimuli int, seed int64) (bool, int64, error) {
+	var gc dd.GCWatermark
 	rng := newSplitMix(seed)
 	dim := int64(1) << uint(c1.NQubits)
 	for k := 0; k < stimuli; k++ {
@@ -455,7 +453,7 @@ func simulationCheckOn(p *dd.Pkg, c1, c2 *qc.Circuit, stimuli int, seed int64) (
 		// Same node: amplitudes may still differ by a non-phase factor
 		// in pathological non-unitary inputs; unitary circuits preserve
 		// the norm, so only phase can differ.
-		p.MaybeGC(gcFloor)
+		gc.MaybeCollect(p)
 	}
 	return true, 0, nil
 }

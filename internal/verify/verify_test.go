@@ -420,10 +420,10 @@ func TestSimulationCheckCollects(t *testing.T) {
 		t.Fatalf("self-check: ok=%v err=%v", ok, err)
 	}
 	// The bound is meaningful only if the stimuli made far more nodes.
-	if made := p.Stats().NodesCreatedV; made < 20*gcFloor {
+	if made := p.Stats().NodesCreatedV; made < 20*dd.GCFloor {
 		t.Fatalf("the stimuli made only %d nodes", made)
 	}
-	if live := p.LiveNodes(); live > gcFloor {
-		t.Fatalf("%d live nodes after 50 stimuli, want at most %d", live, gcFloor)
+	if live := p.LiveNodes(); live > dd.GCFloor {
+		t.Fatalf("%d live nodes after 50 stimuli, want at most %d", live, dd.GCFloor)
 	}
 }
