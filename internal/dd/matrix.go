@@ -94,7 +94,7 @@ const (
 	IdentityExact
 )
 
-// identityTol is how far CheckIdentity lets a weight sit from the
+// IdentityTol is how far CheckIdentity lets a weight sit from the
 // identity's: the root weight from a unit phase, every other weight on
 // the diagonal from one and off it from zero. Node creation snaps each
 // weight to the complex table within the table's tolerance, so the
@@ -102,8 +102,9 @@ const (
 // above it: checking a fuzzed 5-qubit circuit against itself
 // sequentially left 1.13e-10 off the diagonal (the FuzzKernelDense
 // seed sequential_residue). The MQT equivalence checker accepts at the
-// same 1e-8.
-const identityTol = 1e-8
+// same 1e-8. verify.SimulationCheck holds the global phase between its
+// stimuli to it as well.
+const IdentityTol = 1e-8
 
 // CheckIdentity classifies e against the identity diagram. Because
 // diagrams are canonical this is usually a pointer comparison on the
@@ -114,20 +115,20 @@ func (p *Pkg) CheckIdentity(e MEdge) IdentityKind {
 	if e.N != p.Ident().N && (e.N == mTerminal || !nearIdentity(e.N)) {
 		return NotIdentity
 	}
-	if cmplx.Abs(e.W-1) <= identityTol {
+	if cmplx.Abs(e.W-1) <= IdentityTol {
 		return IdentityExact
 	}
-	if mag := cmplx.Abs(e.W); mag >= 1-identityTol && mag <= 1+identityTol {
+	if mag := cmplx.Abs(e.W); mag >= 1-IdentityTol && mag <= 1+IdentityTol {
 		return IdentityUpToPhase
 	}
 	return NotIdentity
 }
 
 // nearIdentity reports whether every node reachable from root along
-// the diagonal carries diagonal weights within identityTol of one and
-// off-diagonal weights within identityTol of zero. Node weights are
+// the diagonal carries diagonal weights within IdentityTol of one and
+// off-diagonal weights within IdentityTol of zero. Node weights are
 // normalised to at most one in magnitude, so such a diagram differs
-// from the identity by at most about identityTol per level in every
+// from the identity by at most about IdentityTol per level in every
 // entry.
 func nearIdentity(root *MNode) bool {
 	w := mWalkerPool.Get().(*mWalker)
@@ -136,8 +137,8 @@ func nearIdentity(root *MNode) bool {
 	for len(w.stack) > 0 {
 		n := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
-		if cmplx.Abs(n.E[0].W-1) > identityTol || cmplx.Abs(n.E[3].W-1) > identityTol ||
-			cmplx.Abs(n.E[1].W) > identityTol || cmplx.Abs(n.E[2].W) > identityTol {
+		if cmplx.Abs(n.E[0].W-1) > IdentityTol || cmplx.Abs(n.E[3].W-1) > IdentityTol ||
+			cmplx.Abs(n.E[1].W) > IdentityTol || cmplx.Abs(n.E[2].W) > IdentityTol {
 			return false
 		}
 		w.push(n.E[0].N)

@@ -61,9 +61,10 @@ type Simulator struct {
 	rng     *rand.Rand
 	chooser OutcomeChooser
 
-	// GCThreshold triggers a DD garbage collection when the unique
-	// tables grow past this many nodes (0 disables automatic GC).
-	GCThreshold int
+	// gcThreshold triggers a DD garbage collection when the unique
+	// tables grow past this many nodes: 1<<20 for every simulator; only
+	// tests change it (0 disables automatic GC).
+	gcThreshold int
 
 	// approxThreshold, when positive, prunes branches below this
 	// probability after every gate (see dd.Approximate); fidelity
@@ -174,7 +175,7 @@ func newOn(p *dd.Pkg, circ *qc.Circuit, rng *rand.Rand, opts ...Option) *Simulat
 		circ:           circ,
 		state:          p.ZeroState(),
 		classical:      make([]int, circ.NClbits),
-		GCThreshold:    1 << 20,
+		gcThreshold:    1 << 20,
 		approxFidelity: 1,
 	}
 	for i := range s.classical {
@@ -227,7 +228,7 @@ func (s *Simulator) setState(e dd.VEdge) {
 			s.peakNodes = s.size
 		}
 	}
-	if s.GCThreshold > 0 {
+	if s.gcThreshold > 0 {
 		s.maybeGC()
 	}
 	s.pkg.MaybeShapeV(s.state)
@@ -246,7 +247,7 @@ func (s *Simulator) maybeGC() {
 	// O(1) threshold check against the incrementally maintained live
 	// counter — this runs after every operation, so walking the
 	// per-level unique tables here would dominate small-state loops.
-	if s.pkg.LiveNodes() < s.GCThreshold {
+	if s.pkg.LiveNodes() < s.gcThreshold {
 		return
 	}
 	// Protect history snapshots (they are already ref-counted when

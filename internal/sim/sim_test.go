@@ -408,13 +408,13 @@ func TestAdder(t *testing.T) {
 func TestSimulatorGC(t *testing.T) {
 	circ := algorithms.RandomCircuit(6, 20, 11)
 	s := New(circ)
-	s.GCThreshold = 64 // force frequent collections
+	s.gcThreshold = 64 // force frequent collections
 	if _, err := s.RunToEnd(); err != nil {
 		t.Fatal(err)
 	}
 	// The state survives aggressive GC; compare against a fresh run.
 	fresh := New(circ)
-	fresh.GCThreshold = 0
+	fresh.gcThreshold = 0
 	if _, err := fresh.RunToEnd(); err != nil {
 		t.Fatal(err)
 	}

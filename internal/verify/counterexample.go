@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"math/cmplx"
 
@@ -82,20 +83,15 @@ func firstNonZero(e dd.MEdge) (row, col int64, ok bool) {
 // Hilbert-Schmidt overlap, and extracts a counterexample when the
 // circuits differ — the debugging companion to Check.
 func DiagnoseNonEquivalence(c1, c2 *qc.Circuit) (equivalent bool, overlap float64, ce *Counterexample, err error) {
-	if c1.NQubits != c2.NQubits {
-		return false, 0, nil, fmt.Errorf("verify: qubit counts differ (%d vs %d)", c1.NQubits, c2.NQubits)
+	if err := checkPair(c1, c2); err != nil {
+		return false, 0, nil, err
 	}
 	p := dd.New(c1.NQubits)
-	u1, err := Functionality(p, c1)
+	u1, u2, _, err := buildPair(context.Background(), p, c1, c2, false)
 	if err != nil {
 		return false, 0, nil, err
 	}
-	p.IncRefM(u1) // the second build may collect garbage
 	defer p.DecRefM(u1)
-	u2, err := Functionality(p, c2)
-	if err != nil {
-		return false, 0, nil, err
-	}
 	overlap = p.HSOverlap(u1, u2)
 	if u1.N == u2.N && overlap > 1-1e-9 {
 		return true, overlap, nil, nil

@@ -233,12 +233,33 @@ func TestSimulationCheckFindsCounterexample(t *testing.T) {
 	if ok {
 		t.Fatal("simulation check missed an obvious difference")
 	}
-	ok, _, err = SimulationCheck(algorithms.QFT(3), algorithms.QFTCompiled(3), 8, 7)
+	// H·Z differs from H by a phase of -1 on the stimuli with q1 set
+	// and of 1 on the others: no global phase, though every stimulus
+	// ends on the same node.
+	h := qc.New(2, 0)
+	h.H(0)
+	hz := qc.New(2, 0)
+	hz.H(0).Z(1)
+	ok, _, err = SimulationCheck(h, hz, 32, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("simulation check falsified equivalent circuits")
+	if ok {
+		t.Fatal("simulation check missed a relative phase between stimuli")
+	}
+	// RZ(θ) = e^{-iθ/2}·P(θ): one global phase for every stimulus.
+	rz := qc.New(2, 0)
+	rz.Gate(qc.RZ, []float64{0.7}, 1)
+	ph := qc.New(2, 0)
+	ph.Gate(qc.P, []float64{0.7}, 1)
+	for _, pair := range [][2]*qc.Circuit{{algorithms.QFT(3), algorithms.QFTCompiled(3)}, {rz, ph}} {
+		ok, _, err = SimulationCheck(pair[0], pair[1], 8, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			t.Fatalf("simulation check falsified equivalent circuits %s and %s", pair[0].Name, pair[1].Name)
+		}
 	}
 }
 

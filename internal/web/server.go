@@ -486,7 +486,7 @@ func (s *Server) handleVerifyExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer h.release()
-	g := vis.FromMatrix(h.val.(*verifySession).x)
+	g := vis.FromMatrix(h.val.(*verifySession).m.X())
 	s.writeExport(w, r, g, query(r))
 }
 
@@ -599,14 +599,15 @@ func (s *Server) writeVerifyStepError(w http.ResponseWriter, r *http.Request, se
 		s.writeErr(w, r, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
-	caption := stepErrorCaption(err)
-	s.writeFrame(w, r, &verifyStepResponse{
-		Frame:    verifyFrame(sess, style, caption),
-		Error:    err.Error(),
-		Identity: sess.identity(),
-		LeftPos:  sess.li,
-		RightPos: sess.ri,
-	})
+	resp := verifyResponse(sess, style, stepErrorCaption(err))
+	resp.Error = err.Error()
+	s.writeFrame(w, r, resp)
+}
+
+// verifyResponse carries the session's frame, verdict and positions.
+func verifyResponse(sess *verifySession, style vis.Style, caption string) *verifyStepResponse {
+	li, ri := sess.m.Pos()
+	return &verifyStepResponse{Frame: verifyFrame(sess, style, caption), Identity: sess.identity(), LeftPos: li, RightPos: ri}
 }
 
 func (s *Server) handleVerifyStep(w http.ResponseWriter, r *http.Request) {
@@ -651,13 +652,9 @@ func (s *Server) handleVerifyStep(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusBadRequest, codeBadRequest, fmt.Errorf("web: unknown action %q", req.Action))
 		return
 	}
-	s.writeFrame(w, r, &verifyStepResponse{
-		Frame:    verifyFrame(sess, style, applied),
-		Applied:  applied,
-		Identity: sess.identity(),
-		LeftPos:  sess.li,
-		RightPos: sess.ri,
-	})
+	resp := verifyResponse(sess, style, applied)
+	resp.Applied = applied
+	s.writeFrame(w, r, resp)
 }
 
 func (s *Server) handleVerifyGet(w http.ResponseWriter, r *http.Request) {
@@ -669,10 +666,5 @@ func (s *Server) handleVerifyGet(w http.ResponseWriter, r *http.Request) {
 	defer h.release()
 	sess := h.val.(*verifySession)
 	style := styleFrom(query(r))
-	s.writeFrame(w, r, &verifyStepResponse{
-		Frame:    verifyFrame(sess, style, ""),
-		Identity: sess.identity(),
-		LeftPos:  sess.li,
-		RightPos: sess.ri,
-	})
+	s.writeFrame(w, r, verifyResponse(sess, style, ""))
 }

@@ -205,25 +205,18 @@ func (s *simSession) choose(outcome int) error {
 	return nil
 }
 
-// verifySession drives the alternating equivalence-checking view: two
-// gate lists (G applied from the left, G′ inverted and applied from
-// the right) over an identity-initialized diagram, with per-side
-// stepping, barrier-aware "fast-forward" and unlimited undo.
+// verifySession drives the alternating equivalence-checking view: it
+// steps the checker's own miter (G applied from the left, G′ inverted
+// and applied from the right over an identity-initialized diagram) per
+// side, fast-forwards to barriers, and keeps unlimited undo.
 type verifySession struct {
 	sessionBase
-	pkg   *dd.Pkg
-	left  *qc.Circuit
-	right *qc.Circuit
-	x     dd.MEdge
+	m *verify.Miter
 	// Original source inputs, retained verbatim for spill snapshots
 	// (same lossy-rendering rationale as simSession).
 	leftSrc, rightSrc string
 	format            string
-	// positions index into the circuits' op lists (barriers are
-	// skipped transparently but delimit RunToBarrier).
-	li, ri  int
-	peak    int // largest node count the product diagram has reached
-	history []verifySnapshot
+	history           []verifySnapshot
 }
 
 type verifySnapshot struct {
@@ -232,38 +225,30 @@ type verifySnapshot struct {
 }
 
 func newVerifySession(left, right *qc.Circuit, leftSrc, rightSrc, format string, maxNodes int) (*verifySession, error) {
-	if left.NQubits != right.NQubits {
-		return nil, fmt.Errorf("web: circuits must have the same number of qubits (%d vs %d)", left.NQubits, right.NQubits)
-	}
-	if left.HasNonUnitary() || right.HasNonUnitary() {
-		return nil, errors.New("web: measurement, reset and classically-controlled operations are not supported in verification")
-	}
 	p := dd.New(left.NQubits)
 	p.SetMaxNodes(maxNodes)
-	v := &verifySession{
-		pkg: p, left: left, right: right,
-		leftSrc: leftSrc, rightSrc: rightSrc, format: format,
-		x: p.Ident(),
+	m, err := verify.NewMiter(p, left, right)
+	if err != nil {
+		p.Close()
+		return nil, err
 	}
-	v.acct = newSessionAccount()
-	v.pkg.IncRefM(v.x)
-	v.peak = dd.SizeM(v.x)
-	return v, nil
+	return &verifySession{sessionBase: sessionBase{acct: newSessionAccount()}, m: m, leftSrc: leftSrc, rightSrc: rightSrc, format: format}, nil
 }
 
-func (v *verifySession) ddPkg() *dd.Pkg { return v.pkg }
+func (v *verifySession) ddPkg() *dd.Pkg { return v.m.Pkg() }
 
-func (v *verifySession) publishShape() dd.ShapeProfile { return v.pkg.PublishShapeM(v.x) }
+func (v *verifySession) publishShape() dd.ShapeProfile { return v.m.Pkg().PublishShapeM(v.m.X()) }
 
 func (v *verifySession) snapshot() []byte {
+	li, ri := v.m.Pos()
 	return snapshot.EncodeVerify(&snapshot.Verify{
 		LeftSource:  v.leftSrc,
 		LeftFormat:  v.format,
 		RightSource: v.rightSrc,
 		RightFormat: v.format,
-		LI:          v.li,
-		RI:          v.ri,
-		X:           v.pkg.AppendMatrixBinary(nil, v.x),
+		LI:          li,
+		RI:          ri,
+		X:           v.m.Pkg().AppendMatrixBinary(nil, v.m.X()),
 	})
 }
 
@@ -293,59 +278,47 @@ func resumeVerifySession(blob []byte, maxNodes int) (session, error) {
 	if snap.LI < 0 || snap.LI > len(left.Ops) || snap.RI < 0 || snap.RI > len(right.Ops) {
 		return nil, fmt.Errorf("web: restore: positions %d/%d out of range", snap.LI, snap.RI)
 	}
-	x, err := v.pkg.DecodeMatrixBinary(snap.X)
+	x, err := v.m.Pkg().DecodeMatrixBinary(snap.X)
 	if err != nil {
 		return nil, err
 	}
 	if x.IsZero() {
 		return nil, errors.New("web: restore: zero verification diagram")
 	}
-	v.pkg.IncRefM(x)
-	v.pkg.DecRefM(v.x)
-	v.x = x
-	v.li, v.ri = snap.LI, snap.RI
-	v.peak = dd.SizeM(v.x)
+	v.m.Pkg().IncRefM(x)
+	v.m.Restore(x, snap.LI, snap.RI, dd.SizeM(x))
 	return v, nil
 }
 
-// applyOp multiplies one gate into the product diagram: G ops from
-// the left (U·x), G′ ops inverted from the right (x·U⁻¹).
-func (v *verifySession) applyOp(op *qc.Op, side string) (dd.MEdge, error) {
-	if side == "left" {
-		return v.pkg.ApplyOpML(v.x, op)
+// sideOf maps the tab's side names onto the miter's.
+func sideOf(side string) (verify.Side, error) {
+	switch side {
+	case "left":
+		return verify.Left, nil
+	case "right":
+		return verify.Right, nil
 	}
-	inv := op.Inverse()
-	return v.pkg.ApplyOpMR(v.x, &inv)
+	return 0, fmt.Errorf("web: unknown side %q", side)
 }
 
 // stepSide applies the next gate of the chosen side ("left" = G,
-// "right" = G′). It returns the applied gate, or nil when that side is
-// exhausted.
+// "right" = G′), keeping the previous product for undo. It returns the
+// applied gate, or nil when that side is exhausted.
 func (v *verifySession) stepSide(ctx context.Context, side string) (*qc.Op, error) {
-	var circ *qc.Circuit
-	var pos *int
-	switch side {
-	case "left":
-		circ, pos = v.left, &v.li
-	case "right":
-		circ, pos = v.right, &v.ri
-	default:
-		return nil, fmt.Errorf("web: unknown side %q", side)
+	s, err := sideOf(side)
+	if err != nil {
+		return nil, err
 	}
-	// Skip barriers.
-	for *pos < len(circ.Ops) && circ.Ops[*pos].Kind == qc.KindBarrier {
-		*pos++
-	}
-	if *pos >= len(circ.Ops) {
+	op := v.m.Next(s)
+	if op == nil {
 		return nil, nil
 	}
-	op := &circ.Ops[*pos]
 	var sp *trace.Span
 	if trace.Enabled(ctx) {
 		_, sp = trace.StartSpan(ctx, "verify:"+side+" "+op.String())
-		sp.SetAttr("nodes_before", int64(dd.SizeM(v.x)))
+		sp.SetAttr("nodes_before", int64(dd.SizeM(v.m.X())))
 	}
-	next, err := v.applyOp(op, side)
+	next, err := v.m.Try(s)
 	if err != nil {
 		if errors.Is(err, dd.ErrResourceExhausted) {
 			sp.SetAttr("budget_exhausted", 1)
@@ -355,50 +328,21 @@ func (v *verifySession) stepSide(ctx context.Context, side string) (*qc.Op, erro
 		// the user can undo their way back below the budget.
 		return nil, err
 	}
-	n := dd.SizeM(next)
-	sp.SetAttr("nodes_after", int64(n))
-	if n > v.peak {
-		v.peak = n
-	}
+	li, ri := v.m.Pos()
+	v.history = append(v.history, verifySnapshot{x: v.m.X(), li: li, ri: ri})
+	v.m.Pkg().IncRefM(v.m.X()) // snapshot reference
+	sp.SetAttr("nodes_after", int64(v.m.Take(s, next)))
 	sp.End()
-	v.history = append(v.history, verifySnapshot{x: v.x, li: v.li, ri: v.ri})
-	v.pkg.IncRefM(v.x) // snapshot reference
-	v.pkg.IncRefM(next)
-	v.pkg.DecRefM(v.x)
-	v.x = next
-	v.pkg.MaybeShapeM(v.x)
-	*pos++
 	return op, nil
 }
 
-func (v *verifySession) sideCirc(side string) *qc.Circuit {
-	if side == "right" {
-		return v.right
-	}
-	return v.left
-}
-
-func (v *verifySession) sidePos(side string) int {
-	if side == "right" {
-		return v.ri
-	}
-	return v.li
-}
-
-func (v *verifySession) setSidePos(side string, pos int) {
-	if side == "right" {
-		v.ri = pos
-	} else {
-		v.li = pos
-	}
-}
-
 // runToBarrier applies gates of the side up to the next barrier (or
-// the end) — the ⏭ button of the verification tab, which Ex. 12 uses
-// to consume "all gates from the circuit up to the next barrier".
+// the end), each as one undoable step — the ⏭ button of the
+// verification tab.
 func (v *verifySession) runToBarrier(ctx context.Context, side string) (applied int, err error) {
-	if side != "left" && side != "right" {
-		return 0, fmt.Errorf("web: unknown side %q", side)
+	s, err := sideOf(side)
+	if err != nil {
+		return 0, err
 	}
 	if trace.Enabled(ctx) {
 		var sp *trace.Span
@@ -408,24 +352,10 @@ func (v *verifySession) runToBarrier(ctx context.Context, side string) (applied 
 			sp.End()
 		}()
 	}
-	for {
-		circ, pos := v.sideCirc(side), v.sidePos(side)
-		if pos >= len(circ.Ops) {
-			return applied, nil
-		}
-		if circ.Ops[pos].Kind == qc.KindBarrier {
-			if applied > 0 {
-				// Stop at the barrier; the next invocation skips it.
-				return applied, nil
-			}
-			v.setSidePos(side, pos+1)
-			continue
-		}
-		if _, err := v.stepSide(ctx, side); err != nil {
-			return applied, err
-		}
-		applied++
-	}
+	return v.m.RunToBarrier(s, func() error {
+		_, err := v.stepSide(ctx, side)
+		return err
+	})
 }
 
 func (v *verifySession) stepBack() bool {
@@ -434,15 +364,14 @@ func (v *verifySession) stepBack() bool {
 	}
 	snap := v.history[len(v.history)-1]
 	v.history = v.history[:len(v.history)-1]
-	v.pkg.DecRefM(v.x)
-	v.x = snap.x // reference transferred from the snapshot
-	v.li, v.ri = snap.li, snap.ri
+	// The snapshot's reference goes to the miter.
+	v.m.Restore(snap.x, snap.li, snap.ri, v.m.Peak())
 	return true
 }
 
 // identity classifies the current diagram against the identity.
 func (v *verifySession) identity() string {
-	switch v.pkg.CheckIdentity(v.x) {
+	switch v.m.Identity() {
 	case dd.IdentityExact:
 		return "identity"
 	case dd.IdentityUpToPhase:
@@ -786,18 +715,20 @@ func simFrame(s *simSession, style vis.Style, caption string) Frame {
 }
 
 func verifyFrame(v *verifySession, style vis.Style, caption string) Frame {
-	f := dd.FlattenM(v.x)
+	p, left, right := v.m.Pkg(), v.m.Circuit(verify.Left), v.m.Circuit(verify.Right)
+	li, ri := v.m.Pos()
+	f := dd.FlattenM(v.m.X())
 	defer f.Release()
 	return Frame{
 		graph:     vis.FromFlatM(f),
 		style:     style,
 		Nodes:     f.Size(),
 		Caption:   caption,
-		Pos:       gatesBefore(v.left, v.li) + gatesBefore(v.right, v.ri),
-		Total:     v.left.NumGates() + v.right.NumGates(),
-		PeakNodes: v.peak,
-		LevelHist: f.LevelHist(v.pkg.Qubits()),
-		Engine:    engineStats(v.pkg),
+		Pos:       gatesBefore(left, li) + gatesBefore(right, ri),
+		Total:     left.NumGates() + right.NumGates(),
+		PeakNodes: v.m.Peak(),
+		LevelHist: f.LevelHist(p.Qubits()),
+		Engine:    engineStats(p),
 	}
 }
 
@@ -812,10 +743,6 @@ func gatesBefore(c *qc.Circuit, pos int) int {
 	}
 	return n
 }
-
-// For tests: expose internals.
-func (v *verifySession) positions() (int, int) { return v.li, v.ri }
-func (v *verifySession) nodeCount() int        { return dd.SizeM(v.x) }
 
 // BuildFunctionalityFrame supports the "single circuit loaded" mode of
 // the verification tab: it constructs the (inverse) functionality of

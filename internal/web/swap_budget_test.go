@@ -40,10 +40,10 @@ func TestVerifySwapStepBudgetAbort(t *testing.T) {
 				t.Fatal(err)
 			}
 			last := len(left.Ops) - 1
-			for v.li < last || v.ri < last {
-				for _, s := range []string{"left", "right"} {
-					if v.sidePos(s) < last {
-						if _, err := v.stepSide(ctx, s); err != nil {
+			for li, ri := v.m.Pos(); li < last || ri < last; li, ri = v.m.Pos() {
+				for s, pos := range [2]int{li, ri} {
+					if pos < last {
+						if _, err := v.stepSide(ctx, []string{"left", "right"}[s]); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -62,7 +62,7 @@ func TestVerifySwapStepBudgetAbort(t *testing.T) {
 		if _, err := probe.stepSide(ctx, side); err != nil {
 			t.Fatal(err)
 		}
-		peak := probe.pkg.LiveNodes()
+		peak := probe.m.Pkg().LiveNodes()
 
 		var ok, aborted int
 		for b := 1; b <= peak; b++ {
@@ -70,17 +70,18 @@ func TestVerifySwapStepBudgetAbort(t *testing.T) {
 			if _, err := v.stepSide(ctx, side); err != nil {
 				t.Fatal(err)
 			}
-			want := v.x
-			v.pkg.IncRefM(want)
+			want := v.m.X()
+			v.m.Pkg().IncRefM(want)
 			v.stepBack()
-			x, li, ri, hist := v.x, v.li, v.ri, len(v.history)
+			x, hist := v.m.X(), len(v.history)
+			li, ri := v.m.Pos()
 
-			v.pkg.SetMaxNodes(b)
+			v.m.Pkg().SetMaxNodes(b)
 			_, err := v.stepSide(ctx, side)
 			switch {
 			case err == nil:
 				ok++
-				if v.x != want {
+				if v.m.X() != want {
 					t.Fatalf("%s, budget %d: step succeeded with a different diagram", side, b)
 				}
 				continue
@@ -88,12 +89,12 @@ func TestVerifySwapStepBudgetAbort(t *testing.T) {
 				t.Fatalf("%s, budget %d: %v", side, b, err)
 			}
 			aborted++
-			if v.x != x || v.li != li || v.ri != ri || len(v.history) != hist {
+			if gli, gri := v.m.Pos(); v.m.X() != x || gli != li || gri != ri || len(v.history) != hist {
 				t.Fatalf("%s, budget %d: aborted step changed the session", side, b)
 			}
-			v.pkg.SetMaxNodes(0)
-			if _, err := v.stepSide(ctx, side); err != nil || v.x != want {
-				t.Fatalf("%s, budget %d: unbudgeted retry after the abort: err=%v, same diagram %v", side, b, err, v.x == want)
+			v.m.Pkg().SetMaxNodes(0)
+			if _, err := v.stepSide(ctx, side); err != nil || v.m.X() != want {
+				t.Fatalf("%s, budget %d: unbudgeted retry after the abort: err=%v, same diagram %v", side, b, err, v.m.X() == want)
 			}
 		}
 		if ok == 0 || aborted == 0 {

@@ -413,7 +413,7 @@ func TestWalkMatchesMapReferences(t *testing.T) {
 		}
 		for step := 0; ; step++ {
 			f := verifyFrame(v, vis.Style{}, "")
-			checkMatrix(t, pair[0].Name+" verify step "+strconv.Itoa(step), v.pkg, v.x, &f)
+			checkMatrix(t, pair[0].Name+" verify step "+strconv.Itoa(step), v.m.Pkg(), v.m.X(), &f)
 			side := "left"
 			if step%3 == 2 {
 				side = "right"

@@ -260,10 +260,12 @@ func TestVerificationFlowEx12(t *testing.T) {
 }
 
 // TestVerificationTabAgreesWithCheckOn drives the verification tab
-// left, right, left, … to the end of both circuits, the one-to-one
-// schedule, and holds the verdict, phase flag, final node count and
-// kernel-op count of its last frame to verify.CheckOn's Result under
-// OneToOne: both apply the same ops through one entry.
+// through two of the checker's schedules to the end of both circuits:
+// left, right, left, … (one-to-one), and all of the left, then all of
+// the right (sequential). It holds the verdict, phase flag, final and
+// peak node counts and kernel-op count of its last frame to
+// verify.CheckOn's Result under the same strategy: both step one miter.
+// One pair's right side carries barriers, which the tab steps over.
 func TestVerificationTabAgreesWithCheckOn(t *testing.T) {
 	cswap := qc.New(3, 0)
 	cswap.H(0).H(1).Gate(qc.RY, []float64{0.4}, 2)
@@ -273,6 +275,10 @@ func TestVerificationTabAgreesWithCheckOn(t *testing.T) {
 	lowered.CX(2, 1).CCX(0, 1, 2).CX(2, 1)
 	faulty := algorithms.QFTCompiled(3)
 	faulty.X(1)
+	barriers, err := qc.CompileNative(algorithms.QFT(3), qc.CompileOptions{EmitBarriers: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	pairs := []struct {
 		name   string
 		c1, c2 *qc.Circuit
@@ -281,38 +287,59 @@ func TestVerificationTabAgreesWithCheckOn(t *testing.T) {
 		{"qft3", algorithms.QFT(3), algorithms.QFTCompiled(3), true},
 		{"cswap", cswap, lowered, true},
 		{"faulty", algorithms.QFT(3), faulty, false},
+		{"barriers", algorithms.QFT(3), barriers, true},
+	}
+	// Each walk steps the tab through step, which reports whether a
+	// gate was applied.
+	walks := map[verify.Strategy]func(step func(side string) bool){
+		verify.OneToOne: func(step func(string) bool) {
+			for applied := true; applied; {
+				applied = step("left")
+				applied = step("right") || applied
+			}
+		},
+		verify.Sequential: func(step func(string) bool) {
+			for step("left") {
+			}
+			for step("right") {
+			}
+		},
 	}
 	for _, pair := range pairs {
 		t.Run(pair.name, func(t *testing.T) {
-			want, err := verify.CheckOn(dd.New(pair.c1.NQubits), pair.c1, pair.c2, verify.OneToOne)
-			if err != nil || want.Equivalent != pair.equiv {
-				t.Fatalf("CheckOn: %+v, %v; want equivalent=%v", want, err, pair.equiv)
-			}
-			srv := newTestServer(t)
-			var created newResp
-			post(t, srv, "/api/verification", newVerifyRequest{Left: pair.c1.QASM(), Right: pair.c2.QASM()}, &created)
-			var last verifyStepResponse
-			for applied := true; applied; {
-				applied = false
-				for _, side := range []string{"left", "right"} {
-					last = verifyStepResponse{}
-					post(t, srv, "/api/verification/"+created.ID+"/step", verifyStepRequest{Side: side, Action: "forward"}, &last)
-					applied = applied || last.Applied != ""
-				}
-			}
-			if last.LeftPos != len(pair.c1.Ops) || last.RightPos != len(pair.c2.Ops) {
-				t.Fatalf("walk ended at %d/%d, want %d/%d", last.LeftPos, last.RightPos, len(pair.c1.Ops), len(pair.c2.Ops))
-			}
-			equivalent := last.Identity != "not-identity"
-			upToPhase := last.Identity == "identity-up-to-phase"
-			if equivalent != want.Equivalent || upToPhase != want.UpToGlobalPhase {
-				t.Fatalf("tab says %q, CheckOn equivalent=%v up-to-phase=%v", last.Identity, want.Equivalent, want.UpToGlobalPhase)
-			}
-			if last.Frame.Nodes != want.FinalNodes {
-				t.Fatalf("tab ends with %d nodes, CheckOn with %d", last.Frame.Nodes, want.FinalNodes)
-			}
-			if got := int(last.Frame.Engine.KernelOps); got != want.KernelOps {
-				t.Fatalf("tab counts %d kernel ops, CheckOn %d", got, want.KernelOps)
+			for _, strategy := range []verify.Strategy{verify.OneToOne, verify.Sequential} {
+				t.Run(strategy.String(), func(t *testing.T) {
+					want, err := verify.CheckOn(dd.New(pair.c1.NQubits), pair.c1, pair.c2, strategy)
+					if err != nil || want.Equivalent != pair.equiv {
+						t.Fatalf("CheckOn: %+v, %v; want equivalent=%v", want, err, pair.equiv)
+					}
+					srv := newTestServer(t)
+					var created newResp
+					post(t, srv, "/api/verification", newVerifyRequest{Left: pair.c1.QASM(), Right: pair.c2.QASM()}, &created)
+					var last verifyStepResponse
+					walks[strategy](func(side string) bool {
+						last = verifyStepResponse{}
+						post(t, srv, "/api/verification/"+created.ID+"/step", verifyStepRequest{Side: side, Action: "forward"}, &last)
+						return last.Applied != ""
+					})
+					if last.LeftPos != len(pair.c1.Ops) || last.RightPos != len(pair.c2.Ops) {
+						t.Fatalf("walk ended at %d/%d, want %d/%d", last.LeftPos, last.RightPos, len(pair.c1.Ops), len(pair.c2.Ops))
+					}
+					equivalent := last.Identity != "not-identity"
+					upToPhase := last.Identity == "identity-up-to-phase"
+					if equivalent != want.Equivalent || upToPhase != want.UpToGlobalPhase {
+						t.Fatalf("tab says %q, CheckOn equivalent=%v up-to-phase=%v", last.Identity, want.Equivalent, want.UpToGlobalPhase)
+					}
+					if last.Frame.Nodes != want.FinalNodes {
+						t.Fatalf("tab ends with %d nodes, CheckOn with %d", last.Frame.Nodes, want.FinalNodes)
+					}
+					if last.Frame.PeakNodes != want.PeakNodes {
+						t.Fatalf("tab peaks at %d nodes, CheckOn at %d", last.Frame.PeakNodes, want.PeakNodes)
+					}
+					if got := int(last.Frame.Engine.KernelOps); got != want.KernelOps {
+						t.Fatalf("tab counts %d kernel ops, CheckOn %d", got, want.KernelOps)
+					}
+				})
 			}
 		})
 	}
