@@ -29,7 +29,6 @@ package dd
 
 import (
 	"fmt"
-	"time"
 
 	"quantumdd/internal/cnum"
 )
@@ -179,10 +178,8 @@ func (p *Pkg) ApplyGateChecked(v VEdge, u GateMatrix, target int, controls ...Co
 }
 
 func (p *Pkg) applyGateTraced(v VEdge, g *appliedGate) VEdge {
-	if p.observer == nil {
-		return p.rootV(p.applyGate(v, g))
-	}
-	start := time.Now()
+	notSwept(v.N.V)
+	start := p.opStart()
 	res := p.rootV(p.applyGate(v, g))
 	p.traced(OpApplyGate, start)
 	return res

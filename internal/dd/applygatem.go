@@ -59,7 +59,6 @@ package dd
 
 import (
 	"fmt"
-	"time"
 
 	"quantumdd/internal/cnum"
 )
@@ -184,15 +183,11 @@ func (p *Pkg) applyGateMChecked(m MEdge, g *appliedGate, s side) (MEdge, error) 
 // past the count, so an aborted gate counts nothing and a gate that
 // checked re-runs after a collection counts once.
 func (p *Pkg) applyGateMTraced(m MEdge, g *appliedGate, s side) MEdge {
-	var start time.Time
-	if p.observer != nil {
-		start = time.Now()
-	}
+	notSwept(m.N.V)
+	start := p.opStart()
 	res := p.rootM(p.applyGateM(m, g, s))
 	p.stats.ApplyMOps++
-	if p.observer != nil {
-		p.traced(OpApplyGateM, start)
-	}
+	p.traced(OpApplyGateM, start)
 	return res
 }
 

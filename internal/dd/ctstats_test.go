@@ -127,7 +127,9 @@ func TestComputeTableCounterPin(t *testing.T) {
 	var seen [dd.NumTables]uint64
 	for _, w := range ctWorkloads() {
 		st := w.run(t).Stats()
-		if got := ctAggregates(st); got != want[w.name] {
+		// The detector build collects at every watermark check, and a
+		// collection empties the tables.
+		if got := ctAggregates(st); got != want[w.name] && !dd.PoisonSwept {
 			t.Errorf("%s: counters %v, want %v", w.name, got, want[w.name])
 		}
 		var sum dd.Stats

@@ -90,6 +90,7 @@ func (w *vWalker) child(n *VNode) int32 {
 		}
 		return f.Term
 	}
+	notSwept(n.V)
 	i, fresh := w.insert(n)
 	if !fresh {
 		return w.ids[i]
@@ -121,6 +122,7 @@ func (w *mWalker) child(n *MNode) int32 {
 		}
 		return f.Term
 	}
+	notSwept(n.V)
 	i, fresh := w.insert(n)
 	if !fresh {
 		return w.ids[i]

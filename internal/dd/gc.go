@@ -22,6 +22,7 @@ func incRefV(n *VNode) {
 	if n == vTerminal {
 		return
 	}
+	notSwept(n.V)
 	n.ref++
 	if n.ref == 1 {
 		incRefV(n.E[0].N)
@@ -59,6 +60,7 @@ func incRefM(n *MNode) {
 	if n == mTerminal {
 		return
 	}
+	notSwept(n.V)
 	n.ref++
 	if n.ref == 1 {
 		for _, c := range n.E {
@@ -120,9 +122,12 @@ func (p *Pkg) GarbageCollect() (vecFreed, matFreed int) {
 // collects, so small workloads skip the sweep altogether.
 const GCFloor = 1024
 
-// GCWatermark is the collection schedule of the package's long loops
-// (a functionality build, a random-stimulus check, a trajectory
-// replica): collect once the live nodes have doubled since the last
+// GCWatermark is the one collection schedule of the package's long
+// loops: the simulator (after each operation), a trajectory replica
+// (between trajectories), a functionality build (after each gate), the
+// alternating miter of the checker and the verification tab (after
+// each gate) and a random-stimulus check (between stimuli). It
+// collects once the live nodes have doubled since the last
 // collection, and never below GCFloor. A collection sweeps every
 // unique table and invalidates every compute table, so collecting
 // after each unit of work would pay that sweep every time and keep the
@@ -140,9 +145,10 @@ type GCWatermark struct{ next int }
 // max(GCFloor, twice the live count the last collection through w
 // left), and reports whether it did. The check is O(1) against the
 // incrementally maintained live counter, so it can sit inside
-// per-operation loops.
+// per-operation loops. The detector build (poison_on.go) collects at
+// every check.
 func (w *GCWatermark) MaybeCollect(p *Pkg) bool {
-	if p.live < max(GCFloor, w.next) {
+	if p.live < max(GCFloor, w.next) && !poisonSwept {
 		return false
 	}
 	w.Collect(p)

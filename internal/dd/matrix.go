@@ -73,6 +73,7 @@ func fillMatrix(w complex128, n *MNode, row, col int64, out [][]complex128) {
 		out[row][col] = w
 		return
 	}
+	notSwept(n.V)
 	for i := int64(0); i < 2; i++ {
 		for j := int64(0); j < 2; j++ {
 			c := n.E[2*i+j]

@@ -74,7 +74,10 @@ func (a *vArena) alloc() (n *VNode, recycled bool) {
 
 // release clears the node and pushes it onto the free list. The clear
 // matters: stale edges must not survive into the slot's next life.
+// The detector build poisons the node and recycles a fresh one in its
+// place (poison_on.go).
 func (a *vArena) release(n *VNode) {
+	n = poisonV(n)
 	*n = VNode{}
 	n.next = a.free
 	a.free = n
@@ -120,6 +123,7 @@ func (a *mArena) alloc() (n *MNode, recycled bool) {
 }
 
 func (a *mArena) release(n *MNode) {
+	n = poisonM(n)
 	*n = MNode{}
 	n.next = a.free
 	a.free = n

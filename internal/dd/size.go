@@ -168,6 +168,7 @@ func (w *vWalker) push(n *VNode) {
 	if n == vTerminal {
 		return
 	}
+	notSwept(n.V)
 	if _, fresh := w.insert(n); fresh {
 		w.stack = append(w.stack, n)
 	}
@@ -177,6 +178,7 @@ func (w *mWalker) push(n *MNode) {
 	if n == mTerminal {
 		return
 	}
+	notSwept(n.V)
 	if _, fresh := w.insert(n); fresh {
 		w.stack = append(w.stack, n)
 	}

@@ -12,7 +12,8 @@ package dd
 //     entry points time themselves around their recursive bodies) and
 //     every garbage collection. Callers that feed several sinks compose
 //     them in one Observer value of their own. With no observer
-//     installed the cost is a single nil check per operation.
+//     installed the cost is two nil checks per operation (opStart,
+//     traced).
 //
 //   - The package periodically publishes an immutable Stats snapshot
 //     through an atomic pointer (LastStats). Readers on any goroutine
@@ -115,9 +116,22 @@ func (p *Pkg) LastStats() (Stats, bool) {
 	return Stats{}, false
 }
 
-// traced runs after a top-level operation completed: it reports the
-// latency and periodically republishes the stats snapshot.
+// opStart returns the start time of a top-level operation, or the zero
+// time when no observer will see it.
+func (p *Pkg) opStart() time.Time {
+	if p.observer == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// traced runs after a top-level operation completed: with an observer
+// installed it reports the latency and periodically republishes the
+// stats snapshot.
 func (p *Pkg) traced(op Op, start time.Time) {
+	if p.observer == nil {
+		return
+	}
 	p.observer.ObserveOp(op, time.Since(start))
 	p.tracedOps++
 	if p.tracedOps%publishStride == 0 {
@@ -128,10 +142,9 @@ func (p *Pkg) traced(op Op, start time.Time) {
 // AddV returns the element-wise sum of the vectors a and b. Operands
 // must stem from this package and represent equally sized vectors.
 func (p *Pkg) AddV(a, b VEdge) VEdge {
-	if p.observer == nil {
-		return p.rootV(p.addV(a, b))
-	}
-	start := time.Now()
+	notSwept(a.N.V)
+	notSwept(b.N.V)
+	start := p.opStart()
 	res := p.rootV(p.addV(a, b))
 	p.traced(OpAddV, start)
 	return res
@@ -139,10 +152,9 @@ func (p *Pkg) AddV(a, b VEdge) VEdge {
 
 // AddM returns the element-wise sum of the matrices a and b.
 func (p *Pkg) AddM(a, b MEdge) MEdge {
-	if p.observer == nil {
-		return p.rootM(p.addM(a, b))
-	}
-	start := time.Now()
+	notSwept(a.N.V)
+	notSwept(b.N.V)
+	start := p.opStart()
 	res := p.rootM(p.addM(a, b))
 	p.traced(OpAddM, start)
 	return res
@@ -151,10 +163,9 @@ func (p *Pkg) AddM(a, b MEdge) MEdge {
 // MultMV computes the matrix-vector product m·v, the core of DD-based
 // simulation (Ex. 9, Fig. 4 of the paper).
 func (p *Pkg) MultMV(m MEdge, v VEdge) VEdge {
-	if p.observer == nil {
-		return p.rootV(p.multMV(m, v))
-	}
-	start := time.Now()
+	notSwept(m.N.V)
+	notSwept(v.N.V)
+	start := p.opStart()
 	res := p.rootV(p.multMV(m, v))
 	p.traced(OpMultMV, start)
 	return res
@@ -165,12 +176,9 @@ func (p *Pkg) MultMV(m MEdge, v VEdge) VEdge {
 // counted once the product has returned, so a product aborted by the
 // node budget counts nothing and one MultMMChecked re-runs counts once.
 func (p *Pkg) MultMM(a, b MEdge) MEdge {
-	if p.observer == nil {
-		res := p.rootM(p.multMM(a, b))
-		p.stats.MultMMOps++
-		return res
-	}
-	start := time.Now()
+	notSwept(a.N.V)
+	notSwept(b.N.V)
+	start := p.opStart()
 	res := p.rootM(p.multMM(a, b))
 	p.stats.MultMMOps++
 	p.traced(OpMultMM, start)
@@ -180,10 +188,7 @@ func (p *Pkg) MultMM(a, b MEdge) MEdge {
 // KronM computes the tensor product a⊗b, where b spans the
 // lowerQubits bottom levels (Fig. 3 of the paper).
 func (p *Pkg) KronM(a, b MEdge, lowerQubits int) MEdge {
-	if p.observer == nil {
-		return p.rootM(p.kronM(a, b, lowerQubits))
-	}
-	start := time.Now()
+	start := p.opStart()
 	res := p.rootM(p.kronM(a, b, lowerQubits))
 	p.traced(OpKron, start)
 	return res
@@ -192,10 +197,7 @@ func (p *Pkg) KronM(a, b MEdge, lowerQubits int) MEdge {
 // ConjTranspose returns the conjugate transpose (adjoint) m† of the
 // matrix diagram.
 func (p *Pkg) ConjTranspose(m MEdge) MEdge {
-	if p.observer == nil {
-		return p.rootM(p.conjTranspose(m))
-	}
-	start := time.Now()
+	start := p.opStart()
 	res := p.rootM(p.conjTranspose(m))
 	p.traced(OpConjTranspose, start)
 	return res

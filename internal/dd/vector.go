@@ -88,6 +88,7 @@ func fillVector(w complex128, n *VNode, levels int, base int64, out []complex128
 		out[base] = w
 		return
 	}
+	notSwept(n.V)
 	fillVector(w*n.E[0].W, n.E[0].N, levels-1, base, out)
 	fillVector(w*n.E[1].W, n.E[1].N, levels-1, base|1<<uint(n.V), out)
 }

@@ -71,7 +71,6 @@ type replica struct {
 	rng   *rand.Rand
 	sim   *Simulator
 	root  *prefixNode
-	gc    dd.GCWatermark
 }
 
 // newReplica builds the worker's trie on pkg and collects once, so
@@ -85,7 +84,7 @@ func newReplica(pkg *dd.Pkg, circ *qc.Circuit, model NoiseModel, opts []Option) 
 	r.build()
 	s.chooser = nil
 	s.release()
-	r.gc.Collect(pkg)
+	s.gc.Collect(pkg)
 	return r
 }
 
@@ -252,17 +251,17 @@ func (r *replica) finish(ctx context.Context, tr int, n *prefixNode, op *qc.Op, 
 }
 
 // maintain keeps the replica healthy between trajectories: it
-// collects once the live nodes have doubled since the last collection
-// (dd.GCWatermark), with or without a node budget. Between collections
-// the garbage of earlier trajectories stays, and with it the compute
-// tables' entries, which later trajectories from the same trie states
-// hit. Garbage does not change a budget verdict: it only raises the
-// live count, and an op that aborts with garbage present is collected
-// and run once more by the budget retry, on the pinned trie and the
-// trajectory's own state, so every op fits or fails as it would on a
-// collected package.
+// collects on its simulator's dd.GCWatermark, once the live nodes have
+// doubled since the last collection, with or without a node budget.
+// Between collections the garbage of earlier trajectories stays, and
+// with it the compute tables' entries, which later trajectories from
+// the same trie states hit. Garbage does not change a budget verdict:
+// it only raises the live count, and an op that aborts with garbage
+// present is collected and run once more by the budget retry, on the
+// pinned trie and the trajectory's own state, so every op fits or
+// fails as it would on a collected package.
 func (r *replica) maintain() {
-	r.gc.MaybeCollect(r.pkg)
+	r.sim.gc.MaybeCollect(r.pkg)
 }
 
 // close releases the trie's pinned states.

@@ -282,6 +282,9 @@ func TestReplicaTablesStayWarm(t *testing.T) {
 	}
 	st := pkg.Stats()
 	t.Logf("%d collections, %d of %d compute-table lookups hit", st.GCRuns, st.CacheHits, st.CacheLookups)
+	if ddPoison {
+		return // the detector build collects after every trajectory
+	}
 	if st.GCRuns > 8 {
 		t.Errorf("%d collections, bound 8", st.GCRuns)
 	}

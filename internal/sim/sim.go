@@ -61,10 +61,11 @@ type Simulator struct {
 	rng     *rand.Rand
 	chooser OutcomeChooser
 
-	// gcThreshold triggers a DD garbage collection when the unique
-	// tables grow past this many nodes: 1<<20 for every simulator; only
-	// tests change it (0 disables automatic GC).
-	gcThreshold int
+	// gc schedules garbage collection on the package's one doubling
+	// rule (dd.GCWatermark): setState collects through it, and a
+	// replica collects through it between trajectories. History
+	// snapshots and the state are referenced, so they survive.
+	gc dd.GCWatermark
 
 	// approxThreshold, when positive, prunes branches below this
 	// probability after every gate (see dd.Approximate); fidelity
@@ -81,7 +82,9 @@ type Simulator struct {
 
 	// replica marks a trajectory simulator on a pool worker (pool.go).
 	// Nothing reads its sizes or steps it backward, so setState skips
-	// the size walk and stepForward keeps no history.
+	// the size walk and stepForward keeps no history. It collects only
+	// between trajectories (replica.maintain), so setState does not
+	// collect on a replica either.
 	replica   bool
 	size      int // nodes of state; not maintained on a replica
 	peakNodes int // largest state diagram observed
@@ -175,7 +178,6 @@ func newOn(p *dd.Pkg, circ *qc.Circuit, rng *rand.Rand, opts ...Option) *Simulat
 		circ:           circ,
 		state:          p.ZeroState(),
 		classical:      make([]int, circ.NClbits),
-		gcThreshold:    1 << 20,
 		approxFidelity: 1,
 	}
 	for i := range s.classical {
@@ -227,9 +229,7 @@ func (s *Simulator) setState(e dd.VEdge) {
 		if s.size > s.peakNodes {
 			s.peakNodes = s.size
 		}
-	}
-	if s.gcThreshold > 0 {
-		s.maybeGC()
+		s.gc.MaybeCollect(s.pkg)
 	}
 	s.pkg.MaybeShapeV(s.state)
 }
@@ -241,18 +241,6 @@ func (s *Simulator) PeakNodes() int {
 		s.peakNodes = s.size
 	}
 	return s.peakNodes
-}
-
-func (s *Simulator) maybeGC() {
-	// O(1) threshold check against the incrementally maintained live
-	// counter — this runs after every operation, so walking the
-	// per-level unique tables here would dominate small-state loops.
-	if s.pkg.LiveNodes() < s.gcThreshold {
-		return
-	}
-	// Protect history snapshots (they are already ref-counted when
-	// pushed), then collect.
-	s.pkg.GarbageCollect()
 }
 
 // release drops every diagram reference this simulator holds — the

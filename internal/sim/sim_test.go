@@ -405,29 +405,35 @@ func TestAdder(t *testing.T) {
 	}
 }
 
+// TestSimulatorGC runs a circuit whose garbage passes dd.GCFloor, so
+// the simulator's watermark collects mid-run. The final state, and a
+// history snapshot stepped back to across those collections, must
+// still equal the dense reference.
 func TestSimulatorGC(t *testing.T) {
-	circ := algorithms.RandomCircuit(6, 20, 11)
+	circ := algorithms.RandomCircuit(8, 40, 11)
 	s := New(circ)
-	s.gcThreshold = 64 // force frequent collections
 	if _, err := s.RunToEnd(); err != nil {
 		t.Fatal(err)
 	}
-	// The state survives aggressive GC; compare against a fresh run.
-	fresh := New(circ)
-	fresh.gcThreshold = 0
-	if _, err := fresh.RunToEnd(); err != nil {
-		t.Fatal(err)
+	if s.Pkg().Stats().GCRuns == 0 {
+		t.Fatalf("no collection with %d live nodes at the end", s.Pkg().LiveNodes())
 	}
-	a := s.Amplitudes()
-	b := fresh.Amplitudes()
-	for i := range a {
-		if cmplx.Abs(a[i]-b[i]) > 1e-9 {
-			t.Fatalf("GC corrupted the state at amplitude %d", i)
+	assertDense := func(got []complex128, want linalg.Vector, what string) {
+		t.Helper()
+		for i := range want {
+			if cmplx.Abs(got[i]-want[i]) > tol {
+				t.Fatalf("%s amplitude %d: dd %v vs dense %v", what, i, got[i], want[i])
+			}
 		}
 	}
-	if s.Pkg().Stats().GCRuns == 0 {
-		t.Fatal("GC never ran despite tiny threshold")
+	assertDense(s.Amplitudes(), denseSimulate(circ), "final")
+	half := len(circ.Ops) / 2
+	for s.Pos() > half {
+		s.StepBackward()
 	}
+	prefix := *circ
+	prefix.Ops = circ.Ops[:half]
+	assertDense(s.Amplitudes(), denseSimulate(&prefix), "stepped-back")
 }
 
 func TestChooserValidation(t *testing.T) {

@@ -42,11 +42,14 @@ func TestSwapStepBudgetAbort(t *testing.T) {
 		}
 		return s
 	}
+	// The step's peak is at most the nodes live before it plus those it
+	// makes; the live count after it would miss any the step collected.
 	probe := prepare()
+	live, made := probe.Pkg().LiveNodes(), nodesMade(probe.Pkg())
 	if _, err := probe.StepForward(); err != nil {
 		t.Fatal(err)
 	}
-	peak := probe.Pkg().LiveNodes()
+	peak := live + nodesMade(probe.Pkg()) - made
 
 	var ok, aborted int
 	for b := 1; b <= peak; b++ {
@@ -84,6 +87,12 @@ func TestSwapStepBudgetAbort(t *testing.T) {
 	if ok == 0 || aborted == 0 {
 		t.Fatalf("budgets 1..%d: %d succeeded, %d aborted; want both outcomes", peak, ok, aborted)
 	}
+}
+
+// nodesMade counts the nodes p has created.
+func nodesMade(p *dd.Pkg) int {
+	st := p.Stats()
+	return int(st.NodesCreatedV + st.NodesCreatedM)
 }
 
 // TestNoisySwapHistogramPinned pins one seeded noisy ensemble of a

@@ -118,7 +118,7 @@ func TestTracedStepAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perStep := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(c.Ops))
 	t.Logf("%.0f heap bytes, %d allocations per traced step", perStep, (after.Mallocs-before.Mallocs)/uint64(len(c.Ops)))
-	if perStep > maxBytes {
+	if perStep > maxBytes && !ddPoison {
 		t.Fatalf("%.0f heap bytes per traced step, bound %d", perStep, maxBytes)
 	}
 }

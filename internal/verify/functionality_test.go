@@ -113,7 +113,7 @@ func TestFunctionalityAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := after.TotalAlloc - before.TotalAlloc
 	t.Logf("%d heap bytes, %d allocations", bytes, after.Mallocs-before.Mallocs)
-	if bytes > maxBytes {
+	if bytes > maxBytes && !ddPoison {
 		t.Fatalf("%d heap bytes, bound %d", bytes, maxBytes)
 	}
 }
@@ -134,6 +134,9 @@ func TestFunctionalityAddCounts(t *testing.T) {
 	st := p.Stats()
 	t.Logf("%d matrix nodes created, %d compute-table lookups, %d matrix unique-table hits",
 		st.NodesCreatedM, st.CacheLookups, st.UniqueHitsM)
+	if ddPoison {
+		return // the detector build collects after every gate
+	}
 	if st.NodesCreatedM != 13689 {
 		t.Errorf("%d matrix nodes created, want 13689", st.NodesCreatedM)
 	}

@@ -27,13 +27,17 @@ const (
 //
 // A position is an op index of its circuit with barriers counted, the
 // form a spill snapshot of the tab stores. The miter holds a reference
-// on its product.
+// on its product. Each step leaves the previous product and its
+// intermediates as garbage, so Take collects on a dd.GCWatermark: a
+// diagram on the package that the caller has not referenced may be
+// swept by any Take or Step.
 type Miter struct {
 	p    *dd.Pkg
 	c    [2]*qc.Circuit
 	pos  [2]int
 	x    dd.MEdge
 	peak int // largest size the product has reached
+	gc   dd.GCWatermark
 }
 
 // checkPair is the one test of a pair to be checked: equal register
@@ -115,11 +119,13 @@ func (m *Miter) Try(s Side) (dd.MEdge, error) {
 }
 
 // Take makes next, which Try returned for side s, the product: the
-// miter drops its reference on the previous one, moves side s past the
-// gate and returns the new product's size.
+// miter drops its reference on the previous one, collects if the live
+// nodes have passed its watermark, moves side s past the gate and
+// returns the new product's size.
 func (m *Miter) Take(s Side, next dd.MEdge) int {
 	m.p.DecRefM(m.x)
 	m.x = next
+	m.gc.MaybeCollect(m.p)
 	m.pos[s]++
 	n := dd.SizeM(next)
 	if n > m.peak {

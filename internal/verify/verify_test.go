@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -446,5 +448,49 @@ func TestSimulationCheckCollects(t *testing.T) {
 	}
 	if live := p.LiveNodes(); live > dd.GCFloor {
 		t.Fatalf("%d live nodes after 50 stimuli, want at most %d", live, dd.GCFloor)
+	}
+}
+
+// TestMiterCollects bounds the live nodes an unbudgeted alternating
+// check of the QFT(7) pair leaves behind. Each miter step leaves the
+// previous product as garbage; before the miter collected, the
+// sequential check ended with 40,016 live nodes for a 7-node result.
+// Collecting must not move what the check reports: the verdict, the
+// per-step trace (pinned by an FNV-64a digest of its records) and the
+// peak are the ones the never-collecting miter produced.
+func TestMiterCollects(t *testing.T) {
+	want := []struct {
+		s     Strategy
+		peak  int
+		trace uint64
+	}{
+		{Sequential, 5461, 0xb25f49bae01544fb},
+		{OneToOne, 1493, 0xe741bafbfcb34f4d},
+		{Proportional, 73, 0xf50bd00315c21054},
+		{Lookahead, 25, 0x961228e46165698},
+	}
+	for _, w := range want {
+		p := dd.New(7)
+		res, err := CheckOn(p, algorithms.QFT(7), algorithms.QFTCompiled(7), w.s)
+		if err != nil {
+			t.Fatalf("%v: %v", w.s, err)
+		}
+		if !res.Equivalent || res.UpToGlobalPhase {
+			t.Errorf("%v: equivalent=%v up to phase=%v, want exactly equivalent", w.s, res.Equivalent, res.UpToGlobalPhase)
+		}
+		h := fnv.New64a()
+		for _, r := range res.Trace {
+			fmt.Fprintf(h, "%s %s %d\n", r.Side, r.Gate, r.Nodes)
+		}
+		if len(res.Trace) != 152 || h.Sum64() != w.trace {
+			t.Errorf("%v: trace of %d steps with digest %#x, want 152 steps with %#x", w.s, len(res.Trace), h.Sum64(), w.trace)
+		}
+		if res.PeakNodes != w.peak {
+			t.Errorf("%v: peak %d nodes, want %d", w.s, res.PeakNodes, w.peak)
+		}
+		if live, bound := p.LiveNodes(), 2*max(dd.GCFloor, res.PeakNodes); live > bound {
+			t.Errorf("%v: %d live nodes after the check, want at most %d", w.s, live, bound)
+		}
+		p.DecRefM(res.Root)
 	}
 }

@@ -159,6 +159,9 @@ func (c *goldenClient) check(want, wantBlanked, wantEngineBlanked string) {
 	if got := hex.EncodeToString(c.e.Sum(nil)); got != wantEngineBlanked {
 		c.t.Errorf("%d response bodies changed outside their engine counters: engine-blanked digest %s, want %s", c.n, got, wantEngineBlanked)
 	}
+	if ddPoison {
+		return // the detector build's collections move the engine counters
+	}
 	if got := hex.EncodeToString(c.b.Sum(nil)); got != wantBlanked {
 		c.t.Errorf("%d response bodies changed outside their SVG: blanked digest %s, want %s", c.n, got, wantBlanked)
 	}

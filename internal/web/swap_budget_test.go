@@ -58,11 +58,18 @@ func TestVerifySwapStepBudgetAbort(t *testing.T) {
 			}
 			return v
 		}
+		// The step's peak is at most the nodes live before it plus
+		// those it makes; the live count after it would miss any the
+		// step collected.
 		probe := prepare()
+		p := probe.m.Pkg()
+		st := p.Stats()
+		peak := p.LiveNodes() - int(st.NodesCreatedV+st.NodesCreatedM)
 		if _, err := probe.stepSide(ctx, side); err != nil {
 			t.Fatal(err)
 		}
-		peak := probe.m.Pkg().LiveNodes()
+		st = p.Stats()
+		peak += int(st.NodesCreatedV + st.NodesCreatedM)
 
 		var ok, aborted int
 		for b := 1; b <= peak; b++ {

@@ -76,6 +76,9 @@ func TestVerifyStepResponsesGolden(t *testing.T) {
 	if got := hex.EncodeToString(engineBlanked.Sum(nil)); got != verifyStepEngineBlankedDigest {
 		t.Errorf("verification step responses changed outside their engine counters: engine-blanked digest %s, want %s", got, verifyStepEngineBlankedDigest)
 	}
+	if ddPoison {
+		return // the detector build's collections move the engine counters
+	}
 	if got := hex.EncodeToString(blanked.Sum(nil)); got != verifyStepBlankedDigest {
 		t.Errorf("verification step responses changed outside their SVG: blanked digest %s, want %s", got, verifyStepBlankedDigest)
 	}
