@@ -110,7 +110,9 @@ func ctAggregates(st dd.Stats) [10]uint64 {
 // tables counted for themselves, so moving the counting into the
 // tables cannot move a counter. The per-table counters must sum to
 // the aggregates, keep hits ≤ lookups and evictions ≤ stores, and
-// every table must see lookups in some workload.
+// every table must see lookups in some workload. HitCounts, the sum a
+// traced step reads, must answer the snapshot's CacheHits and
+// ApplyCTHits.
 func TestComputeTableCounterPin(t *testing.T) {
 	want := map[string][10]uint64{
 		// CacheLookups, CacheHits, CTStores, CTEvictions,
@@ -126,7 +128,11 @@ func TestComputeTableCounterPin(t *testing.T) {
 	}
 	var seen [dd.NumTables]uint64
 	for _, w := range ctWorkloads() {
-		st := w.run(t).Stats()
+		p := w.run(t)
+		st := p.Stats()
+		if cache, apply := p.HitCounts(); cache != st.CacheHits || apply != st.ApplyCTHits {
+			t.Errorf("%s: HitCounts %d, %d; Stats %d, %d", w.name, cache, apply, st.CacheHits, st.ApplyCTHits)
+		}
 		// The detector build collects at every watermark check, and a
 		// collection empties the tables.
 		if got := ctAggregates(st); got != want[w.name] && !dd.PoisonSwept {

@@ -482,12 +482,19 @@ func (p *Pkg) Qubits() int { return p.nqubits }
 func (p *Pkg) Tolerance() float64 { return p.cn.Tolerance() }
 
 // HitCounts reports Stats().CacheHits and Stats().ApplyCTHits without
-// the snapshot's walk over the unique tables: a traced step reads them
-// before and after every op.
+// building a snapshot: it sums the hit counters of the table list in
+// place, taking the apply tables sumTables takes. A traced step reads
+// them before and after every op.
 func (p *Pkg) HitCounts() (cache, apply uint64) {
-	s := Stats{Tables: p.tableStats()}
-	s.sumTables()
-	return s.CacheHits, s.ApplyCTHits
+	for _, s := range p.tables() {
+		h := s.t.counters().Hits
+		cache += h
+		switch s.id {
+		case TableApplyV, TableSplitV:
+			apply += h
+		}
+	}
+	return cache, apply
 }
 
 // Stats returns a snapshot of the package counters, including the

@@ -1,7 +1,8 @@
 // Package trace is the span-tracing layer of the reproduction: a
 // zero-dependency tracer whose spans form a tree — HTTP request →
-// session operation (step / fast-forward / measure / verify round) →
-// gate application → top-level DD operation — and a bounded
+// session operation (step / measure / verify round) → gate application
+// → top-level DD operation, or HTTP request → fast-forward, a folding
+// span that sums its gates' DD operations (Fold) — and a bounded
 // per-session flight recorder holding the most recent completed spans.
 //
 // DD behavior is wildly instance-dependent (Wille et al., CSUR 2022),
@@ -73,6 +74,10 @@ type Span struct {
 	// Active-span bookkeeping; nil on completed (snapshot) copies.
 	rec  *Recorder
 	prev *Span // enclosing active span, restored as current on End; next free span on the free list
+
+	// A folding span counts the DD operations it absorbs (see Fold).
+	fold           bool
+	ddOps, ddNanos int64
 }
 
 // SetAttr attaches an integer attribute. Safe on a nil span (the
@@ -104,6 +109,20 @@ func MakeSpan(id, parent uint64, name string, startNS, durNS int64, attrs ...Att
 	return s
 }
 
+// Fold makes the span absorb the DD operations that complete while it
+// is the recorder's current span: ObserveOp adds each to the span's
+// operation count and time instead of recording a child span, and End
+// attaches the sums as the dd_ops and dd_us attributes. A loop of
+// hundreds of gates is then one span in the ring rather than hundreds,
+// and the ring keeps the session's earlier timeline. Safe on a nil
+// span. Fold only spans whose operations all run on the session's
+// goroutine: the sums are not atomic.
+func (s *Span) Fold() {
+	if s != nil {
+		s.fold = true
+	}
+}
+
 // End completes the span: it computes the duration, restores the
 // enclosing span as the recorder's current one, records the span in
 // the flight-recorder ring and hands the Span back to the recorder
@@ -113,6 +132,10 @@ func MakeSpan(id, parent uint64, name string, startNS, durNS int64, attrs ...Att
 func (s *Span) End() {
 	if s == nil {
 		return
+	}
+	if s.fold {
+		s.SetAttr("dd_ops", s.ddOps)
+		s.SetAttr("dd_us", s.ddNanos/1e3)
 	}
 	r := s.rec
 	s.Dur = sinceEpoch(r.epoch) - s.Start
@@ -340,10 +363,10 @@ var ddOpNames = func() [dd.NumOps]string {
 
 // ObserveOp makes the recorder a dd.Observer: every top-level DD
 // operation (multmv, applygate, gc, …) becomes a child span of the
-// recorder's current active span. Operations completing while no span
-// is active (e.g. diagram rendering outside a request span) are not
-// recorded, which keeps the ring filled with request-attributable
-// work.
+// recorder's current active span, or adds to its sums when that span
+// folds (Fold). Operations completing while no span is active (e.g.
+// diagram rendering outside a request span) are not recorded, which
+// keeps the ring filled with request-attributable work.
 //
 // ObserveOp may be called from goroutines other than the session's
 // only while the set of active spans is stable (the Monte-Carlo noise
@@ -351,6 +374,11 @@ var ddOpNames = func() [dd.NumOps]string {
 func (r *Recorder) ObserveOp(op dd.Op, d time.Duration) {
 	cur := r.current
 	if cur == nil || op >= dd.NumOps {
+		return
+	}
+	if cur.fold {
+		cur.ddOps++
+		cur.ddNanos += int64(d)
 		return
 	}
 	end := sinceEpoch(r.epoch)

@@ -47,6 +47,45 @@ func TestEnabled(t *testing.T) {
 	}
 }
 
+// TestFoldSumsOps checks a folding span: the DD operations completing
+// while it is current add to its dd_ops and dd_us attributes instead of
+// entering the ring, those under a child span it parents stay child
+// spans, and its own attributes come first.
+func TestFoldSumsOps(t *testing.T) {
+	rec := trace.NewRecorder("s", 16)
+	ctx := trace.With(context.Background(), rec)
+	ctx, ff := trace.StartSpan(ctx, "fast-forward:end")
+	ff.Fold()
+	ff.SetAttr("ops", 3)
+	rec.ObserveOp(dd.OpApplyGate, 1500*time.Nanosecond)
+	rec.ObserveOp(dd.OpGC, 2*time.Microsecond)
+	_, child := trace.StartSpan(ctx, "step:gate")
+	rec.ObserveOp(dd.OpApplyGate, time.Microsecond)
+	child.End()
+	rec.ObserveOp(dd.OpApplyGate, 500*time.Nanosecond)
+	ff.End()
+	var nilSpan *trace.Span
+	nilSpan.Fold()
+
+	spans, dropped := rec.Snapshot()
+	if dropped != 0 || len(spans) != 3 {
+		t.Fatalf("%d spans, %d dropped; want the DD child, the child span and the fold", len(spans), dropped)
+	}
+	if spans[0].Name != "dd:applygate" || spans[0].Parent != spans[1].ID || spans[1].Parent != spans[2].ID {
+		t.Fatalf("the child span's operation did not stay its child: %+v", spans)
+	}
+	want := []trace.Attr{{Key: "ops", Value: 3}, {Key: "dd_ops", Value: 3}, {Key: "dd_us", Value: 4}}
+	got := spans[2].Attrs()
+	if len(got) != len(want) {
+		t.Fatalf("fold attributes %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fold attributes %v, want %v", got, want)
+		}
+	}
+}
+
 // TestRecorderOverflowProperties is the flight-recorder property test:
 // after pushing a randomized nested workload far past capacity,
 //

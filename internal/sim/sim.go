@@ -234,6 +234,10 @@ func (s *Simulator) setState(e dd.VEdge) {
 	s.pkg.MaybeShapeV(s.state)
 }
 
+// Nodes reports the node count of the current state, kept from the
+// walk that measured it, so reading it walks nothing.
+func (s *Simulator) Nodes() int { return s.size }
+
 // PeakNodes reports the largest state diagram seen so far — the
 // "strengths and limits" indicator surfaced by the tool's statistics.
 func (s *Simulator) PeakNodes() int {

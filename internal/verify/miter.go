@@ -36,6 +36,7 @@ type Miter struct {
 	c    [2]*qc.Circuit
 	pos  [2]int
 	x    dd.MEdge
+	size int // nodes of x
 	peak int // largest size the product has reached
 	gc   dd.GCWatermark
 }
@@ -65,7 +66,8 @@ func NewMiter(p *dd.Pkg, g, g2 *qc.Circuit) (*Miter, error) {
 func newMiter(p *dd.Pkg, g, g2 *qc.Circuit) *Miter {
 	m := &Miter{p: p, c: [2]*qc.Circuit{g, g2}, x: p.Ident()}
 	p.IncRefM(m.x)
-	m.peak = dd.SizeM(m.x)
+	m.size = dd.SizeM(m.x)
+	m.peak = m.size
 	return m
 }
 
@@ -80,6 +82,10 @@ func (m *Miter) X() dd.MEdge { return m.x }
 
 // Pos returns the op positions of G and G′.
 func (m *Miter) Pos() (li, ri int) { return m.pos[Left], m.pos[Right] }
+
+// Size returns the node count of the product, kept from the walk that
+// measured it last, so reading it walks nothing.
+func (m *Miter) Size() int { return m.size }
 
 // Peak returns the largest size the product has reached.
 func (m *Miter) Peak() int { return m.peak }
@@ -127,12 +133,10 @@ func (m *Miter) Take(s Side, next dd.MEdge) int {
 	m.x = next
 	m.gc.MaybeCollect(m.p)
 	m.pos[s]++
-	n := dd.SizeM(next)
-	if n > m.peak {
-		m.peak = n
-	}
+	m.size = dd.SizeM(next)
+	m.peak = max(m.peak, m.size)
 	m.p.MaybeShapeM(next)
-	return n
+	return m.size
 }
 
 // Step is Try then Take: it applies the next gate of side s and returns
@@ -169,13 +173,14 @@ func (m *Miter) RunToBarrier(s Side, step func() error) (applied int, err error)
 	return applied, nil
 }
 
-// Restore makes x the product at op positions li and ri with peak as
-// its peak size, for undo and for resuming a spilled session. The
-// caller hands its reference on x to the miter, which drops the one on
-// its previous product.
-func (m *Miter) Restore(x dd.MEdge, li, ri, peak int) {
+// Restore makes x, of size nodes, the product at op positions li and
+// ri, for undo and for resuming a spilled session; the peak keeps the
+// larger of its value and size. The caller hands its reference on x to
+// the miter, which drops the one on its previous product.
+func (m *Miter) Restore(x dd.MEdge, li, ri, size int) {
 	m.p.DecRefM(m.x)
-	m.x, m.pos, m.peak = x, [2]int{li, ri}, peak
+	m.x, m.pos, m.size = x, [2]int{li, ri}, size
+	m.peak = max(m.peak, size)
 }
 
 // Identity classifies the product against the identity, the verdict

@@ -86,7 +86,8 @@ func TestSessionsTopCapsN(t *testing.T) {
 // TestSessionObserverSinksAgree drives one session and checks that the
 // three sinks of its engine observer saw the same operations: the
 // account's DD op meter, the dd_op_duration_seconds histogram counts
-// summed over ops, and the dd: child spans in the session's recorder.
+// summed over ops, and in the session's recorder the dd: child spans
+// of single steps plus the dd_ops folded into each fast-forward span.
 func TestSessionObserverSinksAgree(t *testing.T) {
 	_, srv := newTracedServer(t)
 	var created newResp
@@ -119,26 +120,40 @@ func TestSessionObserverSinksAgree(t *testing.T) {
 		}
 		return sum
 	}
-	ddSpans := func() uint64 {
+	// recorded returns the dd: spans and the dd_ops folded into
+	// fast-forward spans.
+	recorded := func() (spans, folded uint64) {
 		var doc struct {
 			TraceEvents []traceEvent `json:"traceEvents"`
 		}
 		get(t, srv, "/debug/sessions/"+created.ID+"/trace", &doc)
-		var n uint64
 		for _, ev := range doc.TraceEvents {
-			if ev.Ph == "X" && strings.HasPrefix(ev.Name, "dd:") {
-				n++
+			switch {
+			case ev.Ph == "I":
+				t.Fatalf("the ring dropped spans: %v", ev.Args)
+			case ev.Ph != "X":
+			case strings.HasPrefix(ev.Name, "dd:"):
+				spans++
+			case strings.HasPrefix(ev.Name, "fast-forward:"):
+				n, ok := ev.Args["dd_ops"].(float64)
+				if !ok {
+					t.Fatalf("%s span without dd_ops: %v", ev.Name, ev.Args)
+				}
+				folded += uint64(n)
 			}
 		}
-		return n
+		return spans, folded
 	}
 
-	ops0, hist0, spans0 := ddOps(), histCount(), ddSpans()
+	ops0, hist0 := ddOps(), histCount()
+	spans0, folded0 := recorded()
 	for _, action := range []string{"forward", "forward", "forward", "backward", "forward", "end", "start", "end"} {
 		post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: action}, nil)
 	}
-	ops, hist, spans := ddOps()-ops0, histCount()-hist0, ddSpans()-spans0
-	if ops == 0 || ops != hist || ops != spans {
-		t.Fatalf("observer sinks disagree over 8 steps: account %d ops, histograms %d, recorder %d dd: spans", ops, hist, spans)
+	spans, folded := recorded()
+	spans, folded = spans-spans0, folded-folded0
+	ops, hist := ddOps()-ops0, histCount()-hist0
+	if spans == 0 || folded == 0 || ops != hist || ops != spans+folded {
+		t.Fatalf("observer sinks disagree over 8 steps: account %d ops, histograms %d, recorder %d dd: spans + %d folded", ops, hist, spans, folded)
 	}
 }

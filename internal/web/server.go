@@ -246,38 +246,14 @@ func (s *Server) handleSimStep(w http.ResponseWriter, r *http.Request) {
 	case "break", "end":
 		// Only the last event's caption is sent, so only it is
 		// described.
-		var last sim.Event
-		steps := 0
-		if trace.Enabled(ctx) {
-			var ffsp *trace.Span
-			ctx, ffsp = trace.StartSpan(ctx, "fast-forward:"+req.Action)
-			defer func() {
-				ffsp.SetAttr("ops", int64(steps))
-				ffsp.End()
-			}()
+		last, steps, pending, err := sess.fastForward(ctx, req.Action)
+		if err != nil {
+			s.writeStepError(w, r, sess, style, err)
+			return
 		}
-		for !sess.sim.AtEnd() {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				// The fast-forward loop is bounded by the request
-				// deadline: return the progress made so far.
-				s.writeStepError(w, r, sess, style,
-					fmt.Errorf("web: fast-forward interrupted at op %d/%d: %w", sess.sim.Pos(), len(sess.sim.Circuit().Ops), ctxErr))
-				return
-			}
-			if pending := sess.pending(); pending != nil {
-				s.writeFrame(w, r, &stepResponse{Frame: simFrame(sess, style, "awaiting dialog choice"), Pending: pending})
-				return
-			}
-			ev, err := sess.sim.StepForwardCtx(ctx)
-			if err != nil {
-				s.writeStepError(w, r, sess, style, err)
-				return
-			}
-			steps++
-			last = ev
-			if req.Action == "break" && ev.Op != nil && ev.Op.IsSpecial() {
-				break
-			}
+		if pending != nil {
+			s.writeFrame(w, r, &stepResponse{Frame: simFrame(sess, style, "awaiting dialog choice"), Pending: pending})
+			return
 		}
 		if steps > 0 {
 			caption = describeEvent(sess, last)

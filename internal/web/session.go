@@ -194,6 +194,36 @@ func (s *simSession) pending() *PendingChoice {
 	return &PendingChoice{OpIndex: s.sim.Pos(), Kind: kind, Qubit: q, P0: 1 - p1, P1: p1}
 }
 
+// fastForward steps to the end or, for "break", past the next special
+// op: ⏭ and run-to-end. It stops early at a measurement or reset
+// awaiting a dialog choice, returning that choice, and at the request
+// deadline. The gates step untraced under one folded span, so a run of
+// hundreds of gates is one span of the session's flight recorder.
+func (s *simSession) fastForward(ctx context.Context, action string) (last sim.Event, steps int, pending *PendingChoice, err error) {
+	ff := startFastForward(ctx, action, s.sim.Pkg(), s.sim.Nodes())
+	defer func() { ff.end(steps, s.sim.Nodes(), err) }()
+	for !s.sim.AtEnd() {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			// The loop is bounded by the request deadline: the caller
+			// answers with the progress made so far.
+			return last, steps, nil, fmt.Errorf("web: fast-forward interrupted at op %d/%d: %w", s.sim.Pos(), len(s.sim.Circuit().Ops), ctxErr)
+		}
+		if pending = s.pending(); pending != nil {
+			return last, steps, pending, nil
+		}
+		ev, err := s.sim.StepForward()
+		if err != nil {
+			return last, steps, nil, err
+		}
+		steps++
+		last = ev
+		if action == "break" && ev.Op != nil && ev.Op.IsSpecial() {
+			break
+		}
+	}
+	return last, steps, nil, nil
+}
+
 func (s *simSession) choose(outcome int) error {
 	if outcome != 0 && outcome != 1 {
 		return fmt.Errorf("web: outcome must be 0 or 1, got %d", outcome)
@@ -220,8 +250,8 @@ type verifySession struct {
 }
 
 type verifySnapshot struct {
-	x      dd.MEdge
-	li, ri int
+	x            dd.MEdge
+	size, li, ri int
 }
 
 func newVerifySession(left, right *qc.Circuit, leftSrc, rightSrc, format string, maxNodes int) (*verifySession, error) {
@@ -309,6 +339,7 @@ func (v *verifySession) stepSide(ctx context.Context, side string) (*qc.Op, erro
 	if err != nil {
 		return nil, err
 	}
+	li, ri := v.m.Pos() // before Next skips the barriers ahead
 	op := v.m.Next(s)
 	if op == nil {
 		return nil, nil
@@ -316,44 +347,53 @@ func (v *verifySession) stepSide(ctx context.Context, side string) (*qc.Op, erro
 	var sp *trace.Span
 	if trace.Enabled(ctx) {
 		_, sp = trace.StartSpan(ctx, "verify:"+side+" "+op.String())
-		sp.SetAttr("nodes_before", int64(dd.SizeM(v.m.X())))
+		sp.SetAttr("nodes_before", int64(v.m.Size()))
 	}
-	next, err := v.m.Try(s)
+	err = v.step(s, li, ri)
+	if errors.Is(err, dd.ErrResourceExhausted) {
+		sp.SetAttr("budget_exhausted", 1)
+	} else if err == nil {
+		sp.SetAttr("nodes_after", int64(v.m.Size()))
+	}
+	sp.End()
 	if err != nil {
-		if errors.Is(err, dd.ErrResourceExhausted) {
-			sp.SetAttr("budget_exhausted", 1)
-		}
-		sp.End()
-		// The diagram is unchanged; the session keeps its position so
-		// the user can undo their way back below the budget.
 		return nil, err
 	}
-	li, ri := v.m.Pos()
-	v.history = append(v.history, verifySnapshot{x: v.m.X(), li: li, ri: ri})
-	v.m.Pkg().IncRefM(v.m.X()) // snapshot reference
-	sp.SetAttr("nodes_after", int64(v.m.Take(s, next)))
-	sp.End()
 	return op, nil
+}
+
+// step applies the next gate of side s and keeps the previous product,
+// at positions li and ri, for undo. After an error the diagram is
+// unchanged and the session keeps its position, so the user can undo
+// their way back below the node budget.
+func (v *verifySession) step(s verify.Side, li, ri int) error {
+	next, err := v.m.Try(s)
+	if err != nil {
+		return err
+	}
+	v.history = append(v.history, verifySnapshot{x: v.m.X(), size: v.m.Size(), li: li, ri: ri})
+	v.m.Pkg().IncRefM(v.m.X()) // snapshot reference
+	v.m.Take(s, next)
+	return nil
 }
 
 // runToBarrier applies gates of the side up to the next barrier (or
 // the end), each as one undoable step — the ⏭ button of the
-// verification tab.
+// verification tab. The run is one folded span: its gates add no spans
+// of their own.
 func (v *verifySession) runToBarrier(ctx context.Context, side string) (applied int, err error) {
 	s, err := sideOf(side)
 	if err != nil {
 		return 0, err
 	}
-	if trace.Enabled(ctx) {
-		var sp *trace.Span
-		ctx, sp = trace.StartSpan(ctx, "fast-forward:"+side)
-		defer func() {
-			sp.SetAttr("ops", int64(applied))
-			sp.End()
-		}()
-	}
+	ff := startFastForward(ctx, side, v.m.Pkg(), v.m.Size())
+	defer func() { ff.end(applied, v.m.Size(), err) }()
+	// A step back over the run's first gate returns to where the run
+	// started, before the barriers RunToBarrier skips.
+	li, ri := v.m.Pos()
 	return v.m.RunToBarrier(s, func() error {
-		_, err := v.stepSide(ctx, side)
+		err := v.step(s, li, ri)
+		li, ri = v.m.Pos()
 		return err
 	})
 }
@@ -365,7 +405,7 @@ func (v *verifySession) stepBack() bool {
 	snap := v.history[len(v.history)-1]
 	v.history = v.history[:len(v.history)-1]
 	// The snapshot's reference goes to the miter.
-	v.m.Restore(snap.x, snap.li, snap.ri, v.m.Peak())
+	v.m.Restore(snap.x, snap.li, snap.ri, snap.size)
 	return true
 }
 

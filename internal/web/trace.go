@@ -16,16 +16,63 @@ package web
 // bundle".
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"time"
 
+	"quantumdd/internal/dd"
 	"quantumdd/internal/obs"
 	"quantumdd/internal/obs/trace"
 )
+
+// fastForward is the one span of a fast-forward in either tab (⏭,
+// run-to-end). Its gates step untraced and the span folds their DD
+// operations (trace.Span.Fold), so it carries what per-gate spans would
+// have said in sum: ops applied, nodes before and after, compute-table
+// and apply-table hit deltas, the node budget's abort, and dd_ops and
+// dd_us from the fold — trace.MaxAttrs attributes. Zero, and free,
+// when tracing is off.
+type fastForward struct {
+	sp             *trace.Span
+	p              *dd.Pkg
+	cache0, apply0 uint64
+}
+
+// startFastForward opens the span "fast-forward:<what>" over a diagram
+// of nodes nodes on p.
+func startFastForward(ctx context.Context, what string, p *dd.Pkg, nodes int) fastForward {
+	if !trace.Enabled(ctx) {
+		return fastForward{}
+	}
+	_, sp := trace.StartSpan(ctx, "fast-forward:"+what)
+	sp.Fold()
+	sp.SetAttr("nodes_before", int64(nodes))
+	f := fastForward{sp: sp, p: p}
+	f.cache0, f.apply0 = p.HitCounts()
+	return f
+}
+
+// end closes the span after ops gates, at a diagram of nodes nodes;
+// err is the error that stopped the run, if any.
+func (f fastForward) end(ops, nodes int, err error) {
+	if f.sp == nil {
+		return
+	}
+	cache, apply := f.p.HitCounts()
+	f.sp.SetAttr("ops", int64(ops))
+	f.sp.SetAttr("nodes_after", int64(nodes))
+	f.sp.SetAttr("ct_hits", int64(cache-f.cache0))
+	f.sp.SetAttr("apply_ct_hits", int64(apply-f.apply0))
+	if errors.Is(err, dd.ErrResourceExhausted) {
+		f.sp.SetAttr("budget_exhausted", 1)
+	}
+	f.sp.End()
+}
 
 // sessionRecorder finds the flight recorder of a live session of
 // either kind. The bool reports whether the session exists AND has

@@ -17,20 +17,22 @@ import (
 // when stepping still formatted every applied gate and re-recorded for
 // the compact SVG markup, for the engine counters of SWAP through the
 // kernel and for those of adding two edges into one node by their
-// weights. It pins the "applied" captions, the frames and the
-// engine counters they carry.
-const verifyStepGoldenDigest = "afa10c18598e9b6e2508866488d3f0a88e5e083e36278903e19bcef023c20497"
+// weights, and once more when a step back started to restore the
+// positions from before the step. It pins the "applied" captions, the
+// frames and the engine counters they carry.
+const verifyStepGoldenDigest = "4ebecd83f374998c6bdeefc7c31e7f230efe6f15a9dadd7c01d160574927c452"
 
 // verifyStepBlankedDigest covers the same bodies with every frame's
 // "svg" value emptied (blankSVG), so it holds across markup changes;
 // it was re-recorded with the full digest for the engine counters,
-// both times.
-const verifyStepBlankedDigest = "0e1d65b96377d36f70f83f1afe85eda8ef25217422a593cc378c9cb3a85332f3"
+// both times, and for the restored positions.
+const verifyStepBlankedDigest = "03a43edad346cd6ac01843bfc606d935ccba7b4edac89a75493181b994f844b4"
 
 // verifyStepEngineBlankedDigest covers the same bodies with every
 // "engine" object emptied (blankEngine) and the SVG kept, so it holds
-// across changes of the engine counters alone.
-const verifyStepEngineBlankedDigest = "c62a8620d781d884290ea2f6a13e54470d6d9b792d65e294d489669783a3aa0a"
+// across changes of the engine counters alone; it was re-recorded for
+// the restored positions.
+const verifyStepEngineBlankedDigest = "7a77127697cffee0932c68f63d98a1165c4f4968a4495068d0cb4ed2e9a2f40a"
 
 // TestVerifyStepResponsesGolden walks two verification sessions through
 // single steps on both sides, barrier fast-forwards, steps past the
