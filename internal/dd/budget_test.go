@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 )
 
@@ -195,5 +196,32 @@ func TestMultMMCheckedCountsOnce(t *testing.T) {
 	}
 	if got := p.Stats().MultMMOps - before.MultMMOps; got != 0 {
 		t.Fatalf("aborted product counted %d MultMMOps, want 0", got)
+	}
+}
+
+// TestProjectionsHonourBudget runs measurement and reset under a node
+// budget ten nodes above a random 10-qubit state: collapsing qubit 0
+// rebuilds every level above it, so both projections must abort with
+// ErrResourceExhausted and leave the tables within the budget.
+func TestProjectionsHonourBudget(t *testing.T) {
+	const n = 10
+	p := New(n)
+	e := randState(t, p, rand.New(rand.NewSource(38)), n)
+	p.IncRefV(e)
+	p.GarbageCollect()
+	p.SetMaxNodes(p.LiveNodes() + 10)
+	for _, tc := range []struct {
+		name string
+		run  func() (VEdge, error)
+	}{
+		{"ResetTo", func() (VEdge, error) { return p.ResetTo(e, 0, 1) }},
+		{"Collapse", func() (VEdge, error) { return p.Collapse(e, 0, 1) }},
+	} {
+		if _, err := tc.run(); !errors.Is(err, ErrResourceExhausted) {
+			t.Errorf("%s under a budget of %d: err = %v, want ErrResourceExhausted", tc.name, p.MaxNodes(), err)
+		}
+		if p.LiveNodes() > p.MaxNodes() {
+			t.Errorf("%s left %d live nodes, budget %d", tc.name, p.LiveNodes(), p.MaxNodes())
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
+	"reflect"
 	"testing"
 
 	"quantumdd/internal/algorithms"
@@ -181,6 +183,52 @@ func TestResetSemantics(t *testing.T) {
 		if math.Abs(cmplx.Abs(amps[0])-1) > tol {
 			t.Fatalf("seed %d: post-reset state %v, want |0>", seed, amps)
 		}
+	}
+}
+
+// TestResetHonoursBudget steps a reset forced to outcome 1 on a dense
+// 10-qubit state with the node budget ten nodes above the live tables:
+// the projection rebuilds every level above qubit 0, so the step must
+// abort with ErrResourceExhausted and leave the state, the position,
+// the history and the classical bits as they were, within the budget.
+// Without the budget the same step succeeds.
+func TestResetHonoursBudget(t *testing.T) {
+	const n = 10
+	c := qc.New(n, 1)
+	for layer := 0; layer < 2; layer++ {
+		for q := 0; q < n; q++ {
+			c.Gate(qc.RY, []float64{0.3 + 0.17*float64(q+n*layer)}, q)
+			c.Gate(qc.RZ, []float64{0.5 + 0.29*float64(q+n*layer)}, q)
+		}
+		for q := 0; q+1 < n; q++ {
+			c.CX(q, q+1)
+		}
+	}
+	c.Reset(0)
+	last := len(c.Ops) - 1
+	s := New(c, WithChooser(func(*qc.Op, int, float64, float64) int { return 1 }))
+	for s.Pos() < last {
+		if _, err := s.StepForward(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := s.Pkg()
+	p.GarbageCollect()
+	p.SetMaxNodes(p.LiveNodes() + 10)
+	before, classical, hist := s.State(), s.Classical(), len(s.history)
+	_, err := s.StepForward()
+	if !errors.Is(err, dd.ErrResourceExhausted) {
+		t.Fatalf("reset under a budget of %d: err = %v, want ErrResourceExhausted", p.MaxNodes(), err)
+	}
+	if s.State() != before || s.Pos() != last || len(s.history) != hist || !reflect.DeepEqual(s.Classical(), classical) {
+		t.Fatal("the aborted reset changed the simulator")
+	}
+	if p.LiveNodes() > p.MaxNodes() {
+		t.Fatalf("the aborted reset left %d live nodes, budget %d", p.LiveNodes(), p.MaxNodes())
+	}
+	p.SetMaxNodes(0)
+	if ev, err := s.StepForward(); err != nil || ev.Kind != EventReset || ev.Outcome != 1 {
+		t.Fatalf("unbudgeted reset: %+v, %v", ev, err)
 	}
 }
 
