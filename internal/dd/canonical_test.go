@@ -97,7 +97,6 @@ func TestExportedRootsCanonical(t *testing.T) {
 			e, err = p.MultMVChecked(mb, b)
 			must(err)
 			v("MultMVChecked", e)
-			v("ApplyX", p.ApplyX(a, target))
 			if p.ProbOne(a, target) > 1e-6 {
 				e, err = p.Collapse(a, target, 1)
 				must(err)

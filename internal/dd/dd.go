@@ -481,16 +481,18 @@ func (p *Pkg) Qubits() int { return p.nqubits }
 // Tolerance reports the complex identification radius.
 func (p *Pkg) Tolerance() float64 { return p.cn.Tolerance() }
 
-// HitCounts reports Stats().CacheHits and Stats().ApplyCTHits without
-// building a snapshot: it sums the hit counters of the table list in
-// place, taking the apply tables sumTables takes. A traced step reads
-// them before and after every op.
+// HitCounts reports Stats().CacheHits and the gate kernels' hits,
+// Stats().ApplyCTHits + Stats().ApplyMCTHits, without building a
+// snapshot: it sums the hit counters of the table list in place. The
+// apply sum covers the vector and the matrix kernel, so it reads the
+// gate hits of a simulation and of a verification alike. A traced step
+// reads them before and after every op.
 func (p *Pkg) HitCounts() (cache, apply uint64) {
 	for _, s := range p.tables() {
 		h := s.t.counters().Hits
 		cache += h
 		switch s.id {
-		case TableApplyV, TableSplitV:
+		case TableApplyV, TableSplitV, TableApplyM, TableSplitM, TableMergeM:
 			apply += h
 		}
 	}

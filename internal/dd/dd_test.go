@@ -432,12 +432,17 @@ func TestMeasureDistribution(t *testing.T) {
 	ones := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		outcome, collapsed, p0, p1, err := p.Measure(e, 0, rng)
+		p1 := p.ProbOne(e, 0)
+		if math.Abs(p1-0.5) > tol {
+			t.Fatalf("P(q0=1) = %v, want 0.5", p1)
+		}
+		outcome := 0
+		if rng.Float64() < p1 {
+			outcome = 1
+		}
+		collapsed, err := p.Collapse(e, 0, outcome)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if math.Abs(p0-0.5) > tol || math.Abs(p1-0.5) > tol {
-			t.Fatalf("reported probabilities %v/%v, want 0.5/0.5", p0, p1)
 		}
 		if outcome == 1 {
 			ones++

@@ -1,5 +1,20 @@
 package dd
 
+// Measurement (Sec. III-B, IV-B): branch probabilities read off the
+// 2-norm-normalized edge weights, sampling by one root-to-terminal
+// walk, and the state updates of the tool's measurement and reset
+// dialogs.
+//
+// Measurement and reset are projections through the gate kernel
+// (applygate.go), not walks of their own: the 2×2 matrix |to⟩⟨from|
+// applied to qubit q keeps the from-branch of every node at q's level
+// and moves it to the to-branch, the other branch becoming a zero
+// stub. Collapse applies |o⟩⟨o|; ResetTo applies |0⟩⟨o|, which
+// collapses and re-initializes in one pass. Both run under the node
+// budget on the kernel's compute tables, like every gate, and stay
+// unobserved: the observer sees the gates of a circuit, not the
+// dialogs between them. Picking the outcome is the caller's part.
+
 import (
 	"fmt"
 	"math"
@@ -60,121 +75,48 @@ func (p *Pkg) FlatProbabilities(f *FlatV) []float64 {
 
 // Collapse projects the state onto the subspace where qubit q has the
 // given outcome and renormalizes, implementing the irreversible state
-// collapse of the tool's measurement dialog (Fig. 8(c)→(d)).
+// collapse of the tool's measurement dialog (Fig. 8(c)→(d)). Under a
+// node budget it returns a *ResourceError instead of growing the
+// tables past MaxNodes, leaving e intact.
 func (p *Pkg) Collapse(e VEdge, q int, outcome int) (VEdge, error) {
-	if outcome != 0 && outcome != 1 {
-		return VZero(), fmt.Errorf("dd: measurement outcome must be 0 or 1, got %d", outcome)
+	return p.project(e, q, outcome, outcome)
+}
+
+// ResetTo deterministically collapses qubit q to the given pre-reset
+// outcome and re-initializes it to |0⟩ (Sec. IV-B: the surviving
+// branch becomes the |0⟩ branch), under the node budget as Collapse.
+func (p *Pkg) ResetTo(e VEdge, q, outcome int) (VEdge, error) {
+	return p.project(e, q, outcome, 0)
+}
+
+// project applies |to⟩⟨from| to qubit q of e under the node budget and
+// rescales the result to e's norm and root phase.
+func (p *Pkg) project(e VEdge, q, from, to int) (VEdge, error) {
+	if from != 0 && from != 1 {
+		return VZero(), fmt.Errorf("dd: measurement outcome must be 0 or 1, got %d", from)
 	}
 	if e.IsZero() {
 		return VZero(), fmt.Errorf("dd: cannot collapse the zero vector")
 	}
-	memo := make(map[*VNode]VEdge)
-	collapsed := p.collapse(VEdge{W: 1, N: e.N}, q, outcome, memo)
-	if collapsed.IsZero() {
-		return VZero(), fmt.Errorf("dd: outcome %d for qubit %d has probability zero", outcome, q)
-	}
-	// Collapsing shrank the norm by sqrt(prob); rescale so the result
-	// keeps the original norm, and carry over the original root phase.
-	scale := Norm(e) / Norm(collapsed)
-	phase := e.W / complex(Norm(e), 0)
-	return p.rootV(VEdge{W: collapsed.W * complex(scale, 0) * phase, N: collapsed.N}), nil
-}
-
-func (p *Pkg) collapse(e VEdge, q, outcome int, memo map[*VNode]VEdge) VEdge {
-	if e.IsZero() || e.N == vTerminal {
-		return e
-	}
-	if res, ok := memo[e.N]; ok {
-		return VEdge{W: res.W * e.W, N: res.N}
-	}
+	notSwept(e.N.V)
+	var u GateMatrix
+	u[2*to+from] = 1
+	g := p.internGate(u, q, nil)
+	p.IncRefV(e)
+	defer p.DecRefV(e)
 	var res VEdge
-	if e.N.V == q {
-		var kids [2]VEdge
-		kids[outcome] = e.N.E[outcome]
-		kids[1-outcome] = VZero()
-		res = p.makeVNode(e.N.V, kids)
-	} else {
-		var kids [2]VEdge
-		for i := 0; i < 2; i++ {
-			kids[i] = p.collapse(e.N.E[i], q, outcome, memo)
-		}
-		res = p.makeVNode(e.N.V, kids)
-	}
-	memo[e.N] = res
-	return VEdge{W: res.W * e.W, N: res.N}
-}
-
-// Measure samples an outcome for qubit q using rng, collapses the
-// state accordingly, and returns the outcome together with the branch
-// probabilities that the tool would show in its dialog.
-func (p *Pkg) Measure(e VEdge, q int, rng *rand.Rand) (outcome int, collapsed VEdge, p0, p1 float64, err error) {
-	p1 = p.ProbOne(e, q)
-	p0 = 1 - p1
-	outcome = 0
-	if rng.Float64() < p1 {
-		outcome = 1
-	}
-	collapsed, err = p.Collapse(e, q, outcome)
-	return outcome, collapsed, p0, p1, err
-}
-
-// ApplyX flips qubit q by swapping the two branches at its level —
-// the local gate application used by Reset (cheaper than a full
-// matrix-vector multiplication).
-func (p *Pkg) ApplyX(e VEdge, q int) VEdge {
-	memo := make(map[*VNode]VEdge)
-	res := p.applyX(VEdge{W: 1, N: e.N}, q, memo)
-	return p.rootV(VEdge{W: res.W * e.W, N: res.N})
-}
-
-func (p *Pkg) applyX(e VEdge, q int, memo map[*VNode]VEdge) VEdge {
-	if e.IsZero() || e.N == vTerminal {
-		return e
-	}
-	if res, ok := memo[e.N]; ok {
-		return VEdge{W: res.W * e.W, N: res.N}
-	}
-	var res VEdge
-	if e.N.V == q {
-		res = p.makeVNode(e.N.V, [2]VEdge{e.N.E[1], e.N.E[0]})
-	} else {
-		var kids [2]VEdge
-		for i := 0; i < 2; i++ {
-			kids[i] = p.applyX(e.N.E[i], q, memo)
-		}
-		res = p.makeVNode(e.N.V, kids)
-	}
-	memo[e.N] = res
-	return VEdge{W: res.W * e.W, N: res.N}
-}
-
-// Reset collapses qubit q to the sampled outcome and re-initializes it
-// to |0⟩ (Sec. IV-B: the surviving branch becomes the |0⟩ branch).
-// The sampled pre-reset value and the branch probabilities are
-// returned for the tool's dialog.
-func (p *Pkg) Reset(e VEdge, q int, rng *rand.Rand) (pre int, res VEdge, p0, p1 float64, err error) {
-	pre, res, p0, p1, err = p.Measure(e, q, rng)
-	if err != nil {
-		return pre, res, p0, p1, err
-	}
-	if pre == 1 {
-		res = p.ApplyX(res, q)
-	}
-	return pre, res, p0, p1, nil
-}
-
-// ResetTo deterministically collapses qubit q to the given pre-reset
-// outcome and re-initializes it to |0⟩ (the forced-choice path of the
-// tool's reset dialog).
-func (p *Pkg) ResetTo(e VEdge, q, outcome int) (VEdge, error) {
-	res, err := p.Collapse(e, q, outcome)
-	if err != nil {
+	if err := p.checked(func() { res = p.applyGate(VEdge{W: 1, N: e.N}, g) }); err != nil {
 		return VZero(), err
 	}
-	if outcome == 1 {
-		res = p.ApplyX(res, q)
+	if res.IsZero() {
+		return VZero(), fmt.Errorf("dd: outcome %d for qubit %d has probability zero", from, q)
 	}
-	return res, nil
+	// The projection shrank the norm by sqrt(prob); rescale so the
+	// result keeps the original norm, and carry over the original root
+	// phase.
+	scale := Norm(e) / Norm(res)
+	phase := e.W / complex(Norm(e), 0)
+	return p.rootV(VEdge{W: res.W * complex(scale, 0) * phase, N: res.N}), nil
 }
 
 // Sample draws a basis state from the Born distribution of e by a

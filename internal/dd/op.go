@@ -9,7 +9,10 @@ import "quantumdd/internal/qc"
 // caller applying the inverse of an op passes op.Inverse().
 //
 // The op must be a gate (Kind == qc.KindGate); testing its classical
-// condition, if any, is the caller's part.
+// condition, if any, is the caller's part. A measurement or reset
+// reaches the same vector kernel as a projector, under the same
+// budget, by way of Collapse or ResetTo (measure.go) once the caller
+// has picked its outcome.
 
 // ApplyOp applies the gate op to the state v under the node budget:
 // ApplyGateChecked for a single-target gate, ApplySwapChecked for SWAP.

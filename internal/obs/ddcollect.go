@@ -20,7 +20,6 @@ type DDCollector struct {
 
 	nodesLive   *Gauge
 	nodesFree   *Gauge
-	nodesPeak   *Gauge
 	hitRatio    *Gauge
 	uniqueLoadV *Gauge
 	uniqueLoadM *Gauge

@@ -1,10 +1,9 @@
 // Package sim implements DD-based simulation of quantum circuits with
 // the interaction model of the paper's tool (Sec. IV-B): stepping
-// forward and backward through the circuit, running to the end or to
-// the next special operation (breakpoint), and handling measurements,
-// resets and classically-controlled operations — including the
-// "dialog" where a caller chooses the outcome of a measurement in
-// superposition.
+// forward and backward through the circuit, running to the end, and
+// handling measurements, resets and classically-controlled operations
+// — including the "dialog" where a caller chooses the outcome of a
+// measurement in superposition.
 package sim
 
 import (
@@ -335,30 +334,28 @@ func (s *Simulator) stepForward(ctx context.Context) (Event, error) {
 	switch op.Kind {
 	case qc.KindBarrier:
 		ev.Kind = EventBarrier
-	case qc.KindMeasure:
+	case qc.KindMeasure, qc.KindReset:
 		q := op.Targets[0]
-		outcome, collapsed, p0, p1, err := s.measure(op, q)
+		outcome, p0, p1, err := s.measure(op, q)
+		var next dd.VEdge
+		if err == nil {
+			if op.Kind == qc.KindMeasure {
+				next, err = s.pkg.Collapse(s.state, q, outcome)
+			} else {
+				next, err = s.pkg.ResetTo(s.state, q, outcome)
+			}
+		}
 		if err != nil {
 			s.pkg.DecRefV(snap.state)
 			return Event{}, err
 		}
-		s.setState(collapsed)
-		s.classical[op.Cbit] = outcome
-		ev.Kind = EventMeasure
-		ev.Outcome = outcome
-		ev.P0, ev.P1 = p0, p1
-	case qc.KindReset:
-		q := op.Targets[0]
-		outcome, collapsed, p0, p1, err := s.measure(op, q)
-		if err != nil {
-			s.pkg.DecRefV(snap.state)
-			return Event{}, err
+		s.setState(next)
+		if op.Kind == qc.KindMeasure {
+			s.classical[op.Cbit] = outcome
+			ev.Kind = EventMeasure
+		} else {
+			ev.Kind = EventReset
 		}
-		if outcome == 1 {
-			collapsed = s.pkg.ApplyX(collapsed, q)
-		}
-		s.setState(collapsed)
-		ev.Kind = EventReset
 		ev.Outcome = outcome
 		ev.P0, ev.P1 = p0, p1
 	case qc.KindGate:
@@ -406,22 +403,21 @@ func (s *Simulator) stepForward(ctx context.Context) (Event, error) {
 // measurement outcome is never taken.
 const outcomeEps = 1e-12
 
-// measure obtains an outcome for qubit q: deterministic when one
-// branch has probability ~0, otherwise via the chooser (dialog) or by
-// sampling.
-func (s *Simulator) measure(op *qc.Op, q int) (outcome int, collapsed dd.VEdge, p0, p1 float64, err error) {
+// measure picks the outcome of measuring or resetting qubit q:
+// deterministic when one branch has probability ~0, otherwise via the
+// chooser (dialog) or by sampling. The caller projects the state.
+func (s *Simulator) measure(op *qc.Op, q int) (outcome int, p0, p1 float64, err error) {
 	p1 = s.pkg.ProbOne(s.state, q)
 	p0 = 1 - p1
 	if s.chooser != nil && p0 > outcomeEps && p1 > outcomeEps {
 		outcome = s.chooser(op, q, p0, p1)
 		if outcome != 0 && outcome != 1 {
-			return 0, dd.VZero(), p0, p1, fmt.Errorf("sim: chooser returned invalid outcome %d", outcome)
+			return 0, p0, p1, fmt.Errorf("sim: chooser returned invalid outcome %d", outcome)
 		}
 	} else {
 		outcome = drawOutcome(s.rng, p1)
 	}
-	collapsed, err = s.pkg.Collapse(s.state, q, outcome)
-	return outcome, collapsed, p0, p1, err
+	return outcome, p0, p1, nil
 }
 
 // drawOutcome samples a measurement outcome whose probability of
@@ -470,41 +466,11 @@ func (s *Simulator) StepBackward() bool {
 	return true
 }
 
-// RunToBreak executes operations until just after the next special
-// operation (barrier/measure/reset/conditional), or to the end — the
-// ⏭ button of the tool. It returns the events executed.
-func (s *Simulator) RunToBreak() ([]Event, error) {
-	return s.RunToBreakCtx(context.Background())
-}
-
-// RunToBreakCtx is RunToBreak with trace propagation: each executed
-// operation lands as a session-op span under ctx's current span.
-func (s *Simulator) RunToBreakCtx(ctx context.Context) ([]Event, error) {
-	var events []Event
-	for !s.AtEnd() {
-		op := &s.circ.Ops[s.pos]
-		ev, err := s.StepForwardCtx(ctx)
-		if err != nil {
-			return events, err
-		}
-		events = append(events, ev)
-		if op.IsSpecial() {
-			break
-		}
-	}
-	return events, nil
-}
-
 // RunToEnd executes all remaining operations — ⏭ without breakpoints.
 func (s *Simulator) RunToEnd() ([]Event, error) {
-	return s.RunToEndCtx(context.Background())
-}
-
-// RunToEndCtx is RunToEnd with trace propagation.
-func (s *Simulator) RunToEndCtx(ctx context.Context) ([]Event, error) {
 	var events []Event
 	for !s.AtEnd() {
-		ev, err := s.StepForwardCtx(ctx)
+		ev, err := s.StepForward()
 		if err != nil {
 			return events, err
 		}

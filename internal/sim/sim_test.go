@@ -105,44 +105,6 @@ func TestStepBackwardRestoresNonUnitary(t *testing.T) {
 	}
 }
 
-func TestRunToBreakStopsAtSpecials(t *testing.T) {
-	c := qc.New(2, 1)
-	c.H(0).Barrier().X(1).Measure(0, 0).H(1)
-	s := New(c, WithSeed(7))
-	// First: run to the barrier (2 events: H, barrier).
-	evs, err := s.RunToBreak()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 2 || evs[1].Kind != EventBarrier {
-		t.Fatalf("first break: %+v", evs)
-	}
-	// Second: X then measure.
-	evs, err = s.RunToBreak()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 2 || evs[1].Kind != EventMeasure {
-		t.Fatalf("second break: %+v", evs)
-	}
-	// Third: the tail.
-	evs, err = s.RunToBreak()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 || evs[0].Kind != EventGate {
-		t.Fatalf("tail: %+v", evs)
-	}
-	if !s.AtEnd() {
-		t.Fatal("not at end")
-	}
-	// Stepping past the end is a no-op event.
-	ev, err := s.StepForward()
-	if err != nil || ev.Kind != EventEnd {
-		t.Fatalf("past-end step: %+v, %v", ev, err)
-	}
-}
-
 func TestDeterministicMeasurementSkipsDialog(t *testing.T) {
 	c := qc.New(1, 1)
 	c.X(0).Measure(0, 0)
@@ -159,6 +121,10 @@ func TestDeterministicMeasurementSkipsDialog(t *testing.T) {
 	}
 	if s.Classical()[0] != 1 {
 		t.Fatalf("X|0> measured as %d, want 1", s.Classical()[0])
+	}
+	// Stepping past the end is a no-op event.
+	if ev, err := s.StepForward(); err != nil || ev.Kind != EventEnd || s.Pos() != len(c.Ops) {
+		t.Fatalf("past-end step: %+v, %v", ev, err)
 	}
 }
 

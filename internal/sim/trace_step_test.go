@@ -104,17 +104,20 @@ func TestTracedStepAllocBytes(t *testing.T) {
 	}
 	ctx := trace.With(context.Background(), rec)
 	s := New(c, WithSeed(1))
-	for pass := 0; pass < 2; pass++ {
-		if _, err := s.RunToEndCtx(ctx); err != nil {
-			t.Fatal(err)
+	runToEnd := func() {
+		for !s.AtEnd() {
+			if _, err := s.StepForwardCtx(ctx); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		runToEnd()
 		s.Rewind()
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := s.RunToEndCtx(ctx); err != nil {
-		t.Fatal(err)
-	}
+	runToEnd()
 	runtime.ReadMemStats(&after)
 	perStep := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(c.Ops))
 	t.Logf("%.0f heap bytes, %d allocations per traced step", perStep, (after.Mallocs-before.Mallocs)/uint64(len(c.Ops)))

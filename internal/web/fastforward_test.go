@@ -99,7 +99,10 @@ func grover7Lowered(t *testing.T) string {
 // request span and one folded fast-forward span under it, and to have
 // dropped nothing. The span's ops must equal the gates the run applied
 // and its dd_ops and dd_us the DD operations and time the session's
-// account gained; its node counts must equal walks of the diagram.
+// account gained; its node counts must equal walks of the diagram, and
+// its apply_ct_hits the hits the package's vector and matrix kernels
+// gained, which on the verification tab's run are matrix hits and must
+// be some.
 func TestFastForwardIsOneSpan(t *testing.T) {
 	ws, _ := newTracedServer(t)
 	h := ws.Handler()
@@ -117,9 +120,9 @@ func TestFastForwardIsOneSpan(t *testing.T) {
 	}
 	// run serves the fast-forward step of session id on the kind's
 	// path, decodes its response into out and checks the spans it
-	// left; nodes walks the session's diagram. It returns the span's
-	// ops.
-	run := func(kind *sessionKind, path, id string, step, out any, nodes func(session) int) int {
+	// left; nodes walks the session's diagram and pkg finds its
+	// package. It returns the span's ops and apply_ct_hits.
+	run := func(kind *sessionKind, path, id string, step, out any, nodes func(session) int, pkg func(session) *dd.Pkg) (int, int64) {
 		t.Helper()
 		hd, err := kind.reg.acquire(id, time.Now())
 		if err != nil {
@@ -129,7 +132,8 @@ func TestFastForwardIsOneSpan(t *testing.T) {
 		hd.release()
 		rec, acct := sess.base().rec, sess.base().acct
 		spans0, _ := rec.Snapshot()
-		before, ops0, nanos0 := nodes(sess), acct.ddOps.Load(), acct.ddNanos.Load()
+		applyHits := func() uint64 { st := pkg(sess).Stats(); return st.ApplyCTHits + st.ApplyMCTHits }
+		before, ops0, nanos0, hits0 := nodes(sess), acct.ddOps.Load(), acct.ddNanos.Load(), applyHits()
 		serve(path+"/"+id+"/step", step, out)
 		spans, dropped := rec.Snapshot()
 		if dropped != 0 {
@@ -149,17 +153,18 @@ func TestFastForwardIsOneSpan(t *testing.T) {
 			attrs[a.Key] = a.Value
 		}
 		want := map[string]int64{
-			"nodes_before": int64(before),
-			"nodes_after":  int64(nodes(sess)),
-			"dd_ops":       int64(acct.ddOps.Load() - ops0),
-			"dd_us":        (acct.ddNanos.Load() - nanos0) / 1e3,
+			"nodes_before":  int64(before),
+			"nodes_after":   int64(nodes(sess)),
+			"dd_ops":        int64(acct.ddOps.Load() - ops0),
+			"dd_us":         (acct.ddNanos.Load() - nanos0) / 1e3,
+			"apply_ct_hits": int64(applyHits() - hits0),
 		}
 		for key, v := range want {
 			if got, ok := attrs[key]; !ok || got != v {
 				t.Errorf("%s: %s = %d (present %v), want %d", spans[0].Name, key, got, ok, v)
 			}
 		}
-		for _, key := range []string{"ops", "ct_hits", "apply_ct_hits"} {
+		for _, key := range []string{"ops", "ct_hits"} {
 			if _, ok := attrs[key]; !ok {
 				t.Errorf("%s lacks %s: %v", spans[0].Name, key, attrs)
 			}
@@ -167,14 +172,15 @@ func TestFastForwardIsOneSpan(t *testing.T) {
 		if want["dd_ops"] == 0 {
 			t.Fatalf("%s folded no DD operation; the check shows nothing", spans[0].Name)
 		}
-		return int(attrs["ops"])
+		return int(attrs["ops"]), attrs["apply_ct_hits"]
 	}
 
 	var created newResp
 	serve("/api/simulation", newSimRequest{Code: grover7Lowered(t)}, &created)
 	var end stepResponse
-	ops := run(&ws.sims, "/api/simulation", created.ID, stepRequest{Action: "end"}, &end,
-		func(s session) int { return dd.SizeV(s.(*simSession).sim.State()) })
+	ops, _ := run(&ws.sims, "/api/simulation", created.ID, stepRequest{Action: "end"}, &end,
+		func(s session) int { return dd.SizeV(s.(*simSession).sim.State()) },
+		func(s session) *dd.Pkg { return s.(*simSession).sim.Pkg() })
 	if !end.AtEnd || ops != created.Frame.Total {
 		t.Errorf("run-to-end span says %d ops of %d (at end: %v)", ops, created.Frame.Total, end.AtEnd)
 	}
@@ -184,10 +190,14 @@ func TestFastForwardIsOneSpan(t *testing.T) {
 	step := verifyStepRequest{Side: "right", Action: "barrier"}
 	var barrier verifyStepResponse
 	serve("/api/verification/"+created.ID+"/step", step, &barrier)
-	ops = run(&ws.verifies, "/api/verification", created.ID, step, &barrier,
-		func(s session) int { return dd.SizeM(s.(*verifySession).m.X()) })
+	ops, hits := run(&ws.verifies, "/api/verification", created.ID, step, &barrier,
+		func(s session) int { return dd.SizeM(s.(*verifySession).m.X()) },
+		func(s session) *dd.Pkg { return s.(*verifySession).m.Pkg() })
 	if applied := fmt.Sprintf("%d gate(s)", ops); ops == 0 || barrier.Applied != applied {
 		t.Errorf("barrier run span says %d ops, the response %q", ops, barrier.Applied)
+	}
+	if hits == 0 {
+		t.Error("the barrier run's span counts no matrix-apply hits")
 	}
 }
 

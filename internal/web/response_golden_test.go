@@ -28,9 +28,12 @@ import (
 // again when two addends into one node began to add by their weights:
 // on the Grover, Bernstein-Vazirani and phase-estimation walks the
 // ctStores, ctEvictions and utCollisions counters fell, and nothing
-// outside the engine counters moved.
+// outside the engine counters moved. Measurement and reset becoming
+// projections through the gate kernel moved the applyLookups,
+// applyEvictions, ctStores and ctEvictions counters of 84 bodies, and
+// nothing else.
 const (
-	simResponsesGoldenDigest           = "3c79d2bed2953816f3697ebcb7d2b12a2fda0e57d0d39cb5f01ec4c51ccd43b5"
+	simResponsesGoldenDigest           = "00dda2c9d9140d0fd0ab00e8bc663579165ebe0618c67929f555ba270ea48059"
 	functionalityResponsesGoldenDigest = "8a9a5ec48f8165a3b923998e3757cdf22840fa7b2f263b287637cc42043ba30d"
 	verifyCreateResponsesGoldenDigest  = "52d9f8674f75e545818909c4759c5064e20ba88ad8710c3be71eea53807296b7"
 )
@@ -40,7 +43,7 @@ const (
 // order and float formatting independently of the SVG markup, so a
 // change of the markup alone must leave them as they are.
 const (
-	simResponsesBlankedDigest           = "ac147d020e70cd3ad1e790ece70291f9e1b6855e20214677124ca44b37c9400c"
+	simResponsesBlankedDigest           = "96bda4a375f34187f837ead3a110f040de3b7572a792c7504c220ac880a2c6a2"
 	functionalityResponsesBlankedDigest = "efad120d4f72bd9605383d1dce72235882f66414f708197038b48635dcf85dc9"
 	verifyCreateResponsesBlankedDigest  = "7f03f05e8450bf6e3a0f4a0bce56eb58948a84bba70395acfebccd21b2d433a6"
 )

@@ -173,24 +173,34 @@ func TestSimulationFlowFig8(t *testing.T) {
 	}
 }
 
+// TestSimulationBreakAction runs ⏭ with breakpoints: each break stops
+// just after the next special op (a barrier, then a measurement) and
+// the last one runs the tail to the end.
 func TestSimulationBreakAction(t *testing.T) {
 	srv := newTestServer(t)
 	code := `
 qreg q[2];
+creg c[1];
 h q[0];
 barrier q;
 x q[1];
+measure q[1] -> c[0];
+h q[1];
 `
 	var created newResp
 	post(t, srv, "/api/simulation", newSimRequest{Code: code}, &created)
-	var r stepResponse
-	post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "break"}, &r)
-	if !strings.Contains(r.Event, "barrier") {
-		t.Fatalf("break did not stop at barrier: %q", r.Event)
-	}
-	post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "end"}, &r)
-	if !r.AtEnd {
-		t.Fatal("end action did not finish")
+	for _, want := range []struct {
+		pos   int
+		event string
+	}{{2, "barrier"}, {4, "measured q[1] = 1"}, {5, ""}} {
+		var r stepResponse
+		post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "break"}, &r)
+		if r.Frame.Pos != want.pos || !strings.Contains(r.Event, want.event) || r.Pending != nil {
+			t.Fatalf("break stopped at op %d with %q (pending %v), want op %d with %q", r.Frame.Pos, r.Event, r.Pending, want.pos, want.event)
+		}
+		if r.AtEnd != (want.pos == 5) {
+			t.Fatalf("break to op %d: at end %v", r.Frame.Pos, r.AtEnd)
+		}
 	}
 }
 
