@@ -105,6 +105,33 @@ func TestStepBackwardRestoresNonUnitary(t *testing.T) {
 	}
 }
 
+// TestRunToBreakStopsAtSpecials steps through a circuit with a barrier
+// and a measurement: the event stream marks both as the stops a run to
+// the next break ends at, keeps the position in step, and past the end
+// yields EventEnd.
+func TestRunToBreakStopsAtSpecials(t *testing.T) {
+	c := qc.New(2, 1)
+	c.H(0).Barrier().X(1).Measure(0, 0).H(1)
+	s := New(c, WithSeed(7))
+	want := []EventKind{EventGate, EventBarrier, EventGate, EventMeasure, EventGate}
+	for i, kind := range want {
+		ev, err := s.StepForward()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind != kind || ev.OpIndex != i || s.Pos() != i+1 {
+			t.Fatalf("step %d: %+v at pos %d, want kind %v", i, ev, s.Pos(), kind)
+		}
+	}
+	if !s.AtEnd() {
+		t.Fatal("not at end")
+	}
+	ev, err := s.StepForward()
+	if err != nil || ev.Kind != EventEnd {
+		t.Fatalf("past-end step: %+v, %v", ev, err)
+	}
+}
+
 func TestDeterministicMeasurementSkipsDialog(t *testing.T) {
 	c := qc.New(1, 1)
 	c.X(0).Measure(0, 0)
