@@ -14,10 +14,9 @@
 //	      [-max-qubits 24] [-max-ops 4096]
 //	      [-max-nodes 250000] [-max-body-bytes 1048576]
 //	      [-session-ttl 30m] [-max-sessions 256] [-request-timeout 15s]
-//	      [-noisy-workers 0]
-//	      [-trace-spans 1024] [-shape-interval 0]
+//	      [-noisy-workers 0] [-shape-interval 0]
 //	      [-spill-dir /var/lib/ddvis/spill] [-spill-max-bytes 67108864]
-//	      [-sample-interval 5s] [-sample-retention 0] [-live-stream]
+//	      [-sample-interval 5s] [-live-stream]
 //
 // With -spill-dir set, sessions evicted by the idle TTL or the LRU cap
 // are spilled to disk as checksummed snapshots and transparently
@@ -59,7 +58,6 @@ import (
 	"syscall"
 	"time"
 
-	"quantumdd/internal/core"
 	"quantumdd/internal/obs"
 	"quantumdd/internal/web"
 )
@@ -77,34 +75,30 @@ func main() {
 	maxSessions := flag.Int("max-sessions", def.MaxSessions, "LRU cap on live sessions per kind (0 = unlimited)")
 	reqTimeout := flag.Duration("request-timeout", def.RequestTimeout, "per-request deadline, bounds fast-forward loops (0 = none)")
 	noisyWorkers := flag.Int("noisy-workers", def.NoisyWorkers, "trajectory pool width for /api/noisy ensembles (0 = GOMAXPROCS, 1 = sequential; results are bit-identical either way)")
-	traceSpans := flag.Int("trace-spans", def.TraceSpans, "per-session flight-recorder capacity in spans (0 = default, negative = disable tracing)")
 	shapeInterval := flag.Int("shape-interval", def.ShapeInterval, "structural shape-profiling stride in session steps (0 = default 32, negative = disable profiling)")
 	spillDir := flag.String("spill-dir", "", "directory for durable session snapshots; evicted sessions spill here and are transparently restored on their next request (empty = disabled)")
 	spillMaxBytes := flag.Int64("spill-max-bytes", 0, "byte cap on the spill directory, oldest snapshots evicted first (0 = unbounded)")
 	sampleInterval := flag.Duration("sample-interval", def.SampleInterval, "telemetry sweep interval for the in-process time-series store (0 = telemetry off)")
-	sampleRetention := flag.Int("sample-retention", def.SampleRetention, "samples retained per telemetry series (0 = default)")
 	liveStream := flag.Bool("live-stream", def.LiveStream, "serve the /debug/live SSE telemetry stream (requires telemetry)")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	srv := core.NewWebToolConfig(web.Config{
-		Seed:            *seed,
-		MaxQubits:       *maxQubits,
-		MaxOps:          *maxOps,
-		MaxNodes:        *maxNodes,
-		MaxBodyBytes:    *maxBody,
-		SessionTTL:      *sessionTTL,
-		MaxSessions:     *maxSessions,
-		RequestTimeout:  *reqTimeout,
-		NoisyWorkers:    *noisyWorkers,
-		SpillDir:        *spillDir,
-		SpillMaxBytes:   *spillMaxBytes,
-		TraceSpans:      *traceSpans,
-		ShapeInterval:   *shapeInterval,
-		SampleInterval:  *sampleInterval,
-		SampleRetention: *sampleRetention,
-		LiveStream:      *liveStream,
-		Logger:          logger,
+	srv := web.NewServerWithConfig(web.Config{
+		Seed:           *seed,
+		MaxQubits:      *maxQubits,
+		MaxOps:         *maxOps,
+		MaxNodes:       *maxNodes,
+		MaxBodyBytes:   *maxBody,
+		SessionTTL:     *sessionTTL,
+		MaxSessions:    *maxSessions,
+		RequestTimeout: *reqTimeout,
+		NoisyWorkers:   *noisyWorkers,
+		SpillDir:       *spillDir,
+		SpillMaxBytes:  *spillMaxBytes,
+		ShapeInterval:  *shapeInterval,
+		SampleInterval: *sampleInterval,
+		LiveStream:     *liveStream,
+		Logger:         logger,
 	})
 	defer srv.Close()
 

@@ -13,15 +13,16 @@ import (
 	"os"
 
 	"quantumdd/internal/cnum"
-	"quantumdd/internal/core"
 	"quantumdd/internal/dd"
+	"quantumdd/internal/sim"
 	"quantumdd/internal/vis"
+	"quantumdd/internal/web"
 )
 
 func main() {
 	// Circuits load from OpenQASM (or .real) — the same sources the
 	// web tool's algorithm box accepts.
-	circ, err := core.LoadCircuit(`
+	circ, err := web.ParseCircuit(`
 OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[2];
@@ -33,7 +34,7 @@ cx q[1],q[0];
 	}
 
 	// Simulate: the state is a decision diagram, never a 2^n vector.
-	_, state, pkg, err := core.Simulate(circ, 1)
+	_, state, pkg, err := sim.Run(circ, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +58,7 @@ cx q[1],q[0];
 		pkg.ProbOne(state, 0), pkg.ProbOne(state, 1))
 
 	// Render the diagram in the paper's classic style.
-	svg := core.RenderState(state, vis.Style{Mode: vis.Classic})
+	svg := vis.FromVector(state).SVG(vis.Style{Mode: vis.Classic})
 	if err := os.WriteFile("bell_dd.svg", []byte(svg), 0o644); err != nil {
 		log.Fatal(err)
 	}

@@ -12,8 +12,9 @@ import (
 	"path/filepath"
 
 	"quantumdd/internal/algorithms"
-	"quantumdd/internal/core"
 	"quantumdd/internal/dd"
+	"quantumdd/internal/sim"
+	"quantumdd/internal/verify"
 	"quantumdd/internal/vis"
 )
 
@@ -31,7 +32,7 @@ func main() {
 	}
 
 	// The Bell state in every style (Fig. 7's options).
-	_, bell, _, err := core.Simulate(algorithms.Bell(), 1)
+	_, bell, _, err := sim.Run(algorithms.Bell(), 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,30 +42,36 @@ func main() {
 		"modern":  {Mode: vis.Modern},
 	}
 	for name, style := range styles {
-		write("bell_"+name+".svg", core.RenderState(bell, style))
+		write("bell_"+name+".svg", vis.FromVector(bell).SVG(style))
 	}
-	write("bell.dot", core.RenderStateDOT(bell, vis.Style{Mode: vis.Classic}))
+	write("bell.dot", vis.FromVector(bell).DOT(vis.Style{Mode: vis.Classic}))
 
 	// The QFT functionality matrix (Fig. 6) — colored, as in the paper.
-	u, _, err := core.Functionality(algorithms.QFT(3))
+	qft := algorithms.QFT(3)
+	u, err := verify.Functionality(dd.New(qft.NQubits), qft)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("QFT3 functionality: %d nodes\n", dd.SizeM(u))
-	write("qft3_colored.svg", core.RenderOperation(u, vis.Style{Mode: vis.Colored}))
-	write("qft3_classic.svg", core.RenderOperation(u, vis.Style{Mode: vis.Classic}))
-	write("qft3.dot", core.RenderOperationDOT(u, vis.Style{Mode: vis.Colored}))
+	g := vis.FromMatrix(u)
+	write("qft3_colored.svg", g.SVG(vis.Style{Mode: vis.Colored}))
+	write("qft3_classic.svg", g.SVG(vis.Style{Mode: vis.Classic}))
+	write("qft3.dot", g.DOT(vis.Style{Mode: vis.Colored}))
 
 	// The HLS color wheel legend (Fig. 7(b)).
 	write("colorwheel.svg", vis.ColorWheelSVG(200))
 
 	// An animation: one frame per simulation step of the Bell circuit
 	// (the slide-show feature of the tool).
-	frames, err := core.SimulationFrames(algorithms.BellMeasured(), 1, vis.Style{Mode: vis.Modern})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i, f := range frames {
-		write(fmt.Sprintf("bell_frame_%02d.svg", i), f)
+	modern := vis.Style{Mode: vis.Modern}
+	s := sim.New(algorithms.BellMeasured(), sim.WithSeed(1))
+	write("bell_frame_00.svg", vis.FrameSVG(vis.FromVector(s.State()), modern, "initial state"))
+	for i := 1; !s.AtEnd(); i++ {
+		ev, err := s.StepForward()
+		if err != nil {
+			log.Fatal(err)
+		}
+		caption := fmt.Sprintf("op %d: %s", ev.OpIndex, ev.Op.String())
+		write(fmt.Sprintf("bell_frame_%02d.svg", i), vis.FrameSVG(vis.FromVector(s.State()), modern, caption))
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"quantumdd/internal/algorithms"
-	"quantumdd/internal/core"
+	"quantumdd/internal/cli"
 	"quantumdd/internal/dd"
 	"quantumdd/internal/sim"
 	"quantumdd/internal/verify"
@@ -20,7 +20,7 @@ import (
 )
 
 func TestGrover3FromDisk(t *testing.T) {
-	circ, err := core.LoadCircuitFile(filepath.Join("testdata", "grover3.qasm"), "")
+	circ, err := cli.LoadCircuitFile(filepath.Join("testdata", "grover3.qasm"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestGrover3FromDisk(t *testing.T) {
 }
 
 func TestTeleportFromDisk(t *testing.T) {
-	circ, err := core.LoadCircuitFile(filepath.Join("testdata", "teleport.qasm"), "")
+	circ, err := cli.LoadCircuitFile(filepath.Join("testdata", "teleport.qasm"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTeleportFromDisk(t *testing.T) {
 }
 
 func TestToffoliChainFromDisk(t *testing.T) {
-	circ, err := core.LoadCircuitFile(filepath.Join("testdata", "toffoli_chain.real"), "")
+	circ, err := cli.LoadCircuitFile(filepath.Join("testdata", "toffoli_chain.real"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func toffoliChainTruth() int {
 }
 
 func TestQFT4WithIncludeFromDisk(t *testing.T) {
-	circ, err := core.LoadCircuitFile(filepath.Join("testdata", "qft4.qasm"), "")
+	circ, err := cli.LoadCircuitFile(filepath.Join("testdata", "qft4.qasm"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestQFT4WithIncludeFromDisk(t *testing.T) {
 		t.Fatal("on-disk QFT4 not equivalent to the generator")
 	}
 	// And it renders.
-	u, _, err := core.Functionality(circ)
+	u, err := verify.Functionality(dd.New(circ.NQubits), circ)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := dd.SizeM(u); got != 85 {
 		t.Fatalf("QFT4 functionality has %d nodes, want 85 = (4^4-1)/3", got)
 	}
-	svg := core.RenderOperation(u, vis.Style{Mode: vis.Colored})
+	svg := vis.FromMatrix(u).SVG(vis.Style{Mode: vis.Colored})
 	if !strings.Contains(svg, "<svg") {
 		t.Fatal("render failed")
 	}

@@ -270,36 +270,6 @@ func Adder(n int) *qc.Circuit {
 	return c
 }
 
-// DeutschJozsa returns the n-qubit Deutsch–Jozsa circuit in the
-// phase-oracle formulation: for a constant oracle the measurement
-// yields |0…0⟩ with certainty, for the balanced parity oracle
-// f(x) = x·mask it yields |mask⟩.
-func DeutschJozsa(n int, balancedMask uint64) *qc.Circuit {
-	c := qc.New(n, n)
-	if balancedMask == 0 {
-		c.Name = fmt.Sprintf("dj_%d_constant", n)
-	} else {
-		c.Name = fmt.Sprintf("dj_%d_balanced_%b", n, balancedMask)
-	}
-	for q := 0; q < n; q++ {
-		c.H(q)
-	}
-	// Oracle: phase flip on the bits of the mask (constant = empty).
-	for q := 0; q < n; q++ {
-		if balancedMask>>uint(q)&1 == 1 {
-			c.Z(q)
-		}
-	}
-	for q := 0; q < n; q++ {
-		c.H(q)
-	}
-	c.Barrier()
-	for q := 0; q < n; q++ {
-		c.Measure(q, q)
-	}
-	return c
-}
-
 // RandomCircuit returns a pseudo-random circuit over n qubits with the
 // given number of layers, drawn from {H,X,Y,Z,S,T,P,RX,RY,RZ,CX} using
 // the deterministic seed — the "limits" end of the E8 scaling study.

@@ -223,35 +223,3 @@ func TestBVSecretWidths(t *testing.T) {
 		t.Fatal("BV register sizes wrong")
 	}
 }
-
-func TestDeutschJozsa(t *testing.T) {
-	// Constant oracle: all measurements 0.
-	run := func(mask uint64) uint64 {
-		c := DeutschJozsa(5, mask)
-		p := dd.New(c.NQubits)
-		st := p.ZeroState()
-		for i := range c.Ops {
-			op := &c.Ops[i]
-			if op.Kind != qc.KindGate {
-				continue
-			}
-			g := p.MakeGateDD(dd.GateMatrix(qc.Matrix2(op.Gate, op.Params)), op.Targets[0])
-			st = p.MultMV(g, st)
-		}
-		// The state is a basis state: find it.
-		for idx := int64(0); idx < 32; idx++ {
-			a := dd.Amplitude(st, idx)
-			if real(a)*real(a)+imag(a)*imag(a) > 0.99 {
-				return uint64(idx)
-			}
-		}
-		t.Fatalf("DJ(%b) output not a basis state", mask)
-		return 0
-	}
-	if got := run(0); got != 0 {
-		t.Fatalf("constant oracle gave |%b>, want |00000>", got)
-	}
-	if got := run(0b10110); got != 0b10110 {
-		t.Fatalf("balanced oracle gave |%b>, want |10110>", got)
-	}
-}

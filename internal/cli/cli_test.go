@@ -2,6 +2,7 @@ package cli
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -402,5 +403,61 @@ func TestDdconvertFileOutput(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "-check skipped") {
 		t.Fatalf("skip note missing: %s", errb.String())
+	}
+}
+
+// TestDdsimShotsSampleMeasuredCircuit: shots of a circuit that measures
+// sample the circuit, not the collapsed state of one run. Each of the
+// measured Bell pair's two outcomes lands within 5σ of 500 in 1000
+// shots, on one worker and on two.
+func TestDdsimShotsSampleMeasuredCircuit(t *testing.T) {
+	path := writeTemp(t, "bell.qasm", bellQASM)
+	for _, workers := range []string{"1", "2"} {
+		var out, errb strings.Builder
+		if code := RunDdsim([]string{"-seed", "3", "-shots", "1000", "-workers", workers, path}, &out, &errb); code != 0 {
+			t.Fatalf("exit %d: %s", code, errb.String())
+		}
+		o := out.String()
+		const sigma5 = 5 * 15.82 // 5·√(1000·½·½)
+		total := 0
+		for _, outcome := range []string{"|00>", "|11>"} {
+			var n int
+			i := strings.Index(o, "  "+outcome)
+			if i < 0 {
+				t.Fatalf("workers %s: outcome %s never sampled:\n%s", workers, outcome, o)
+			}
+			if _, err := fmt.Sscanf(o[i+2+len(outcome):], "%d", &n); err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(float64(n-500)) > sigma5 {
+				t.Errorf("workers %s: %s sampled %d times in 1000 shots, want 500 ± %.0f:\n%s", workers, outcome, n, sigma5, o)
+			}
+			total += n
+		}
+		if total != 1000 {
+			t.Errorf("workers %s: %d of 1000 shots on |00> and |11>:\n%s", workers, total, o)
+		}
+	}
+}
+
+// TestDdsimShotsMeasureFreeUnchanged pins the histogram of a circuit
+// without measurement, reset or classical control: one run, then
+// samples of its final state.
+func TestDdsimShotsMeasureFreeUnchanged(t *testing.T) {
+	path := writeTemp(t, "mf.qasm", "qreg q[3];\nh q[0];\nry(0.7) q[1];\ncx q[0],q[2];\n")
+	var out, errb strings.Builder
+	if code := RunDdsim([]string{"-seed", "5", "-shots", "1000", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	const want = `circuit: 3 qubits, 0 classical bits, 3 operations (3 gates)
+final DD: 5 nodes, peak 5 nodes (dense state would hold 8 amplitudes)
+samples (1000 shots):
+  |000>     477  (47.70%)
+  |101>     407  (40.70%)
+  |010>      61  (6.10%)
+  |111>      55  (5.50%)
+`
+	if got := out.String(); got != want {
+		t.Fatalf("output changed:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"io"
 	"os"
 
-	"quantumdd/internal/core"
 	"quantumdd/internal/dd"
 	"quantumdd/internal/realfmt"
 	"quantumdd/internal/sim"
 	"quantumdd/internal/snapshot"
 	"quantumdd/internal/verify"
+	"quantumdd/internal/web"
 )
 
 // RunDdconvert is the ddconvert tool: translate circuits between the
@@ -45,7 +45,7 @@ func RunDdconvert(args []string, stdout, stderr io.Writer) int {
 	if *writeSnap != "" {
 		return ddconvertWriteSnapshot(fs.Arg(0), *format, *seed, *writeSnap, stderr)
 	}
-	circ, err := core.LoadCircuitFile(fs.Arg(0), *format)
+	circ, err := LoadCircuitFile(fs.Arg(0), *format)
 	if err != nil {
 		fmt.Fprintln(stderr, "ddconvert:", err)
 		return 1
@@ -65,7 +65,7 @@ func RunDdconvert(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *check {
-		back, err := core.LoadCircuit(rendered, *to)
+		back, err := web.ParseCircuit(rendered, *to)
 		if err != nil {
 			fmt.Fprintf(stderr, "ddconvert: output does not re-parse: %v\n", err)
 			return 1
@@ -110,7 +110,7 @@ func ddconvertWriteSnapshot(path, format string, seed int64, outPath string, std
 	src := string(data)
 	// Parse from the source text (not the file path): the snapshot must
 	// embed a self-contained circuit that restores anywhere.
-	circ, err := core.LoadCircuit(src, format)
+	circ, err := web.ParseCircuit(src, format)
 	if err != nil {
 		fmt.Fprintf(stderr, "ddconvert: circuit is not self-contained, cannot snapshot: %v\n", err)
 		return 1
@@ -157,7 +157,7 @@ func ddconvertInspectSnapshot(path, outPath string, stdout, stderr io.Writer) in
 	var source string
 	switch {
 	case simSnap != nil:
-		circ, err := core.LoadCircuit(simSnap.Source, simSnap.Format)
+		circ, err := web.ParseCircuit(simSnap.Source, simSnap.Format)
 		if err != nil {
 			fmt.Fprintln(stderr, "ddconvert: embedded circuit does not parse:", err)
 			return 1
@@ -172,12 +172,12 @@ func ddconvertInspectSnapshot(path, outPath string, stdout, stderr io.Writer) in
 			orAuto(simSnap.Format), circ.NQubits, len(circ.Ops), simSnap.Pos, simSnap.Classical, dd.SizeV(state), len(data))
 		source = simSnap.Source
 	case verSnap != nil:
-		left, err := core.LoadCircuit(verSnap.LeftSource, verSnap.LeftFormat)
+		left, err := web.ParseCircuit(verSnap.LeftSource, verSnap.LeftFormat)
 		if err != nil {
 			fmt.Fprintln(stderr, "ddconvert: embedded left circuit does not parse:", err)
 			return 1
 		}
-		if _, err := core.LoadCircuit(verSnap.RightSource, verSnap.RightFormat); err != nil {
+		if _, err := web.ParseCircuit(verSnap.RightSource, verSnap.RightFormat); err != nil {
 			fmt.Fprintln(stderr, "ddconvert: embedded right circuit does not parse:", err)
 			return 1
 		}

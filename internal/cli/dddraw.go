@@ -7,9 +7,10 @@ import (
 	"os"
 	"strings"
 
-	"quantumdd/internal/core"
 	"quantumdd/internal/dd"
+	"quantumdd/internal/qc"
 	"quantumdd/internal/sim"
+	"quantumdd/internal/verify"
 	"quantumdd/internal/vis"
 )
 
@@ -50,18 +51,18 @@ func RunDddraw(args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 		return 2
 	}
-	style, err := core.StyleByName(*styleName)
+	style, err := styleByName(*styleName)
 	if err != nil {
 		fmt.Fprintln(stderr, "dddraw:", err)
 		return 2
 	}
-	circ, err := core.LoadCircuitFile(fs.Arg(0), *formatFlag)
+	circ, err := LoadCircuitFile(fs.Arg(0), *formatFlag)
 	if err != nil {
 		fmt.Fprintln(stderr, "dddraw:", err)
 		return 1
 	}
 	if *animate {
-		frames, err := core.SimulationFrames(circ, *seed, style)
+		frames, err := simulationFrames(circ, *seed, style)
 		if err != nil {
 			fmt.Fprintln(stderr, "dddraw:", err)
 			return 1
@@ -88,7 +89,8 @@ func RunDddraw(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "final state: %d nodes\n", dd.SizeV(s.State()))
 		g = vis.FromVector(s.State())
 	case "functionality":
-		u, p, err := core.Functionality(circ)
+		p := dd.New(circ.NQubits)
+		u, err := verify.Functionality(p, circ)
 		if err != nil {
 			fmt.Fprintln(stderr, "dddraw:", err)
 			return 1
@@ -111,4 +113,35 @@ func RunDddraw(args []string, stdout, stderr io.Writer) int {
 	default:
 		return emit(g.SVG(style))
 	}
+}
+
+// styleByName maps the tool's style names onto vis.Style. Allowed
+// names: classic, colored, modern.
+func styleByName(name string) (vis.Style, error) {
+	switch name {
+	case "", "classic":
+		return vis.Style{Mode: vis.Classic}, nil
+	case "colored":
+		return vis.Style{Mode: vis.Colored}, nil
+	case "modern":
+		return vis.Style{Mode: vis.Modern}, nil
+	default:
+		return vis.Style{}, fmt.Errorf("unknown style %q (want classic, colored or modern)", name)
+	}
+}
+
+// simulationFrames runs a whole simulation and renders one SVG frame
+// per executed operation — the data behind the tool's slide show.
+func simulationFrames(circ *qc.Circuit, seed int64, style vis.Style) ([]string, error) {
+	s := sim.New(circ, sim.WithSeed(seed))
+	frames := []string{vis.FrameSVG(vis.FromVector(s.State()), style, "initial state")}
+	for !s.AtEnd() {
+		ev, err := s.StepForward()
+		if err != nil {
+			return frames, err
+		}
+		caption := fmt.Sprintf("op %d: %s", ev.OpIndex, ev.Op.String())
+		frames = append(frames, vis.FrameSVG(vis.FromVector(s.State()), style, caption))
+	}
+	return frames, nil
 }

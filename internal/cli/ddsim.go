@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"quantumdd/internal/cnum"
-	"quantumdd/internal/core"
 	"quantumdd/internal/dd"
 	"quantumdd/internal/qc"
 	"quantumdd/internal/sim"
@@ -27,7 +26,7 @@ func RunDdsim(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ddsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	seed := fs.Int64("seed", 1, "measurement sampling seed")
-	shots := fs.Int("shots", 0, "sample the final state this many times")
+	shots := fs.Int("shots", 0, "sample the circuit this many times and print a histogram over the qubits (a circuit that measures, resets or branches is run once per shot)")
 	amplitudes := fs.Bool("amplitudes", false, "print the dense final state (small circuits)")
 	trace := fs.Bool("trace", false, "print one line per executed operation")
 	stats := fs.Bool("stats", false, "print circuit and DD statistics")
@@ -35,7 +34,7 @@ func RunDdsim(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "", "input format: qasm, real, or auto")
 	noise := fs.Float64("noise", 0, "depolarizing noise probability per gate operand (enables trajectory mode)")
 	trajectories := fs.Int("trajectories", 1000, "Monte-Carlo trajectories in noise mode")
-	workers := fs.Int("workers", 0, "trajectory pool width in noise mode (0 = GOMAXPROCS, 1 = sequential; results are bit-identical)")
+	workers := fs.Int("workers", 0, "trajectory pool width in noise mode and for shots of a measuring circuit (0 = GOMAXPROCS, 1 = sequential; results are bit-identical)")
 	metricsDump := fs.Bool("metrics-dump", false, "print a Prometheus metrics snapshot of the engine after the run")
 	traceOut := fs.String("trace-out", "", "write the run's span timeline to this file as Chrome trace-event JSON")
 	if err := fs.Parse(args); err != nil {
@@ -46,7 +45,7 @@ func RunDdsim(args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 		return 2
 	}
-	circ, err := core.LoadCircuitFile(fs.Arg(0), *format)
+	circ, err := LoadCircuitFile(fs.Arg(0), *format)
 	if err != nil {
 		fmt.Fprintln(stderr, "ddsim:", err)
 		return 1
@@ -69,7 +68,7 @@ func RunDdsim(args []string, stdout, stderr io.Writer) int {
 	if *noise != 0 {
 		return runDdsimNoisy(circ, *noise, *trajectories, *workers, *seed, stdout, stderr)
 	}
-	return runDdsimOn(to.context(), circ, *seed, *shots, *amplitudes, *trace, *stats, *draw, md, stdout, stderr)
+	return runDdsimOn(to.context(), circ, *seed, *shots, *workers, *amplitudes, *trace, *stats, *draw, md, stdout, stderr)
 }
 
 // runDdsimNoisy aggregates Monte-Carlo trajectories under depolarizing
@@ -82,12 +81,20 @@ func runDdsimNoisy(circ *qc.Circuit, p float64, trajectories, workers int, seed 
 	}
 	fmt.Fprintf(stdout, "noisy simulation: %d trajectories on %d workers, depolarizing p=%g, %d error events, mean %d-qubit DD %.1f nodes\n",
 		res.Trajectories, res.Workers, p, res.ErrorEvents, circ.NQubits, res.MeanNodes)
+	printHistogram(stdout, res.Counts, res.Trajectories, circ.NQubits, 16)
+	return 0
+}
+
+// printHistogram prints the sampled basis states of the qubits, most
+// frequent first, ties by index, each with its share of the draws.
+// With maxRows > 0 it lists at most that many and counts the rest.
+func printHistogram(w io.Writer, counts map[int64]int, draws, nqubits, maxRows int) {
 	type kv struct {
 		idx int64
 		n   int
 	}
 	var rows []kv
-	for idx, n := range res.Counts {
+	for idx, n := range counts {
 		rows = append(rows, kv{idx, n})
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -96,17 +103,19 @@ func runDdsimNoisy(circ *qc.Circuit, p float64, trajectories, workers int, seed 
 		}
 		return rows[i].idx < rows[j].idx
 	})
-	const maxRows = 16
-	for _, r := range rows[:min(len(rows), maxRows)] {
-		fmt.Fprintf(stdout, "  |%0*b>  %6d  (%.2f%%)\n", circ.NQubits, r.idx, r.n, 100*float64(r.n)/float64(res.Trajectories))
+	shown := rows
+	if maxRows > 0 && len(rows) > maxRows {
+		shown = rows[:maxRows]
 	}
-	if len(rows) > maxRows {
-		fmt.Fprintf(stdout, "  … %d more outcomes\n", len(rows)-maxRows)
+	for _, r := range shown {
+		fmt.Fprintf(w, "  |%0*b>  %6d  (%.2f%%)\n", nqubits, r.idx, r.n, 100*float64(r.n)/float64(draws))
 	}
-	return 0
+	if len(rows) > len(shown) {
+		fmt.Fprintf(w, "  … %d more outcomes\n", len(rows)-len(shown))
+	}
 }
 
-func runDdsimOn(ctx context.Context, circ *qc.Circuit, seed int64, shots int, amplitudes, trace, stats, draw bool, md *metricsDumper, stdout, stderr io.Writer) int {
+func runDdsimOn(ctx context.Context, circ *qc.Circuit, seed int64, shots, workers int, amplitudes, trace, stats, draw bool, md *metricsDumper, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "circuit: %d qubits, %d classical bits, %d operations (%d gates)\n",
 		circ.NQubits, circ.NClbits, len(circ.Ops), circ.NumGates())
 
@@ -147,25 +156,23 @@ func runDdsimOn(ctx context.Context, circ *qc.Circuit, seed int64, shots int, am
 		}
 	}
 	if shots > 0 {
-		counts := dd.SampleCounts(s.State(), shots, rand.New(rand.NewSource(seed)))
-		type kv struct {
-			idx int64
-			n   int
-		}
-		var rows []kv
-		for idx, n := range counts {
-			rows = append(rows, kv{idx, n})
-		}
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].n != rows[j].n {
-				return rows[i].n > rows[j].n
+		// The final state of a circuit that measures, resets or
+		// branches is one run's collapsed state: such a circuit is run
+		// once per shot, on the prefix trie that branches once per
+		// outcome. Any other circuit's final state is sampled directly.
+		var counts map[int64]int
+		if circ.HasNonUnitary() {
+			res, err := sim.RunNoisy(circ, sim.NoiseModel{}, shots, seed, sim.WithWorkers(workers))
+			if err != nil {
+				fmt.Fprintln(stderr, "ddsim:", err)
+				return 1
 			}
-			return rows[i].idx < rows[j].idx
-		})
-		fmt.Fprintf(stdout, "samples (%d shots):\n", shots)
-		for _, r := range rows {
-			fmt.Fprintf(stdout, "  |%0*b>  %6d  (%.2f%%)\n", circ.NQubits, r.idx, r.n, 100*float64(r.n)/float64(shots))
+			counts = res.Counts
+		} else {
+			counts = dd.SampleCounts(s.State(), shots, rand.New(rand.NewSource(seed)))
 		}
+		fmt.Fprintf(stdout, "samples (%d shots):\n", shots)
+		printHistogram(stdout, counts, shots, circ.NQubits, 0)
 	}
 	if draw {
 		fmt.Fprint(stdout, vis.FromVector(s.State()).Text())

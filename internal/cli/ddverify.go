@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"quantumdd/internal/core"
 	"quantumdd/internal/dd"
 	"quantumdd/internal/qc"
 	"quantumdd/internal/sim"
@@ -42,7 +41,7 @@ func RunDdverify(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	load := func(path string) (*qc.Circuit, error) {
-		circ, err := core.LoadCircuitFile(path, *format)
+		circ, err := LoadCircuitFile(path, *format)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}

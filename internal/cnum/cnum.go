@@ -302,15 +302,6 @@ func hashInt64(k int64) uint64 {
 	return mix64(uint64(k) * mixMul1)
 }
 
-// HashReal returns the bucket hash of a canonical real value: a mixed
-// digest of its bit pattern. Canonical values produced by the same
-// Table are bit-identical, so this hash is stable and may be
-// precomputed and combined (see HashComplex) to key hash tables over
-// canonical weights without ever comparing floats tolerantly again.
-func HashReal(v float64) uint64 {
-	return mix64(math.Float64bits(v) * mixMul1)
-}
-
 // HashComplex returns the bucket hash of a canonical complex value,
 // mixing the components asymmetrically so that conjugates and
 // swapped components land in different buckets.
@@ -331,12 +322,6 @@ func IsOne(c complex128, tol float64) bool { return ApproxEqual(c, 1, tol) }
 
 // Phase returns the argument of c in (-π, π].
 func Phase(c complex128) float64 { return cmplx.Phase(c) }
-
-// Omega returns e^{iπk/d}, the 2d-th root of unity raised to k, used
-// e.g. in the QFT functionality matrix (ω = e^{iπ/4} for three qubits).
-func Omega(k, d int) complex128 {
-	return cmplx.Exp(complex(0, math.Pi*float64(k)/float64(d)))
-}
 
 // piFractions lists denominators tried when pretty-printing angles.
 var piFractions = []int{1, 2, 3, 4, 6, 8, 12, 16, 32}

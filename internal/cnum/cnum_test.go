@@ -111,22 +111,6 @@ func TestPredicates(t *testing.T) {
 	}
 }
 
-func TestOmega(t *testing.T) {
-	// ω = e^{iπ/4} = (1+i)/√2 (Fig. 5(c)).
-	w := Omega(1, 4)
-	if math.Abs(real(w)-SqrtHalf) > 1e-12 || math.Abs(imag(w)-SqrtHalf) > 1e-12 {
-		t.Fatalf("omega(1,4) = %v", w)
-	}
-	// ω^8 = 1.
-	acc := complex(1, 0)
-	for i := 0; i < 8; i++ {
-		acc *= w
-	}
-	if math.Abs(real(acc)-1) > 1e-12 || math.Abs(imag(acc)) > 1e-12 {
-		t.Fatalf("omega^8 = %v, want 1", acc)
-	}
-}
-
 func TestFormatAngle(t *testing.T) {
 	cases := map[float64]string{
 		0:                "0",

@@ -46,12 +46,6 @@ func (p *Pkg) adjointProduct(a, b MEdge) MEdge {
 	return p.MultMM(p.ConjTranspose(a), b)
 }
 
-// ExpectationZ returns ⟨ϕ|Z_q|ϕ⟩ = P(q=0) − P(q=1) for the unit state
-// ϕ — the Bloch-sphere z-coordinate of qubit q.
-func (p *Pkg) ExpectationZ(e VEdge, q int) float64 {
-	return 1 - 2*p.ProbOne(e, q)
-}
-
 // SizeByLevelV histograms the distinct nodes of a vector diagram per
 // qubit level (index = level). Feeds the statistics view: wide levels
 // are where entanglement concentrates.

@@ -48,22 +48,6 @@ func TestHSOverlap(t *testing.T) {
 	}
 }
 
-func TestExpectationZ(t *testing.T) {
-	p := New(1)
-	zero := p.ZeroState()
-	if got := p.ExpectationZ(zero, 0); math.Abs(got-1) > tol {
-		t.Fatalf("<Z> of |0> = %v, want 1", got)
-	}
-	one := p.BasisState(1)
-	if got := p.ExpectationZ(one, 0); math.Abs(got+1) > tol {
-		t.Fatalf("<Z> of |1> = %v, want -1", got)
-	}
-	plus := p.MultMV(p.MakeGateDD(gateH, 0), zero)
-	if got := p.ExpectationZ(plus, 0); math.Abs(got) > tol {
-		t.Fatalf("<Z> of |+> = %v, want 0", got)
-	}
-}
-
 func TestSizeByLevel(t *testing.T) {
 	p := New(2)
 	bell := bellState(t, p)

@@ -73,10 +73,3 @@ func (p *Pkg) approximate(n *VNode, pathProb, threshold float64, memo map[approx
 	memo[key] = r
 	return r
 }
-
-// FidelityAfterPruning is a convenience that reports what fidelity a
-// given threshold would retain without keeping the approximation.
-func (p *Pkg) FidelityAfterPruning(e VEdge, threshold float64) float64 {
-	_, f, _, _ := p.Approximate(e, threshold)
-	return f
-}

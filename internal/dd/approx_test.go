@@ -104,7 +104,7 @@ func TestApproximateFidelityMonotone(t *testing.T) {
 	}
 	prev := 1.0
 	for _, th := range []float64{1e-6, 1e-4, 1e-2, 0.05} {
-		f := p.FidelityAfterPruning(e, th)
+		_, f, _, _ := p.Approximate(e, th)
 		if f > prev+1e-9 {
 			t.Fatalf("fidelity increased with coarser threshold: %v -> %v at %v", prev, f, th)
 		}

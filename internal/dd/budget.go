@@ -113,19 +113,6 @@ func (p *Pkg) armed(op func()) (err error) {
 // through any internal collection; after the wrapper returns they are
 // subject to normal GC rules again.
 
-// MultMVChecked is MultMV under the node budget: it returns a
-// *ResourceError instead of growing the unique tables past MaxNodes.
-func (p *Pkg) MultMVChecked(m MEdge, v VEdge) (VEdge, error) {
-	p.IncRefM(m)
-	p.IncRefV(v)
-	defer func() { p.DecRefM(m); p.DecRefV(v) }()
-	var res VEdge
-	if err := p.checked(func() { res = p.MultMV(m, v) }); err != nil {
-		return VZero(), err
-	}
-	return res, nil
-}
-
 // MultMMChecked is MultMM under the node budget.
 func (p *Pkg) MultMMChecked(a, b MEdge) (MEdge, error) {
 	p.IncRefM(a)
@@ -133,30 +120,6 @@ func (p *Pkg) MultMMChecked(a, b MEdge) (MEdge, error) {
 	defer func() { p.DecRefM(a); p.DecRefM(b) }()
 	var res MEdge
 	if err := p.checked(func() { res = p.MultMM(a, b) }); err != nil {
-		return MZero(), err
-	}
-	return res, nil
-}
-
-// AddVChecked is AddV under the node budget.
-func (p *Pkg) AddVChecked(a, b VEdge) (VEdge, error) {
-	p.IncRefV(a)
-	p.IncRefV(b)
-	defer func() { p.DecRefV(a); p.DecRefV(b) }()
-	var res VEdge
-	if err := p.checked(func() { res = p.AddV(a, b) }); err != nil {
-		return VZero(), err
-	}
-	return res, nil
-}
-
-// AddMChecked is AddM under the node budget.
-func (p *Pkg) AddMChecked(a, b MEdge) (MEdge, error) {
-	p.IncRefM(a)
-	p.IncRefM(b)
-	defer func() { p.DecRefM(a); p.DecRefM(b) }()
-	var res MEdge
-	if err := p.checked(func() { res = p.AddM(a, b) }); err != nil {
 		return MZero(), err
 	}
 	return res, nil

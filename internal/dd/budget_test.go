@@ -23,8 +23,8 @@ func applyBlowUp(t *testing.T, p *Pkg, n int) (trippedAt int, err error) {
 	state := p.ZeroState()
 	p.IncRefV(state)
 	gates := 0
-	apply := func(g MEdge) error {
-		next, err := p.MultMVChecked(g, state)
+	apply := func(u GateMatrix, target int, ctl ...Control) error {
+		next, err := p.ApplyGateChecked(state, u, target, ctl...)
 		if err != nil {
 			return err
 		}
@@ -35,17 +35,17 @@ func applyBlowUp(t *testing.T, p *Pkg, n int) (trippedAt int, err error) {
 		return nil
 	}
 	// GHZ: H on top qubit, CX chain downwards.
-	if err := apply(p.MakeGateDD(gateH, n-1)); err != nil {
+	if err := apply(gateH, n-1); err != nil {
 		return gates, err
 	}
 	for q := n - 2; q >= 0; q-- {
-		if err := apply(p.MakeGateDD(gateX, q, Control{Qubit: q + 1})); err != nil {
+		if err := apply(gateX, q, Control{Qubit: q + 1}); err != nil {
 			return gates, err
 		}
 	}
 	// QFT-flavoured blow-up: H plus distinct controlled phases.
 	for q := 0; q < n; q++ {
-		if err := apply(p.MakeGateDD(gateH, q)); err != nil {
+		if err := apply(gateH, q); err != nil {
 			return gates, err
 		}
 	}
@@ -54,7 +54,7 @@ func applyBlowUp(t *testing.T, p *Pkg, n int) (trippedAt int, err error) {
 		for j := i + 1; j < n; j++ {
 			k++
 			theta := math.Pi / math.Sqrt(float64(k)+1.5)
-			if err := apply(p.MakeGateDD(phaseGate(theta), j, Control{Qubit: i})); err != nil {
+			if err := apply(phaseGate(theta), j, Control{Qubit: i}); err != nil {
 				return gates, err
 			}
 		}
@@ -94,7 +94,9 @@ func TestMaxNodesTripsDeterministically(t *testing.T) {
 func TestBudgetAbortLeavesPackageUsable(t *testing.T) {
 	const n = 10
 	p := New(n)
-	p.SetMaxNodes(150)
+	// The last good state stays referenced and holds 152 nodes: the
+	// budget leaves room for the follow-up below.
+	p.SetMaxNodes(200)
 	if _, err := applyBlowUp(t, p, n); err == nil {
 		t.Fatal("expected the budget to trip")
 	}
@@ -106,7 +108,7 @@ func TestBudgetAbortLeavesPackageUsable(t *testing.T) {
 	// Small follow-up operations must still succeed: the budget bounds
 	// table growth, it does not poison the package.
 	st := p.ZeroState()
-	out, err := p.MultMVChecked(p.MakeGateDD(gateH, 0), st)
+	out, err := p.ApplyGateChecked(st, gateH, 0)
 	if err != nil {
 		t.Fatalf("small op after abort failed: %v", err)
 	}
@@ -129,7 +131,7 @@ func TestUncheckedOpsIgnoreBudget(t *testing.T) {
 func TestCheckedOpsWithoutBudgetBehaveLikeUnchecked(t *testing.T) {
 	p := New(3)
 	a := p.MultMV(p.MakeGateDD(gateH, 2), p.ZeroState())
-	b, err := p.MultMVChecked(p.MakeGateDD(gateH, 2), p.ZeroState())
+	b, err := p.ApplyGateChecked(p.ZeroState(), gateH, 2)
 	if err != nil {
 		t.Fatalf("checked op errored without a budget: %v", err)
 	}
@@ -139,14 +141,6 @@ func TestCheckedOpsWithoutBudgetBehaveLikeUnchecked(t *testing.T) {
 	m, err := p.MultMMChecked(p.MakeGateDD(gateX, 0), p.Ident())
 	if err != nil || m.IsZero() {
 		t.Fatalf("MultMMChecked failed: %v", err)
-	}
-	s, err := p.AddVChecked(a, b)
-	if err != nil || s.IsZero() {
-		t.Fatalf("AddVChecked failed: %v", err)
-	}
-	am, err := p.AddMChecked(m, m)
-	if err != nil || am.IsZero() {
-		t.Fatalf("AddMChecked failed: %v", err)
 	}
 }
 

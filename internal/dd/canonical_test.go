@@ -91,12 +91,6 @@ func TestExportedRootsCanonical(t *testing.T) {
 			e, err = p.ApplyGateChecked(b, u, target, ctl...)
 			must(err)
 			v("ApplyGateChecked", e)
-			e, err = p.AddVChecked(a, b)
-			must(err)
-			v("AddVChecked", e)
-			e, err = p.MultMVChecked(mb, b)
-			must(err)
-			v("MultMVChecked", e)
 			if p.ProbOne(a, target) > 1e-6 {
 				e, err = p.Collapse(a, target, 1)
 				must(err)
@@ -125,9 +119,6 @@ func TestExportedRootsCanonical(t *testing.T) {
 			me, err = p.ApplyGateMRChecked(ma, u, target, ctl...)
 			must(err)
 			m("ApplyGateMRChecked", me)
-			me, err = p.AddMChecked(ma, mb)
-			must(err)
-			m("AddMChecked", me)
 			me, err = p.MultMMChecked(mb, ma)
 			must(err)
 			m("MultMMChecked", me)
@@ -152,25 +143,18 @@ func TestExportedRootsCanonical(t *testing.T) {
 			must(err)
 			v("ReorderedState", e)
 
-			// Kron products of sub-diagrams spanning the bottom k
-			// levels and the n−k levels above them.
+			// The Kron product of a sub-diagram spanning the n−k
+			// levels above the bottom k with the identity below.
 			k := 1 + rng.Intn(n-1)
-			lo := make([]complex128, 1<<uint(k))
-			hi := make([]complex128, 1<<uint(n-k))
-			for _, amps := range [][]complex128{lo, hi} {
-				for i := range amps {
-					amps[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-				}
-			}
-			v("KronV", p.KronV(p.fromVector(hi, n-k-1), p.fromVector(lo, k-1), k))
-			rows := make([][]complex128, len(hi))
+			dim := 1 << uint(n-k)
+			rows := make([][]complex128, dim)
 			for i := range rows {
-				rows[i] = make([]complex128, len(hi))
+				rows[i] = make([]complex128, dim)
 				for j := range rows[i] {
 					rows[i][j] = complex(rng.NormFloat64(), rng.NormFloat64())
 				}
 			}
-			m("KronM", p.KronM(p.fromMatrix(rows, 0, 0, len(hi), n-k-1), p.identUpTo(k-1), k))
+			m("KronM", p.KronM(p.fromMatrix(rows, 0, 0, dim, n-k-1), p.identUpTo(k-1), k))
 		}
 	}
 }

@@ -385,9 +385,6 @@ func (p *Pkg) SetVectorNormalization(s NormScheme) {
 	p.vnorm = s
 }
 
-// VectorNormalization reports the active vector normalization scheme.
-func (p *Pkg) VectorNormalization() NormScheme { return p.vnorm }
-
 // NewTol creates a package with an explicit complex tolerance.
 func NewTol(n int, tol float64) *Pkg {
 	if n <= 0 {

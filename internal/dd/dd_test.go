@@ -217,20 +217,6 @@ func TestKronTerminalReplacement(t *testing.T) {
 	}
 }
 
-func TestKronV(t *testing.T) {
-	p := New(2)
-	p1 := New(1)
-	plus := p1.MultMV(p1.MakeGateDD(gateH, 0), p1.ZeroState())
-	_ = plus
-	// |1> (x) |0> = |10>
-	one := p.makeVNode(0, [2]VEdge{VZero(), VOne()})
-	zero := p.makeVNode(0, [2]VEdge{VOne(), VZero()})
-	prod := p.KronV(one, zero, 1)
-	if got := Amplitude(prod, 2); !approx(got, 1) {
-		t.Fatalf("kron |1>,|0>: amplitude |10> = %v, want 1", got)
-	}
-}
-
 func TestIdentity(t *testing.T) {
 	p := New(3)
 	id := p.Ident()

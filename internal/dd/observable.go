@@ -2,7 +2,6 @@ package dd
 
 import (
 	"fmt"
-	"math/cmplx"
 )
 
 // Observables: expectation values of Pauli strings ⟨ϕ|P|ϕ⟩, the
@@ -49,21 +48,4 @@ func (p *Pkg) ExpectationPauli(e VEdge, pauli string) (float64, error) {
 		return 0, fmt.Errorf("dd: non-real expectation %v (state not normalized?)", ip)
 	}
 	return real(ip), nil
-}
-
-// ExpectationZAll returns ⟨Z_q⟩ for every qubit in one call — the
-// Bloch z-profile shown next to the diagram.
-func (p *Pkg) ExpectationZAll(e VEdge) []float64 {
-	out := make([]float64, p.nqubits)
-	for q := range out {
-		out[q] = p.ExpectationZ(e, q)
-	}
-	return out
-}
-
-// Purity returns |⟨e|e⟩|² normalized — 1 for any normalized state; a
-// quick sanity probe used in tests and the statistics panel.
-func (p *Pkg) Purity(e VEdge) float64 {
-	n := Norm(e)
-	return cmplx.Abs(complex(n*n, 0))
 }

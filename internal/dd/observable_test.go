@@ -73,15 +73,3 @@ func TestExpectationPauliErrors(t *testing.T) {
 		t.Fatal("invalid letter accepted")
 	}
 }
-
-func TestExpectationZAllAndPurity(t *testing.T) {
-	p := New(2)
-	bell := bellState(t, p)
-	zs := p.ExpectationZAll(bell)
-	if math.Abs(zs[0]) > 1e-9 || math.Abs(zs[1]) > 1e-9 {
-		t.Fatalf("Bell <Z> profile = %v, want zeros", zs)
-	}
-	if pur := p.Purity(bell); math.Abs(pur-1) > 1e-9 {
-		t.Fatalf("purity = %v", pur)
-	}
-}

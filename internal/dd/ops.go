@@ -231,31 +231,6 @@ func (p *Pkg) kronRec(a MEdge, b *MNode, shift int) MEdge {
 	return scaleMRaw(a.W, p.makeMNode(a.N.V+shift, e))
 }
 
-// KronV computes the tensor product a⊗b of two state diagrams, with b
-// spanning the lowerQubits bottom levels.
-func (p *Pkg) KronV(a, b VEdge, lowerQubits int) VEdge {
-	if a.IsZero() || b.IsZero() {
-		return VZero()
-	}
-	res := p.kronVRec(VEdge{W: 1, N: a.N}, b.N, lowerQubits)
-	return p.rootV(VEdge{W: res.W * a.W * b.W, N: res.N})
-}
-
-func (p *Pkg) kronVRec(a VEdge, b *VNode, shift int) VEdge {
-	if a.IsZero() {
-		return VZero()
-	}
-	if a.N == vTerminal {
-		return VEdge{W: a.W, N: b}
-	}
-	var e [2]VEdge
-	for i, c := range a.N.E {
-		e[i] = p.kronVRec(c, b, shift)
-	}
-	res := p.makeVNode(a.N.V+shift, e)
-	return VEdge{W: res.W * a.W, N: res.N}
-}
-
 // conjTranspose is the recursive body of ConjTranspose, used to
 // invert circuits for the advanced equivalence-checking scheme.
 func (p *Pkg) conjTranspose(m MEdge) MEdge {

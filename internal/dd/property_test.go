@@ -280,36 +280,6 @@ func TestPropInnerProductMatchesDense(t *testing.T) {
 	}
 }
 
-// TestPropKronFactorization: FromVector(a ⊗ b) == KronV(A, B).
-func TestPropKronFactorization(t *testing.T) {
-	pTop := New(2)
-	pFull := New(4)
-	rng := rand.New(rand.NewSource(19))
-	for round := 0; round < 40; round++ {
-		a := randomState(rng, 2)
-		b := randomState(rng, 2)
-		dense := make([]complex128, 16)
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				dense[i*4+j] = a[i] * b[j]
-			}
-		}
-		// Build the 2-qubit factors as sub-diagrams at levels 0..1 of
-		// the 4-qubit package; KronV re-bases the upper factor.
-		eb := pFull.fromVector(b, 1)
-		ea := pFull.fromVector(a, 1)
-		prod := pFull.KronV(ea, eb, 2)
-		want, err := pFull.FromVector(dense)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prod.N != want.N || cmplx.Abs(prod.W-want.W) > 1e-9 {
-			t.Fatalf("kron factorization differs at round %d", round)
-		}
-	}
-	_ = pTop
-}
-
 // TestPropSamplingSupport: sampled indices always carry non-zero
 // amplitude.
 func TestPropSamplingSupport(t *testing.T) {

@@ -2,7 +2,6 @@ package dd
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 )
 
@@ -152,15 +151,4 @@ func followV(n *VNode, i int) VEdge {
 func (p *Pkg) Fidelity(a, b VEdge) float64 {
 	ip := p.InnerProduct(a, b)
 	return real(ip)*real(ip) + imag(ip)*imag(ip)
-}
-
-// ApproxEqualV reports whether two diagrams represent the same vector
-// up to the package tolerance (exact canonical diagrams satisfy a==b;
-// this is the tolerant fallback used in tests).
-func (p *Pkg) ApproxEqualV(a, b VEdge) bool {
-	if a == b {
-		return true
-	}
-	d := p.AddV(a, VEdge{W: -b.W, N: b.N})
-	return Norm(d) <= math.Sqrt(p.cn.Tolerance())
 }

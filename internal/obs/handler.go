@@ -2,7 +2,7 @@ package obs
 
 // HTTP exposure: the public /metrics handler and the opt-in admin mux
 // bundling profiling endpoints. Profiling handlers (pprof, expvar)
-// never ride on the public port — cmd/ddvis serves AdminMux on a
+// never ride on the public port — cmd/ddvis serves AdminMuxWith on a
 // separate -admin-addr listener, typically bound to localhost or a
 // cluster-internal interface.
 
@@ -20,19 +20,15 @@ func Handler(r *Registry) http.Handler {
 	})
 }
 
-// AdminMux returns the admin endpoint set:
+// AdminMuxWith returns the admin endpoint set:
 //
 //	/healthz        liveness probe (200 "ok")
-//	/metrics        Prometheus exposition of r
+//	/metrics        the given scrape handler
 //	/debug/vars     expvar JSON (Go runtime memstats, cmdline)
 //	/debug/pprof/…  CPU/heap/goroutine/block profiles and traces
-func AdminMux(r *Registry) *http.ServeMux {
-	return AdminMuxWith(Handler(r))
-}
-
-// AdminMuxWith is AdminMux with a caller-supplied /metrics handler —
-// used by cmd/ddvis to serve the web server's scrape handler (which
-// refreshes session gauges first) instead of a bare registry dump.
+//
+// cmd/ddvis passes the web server's scrape handler, which refreshes
+// session gauges first, instead of a bare registry dump.
 func AdminMuxWith(metrics http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {

@@ -140,20 +140,6 @@ var LatencyBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// ExponentialBuckets returns n bucket bounds starting at start and
-// multiplying by factor, for callers needing a custom layout.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("obs: ExponentialBuckets requires start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // series is one labelled instance inside a family.
 type series struct {
 	labels string // rendered `k1="v1",k2="v2"` or ""
@@ -174,10 +160,9 @@ type family struct {
 // Registry holds metric families and renders them in Prometheus text
 // format. The zero value is not usable; call NewRegistry.
 type Registry struct {
-	mu        sync.Mutex
-	families  map[string]*family
-	ordered   []*family
-	gatherers []func()
+	mu       sync.Mutex
+	families map[string]*family
+	ordered  []*family
 }
 
 // Default is the process-wide registry the servers and CLI tools use
@@ -187,16 +172,6 @@ var Default = NewRegistry()
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
-}
-
-// AddGatherer registers a hook that runs at the start of every
-// WritePrometheus call, before the families are rendered. Gatherers
-// refresh point-in-time gauges (table loads, live sessions) so
-// scrapes always observe fresh values without a background poller.
-func (r *Registry) AddGatherer(f func()) {
-	r.mu.Lock()
-	r.gatherers = append(r.gatherers, f)
-	r.mu.Unlock()
 }
 
 // Counter returns the counter series name{labels...}, registering it
@@ -325,16 +300,9 @@ func escapeHelp(v string) string {
 	return b.String()
 }
 
-// WritePrometheus runs the gather hooks and renders every family in
-// registration order in the Prometheus text exposition format
-// (version 0.0.4).
+// WritePrometheus renders every family in registration order in the
+// Prometheus text exposition format (version 0.0.4).
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	gatherers := append([]func(){}, r.gatherers...)
-	r.mu.Unlock()
-	for _, g := range gatherers {
-		g()
-	}
 	r.mu.Lock()
 	fams := append([]*family{}, r.ordered...)
 	r.mu.Unlock()

@@ -117,22 +117,6 @@ weird{path="a\"b\\c\nd"} 1
 	}
 }
 
-func TestGathererRunsOnWrite(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("fresh", "help")
-	calls := 0
-	r.AddGatherer(func() { calls++; g.Set(float64(calls)) })
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	r.WritePrometheus(&b)
-	if calls != 2 {
-		t.Fatalf("gatherer ran %d times, want 2", calls)
-	}
-	if g.Value() != 2 {
-		t.Fatalf("gauge = %g, want 2", g.Value())
-	}
-}
-
 func TestHandlerContentType(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "help").Inc()
@@ -147,7 +131,7 @@ func TestHandlerContentType(t *testing.T) {
 }
 
 func TestAdminMuxEndpoints(t *testing.T) {
-	mux := AdminMux(NewRegistry())
+	mux := AdminMuxWith(Handler(NewRegistry()))
 	for _, path := range []string{"/healthz", "/metrics", "/debug/vars", "/debug/pprof/"} {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))

@@ -16,9 +16,7 @@
 package tsdb
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -413,33 +411,6 @@ func (s *Store) Quantile(name, labels string, q float64, window time.Duration, n
 		}
 	}
 	return r.bounds[len(r.bounds)-1], true
-}
-
-// SeriesNames returns the retained series identifiers ("name{labels}")
-// sorted, for debug output and tests.
-func (s *Store) SeriesNames() []string {
-	s.mu.RLock()
-	out := make([]string, 0, len(s.series))
-	for k := range s.series {
-		name, labels, _ := splitKey(k)
-		if labels == "" {
-			out = append(out, name)
-		} else {
-			out = append(out, fmt.Sprintf("%s{%s}", name, labels))
-		}
-	}
-	s.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-func splitKey(k string) (name, labels string, ok bool) {
-	for i := 0; i < len(k); i++ {
-		if k[i] == '\xff' {
-			return k[:i], k[i+1:], true
-		}
-	}
-	return k, "", false
 }
 
 // Gauge-style convenience: LatestValue returns the newest sample value

@@ -7,7 +7,7 @@ import (
 )
 
 // AnimationSVG combines per-step SVG frames (as produced by
-// core.SimulationFrames) into one self-contained SVG that cycles
+// dddraw -animate) into one self-contained SVG that cycles
 // through them with SMIL timing — the tool's slide show as a single
 // shareable file. frameDur is the display time per frame in seconds.
 func AnimationSVG(frames []string, frameDur float64) (string, error) {

@@ -208,7 +208,7 @@ func sameDrawing(t *testing.T, what, want, got string) {
 }
 
 // qft3Frames renders the frames of stepping QFT(3) with writer frame,
-// captioned as core.SimulationFrames captions them.
+// captioned as dddraw -animate captions them.
 func qft3Frames(t *testing.T, frame func(*Graph, Style, string) string, style Style) []string {
 	t.Helper()
 	s := sim.New(algorithms.QFT(3), sim.WithSeed(1))

@@ -34,7 +34,7 @@ func TestFastForwardMatchesSingleSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewServer(1)
+	ws := NewServerWithConfig(DefaultConfig())
 	t.Cleanup(ws.Close)
 	h := ws.Handler()
 	serve := func(path, body string) []byte {

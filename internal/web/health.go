@@ -21,32 +21,20 @@ import (
 	"quantumdd/internal/sim"
 )
 
-// SLO defaults applied when the Config fields are zero.
+// The SLO burn-rate window of /readyz and the watchdog rules, the 5xx
+// ratio that marks the replica not-ready within it, and the p99
+// latency budget applied when Config.SLOLatencyP99 is zero.
 const (
-	defaultSLOWindow     = 5 * time.Minute
+	sloWindow            = 5 * time.Minute
+	sloErrorRatio        = 0.5
 	defaultSLOLatencyP99 = 5 * time.Second
-	defaultSLOErrorRatio = 0.5
 )
-
-func (s *Server) sloWindow() time.Duration {
-	if s.cfg.SLOWindow > 0 {
-		return s.cfg.SLOWindow
-	}
-	return defaultSLOWindow
-}
 
 func (s *Server) sloLatencyBudget() time.Duration {
 	if s.cfg.SLOLatencyP99 > 0 {
 		return s.cfg.SLOLatencyP99
 	}
 	return defaultSLOLatencyP99
-}
-
-func (s *Server) sloErrorBudget() float64 {
-	if s.cfg.SLOErrorRatio > 0 {
-		return s.cfg.SLOErrorRatio
-	}
-	return defaultSLOErrorRatio
 }
 
 // probeStatus is one component's readiness verdict.
@@ -169,11 +157,11 @@ func (s *Server) sloBurn(now time.Time) *sloStatus {
 	if s.tele == nil {
 		return nil
 	}
-	win := s.sloWindow()
+	win := sloWindow
 	st := &sloStatus{
 		WindowSeconds:        win.Seconds(),
 		LatencyBudgetSeconds: s.sloLatencyBudget().Seconds(),
-		ErrorBudget:          s.sloErrorBudget(),
+		ErrorBudget:          sloErrorRatio,
 	}
 	if p99, ok := s.tele.store.Quantile("http_request_duration_seconds", "", 0.99, win, now); ok {
 		st.P99Seconds = p99

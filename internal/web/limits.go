@@ -73,35 +73,19 @@ type Config struct {
 	// disables profiling entirely (the per-step check is then a single
 	// branch, allocation-free).
 	ShapeInterval int
-	// TraceSpans sets each session's flight-recorder capacity (the
-	// number of completed spans retained for /debug/sessions/{id}/trace
-	// and debug bundles). 0 uses trace.DefaultCapacity; negative
-	// disables per-session tracing entirely.
-	TraceSpans int
 	// SampleInterval is the live telemetry tick: every interval the
 	// in-process time-series store sweeps all metric families, the
 	// watchdog evaluates its rules, and /debug/live broadcasts a frame.
 	// 0 disables the whole pipeline (tsdb, watchdog, live stream, and
 	// the SLO burn-rate gate of /readyz).
 	SampleInterval time.Duration
-	// SampleRetention is the per-series ring capacity of the telemetry
-	// store (0 = tsdb.DefaultCapacity, 360 samples — 30 minutes at the
-	// default interval). Memory is strictly bounded: see the retention
-	// math in internal/obs/tsdb.
-	SampleRetention int
 	// LiveStream serves GET /debug/live (SSE) on the public mux when
 	// telemetry is enabled. Disable to keep the stream off a public
 	// deployment while retaining the tsdb and health endpoints.
 	LiveStream bool
-	// SLOWindow is the burn-rate evaluation window of /readyz and the
-	// watchdog rules (0 = 5 minutes).
-	SLOWindow time.Duration
 	// SLOLatencyP99 marks the replica not-ready while the windowed p99
 	// request latency exceeds it (0 = 5 seconds).
 	SLOLatencyP99 time.Duration
-	// SLOErrorRatio marks the replica not-ready while the windowed 5xx
-	// ratio exceeds it (0 = 0.5).
-	SLOErrorRatio float64
 	// Logger receives request, panic, and eviction logs. Nil discards.
 	// Every component (middleware, handlers, session reaper) logs
 	// through this one injected logger, decorated with request-ID and
@@ -142,7 +126,6 @@ func DefaultConfig() Config {
 		SessionTTL:     30 * time.Minute,
 		MaxSessions:    256,
 		RequestTimeout: 15 * time.Second,
-		TraceSpans:     1024,
 		SampleInterval: 5 * time.Second,
 		LiveStream:     true,
 	}

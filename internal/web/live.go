@@ -165,7 +165,7 @@ const liveTopN = 5
 // sorted heaviest-first).
 func (s *Server) liveFrameBytes(now time.Time, usage []sessionUsage) []byte {
 	st := s.tele.store
-	win := s.sloWindow()
+	win := sloWindow
 	f := liveFrame{
 		Seq:  s.liveSeq.Add(1),
 		Time: now.UTC().Format(time.RFC3339Nano),

@@ -238,31 +238,27 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics.registry }
 
 // sessionObserver is a session's one engine observer: every top-level
 // DD operation feeds the shared latency histograms, the session's
-// resource account and, when tracing is on, its flight recorder.
+// resource account and its flight recorder.
 type sessionObserver struct {
 	coll *obs.DDCollector
 	acct *sessionAccount
-	rec  *trace.Recorder // nil when tracing is disabled
+	rec  *trace.Recorder
 }
 
 func (o *sessionObserver) ObserveOp(op dd.Op, d time.Duration) {
 	o.coll.ObserveOp(op, d)
 	o.acct.ObserveOp(op, d)
-	if o.rec != nil {
-		o.rec.ObserveOp(op, d)
-	}
+	o.rec.ObserveOp(op, d)
 }
 
 // instrument gives a fresh or restored session its flight recorder
-// (none when Config.TraceSpans < 0; ring evictions feed
+// (trace.DefaultCapacity spans; ring evictions feed
 // trace_spans_dropped_total) and installs the session observer on its
 // DD package.
 func (s *Server) instrument(id string, sess session) {
 	b := sess.base()
-	if s.cfg.TraceSpans >= 0 {
-		b.rec = trace.NewRecorder(id, s.cfg.TraceSpans)
-		b.rec.OnDrop(s.metrics.spansDropped.Inc)
-	}
+	b.rec = trace.NewRecorder(id, trace.DefaultCapacity)
+	b.rec.OnDrop(s.metrics.spansDropped.Inc)
 	p := sess.ddPkg()
 	// The one per-session engine-setup choke point (it covers fresh and
 	// spill-restored sessions alike), so the shape profiling stride is

@@ -119,7 +119,7 @@ type goldenClient struct {
 
 func newGoldenClient(t *testing.T) *goldenClient {
 	t.Helper()
-	ws := NewServer(1)
+	ws := NewServerWithConfig(DefaultConfig())
 	t.Cleanup(ws.Close)
 	return &goldenClient{t: t, h: ws.Handler(), d: sha256.New(), b: sha256.New(), e: sha256.New()}
 }

@@ -452,14 +452,6 @@ type Server struct {
 	closeOnce  sync.Once
 }
 
-// NewServer creates a session store with the default limits. The seed
-// makes sampled measurement outcomes reproducible across restarts.
-func NewServer(seed int64) *Server {
-	cfg := DefaultConfig()
-	cfg.Seed = seed
-	return NewServerWithConfig(cfg)
-}
-
 // NewServerWithConfig creates a session store with explicit limits
 // (zero values disable the corresponding limit). When SessionTTL is
 // set, a background reaper evicts idle sessions until Close is called.
@@ -784,20 +776,11 @@ func gatesBefore(c *qc.Circuit, pos int) int {
 	return n
 }
 
-// BuildFunctionalityFrame supports the "single circuit loaded" mode of
+// buildFunctionalityFrame supports the "single circuit loaded" mode of
 // the verification tab: it constructs the (inverse) functionality of
-// one circuit (Ex. 14) and returns its rendered frame.
-func BuildFunctionalityFrame(circ *qc.Circuit, inverse bool, style vis.Style) (Frame, error) {
-	f, err := buildFunctionalityFrame(circ, inverse, style, 0)
-	if err == nil {
-		f.SVG = vis.FrameSVG(f.graph, style, f.Caption)
-	}
-	return f, err
-}
-
-// buildFunctionalityFrame is BuildFunctionalityFrame with a node
-// budget: the construction aborts with dd.ErrResourceExhausted when
-// the functionality diagram would exceed maxNodes (0 = unlimited).
+// one circuit (Ex. 14) as an unrendered frame. The construction
+// aborts with dd.ErrResourceExhausted when the functionality diagram
+// would exceed maxNodes (0 = unlimited).
 func buildFunctionalityFrame(circ *qc.Circuit, inverse bool, style vis.Style, maxNodes int) (Frame, error) {
 	use := circ
 	if inverse {

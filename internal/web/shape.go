@@ -72,7 +72,7 @@ func (s *Server) shapeTimelineFor(id string, now time.Time) *shapeTimeline {
 		return nil
 	}
 	labels := sessionLabels(id)
-	win := s.sloWindow()
+	win := sloWindow
 	pull := func(name string) []shapePoint {
 		pts := s.tele.store.Window(name, labels, win, now)
 		if len(pts) == 0 {

@@ -64,7 +64,7 @@ type telemetry struct {
 func (s *Server) newTelemetry() *telemetry {
 	st := tsdb.New(s.metrics.registry, tsdb.Config{
 		Interval: s.cfg.SampleInterval,
-		Capacity: s.cfg.SampleRetention,
+		Capacity: tsdb.DefaultCapacity,
 	})
 	t := &telemetry{
 		store: st,
@@ -79,7 +79,7 @@ func (s *Server) newTelemetry() *telemetry {
 // watchdogRules are the built-in breach detectors over the retained
 // telemetry. The window is the SLO window so one knob tunes both.
 func (s *Server) watchdogRules() []tsdb.Rule {
-	win := s.sloWindow()
+	win := sloWindow
 	return []tsdb.Rule{
 		{
 			Name: "gc_pause_spike",
@@ -211,15 +211,6 @@ func (s *Server) stopTelemetry() {
 	close(s.tele.stop)
 	<-s.tele.done
 	s.tele.hub.closeAll()
-}
-
-// Telemetry exposes the time-series store (nil when sampling is
-// disabled) for embedding callers and tests.
-func (s *Server) Telemetry() *tsdb.Store {
-	if s.tele == nil {
-		return nil
-	}
-	return s.tele.store
 }
 
 // WatchdogEvents returns the retained watchdog events, oldest first

@@ -75,13 +75,11 @@ func (f fastForward) end(ops, nodes int, err error) {
 }
 
 // sessionRecorder finds the flight recorder of a live session of
-// either kind. The bool reports whether the session exists AND has
-// tracing enabled.
+// either kind. The bool reports whether the session exists.
 func (s *Server) sessionRecorder(id string) (*trace.Recorder, bool) {
 	for _, kind := range s.kinds() {
 		if sess, ok := kind.reg.peek(id); ok {
-			rec := sess.base().rec
-			return rec, rec != nil
+			return sess.base().rec, true
 		}
 	}
 	return nil, false
@@ -101,15 +99,13 @@ func (s *Server) handleSessionTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sessionTraces snapshots every live traced session, each on its own
+// sessionTraces snapshots every live session, each on its own
 // process track. Recorder snapshots are cross-goroutine safe, so the
 // fresh flag is irrelevant here.
 func (s *Server) sessionTraces() []trace.SessionTrace {
 	var out []trace.SessionTrace
 	s.forEachSession(func(k int, id string, sess session, fresh bool) {
-		if rec := sess.base().rec; rec != nil {
-			out = append(out, trace.SessionFromRecorder(rec, len(out)+1))
-		}
+		out = append(out, trace.SessionFromRecorder(sess.base().rec, len(out)+1))
 	})
 	return out
 }

@@ -19,7 +19,7 @@ import (
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	ws := NewServer(1)
+	ws := NewServerWithConfig(DefaultConfig())
 	t.Cleanup(ws.Close)
 	srv := httptest.NewServer(ws.Handler())
 	t.Cleanup(srv.Close)
@@ -405,14 +405,14 @@ func TestStyleQueryChangesRendering(t *testing.T) {
 }
 
 func TestBuildFunctionalityFrame(t *testing.T) {
-	frame, err := BuildFunctionalityFrame(algorithms.QFT(3), false, vis.Style{})
+	frame, err := buildFunctionalityFrame(algorithms.QFT(3), false, vis.Style{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if frame.Nodes != 21 {
 		t.Fatalf("QFT3 functionality frame has %d nodes, want 21 (Fig. 6)", frame.Nodes)
 	}
-	inv, err := BuildFunctionalityFrame(algorithms.QFT(3), true, vis.Style{})
+	inv, err := buildFunctionalityFrame(algorithms.QFT(3), true, vis.Style{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@
 //	internal/web         the web tool (JSON API + embedded page)
 //	internal/algorithms  example algorithm generators
 //	internal/bench       experiment harness (paper figure regeneration)
-//	internal/core        high-level façade tying everything together
+//	internal/cli         the command-line tools behind cmd/ and the file loader
 //
 // Executables: cmd/ddvis (web tool), cmd/ddsim (simulator),
 // cmd/ddverify (equivalence checker), cmd/dddraw (diagram renderer),
