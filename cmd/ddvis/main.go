@@ -14,7 +14,7 @@
 //	      [-max-qubits 24] [-max-ops 4096]
 //	      [-max-nodes 250000] [-max-body-bytes 1048576]
 //	      [-session-ttl 30m] [-max-sessions 256] [-request-timeout 15s]
-//	      [-noisy-workers 0] [-shape-interval 0]
+//	      [-noisy-workers 0]
 //	      [-spill-dir /var/lib/ddvis/spill] [-spill-max-bytes 67108864]
 //	      [-sample-interval 5s] [-live-stream]
 //
@@ -29,13 +29,12 @@
 // /debug/live SSE stream, and /debug/sessions/top; see README "Live
 // telemetry & health".
 //
-// With profiling enabled (the default; -shape-interval -1 disables),
-// every session's DD engine publishes a structural shape profile each
-// N executed steps: per-level node occupancy, sharing factor, and
-// identity-padding fraction feed the dd_shape_* metric families, the
-// per-session timelines behind GET /debug/sessions/{id}/shape, and
-// the node-blowup watchdog rule; see README "Diagram structure
-// profiling".
+// Every session's diagram is profiled when telemetry reads it and it
+// has served a request since its last profile: per-level node
+// occupancy, sharing factor, and identity-padding fraction feed the
+// dd_shape_* metric families, the per-session timelines behind
+// GET /debug/sessions/{id}/shape, and the node-blowup watchdog rule;
+// see README "Diagram structure profiling".
 //
 // When -admin-addr is set, a second listener serves the operational
 // endpoints (/healthz, /readyz, /metrics, /debug/vars, /debug/pprof/…,
@@ -75,7 +74,6 @@ func main() {
 	maxSessions := flag.Int("max-sessions", def.MaxSessions, "LRU cap on live sessions per kind (0 = unlimited)")
 	reqTimeout := flag.Duration("request-timeout", def.RequestTimeout, "per-request deadline, bounds fast-forward loops (0 = none)")
 	noisyWorkers := flag.Int("noisy-workers", def.NoisyWorkers, "trajectory pool width for /api/noisy ensembles (0 = GOMAXPROCS, 1 = sequential; results are bit-identical either way)")
-	shapeInterval := flag.Int("shape-interval", def.ShapeInterval, "structural shape-profiling stride in session steps (0 = default 32, negative = disable profiling)")
 	spillDir := flag.String("spill-dir", "", "directory for durable session snapshots; evicted sessions spill here and are transparently restored on their next request (empty = disabled)")
 	spillMaxBytes := flag.Int64("spill-max-bytes", 0, "byte cap on the spill directory, oldest snapshots evicted first (0 = unbounded)")
 	sampleInterval := flag.Duration("sample-interval", def.SampleInterval, "telemetry sweep interval for the in-process time-series store (0 = telemetry off)")
@@ -95,7 +93,6 @@ func main() {
 		NoisyWorkers:   *noisyWorkers,
 		SpillDir:       *spillDir,
 		SpillMaxBytes:  *spillMaxBytes,
-		ShapeInterval:  *shapeInterval,
 		SampleInterval: *sampleInterval,
 		LiveStream:     *liveStream,
 		Logger:         logger,

@@ -36,13 +36,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	styles := map[string]vis.Style{
-		"classic": {Mode: vis.Classic},
-		"colored": {Mode: vis.Colored},
-		"modern":  {Mode: vis.Modern},
+	styles := []struct {
+		name  string
+		style vis.Style
+	}{
+		{"classic", vis.Style{Mode: vis.Classic}},
+		{"colored", vis.Style{Mode: vis.Colored}},
+		{"modern", vis.Style{Mode: vis.Modern}},
 	}
-	for name, style := range styles {
-		write("bell_"+name+".svg", vis.FromVector(bell).SVG(style))
+	for _, s := range styles {
+		write("bell_"+s.name+".svg", vis.FromVector(bell).SVG(s.style))
 	}
 	write("bell.dot", vis.FromVector(bell).DOT(vis.Style{Mode: vis.Classic}))
 

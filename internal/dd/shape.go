@@ -11,12 +11,14 @@ package dd
 // as stroke width), and the per-level unique-table load factors of
 // the owning package.
 //
-// Profiles reuse the pooled iterative walkers of size.go and are
-// sampled at a configurable stride (SetShapeInterval + MaybeShapeV/M)
-// so the amortized cost stays bounded: one O(nodes) walk every N
-// steps against N step costs that are themselves Ω(nodes). The
-// disabled path (interval 0) is a single branch and allocates
-// nothing, pinned by an AllocsPerRun test.
+// A profile is one linear pass over the ordered walk of flat.go, the
+// listing every rendered frame takes. The web server profiles a session
+// when a reader finds it idle and changed since its last profile
+// (PublishShapeV/M), so profiles cost nothing while nobody reads them.
+// SetShapeInterval + MaybeShapeV/M sample at a stride of engine steps
+// instead, for the simulator option and the benchmark replay; their
+// disabled path (interval 0) is a single branch and allocates nothing,
+// pinned by an AllocsPerRun test.
 
 import (
 	"math"
@@ -108,11 +110,31 @@ func ShapeWeightBucketBounds(k int) (lo, hi float64) {
 	return lo, hi
 }
 
-// finalize fills the derived fields shared by both walks.
+// newShape allocates the profile's own slices but NodesPerLevel,
+// which the walk's LevelHist allocates.
+func newShape(kind string, levels int) ShapeProfile {
+	return ShapeProfile{
+		Kind:          kind,
+		Levels:        levels,
+		EdgesPerLevel: make([]int, levels),
+		WeightHist:    make([]int, ShapeWeightBuckets),
+		UTLoad:        make([]float64, levels),
+	}
+}
+
+// edge counts one non-zero edge leaving level v; v < 0 is the root.
+func (s *ShapeProfile) edge(v int, w complex128) {
+	s.Edges++
+	if v >= 0 {
+		s.EdgesPerLevel[v]++
+	}
+	s.WeightHist[shapeWeightBucket(cmplx.Abs(w))]++
+}
+
+// finalize fills the derived fields shared by both passes.
 func (s *ShapeProfile) finalize() {
 	for v, n := range s.NodesPerLevel {
 		s.Nodes += n
-		s.Edges += s.EdgesPerLevel[v]
 		if n > s.MaxLevelNodes {
 			s.MaxLevelNodes = n
 			s.WidestLevel = v
@@ -123,139 +145,96 @@ func (s *ShapeProfile) finalize() {
 	}
 }
 
-// ShapeV profiles a vector diagram. The walk is read-only and costs
-// O(nodes); it allocates the per-level slices and a path-count map,
-// so sample it at a stride (MaybeShapeV) on hot paths.
+// ShapeV profiles a vector diagram in one pass over its ordered walk.
+// TreeNodes is summed bottom-up, as FlatV.PathCount sums paths: a
+// node's unshared expansion is itself plus its non-terminal
+// children's. The sums are integers, exact in a float64 below 2^53.
+// Once the walker pool is warm only the profile's own slices allocate.
 func (p *Pkg) ShapeV(e VEdge) ShapeProfile {
 	p.checkOpen()
-	s := ShapeProfile{
-		Kind:          "vector",
-		Levels:        p.nqubits,
-		NodesPerLevel: make([]int, p.nqubits),
-		EdgesPerLevel: make([]int, p.nqubits),
-		WeightHist:    make([]int, ShapeWeightBuckets),
-		UTLoad:        make([]float64, p.nqubits),
-	}
+	s := newShape("vector", p.nqubits)
 	for v := range p.vUnique {
 		if b := len(p.vUnique[v].buckets); b > 0 {
 			s.UTLoad[v] = float64(p.vUnique[v].count) / float64(b)
 		}
 	}
-	if e.IsTerminal() {
-		if e.W != 0 {
-			s.Edges = 1
-			s.WeightHist[shapeWeightBucket(cmplx.Abs(e.W))]++
-		}
-		return s
+	if e.W != 0 {
+		s.edge(-1, e.W)
 	}
-	// Group the nodes by level; quasi-reduction puts every non-zero
-	// child of a level-v node exactly at v-1, so a top-down sweep of
-	// the level groups propagates path counts in one pass.
-	byLevel := make([][]*VNode, p.nqubits)
-	visitV(e.N, func(n *VNode) {
-		byLevel[n.V] = append(byLevel[n.V], n)
-		s.NodesPerLevel[n.V]++
-		for i := range n.E {
-			if c := n.E[i]; !c.IsZero() {
-				s.EdgesPerLevel[n.V]++
-				s.WeightHist[shapeWeightBucket(cmplx.Abs(c.W))]++
-			}
+	f := FlattenV(e)
+	defer f.Release()
+	s.NodesPerLevel = f.LevelHist(p.nqubits)
+	tree := scratch(&f.w.vals, len(f.Nodes))
+	if f.Term >= 0 {
+		tree[f.Term] = 0
+	}
+	for _, k := range f.Edges {
+		i := k >> 1
+		if k&1 == 0 {
+			tree[i] = 1
 		}
-	})
-	s.Edges++ // the root edge
-	s.WeightHist[shapeWeightBucket(cmplx.Abs(e.W))]++
-	paths := make(map[*VNode]float64, s.nodesTotal())
-	paths[e.N] = 1
-	for v := p.nqubits - 1; v >= 0; v-- {
-		for _, n := range byLevel[v] {
-			pn := paths[n]
-			s.TreeNodes += pn
-			for i := range n.E {
-				if c := n.E[i]; !c.IsZero() && !c.IsTerminal() {
-					paths[c.N] += pn
-				}
-			}
+		n := f.Nodes[i]
+		if w := n.E[k&1].W; w != 0 {
+			s.edge(n.V, w)
+			tree[i] += tree[f.Kids[k]]
 		}
 	}
+	s.TreeNodes = tree[0]
 	s.finalize()
 	return s
 }
 
 // ShapeM profiles a matrix diagram, additionally measuring the
-// identity-padding fraction against the canonical identity chain.
-// Looking the chain up interns it if the current generation has not
-// built one yet — a handful of unique-table hits for any diagram that
-// actually contains identity blocks, since canonicity already forced
-// those blocks onto the chain nodes.
+// identity-padding fraction against the canonical identity chain:
+// the pass sums, next to each node's unshared expansion, how many of
+// its nodes are chain nodes. Looking the chain up interns it if the
+// current generation has not built one yet — a handful of unique-table
+// hits for any diagram that actually contains identity blocks, since
+// canonicity already forced those blocks onto the chain nodes.
 func (p *Pkg) ShapeM(e MEdge) ShapeProfile {
 	p.checkOpen()
-	s := ShapeProfile{
-		Kind:          "matrix",
-		Levels:        p.nqubits,
-		NodesPerLevel: make([]int, p.nqubits),
-		EdgesPerLevel: make([]int, p.nqubits),
-		WeightHist:    make([]int, ShapeWeightBuckets),
-		UTLoad:        make([]float64, p.nqubits),
-	}
+	s := newShape("matrix", p.nqubits)
 	for v := range p.mUnique {
 		if b := len(p.mUnique[v].buckets); b > 0 {
 			s.UTLoad[v] = float64(p.mUnique[v].count) / float64(b)
 		}
 	}
-	if e.IsTerminal() {
-		if e.W != 0 {
-			s.Edges = 1
-			s.WeightHist[shapeWeightBucket(cmplx.Abs(e.W))]++
-		}
-		return s
+	if e.W != 0 {
+		s.edge(-1, e.W)
 	}
-	if p.nqubits > 0 {
+	if !e.IsTerminal() && p.nqubits > 0 {
 		p.identNode(0) // ensure the chain is current before the walk
 	}
-	byLevel := make([][]*MNode, p.nqubits)
-	visitM(e.N, func(n *MNode) {
-		byLevel[n.V] = append(byLevel[n.V], n)
-		s.NodesPerLevel[n.V]++
-		for i := range n.E {
-			if c := n.E[i]; !c.IsZero() {
-				s.EdgesPerLevel[n.V]++
-				s.WeightHist[shapeWeightBucket(cmplx.Abs(c.W))]++
+	f := FlattenM(e)
+	defer f.Release()
+	s.NodesPerLevel = f.LevelHist(p.nqubits)
+	// tree[i] is node i's unshared expansion, ident[i] its chain nodes.
+	both := scratch(&f.w.vals, 2*len(f.Nodes))
+	tree, ident := both[:len(f.Nodes)], both[len(f.Nodes):]
+	if f.Term >= 0 {
+		tree[f.Term], ident[f.Term] = 0, 0
+	}
+	for _, k := range f.Edges {
+		i := k >> 2
+		n := f.Nodes[i]
+		if k&3 == 0 {
+			tree[i], ident[i] = 1, 0
+			if n == p.identNodes[n.V] {
+				ident[i] = 1
 			}
 		}
-	})
-	s.Edges++
-	s.WeightHist[shapeWeightBucket(cmplx.Abs(e.W))]++
-	paths := make(map[*MNode]float64, s.nodesTotal())
-	paths[e.N] = 1
-	var identTree float64
-	for v := p.nqubits - 1; v >= 0; v-- {
-		for _, n := range byLevel[v] {
-			pn := paths[n]
-			s.TreeNodes += pn
-			if n == p.identNodes[v] {
-				identTree += pn
-			}
-			for i := range n.E {
-				if c := n.E[i]; !c.IsZero() && !c.IsTerminal() {
-					paths[c.N] += pn
-				}
-			}
+		if w := n.E[k&3].W; w != 0 {
+			s.edge(n.V, w)
+			tree[i] += tree[f.Kids[k]]
+			ident[i] += ident[f.Kids[k]]
 		}
 	}
+	s.TreeNodes = tree[0]
 	if s.TreeNodes > 0 {
-		s.IdentityFraction = identTree / s.TreeNodes
+		s.IdentityFraction = ident[0] / s.TreeNodes
 	}
 	s.finalize()
 	return s
-}
-
-// nodesTotal sums NodesPerLevel before finalize has run.
-func (s *ShapeProfile) nodesTotal() int {
-	t := 0
-	for _, n := range s.NodesPerLevel {
-		t += n
-	}
-	return t
 }
 
 // SetShapeInterval sets the sampling stride for MaybeShapeV/M: a
@@ -267,9 +246,6 @@ func (p *Pkg) SetShapeInterval(n int) {
 	p.shapeEvery = n
 	p.shapeTick = 0
 }
-
-// ShapeInterval returns the current sampling stride.
-func (p *Pkg) ShapeInterval() int { return p.shapeEvery }
 
 // MaybeShapeV counts one step and, when the stride elapses, profiles
 // e and publishes the result for LastShape readers. Reports whether a
@@ -303,8 +279,8 @@ func (p *Pkg) MaybeShapeM(e MEdge) bool {
 
 // PublishShapeV profiles e and publishes the profile as the package's
 // latest shape snapshot, returning it. Unlike MaybeShapeV it ignores
-// the stride — callers use it to force a sample at session
-// boundaries.
+// the stride — the web server calls it when a reader finds a session
+// that changed since its last profile.
 func (p *Pkg) PublishShapeV(e VEdge) ShapeProfile {
 	s := p.ShapeV(e)
 	p.shapeSeq++

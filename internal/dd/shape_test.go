@@ -202,3 +202,28 @@ func TestShapeWeightBucketBounds(t *testing.T) {
 		t.Fatalf("unit magnitude lands in bucket %d, want %d", got, shapeWeightBucketBias)
 	}
 }
+
+// TestShapeWarmAllocs pins a warm profile's allocations to the
+// profile's own slices: NodesPerLevel, EdgesPerLevel, WeightHist and
+// UTLoad. The walk and its per-node sums live in the pooled walkers.
+func TestShapeWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled walkers at random")
+	}
+	const n = 8
+	p := New(n)
+	e := p.BasisState(0)
+	m := p.Ident()
+	for q := 0; q < n; q++ {
+		e = p.ApplyGate(e, gateH, q)
+		e = p.ApplyGate(e, gateT, (q+1)%n, Control{Qubit: q})
+		m = p.ApplyGateML(m, gateH, q)
+	}
+	const own = 4
+	if avg := testing.AllocsPerRun(100, func() { p.ShapeV(e) }); avg != own {
+		t.Errorf("warm ShapeV allocates %v times, want %d", avg, own)
+	}
+	if avg := testing.AllocsPerRun(100, func() { p.ShapeM(m) }); avg != own {
+		t.Errorf("warm ShapeM allocates %v times, want %d", avg, own)
+	}
+}

@@ -44,6 +44,7 @@ type mWalker struct {
 	stack []*MNode
 	ids   []int32
 	flat  FlatM
+	vals  []float64 // per-node scratch of the shape pass
 }
 
 var vWalkerPool = sync.Pool{New: func() any {

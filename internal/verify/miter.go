@@ -135,7 +135,6 @@ func (m *Miter) Take(s Side, next dd.MEdge) int {
 	m.pos[s]++
 	m.size = dd.SizeM(next)
 	m.peak = max(m.peak, m.size)
-	m.p.MaybeShapeM(next)
 	return m.size
 }
 

@@ -151,7 +151,6 @@ func buildFunctionality(ctx context.Context, p *dd.Pkg, c *qc.Circuit, record bo
 			sp.End()
 			recs = append(recs, StepRecord{Side: "G", Gate: op.String(), Nodes: n})
 		}
-		p.MaybeShapeM(u)
 	}
 	p.DecRefM(u)
 	return u, recs, nil

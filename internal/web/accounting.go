@@ -114,8 +114,9 @@ func usageFrom(id, kind string, acct *sessionAccount, st dd.Stats, shape *dd.Sha
 
 // sessionUsageSnapshot collects every live session's accounting row,
 // heaviest DD consumers first. Idle sessions are visited fresh (forced
-// stats publish); busy ones fall back to the race-clean LastStats read
-// — the scrape never waits on a fast-forward.
+// stats publish, shape from shapeOf); busy ones fall back to the
+// race-clean LastStats and LastShape reads — the scrape never waits on
+// a fast-forward.
 func (s *Server) sessionUsageSnapshot() []sessionUsage {
 	now := time.Now()
 	var out []sessionUsage
@@ -125,7 +126,7 @@ func (s *Server) sessionUsageSnapshot() []sessionUsage {
 			p.PublishStats()
 		}
 		st, _ := p.LastStats()
-		out = append(out, usageFrom(id, kindLabels[k], sess.base().acct, st, p.LastShape(), now))
+		out = append(out, usageFrom(id, kindLabels[k], sess.base().acct, st, shapeOf(sess, fresh), now))
 	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].DDOps != out[j].DDOps {

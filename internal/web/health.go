@@ -21,21 +21,14 @@ import (
 	"quantumdd/internal/sim"
 )
 
-// The SLO burn-rate window of /readyz and the watchdog rules, the 5xx
-// ratio that marks the replica not-ready within it, and the p99
-// latency budget applied when Config.SLOLatencyP99 is zero.
+// The SLO burn-rate window of /readyz and the watchdog rules, and the
+// 5xx ratio and p99 request latency that mark the replica not-ready
+// within it.
 const (
-	sloWindow            = 5 * time.Minute
-	sloErrorRatio        = 0.5
-	defaultSLOLatencyP99 = 5 * time.Second
+	sloWindow     = 5 * time.Minute
+	sloErrorRatio = 0.5
+	sloLatencyP99 = 5 * time.Second
 )
-
-func (s *Server) sloLatencyBudget() time.Duration {
-	if s.cfg.SLOLatencyP99 > 0 {
-		return s.cfg.SLOLatencyP99
-	}
-	return defaultSLOLatencyP99
-}
 
 // probeStatus is one component's readiness verdict.
 type probeStatus struct {
@@ -160,7 +153,7 @@ func (s *Server) sloBurn(now time.Time) *sloStatus {
 	win := sloWindow
 	st := &sloStatus{
 		WindowSeconds:        win.Seconds(),
-		LatencyBudgetSeconds: s.sloLatencyBudget().Seconds(),
+		LatencyBudgetSeconds: sloLatencyP99.Seconds(),
 		ErrorBudget:          sloErrorRatio,
 	}
 	if p99, ok := s.tele.store.Quantile("http_request_duration_seconds", "", 0.99, win, now); ok {

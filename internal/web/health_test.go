@@ -125,12 +125,10 @@ func TestReadyzCustomProbe(t *testing.T) {
 }
 
 func TestReadyzSLOLatencyBurn(t *testing.T) {
-	ws, srv := newSpillTestServer(t, func(cfg *Config) {
-		cfg.SLOLatencyP99 = time.Nanosecond // any real request latency burns
-	})
-	// Land one request in the latency histogram, then sweep so the
-	// tsdb window sees it.
-	get(t, srv, "/api/examples", nil)
+	ws, srv := newSpillTestServer(t, nil)
+	// Land a request slower than the 5 s budget in the latency
+	// histogram, then sweep so the tsdb window sees it.
+	ws.metrics.reqDuration.Observe(10)
 	ws.sampleTelemetry(time.Now())
 
 	var ready readyResponse

@@ -63,16 +63,6 @@ type Config struct {
 	// oldest snapshots are deleted first when the cap is exceeded.
 	// 0 means unbounded.
 	SpillMaxBytes int64
-	// ShapeInterval is the structural profiling stride: every N
-	// executed session steps the DD engine publishes a shape profile
-	// (per-level occupancy, sharing factor, identity-padding fraction)
-	// feeding the dd_shape_* metric families, the per-session
-	// structural timelines, GET /debug/sessions/{id}/shape, and the
-	// node-blowup watchdog rule. 0 uses defaultShapeInterval (32, cost
-	// amortized well below 1% — see BENCH_pr10.json); negative
-	// disables profiling entirely (the per-step check is then a single
-	// branch, allocation-free).
-	ShapeInterval int
 	// SampleInterval is the live telemetry tick: every interval the
 	// in-process time-series store sweeps all metric families, the
 	// watchdog evaluates its rules, and /debug/live broadcasts a frame.
@@ -83,9 +73,6 @@ type Config struct {
 	// telemetry is enabled. Disable to keep the stream off a public
 	// deployment while retaining the tsdb and health endpoints.
 	LiveStream bool
-	// SLOLatencyP99 marks the replica not-ready while the windowed p99
-	// request latency exceeds it (0 = 5 seconds).
-	SLOLatencyP99 time.Duration
 	// Logger receives request, panic, and eviction logs. Nil discards.
 	// Every component (middleware, handlers, session reaper) logs
 	// through this one injected logger, decorated with request-ID and

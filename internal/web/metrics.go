@@ -179,11 +179,10 @@ func (s *Server) collect() {
 	// node counts instead of a snapshot up to 31 operations old. Busy
 	// sessions fall back to the race-clean LastStats read.
 	// Shape aggregation rides the same sweep: each kind's gauges track
-	// the largest recently profiled diagram across sessions (the one a
-	// blowup would show up in first), and the profile counters sum the
-	// per-session sequence numbers. Idle sessions that never crossed the
-	// sampling stride get one forced profile here so short-lived
-	// sessions are not invisible; busy ones read race-clean snapshots.
+	// the largest profiled diagram across sessions (the one a blowup
+	// would show up in first), and the profile counters sum the
+	// per-session sequence numbers. shapeOf profiles idle sessions that
+	// changed since their last profile; busy ones show their last one.
 	var agg dd.Stats
 	pkgs := 0
 	var shapes [numKinds]*dd.ShapeProfile
@@ -192,15 +191,12 @@ func (s *Server) collect() {
 		p := sess.ddPkg()
 		if fresh {
 			p.PublishStats()
-			if p.ShapeInterval() > 0 && p.LastShape() == nil {
-				sess.publishShape()
-			}
 		}
 		if st, ok := p.LastStats(); ok {
 			agg = agg.Add(st)
 			pkgs++
 		}
-		if sp := p.LastShape(); sp != nil {
+		if sp := shapeOf(sess, fresh); sp != nil {
 			shapes[k] = obs.MaxShape(shapes[k], sp)
 			profiles[k] += sp.Seq
 		}
@@ -259,10 +255,5 @@ func (s *Server) instrument(id string, sess session) {
 	b := sess.base()
 	b.rec = trace.NewRecorder(id, trace.DefaultCapacity)
 	b.rec.OnDrop(s.metrics.spansDropped.Inc)
-	p := sess.ddPkg()
-	// The one per-session engine-setup choke point (it covers fresh and
-	// spill-restored sessions alike), so the shape profiling stride is
-	// installed here too.
-	p.SetShapeInterval(s.shapeInterval())
-	p.SetObserver(&sessionObserver{coll: s.metrics.dd, acct: b.acct, rec: b.rec})
+	sess.ddPkg().SetObserver(&sessionObserver{coll: s.metrics.dd, acct: b.acct, rec: b.rec})
 }

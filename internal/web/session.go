@@ -65,7 +65,7 @@ type PendingChoice struct {
 type session interface {
 	base() *sessionBase
 	ddPkg() *dd.Pkg
-	publishShape() dd.ShapeProfile
+	publishShape()
 	// snapshot serializes the session for spill-to-disk. Called with
 	// the per-session lock held (exclusive access), so the reads are
 	// consistent. Step and undo history are not persisted: a restored
@@ -83,6 +83,9 @@ type sessionBase struct {
 	// DD ops, DD wall time). Assigned at construction; all-atomic, so
 	// the top endpoint and telemetry tick read it from any goroutine.
 	acct *sessionAccount
+	// shapedAt is acct's request count at the session's last shape
+	// profile (see shapeOf). Guarded by the per-session lock.
+	shapedAt uint64
 }
 
 func (b *sessionBase) base() *sessionBase { return b }
@@ -131,9 +134,7 @@ func newSimSession(circ *qc.Circuit, src, format string, seed int64, maxNodes in
 
 func (s *simSession) ddPkg() *dd.Pkg { return s.sim.Pkg() }
 
-func (s *simSession) publishShape() dd.ShapeProfile {
-	return s.sim.Pkg().PublishShapeV(s.sim.State())
-}
+func (s *simSession) publishShape() { s.sim.Pkg().PublishShapeV(s.sim.State()) }
 
 func (s *simSession) snapshot() []byte {
 	return snapshot.EncodeSim(&snapshot.Sim{
@@ -267,7 +268,7 @@ func newVerifySession(left, right *qc.Circuit, leftSrc, rightSrc, format string,
 
 func (v *verifySession) ddPkg() *dd.Pkg { return v.m.Pkg() }
 
-func (v *verifySession) publishShape() dd.ShapeProfile { return v.m.Pkg().PublishShapeM(v.m.X()) }
+func (v *verifySession) publishShape() { v.m.Pkg().PublishShapeM(v.m.X()) }
 
 func (v *verifySession) snapshot() []byte {
 	li, ri := v.m.Pos()

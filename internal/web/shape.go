@@ -10,6 +10,11 @@ package web
 // The same timeline — for every live session — rides in debug bundles
 // as shape_timeline.json, so a blowup that killed a session five
 // minutes ago is still diagnosable from the bundle alone.
+//
+// Sessions are profiled when read, not while they step: every reader
+// (the scrape, the telemetry tick, the top endpoint, the bundle and
+// this endpoint) takes its profile from shapeOf, which walks an idle
+// session only when it has served a request since its last profile.
 
 import (
 	"errors"
@@ -19,22 +24,24 @@ import (
 	"quantumdd/internal/dd"
 )
 
-// defaultShapeInterval is the profiling stride when Config.ShapeInterval
-// is zero. At stride 32 the O(nodes) profile walk amortizes to well
-// under 1% of the per-step engine work (BENCH_pr10.json).
-const defaultShapeInterval = 32
-
-// shapeInterval resolves Config.ShapeInterval: 0 means the default
-// stride, negative disables profiling.
-func (s *Server) shapeInterval() int {
-	switch {
-	case s.cfg.ShapeInterval < 0:
-		return 0
-	case s.cfg.ShapeInterval == 0:
-		return defaultShapeInterval
-	default:
-		return s.cfg.ShapeInterval
+// shapeOf returns the profile a reader shows for sess. fresh is as in
+// registry.forEach: the caller holds the session lock. A locked session
+// is profiled when it has served a request since its last profile or
+// has none yet, so a fleet of idle sessions costs no walks per tick. A
+// busy session shows its last published profile, nil if it has none.
+func shapeOf(sess session, fresh bool) *dd.ShapeProfile {
+	p := sess.ddPkg()
+	if !fresh {
+		return p.LastShape()
 	}
+	b := sess.base()
+	n := b.acct.requests.Load()
+	if sp := p.LastShape(); sp != nil && n == b.shapedAt {
+		return sp
+	}
+	sess.publishShape()
+	b.shapedAt = n
+	return p.LastShape()
 }
 
 // shapePoint is one timeline sample.
@@ -56,13 +63,10 @@ type shapeTimeline struct {
 
 // shapeResponse is the GET /debug/sessions/{id}/shape payload.
 type shapeResponse struct {
-	ID   string `json:"id"`
-	Kind string `json:"kind"` // "sim" or "verify"
-	// Interval is the session's sampling stride (0 = disabled; the
-	// profile below is still fresh — the endpoint forces one).
-	Interval int             `json:"interval"`
-	Profile  dd.ShapeProfile `json:"profile"`
-	Timeline *shapeTimeline  `json:"timeline,omitempty"`
+	ID       string           `json:"id"`
+	Kind     string           `json:"kind"` // "sim" or "verify"
+	Profile  *dd.ShapeProfile `json:"profile"`
+	Timeline *shapeTimeline   `json:"timeline,omitempty"`
 }
 
 // shapeTimelineFor assembles the retained timeline of one session id,
@@ -112,8 +116,7 @@ func (s *Server) handleSessionShape(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, r, http.StatusOK, shapeResponse{
 			ID:       id,
 			Kind:     kind.label(),
-			Interval: h.val.ddPkg().ShapeInterval(),
-			Profile:  h.val.publishShape(),
+			Profile:  shapeOf(h.val, true),
 			Timeline: s.shapeTimelineFor(id, now),
 		})
 		return
@@ -125,27 +128,20 @@ func (s *Server) handleSessionShape(w http.ResponseWriter, r *http.Request) {
 type shapeBundleEntry struct {
 	ID   string `json:"id"`
 	Kind string `json:"kind"`
-	// Profile is the session's last published profile (nil when the
-	// session never crossed the sampling stride).
+	// Profile is the session's profile from shapeOf (nil when the
+	// session has been busy since it was created).
 	Profile  *dd.ShapeProfile `json:"profile,omitempty"`
 	Timeline *shapeTimeline   `json:"timeline,omitempty"`
 }
 
 // shapeTimelineSnapshot collects every live session's structural state
-// for the debug bundle. Busy sessions are read race-cleanly via the
-// published snapshot; idle ones (lock held, fresh=true) that have
-// never crossed the stride get a forced profile so young sessions are
-// not invisible in bundles.
+// for the debug bundle.
 func (s *Server) shapeTimelineSnapshot(now time.Time) []shapeBundleEntry {
 	entries := []shapeBundleEntry{}
 	s.forEachSession(func(k int, id string, sess session, fresh bool) {
-		p := sess.ddPkg()
-		if fresh && p.ShapeInterval() > 0 && p.LastShape() == nil {
-			sess.publishShape()
-		}
 		entries = append(entries, shapeBundleEntry{
 			ID: id, Kind: kindLabels[k],
-			Profile:  p.LastShape(),
+			Profile:  shapeOf(sess, fresh),
 			Timeline: s.shapeTimelineFor(id, now),
 		})
 	})

@@ -10,6 +10,7 @@ import (
 	"archive/tar"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,7 +28,6 @@ import (
 type shapeRespDoc struct {
 	ID       string          `json:"id"`
 	Kind     string          `json:"kind"`
-	Interval int             `json:"interval"`
 	Profile  dd.ShapeProfile `json:"profile"`
 	Timeline *shapeTimeline  `json:"timeline"`
 }
@@ -64,9 +64,6 @@ func TestSessionShapeEndpointSim(t *testing.T) {
 	}
 	if doc.ID != created.ID || doc.Kind != "sim" {
 		t.Fatalf("shape identity %q/%q, want %q/sim", doc.ID, doc.Kind, created.ID)
-	}
-	if doc.Interval != defaultShapeInterval {
-		t.Fatalf("interval %d, want default %d", doc.Interval, defaultShapeInterval)
 	}
 	p := doc.Profile
 	if p.Kind != "vector" || p.Levels != 4 || p.Seq == 0 {
@@ -137,8 +134,8 @@ func TestSessionShapeEndpointVerify(t *testing.T) {
 }
 
 // TestShapeExposition asserts the dd_shape_* families carry real
-// values after a scripted session: the scrape-time collector must pick
-// the session's published profile up (forcing one on idle sessions).
+// values after a scripted session: the scrape-time collector profiles
+// the idle session it finds.
 func TestShapeExposition(t *testing.T) {
 	_, srv := newTracedServer(t)
 
@@ -283,9 +280,168 @@ func TestBundleShapeTimelineMember(t *testing.T) {
 	if len(entries) != 1 || entries[0].ID != created.ID || entries[0].Kind != "sim" {
 		t.Fatalf("timeline entries %+v, want the one live session", entries)
 	}
-	// The Bell session is idle and under the stride — the snapshot must
-	// have forced a profile so young sessions are not invisible.
+	// The Bell session is idle and has never been profiled — the
+	// snapshot must have profiled it.
 	if entries[0].Profile == nil || entries[0].Profile.Nodes <= 0 {
 		t.Fatalf("timeline entry lacks a profile: %+v", entries[0])
+	}
+}
+
+// liveSize reports the node count of session id's diagram, read under
+// its lock. Taking the lock also waits out the handler of the request
+// just answered, which may still hold it, so a sweep that follows sees
+// the session idle.
+func liveSize(t *testing.T, ws *Server, id string) int {
+	t.Helper()
+	for _, kind := range ws.kinds() {
+		h, err := kind.reg.acquire(id, time.Now())
+		if errors.Is(err, errSessionUnknown) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.release()
+		switch s := h.val.(type) {
+		case *simSession:
+			return dd.SizeV(s.sim.State())
+		case *verifySession:
+			return dd.SizeM(s.m.X())
+		}
+	}
+	t.Fatalf("no session %s", id)
+	return 0
+}
+
+// TestShapeReadersSeeCurrentState steps a sim and a verify session
+// after a first scrape has profiled them. Each reader of the profile —
+// the scrape, the top endpoint and the telemetry tick — must then show
+// the diagram as it stands, not the profile of the first scrape.
+func TestShapeReadersSeeCurrentState(t *testing.T) {
+	for _, tc := range []struct {
+		kind, path   string
+		create, step any
+		diagram      string
+	}{
+		{"sim", "/api/simulation", newSimRequest{Code: algorithms.GHZ(8).QASM()},
+			stepRequest{Action: "forward"}, "vector"},
+		{"verify", "/api/verification", newVerifyRequest{
+			Left: algorithms.QFT(4).QASM(), Right: algorithms.QFTCompiled(4).QASM(),
+		}, verifyStepRequest{Side: "left", Action: "forward"}, "matrix"},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			ws, srv := newTracedServer(t)
+			var created struct {
+				ID string `json:"id"`
+			}
+			post(t, srv, tc.path, tc.create, &created)
+			step := func(k int) int {
+				t.Helper()
+				for i := 0; i < k; i++ {
+					if resp := post(t, srv, tc.path+"/"+created.ID+"/step", tc.step, nil); resp.StatusCode != http.StatusOK {
+						t.Fatalf("step status %d", resp.StatusCode)
+					}
+				}
+				return liveSize(t, ws, created.ID)
+			}
+			first := liveSize(t, ws, created.ID)
+			scrape(t, srv)
+
+			want := step(5)
+			if want == first {
+				t.Fatalf("5 steps left the diagram at %d nodes; the test needs it to change", want)
+			}
+			series := `dd_shape_nodes{kind="` + tc.diagram + `"}`
+			if got, ok := labeledMetricValue(scrape(t, srv), series); !ok || got != float64(want) {
+				t.Errorf("scrape: %s = %v, want the current %d", series, got, want)
+			}
+
+			want = step(1)
+			var top topResponse
+			get(t, srv, "/debug/sessions/top", &top)
+			if len(top.Sessions) != 1 || top.Sessions[0].ShapeNodes != want {
+				t.Errorf("top: %+v, want shapeNodes %d", top.Sessions, want)
+			}
+
+			want = step(1)
+			ws.sampleTelemetry(time.Now())
+			if got := ws.tele.store.LatestValue("session_shape_nodes", sessionLabels(created.ID), -1); got != float64(want) {
+				t.Errorf("tick: session_shape_nodes = %v, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestShapeSweepsSkipIdleSessions: a sweep profiles a session only when
+// it has served a request since its last profile, so sweeps over an
+// idle session take no walks and leave dd_shape_profiles unchanged.
+func TestShapeSweepsSkipIdleSessions(t *testing.T) {
+	ws, srv := newTracedServer(t)
+	var created struct {
+		ID string `json:"id"`
+	}
+	post(t, srv, "/api/simulation", newSimRequest{Code: algorithms.GHZ(4).QASM()}, &created)
+	post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "end"}, nil)
+	liveSize(t, ws, created.ID)
+	profiles := func() float64 {
+		t.Helper()
+		v, ok := labeledMetricValue(scrape(t, srv), `dd_shape_profiles{kind="vector"}`)
+		if !ok {
+			t.Fatal("scrape lacks dd_shape_profiles")
+		}
+		return v
+	}
+	first := profiles()
+	ws.sampleTelemetry(time.Now())
+	if again := profiles(); again != first {
+		t.Fatalf("sweeps of an idle session took profiles: %v, then %v", first, again)
+	}
+	post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "backward"}, nil)
+	liveSize(t, ws, created.ID)
+	if after := profiles(); after != first+1 {
+		t.Fatalf("after one request dd_shape_profiles = %v, want %v", after, first+1)
+	}
+}
+
+// TestShapeSweepSkipsLockedSession: a sweep that finds a session's lock
+// held must not walk its diagram, which a request may be rewriting; the
+// readers show the last published profile instead.
+func TestShapeSweepSkipsLockedSession(t *testing.T) {
+	ws, srv := newTracedServer(t)
+	var created struct {
+		ID string `json:"id"`
+	}
+	post(t, srv, "/api/simulation", newSimRequest{Code: algorithms.GHZ(6).QASM()}, &created)
+	scrape(t, srv)
+	post(t, srv, "/api/simulation/"+created.ID+"/step", stepRequest{Action: "end"}, nil)
+
+	h, err := ws.sims.reg.acquire(created.ID, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := h.val.ddPkg()
+	last := p.LastShape()
+	if last == nil {
+		h.release()
+		t.Fatal("the first scrape published no profile")
+	}
+	now := time.Now()
+	ws.sampleTelemetry(now)
+	usage := ws.sessionUsageSnapshot()
+	bundle := ws.shapeTimelineSnapshot(now)
+	walked := p.LastShape() != last
+	h.release()
+	if walked {
+		t.Fatal("a sweep walked a session whose lock was held")
+	}
+	if len(usage) != 1 || usage[0].ShapeSeq != last.Seq {
+		t.Errorf("top rows %+v, want the last profile (seq %d)", usage, last.Seq)
+	}
+	if len(bundle) != 1 || bundle[0].Profile != last {
+		t.Errorf("bundle entries %+v, want the last profile", bundle)
+	}
+	scrape(t, srv)
+	if sp := p.LastShape(); sp == last || sp.Nodes == last.Nodes {
+		t.Fatalf("after release the sweep kept the stale profile: %+v", sp)
 	}
 }
