@@ -12,13 +12,11 @@ package dd
 // the owning package.
 //
 // A profile is one linear pass over the ordered walk of flat.go, the
-// listing every rendered frame takes. The web server profiles a session
-// when a reader finds it idle and changed since its last profile
-// (PublishShapeV/M), so profiles cost nothing while nobody reads them.
-// SetShapeInterval + MaybeShapeV/M sample at a stride of engine steps
-// instead, for the simulator option and the benchmark replay; their
-// disabled path (interval 0) is a single branch and allocates nothing,
-// pinned by an AllocsPerRun test.
+// listing every rendered frame takes. PublishShapeV/M profile and
+// publish on demand; SetShapeInterval + MaybeShapeV/M sample at a
+// stride of engine steps, which ddbench S1 and the benchmark replay
+// use. The disabled stride (interval 0) is a single branch and
+// allocates nothing, pinned by an AllocsPerRun test.
 
 import (
 	"math"
@@ -279,8 +277,7 @@ func (p *Pkg) MaybeShapeM(e MEdge) bool {
 
 // PublishShapeV profiles e and publishes the profile as the package's
 // latest shape snapshot, returning it. Unlike MaybeShapeV it ignores
-// the stride — the web server calls it when a reader finds a session
-// that changed since its last profile.
+// the stride.
 func (p *Pkg) PublishShapeV(e VEdge) ShapeProfile {
 	s := p.ShapeV(e)
 	p.shapeSeq++

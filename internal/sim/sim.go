@@ -133,9 +133,7 @@ func WithMaxNodes(n int) Option {
 // disables sampling; the disabled per-step check is a single branch
 // and allocation-free. The profile walk is O(nodes), so the
 // amortized overhead at stride n is bounded by ~1/n of the step cost.
-// The web server does not use it: it profiles a session when telemetry
-// reads it. The stride serves the ddbench S1 scenario and the benchmark
-// replay.
+// ddbench S1 and the benchmark replay use it.
 func WithShapeInterval(n int) Option {
 	return func(s *Simulator) { s.pkg.SetShapeInterval(n) }
 }

@@ -75,8 +75,8 @@ type sessionUsage struct {
 	// skipping kernel applies every gate, SWAP as three CNOTs.
 	ApplyMCTHits uint64 `json:"applyMCtHits"`
 	KernelOps    uint64 `json:"kernelOps"`
-	// Structural meters from the last published shape profile (PR 10);
-	// all zero while the session has not crossed the sampling stride.
+	// Structural meters from the session's profile (see shapeOf); all
+	// zero while the session has never been profiled.
 	ShapeSeq              uint64  `json:"shapeSeq,omitempty"`
 	ShapeNodes            int     `json:"shapeNodes,omitempty"`
 	ShapeMaxLevelNodes    int     `json:"shapeMaxLevelNodes,omitempty"`

@@ -266,11 +266,8 @@ func TestVerifyStepSpanSizes(t *testing.T) {
 // circuit, with the session's flight recorder on. Only the handler
 // call is measured, over five runs of a warm session after rewinds, so
 // the frame and the response count and the engine's table growth does
-// not. When every gate of a fast-forward still carried three spans, two
-// derived contexts and its name, the same runs took 235 bytes per gate;
-// folded into one span they took 118–125, and with no shape profile
-// sampled every 32 steps they take 56. The bound is the measured value
-// plus about 20 %.
+// not. The runs take 56 bytes per gate; the bound is the measured
+// value plus about 20 %.
 func TestFastForwardAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap byte counts are not meaningful under the race detector")
