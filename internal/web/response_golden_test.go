@@ -49,15 +49,16 @@ const (
 )
 
 // The engine-blanked digests cover the same bodies with every
-// "engine" object emptied (blankEngine) and the SVG kept. They pin
+// "engine" member removed (blankEngine) and the SVG kept. They pin
 // every frame, caption, node count and verdict independently of the
 // engine's table and operation counters, so a change of how a gate
 // reaches the diagram, and not of what it yields, leaves them as they
-// are.
+// are. They were re-recorded when blankEngine began to remove the
+// member instead of emptying it; functionality frames carry none.
 const (
-	simResponsesEngineBlankedDigest           = "b81f76d81b496cdd56820ecc9e913f2088de2d11abbdc12cc46a70c1dd4ef83e"
+	simResponsesEngineBlankedDigest           = "5a7134a0748c0193c8dc990dc936ef480b37040637a096824de62f7e6b449178"
 	functionalityResponsesEngineBlankedDigest = "8a9a5ec48f8165a3b923998e3757cdf22840fa7b2f263b287637cc42043ba30d"
-	verifyCreateResponsesEngineBlankedDigest  = "89e7f7f90b460f4cd8800fe487fde7d1306928abb56d2598cb9076b04cb5d2f3"
+	verifyCreateResponsesEngineBlankedDigest  = "a68284d60f12f75671e559fcb1a9e5998614da583e6b5015236827e9fd999f5e"
 )
 
 // blankSVG returns body with the string value of every "svg" member
@@ -83,18 +84,18 @@ func blankSVG(body []byte) []byte {
 	}
 }
 
-// blankEngine returns body with every "engine" object emptied. The
-// object holds only numbers, so its value ends at the first '}'.
+// blankEngine returns body with every ,"engine":{…} member removed.
+// The object holds only numbers, so its value ends at the first '}'.
 func blankEngine(body []byte) []byte {
-	const key = `"engine":{`
+	const key = `,"engine":{`
 	var out []byte
 	for {
 		i := bytes.Index(body, []byte(key))
 		if i < 0 {
 			return append(out, body...)
 		}
-		out = append(out, body[:i+len(key)]...)
-		body = body[i+len(key)+bytes.IndexByte(body[i+len(key):], '}'):]
+		out = append(out, body[:i]...)
+		body = body[i+len(key)+bytes.IndexByte(body[i+len(key):], '}')+1:]
 	}
 }
 
@@ -113,7 +114,7 @@ type goldenClient struct {
 	h http.Handler
 	d hash.Hash // raw bodies
 	b hash.Hash // bodies with the svg values blanked
-	e hash.Hash // bodies with the engine objects blanked
+	e hash.Hash // bodies with the engine members removed
 	n int
 }
 

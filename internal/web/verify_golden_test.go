@@ -29,10 +29,11 @@ const verifyStepGoldenDigest = "4ebecd83f374998c6bdeefc7c31e7f230efe6f15a9dadd7c
 const verifyStepBlankedDigest = "03a43edad346cd6ac01843bfc606d935ccba7b4edac89a75493181b994f844b4"
 
 // verifyStepEngineBlankedDigest covers the same bodies with every
-// "engine" object emptied (blankEngine) and the SVG kept, so it holds
+// "engine" member removed (blankEngine) and the SVG kept, so it holds
 // across changes of the engine counters alone; it was re-recorded for
-// the restored positions.
-const verifyStepEngineBlankedDigest = "7a77127697cffee0932c68f63d98a1165c4f4968a4495068d0cb4ed2e9a2f40a"
+// the restored positions and when blankEngine began to remove the
+// member instead of emptying it.
+const verifyStepEngineBlankedDigest = "f57098e9bc6cdd2ea094a379e16f7e126d0ef1e1a77b810224d087358f09f099"
 
 // TestVerifyStepResponsesGolden walks two verification sessions through
 // single steps on both sides, barrier fast-forwards, steps past the
