@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -113,6 +114,10 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -120,6 +125,49 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
+}
+
+// Add publishes a tally taken over the histogram's bounds in one pass.
+func (h *Histogram) Add(t *Tally) {
+	if !slices.Equal(t.bounds, h.bounds) {
+		panic("obs: tally bounds differ from the histogram's")
+	}
+	var count uint64
+	for i, n := range t.counts {
+		h.counts[i].Add(n)
+		count += n
+	}
+	h.count.Add(count)
+	h.addSum(t.sum)
+}
+
+// Tally is a histogram for one goroutine, so a hot loop observes into
+// it without shared atomics; tallies merge, and Histogram.Add
+// publishes the merged one.
+type Tally struct {
+	bounds []float64
+	counts []uint64 // one per bound, then +Inf
+	sum    float64
+}
+
+// NewTally returns an empty tally over the bounds of the histogram it
+// will be added to.
+func NewTally(bounds []float64) Tally {
+	return Tally{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+}
+
+// Observe records one value.
+func (t *Tally) Observe(v float64) {
+	t.counts[sort.SearchFloat64s(t.bounds, v)]++
+	t.sum += v
+}
+
+// Merge adds o, taken over the same bounds, into t.
+func (t *Tally) Merge(o *Tally) {
+	for i, n := range o.counts {
+		t.counts[i] += n
+	}
+	t.sum += o.sum
 }
 
 // ObserveSeconds records a duration given in nanoseconds as seconds —

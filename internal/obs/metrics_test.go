@@ -75,6 +75,45 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestTallyAddMatchesObserve observes the same values into one
+// histogram directly and into another through two merged tallies:
+// buckets, count and sum agree, and a tally over other bounds is
+// refused.
+func TestTallyAddMatchesObserve(t *testing.T) {
+	r := NewRegistry()
+	direct := r.Histogram("direct_seconds", "help", LatencyBuckets)
+	added := r.Histogram("added_seconds", "help", LatencyBuckets)
+	a, b := NewTally(LatencyBuckets), NewTally(LatencyBuckets)
+	for i, v := range []float64{0, 1e-6, 3e-6, 2.5e-4, 0.7, 10, 11, 4e-3} {
+		direct.Observe(v)
+		if i%2 == 0 {
+			a.Observe(v)
+		} else {
+			b.Observe(v)
+		}
+	}
+	a.Merge(&b)
+	added.Add(&a)
+	for i := range direct.counts {
+		if got, want := added.counts[i].Load(), direct.counts[i].Load(); got != want {
+			t.Errorf("bucket %d count = %d, want %d", i, got, want)
+		}
+	}
+	if added.Count() != 8 || direct.Count() != 8 {
+		t.Errorf("counts: added %d, direct %d; want 8", added.Count(), direct.Count())
+	}
+	if math.Abs(added.Sum()-direct.Sum()) > 1e-12 {
+		t.Errorf("sum = %g, want %g", added.Sum(), direct.Sum())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a tally over other bounds was added")
+		}
+	}()
+	other := NewTally([]float64{1})
+	added.Add(&other)
+}
+
 // TestExposition is the format golden test: a scripted registry must
 // render byte-for-byte into the expected Prometheus text format,
 // including cumulative histogram buckets and escaped label values.

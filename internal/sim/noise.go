@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"quantumdd/internal/dd"
+	"quantumdd/internal/obs"
 	"quantumdd/internal/qc"
 )
 
@@ -47,7 +48,7 @@ func (m NoiseModel) validate() error {
 
 // NoisyResult aggregates a trajectory ensemble. For a fixed ensemble
 // seed it is bit-identical across worker counts and scheduling orders
-// (see pool.go).
+// (see pool.go), apart from Workers and the Seconds timings.
 type NoisyResult struct {
 	// Trajectories counts the trajectories that ran to completion;
 	// it equals Requested unless budget exhaustion or cancellation
@@ -70,6 +71,11 @@ type NoisyResult struct {
 	// MeanNodes is the average final diagram size per completed
 	// trajectory (0 when none completed).
 	MeanNodes float64
+	// Seconds tallies the wall-clock time of every completed
+	// trajectory over obs.LatencyBuckets; each worker keeps its own
+	// and the ensemble merges them once. Unlike the fields above, it
+	// differs from run to run.
+	Seconds obs.Tally
 }
 
 // RunNoisy simulates the circuit trajectories times under the noise

@@ -56,7 +56,11 @@ package sim
 //     of the budget frames.
 //
 // The result: RunNoisy returns a bit-identical *NoisyResult for every
-// worker count, including 1.
+// worker count, including 1, apart from its pool width and timings.
+//
+// Each worker also times its completed trajectories into its own
+// obs.Tally, merged with the rest, so the server publishes an
+// ensemble's trajectory_seconds once instead of per trajectory.
 
 import (
 	"context"
@@ -68,6 +72,7 @@ import (
 	"time"
 
 	"quantumdd/internal/dd"
+	"quantumdd/internal/obs"
 	"quantumdd/internal/qc"
 )
 
@@ -117,6 +122,8 @@ type trajectoryOutcome struct {
 	nodes  int   // final diagram size
 	events int   // Pauli errors injected
 	err    error
+	// seconds is the trajectory's wall-clock time.
+	seconds float64
 }
 
 // ensembleAccum merges trajectory outcomes; every merged quantity is
@@ -129,6 +136,11 @@ type ensembleAccum struct {
 	failed      int
 	firstErr    error
 	firstErrIdx int
+	seconds     obs.Tally // completed trajectories' wall-clock times
+}
+
+func newEnsembleAccum() ensembleAccum {
+	return ensembleAccum{counts: make(map[int64]int), seconds: obs.NewTally(obs.LatencyBuckets)}
 }
 
 func (a *ensembleAccum) add(o trajectoryOutcome) {
@@ -144,6 +156,7 @@ func (a *ensembleAccum) add(o trajectoryOutcome) {
 	a.errorEvents += o.events
 	a.totalNodes += o.nodes
 	a.completed++
+	a.seconds.Observe(o.seconds)
 }
 
 // merge folds another accumulator (one worker's share) into a.
@@ -155,6 +168,7 @@ func (a *ensembleAccum) merge(b *ensembleAccum) {
 	a.totalNodes += b.totalNodes
 	a.completed += b.completed
 	a.failed += b.failed
+	a.seconds.Merge(&b.seconds)
 	if b.firstErr != nil && (a.firstErr == nil || b.firstErrIdx < a.firstErrIdx) {
 		a.firstErr = b.firstErr
 		a.firstErrIdx = b.firstErrIdx
@@ -170,6 +184,7 @@ func (a *ensembleAccum) result(requested, workers int) *NoisyResult {
 		Workers:      workers,
 		Counts:       a.counts,
 		ErrorEvents:  a.errorEvents,
+		Seconds:      a.seconds,
 	}
 	if a.completed > 0 {
 		res.MeanNodes = float64(a.totalNodes) / float64(a.completed)
@@ -218,11 +233,10 @@ func RunNoisyCtx(ctx context.Context, circ *qc.Circuit, model NoiseModel, trajec
 		return nil, fmt.Errorf("sim: need at least one trajectory")
 	}
 	// A probe simulator resolves the ensemble options (workers,
-	// observer, budget); its engine is handed to worker 0 so the
-	// allocation is not wasted.
+	// budget); its engine is handed to worker 0 so the allocation is
+	// not wasted.
 	probe := newOn(dd.New(circ.NQubits), circ, nil, opts...)
 	workers := resolveWorkers(probe.workers, trajectories)
-	observer := probe.trajObserver
 	probe.release()
 
 	// Workers claim indices from next until the ensemble is exhausted
@@ -230,7 +244,7 @@ func RunNoisyCtx(ctx context.Context, circ *qc.Circuit, model NoiseModel, trajec
 	var next atomic.Int64
 	partials := make([]ensembleAccum, workers)
 	work := func(pkg *dd.Pkg, part *ensembleAccum) {
-		part.counts = make(map[int64]int)
+		*part = newEnsembleAccum()
 		// The replica's package dies with the ensemble: its memory
 		// goes back to the pools for the next one.
 		defer pkg.Close()
@@ -242,14 +256,9 @@ func RunNoisyCtx(ctx context.Context, circ *qc.Circuit, model NoiseModel, trajec
 				return
 			}
 			r.src.seedTrajectory(seed, tr)
-			var start time.Time
-			if observer != nil {
-				start = time.Now()
-			}
+			start := time.Now()
 			out := r.run(ctx, tr)
-			if out.err == nil && observer != nil {
-				observer(time.Since(start).Seconds())
-			}
+			out.seconds = time.Since(start).Seconds()
 			part.add(out)
 			r.maintain()
 		}

@@ -12,6 +12,7 @@ import (
 
 	"quantumdd/internal/algorithms"
 	"quantumdd/internal/dd"
+	"quantumdd/internal/obs"
 	"quantumdd/internal/qc"
 )
 
@@ -250,16 +251,10 @@ func TestPoolCancellation(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 8} {
 		before := runtime.NumGoroutine()
 
-		ctx, cancel := context.WithCancel(context.Background())
-		var n atomic.Int64
-		observer := func(float64) {
-			if n.Add(1) == 10 {
-				cancel()
-			}
-		}
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(100)
 		res, err := RunNoisyCtx(ctx, algorithms.GHZ(10), NoiseModel{Depolarizing: 0.02},
-			100000, 5, WithWorkers(w), WithTrajectoryObserver(observer))
-		cancel()
+			100000, 5, WithWorkers(w))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: error = %v, want context.Canceled", w, err)
 		}
@@ -285,6 +280,20 @@ func TestPoolCancellation(t *testing.T) {
 	}
 }
 
+// countdownCtx is a context that reports cancellation once Err has
+// been asked left times, so an ensemble stops part way through.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestPoolPreCancelled: a context that is already done runs no
 // trajectory on any pool width.
 func TestPoolPreCancelled(t *testing.T) {
@@ -301,19 +310,31 @@ func TestPoolPreCancelled(t *testing.T) {
 	}
 }
 
-// TestObserverCountsCompletions: the trajectory observer fires exactly
-// once per completed trajectory, on every worker count.
-func TestObserverCountsCompletions(t *testing.T) {
+// TestTrajectoryTimesCountCompletions: the ensemble times every
+// completed trajectory once, on every worker count, and no failed one,
+// over the bounds of the server's trajectory_seconds.
+func TestTrajectoryTimesCountCompletions(t *testing.T) {
+	timed := func(res *NoisyResult) uint64 {
+		h := obs.NewRegistry().Histogram("trajectory_seconds", "help", obs.LatencyBuckets)
+		h.Add(&res.Seconds)
+		return h.Count()
+	}
 	for _, w := range []int{1, 3} {
-		var n atomic.Int64
-		res, err := RunNoisy(algorithms.Bell(), NoiseModel{}, 50, 1,
-			WithWorkers(w), WithTrajectoryObserver(func(float64) { n.Add(1) }))
+		res, err := RunNoisy(algorithms.Bell(), NoiseModel{}, 50, 1, WithWorkers(w))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if int(n.Load()) != res.Trajectories || res.Trajectories != 50 {
-			t.Fatalf("workers=%d: observer fired %d times for %d completions", w, n.Load(), res.Trajectories)
+		if n := timed(res); int(n) != res.Trajectories || res.Trajectories != 50 {
+			t.Fatalf("workers=%d: %d trajectories timed for %d completions", w, n, res.Trajectories)
 		}
+	}
+	// A budget that some trajectories fit under and others do not.
+	res, err := RunNoisy(algorithms.GHZ(10), NoiseModel{Depolarizing: 0.05}, 60, 3, WithWorkers(2), WithMaxNodes(50))
+	if err == nil || res.Failed == 0 || res.Trajectories == 0 {
+		t.Fatalf("the budget did not split the ensemble (%v): %+v", err, res)
+	}
+	if n := timed(res); int(n) != res.Trajectories {
+		t.Fatalf("%d trajectories timed for %d completions and %d failures", n, res.Trajectories, res.Failed)
 	}
 }
 

@@ -79,7 +79,7 @@ func runNoisyReference(circ *qc.Circuit, model NoiseModel, trajectories int, see
 	pkg := dd.New(circ.NQubits)
 	src := &pcgSource{}
 	rng := rand.New(src)
-	acc := ensembleAccum{counts: make(map[int64]int)}
+	acc := newEnsembleAccum()
 	for tr := 0; tr < trajectories; tr++ {
 		src.seedTrajectory(seed, tr)
 		acc.add(runOneTrajectory(context.Background(), pkg, circ, model, tr, rng, opts))

@@ -72,12 +72,11 @@ type Simulator struct {
 	approxThreshold float64
 	approxFidelity  float64
 
-	// workers and trajObserver configure the trajectory pool
-	// (pool.go); they have no effect on a single interactive
-	// simulator but ride on Option so RunNoisy keeps one variadic
-	// options surface for both per-trajectory and ensemble settings.
-	workers      int
-	trajObserver func(seconds float64)
+	// workers configures the trajectory pool (pool.go); it has no
+	// effect on a single interactive simulator but rides on Option so
+	// RunNoisy keeps one variadic options surface for both
+	// per-trajectory and ensemble settings.
+	workers int
 
 	// replica marks a trajectory simulator on a pool worker (pool.go).
 	// Nothing reads its sizes or steps it backward, so setState skips
@@ -145,16 +144,6 @@ func WithShapeInterval(n int) Option {
 // count (see pool.go). The option is ignored outside RunNoisy.
 func WithWorkers(n int) Option {
 	return func(s *Simulator) { s.workers = n }
-}
-
-// WithTrajectoryObserver installs a callback invoked with the
-// wall-clock seconds of every completed trajectory in a RunNoisy
-// ensemble — the hook the server's trajectory_seconds histogram and
-// completion counters hang off. It may be called concurrently from
-// pool workers, so the callback must be safe for concurrent use
-// (e.g. an atomic histogram Observe). Ignored outside RunNoisy.
-func WithTrajectoryObserver(fn func(seconds float64)) Option {
-	return func(s *Simulator) { s.trajObserver = fn }
 }
 
 // New creates a simulator for the circuit, starting in |0…0⟩.

@@ -9,6 +9,7 @@ import (
 
 	"quantumdd/internal/algorithms"
 	"quantumdd/internal/dd"
+	"quantumdd/internal/obs"
 	"quantumdd/internal/qc"
 	"quantumdd/internal/sim"
 )
@@ -119,6 +120,7 @@ func TestRecycledMemoryIsInvisible(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			res.Seconds = obs.Tally{} // wall clock
 			return res
 		})
 		if !reflect.DeepEqual(fresh, recycled) {

@@ -179,7 +179,7 @@ func TestEvictionClosesSessionsUnderLoad(t *testing.T) {
 
 // TestSpillRestoresClosedSession evicts a stepped session (spilling and
 // closing it) and checks that the restored session draws the same
-// frame, engine counters aside: the restored package is new.
+// frame.
 func TestSpillRestoresClosedSession(t *testing.T) {
 	ws, do := closeTestServer(t, t.TempDir())
 	code, body := do("POST", "/api/simulation", newSimRequest{Code: algorithms.GHZ(4).QASM()})
@@ -213,7 +213,7 @@ func TestSpillRestoresClosedSession(t *testing.T) {
 	if got := ws.metrics.restores[kindSim].Value(); got != 1 {
 		t.Fatalf("session_restores_total{kind=sim} = %d, want 1", got)
 	}
-	if !bytes.Equal(blankEngine(before), blankEngine(after)) {
-		t.Fatalf("restored frame differs outside its engine counters:\nbefore %s\nafter  %s", blankEngine(before), blankEngine(after))
+	if !bytes.Equal(before, after) {
+		t.Fatalf("restored frame differs:\nbefore %s\nafter  %s", before, after)
 	}
 }

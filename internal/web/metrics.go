@@ -135,6 +135,7 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		"Snapshots currently in the spill store.")
 	m.trajectoriesCompleted = r.Counter("trajectories_completed_total",
 		"Monte-Carlo noise trajectories completed by the /api/noisy pool.")
+	// sim.NoisyResult.Seconds is tallied over the same bounds.
 	m.trajectorySeconds = r.Histogram("trajectory_seconds",
 		"Wall-clock duration of one completed noise trajectory.", obs.LatencyBuckets)
 	m.noisyWorkers = r.Gauge("noisy_workers",

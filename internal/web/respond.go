@@ -187,43 +187,11 @@ func (f *Frame) appendJSON(dst []byte) ([]byte, error) {
 		dst = appendInt(dst, `,"peakNodes":`, f.PeakNodes)
 	}
 	dst = appendIntsField(dst, `,"levelHist":`, f.LevelHist)
-	if e := f.Engine; e != nil {
-		dst = appendInt(dst, `,"engine":{"liveNodes":`, e.LiveNodes)
-		var err error
-		if dst, err = appendFloat(dst, `,"uniqueLoadV":`, e.UniqueLoadV); err != nil {
-			return dst, err
-		}
-		if dst, err = appendFloat(dst, `,"uniqueLoadM":`, e.UniqueLoadM); err != nil {
-			return dst, err
-		}
-		dst = appendUint(dst, `,"utCollisions":`, e.UTCollisions)
-		dst = appendUint(dst, `,"ctStores":`, e.CTStores)
-		dst = appendUint(dst, `,"ctEvictions":`, e.CTEvictions)
-		dst = appendUint(dst, `,"recycled":`, e.Recycled)
-		dst = appendInt(dst, `,"freeNodes":`, e.FreeNodes)
-		dst = appendUint(dst, `,"gcRuns":`, e.GCRuns)
-		dst = appendUint(dst, `,"applyLookups":`, e.ApplyLookups)
-		dst = appendUint(dst, `,"applyHits":`, e.ApplyHits)
-		dst = appendUint(dst, `,"applyEvictions":`, e.ApplyEvictions)
-		dst = appendUint(dst, `,"gatesFused":`, e.GatesFused)
-		dst = appendUint(dst, `,"gateDDCacheHits":`, e.GateDDCacheHits)
-		dst = appendUint(dst, `,"applyMLookups":`, e.ApplyMLookups)
-		dst = appendUint(dst, `,"applyMHits":`, e.ApplyMHits)
-		dst = appendUint(dst, `,"applyMEvictions":`, e.ApplyMEvictions)
-		dst = appendUint(dst, `,"applyMIdentitySkips":`, e.ApplyMIdentitySkips)
-		dst = appendUint(dst, `,"kernelOps":`, e.KernelOps)
-		dst = appendUint(dst, `,"genericOps":`, e.GenericOps)
-		dst = append(dst, '}')
-	}
 	return append(dst, '}'), nil
 }
 
 func appendInt(dst []byte, key string, v int) []byte {
 	return strconv.AppendInt(append(dst, key...), int64(v), 10)
-}
-
-func appendUint(dst []byte, key string, v uint64) []byte {
-	return strconv.AppendUint(append(dst, key...), v, 10)
 }
 
 func appendFloat(dst []byte, key string, v float64) ([]byte, error) {

@@ -31,21 +31,23 @@ import (
 // outside the engine counters moved. Measurement and reset becoming
 // projections through the gate kernel moved the applyLookups,
 // applyEvictions, ctStores and ctEvictions counters of 84 bodies, and
-// nothing else.
+// nothing else. When frames stopped carrying the engine member, the
+// full digests became the engine-blanked ones, which held.
 const (
-	simResponsesGoldenDigest           = "00dda2c9d9140d0fd0ab00e8bc663579165ebe0618c67929f555ba270ea48059"
+	simResponsesGoldenDigest           = "5a7134a0748c0193c8dc990dc936ef480b37040637a096824de62f7e6b449178"
 	functionalityResponsesGoldenDigest = "8a9a5ec48f8165a3b923998e3757cdf22840fa7b2f263b287637cc42043ba30d"
-	verifyCreateResponsesGoldenDigest  = "52d9f8674f75e545818909c4759c5064e20ba88ad8710c3be71eea53807296b7"
+	verifyCreateResponsesGoldenDigest  = "a68284d60f12f75671e559fcb1a9e5998614da583e6b5015236827e9fd999f5e"
 )
 
 // The blanked digests cover the same bodies with every frame's "svg"
-// value emptied (blankSVG). They pin captions, engine counters, field
-// order and float formatting independently of the SVG markup, so a
-// change of the markup alone must leave them as they are.
+// value emptied (blankSVG). They pin captions, field order and float
+// formatting independently of the SVG markup, so a change of the
+// markup alone must leave them as they are. They were re-recorded when
+// frames stopped carrying the engine member.
 const (
-	simResponsesBlankedDigest           = "96bda4a375f34187f837ead3a110f040de3b7572a792c7504c220ac880a2c6a2"
+	simResponsesBlankedDigest           = "3138ec8ee30e22011484bf5f4313ee8a8131d1e8d822a2d6241b3ff6a4a54536"
 	functionalityResponsesBlankedDigest = "efad120d4f72bd9605383d1dce72235882f66414f708197038b48635dcf85dc9"
-	verifyCreateResponsesBlankedDigest  = "7f03f05e8450bf6e3a0f4a0bce56eb58948a84bba70395acfebccd21b2d433a6"
+	verifyCreateResponsesBlankedDigest  = "b0951d4f9f8753524c305264d6416f6ba4eb4b292be7f2382a48237fda4b5cb7"
 )
 
 // The engine-blanked digests cover the same bodies with every

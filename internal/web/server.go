@@ -405,12 +405,12 @@ func (s *Server) handleNoisy(w http.ResponseWriter, r *http.Request) {
 	model := sim.NoiseModel{Depolarizing: req.Depolarizing, BitFlip: req.BitFlip, PhaseFlip: req.PhaseFlip}
 	res, err := sim.RunNoisyCtx(r.Context(), circ, model, req.Trajectories, s.cfg.Seed,
 		sim.WithMaxNodes(s.cfg.MaxNodes),
-		sim.WithWorkers(s.cfg.NoisyWorkers),
-		sim.WithTrajectoryObserver(func(seconds float64) {
-			s.metrics.trajectoriesCompleted.Inc()
-			s.metrics.trajectorySeconds.Observe(seconds)
-		}))
+		sim.WithWorkers(s.cfg.NoisyWorkers))
 	if res != nil {
+		// The workers timed their trajectories privately; the ensemble
+		// is published once.
+		s.metrics.trajectoriesCompleted.Add(uint64(res.Trajectories))
+		s.metrics.trajectorySeconds.Add(&res.Seconds)
 		s.metrics.noisyWorkers.Set(float64(res.Workers))
 	}
 	if err != nil && res == nil {

@@ -654,10 +654,14 @@ type Frame struct {
 	Classical []int     `json:"classical,omitempty"`
 	Probs     []float64 `json:"probs,omitempty"`
 	// Statistics panel payload.
-	PathCount int64        `json:"pathCount,omitempty"` // non-zero basis states
-	PeakNodes int          `json:"peakNodes,omitempty"`
-	LevelHist []int        `json:"levelHist,omitempty"` // nodes per qubit level
-	Engine    *EngineStats `json:"engine,omitempty"`    // table & memory counters
+	PathCount int64 `json:"pathCount,omitempty"` // non-zero basis states
+	PeakNodes int   `json:"peakNodes,omitempty"`
+	LevelHist []int `json:"levelHist,omitempty"` // nodes per qubit level
+	// Engine is never written to a response, and no server path fills
+	// it: /metrics has the same counters per table and
+	// /debug/sessions/top per session. Only the benchmark replay sets
+	// it, and the field goes with the replay (ROADMAP item 3(c)).
+	Engine *EngineStats `json:"-"`
 
 	// graph, when set, stands in for SVG: the handlers' frames carry
 	// the request-owned diagram and its style, and the response
@@ -666,63 +670,30 @@ type Frame struct {
 	style vis.Style
 }
 
-// EngineStats surfaces the DD engine's table and memory-manager
-// counters (unique-table load, compute-table traffic, node recycling)
-// in the statistics panel, next to the structural diagram metrics.
+// EngineStats holds a package's table and memory-manager counters
+// (unique-table load, compute-table traffic, node recycling). Only the
+// benchmark replay builds it; see Frame.Engine.
 type EngineStats struct {
-	LiveNodes    int     `json:"liveNodes"`
-	UniqueLoadV  float64 `json:"uniqueLoadV"`
-	UniqueLoadM  float64 `json:"uniqueLoadM"`
-	UTCollisions uint64  `json:"utCollisions"`
-	CTStores     uint64  `json:"ctStores"`
-	CTEvictions  uint64  `json:"ctEvictions"`
-	Recycled     uint64  `json:"recycled"`
-	FreeNodes    int     `json:"freeNodes"`
-	GCRuns       uint64  `json:"gcRuns"`
-	// Gate-application kernel counters (PR 4).
-	ApplyLookups    uint64 `json:"applyLookups"`
-	ApplyHits       uint64 `json:"applyHits"`
-	ApplyEvictions  uint64 `json:"applyEvictions"`
-	GatesFused      uint64 `json:"gatesFused"` // always 0 since fusion was removed
-	GateDDCacheHits uint64 `json:"gateDDCacheHits"`
-	// Matrix-apply kernel counters. KernelOps counts the
-	// identity-skipping matrix kernel's applications, three per SWAP.
-	// GenericOps counts generic MultMM calls; no served session makes
-	// one, and the field stays only for the frozen benchmark replay.
-	ApplyMLookups       uint64 `json:"applyMLookups"`
-	ApplyMHits          uint64 `json:"applyMHits"`
-	ApplyMEvictions     uint64 `json:"applyMEvictions"`
-	ApplyMIdentitySkips uint64 `json:"applyMIdentitySkips"`
-	KernelOps           uint64 `json:"kernelOps"`
-	GenericOps          uint64 `json:"genericOps"`
-}
-
-func engineStats(p *dd.Pkg) *EngineStats {
-	st := p.Stats()
-	return &EngineStats{
-		LiveNodes:    p.LiveNodes(),
-		UniqueLoadV:  st.UniqueLoadV,
-		UniqueLoadM:  st.UniqueLoadM,
-		UTCollisions: st.UTCollisions,
-		CTStores:     st.CTStores,
-		CTEvictions:  st.CTEvictions,
-		Recycled:     st.NodesRecycledV + st.NodesRecycledM,
-		FreeNodes:    st.FreeNodesV + st.FreeNodesM,
-		GCRuns:       st.GCRuns,
-
-		ApplyLookups:    st.ApplyCTLookups,
-		ApplyHits:       st.ApplyCTHits,
-		ApplyEvictions:  st.ApplyCTEvictions,
-		GatesFused:      st.GatesFused,
-		GateDDCacheHits: st.GateDDCacheHits,
-
-		ApplyMLookups:       st.ApplyMCTLookups,
-		ApplyMHits:          st.ApplyMCTHits,
-		ApplyMEvictions:     st.ApplyMCTEvictions,
-		ApplyMIdentitySkips: st.ApplyMIdentitySkips,
-		KernelOps:           st.ApplyMOps,
-		GenericOps:          st.MultMMOps,
-	}
+	LiveNodes           int
+	UniqueLoadV         float64
+	UniqueLoadM         float64
+	UTCollisions        uint64
+	CTStores            uint64
+	CTEvictions         uint64
+	Recycled            uint64
+	FreeNodes           int
+	GCRuns              uint64
+	ApplyLookups        uint64
+	ApplyHits           uint64
+	ApplyEvictions      uint64
+	GatesFused          uint64 // always 0 since fusion was removed
+	GateDDCacheHits     uint64
+	ApplyMLookups       uint64
+	ApplyMHits          uint64
+	ApplyMEvictions     uint64
+	ApplyMIdentitySkips uint64
+	KernelOps           uint64 // matrix-kernel applications
+	GenericOps          uint64 // generic MultMM calls
 }
 
 // simFrame and verifyFrame walk the diagram once: the graph and every
@@ -743,7 +714,6 @@ func simFrame(s *simSession, style vis.Style, caption string) Frame {
 		PathCount: f.PathCount(),
 		PeakNodes: s.sim.PeakNodes(),
 		LevelHist: f.LevelHist(p.Qubits()),
-		Engine:    engineStats(p),
 	}
 }
 
@@ -761,7 +731,6 @@ func verifyFrame(v *verifySession, style vis.Style, caption string) Frame {
 		Total:     left.NumGates() + right.NumGates(),
 		PeakNodes: v.m.Peak(),
 		LevelHist: f.LevelHist(p.Qubits()),
-		Engine:    engineStats(p),
 	}
 }
 

@@ -13,11 +13,12 @@ import (
 
 // undoWalk drives one session of either tab through the handler with
 // the request bodies step, which applies one gate, and back, which
-// undoes one.
+// undoes one. The session is id in kind.
 type undoWalk struct {
 	t          *testing.T
 	do         func(method, path string, body any) (int, []byte)
-	path       string
+	kind       *sessionKind
+	id, path   string
 	step, back any // request bodies
 }
 
@@ -41,11 +42,11 @@ func (w undoWalk) get() (body, frame []byte) {
 	return body, r.Frame
 }
 
-// frame returns the session's frame with its engine counters blanked.
+// frame returns the session's frame.
 func (w undoWalk) frame() []byte {
 	w.t.Helper()
 	_, f := w.get()
-	return blankEngine(f)
+	return f
 }
 
 // run steps forward n times (one gate each), recording the frame after
@@ -59,18 +60,14 @@ func (w undoWalk) run(n, k int) []byte {
 		w.post(w.step)
 		frames = append(frames, w.frame())
 	}
-	last, f := w.get()
-	var end Frame
-	if err := json.Unmarshal(f, &end); err != nil || end.Engine == nil {
-		w.t.Fatalf("frame without engine counters (%v): %s", err, f)
-	}
-	if end.Engine.GCRuns == 0 {
+	last, _ := w.get()
+	if sessionStats(w.t, w.kind, w.id).GCRuns == 0 {
 		w.t.Fatal("the session never collected; the walk shows nothing")
 	}
 	check := func(pos int, what string) {
 		w.t.Helper()
 		if got := w.frame(); !bytes.Equal(got, frames[pos]) {
-			w.t.Fatalf("%s to step %d: frame differs outside its engine counters:\ngot  %s\nwant %s", what, pos, got, frames[pos])
+			w.t.Fatalf("%s to step %d: frame differs:\ngot  %s\nwant %s", what, pos, got, frames[pos])
 		}
 	}
 	for i := 1; i <= k; i++ {
@@ -89,7 +86,7 @@ func (w undoWalk) run(n, k int) []byte {
 // last steps: every undo snapshot is referenced, so the frames drawn
 // after the collections equal those drawn before them.
 func TestUndoAcrossCollection(t *testing.T) {
-	_, do := closeTestServer(t, "")
+	ws, do := closeTestServer(t, "")
 
 	t.Run("simulation", func(t *testing.T) {
 		circ := algorithms.RandomCircuit(8, 40, 11)
@@ -101,7 +98,7 @@ func TestUndoAcrossCollection(t *testing.T) {
 		if err := json.Unmarshal(body, &created); err != nil {
 			t.Fatal(err)
 		}
-		w := undoWalk{t: t, do: do, path: "/api/simulation/" + created.ID,
+		w := undoWalk{t: t, do: do, kind: &ws.sims, id: created.ID, path: "/api/simulation/" + created.ID,
 			step: stepRequest{Action: "forward"}, back: stepRequest{Action: "backward"}}
 		w.run(circ.NumGates(), 10)
 	})
@@ -120,7 +117,7 @@ func TestUndoAcrossCollection(t *testing.T) {
 		if err := json.Unmarshal(body, &created); err != nil {
 			t.Fatal(err)
 		}
-		w := undoWalk{t: t, do: do, path: "/api/verification/" + created.ID,
+		w := undoWalk{t: t, do: do, kind: &ws.verifies, id: created.ID, path: "/api/verification/" + created.ID,
 			step: verifyStepRequest{Side: "left", Action: "forward"}, back: verifyStepRequest{Action: "backward"}}
 		w.run(g.NumGates(), 0)
 		w.step = verifyStepRequest{Side: "right", Action: "forward"}

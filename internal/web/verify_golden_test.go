@@ -18,15 +18,17 @@ import (
 // the compact SVG markup, for the engine counters of SWAP through the
 // kernel and for those of adding two edges into one node by their
 // weights, and once more when a step back started to restore the
-// positions from before the step. It pins the "applied" captions, the
-// frames and the engine counters they carry.
-const verifyStepGoldenDigest = "4ebecd83f374998c6bdeefc7c31e7f230efe6f15a9dadd7c01d160574927c452"
+// positions from before the step, and when frames stopped carrying the
+// engine member; it then became the engine-blanked digest, which held.
+// It pins the "applied" captions and the frames.
+const verifyStepGoldenDigest = "f57098e9bc6cdd2ea094a379e16f7e126d0ef1e1a77b810224d087358f09f099"
 
 // verifyStepBlankedDigest covers the same bodies with every frame's
 // "svg" value emptied (blankSVG), so it holds across markup changes;
 // it was re-recorded with the full digest for the engine counters,
-// both times, and for the restored positions.
-const verifyStepBlankedDigest = "03a43edad346cd6ac01843bfc606d935ccba7b4edac89a75493181b994f844b4"
+// both times, for the restored positions and for the engine member's
+// removal.
+const verifyStepBlankedDigest = "4dc52af7a545fa048039bd5649ef404d7d308a4c33fafedbc887808772535ea2"
 
 // verifyStepEngineBlankedDigest covers the same bodies with every
 // "engine" member removed (blankEngine) and the SVG kept, so it holds

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"quantumdd/internal/algorithms"
 	"quantumdd/internal/dd"
@@ -24,6 +25,18 @@ func newTestServer(t *testing.T) *httptest.Server {
 	srv := httptest.NewServer(ws.Handler())
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// sessionStats returns the counters of the package of session id in
+// kind.
+func sessionStats(t *testing.T, kind *sessionKind, id string) dd.Stats {
+	t.Helper()
+	h, err := kind.reg.acquire(id, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.release()
+	return h.val.ddPkg().Stats()
 }
 
 func post(t *testing.T, srv *httptest.Server, path string, body interface{}, out interface{}) *http.Response {
@@ -273,9 +286,10 @@ func TestVerificationFlowEx12(t *testing.T) {
 // through two of the checker's schedules to the end of both circuits:
 // left, right, left, … (one-to-one), and all of the left, then all of
 // the right (sequential). It holds the verdict, phase flag, final and
-// peak node counts and kernel-op count of its last frame to
-// verify.CheckOn's Result under the same strategy: both step one miter.
-// One pair's right side carries barriers, which the tab steps over.
+// peak node counts of its last frame and the kernel-op count of its
+// package to verify.CheckOn's Result under the same strategy: both
+// step one miter. One pair's right side carries barriers, which the
+// tab steps over.
 func TestVerificationTabAgreesWithCheckOn(t *testing.T) {
 	cswap := qc.New(3, 0)
 	cswap.H(0).H(1).Gate(qc.RY, []float64{0.4}, 2)
@@ -323,7 +337,10 @@ func TestVerificationTabAgreesWithCheckOn(t *testing.T) {
 					if err != nil || want.Equivalent != pair.equiv {
 						t.Fatalf("CheckOn: %+v, %v; want equivalent=%v", want, err, pair.equiv)
 					}
-					srv := newTestServer(t)
+					ws := NewServerWithConfig(DefaultConfig())
+					t.Cleanup(ws.Close)
+					srv := httptest.NewServer(ws.Handler())
+					t.Cleanup(srv.Close)
 					var created newResp
 					post(t, srv, "/api/verification", newVerifyRequest{Left: pair.c1.QASM(), Right: pair.c2.QASM()}, &created)
 					var last verifyStepResponse
@@ -346,7 +363,7 @@ func TestVerificationTabAgreesWithCheckOn(t *testing.T) {
 					if last.Frame.PeakNodes != want.PeakNodes {
 						t.Fatalf("tab peaks at %d nodes, CheckOn at %d", last.Frame.PeakNodes, want.PeakNodes)
 					}
-					if got := int(last.Frame.Engine.KernelOps); got != want.KernelOps {
+					if got := int(sessionStats(t, &ws.verifies, created.ID).ApplyMOps); got != want.KernelOps {
 						t.Fatalf("tab counts %d kernel ops, CheckOn %d", got, want.KernelOps)
 					}
 				})
